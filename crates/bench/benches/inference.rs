@@ -7,14 +7,14 @@ use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::eval::{EvalConfig, Evaluator};
 use taxoglimpse_core::parse::parse_tf;
 use taxoglimpse_core::prompts::PromptSetting;
-use taxoglimpse_llm::knowledge::trigram_similarity;
+use taxoglimpse_core::text::similarity;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_synth::{generate, GenOptions};
 
 fn bench_trigram(b: &mut Bench) {
-    b.bench("trigram_similarity/species_genus", || {
-        trigram_similarity(black_box("Verbascum chaixii"), black_box("Verbascum"))
+    b.bench("similarity/species_genus", || {
+        similarity(black_box("Verbascum chaixii"), black_box("Verbascum"))
     });
 }
 

@@ -325,7 +325,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
         let partition = SubtreePartition::new(&taxonomy, NUM_SLOTS);
         let sharded = ShardedDataset::partition(&dataset, &taxonomy, &partition);
         assert_eq!(sharded.len(), dataset.len(), "partitioning must not drop questions");
-        let evaluator = Evaluator::default().with_batch_size(BATCH_SIZE);
+        let evaluator = Evaluator::builder().with_batch_size(BATCH_SIZE).build();
         let base = zoo.get(ModelId::Gpt4).expect("zoo covers GPT-4");
 
         let mut rate_results = Vec::new();

@@ -19,6 +19,7 @@ use crate::model::{LanguageModel, Query};
 use crate::parse::{parse_mcq, parse_tf, ParsedAnswer};
 use crate::prompts::render_prompt;
 use crate::question::{NegativeKind, Question, QuestionBody, QuestionKind};
+use crate::text::similarity;
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
 /// One fully recorded question/answer exchange.
@@ -114,7 +115,7 @@ impl DetailedRun {
                     response,
                     parsed,
                     outcome,
-                    similarity: candidate_similarity(question),
+                    similarity: similarity(&question.child, question.shown_candidate()),
                 });
             }
         }
@@ -196,27 +197,6 @@ fn negative_of(q: &Question) -> Option<NegativeKind> {
         QuestionBody::TrueFalse { negative, .. } => *negative,
         QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => None,
     }
-}
-
-/// Trigram Jaccard between the child and the shown candidate (inlined
-/// here so core does not depend on the llm crate).
-fn candidate_similarity(q: &Question) -> f64 {
-    let grams = |s: &str| -> Vec<[u8; 3]> {
-        let lower: Vec<u8> = s.bytes().map(|b| b.to_ascii_lowercase()).collect();
-        if lower.len() < 3 {
-            return Vec::new();
-        }
-        let mut g: Vec<[u8; 3]> = lower.windows(3).map(|w| [w[0], w[1], w[2]]).collect();
-        g.sort_unstable();
-        g.dedup();
-        g
-    };
-    let (a, b) = (grams(&q.child), grams(q.shown_candidate()));
-    if a.is_empty() || b.is_empty() {
-        return if q.child.eq_ignore_ascii_case(q.shown_candidate()) { 1.0 } else { 0.0 };
-    }
-    let inter = a.iter().filter(|g| b.binary_search(g).is_ok()).count();
-    inter as f64 / (a.len() + b.len() - inter) as f64
 }
 
 #[cfg(test)]

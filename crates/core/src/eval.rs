@@ -231,7 +231,9 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Override the `answer_batch` batch size (clamped to ≥ 1).
+    /// Override the `answer_batch` batch size (clamped to ≥ 1). Report
+    /// bytes are identical at every batch size — batching only changes
+    /// how attempt-0 deliveries are grouped, never their content.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self
@@ -251,31 +253,6 @@ impl Evaluator {
     /// Start building an evaluator.
     pub fn builder() -> EvaluatorBuilder {
         EvaluatorBuilder::default()
-    }
-
-    /// Create an evaluator with the given configuration and the default
-    /// resilience policy (3 deliveries, exponential backoff, breaker
-    /// on — all invisible while models never fail).
-    #[deprecated(
-        since = "0.10.0",
-        note = "build via Evaluator::builder(), or run through workload::WorkloadRunner"
-    )]
-    pub fn new(config: EvalConfig) -> Self {
-        Evaluator::builder().with_config(config).build()
-    }
-
-    /// Override the resilience policy applied to every model call.
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Override the `answer_batch` batch size (clamped to ≥ 1). Report
-    /// bytes are identical at every batch size — batching only changes
-    /// how attempt-0 deliveries are grouped, never their content.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
     }
 
     /// The active configuration.

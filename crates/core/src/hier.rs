@@ -9,10 +9,10 @@
 //!
 //! 1. **Coarse routing**: an instance's name is scored against every
 //!    region (node) at a configurable taxonomy level with the same
-//!    trigram-Jaccard similarity the simulated models use as their
-//!    embedding substitute. The `top_k` regions, ordered by similarity
-//!    with deterministic `(name, id)` tie-breaks, become descent entry
-//!    points.
+//!    trigram-Jaccard similarity ([`crate::text`]) the simulated models
+//!    use as their embedding substitute. The `top_k` regions, ordered by
+//!    similarity with deterministic `(name, id)` tie-breaks, become
+//!    descent entry points.
 //! 2. **Constrained descent**: from each candidate region, walk
 //!    level-by-level asking sibling multiple-choice questions whose
 //!    options are *exactly* the current node's children plus an
@@ -46,6 +46,7 @@ use crate::prompts::render_prompt;
 use crate::question::{Question, QuestionBody};
 use crate::resilience::ResilienceSession;
 use crate::sampling::cochran_sample_size;
+use crate::text::{token_count, Trigrams};
 use crate::workload::{Workload, WorkloadContext, WorkloadError, WorkloadRunner};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -65,74 +66,6 @@ const ID_TAG_DESCENT: u64 = 0x41E2_17A6;
 const ID_TAG_FLAT: u64 = 0x41E2_F1A7;
 /// Seed tag for the flat baseline's surface-form corruption stream.
 const FLAT_CORRUPT_TAG: u64 = 0xC0_44AB7;
-
-// ---------------------------------------------------------------------
-// In-core text helpers (core must not depend on the llm crate; the
-// precedent is `detailed::candidate_similarity`). Cross-crate
-// equivalence with `llm::similarity` / `llm::tokenizer` is pinned by
-// integration tests at the workspace root.
-// ---------------------------------------------------------------------
-
-/// A name's deduplicated, sorted, lowercased byte trigrams — the
-/// embedding substitute used for routing and ambiguity flags.
-#[derive(Debug, Clone, Default)]
-pub struct TrigramSet {
-    grams: Vec<[u8; 3]>,
-    lower: String,
-}
-
-impl TrigramSet {
-    /// Build the trigram set of `name`.
-    pub fn new(name: &str) -> Self {
-        let lower: String = name.chars().map(|c| c.to_ascii_lowercase()).collect();
-        let bytes = lower.as_bytes();
-        let mut grams: Vec<[u8; 3]> = if bytes.len() < 3 {
-            Vec::new()
-        } else {
-            bytes.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
-        };
-        grams.sort_unstable();
-        grams.dedup();
-        TrigramSet { grams, lower }
-    }
-
-    /// Trigram Jaccard similarity in `[0, 1]`; names too short for
-    /// trigrams fall back to case-insensitive equality.
-    pub fn jaccard(&self, other: &TrigramSet) -> f64 {
-        if self.grams.is_empty() || other.grams.is_empty() {
-            return if self.lower == other.lower { 1.0 } else { 0.0 };
-        }
-        let inter = self
-            .grams
-            .iter()
-            .filter(|g| other.grams.binary_search(g).is_ok())
-            .count();
-        inter as f64 / (self.grams.len() + other.grams.len() - inter) as f64
-    }
-}
-
-/// Approximate token count of `text`: whitespace words split into
-/// alternating alphanumeric/punctuation runs, each run costing
-/// `ceil(chars / 6)` tokens — the same rule as the llm crate's
-/// tokenizer, inlined here for prompt-cost accounting.
-pub fn approx_token_count(text: &str) -> usize {
-    let mut tokens = 0usize;
-    for word in text.split_whitespace() {
-        let mut rest = word;
-        while !rest.is_empty() {
-            let is_alnum = rest.chars().next().map(|c| c.is_alphanumeric()).unwrap_or(false);
-            let run_end = rest
-                .char_indices()
-                .find(|(_, c)| c.is_alphanumeric() != is_alnum)
-                .map(|(i, _)| i)
-                .unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(run_end);
-            tokens += run.chars().count().div_ceil(6);
-            rest = tail;
-        }
-    }
-    tokens
-}
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -525,11 +458,11 @@ impl HierWorkload {
     /// broken by region name then id so the ranking is total.
     pub fn route(&self, t: &Taxonomy, name: &str) -> Vec<NodeId> {
         let level = self.router.level.min(t.num_levels().saturating_sub(1));
-        let probe = TrigramSet::new(name);
+        let probe = Trigrams::new(name);
         let mut scored: Vec<(f64, NodeId)> = t
             .nodes_at_level(level)
             .iter()
-            .map(|&n| (probe.jaccard(&TrigramSet::new(t.name(n))), n))
+            .map(|&n| (probe.jaccard(&Trigrams::new(t.name(n))), n))
             .collect();
         scored.sort_by(|a, b| {
             b.0.total_cmp(&a.0)
@@ -602,7 +535,7 @@ struct RunState<'r> {
     /// baseline's validity check.
     valid_names: Vec<String>,
     /// Leaf ids paired with trigram sets, for the flat shortlist.
-    leaf_sims: Vec<(NodeId, TrigramSet)>,
+    leaf_sims: Vec<(NodeId, Trigrams)>,
     /// Token cost of the instruction + full leaf listing the
     /// whole-taxonomy-in-prompt alternative pays before the instance
     /// name is even added.
@@ -654,7 +587,7 @@ impl HierWorkload {
                         &[],
                     );
                     result.queries += 1;
-                    result.prompt_tokens += approx_token_count(&prompt);
+                    result.prompt_tokens += token_count(&prompt);
                     let query = Query::new(&prompt, &question, state.config.setting);
                     let text = match session.call(model, &query) {
                         Ok(response) => response.text,
@@ -697,7 +630,7 @@ impl HierWorkload {
         result: &mut InstanceResult,
     ) -> FlatOutcome {
         let t = state.t;
-        let probe = TrigramSet::new(&instance.name);
+        let probe = Trigrams::new(&instance.name);
         let mut scored: Vec<(f64, NodeId)> = state
             .leaf_sims
             .iter()
@@ -726,7 +659,7 @@ impl HierWorkload {
         };
         let prompt =
             render_prompt(&question, state.config.setting, state.config.variant, &[]);
-        result.flat_tokens += approx_token_count(&prompt);
+        result.flat_tokens += token_count(&prompt);
         let query = Query::new(&prompt, &question, state.config.setting);
         let text = match session.call(model, &query) {
             Ok(response) => response.text,
@@ -845,12 +778,12 @@ impl Workload for HierWorkload {
         let instances = named
             .into_iter()
             .map(|(name, gold)| {
-                let probe = TrigramSet::new(&name);
-                let gold_sim = probe.jaccard(&TrigramSet::new(t.name(gold)));
+                let probe = Trigrams::new(&name);
+                let gold_sim = probe.jaccard(&Trigrams::new(t.name(gold)));
                 let best_sibling = t
                     .siblings(gold)
                     .into_iter()
-                    .map(|s| probe.jaccard(&TrigramSet::new(t.name(s))))
+                    .map(|s| probe.jaccard(&Trigrams::new(t.name(s))))
                     .fold(f64::NEG_INFINITY, f64::max);
                 // No siblings ⇒ nothing to confuse the instance with.
                 let ambiguous = best_sibling.is_finite() && gold_sim <= best_sibling;
@@ -874,10 +807,10 @@ impl Workload for HierWorkload {
             .collect();
         valid_names.sort_unstable();
         valid_names.dedup();
-        let leaf_sims: Vec<(NodeId, TrigramSet)> = t
+        let leaf_sims: Vec<(NodeId, Trigrams)> = t
             .leaves()
             .into_iter()
-            .map(|l| (l, TrigramSet::new(t.name(l))))
+            .map(|l| (l, Trigrams::new(t.name(l))))
             .collect();
         let whole_taxonomy_base_tokens = {
             let listing: String = leaf_sims
@@ -885,9 +818,9 @@ impl Workload for HierWorkload {
                 .map(|(l, _)| t.name(*l))
                 .collect::<Vec<_>>()
                 .join(", ");
-            approx_token_count(
+            token_count(
                 "Classify the instance into exactly one of the following categories:",
-            ) + approx_token_count(&listing)
+            ) + token_count(&listing)
         };
         let state = RunState {
             t,
@@ -960,7 +893,7 @@ impl Workload for HierWorkload {
             }
             metrics.flat_prompt_tokens += r.flat_tokens;
             metrics.whole_taxonomy_prompt_tokens +=
-                state.whole_taxonomy_base_tokens + approx_token_count(&instance.name);
+                state.whole_taxonomy_base_tokens + token_count(&instance.name);
         }
 
         HierReport {
@@ -1002,24 +935,6 @@ mod tests {
 
     fn context(t: &Taxonomy, kind: TaxonomyKind) -> WorkloadContext<'_> {
         WorkloadContext::new(t, kind, 33)
-    }
-
-    #[test]
-    fn trigram_set_matches_detailed_precedent() {
-        let a = TrigramSet::new("Wireless Speakers");
-        assert!((a.jaccard(&TrigramSet::new("Wireless Speakers")) - 1.0).abs() < 1e-12);
-        assert!(a.jaccard(&TrigramSet::new("Books")) < 0.2);
-        // Short-name fallback: equality modulo case.
-        assert_eq!(TrigramSet::new("ab").jaccard(&TrigramSet::new("AB")), 1.0);
-        assert_eq!(TrigramSet::new("ab").jaccard(&TrigramSet::new("cd")), 0.0);
-    }
-
-    #[test]
-    fn token_count_rule() {
-        assert_eq!(approx_token_count("cat"), 1);
-        assert_eq!(approx_token_count("cat, dog"), 3); // "cat" "," "dog"
-        assert_eq!(approx_token_count("extraordinarily"), 3); // 15 chars / 6
-        assert_eq!(approx_token_count("  "), 0);
     }
 
     #[test]

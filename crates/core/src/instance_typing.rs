@@ -48,47 +48,8 @@ impl fmt::Display for InstanceTypingError {
 
 impl std::error::Error for InstanceTypingError {}
 
-/// Builds instance-typing datasets.
-#[derive(Debug)]
-pub struct InstanceTypingBuilder<'t> {
-    taxonomy: &'t Taxonomy,
-    kind: TaxonomyKind,
-    seed: u64,
-    sample_cap: Option<usize>,
-}
-
-impl<'t> InstanceTypingBuilder<'t> {
-    /// Create a builder; fails for the four excluded taxonomies.
-    #[deprecated(
-        since = "0.10.0",
-        note = "run through workload::InstanceTypingWorkload with a WorkloadContext instead"
-    )]
-    pub fn new(
-        taxonomy: &'t Taxonomy,
-        kind: TaxonomyKind,
-        seed: u64,
-    ) -> Result<Self, InstanceTypingError> {
-        if !kind.has_instances() {
-            return Err(InstanceTypingError::Unsupported(kind));
-        }
-        Ok(InstanceTypingBuilder { taxonomy, kind, seed, sample_cap: None })
-    }
-
-    /// Cap the number of sampled leaf concepts (for quick runs).
-    pub fn sample_cap(mut self, cap: Option<usize>) -> Self {
-        self.sample_cap = cap;
-        self
-    }
-
-    /// Build the Easy or Hard instance-typing dataset.
-    pub fn build(&self, flavor: QuestionDataset) -> Result<Dataset, InstanceTypingError> {
-        build_dataset(self.taxonomy, self.kind, self.seed, self.sample_cap, flavor)
-    }
-}
-
-/// Build the Easy or Hard instance-typing dataset — the single
-/// construction path shared by the deprecated builder shim and
-/// [`crate::workload::InstanceTypingWorkload`].
+/// Build the Easy or Hard instance-typing dataset — the construction
+/// path behind [`crate::workload::InstanceTypingWorkload`].
 pub(crate) fn build_dataset(
     t: &Taxonomy,
     kind: TaxonomyKind,
@@ -201,9 +162,6 @@ fn post_inc(v: &mut u64) -> u64 {
 }
 
 #[cfg(test)]
-// The deprecated builder shim must keep working for one PR; its tests
-// exercise it deliberately.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use taxoglimpse_synth::{generate, GenOptions};
@@ -211,24 +169,21 @@ mod tests {
     #[test]
     fn excluded_taxonomies_are_rejected() {
         let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 1, scale: 0.2 }).unwrap();
-        let err = InstanceTypingBuilder::new(&t, TaxonomyKind::Ebay, 1).unwrap_err();
+        let err = build_dataset(&t, TaxonomyKind::Ebay, 1, None, QuestionDataset::Hard).unwrap_err();
         assert_eq!(err, InstanceTypingError::Unsupported(TaxonomyKind::Ebay));
     }
 
     #[test]
     fn mcq_flavor_is_rejected() {
         let t = generate(TaxonomyKind::Google, GenOptions { seed: 1, scale: 0.05 }).unwrap();
-        let b = InstanceTypingBuilder::new(&t, TaxonomyKind::Google, 1).unwrap();
-        assert_eq!(b.build(QuestionDataset::Mcq).unwrap_err(), InstanceTypingError::McqNotDefined);
+        let err = build_dataset(&t, TaxonomyKind::Google, 1, None, QuestionDataset::Mcq).unwrap_err();
+        assert_eq!(err, InstanceTypingError::McqNotDefined);
     }
 
     #[test]
     fn product_instances_are_typed_at_every_ancestor_level() {
         let t = generate(TaxonomyKind::Google, GenOptions { seed: 2, scale: 0.05 }).unwrap();
-        let b = InstanceTypingBuilder::new(&t, TaxonomyKind::Google, 2)
-            .unwrap()
-            .sample_cap(Some(30));
-        let d = b.build(QuestionDataset::Hard).unwrap();
+        let d = build_dataset(&t, TaxonomyKind::Google, 2, Some(30), QuestionDataset::Hard).unwrap();
         assert!(!d.is_empty());
         // Every question is instance typing and every slice level is a
         // valid taxonomy level.
@@ -246,10 +201,8 @@ mod tests {
     #[test]
     fn leaf_as_instance_taxonomies_skip_the_leaf_level() {
         let t = generate(TaxonomyKind::Glottolog, GenOptions { seed: 3, scale: 0.02 }).unwrap();
-        let b = InstanceTypingBuilder::new(&t, TaxonomyKind::Glottolog, 3)
-            .unwrap()
-            .sample_cap(Some(30));
-        let d = b.build(QuestionDataset::Hard).unwrap();
+        let d =
+            build_dataset(&t, TaxonomyKind::Glottolog, 3, Some(30), QuestionDataset::Hard).unwrap();
         // The instance IS the leaf, so no slice targets the deepest level.
         let deepest = t.num_levels() - 1;
         assert!(d.levels.iter().all(|s| s.child_level < deepest));
@@ -258,10 +211,7 @@ mod tests {
     #[test]
     fn positives_and_negatives_are_balanced() {
         let t = generate(TaxonomyKind::Icd10Cm, GenOptions { seed: 4, scale: 0.1 }).unwrap();
-        let b = InstanceTypingBuilder::new(&t, TaxonomyKind::Icd10Cm, 4)
-            .unwrap()
-            .sample_cap(Some(50));
-        let d = b.build(QuestionDataset::Easy).unwrap();
+        let d = build_dataset(&t, TaxonomyKind::Icd10Cm, 4, Some(50), QuestionDataset::Easy).unwrap();
         let pos = d.questions().filter(|q| q.expected_yes() == Some(true)).count();
         let neg = d.len() - pos;
         assert!(pos > 0 && neg > 0);
@@ -272,13 +222,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let t = generate(TaxonomyKind::Oae, GenOptions { seed: 5, scale: 0.05 }).unwrap();
-        let mk = || {
-            InstanceTypingBuilder::new(&t, TaxonomyKind::Oae, 5)
-                .unwrap()
-                .sample_cap(Some(20))
-                .build(QuestionDataset::Hard)
-                .unwrap()
-        };
+        let mk = || build_dataset(&t, TaxonomyKind::Oae, 5, Some(20), QuestionDataset::Hard).unwrap();
         assert_eq!(
             taxoglimpse_json::to_string(&mk()).unwrap(),
             taxoglimpse_json::to_string(&mk()).unwrap()

@@ -26,6 +26,8 @@
 //! * **Evaluation harness** (§4): [`eval::Evaluator`] producing overall
 //!   and per-level reports.
 //! * **Instance typing** (§4.5): [`instance_typing`].
+//! * **Text rules** ([`text`]): the one trigram-similarity kernel and the
+//!   one token counter every layer shares.
 //! * **Case study** (§5.3): hybrid LLM + truncated-taxonomy product
 //!   retrieval with precision/recall accounting ([`casestudy`]).
 //! * **Sharded scale-out** ([`shard`]): one logical benchmark over
@@ -63,6 +65,7 @@ pub mod serve;
 pub mod shard;
 pub mod store;
 pub mod templates;
+pub mod text;
 pub mod workload;
 
 pub use cache::{CachedModel, ResponseCache};

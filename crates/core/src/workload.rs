@@ -2,7 +2,7 @@
 //!
 //! The repo grew four divergent ways to run a scenario — `Evaluator`
 //! for sequential QA, `GridRunner` for the model × taxonomy grid,
-//! `InstanceTypingBuilder` + evaluator plumbing for §4.5, and the
+//! a dataset builder + evaluator plumbing for §4.5, and the
 //! serving layer's own configuration — and the hierarchical
 //! classification scenario ([`crate::hier`]) would have made a fifth.
 //! This module collapses them behind one contract:

@@ -19,9 +19,9 @@
 use crate::profile::ModelId;
 use crate::scalability;
 use crate::simulate::SimulatedLlm;
-use crate::tokenizer::Tokenizer;
 use std::sync::Mutex;
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
+use taxoglimpse_core::text::token_count;
 use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// Pricing per million tokens (input, output) in USD. Closed-model
@@ -81,7 +81,6 @@ impl Default for ApiConfig {
 pub struct ApiClient {
     inner: SimulatedLlm,
     config: ApiConfig,
-    tokenizer: Tokenizer,
     stats: Mutex<ServingStats>,
     seed: u64,
 }
@@ -95,7 +94,7 @@ impl ApiClient {
     /// Wrap with an explicit configuration.
     pub fn with_config(model: SimulatedLlm, config: ApiConfig) -> Self {
         let seed = mix64(0x0AB1_C0DE ^ model.id().row() as u64);
-        ApiClient { inner: model, config, tokenizer: Tokenizer::default(), stats: Mutex::new(ServingStats::default()), seed }
+        ApiClient { inner: model, config, stats: Mutex::new(ServingStats::default()), seed }
     }
 
     /// Which model is being served.
@@ -167,7 +166,7 @@ impl ApiClient {
             break;
         }
         stats.simulated_seconds += request_seconds;
-        let prompt_tokens = self.tokenizer.count(query.prompt) as u64;
+        let prompt_tokens = token_count(query.prompt) as u64;
         stats.prompt_tokens += prompt_tokens;
         let (pin, pout) = price_per_mtok(self.inner.id());
         let mut response = match answered {
@@ -181,7 +180,7 @@ impl ApiClient {
                 return Err(ModelError::Unavailable);
             }
         };
-        let completion_tokens = self.tokenizer.count(&response.text) as u64;
+        let completion_tokens = token_count(&response.text) as u64;
         stats.completion_tokens += completion_tokens;
         stats.cost_usd += (prompt_tokens as f64 * pin + completion_tokens as f64 * pout) / 1e6;
         response.latency_s = request_seconds;

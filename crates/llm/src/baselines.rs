@@ -113,9 +113,9 @@ impl LexicalBaseline {
 
     /// Answer one query against an explicit similarity cache — the
     /// shared core of `answer` and `answer_batch`. `cache.similarity`
-    /// is proven identical to the knowledge model's
-    /// `trigram_similarity` (see `crate::similarity`), so routing the
-    /// MCQ arm through it changes no answer bytes.
+    /// is proven identical to `core::text::similarity` (see
+    /// `crate::similarity`), so routing the MCQ arm through it changes
+    /// no answer bytes.
     fn respond(&self, query: &Query<'_>, cache: &SimilarityCache) -> Response {
         let text = match &query.question.body {
             QuestionBody::TrueFalse { candidate, .. } => {

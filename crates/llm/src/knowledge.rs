@@ -32,44 +32,6 @@ use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_core::question::{NegativeKind, Question, QuestionBody};
 use taxoglimpse_synth::profiles::{NameRegime, TaxonomyProfile};
 
-/// Character-trigram Jaccard similarity, case-insensitive.
-///
-/// Strings shorter than three characters fall back to exact-match 1/0.
-pub fn trigram_similarity(a: &str, b: &str) -> f64 {
-    let ta = trigrams(a);
-    let tb = trigrams(b);
-    if ta.is_empty() || tb.is_empty() {
-        return if a.eq_ignore_ascii_case(b) { 1.0 } else { 0.0 };
-    }
-    let mut intersection = 0usize;
-    let mut i = 0;
-    let mut j = 0;
-    while i < ta.len() && j < tb.len() {
-        match ta[i].cmp(&tb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                intersection += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = ta.len() + tb.len() - intersection;
-    intersection as f64 / union as f64
-}
-
-fn trigrams(s: &str) -> Vec<[u8; 3]> {
-    let lower: Vec<u8> = s.bytes().map(|b| b.to_ascii_lowercase()).collect();
-    if lower.len() < 3 {
-        return Vec::new();
-    }
-    let mut grams: Vec<[u8; 3]> = lower.windows(3).map(|w| [w[0], w[1], w[2]]).collect();
-    grams.sort_unstable();
-    grams.dedup();
-    grams
-}
-
 /// The decision probabilities for one question.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
@@ -364,28 +326,6 @@ mod tests {
                 expected_yes: neg.is_none(),
                 negative: neg,
             },
-        }
-    }
-
-    #[test]
-    fn trigram_similarity_basics() {
-        assert_eq!(trigram_similarity("abc", "abc"), 1.0);
-        assert_eq!(trigram_similarity("abc", "xyz"), 0.0);
-        assert!(trigram_similarity("Verbascum chaixii", "Verbascum") > 0.4);
-        assert!(trigram_similarity("Verbascum chaixii", "Silene") < 0.1);
-        // Case-insensitive.
-        assert_eq!(trigram_similarity("ABC", "abc"), 1.0);
-        // Short strings: exact match only.
-        assert_eq!(trigram_similarity("ab", "ab"), 1.0);
-        assert_eq!(trigram_similarity("ab", "cd"), 0.0);
-        assert_eq!(trigram_similarity("", ""), 1.0);
-    }
-
-    #[test]
-    fn trigram_similarity_is_symmetric() {
-        let pairs = [("cardiac lesion AE", "acute cardiac lesion AE"), ("a b c", "c b a")];
-        for (a, b) in pairs {
-            assert!((trigram_similarity(a, b) - trigram_similarity(b, a)).abs() < 1e-12);
         }
     }
 

@@ -41,7 +41,6 @@ pub mod respond;
 pub mod scalability;
 pub mod similarity;
 pub mod simulate;
-pub mod tokenizer;
 pub mod zoo;
 
 pub use faults::{FaultInjector, FaultPlan, FaultStats};

@@ -1,5 +1,5 @@
 //! Interned surface-form evidence: the allocation-free fast path behind
-//! [`crate::knowledge::trigram_similarity`] and friends.
+//! [`taxoglimpse_core::text::similarity`] and friends.
 //!
 //! The knowledge model consults surface evidence up to five times per
 //! question — child↔candidate trigram similarity, whole-name
@@ -12,7 +12,7 @@
 //! and serves every subsequent query from borrowed slices.
 //!
 //! Results are *definitionally* identical to the direct functions: the
-//! cache stores exactly the intermediates the direct code computes
+//! cache memoizes the very [`Trigrams`] values `core::text` computes
 //! (`tests` plus `tests/perf_equivalence.rs` fuzz the equivalence), so
 //! determinism — the repo's core invariant — is untouched.
 //!
@@ -25,51 +25,16 @@ use std::cell::RefCell;
 // lint:allow(D001, interner is lookup-only: entries are keyed by exact name and never iterated, so hash order cannot reach any output)
 use std::collections::HashMap;
 use std::rc::Rc;
+use taxoglimpse_core::text::Trigrams;
 
 /// Hard cap on interned names per thread before the cache resets.
 pub const MAX_ENTRIES: usize = 1 << 20;
 
-/// A name's cached derived forms.
-#[derive(Debug)]
-pub struct NameEntry {
-    lower: String,
-    trigrams: Box<[[u8; 3]]>,
-}
-
-impl NameEntry {
-    /// Compute the derived forms for one name (the slow path, run once
-    /// per unique name).
-    fn compute(s: &str) -> NameEntry {
-        let lower = s.to_ascii_lowercase();
-        let bytes = lower.as_bytes();
-        let trigrams = if bytes.len() < 3 {
-            Box::default()
-        } else {
-            let mut grams: Vec<[u8; 3]> = bytes.windows(3).map(|w| [w[0], w[1], w[2]]).collect();
-            grams.sort_unstable();
-            grams.dedup();
-            grams.into_boxed_slice()
-        };
-        NameEntry { lower, trigrams }
-    }
-
-    /// The ASCII-lowercased form.
-    pub fn lower(&self) -> &str {
-        &self.lower
-    }
-
-    /// The sorted, deduplicated character trigrams of the lowercased
-    /// form (empty for names under three bytes).
-    pub fn trigrams(&self) -> &[[u8; 3]] {
-        &self.trigrams
-    }
-}
-
-/// Per-thread interner from name to [`NameEntry`].
+/// Per-thread interner from name to its [`Trigrams`].
 #[derive(Debug, Default)]
 pub struct SimilarityCache {
     // lint:allow(D001, hot-path interner: O(1) probes beat BTreeMap here and the map is never iterated)
-    map: RefCell<HashMap<Box<str>, Rc<NameEntry>>>,
+    map: RefCell<HashMap<Box<str>, Rc<Trigrams>>>,
 }
 
 impl SimilarityCache {
@@ -89,11 +54,11 @@ impl SimilarityCache {
     }
 
     /// Intern `s`, computing its derived forms on first sight.
-    pub fn entry(&self, s: &str) -> Rc<NameEntry> {
+    pub fn entry(&self, s: &str) -> Rc<Trigrams> {
         if let Some(e) = self.map.borrow().get(s) {
             return Rc::clone(e);
         }
-        let entry = Rc::new(NameEntry::compute(s));
+        let entry = Rc::new(Trigrams::new(s));
         let mut map = self.map.borrow_mut();
         if map.len() >= MAX_ENTRIES {
             map.clear();
@@ -102,36 +67,15 @@ impl SimilarityCache {
         entry
     }
 
-    /// Character-trigram Jaccard similarity, case-insensitive —
-    /// identical to [`crate::knowledge::trigram_similarity`], served
-    /// from the interned sets.
+    /// [`taxoglimpse_core::text::similarity`], served from the interned
+    /// sets.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
         let ea = self.entry(a);
         let eb = self.entry(b);
         if Rc::ptr_eq(&ea, &eb) {
             return 1.0;
         }
-        let (ta, tb) = (ea.trigrams(), eb.trigrams());
-        if ta.is_empty() || tb.is_empty() {
-            // Short-string fallback: exact match ignoring ASCII case.
-            return if ea.lower() == eb.lower() { 1.0 } else { 0.0 };
-        }
-        let mut intersection = 0usize;
-        let mut i = 0;
-        let mut j = 0;
-        while i < ta.len() && j < tb.len() {
-            match ta[i].cmp(&tb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    intersection += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let union = ta.len() + tb.len() - intersection;
-        intersection as f64 / union as f64
+        ea.jaccard(&eb)
     }
 
     /// Whole-name containment as the knowledge model defines it:
@@ -175,15 +119,10 @@ pub fn with_cache<R>(f: impl FnOnce(&SimilarityCache) -> R) -> R {
     THREAD_CACHE.with(f)
 }
 
-/// Cached [`crate::knowledge::trigram_similarity`].
-pub fn cached_similarity(a: &str, b: &str) -> f64 {
-    with_cache(|c| c.similarity(a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knowledge::trigram_similarity;
+    use taxoglimpse_core::text::similarity;
 
     /// Reference copies of the knowledge model's private helpers, so a
     /// drift in either place fails loudly here.
@@ -224,7 +163,7 @@ mod tests {
             for b in CORPUS {
                 assert_eq!(
                     cache.similarity(a, b),
-                    trigram_similarity(a, b),
+                    similarity(a, b),
                     "similarity({a:?}, {b:?})"
                 );
             }
@@ -273,7 +212,8 @@ mod tests {
             c.similarity("alpha beta", "beta gamma");
         });
         let before = with_cache(SimilarityCache::len);
-        assert_eq!(cached_similarity("alpha beta", "beta gamma"), trigram_similarity("alpha beta", "beta gamma"));
+        let cached = with_cache(|c| c.similarity("alpha beta", "beta gamma"));
+        assert_eq!(cached, similarity("alpha beta", "beta gamma"));
         assert_eq!(with_cache(SimilarityCache::len), before);
     }
 }

@@ -5,10 +5,10 @@ use crate::knowledge::{Decision, KnowledgeModel};
 use crate::profile::ModelId;
 use crate::respond::{render, Verdict};
 use crate::similarity;
-use crate::tokenizer::Tokenizer;
 use std::sync::Mutex;
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
+use taxoglimpse_core::text::token_count;
 use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
 
 /// Cumulative usage counters for one simulated model.
@@ -28,7 +28,6 @@ pub struct SimulatedLlm {
     id: ModelId,
     knowledge: KnowledgeModel,
     seed: u64,
-    tokenizer: Tokenizer,
     usage: Mutex<UsageStats>,
 }
 
@@ -45,7 +44,6 @@ impl SimulatedLlm {
             id,
             knowledge: KnowledgeModel::new(id),
             seed: mix64(seed ^ (id.row() as u64) << 40),
-            tokenizer: Tokenizer::default(),
             usage: Mutex::new(UsageStats::default()),
         }
     }
@@ -219,7 +217,7 @@ impl SimulatedLlm {
     /// The trailing newline is what makes per-query work splittable at
     /// the boundary with *exact* equality to the unsplit computation:
     /// `"Example: "` contains no `'\n'`, so no occurrence can span the
-    /// boundary, and the tokenizer derives tokens from whitespace-split
+    /// boundary, and [`token_count`] derives tokens from whitespace-split
     /// words, so token counts are additive across a whitespace
     /// boundary. The noise hasher is a [`StreamHasher`], documented
     /// byte-for-byte equal to one-shot hashing however the input is
@@ -255,8 +253,8 @@ impl LanguageModel for SimulatedLlm {
         let text = render(self.id, query.question, verdict, query.setting, noise);
         let mut usage = self.usage.lock().expect("usage lock not poisoned");
         usage.queries += 1;
-        usage.prompt_tokens += self.tokenizer.count(&query.prompt) as u64;
-        usage.completion_tokens += self.tokenizer.count(&text) as u64;
+        usage.prompt_tokens += token_count(query.prompt) as u64;
+        usage.completion_tokens += token_count(&text) as u64;
         Ok(Response::new(text))
     }
 
@@ -273,7 +271,7 @@ impl LanguageModel for SimulatedLlm {
             BatchPrefix {
                 len: prefix.len(),
                 shots: prefix.matches("Example: ").count(),
-                prompt_tokens: self.tokenizer.count(prefix) as u64,
+                prompt_tokens: token_count(prefix) as u64,
                 noise,
             }
         });
@@ -289,20 +287,20 @@ impl LanguageModel for SimulatedLlm {
                         (
                             p.shots + suffix.matches("Example: ").count(),
                             h.finish(),
-                            p.prompt_tokens + self.tokenizer.count(suffix) as u64,
+                            p.prompt_tokens + token_count(suffix) as u64,
                         )
                     }
                     None => (
                         query.prompt.matches("Example: ").count(),
                         hash_str(self.seed ^ 0xF00D, query.prompt),
-                        self.tokenizer.count(query.prompt) as u64,
+                        token_count(query.prompt) as u64,
                     ),
                 };
                 let verdict = self.verdict_with_shots(query, shots);
                 let text = render(self.id, query.question, verdict, query.setting, noise);
                 local.queries += 1;
                 local.prompt_tokens += prompt_tokens;
-                local.completion_tokens += self.tokenizer.count(&text) as u64;
+                local.completion_tokens += token_count(&text) as u64;
                 Ok(Response::new(text))
             })
             .collect();

@@ -13,7 +13,7 @@
 //! ```
 
 use taxoglimpse::core::question::QuestionBody;
-use taxoglimpse::llm::knowledge::trigram_similarity;
+use taxoglimpse::core::text::similarity;
 use taxoglimpse::prelude::*;
 
 /// Yes iff trigram similarity clears a threshold; never abstains.
@@ -26,9 +26,7 @@ fn pick_most_similar(child: &str, options: &[String]) -> String {
     let best = options
         .iter()
         .enumerate()
-        .max_by(|a, b| {
-            trigram_similarity(child, a.1).total_cmp(&trigram_similarity(child, b.1))
-        })
+        .max_by(|a, b| similarity(child, a.1).total_cmp(&similarity(child, b.1)))
         .map(|(i, _)| i)
         .unwrap_or(0);
     format!("{})", (b'A' + best as u8) as char)
@@ -42,7 +40,7 @@ impl LanguageModel for SurfaceBaseline {
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
         let text = match &query.question.body {
             QuestionBody::TrueFalse { candidate, .. } => {
-                if trigram_similarity(&query.question.child, candidate) >= self.threshold {
+                if similarity(&query.question.child, candidate) >= self.threshold {
                     "Yes.".to_owned()
                 } else {
                     "No.".to_owned()

@@ -1,7 +1,7 @@
 //! Integration properties of the two-stage hierarchical classification
 //! workload (`core::hier`).
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here:
 //!
 //! 1. **Executor purity** — the report for a `(model, taxonomy)` cell
 //!    is byte-identical across worker counts {1, 2, 8}, with the
@@ -11,20 +11,13 @@
 //! 2. **Validity by construction** — the constrained descent records
 //!    zero invalid labels on every one of the ten taxonomies, for the
 //!    strongest and weakest simulated models alike.
-//! 3. **Cross-crate equivalence** — `core::hier`'s in-core trigram
-//!    similarity and token-count approximations (core cannot depend on
-//!    the llm crate) compute exactly the same values as
-//!    `llm::knowledge::trigram_similarity` and `llm`'s tokenizer.
 
 use std::sync::Arc;
 
 use taxoglimpse::core::cache::{CachedModel, ResponseCache};
-use taxoglimpse::core::hier::{approx_token_count, RouterConfig, TrigramSet};
+use taxoglimpse::core::hier::RouterConfig;
 use taxoglimpse::core::model::LanguageModel;
-use taxoglimpse::llm::knowledge::trigram_similarity;
-use taxoglimpse::llm::tokenizer::Tokenizer;
 use taxoglimpse::prelude::*;
-use taxoglimpse::synth::rng::{fork, Rng};
 
 /// Serialize a hier report for byte comparison.
 fn report_bytes(report: &taxoglimpse::core::hier::HierReport) -> String {
@@ -150,68 +143,5 @@ fn router_candidates_are_deterministic_and_level_consistent() {
         for &node in &a {
             assert_eq!(taxonomy.level(node), 1, "case {i}: candidate not at router level");
         }
-    }
-}
-
-/// Contract 3a: in-core trigram similarity equals the llm crate's on
-/// real taxonomy names and on adversarial short/unicode strings.
-#[test]
-fn core_trigram_similarity_matches_llm_crate() {
-    let taxonomy =
-        generate(TaxonomyKind::Oae, GenOptions { seed: 3, scale: 0.2 }).expect("valid options");
-    let names: Vec<&str> = taxonomy.ids().take(60).map(|id| taxonomy.name(id)).collect();
-    let mut rng = fork(0x7a78_6f67, "hier-trigram", 0);
-    for _ in 0..300 {
-        let a = names[rng.gen_index(names.len())];
-        let b = names[rng.gen_index(names.len())];
-        let core_sim = TrigramSet::new(a).jaccard(&TrigramSet::new(b));
-        let llm_sim = trigram_similarity(a, b);
-        assert_eq!(core_sim, llm_sim, "trigram similarity diverged on {a:?} vs {b:?}");
-    }
-    for (a, b) in [
-        ("", ""),
-        ("ab", "AB"),
-        ("ab", "ba"),
-        ("a", "abc"),
-        ("Emphysema, J43", "emphysema, j43"),
-        ("naïve tæxon", "NAÏVE TÆXON"),
-        ("x — y", "x—y"),
-    ] {
-        assert_eq!(
-            TrigramSet::new(a).jaccard(&TrigramSet::new(b)),
-            trigram_similarity(a, b),
-            "trigram similarity diverged on {a:?} vs {b:?}"
-        );
-    }
-}
-
-/// Contract 3b: in-core approximate token counting equals the llm
-/// tokenizer's `count` (and its materialized `tokenize().len()`).
-#[test]
-fn core_token_count_matches_llm_tokenizer() {
-    let tokenizer = Tokenizer::default();
-    let taxonomy =
-        generate(TaxonomyKind::Icd10Cm, GenOptions { seed: 3, scale: 0.05 }).expect("valid options");
-    for id in taxonomy.ids().take(120) {
-        let name = taxonomy.name(id);
-        assert_eq!(
-            approx_token_count(name),
-            tokenizer.count(name),
-            "token count diverged on {name:?}"
-        );
-    }
-    for text in [
-        "",
-        "   ",
-        "word",
-        "hyphenated-compound-name, with punctuation!",
-        "A) Audio B) Video C) Garden D) Books E) None of the above",
-        "supercalifragilisticexpialidocious",
-        "naïve — tæxonomy's œuvre",
-        "Is `Verbascum chaixii` a kind of Verbascum? (level 7 -> 6)",
-    ] {
-        let expected = tokenizer.tokenize(text).len();
-        assert_eq!(tokenizer.count(text), expected, "tokenizer count/tokenize split on {text:?}");
-        assert_eq!(approx_token_count(text), expected, "token count diverged on {text:?}");
     }
 }

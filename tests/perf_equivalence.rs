@@ -8,7 +8,7 @@
 //! * cached-prefix prompt rendering equals fresh whole-prompt renders
 //!   for every `PromptSetting × TemplateVariant`;
 //! * the [`SimilarityCache`] interner equals direct
-//!   `trigram_similarity` on a fuzz-style name corpus.
+//!   `core::text::similarity` on a fuzz-style name corpus.
 //!
 //! PR 4 adds the data-production side: chunk-indexed parallel
 //! generation must be digest-identical across worker counts (and feed
@@ -24,7 +24,7 @@ use taxoglimpse::core::grid::GridRunner;
 use taxoglimpse::core::model::LanguageModel;
 use taxoglimpse::core::prompts::{render_prefix, render_prompt, render_prompt_into};
 use taxoglimpse::core::templates::TemplateVariant;
-use taxoglimpse::llm::knowledge::trigram_similarity;
+use taxoglimpse::core::text::similarity;
 use taxoglimpse::llm::similarity::SimilarityCache;
 use taxoglimpse::prelude::*;
 
@@ -152,7 +152,7 @@ fn similarity_cache_matches_direct_on_fuzz_corpus() {
     for _ in 0..2 {
         for a in &corpus {
             for b in &corpus {
-                let direct = trigram_similarity(a, b);
+                let direct = similarity(a, b);
                 let cached = cache.similarity(a, b);
                 assert!(
                     cached == direct,
@@ -301,7 +301,8 @@ fn batched_and_cached_grid_is_fault_invariant() {
     let sequential: Vec<String> = {
         let model =
             FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), plan.clone());
-        let evaluator = Evaluator::builder().with_config(config).build().with_resilience(policy);
+        let evaluator =
+            Evaluator::builder().with_config(config).with_resilience(policy).build();
         dataset_refs
             .iter()
             .map(|d| taxoglimpse::json::to_string(&evaluator.run(&model, d)).unwrap())

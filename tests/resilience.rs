@@ -155,10 +155,12 @@ fn retries_buy_availability() {
     let dataset = small_dataset(7);
     let plan = FaultPlan::uniform(3, 0.4).with_malformed_rate(0.0);
 
-    let no_retries = Evaluator::default()
-        .with_resilience(ResiliencePolicy::default().with_max_attempts(1).without_breaker());
-    let with_retries = Evaluator::default()
-        .with_resilience(ResiliencePolicy::default().with_max_attempts(5).without_breaker());
+    let no_retries = Evaluator::builder()
+        .with_resilience(ResiliencePolicy::default().with_max_attempts(1).without_breaker())
+        .build();
+    let with_retries = Evaluator::builder()
+        .with_resilience(ResiliencePolicy::default().with_max_attempts(5).without_breaker())
+        .build();
 
     let fragile = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), plan.clone());
     let floor = no_retries.run(&fragile, &dataset).overall.availability();

@@ -81,7 +81,7 @@ fn merged_reports_are_shard_count_invariant() {
         };
         let batch = rng.gen_range(1u64..40) as usize;
         let base = Arc::new(SimulatedLlm::with_seed(ModelId::Gpt4, seed));
-        let evaluator = Evaluator::default().with_batch_size(batch);
+        let evaluator = Evaluator::builder().with_batch_size(batch).build();
 
         let mut merged_json: Vec<String> = Vec::new();
         for shards in SHARD_COUNTS {
