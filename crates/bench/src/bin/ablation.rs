@@ -65,7 +65,7 @@ fn main() {
     );
     let model = SimulatedLlm::new(ModelId::Gpt4);
     for kind in [TaxonomyKind::Amazon, TaxonomyKind::Glottolog, TaxonomyKind::Ncbi] {
-        let taxonomy = materialize(&cache, kind, opts.seed, opts.scale_for(kind));
+        let taxonomy = materialize(&cache, kind, opts.seed, opts.scale);
         let easy = evaluator.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Easy, &opts));
         let hard = evaluator.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts));
         t1.push_row(vec![
@@ -79,7 +79,7 @@ fn main() {
 
     // ── 2. surface evidence on/off ───────────────────────────────────
     println!("Ablation 2: surface-form evidence and the NCBI last-level uplift\n");
-    let ncbi = materialize(&cache, TaxonomyKind::Ncbi, opts.seed, opts.scale_for(TaxonomyKind::Ncbi));
+    let ncbi = materialize(&cache, TaxonomyKind::Ncbi, opts.seed, opts.scale);
     let dataset = build_dataset(&ncbi, TaxonomyKind::Ncbi, QuestionDataset::Hard, &opts);
     let with = evaluator.run(&SimulatedLlm::new(ModelId::Gpt4), &dataset);
     let without = evaluator.run(
@@ -108,7 +108,7 @@ fn main() {
 
     // ── 3. template paraphrases ──────────────────────────────────────
     println!("Ablation 3: template paraphrase stability (Flan-T5-11B, Google hard)\n");
-    let google = materialize(&cache, TaxonomyKind::Google, opts.seed, opts.scale_for(TaxonomyKind::Google));
+    let google = materialize(&cache, TaxonomyKind::Google, opts.seed, opts.scale);
     let gd = build_dataset(&google, TaxonomyKind::Google, QuestionDataset::Hard, &opts);
     let flan = SimulatedLlm::new(ModelId::FlanT5_11b);
     for variant in TemplateVariant::ALL {

@@ -37,7 +37,7 @@ fn main() {
         let accs: Vec<f64> = TaxonomyKind::ALL
             .iter()
             .map(|&kind| {
-                let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+                let taxonomy = cache.get(kind, opts.seed, opts.scale);
                 let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
                 evaluator.run(model.as_ref(), &dataset).overall.accuracy()
             })
@@ -48,7 +48,7 @@ fn main() {
 
     // ── pairwise significance on a specialized taxonomy ──────────────
     println!("Pairwise significance, Glottolog hard (two-proportion z-test)\n");
-    let glotto = cache.get(TaxonomyKind::Glottolog, opts.seed, opts.scale_for(TaxonomyKind::Glottolog));
+    let glotto = cache.get(TaxonomyKind::Glottolog, opts.seed, opts.scale);
     let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, &opts);
     let contenders = [ModelId::Gpt4, ModelId::Llms4Ol, ModelId::Llama3_8b, ModelId::FlanT5_11b];
     let reports: Vec<_> = contenders
@@ -74,7 +74,7 @@ fn main() {
     // ── level-trend slopes (Finding 2, quantified) ───────────────────
     println!("\nLevel-trend slopes (accuracy per level step; negative = root-to-leaf decline)\n");
     for kind in [TaxonomyKind::Amazon, TaxonomyKind::Glottolog, TaxonomyKind::Oae] {
-        let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
         let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
         let mut slopes = Vec::new();
         for model in zoo.all() {

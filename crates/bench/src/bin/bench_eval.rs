@@ -32,23 +32,27 @@
 //! (CI uses this to catch bit-rot without paying for a real measurement).
 
 use std::sync::Arc;
-use std::time::Instant;
+use taxoglimpse_bench::suite::{self, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::cache::{CachedModel, ResponseCache};
-use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
+use taxoglimpse_core::dataset::Dataset;
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::eval::EvalConfig;
 use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::model::LanguageModel;
 use taxoglimpse_core::prompts::PromptSetting;
+use taxoglimpse_core::reports_digest;
 use taxoglimpse_json::{from_str_value, Json, ToJson};
-use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_llm::zoo::ModelZoo;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 
-/// Current schema version of `BENCH_eval.json` (see README.md).
-const SCHEMA_VERSION: u64 = 2;
+const SUITE: Suite = Suite {
+    name: "eval",
+    schema_version: 2,
+    flags: &["--cap", "--models", "--threads", "--chunk", "--baseline"],
+    full: Defaults { scale: 0.1, cap: Some(250), repeat: 5, ..Defaults::BASE },
+    quick: Defaults { scale: 0.05, cap: Some(20), repeat: 1, ..Defaults::BASE },
+};
 
 /// Minimum admissible zero-shot speedup over an embedded baseline when
 /// `--check` finds one (the batching + caching acceptance gate).
@@ -60,118 +64,16 @@ const MIN_ZERO_SHOT_SPEEDUP: f64 = 2.0;
 const CONFIGS: [(usize, bool); 5] =
     [(1, false), (32, false), (256, false), (32, true), (256, true)];
 
-/// Default model subset: one per major family tier, so the workload
-/// exercises terse, chatty, and abstention-prone response paths.
-const DEFAULT_MODELS: [ModelId; 4] =
-    [ModelId::Gpt4, ModelId::Gpt35, ModelId::Llama2_7b, ModelId::FlanT5_3b];
-
-#[derive(Debug)]
-struct BenchOptions {
-    scale: f64,
-    cap: Option<usize>,
-    seed: u64,
-    models: Vec<ModelId>,
-    repeat: usize,
-    threads: usize,
-    chunk: usize,
-    label: String,
-    baseline: Option<String>,
-    out: String,
-    check: Option<String>,
-}
-
-impl BenchOptions {
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let quick = std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut o = BenchOptions {
-            scale: if quick { 0.05 } else { 0.1 },
-            cap: Some(if quick { 20 } else { 250 }),
-            seed: 42,
-            models: DEFAULT_MODELS.to_vec(),
-            repeat: if quick { 1 } else { 5 },
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            chunk: 256,
-            label: "current".to_owned(),
-            baseline: None,
-            out: "BENCH_eval.json".to_owned(),
-            check: None,
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let mut value = |flag: &str| {
-                args.next().ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--scale" => o.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
-                "--cap" => o.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?),
-                "--seed" => o.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--repeat" => o.repeat = value("--repeat")?.parse().map_err(|e| format!("--repeat: {e}"))?,
-                "--threads" => o.threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?,
-                "--chunk" => o.chunk = value("--chunk")?.parse().map_err(|e| format!("--chunk: {e}"))?,
-                "--label" => o.label = value("--label")?,
-                "--baseline" => o.baseline = Some(value("--baseline")?),
-                "--out" => o.out = value("--out")?,
-                "--check" => o.check = Some(value("--check")?),
-                "--models" => {
-                    let csv = value("--models")?;
-                    let mut models = Vec::new();
-                    for name in csv.split(',') {
-                        models.push(name.trim().parse::<ModelId>()?);
-                    }
-                    o.models = models;
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(o)
-    }
-}
-
 fn main() {
-    let opts = match BenchOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-
-    if let Some(path) = &opts.check {
-        match check_file(path) {
-            Ok(summary) => println!("{summary}"),
-            Err(msg) => {
-                eprintln!("error: {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let doc = run_bench(&opts);
-    let rendered = doc.render_pretty();
-    std::fs::write(&opts.out, format!("{rendered}\n")).unwrap_or_else(|e| {
-        eprintln!("error: {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", opts.out);
+    suite::main(&SUITE, run_bench, check_doc);
 }
 
-/// Run the measured workload and build the `BENCH_eval.json` document.
-fn run_bench(opts: &BenchOptions) -> Json {
+/// Run the measured workload and build the `BENCH_eval.json` body.
+fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
     let cache = TaxonomyCache::new();
     let zoo = ModelZoo::default_zoo();
 
-    eprintln!("generating {} taxonomies at scale {} ...", TaxonomyKind::ALL.len(), opts.scale);
-    let datasets: Vec<Dataset> = TaxonomyKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let taxonomy = cache.get(kind, opts.seed, opts.scale);
-            DatasetBuilder::new(&taxonomy, kind, opts.seed)
-                .sample_cap(opts.cap)
-                .build(QuestionDataset::Hard)
-                .expect("benchmark taxonomies have probe levels")
-        })
-        .collect();
+    let datasets = suite::hard_grid(&cache, opts);
     let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
     let questions: usize = datasets.iter().map(Dataset::len).sum();
     let queries = questions * opts.models.len();
@@ -183,10 +85,10 @@ fn run_bench(opts: &BenchOptions) -> Json {
 
     let mut results = Vec::new();
     for setting in PromptSetting::ALL {
-        let mut setting_digest: Option<u64> = None;
+        let mut gate = DigestGate::new(setting);
         let mut config_entries = Vec::new();
-        // Headline = best cache-enabled config: (best_s, mean_s, qps, hit_rate).
-        let mut headline: Option<(f64, f64, f64, f64)> = None;
+        // Headline = best cache-enabled config: (timing, qps, hit_rate).
+        let mut headline: Option<(suite::Timing, f64, f64)> = None;
         for (batch, cache_on) in CONFIGS {
             let runner = GridRunner::builder()
                 .with_config(EvalConfig::default().with_setting(setting))
@@ -211,82 +113,60 @@ fn run_bench(opts: &BenchOptions) -> Json {
             } else {
                 model_refs.clone()
             };
-            let mut best = f64::INFINITY;
-            let mut total = 0.0;
-            let mut digest = 0xBA5E_11AEu64;
-            for rep in 0..opts.repeat.max(1) {
-                let start = Instant::now();
-                let reports = runner.run_cross(&config_refs, &dataset_refs);
-                let elapsed = start.elapsed().as_secs_f64();
-                total += elapsed;
-                best = best.min(elapsed);
-                if rep == 0 {
-                    for report in &reports {
-                        let json = taxoglimpse_json::to_string(report).expect("reports serialize");
-                        digest = mix64(digest ^ hash_str(0x5EED, &json));
-                    }
-                }
-            }
-            if *setting_digest.get_or_insert(digest) != digest {
-                eprintln!(
-                    "error: {setting}: batch {batch} cache {} produced digest {digest:016x}, \
-                     other configs produced {:016x} — batching/caching changed report bytes",
-                    if cache_on { "on" } else { "off" },
-                    setting_digest.expect("setting digest was just inserted"),
-                );
-                std::process::exit(1);
-            }
-            let repeats = opts.repeat.max(1) as f64;
-            let mean = total / repeats;
+            let mut digest = 0;
+            let (timing, _) = suite::time_reps(
+                opts.repeat,
+                || runner.run_cross(&config_refs, &dataset_refs),
+                |reports| digest = reports_digest(reports),
+            );
+            let on_off = if cache_on { "on" } else { "off" };
+            gate.check(format_args!("batch {batch} cache {on_off}"), digest);
+            let best = timing.best_s;
             let qps = queries as f64 / best;
             let stats = response_cache.stats();
             let hit_rate = if cache_on { stats.hit_rate() } else { 0.0 };
             eprintln!(
-                "{setting} [batch {batch:>3}, cache {}]: best {:.1} ms, {:.0} q/s, \
+                "{setting} [batch {batch:>3}, cache {on_off:<3}]: best {:.1} ms, {:.0} q/s, \
                  hit rate {:.2}, digest {digest:016x}",
-                if cache_on { "on " } else { "off" },
                 best * 1e3,
                 qps,
                 hit_rate,
             );
-            if cache_on && headline.map(|(b, _, _, _)| best < b).unwrap_or(true) {
-                headline = Some((best, mean, qps, hit_rate));
+            if cache_on && headline.map(|(t, _, _)| best < t.best_s).unwrap_or(true) {
+                headline = Some((timing, qps, hit_rate));
             }
             config_entries.push(Json::obj(vec![
                 ("batch_size", (batch as u64).to_json()),
                 ("cache", cache_on.to_json()),
                 ("best_elapsed_ms", (best * 1e3).to_json()),
-                ("mean_elapsed_ms", (mean * 1e3).to_json()),
+                ("mean_elapsed_ms", (timing.mean_s * 1e3).to_json()),
                 ("queries_per_sec", qps.to_json()),
                 ("cache_hit_rate", hit_rate.to_json()),
                 ("cache_entries", (response_cache.len() as u64).to_json()),
-                ("reports_digest", format!("{digest:016x}").to_json()),
+                ("reports_digest", suite::hex(digest)),
             ]));
         }
-        let digest = setting_digest.expect("CONFIGS is non-empty");
-        let (best, mean, qps, hit_rate) = headline.expect("CONFIGS has cache-enabled entries");
+        let digest = gate.digest().expect("CONFIGS is non-empty");
+        let (timing, qps, hit_rate) = headline.expect("CONFIGS has cache-enabled entries");
         eprintln!("{setting}: headline {:.0} q/s (digest {digest:016x})", qps);
         results.push(Json::obj(vec![
             ("setting", setting.to_string().to_json()),
             ("queries", (queries as u64).to_json()),
-            ("best_elapsed_ms", (best * 1e3).to_json()),
-            ("mean_elapsed_ms", (mean * 1e3).to_json()),
+            ("best_elapsed_ms", (timing.best_s * 1e3).to_json()),
+            ("mean_elapsed_ms", (timing.mean_s * 1e3).to_json()),
             ("queries_per_sec", qps.to_json()),
             ("cache_hit_rate", hit_rate.to_json()),
-            ("reports_digest", format!("{digest:016x}").to_json()),
+            ("reports_digest", suite::hex(digest)),
             ("configs", Json::Arr(config_entries)),
         ]));
     }
 
     let workload = Json::obj(vec![
-        ("models", Json::Arr(opts.models.iter().map(|m| m.to_string().to_json()).collect())),
-        (
-            "taxonomies",
-            Json::Arr(TaxonomyKind::ALL.iter().map(|k| k.label().to_json()).collect()),
-        ),
+        ("models", opts.models_json()),
+        ("taxonomies", suite::labels(&TaxonomyKind::ALL)),
         ("flavor", "hard".to_json()),
         ("scale", opts.scale.to_json()),
-        ("cap", opts.cap.map(|c| (c as u64).to_json()).unwrap_or(Json::Null)),
+        ("cap", opts.cap_json()),
         ("seed", opts.seed.to_json()),
         ("questions", (questions as u64).to_json()),
         ("queries_per_setting", (queries as u64).to_json()),
@@ -297,14 +177,10 @@ fn run_bench(opts: &BenchOptions) -> Json {
 
     let baseline = match &opts.baseline {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: --baseline {path}: {e}");
-                std::process::exit(1);
-            });
-            let mut doc = from_str_value(&text).unwrap_or_else(|e| {
-                eprintln!("error: --baseline {path}: {e}");
-                std::process::exit(1);
-            });
+            let mut doc = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| from_str_value(&text).map_err(|e| e.to_string()))
+                .unwrap_or_else(|e| suite::fail(format_args!("--baseline {path}: {e}")));
             // A baseline of a baseline would nest without bound; embed
             // only the measurement itself.
             if let Json::Obj(fields) = &mut doc {
@@ -315,104 +191,50 @@ fn run_bench(opts: &BenchOptions) -> Json {
         None => Json::Null,
     };
 
-    Json::obj(vec![
-        ("schema_version", SCHEMA_VERSION.to_json()),
-        ("label", opts.label.to_json()),
-        ("workload", workload),
-        ("results", Json::Arr(results)),
-        ("baseline", baseline),
-    ])
+    (workload, vec![("results", Json::Arr(results)), ("baseline", baseline)])
 }
 
-/// `--check FILE`: parse with the in-tree JSON crate and validate the
-/// v2 shape — per-config entries present, digests identical across the
-/// configs of each setting, hit rates within `[0, 1]`, and (when the
-/// file embeds a baseline with a matching setting) the zero-shot
-/// headline at least [`MIN_ZERO_SHOT_SPEEDUP`]× the baseline's.
-fn check_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = from_str_value(&text).map_err(|e| e.to_string())?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    doc.get("label").and_then(Json::as_str).ok_or("missing label")?;
-    doc.get("workload").and_then(Json::as_obj).ok_or("missing workload object")?;
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("empty results array".to_owned());
-    }
+/// `--check FILE`: validate the v2 shape — per-config entries present,
+/// digests identical across the configs of each setting, hit rates
+/// within `[0, 1]`, and (when the file embeds a baseline with a
+/// matching setting) the zero-shot headline at least
+/// [`MIN_ZERO_SHOT_SPEEDUP`]× the baseline's.
+fn check_doc(doc: &Json) -> Result<String, String> {
+    let results = suite::array(doc, "results")?;
     let mut configs_seen = 0usize;
     for entry in results {
-        let setting = entry.get("setting").and_then(Json::as_str).ok_or("result entry missing setting")?;
-        for key in ["queries", "best_elapsed_ms", "queries_per_sec", "reports_digest"] {
-            if entry.get(key).is_none() {
-                return Err(format!("{setting}: result entry missing {key:?}"));
-            }
-        }
-        entry
-            .get("queries_per_sec")
-            .and_then(Json::as_f64)
-            .filter(|q| *q > 0.0)
-            .ok_or_else(|| format!("{setting}: queries_per_sec must be a positive number"))?;
-        let setting_digest = entry
-            .get("reports_digest")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{setting}: reports_digest must be a string"))?;
-        check_hit_rate(entry, setting)?;
-        let configs = entry
-            .get("configs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{setting}: missing configs array"))?;
-        if configs.is_empty() {
-            return Err(format!("{setting}: empty configs array"));
-        }
-        configs_seen += configs.len();
-        for config in configs {
-            for key in ["batch_size", "cache", "best_elapsed_ms", "queries_per_sec", "cache_entries"] {
-                if config.get(key).is_none() {
-                    return Err(format!("{setting}: config entry missing {key:?}"));
-                }
-            }
-            check_hit_rate(config, setting)?;
-            let digest = config
-                .get("reports_digest")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{setting}: config entry missing reports_digest"))?;
-            if digest != setting_digest {
-                return Err(format!(
-                    "{setting}: config digest {digest} differs from setting digest \
-                     {setting_digest} — batching/caching changed report bytes"
-                ));
-            }
-        }
+        let setting = suite::text(entry, "setting")?;
+        configs_seen += check_setting(entry).map_err(|e| format!("{setting}: {e}"))?;
     }
-    let speedup = check_baseline_speedup(&doc)?;
-    let speedup_note = match speedup {
+    let speedup_note = match check_baseline_speedup(doc)? {
         Some(s) => format!(", zero-shot {s:.1}x baseline"),
         None => String::new(),
     };
-    Ok(format!(
-        "{path}: OK ({} settings, {configs_seen} configs, schema v{version}{speedup_note})",
-        results.len()
-    ))
+    Ok(format!("{} settings, {configs_seen} configs{speedup_note}", results.len()))
 }
 
-/// Validate a `cache_hit_rate` field, when present, as a number in `[0, 1]`.
-fn check_hit_rate(entry: &Json, setting: &str) -> Result<(), String> {
-    match entry.get("cache_hit_rate") {
-        None => Err(format!("{setting}: missing cache_hit_rate")),
-        Some(value) => match value.as_f64() {
-            Some(rate) if (0.0..=1.0).contains(&rate) => Ok(()),
-            _ => Err(format!("{setting}: cache_hit_rate must be a number in [0, 1]")),
-        },
+/// Validate one setting's entry; returns its config count.
+fn check_setting(entry: &Json) -> Result<usize, String> {
+    suite::require(entry, &["queries", "best_elapsed_ms", "queries_per_sec", "reports_digest"])?;
+    suite::number(entry, "queries_per_sec", suite::Range::Positive)?;
+    suite::number(entry, "cache_hit_rate", suite::Range::Unit)?;
+    let setting_digest = suite::text(entry, "reports_digest")?;
+    let configs = suite::array(entry, "configs")?;
+    for config in configs {
+        suite::require(
+            config,
+            &["batch_size", "cache", "best_elapsed_ms", "queries_per_sec", "cache_entries"],
+        )?;
+        suite::number(config, "cache_hit_rate", suite::Range::Unit)?;
+        let digest = suite::text(config, "reports_digest")?;
+        if digest != setting_digest {
+            return Err(format!(
+                "config digest {digest} differs from setting digest \
+                 {setting_digest} — batching/caching changed report bytes"
+            ));
+        }
     }
+    Ok(configs.len())
 }
 
 /// When the document embeds a baseline whose results include a

@@ -29,26 +29,29 @@
 //!
 //! `TAXOGLIMPSE_BENCH_QUICK=1` shrinks the workload to smoke-test size.
 
-use std::time::Instant;
+use taxoglimpse_bench::suite::{self, counted, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_bench::TaxonomyCache;
-use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
+use taxoglimpse_core::dataset::Dataset;
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::EvalReport;
 use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::metrics::Metrics;
 use taxoglimpse_core::model::{LanguageModel, Query};
 use taxoglimpse_core::prompts::{render_prompt, PromptSetting};
+use taxoglimpse_core::reports_digest;
 use taxoglimpse_core::resilience::{ResiliencePolicy, ResilienceSession};
 use taxoglimpse_core::templates::TemplateVariant;
-use taxoglimpse_json::{from_str_value, Json, ToJson};
+use taxoglimpse_json::{Json, ToJson};
 use taxoglimpse_llm::faults::{FaultInjector, FaultPlan};
-use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_report::histogram::LatencyHistogram;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 
-/// Current schema version of `BENCH_resilience.json` (see README.md).
-const SCHEMA_VERSION: u64 = 1;
+const SUITE: Suite = Suite {
+    name: "resilience",
+    schema_version: 1,
+    flags: &["--cap", "--models", "--threads", "--chunk"],
+    full: Defaults { scale: 0.1, cap: Some(250), repeat: 3, ..Defaults::BASE },
+    quick: Defaults { scale: 0.05, cap: Some(20), repeat: 1, ..Defaults::BASE },
+};
 
 /// The fault-rate ladder every run measures.
 const FAULT_RATES: [f64; 3] = [0.0, 0.05, 0.20];
@@ -56,106 +59,8 @@ const FAULT_RATES: [f64; 3] = [0.0, 0.05, 0.20];
 /// Worker counts whose reports must be byte-identical.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Same default model subset as `bench_eval`.
-const DEFAULT_MODELS: [ModelId; 4] =
-    [ModelId::Gpt4, ModelId::Gpt35, ModelId::Llama2_7b, ModelId::FlanT5_3b];
-
-#[derive(Debug)]
-struct BenchOptions {
-    scale: f64,
-    cap: Option<usize>,
-    seed: u64,
-    models: Vec<ModelId>,
-    repeat: usize,
-    threads: usize,
-    chunk: usize,
-    label: String,
-    out: String,
-    check: Option<String>,
-}
-
-impl BenchOptions {
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let quick = std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut o = BenchOptions {
-            scale: if quick { 0.05 } else { 0.1 },
-            cap: Some(if quick { 20 } else { 250 }),
-            seed: 42,
-            models: DEFAULT_MODELS.to_vec(),
-            repeat: if quick { 1 } else { 3 },
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            chunk: 256,
-            label: "current".to_owned(),
-            out: "BENCH_resilience.json".to_owned(),
-            check: None,
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let mut value =
-                |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match arg.as_str() {
-                "--scale" => o.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
-                "--cap" => o.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?),
-                "--seed" => o.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--repeat" => o.repeat = value("--repeat")?.parse().map_err(|e| format!("--repeat: {e}"))?,
-                "--threads" => o.threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?,
-                "--chunk" => o.chunk = value("--chunk")?.parse().map_err(|e| format!("--chunk: {e}"))?,
-                "--label" => o.label = value("--label")?,
-                "--out" => o.out = value("--out")?,
-                "--check" => o.check = Some(value("--check")?),
-                "--models" => {
-                    let csv = value("--models")?;
-                    let mut models = Vec::new();
-                    for name in csv.split(',') {
-                        models.push(name.trim().parse::<ModelId>()?);
-                    }
-                    o.models = models;
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(o)
-    }
-}
-
 fn main() {
-    let opts = match BenchOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-
-    if let Some(path) = &opts.check {
-        match check_file(path) {
-            Ok(summary) => println!("{summary}"),
-            Err(msg) => {
-                eprintln!("error: {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let doc = run_bench(&opts);
-    let rendered = doc.render_pretty();
-    std::fs::write(&opts.out, format!("{rendered}\n")).unwrap_or_else(|e| {
-        eprintln!("error: {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", opts.out);
-}
-
-/// Digest over the JSON of every report, in grid order (same recipe as
-/// `bench_eval` and the pinned determinism test).
-fn digest_reports(reports: &[EvalReport]) -> u64 {
-    let mut digest = 0xBA5E_11AEu64;
-    for report in reports {
-        let json = taxoglimpse_json::to_string(report).expect("reports serialize");
-        digest = mix64(digest ^ hash_str(0x5EED, &json));
-    }
-    digest
+    suite::main(&SUITE, run_bench, check_doc);
 }
 
 /// Per-query *virtual* latency of the retry layer at one fault rate:
@@ -193,21 +98,10 @@ fn virtual_latency(models: &[&dyn LanguageModel], datasets: &[&Dataset]) -> Json
 }
 
 /// Run the measured workload and build the `BENCH_resilience.json`
-/// document.
-fn run_bench(opts: &BenchOptions) -> Json {
+/// body.
+fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
     let cache = TaxonomyCache::new();
-
-    eprintln!("generating {} taxonomies at scale {} ...", TaxonomyKind::ALL.len(), opts.scale);
-    let datasets: Vec<Dataset> = TaxonomyKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let taxonomy = cache.get(kind, opts.seed, opts.scale);
-            DatasetBuilder::new(&taxonomy, kind, opts.seed)
-                .sample_cap(opts.cap)
-                .build(QuestionDataset::Hard)
-                .expect("benchmark taxonomies have probe levels")
-        })
-        .collect();
+    let datasets = suite::hard_grid(&cache, opts);
     let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
     let questions: usize = datasets.iter().map(Dataset::len).sum();
     let queries = questions * opts.models.len();
@@ -222,7 +116,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
     let bare_refs: Vec<&dyn LanguageModel> =
         bare.iter().map(|m| m as &dyn LanguageModel).collect();
     let bare_digest =
-        digest_reports(&runner_with(opts.threads).run_cross(&bare_refs, &dataset_refs));
+        reports_digest(&runner_with(opts.threads).run_cross(&bare_refs, &dataset_refs));
 
     let mut results = Vec::new();
     for rate in FAULT_RATES {
@@ -237,42 +131,22 @@ fn run_bench(opts: &BenchOptions) -> Json {
             injectors.iter().map(|m| m as &dyn LanguageModel).collect();
 
         // Invariant 1: digests identical across worker counts.
-        let mut worker_digests = Vec::new();
+        // Invariant 2: at rate 0 the injector is byte-invisible.
+        let mut gate = DigestGate::new(format_args!("rate {rate}"));
+        if rate == 0.0 {
+            gate.check("bare model", bare_digest);
+        }
         for workers in WORKER_COUNTS {
             let reports = runner_with(workers).run_cross(&model_refs, &dataset_refs);
-            worker_digests.push((workers, digest_reports(&reports)));
+            gate.check(counted(workers, "worker"), reports_digest(&reports));
         }
-        let digest = worker_digests[0].1;
-        for (workers, d) in &worker_digests {
-            if *d != digest {
-                eprintln!(
-                    "error: rate {rate}: digest {d:016x} at {workers} workers != {digest:016x} at {} workers",
-                    worker_digests[0].0
-                );
-                std::process::exit(1);
-            }
-        }
-
-        // Invariant 2: at rate 0 the injector is byte-invisible.
-        if rate == 0.0 && digest != bare_digest {
-            eprintln!(
-                "error: rate 0 digest {digest:016x} != bare-model digest {bare_digest:016x}"
-            );
-            std::process::exit(1);
-        }
+        let digest = gate.digest().expect("WORKER_COUNTS is non-empty");
 
         // Measure throughput and collect availability + amplification
         // from a final clean run at the configured thread count.
         let runner = runner_with(opts.threads);
-        let mut best = f64::INFINITY;
-        let mut total = 0.0;
-        for _ in 0..opts.repeat.max(1) {
-            let start = Instant::now();
-            runner.run_cross(&model_refs, &dataset_refs);
-            let elapsed = start.elapsed().as_secs_f64();
-            total += elapsed;
-            best = best.min(elapsed);
-        }
+        let (timing, _) =
+            suite::time_reps(opts.repeat, || runner.run_cross(&model_refs, &dataset_refs), |_| {});
         for injector in &injectors {
             injector.reset();
         }
@@ -285,7 +159,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
         let injected: u64 = injectors.iter().map(|i| i.stats().injected).sum();
         let amplification = deliveries as f64 / queries.max(1) as f64;
 
-        let repeats = opts.repeat.max(1) as f64;
+        let best = timing.best_s;
         let qps = queries as f64 / best;
         let latency = virtual_latency(&model_refs, &dataset_refs);
         eprintln!(
@@ -299,7 +173,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
             ("fault_rate", rate.to_json()),
             ("queries", (queries as u64).to_json()),
             ("best_elapsed_ms", (best * 1e3).to_json()),
-            ("mean_elapsed_ms", (total / repeats * 1e3).to_json()),
+            ("mean_elapsed_ms", (timing.mean_s * 1e3).to_json()),
             ("queries_per_sec", qps.to_json()),
             ("availability", pooled.availability().to_json()),
             ("failed", (pooled.failed as u64).to_json()),
@@ -307,98 +181,59 @@ fn run_bench(opts: &BenchOptions) -> Json {
             ("injected_faults", injected.to_json()),
             ("retry_amplification", amplification.to_json()),
             ("virtual_latency", latency),
-            ("reports_digest", format!("{digest:016x}").to_json()),
-            (
-                "workers_checked",
-                Json::Arr(WORKER_COUNTS.iter().map(|w| (*w as u64).to_json()).collect()),
-            ),
+            ("reports_digest", suite::hex(digest)),
+            ("workers_checked", suite::uints(&WORKER_COUNTS)),
         ]));
     }
 
     let workload = Json::obj(vec![
-        ("models", Json::Arr(opts.models.iter().map(|m| m.to_string().to_json()).collect())),
-        (
-            "taxonomies",
-            Json::Arr(TaxonomyKind::ALL.iter().map(|k| k.label().to_json()).collect()),
-        ),
+        ("models", opts.models_json()),
+        ("taxonomies", suite::labels(&TaxonomyKind::ALL)),
         ("flavor", "hard".to_json()),
         ("scale", opts.scale.to_json()),
-        ("cap", opts.cap.map(|c| (c as u64).to_json()).unwrap_or(Json::Null)),
+        ("cap", opts.cap_json()),
         ("seed", opts.seed.to_json()),
         ("questions", (questions as u64).to_json()),
         ("queries_per_rate", (queries as u64).to_json()),
         ("threads", (opts.threads as u64).to_json()),
         ("chunk_size", (opts.chunk as u64).to_json()),
         ("repeats", (opts.repeat as u64).to_json()),
-        ("bare_digest", format!("{bare_digest:016x}").to_json()),
+        ("bare_digest", suite::hex(bare_digest)),
     ]);
 
-    Json::obj(vec![
-        ("schema_version", SCHEMA_VERSION.to_json()),
-        ("label", opts.label.to_json()),
-        ("workload", workload),
-        ("results", Json::Arr(results)),
-    ])
+    (workload, vec![("results", Json::Arr(results))])
 }
 
-/// `--check FILE`: parse with the in-tree JSON crate and validate shape
-/// plus the cross-rate invariants the document claims.
-fn check_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = from_str_value(&text).map_err(|e| e.to_string())?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    doc.get("label").and_then(Json::as_str).ok_or("missing label")?;
+/// `--check FILE`: validate shape plus the cross-rate invariants the
+/// document claims.
+fn check_doc(doc: &Json) -> Result<String, String> {
     let workload = doc.get("workload").ok_or("missing workload object")?;
-    let bare_digest =
-        workload.get("bare_digest").and_then(Json::as_str).ok_or("missing bare_digest")?;
-    let results = doc.get("results").and_then(Json::as_arr).ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("empty results array".to_owned());
-    }
+    let bare_digest = suite::text(workload, "bare_digest")?;
+    let results = suite::array(doc, "results")?;
     for entry in results {
-        for key in [
-            "fault_rate",
-            "queries",
-            "best_elapsed_ms",
-            "queries_per_sec",
-            "availability",
-            "retry_amplification",
-            "reports_digest",
-        ] {
-            if entry.get(key).is_none() {
-                return Err(format!("result entry missing {key:?}"));
-            }
-        }
-        entry
-            .get("queries_per_sec")
-            .and_then(Json::as_f64)
-            .filter(|q| *q > 0.0)
-            .ok_or("queries_per_sec must be a positive number")?;
-        let rate = entry.get("fault_rate").and_then(Json::as_f64).ok_or("fault_rate must be a number")?;
-        let avail = entry
-            .get("availability")
-            .and_then(Json::as_f64)
-            .filter(|a| (0.0..=1.0).contains(a))
-            .ok_or("availability must be in [0, 1]")?;
-        let amp = entry
-            .get("retry_amplification")
-            .and_then(Json::as_f64)
-            .filter(|a| *a >= 1.0 - 1e-9)
-            .ok_or("retry_amplification must be >= 1")?;
-        let digest =
-            entry.get("reports_digest").and_then(Json::as_str).ok_or("missing reports_digest")?;
+        suite::require(
+            entry,
+            &[
+                "fault_rate",
+                "queries",
+                "best_elapsed_ms",
+                "queries_per_sec",
+                "availability",
+                "retry_amplification",
+                "reports_digest",
+            ],
+        )
+        .map_err(|e| format!("result entry {e}"))?;
+        suite::number(entry, "queries_per_sec", suite::Range::Positive)?;
+        let rate = suite::number(entry, "fault_rate", suite::Range::Any)?;
+        let avail = suite::number(entry, "availability", suite::Range::Unit)?;
+        let amp = suite::number(entry, "retry_amplification", suite::Range::AtLeastOne)?;
+        let digest = suite::text(entry, "reports_digest")?;
         // Optional (added after the first pinned baseline): virtual
         // retry-layer latency percentiles must be monotone when present.
         if let Some(latency) = entry.get("virtual_latency") {
-            let p50 = latency.get("p50_s").and_then(Json::as_f64).ok_or("virtual_latency.p50_s must be a number")?;
-            let p99 = latency.get("p99_s").and_then(Json::as_f64).ok_or("virtual_latency.p99_s must be a number")?;
-            let p999 = latency.get("p999_s").and_then(Json::as_f64).ok_or("virtual_latency.p999_s must be a number")?;
+            let p = |key| suite::number(latency, key, suite::Range::Any);
+            let (p50, p99, p999) = (p("p50_s")?, p("p99_s")?, p("p999_s")?);
             if !(p50 <= p99 && p99 <= p999) {
                 return Err(format!(
                     "virtual_latency percentiles not monotone: p50 {p50}, p99 {p99}, p999 {p999}"
@@ -424,5 +259,5 @@ fn check_file(path: &str) -> Result<String, String> {
             }
         }
     }
-    Ok(format!("{path}: OK ({} fault rates, schema v{version})", results.len()))
+    Ok(format!("{} fault rates", results.len()))
 }

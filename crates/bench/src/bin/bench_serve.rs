@@ -35,7 +35,7 @@
 //! (and relaxes the overhead gate, which is noisy at tiny volumes).
 
 use std::sync::Arc;
-use std::time::Instant;
+use taxoglimpse_bench::suite::{self, counted, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::cache::CachedModel;
 use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
@@ -45,14 +45,19 @@ use taxoglimpse_core::model::LanguageModel;
 use taxoglimpse_core::question::Question;
 use taxoglimpse_core::resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy};
 use taxoglimpse_core::serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
-use taxoglimpse_json::{from_str_value, Json, ToJson};
+use taxoglimpse_json::{Json, ToJson};
 use taxoglimpse_llm::faults::{FaultInjector, FaultPlan};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_report::histogram::LatencyHistogram;
 
-/// Current schema version of `BENCH_serve.json` (see README.md).
-const SCHEMA_VERSION: u64 = 1;
+const SUITE: Suite = Suite {
+    name: "serve",
+    schema_version: 1,
+    flags: &["--cap", "--models", "--requests"],
+    full: Defaults { scale: 0.1, cap: Some(250), repeat: 3, requests: 25_000, ..Defaults::BASE },
+    quick: Defaults { scale: 0.05, cap: Some(20), repeat: 1, requests: 400, ..Defaults::BASE },
+};
 
 /// Offered load as a fraction of the aggregate closed-form lane
 /// capacity: comfortable, near-saturated, overloaded.
@@ -68,10 +73,6 @@ const FAULT_RATES: [f64; 3] = [0.0, 0.05, 0.20];
 /// Prefetch worker counts whose serving reports must be byte-identical.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Same default model subset as `bench_eval` / `bench_resilience`.
-const DEFAULT_MODELS: [ModelId; 4] =
-    [ModelId::Gpt4, ModelId::Gpt35, ModelId::Llama2_7b, ModelId::FlanT5_3b];
-
 /// Ceiling on `offline_qps / serve_wall_qps` at the fault-free
 /// saturation cell (full workload).
 const MAX_OVERHEAD_RATIO: f64 = 1.5;
@@ -80,90 +81,8 @@ const MAX_OVERHEAD_RATIO: f64 = 1.5;
 /// fixed costs dominate a few hundred requests.
 const MAX_OVERHEAD_RATIO_QUICK: f64 = 6.0;
 
-#[derive(Debug)]
-struct BenchOptions {
-    scale: f64,
-    cap: Option<usize>,
-    seed: u64,
-    models: Vec<ModelId>,
-    repeat: usize,
-    requests: usize,
-    label: String,
-    out: String,
-    check: Option<String>,
-    quick: bool,
-}
-
-impl BenchOptions {
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let quick = std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut o = BenchOptions {
-            scale: if quick { 0.05 } else { 0.1 },
-            cap: Some(if quick { 20 } else { 250 }),
-            seed: 42,
-            models: DEFAULT_MODELS.to_vec(),
-            repeat: if quick { 1 } else { 3 },
-            requests: if quick { 400 } else { 25_000 },
-            label: "current".to_owned(),
-            out: "BENCH_serve.json".to_owned(),
-            check: None,
-            quick,
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let mut value =
-                |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match arg.as_str() {
-                "--scale" => o.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
-                "--cap" => o.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?),
-                "--seed" => o.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--repeat" => o.repeat = value("--repeat")?.parse().map_err(|e| format!("--repeat: {e}"))?,
-                "--requests" => o.requests = value("--requests")?.parse().map_err(|e| format!("--requests: {e}"))?,
-                "--label" => o.label = value("--label")?,
-                "--out" => o.out = value("--out")?,
-                "--check" => o.check = Some(value("--check")?),
-                "--models" => {
-                    let csv = value("--models")?;
-                    let mut models = Vec::new();
-                    for name in csv.split(',') {
-                        models.push(name.trim().parse::<ModelId>()?);
-                    }
-                    o.models = models;
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(o)
-    }
-}
-
 fn main() {
-    let opts = match BenchOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-
-    if let Some(path) = &opts.check {
-        match check_file(path) {
-            Ok(summary) => println!("{summary}"),
-            Err(msg) => {
-                eprintln!("error: {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let doc = run_bench(&opts);
-    let rendered = doc.render_pretty();
-    std::fs::write(&opts.out, format!("{rendered}\n")).unwrap_or_else(|e| {
-        eprintln!("error: {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", opts.out);
+    suite::main(&SUITE, run_bench, check_doc);
 }
 
 /// A retry/breaker policy scaled to millisecond service times: the
@@ -195,7 +114,7 @@ fn tower(id: ModelId, seed: u64, fault_rate: f64) -> FaultInjector<CachedModel<A
 
 /// Run one serving cell with fresh towers, returning the report.
 fn run_cell(
-    opts: &BenchOptions,
+    opts: &Args,
     questions: &[Question],
     traffic: &TrafficConfig,
     config: &ServeConfig,
@@ -209,23 +128,19 @@ fn run_cell(
 
 /// Offline reference: single-threaded grid evaluation over the same
 /// fault-free towers and dataset, best-of-`repeat` queries/second.
-fn offline_baseline(opts: &BenchOptions, dataset: &Dataset) -> f64 {
+fn offline_baseline(opts: &Args, dataset: &Dataset) -> f64 {
     let towers: Vec<_> = opts.models.iter().map(|&id| tower(id, opts.seed, 0.0)).collect();
     let refs: Vec<&dyn LanguageModel> = towers.iter().map(|t| t as &dyn LanguageModel).collect();
     let runner = GridRunner::builder().with_threads(1).build();
     let dataset_refs = [dataset];
     let queries = dataset.len() * opts.models.len();
-    let mut best = f64::INFINITY;
-    for _ in 0..opts.repeat.max(1) {
-        let start = Instant::now();
-        runner.run_cross(&refs, &dataset_refs);
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    queries as f64 / best
+    let (timing, _) =
+        suite::time_reps(opts.repeat, || runner.run_cross(&refs, &dataset_refs), |_| {});
+    queries as f64 / timing.best_s
 }
 
-/// Run the measured sweep and build the `BENCH_serve.json` document.
-fn run_bench(opts: &BenchOptions) -> Json {
+/// Run the measured sweep and build the `BENCH_serve.json` body.
+fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
     let cache = TaxonomyCache::new();
     let kind = TaxonomyKind::Ebay;
     eprintln!("generating {} taxonomy at scale {} ...", kind.label(), opts.scale);
@@ -254,48 +169,26 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 let config = base_config.with_batch_deadline_s(deadline_s);
 
                 // Invariant 1: the whole report — trace digest included
-                // — is identical across prefetch worker counts.
-                let mut wall_best = f64::INFINITY;
-                let mut reference: Option<ServeReport> = None;
-                for workers in WORKER_COUNTS {
-                    let worker_config = config.with_workers(workers);
-                    let start = Instant::now();
-                    let report =
-                        run_cell(opts, &questions, &traffic, &worker_config, fault_rate);
-                    let elapsed = start.elapsed().as_secs_f64();
-                    if workers == 1 {
-                        wall_best = wall_best.min(elapsed);
-                    }
-                    match &reference {
-                        None => reference = Some(report),
-                        Some(first) => {
-                            if report.trace_digest != first.trace_digest {
-                                eprintln!(
-                                    "error: rate {rate_factor} deadline {deadline_s} fault {fault_rate}: \
-                                     digest {:016x} at {workers} workers != {:016x} at 1 worker",
-                                    report.trace_digest, first.trace_digest
-                                );
-                                std::process::exit(1);
-                            }
-                            if &report != first {
-                                eprintln!(
-                                    "error: rate {rate_factor} deadline {deadline_s} fault {fault_rate}: \
-                                     report diverges at {workers} workers despite equal digests"
-                                );
-                                std::process::exit(1);
-                            }
-                        }
+                // — is identical across prefetch worker counts. The
+                // one-worker run is the timed one.
+                let run_at = |workers| {
+                    run_cell(opts, &questions, &traffic, &config.with_workers(workers), fault_rate)
+                };
+                let (timing, report) = suite::time_reps(opts.repeat, || run_at(1), |_| {});
+                let cell = format!("rate {rate_factor} deadline {deadline_s} fault {fault_rate}");
+                let mut gate = DigestGate::new(&cell);
+                gate.check(counted(1, "worker"), report.trace_digest);
+                for workers in &WORKER_COUNTS[1..] {
+                    let other = run_at(*workers);
+                    gate.check(counted(*workers, "worker"), other.trace_digest);
+                    if other != report {
+                        suite::fail(format_args!(
+                            "{cell}: report diverges at {workers} workers despite equal digests"
+                        ));
                     }
                 }
-                // Extra timed repeats at one worker for a stable wall
-                // number.
-                for _ in 1..opts.repeat.max(1) {
-                    let start = Instant::now();
-                    run_cell(opts, &questions, &traffic, &config.with_workers(1), fault_rate);
-                    wall_best = wall_best.min(start.elapsed().as_secs_f64());
-                }
+                let wall_best = timing.best_s;
 
-                let report = reference.expect("worker loop always runs");
                 let mut histogram = LatencyHistogram::new();
                 histogram.record_all(&report.latencies);
                 let wall_qps = report.admitted as f64 / wall_best;
@@ -342,12 +235,9 @@ fn run_bench(opts: &BenchOptions) -> Json {
                     ("makespan_s", report.makespan_s.to_json()),
                     ("wall_ms", (wall_best * 1e3).to_json()),
                     ("wall_qps", wall_qps.to_json()),
-                    ("trace_digest", format!("{:016x}", report.trace_digest).to_json()),
+                    ("trace_digest", suite::hex(report.trace_digest)),
                     ("trace_events", report.trace_events.to_json()),
-                    (
-                        "workers_checked",
-                        Json::Arr(WORKER_COUNTS.iter().map(|w| (*w as u64).to_json()).collect()),
-                    ),
+                    ("workers_checked", suite::uints(&WORKER_COUNTS)),
                 ]));
             }
         }
@@ -360,19 +250,18 @@ fn run_bench(opts: &BenchOptions) -> Json {
          (ratio {overhead_ratio:.3}, gate {max_ratio})"
     );
     if overhead_ratio > max_ratio {
-        eprintln!(
-            "error: serving overhead ratio {overhead_ratio:.3} exceeds {max_ratio} — the \
+        suite::fail(format_args!(
+            "serving overhead ratio {overhead_ratio:.3} exceeds {max_ratio} — the \
              serving loop is eating the pipeline"
-        );
-        std::process::exit(1);
+        ));
     }
 
     let workload = Json::obj(vec![
-        ("models", Json::Arr(opts.models.iter().map(|m| m.to_string().to_json()).collect())),
+        ("models", opts.models_json()),
         ("taxonomy", kind.label().to_json()),
         ("flavor", "hard".to_json()),
         ("scale", opts.scale.to_json()),
-        ("cap", opts.cap.map(|c| (c as u64).to_json()).unwrap_or(Json::Null)),
+        ("cap", opts.cap_json()),
         ("seed", opts.seed.to_json()),
         ("questions", (questions.len() as u64).to_json()),
         ("tenants", 8u64.to_json()),
@@ -389,49 +278,17 @@ fn run_bench(opts: &BenchOptions) -> Json {
         ("max_overhead_ratio", max_ratio.to_json()),
     ]);
 
-    Json::obj(vec![
-        ("schema_version", SCHEMA_VERSION.to_json()),
-        ("label", opts.label.to_json()),
-        ("workload", workload),
-        ("headline", headline),
-        ("results", Json::Arr(results)),
-    ])
+    (workload, vec![("headline", headline), ("results", Json::Arr(results))])
 }
 
-/// `--check FILE`: parse with the in-tree JSON crate and validate shape
-/// plus the invariants the document claims.
-fn check_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = from_str_value(&text).map_err(|e| e.to_string())?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    doc.get("label").and_then(Json::as_str).ok_or("missing label")?;
-    doc.get("workload").ok_or("missing workload object")?;
-
+/// `--check FILE`: validate shape plus the invariants the document
+/// claims.
+fn check_doc(doc: &Json) -> Result<String, String> {
     let headline = doc.get("headline").ok_or("missing headline object")?;
-    let offline = headline
-        .get("offline_qps")
-        .and_then(Json::as_f64)
-        .filter(|q| *q > 0.0)
-        .ok_or("offline_qps must be a positive number")?;
-    let serve = headline
-        .get("saturation_wall_qps")
-        .and_then(Json::as_f64)
-        .filter(|q| *q > 0.0)
-        .ok_or("saturation_wall_qps must be a positive number")?;
-    let ratio = headline
-        .get("overhead_ratio")
-        .and_then(Json::as_f64)
-        .ok_or("missing overhead_ratio")?;
-    let max_ratio = headline
-        .get("max_overhead_ratio")
-        .and_then(Json::as_f64)
-        .ok_or("missing max_overhead_ratio")?;
+    let offline = suite::number(headline, "offline_qps", suite::Range::Positive)?;
+    let serve = suite::number(headline, "saturation_wall_qps", suite::Range::Positive)?;
+    let ratio = suite::number(headline, "overhead_ratio", suite::Range::Any)?;
+    let max_ratio = suite::number(headline, "max_overhead_ratio", suite::Range::Any)?;
     if (ratio - offline / serve).abs() > 1e-6 * ratio.abs().max(1.0) {
         return Err(format!("overhead_ratio {ratio} != offline_qps / saturation_wall_qps"));
     }
@@ -439,60 +296,46 @@ fn check_file(path: &str) -> Result<String, String> {
         return Err(format!("overhead_ratio {ratio} exceeds the {max_ratio} gate"));
     }
 
-    let results = doc.get("results").and_then(Json::as_arr).ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("empty results array".to_owned());
-    }
+    let results = suite::array(doc, "results")?;
     let mut rate_factors = std::collections::BTreeSet::new();
     let mut fault_rates = std::collections::BTreeSet::new();
     for entry in results {
-        for key in [
-            "rate_factor",
-            "offered_qps",
-            "batch_deadline_ms",
-            "fault_rate",
-            "arrivals",
-            "admitted",
-            "completed",
-            "shed_rate",
-            "availability",
-            "sustained_qps",
-            "p50_ms",
-            "p99_ms",
-            "p999_ms",
-            "mean_occupancy",
-            "wall_qps",
-            "trace_digest",
-            "workers_checked",
-        ] {
-            if entry.get(key).is_none() {
-                return Err(format!("result entry missing {key:?}"));
-            }
-        }
-        let fault_rate =
-            entry.get("fault_rate").and_then(Json::as_f64).ok_or("fault_rate must be a number")?;
-        let shed_rate = entry
-            .get("shed_rate")
-            .and_then(Json::as_f64)
-            .filter(|s| (0.0..=1.0).contains(s))
-            .ok_or("shed_rate must be in [0, 1]")?;
-        let availability = entry
-            .get("availability")
-            .and_then(Json::as_f64)
-            .filter(|a| (0.0..=1.0).contains(a))
-            .ok_or("availability must be in [0, 1]")?;
-        let p50 = entry.get("p50_ms").and_then(Json::as_f64).ok_or("p50_ms must be a number")?;
-        let p99 = entry.get("p99_ms").and_then(Json::as_f64).ok_or("p99_ms must be a number")?;
-        let p999 =
-            entry.get("p999_ms").and_then(Json::as_f64).ok_or("p999_ms must be a number")?;
+        suite::require(
+            entry,
+            &[
+                "rate_factor",
+                "offered_qps",
+                "batch_deadline_ms",
+                "fault_rate",
+                "arrivals",
+                "admitted",
+                "completed",
+                "shed_rate",
+                "availability",
+                "sustained_qps",
+                "p50_ms",
+                "p99_ms",
+                "p999_ms",
+                "mean_occupancy",
+                "wall_qps",
+                "trace_digest",
+                "workers_checked",
+            ],
+        )
+        .map_err(|e| format!("result entry {e}"))?;
+        let fault_rate = suite::number(entry, "fault_rate", suite::Range::Any)?;
+        let shed_rate = suite::number(entry, "shed_rate", suite::Range::Unit)?;
+        let availability = suite::number(entry, "availability", suite::Range::Unit)?;
+        let p = |key| suite::number(entry, key, suite::Range::Any);
+        let (p50, p99, p999) = (p("p50_ms")?, p("p99_ms")?, p("p999_ms")?);
         if !(p50 <= p99 && p99 <= p999) {
             return Err(format!("percentiles not monotone: p50 {p50}, p99 {p99}, p999 {p999}"));
         }
         if fault_rate == 0.0 && availability != 1.0 {
             return Err(format!("fault rate 0 availability {availability} != 1"));
         }
-        let arrivals = entry.get("arrivals").and_then(Json::as_u64).ok_or("arrivals must be an integer")?;
-        let admitted = entry.get("admitted").and_then(Json::as_u64).ok_or("admitted must be an integer")?;
+        let arrivals = suite::integer(entry, "arrivals")?;
+        let admitted = suite::integer(entry, "admitted")?;
         if admitted > arrivals {
             return Err(format!("admitted {admitted} exceeds arrivals {arrivals}"));
         }
@@ -507,7 +350,8 @@ fn check_file(path: &str) -> Result<String, String> {
         if workers.len() < WORKER_COUNTS.len() {
             return Err("workers_checked must cover {1, 2, 8}".to_owned());
         }
-        rate_factors.insert(format!("{:.3}", entry.get("rate_factor").and_then(Json::as_f64).ok_or("rate_factor must be a number")?));
+        let rate_factor = suite::number(entry, "rate_factor", suite::Range::Any)?;
+        rate_factors.insert(format!("{rate_factor:.3}"));
         fault_rates.insert(format!("{fault_rate:.3}"));
     }
     if rate_factors.len() < 3 {
@@ -517,7 +361,7 @@ fn check_file(path: &str) -> Result<String, String> {
         return Err(format!("need >= 3 fault rates, found {}", fault_rates.len()));
     }
     Ok(format!(
-        "{path}: OK ({} cells, {} rates x {} fault rates, overhead ratio {ratio:.3} <= {max_ratio}, schema v{version})",
+        "{} cells, {} rates x {} fault rates, overhead ratio {ratio:.3} <= {max_ratio}",
         results.len(),
         rate_factors.len(),
         fault_rates.len(),

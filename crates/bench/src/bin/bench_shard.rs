@@ -32,27 +32,32 @@
 //! `TAXOGLIMPSE_BENCH_QUICK=1` shrinks the workload to smoke-test size.
 
 use std::sync::Arc;
-use std::time::Instant;
+use taxoglimpse_bench::suite::{self, counted, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::cache::{CacheStats, CachedModel, ResponseCache};
 use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::{EvalReport, Evaluator};
+use taxoglimpse_core::eval::Evaluator;
 use taxoglimpse_core::grid::GridRunnerBuilder;
 use taxoglimpse_core::metrics::Metrics;
 use taxoglimpse_core::model::LanguageModel;
+use taxoglimpse_core::reports_digest;
 use taxoglimpse_core::shard::{run_grid_sharded, run_sharded, ShardedDataset, NUM_SLOTS};
-use taxoglimpse_json::{from_str_value, Json, ToJson};
+use taxoglimpse_json::{Json, ToJson};
 use taxoglimpse_llm::faults::{FaultInjector, FaultPlan};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::merge::merge_sharded;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 use taxoglimpse_taxonomy::SubtreePartition;
 
-/// Current schema version of `BENCH_shard.json` (see README.md).
-const SCHEMA_VERSION: u64 = 1;
+const SUITE: Suite = Suite {
+    name: "shard",
+    schema_version: 1,
+    flags: &["--cap", "--models", "--threads", "--chunk", "--big-scale"],
+    full: Defaults { scale: 0.1, big_scale: 1.0, cap: Some(250), repeat: 3, ..Defaults::BASE },
+    quick: Defaults { scale: 0.05, big_scale: 0.1, cap: Some(20), repeat: 1, ..Defaults::BASE },
+};
 
 /// Shard counts whose reports must be byte-identical within each rate.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -66,149 +71,23 @@ const BATCH_SIZE: usize = 32;
 /// The big taxonomies sharded at `--big-scale`.
 const BIG_TAXONOMIES: [TaxonomyKind; 2] = [TaxonomyKind::Ncbi, TaxonomyKind::Icd10Cm];
 
-/// Same default model subset as `bench_eval` / `bench_resilience`.
-const DEFAULT_MODELS: [ModelId; 4] =
-    [ModelId::Gpt4, ModelId::Gpt35, ModelId::Llama2_7b, ModelId::FlanT5_3b];
-
-#[derive(Debug)]
-struct BenchOptions {
-    scale: f64,
-    big_scale: f64,
-    cap: Option<usize>,
-    seed: u64,
-    models: Vec<ModelId>,
-    repeat: usize,
-    threads: usize,
-    chunk: usize,
-    label: String,
-    out: String,
-    check: Option<String>,
-}
-
-impl BenchOptions {
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let quick = std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut o = BenchOptions {
-            scale: if quick { 0.05 } else { 0.1 },
-            big_scale: if quick { 0.1 } else { 1.0 },
-            cap: Some(if quick { 20 } else { 250 }),
-            seed: 42,
-            models: DEFAULT_MODELS.to_vec(),
-            repeat: if quick { 1 } else { 3 },
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            chunk: 256,
-            label: "current".to_owned(),
-            out: "BENCH_shard.json".to_owned(),
-            check: None,
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let mut value =
-                |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match arg.as_str() {
-                "--scale" => o.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
-                "--big-scale" => {
-                    o.big_scale =
-                        value("--big-scale")?.parse().map_err(|e| format!("--big-scale: {e}"))?
-                }
-                "--cap" => o.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?),
-                "--seed" => o.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--repeat" => o.repeat = value("--repeat")?.parse().map_err(|e| format!("--repeat: {e}"))?,
-                "--threads" => o.threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?,
-                "--chunk" => o.chunk = value("--chunk")?.parse().map_err(|e| format!("--chunk: {e}"))?,
-                "--label" => o.label = value("--label")?,
-                "--out" => o.out = value("--out")?,
-                "--check" => o.check = Some(value("--check")?),
-                "--models" => {
-                    let csv = value("--models")?;
-                    let mut models = Vec::new();
-                    for name in csv.split(',') {
-                        models.push(name.trim().parse::<ModelId>()?);
-                    }
-                    o.models = models;
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(o)
-    }
-}
-
 fn main() {
-    let opts = match BenchOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-
-    if let Some(path) = &opts.check {
-        match check_file(path) {
-            Ok(summary) => println!("{summary}"),
-            Err(msg) => {
-                eprintln!("error: {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let doc = run_bench(&opts);
-    let rendered = doc.render_pretty();
-    std::fs::write(&opts.out, format!("{rendered}\n")).unwrap_or_else(|e| {
-        eprintln!("error: {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", opts.out);
+    suite::main(&SUITE, run_bench, check_doc);
 }
 
-/// Digest over the JSON of every report, in order (same recipe as
-/// `bench_eval` / `bench_resilience` and the pinned determinism test).
-fn digest_reports(reports: &[EvalReport]) -> u64 {
-    let mut digest = 0xBA5E_11AEu64;
-    for report in reports {
-        let json = taxoglimpse_json::to_string(report).expect("reports serialize");
-        digest = mix64(digest ^ hash_str(0x5EED, &json));
-    }
-    digest
+/// Speedup of `best_s` over the group's first (single-shard) entry,
+/// which it records.
+fn speedup_vs_first(single_best: &mut Option<f64>, best_s: f64) -> f64 {
+    *single_best.get_or_insert(best_s) / best_s
 }
 
-/// Abort the run if `digest` diverges from the rate's first-seen digest.
-fn enforce_rate_digest(
-    rate_digest: &mut Option<u64>,
-    digest: u64,
-    section: &str,
-    rate: f64,
-    shards: usize,
-) {
-    if *rate_digest.get_or_insert(digest) != digest {
-        eprintln!(
-            "error: {section}: rate {rate}: {shards} shards produced digest {digest:016x}, \
-             other shard counts produced {:016x} — sharding changed report bytes",
-            rate_digest.expect("rate digest was just inserted"),
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Run the measured workload and build the `BENCH_shard.json` document.
-fn run_bench(opts: &BenchOptions) -> Json {
+/// Run the measured workload and build the `BENCH_shard.json` body.
+fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
     let cache = TaxonomyCache::new();
     let zoo = ModelZoo::default_zoo();
 
     // ---- Grid section: ten taxonomies × model subset, sharded by cell.
-    eprintln!("generating {} taxonomies at scale {} ...", TaxonomyKind::ALL.len(), opts.scale);
-    let datasets: Vec<Dataset> = TaxonomyKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let taxonomy = cache.get(kind, opts.seed, opts.scale);
-            DatasetBuilder::new(&taxonomy, kind, opts.seed)
-                .sample_cap(opts.cap)
-                .build(QuestionDataset::Hard)
-                .expect("benchmark taxonomies have probe levels")
-        })
-        .collect();
+    let datasets = suite::hard_grid(&cache, opts);
     let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
     let questions: usize = datasets.iter().map(Dataset::len).sum();
     let queries = questions * opts.models.len();
@@ -217,7 +96,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
 
     let mut grid_results = Vec::new();
     for rate in FAULT_RATES {
-        let mut rate_digest: Option<u64> = None;
+        let mut gate = DigestGate::new(format_args!("grid: rate {rate}"));
         let mut single_best: Option<f64> = None;
         let mut entries = Vec::new();
         for shards in SHARD_COUNTS {
@@ -254,37 +133,26 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 .map(|stack| stack.iter().map(|m| m as &dyn LanguageModel).collect())
                 .collect();
 
-            let mut best = f64::INFINITY;
-            let mut total = 0.0;
             let mut digest = 0u64;
             let mut availability = 0.0;
-            for rep in 0..opts.repeat.max(1) {
-                let start = Instant::now();
-                let reports = run_grid_sharded(builder, &stack_refs, &dataset_refs);
-                let elapsed = start.elapsed().as_secs_f64();
-                total += elapsed;
-                best = best.min(elapsed);
-                if rep == 0 {
-                    digest = digest_reports(&reports);
+            let (timing, _) = suite::time_reps(
+                opts.repeat,
+                || run_grid_sharded(builder, &stack_refs, &dataset_refs),
+                |reports| {
+                    digest = reports_digest(reports);
                     let mut pooled = Metrics::default();
-                    for report in &reports {
+                    for report in reports {
                         pooled += report.overall;
                     }
                     availability = pooled.availability();
-                }
-            }
-            enforce_rate_digest(&mut rate_digest, digest, "grid", rate, shards);
+                },
+            );
+            gate.check(counted(shards, "shard"), digest);
 
-            let repeats = opts.repeat.max(1) as f64;
+            let best = timing.best_s;
             let qps = queries as f64 / best;
             let cache_stats: CacheStats = shard_caches.iter().map(|c| c.stats()).sum();
-            let speedup = match single_best {
-                None => {
-                    single_best = Some(best);
-                    1.0
-                }
-                Some(single) => single / best,
-            };
+            let speedup = speedup_vs_first(&mut single_best, best);
             eprintln!(
                 "grid rate {rate}: {shards} shards × {threads} workers: best {:.1} ms, \
                  {:.0} q/s, avail {:.4}, hit rate {:.2}, digest {digest:016x}",
@@ -297,12 +165,12 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 ("shards", (shards as u64).to_json()),
                 ("workers_per_shard", (threads as u64).to_json()),
                 ("best_elapsed_ms", (best * 1e3).to_json()),
-                ("mean_elapsed_ms", (total / repeats * 1e3).to_json()),
+                ("mean_elapsed_ms", (timing.mean_s * 1e3).to_json()),
                 ("queries_per_sec", qps.to_json()),
                 ("availability", availability.to_json()),
                 ("cache_hit_rate", cache_stats.hit_rate().to_json()),
                 ("speedup_vs_single_shard", speedup.to_json()),
-                ("reports_digest", format!("{digest:016x}").to_json()),
+                ("reports_digest", suite::hex(digest)),
             ]));
         }
         grid_results.push(Json::obj(vec![
@@ -330,7 +198,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
 
         let mut rate_results = Vec::new();
         for rate in FAULT_RATES {
-            let mut rate_digest: Option<u64> = None;
+            let mut gate = DigestGate::new(format_args!("{}: rate {rate}", kind.label()));
             let mut single_best: Option<f64> = None;
             let mut entries = Vec::new();
             for shards in SHARD_COUNTS {
@@ -348,23 +216,17 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 let stack_refs: Vec<&dyn LanguageModel> =
                     stacks.iter().map(|m| m as &dyn LanguageModel).collect();
 
-                let mut best = f64::INFINITY;
-                let mut total = 0.0;
                 let mut digest = 0u64;
                 let mut availability = 0.0;
                 let mut per_shard = Vec::new();
-                for rep in 0..opts.repeat.max(1) {
-                    let start = Instant::now();
-                    let runs = run_sharded(&evaluator, &stack_refs, &sharded);
-                    let elapsed = start.elapsed().as_secs_f64();
-                    total += elapsed;
-                    best = best.min(elapsed);
-                    if rep == 0 {
-                        let merged = merge_sharded(&runs).unwrap_or_else(|e| {
-                            eprintln!("error: {}: {shards} shards: {e}", kind.label());
-                            std::process::exit(1);
+                let (timing, _) = suite::time_reps(
+                    opts.repeat,
+                    || run_sharded(&evaluator, &stack_refs, &sharded),
+                    |runs| {
+                        let merged = merge_sharded(runs).unwrap_or_else(|e| {
+                            suite::fail(format_args!("{}: {shards} shards: {e}", kind.label()))
                         });
-                        digest = digest_reports(std::slice::from_ref(&merged));
+                        digest = reports_digest(std::slice::from_ref(&merged));
                         availability = merged.overall.availability();
                         per_shard = runs
                             .iter()
@@ -384,19 +246,13 @@ fn run_bench(opts: &BenchOptions) -> Json {
                                 ])
                             })
                             .collect();
-                    }
-                }
-                enforce_rate_digest(&mut rate_digest, digest, kind.label(), rate, shards);
+                    },
+                );
+                gate.check(counted(shards, "shard"), digest);
 
-                let repeats = opts.repeat.max(1) as f64;
+                let best = timing.best_s;
                 let qps = dataset.len() as f64 / best;
-                let speedup = match single_best {
-                    None => {
-                        single_best = Some(best);
-                        1.0
-                    }
-                    Some(single) => single / best,
-                };
+                let speedup = speedup_vs_first(&mut single_best, best);
                 let efficiency = speedup / shards as f64;
                 eprintln!(
                     "{} rate {rate}: {shards} shards: best {:.1} ms, {:.0} q/s, \
@@ -409,12 +265,12 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 entries.push(Json::obj(vec![
                     ("shards", (shards as u64).to_json()),
                     ("best_elapsed_ms", (best * 1e3).to_json()),
-                    ("mean_elapsed_ms", (total / repeats * 1e3).to_json()),
+                    ("mean_elapsed_ms", (timing.mean_s * 1e3).to_json()),
                     ("queries_per_sec", qps.to_json()),
                     ("availability", availability.to_json()),
                     ("speedup_vs_single_shard", speedup.to_json()),
                     ("scaling_efficiency", efficiency.to_json()),
-                    ("merged_digest", format!("{digest:016x}").to_json()),
+                    ("merged_digest", suite::hex(digest)),
                     ("per_shard", Json::Arr(per_shard)),
                 ]));
             }
@@ -433,19 +289,13 @@ fn run_bench(opts: &BenchOptions) -> Json {
     }
 
     let workload = Json::obj(vec![
-        ("models", Json::Arr(opts.models.iter().map(|m| m.to_string().to_json()).collect())),
-        (
-            "taxonomies",
-            Json::Arr(TaxonomyKind::ALL.iter().map(|k| k.label().to_json()).collect()),
-        ),
-        (
-            "big_taxonomies",
-            Json::Arr(BIG_TAXONOMIES.iter().map(|k| k.label().to_json()).collect()),
-        ),
+        ("models", opts.models_json()),
+        ("taxonomies", suite::labels(&TaxonomyKind::ALL)),
+        ("big_taxonomies", suite::labels(&BIG_TAXONOMIES)),
         ("flavor", "hard".to_json()),
         ("scale", opts.scale.to_json()),
         ("big_scale", opts.big_scale.to_json()),
-        ("cap", opts.cap.map(|c| (c as u64).to_json()).unwrap_or(Json::Null)),
+        ("cap", opts.cap_json()),
         ("seed", opts.seed.to_json()),
         ("grid_questions", (questions as u64).to_json()),
         ("grid_queries_per_rate", (queries as u64).to_json()),
@@ -454,170 +304,101 @@ fn run_bench(opts: &BenchOptions) -> Json {
         ("threads", (opts.threads as u64).to_json()),
         ("chunk_size", (opts.chunk as u64).to_json()),
         ("repeats", (opts.repeat as u64).to_json()),
-        (
-            "shard_counts",
-            Json::Arr(SHARD_COUNTS.iter().map(|s| (*s as u64).to_json()).collect()),
-        ),
+        ("shard_counts", suite::uints(&SHARD_COUNTS)),
         ("fault_rates", Json::Arr(FAULT_RATES.iter().map(|r| r.to_json()).collect())),
     ]);
 
-    Json::obj(vec![
-        ("schema_version", SCHEMA_VERSION.to_json()),
-        ("label", opts.label.to_json()),
-        ("workload", workload),
-        ("grid", Json::Arr(grid_results)),
-        ("big", Json::Arr(big_results)),
-    ])
+    (workload, vec![("grid", Json::Arr(grid_results)), ("big", Json::Arr(big_results))])
 }
 
-/// `--check FILE`: parse with the in-tree JSON crate and validate shape
-/// plus the invariants the document claims: within every fault rate the
-/// digest is identical across shard counts (grid and big sections), at
-/// rate 0 availability is exactly 1, and throughput / efficiency
-/// numbers are positive.
-fn check_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = from_str_value(&text).map_err(|e| e.to_string())?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    doc.get("label").and_then(Json::as_str).ok_or("missing label")?;
-    doc.get("workload").and_then(Json::as_obj).ok_or("missing workload object")?;
-
-    let grid = doc.get("grid").and_then(Json::as_arr).ok_or("missing grid array")?;
-    if grid.is_empty() {
-        return Err("empty grid array".to_owned());
-    }
+/// `--check FILE`: validate shape plus the invariants the document
+/// claims: within every fault rate the digest is identical across shard
+/// counts (grid and big sections), at rate 0 availability is exactly 1,
+/// and throughput / efficiency numbers are positive.
+fn check_doc(doc: &Json) -> Result<String, String> {
+    let grid = suite::array(doc, "grid")?;
     let mut grid_entries = 0usize;
     for group in grid {
-        let rate =
-            group.get("fault_rate").and_then(Json::as_f64).ok_or("grid group missing fault_rate")?;
-        let tag = format!("grid rate {rate}");
-        grid_entries += check_entry_group(group, &tag, rate, "reports_digest")?;
+        let rate = suite::number(group, "fault_rate", suite::Range::Any)
+            .map_err(|e| format!("grid group: {e}"))?;
+        grid_entries += check_entry_group(group, rate, "reports_digest")
+            .map_err(|e| format!("grid rate {rate}: {e}"))?;
     }
-
-    let big = doc.get("big").and_then(Json::as_arr).ok_or("missing big array")?;
-    if big.is_empty() {
-        return Err("empty big array".to_owned());
-    }
+    let big = suite::array(doc, "big")?;
     let mut big_entries = 0usize;
     for section in big {
-        let taxonomy =
-            section.get("taxonomy").and_then(Json::as_str).ok_or("big section missing taxonomy")?;
-        for key in ["nodes", "questions", "occupied_slots"] {
-            if section.get(key).is_none() {
-                return Err(format!("{taxonomy}: big section missing {key:?}"));
-            }
-        }
-        let rates =
-            section.get("rates").and_then(Json::as_arr).ok_or("big section missing rates array")?;
-        if rates.is_empty() {
-            return Err(format!("{taxonomy}: empty rates array"));
-        }
-        for group in rates {
-            let rate = group
-                .get("fault_rate")
-                .and_then(Json::as_f64)
-                .ok_or("big rate group missing fault_rate")?;
-            let tag = format!("{taxonomy} rate {rate}");
-            big_entries += check_entry_group(group, &tag, rate, "merged_digest")?;
-        }
+        let taxonomy = suite::text(section, "taxonomy").map_err(|e| format!("big section: {e}"))?;
+        big_entries += check_big_section(section).map_err(|e| format!("{taxonomy}: {e}"))?;
     }
-
     Ok(format!(
-        "{path}: OK ({} grid rates / {grid_entries} entries, {} big taxonomies / \
-         {big_entries} entries, schema v{version})",
+        "{} grid rates / {grid_entries} entries, {} big taxonomies / {big_entries} entries",
         grid.len(),
         big.len(),
     ))
 }
 
-/// Validate one rate group's `entries`: required keys, positive
-/// throughput, availability in [0, 1] (exactly 1 at fault rate 0),
-/// digests identical across every shard count in the group, and —
-/// when present — positive scaling efficiency and per-shard stats in
-/// range. Returns the number of entries checked.
-fn check_entry_group(
-    group: &Json,
-    tag: &str,
-    rate: f64,
-    digest_key: &str,
-) -> Result<usize, String> {
-    let entries =
-        group.get("entries").and_then(Json::as_arr).ok_or_else(|| format!("{tag}: missing entries"))?;
-    if entries.is_empty() {
-        return Err(format!("{tag}: empty entries array"));
+/// Validate one big-taxonomy section; returns its entry count.
+fn check_big_section(section: &Json) -> Result<usize, String> {
+    suite::require(section, &["nodes", "questions", "occupied_slots"])?;
+    let mut entries = 0;
+    for group in suite::array(section, "rates")? {
+        let rate = suite::number(group, "fault_rate", suite::Range::Any)?;
+        entries += check_entry_group(group, rate, "merged_digest")
+            .map_err(|e| format!("rate {rate}: {e}"))?;
     }
+    Ok(entries)
+}
+
+/// Validate one rate group's `entries` and require their digests to be
+/// identical across every shard count in the group. Returns the number
+/// of entries checked.
+fn check_entry_group(group: &Json, rate: f64, digest_key: &str) -> Result<usize, String> {
+    let entries = suite::array(group, "entries")?;
     let mut group_digest: Option<&str> = None;
     for entry in entries {
-        let shards = entry
-            .get("shards")
-            .and_then(Json::as_u64)
+        let shards = suite::integer(entry, "shards")
+            .ok()
             .filter(|s| *s >= 1)
-            .ok_or_else(|| format!("{tag}: entry missing a positive shards count"))?;
-        for key in ["best_elapsed_ms", "mean_elapsed_ms", "speedup_vs_single_shard"] {
-            if entry.get(key).is_none() {
-                return Err(format!("{tag}: {shards} shards: entry missing {key:?}"));
-            }
-        }
-        entry
-            .get("queries_per_sec")
-            .and_then(Json::as_f64)
-            .filter(|q| *q > 0.0)
-            .ok_or_else(|| format!("{tag}: {shards} shards: queries_per_sec must be positive"))?;
-        let avail = entry
-            .get("availability")
-            .and_then(Json::as_f64)
-            .filter(|a| (0.0..=1.0).contains(a))
-            .ok_or_else(|| format!("{tag}: {shards} shards: availability must be in [0, 1]"))?;
-        if rate == 0.0 && avail != 1.0 {
-            return Err(format!("{tag}: {shards} shards: availability {avail} != 1 at rate 0"));
-        }
-        if let Some(eff) = entry.get("scaling_efficiency") {
-            eff.as_f64()
-                .filter(|e| *e > 0.0)
-                .ok_or_else(|| format!("{tag}: {shards} shards: scaling_efficiency must be positive"))?;
-        }
-        if let Some(hit) = entry.get("cache_hit_rate") {
-            hit.as_f64()
-                .filter(|h| (0.0..=1.0).contains(h))
-                .ok_or_else(|| format!("{tag}: {shards} shards: cache_hit_rate must be in [0, 1]"))?;
-        }
-        if let Some(per_shard) = entry.get("per_shard") {
-            let shard_entries = per_shard
-                .as_arr()
-                .filter(|a| a.len() == shards as usize)
-                .ok_or_else(|| format!("{tag}: {shards} shards: per_shard must list every shard"))?;
-            for shard_entry in shard_entries {
-                for key in ["shard", "slots", "questions"] {
-                    if shard_entry.get(key).is_none() {
-                        return Err(format!("{tag}: {shards} shards: per-shard entry missing {key:?}"));
-                    }
-                }
-                shard_entry
-                    .get("availability")
-                    .and_then(Json::as_f64)
-                    .filter(|a| (0.0..=1.0).contains(a))
-                    .ok_or_else(|| {
-                        format!("{tag}: {shards} shards: per-shard availability must be in [0, 1]")
-                    })?;
-            }
-        }
-        let digest = entry
-            .get(digest_key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{tag}: {shards} shards: entry missing {digest_key:?}"))?;
+            .ok_or("entry missing a positive shards count")?;
+        check_entry(entry, shards, rate).map_err(|e| format!("{shards} shards: {e}"))?;
+        let digest = suite::text(entry, digest_key).map_err(|e| format!("{shards} shards: {e}"))?;
         if *group_digest.get_or_insert(digest) != digest {
             return Err(format!(
-                "{tag}: {shards} shards digest {digest} differs from {} — \
-                 sharding changed report bytes",
+                "{shards} shards digest {digest} differs from {} — sharding changed report bytes",
                 group_digest.unwrap_or_default(),
             ));
         }
     }
     Ok(entries.len())
+}
+
+/// One entry: required keys, positive throughput, availability in
+/// [0, 1] (exactly 1 at fault rate 0), and — when present — positive
+/// scaling efficiency and per-shard stats in range.
+fn check_entry(entry: &Json, shards: u64, rate: f64) -> Result<(), String> {
+    suite::require(entry, &["best_elapsed_ms", "mean_elapsed_ms", "speedup_vs_single_shard"])?;
+    suite::number(entry, "queries_per_sec", suite::Range::Positive)?;
+    let avail = suite::number(entry, "availability", suite::Range::Unit)?;
+    if rate == 0.0 && avail != 1.0 {
+        return Err(format!("availability {avail} != 1 at rate 0"));
+    }
+    if entry.get("scaling_efficiency").is_some() {
+        suite::number(entry, "scaling_efficiency", suite::Range::Positive)?;
+    }
+    if entry.get("cache_hit_rate").is_some() {
+        suite::number(entry, "cache_hit_rate", suite::Range::Unit)?;
+    }
+    if let Some(per_shard) = entry.get("per_shard") {
+        let shard_entries = per_shard
+            .as_arr()
+            .filter(|a| a.len() == shards as usize)
+            .ok_or("per_shard must list every shard")?;
+        for shard_entry in shard_entries {
+            suite::require(shard_entry, &["shard", "slots", "questions"])
+                .map_err(|e| format!("per-shard entry {e}"))?;
+            suite::number(shard_entry, "availability", suite::Range::Unit)
+                .map_err(|e| format!("per-shard {e}"))?;
+        }
+    }
+    Ok(())
 }

@@ -21,15 +21,20 @@
 //!
 //! `TAXOGLIMPSE_BENCH_QUICK=1` shrinks the workload to smoke-test size.
 
-use std::time::Instant;
+use taxoglimpse_bench::suite::{self, counted, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_json::{from_str_value, Json, ToJson};
+use taxoglimpse_json::{Json, ToJson};
 use taxoglimpse_synth::{generate, generate_par, GenOptions, SEQ_STREAM_VERSION};
 use taxoglimpse_taxonomy::SnapshotStore;
 
-/// Current schema version of `BENCH_synth.json` (see README.md).
-const SCHEMA_VERSION: u64 = 1;
+const SUITE: Suite = Suite {
+    name: "synth",
+    schema_version: 1,
+    flags: &[],
+    full: Defaults { scale: 1.0, repeat: 3, ..Defaults::BASE },
+    quick: Defaults { scale: 0.02, repeat: 1, ..Defaults::BASE },
+};
 
 /// Worker counts exercised by the parallel generator; digests across
 /// all of them must agree.
@@ -53,76 +58,8 @@ const BASELINE_GEN_MS: [(&str, f64); 10] = [
     ("ncbi", 787.272),
 ];
 
-#[derive(Debug)]
-struct BenchOptions {
-    scale: f64,
-    seed: u64,
-    repeat: usize,
-    label: String,
-    out: String,
-    check: Option<String>,
-}
-
-impl BenchOptions {
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let quick = std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut o = BenchOptions {
-            scale: if quick { 0.02 } else { 1.0 },
-            seed: 42,
-            repeat: if quick { 1 } else { 3 },
-            label: "current".to_owned(),
-            out: "BENCH_synth.json".to_owned(),
-            check: None,
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let mut value =
-                |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match arg.as_str() {
-                "--scale" => {
-                    o.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?
-                }
-                "--seed" => o.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--repeat" => {
-                    o.repeat = value("--repeat")?.parse().map_err(|e| format!("--repeat: {e}"))?
-                }
-                "--label" => o.label = value("--label")?,
-                "--out" => o.out = value("--out")?,
-                "--check" => o.check = Some(value("--check")?),
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(o)
-    }
-}
-
 fn main() {
-    let opts = match BenchOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-
-    if let Some(path) = &opts.check {
-        match check_file(path) {
-            Ok(summary) => println!("{summary}"),
-            Err(msg) => {
-                eprintln!("error: {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let doc = run_bench(&opts);
-    let rendered = doc.render_pretty();
-    std::fs::write(&opts.out, format!("{rendered}\n")).unwrap_or_else(|e| {
-        eprintln!("error: {}: {e}", opts.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", opts.out);
+    suite::main(&SUITE, run_bench, check_doc);
 }
 
 /// JSON key for a worker count (the counts are fixed by `WORKER_COUNTS`).
@@ -135,25 +72,14 @@ fn worker_key(workers: usize) -> &'static str {
     }
 }
 
-/// Best-of-N wall time in milliseconds of `f`, keeping the last result.
-/// The previous round's result is dropped *before* the next timed run:
-/// holding a ~100 MB taxonomy across rounds would deny the allocator
-/// its pages and charge every round a fresh page-fault bill that no
-/// real caller pays.
-fn best_of<T>(repeat: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..repeat.max(1) {
-        out = None;
-        let start = Instant::now();
-        let value = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        out = Some(value);
-    }
-    (best, out.expect("repeat is at least one"))
+/// Best-of-`repeat` wall milliseconds of `f`, and its last result.
+fn best_ms<T>(repeat: usize, f: impl FnMut() -> T) -> (f64, T) {
+    let (timing, value) = suite::time_reps(repeat, f, |_| {});
+    (timing.best_s * 1e3, value)
 }
 
-fn run_bench(opts: &BenchOptions) -> Json {
+/// Run the measured workload and build the `BENCH_synth.json` body.
+fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
     let gen_opts = GenOptions { seed: opts.seed, scale: opts.scale };
     let store = SnapshotStore::open_default();
     // The embedded baseline was measured at scale 1.0, seed 42; at any
@@ -167,37 +93,24 @@ fn run_bench(opts: &BenchOptions) -> Json {
 
         // Sequential (legacy pinned stream) generation.
         let (gen_seq_ms, seq) =
-            best_of(opts.repeat, || generate(kind, gen_opts).expect("valid scale"));
+            best_ms(opts.repeat, || generate(kind, gen_opts).expect("valid scale"));
         let seq_digest = seq.content_digest();
 
         // Parallel chunk-stream generation at each worker count; the
         // digest must not depend on the worker count.
         let mut par_ms = Vec::with_capacity(WORKER_COUNTS.len());
-        let mut par_digest = None;
+        let mut par_gate = DigestGate::new(format_args!("{label}: generate_par"));
         for &workers in &WORKER_COUNTS {
-            let (ms, t) = best_of(opts.repeat, || {
+            let (ms, t) = best_ms(opts.repeat, || {
                 generate_par(kind, gen_opts, workers).expect("valid scale")
             });
-            let digest = t.content_digest();
-            match par_digest {
-                None => par_digest = Some(digest),
-                Some(expected) if expected != digest => {
-                    eprintln!(
-                        "error: {label}: generate_par digest {digest:016x} at {workers} workers \
-                         != {expected:016x} at {} workers — parallel generation is not \
-                         worker-count invariant",
-                        WORKER_COUNTS[0],
-                    );
-                    std::process::exit(1);
-                }
-                Some(_) => {}
-            }
+            par_gate.check(counted(workers, "worker"), t.content_digest());
             par_ms.push((workers, ms));
         }
-        let par_digest = par_digest.expect("at least one worker count is measured");
+        let par_digest = par_gate.digest().expect("at least one worker count is measured");
 
         // Dataset assembly over the sequential taxonomy.
-        let (dataset_ms, dataset) = best_of(opts.repeat, || {
+        let (dataset_ms, dataset) = best_ms(opts.repeat, || {
             DatasetBuilder::new(&seq, kind, opts.seed)
                 .threads(dataset_threads)
                 .build(QuestionDataset::Hard)
@@ -206,16 +119,15 @@ fn run_bench(opts: &BenchOptions) -> Json {
 
         // Snapshot round trip through the on-disk store.
         let key = SnapshotStore::key(label, opts.seed, opts.scale, SEQ_STREAM_VERSION);
-        let (snap_save_ms, _) = best_of(opts.repeat, || {
+        let (snap_save_ms, _) = best_ms(opts.repeat, || {
             store.save(&key, &seq).expect("snapshot dir is writable")
         });
-        let (snap_load_ms, loaded) = best_of(opts.repeat, || {
+        let (snap_load_ms, loaded) = best_ms(opts.repeat, || {
             store.load(&key).expect("just-saved snapshot loads")
         });
-        if loaded.content_digest() != seq_digest {
-            eprintln!("error: {label}: snapshot round trip changed the taxonomy bytes");
-            std::process::exit(1);
-        }
+        let mut round_trip = DigestGate::new(format_args!("{label}: snapshot round trip"));
+        round_trip.check("generate", seq_digest);
+        round_trip.check("load", loaded.content_digest());
 
         let baseline_gen_ms = BASELINE_GEN_MS
             .iter()
@@ -242,7 +154,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
             ("taxonomy", label.to_json()),
             ("nodes", (seq.len() as u64).to_json()),
             ("gen_seq_ms", gen_seq_ms.to_json()),
-            ("seq_digest", format!("{seq_digest:016x}").to_json()),
+            ("seq_digest", suite::hex(seq_digest)),
             (
                 "gen_par_ms",
                 Json::obj(
@@ -252,7 +164,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
                         .collect::<Vec<_>>(),
                 ),
             ),
-            ("par_digest", format!("{par_digest:016x}").to_json()),
+            ("par_digest", suite::hex(par_digest)),
             ("dataset_questions", (dataset.len() as u64).to_json()),
             ("dataset_ms", dataset_ms.to_json()),
             ("snap_save_ms", snap_save_ms.to_json()),
@@ -271,17 +183,11 @@ fn run_bench(opts: &BenchOptions) -> Json {
     }
 
     let workload = Json::obj(vec![
-        (
-            "taxonomies",
-            Json::Arr(TaxonomyKind::ALL.iter().map(|k| k.label().to_json()).collect()),
-        ),
+        ("taxonomies", suite::labels(&TaxonomyKind::ALL)),
         ("scale", opts.scale.to_json()),
         ("seed", opts.seed.to_json()),
         ("repeats", (opts.repeat as u64).to_json()),
-        (
-            "worker_counts",
-            Json::Arr(WORKER_COUNTS.iter().map(|&w| (w as u64).to_json()).collect()),
-        ),
+        ("worker_counts", suite::uints(&WORKER_COUNTS)),
         ("dataset_threads", (dataset_threads as u64).to_json()),
         ("cache_dir", store.dir().display().to_string().to_json()),
     ]);
@@ -302,54 +208,33 @@ fn run_bench(opts: &BenchOptions) -> Json {
         ),
     ]);
 
-    Json::obj(vec![
-        ("schema_version", SCHEMA_VERSION.to_json()),
-        ("label", opts.label.to_json()),
-        ("workload", workload),
-        ("results", Json::Arr(results)),
-        ("baseline", baseline),
-    ])
+    (workload, vec![("results", Json::Arr(results)), ("baseline", baseline)])
 }
 
-/// `--check FILE`: parse with the in-tree JSON crate and validate shape.
-fn check_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = from_str_value(&text).map_err(|e| e.to_string())?;
-    let version =
-        doc.get("schema_version").and_then(Json::as_u64).ok_or("missing schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    doc.get("label").and_then(Json::as_str).ok_or("missing label")?;
-    doc.get("workload").and_then(Json::as_obj).ok_or("missing workload object")?;
-    let results = doc.get("results").and_then(Json::as_arr).ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("empty results array".to_owned());
-    }
+/// `--check FILE`: every entry carries its timings and digests, and
+/// the timings are positive.
+fn check_doc(doc: &Json) -> Result<String, String> {
+    let results = suite::array(doc, "results")?;
     for entry in results {
-        for key in [
-            "taxonomy",
-            "nodes",
-            "gen_seq_ms",
-            "seq_digest",
-            "gen_par_ms",
-            "par_digest",
-            "dataset_ms",
-            "snap_save_ms",
-            "snap_load_ms",
-        ] {
-            if entry.get(key).is_none() {
-                return Err(format!("result entry missing {key:?}"));
-            }
-        }
+        suite::require(
+            entry,
+            &[
+                "taxonomy",
+                "nodes",
+                "gen_seq_ms",
+                "seq_digest",
+                "gen_par_ms",
+                "par_digest",
+                "dataset_ms",
+                "snap_save_ms",
+                "snap_load_ms",
+            ],
+        )
+        .map_err(|e| format!("result entry {e}"))?;
         for key in ["gen_seq_ms", "dataset_ms", "snap_save_ms", "snap_load_ms"] {
-            entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .filter(|v| *v > 0.0)
-                .ok_or_else(|| format!("{key} must be a positive number"))?;
+            suite::number(entry, key, suite::Range::Positive)?;
         }
     }
-    let _ = doc.get("baseline").ok_or("missing baseline")?;
-    Ok(format!("{path}: OK ({} taxonomies, schema v{version})", results.len()))
+    doc.get("baseline").ok_or("missing baseline")?;
+    Ok(format!("{} taxonomies", results.len()))
 }

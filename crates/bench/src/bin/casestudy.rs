@@ -17,7 +17,7 @@ use taxoglimpse_llm::zoo::ModelZoo;
 fn main() {
     let opts = RunOptions::from_env();
     let cache = TaxonomyCache::new();
-    let taxonomy = cache.get(TaxonomyKind::Amazon, opts.seed, opts.scale_for(TaxonomyKind::Amazon));
+    let taxonomy = cache.get(TaxonomyKind::Amazon, opts.seed, opts.scale);
 
     let config = CaseStudyConfig {
         cutoff_level: 4,

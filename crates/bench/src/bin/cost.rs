@@ -41,7 +41,7 @@ fn main() {
         let client = ApiClient::new(SimulatedLlm::new(model_id));
         let mut questions = 0usize;
         for kind in TaxonomyKind::ALL {
-            let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+            let taxonomy = cache.get(kind, opts.seed, opts.scale);
             for flavor in QuestionDataset::ALL {
                 let dataset = build_dataset(&taxonomy, kind, flavor, &opts);
                 questions += dataset.len();

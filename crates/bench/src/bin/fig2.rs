@@ -17,7 +17,7 @@ fn main() {
     let taxonomies: Vec<(TaxonomyKind, std::sync::Arc<taxoglimpse_taxonomy::Taxonomy>)> =
         TaxonomyKind::ALL
             .into_iter()
-            .map(|kind| (kind, cache.get(kind, opts.seed, opts.scale_for(kind))))
+            .map(|kind| (kind, cache.get(kind, opts.seed, opts.scale)))
             .collect();
     let refs: Vec<(TaxonomyKind, &taxoglimpse_taxonomy::Taxonomy)> =
         taxonomies.iter().map(|(k, t)| (*k, t.as_ref())).collect();

@@ -25,7 +25,7 @@ fn main() {
         if kind == TaxonomyKind::GeoNames {
             continue; // single child level: nothing to plot (paper §4.2)
         }
-        let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
         let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
         let mut figure = Figure::new(format!(
             "Figure 3({}): {} — accuracy per level, hard, zero-shot",

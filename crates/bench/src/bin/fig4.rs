@@ -29,7 +29,7 @@ fn main() {
             let mut acc_points = Vec::new();
             let mut miss_points = Vec::new();
             for kind in TaxonomyKind::ALL {
-                let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+                let taxonomy = cache.get(kind, opts.seed, opts.scale);
                 let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
                 let report = evaluator.run(model.as_ref(), &dataset);
                 acc_points.push((kind.display_name().to_owned(), report.overall.accuracy()));

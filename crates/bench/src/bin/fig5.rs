@@ -15,7 +15,7 @@ fn main() {
     let opts = RunOptions::from_env();
     let cache = TaxonomyCache::new();
     let kind = TaxonomyKind::Glottolog;
-    let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind).min(0.2));
+    let taxonomy = cache.get(kind, opts.seed, opts.scale.min(0.2));
     let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
 
     let slice = &dataset.levels[dataset.levels.len() - 1];

@@ -26,7 +26,7 @@ fn main() {
         if !kind.has_instances() {
             continue;
         }
-        let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
         let dataset = InstanceTypingWorkload::new(QuestionDataset::Hard)
             .with_sample_cap(opts.cap)
             .build(&WorkloadContext::new(&taxonomy, kind, opts.seed))

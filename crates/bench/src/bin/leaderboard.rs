@@ -25,7 +25,7 @@ fn main() {
     // Datasets: all taxonomies × all flavors.
     let mut datasets: Vec<Dataset> = Vec::new();
     for kind in TaxonomyKind::ALL {
-        let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
         for flavor in QuestionDataset::ALL {
             datasets.push(build_dataset(&taxonomy, kind, flavor, &opts));
         }
@@ -39,7 +39,7 @@ fn main() {
 
     // Failure analysis: polarity + similarity bands on Glottolog hard.
     println!("Failure analysis, Glottolog hard (positives vs hard negatives; similarity bands)\n");
-    let glotto = cache.get(TaxonomyKind::Glottolog, opts.seed, opts.scale_for(TaxonomyKind::Glottolog));
+    let glotto = cache.get(TaxonomyKind::Glottolog, opts.seed, opts.scale);
     let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, &opts);
     for id in [ModelId::Gpt4, ModelId::Vicuna13b] {
         let model = zoo.get(id).expect("zoo");

@@ -25,7 +25,7 @@ fn main() {
     let cache = TaxonomyCache::new();
     let zoo = ModelZoo::default_zoo();
     let kind = TaxonomyKind::Amazon;
-    let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind).min(0.3));
+    let taxonomy = cache.get(kind, opts.seed, opts.scale.min(0.3));
     let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
 
     let shot_counts = [0usize, 1, 2, 3, 5];

@@ -28,7 +28,7 @@ fn main() {
         vec![[[None::<usize>; 8]; 3]; TaxonomyKind::ALL.len()];
     let mut totals = vec![[0usize; 3]; TaxonomyKind::ALL.len()];
     for (ki, &kind) in TaxonomyKind::ALL.iter().enumerate() {
-        let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
         for (fi, flavor) in QuestionDataset::ALL.into_iter().enumerate() {
             let dataset = build_dataset(&taxonomy, kind, flavor, &opts);
             for (level, n) in dataset.level_counts() {

@@ -59,7 +59,7 @@ fn main() {
         let datasets: Vec<Dataset> = TaxonomyKind::ALL
             .into_iter()
             .map(|kind| {
-                let taxonomy = cache.get(kind, opts.seed, opts.scale_for(kind));
+                let taxonomy = cache.get(kind, opts.seed, opts.scale);
                 build_dataset(&taxonomy, kind, flavor, &opts)
             })
             .collect();

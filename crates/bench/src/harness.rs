@@ -50,8 +50,7 @@ impl Bench {
     /// measurement windows to smoke-test levels.
     pub fn from_env() -> Self {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        let quick = std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false);
-        let (warmup, measure) = if quick {
+        let (warmup, measure) = if crate::suite::quick_mode() {
             (Duration::from_millis(2), Duration::from_millis(10))
         } else {
             (Duration::from_millis(100), Duration::from_millis(400))

@@ -12,10 +12,14 @@
 //! --seed <u64>    master seed (default 42)
 //! --models <csv>  restrict to a comma-separated model list
 //! ```
+//!
+//! The six `bench_*` suite binaries share one scaffold, [`suite`], whose
+//! flag parser reuses [`RunOptions`]' parsing of these four flags.
 
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod suite;
 
 // lint:allow(D001, bench-only cache: keyed lookups under a Mutex, never iterated, and bench output is not digested)
 use std::collections::HashMap;
@@ -49,43 +53,44 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Parse from an iterator of CLI arguments (without `argv[0]`).
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = RunOptions::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    opts.scale = next_value(&mut args, "--scale")?
-                        .parse()
-                        .map_err(|e| format!("--scale: {e}"))?;
-                }
-                "--cap" => {
-                    opts.cap = Some(
-                        next_value(&mut args, "--cap")?
-                            .parse()
-                            .map_err(|e| format!("--cap: {e}"))?,
-                    );
-                }
-                "--seed" => {
-                    opts.seed = next_value(&mut args, "--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--models" => {
-                    let csv = next_value(&mut args, "--models")?;
-                    let mut models = Vec::new();
-                    for name in csv.split(',') {
-                        models.push(name.trim().parse::<ModelId>()?);
-                    }
-                    opts.models = Some(models);
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown flag {other}"));
-                }
-                positional => opts.positional.push(positional.to_owned()),
+            if opts.parse_flag(&arg, &mut args)? {
+                continue;
             }
+            if arg.starts_with("--") {
+                return Err(format!("unknown flag {arg}"));
+            }
+            opts.positional.push(arg);
         }
         Ok(opts)
+    }
+
+    /// If `flag` is `--scale`, `--cap`, `--seed` or `--models`, take its
+    /// value from `args`, store it and return `true`; otherwise leave
+    /// `args` alone and return `false`. The bench suites parse these
+    /// four flags through here too.
+    pub(crate) fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--scale" => self.scale = parse_scale(flag, args)?,
+            "--cap" => self.cap = Some(parse_value(flag, args)?),
+            "--seed" => self.seed = parse_value(flag, args)?,
+            "--models" => {
+                let csv = next_value(args, flag)?;
+                let mut models = Vec::new();
+                for name in csv.split(',') {
+                    models.push(name.trim().parse::<ModelId>()?);
+                }
+                self.models = Some(models);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Parse from the process arguments, exiting with a message on error.
@@ -103,19 +108,31 @@ impl RunOptions {
     pub fn model_list(&self) -> Vec<ModelId> {
         self.models.clone().unwrap_or_else(|| ModelId::ALL.to_vec())
     }
-
-    /// Scale used for one taxonomy. NCBI at full fidelity is 2.19M
-    /// nodes; everything works but callers wanting speed pass --scale.
-    pub fn scale_for(&self, _kind: TaxonomyKind) -> f64 {
-        self.scale
-    }
 }
 
-fn next_value(
-    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-    flag: &str,
-) -> Result<String, String> {
+fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    next_value(args, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// A taxonomy scale in `(0, 1]`, the range the generator accepts (NaN
+/// fails both comparisons).
+fn parse_scale(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<f64, String> {
+    let scale: f64 = parse_value(flag, args)?;
+    if scale > 0.0 && scale <= 1.0 {
+        Ok(scale)
+    } else {
+        Err(format!("{flag} must be in (0, 1]"))
+    }
 }
 
 /// Cache of generated taxonomies so `run_all` builds each only once.
@@ -221,6 +238,33 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--models", "GPT-5"]).is_err());
         assert!(parse(&["--cap", "x"]).is_err());
+        for scale in ["0", "2", "nan", "inf", "-0.5"] {
+            assert_eq!(
+                parse(&["--scale", scale]).unwrap_err(),
+                "--scale must be in (0, 1]",
+                "--scale {scale}"
+            );
+        }
+        let suite = suite::Suite {
+            name: "t",
+            schema_version: 1,
+            flags: &["--big-scale"],
+            full: suite::Defaults::BASE,
+            quick: suite::Defaults::BASE,
+        };
+        let parse_suite =
+            |args: &[&str]| suite::parse(&suite, false, args.iter().map(|s| s.to_string()));
+        for undeclared in [&["--cap", "5"][..], &["--models", "GPT-4"], &["--threads", "2"], &["x"]]
+        {
+            assert!(parse_suite(undeclared).unwrap_err().starts_with("unknown argument"));
+        }
+        assert!(parse_suite(&["--label"]).is_err());
+        assert_eq!(parse_suite(&["--repeat", "0"]).unwrap_err(), "--repeat must be at least 1");
+        assert_eq!(
+            parse_suite(&["--big-scale", "2"]).unwrap_err(),
+            "--big-scale must be in (0, 1]"
+        );
+        assert_eq!(parse_suite(&["--scale", "nan"]).unwrap_err(), "--scale must be in (0, 1]");
     }
 
     #[test]

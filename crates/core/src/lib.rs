@@ -85,3 +85,13 @@ pub use shard::{ShardRouter, ShardRun, ShardedDataset};
 pub use workload::{
     InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError, WorkloadRunner,
 };
+
+/// The pinned reports digest: a 64-bit hash chained over the compact
+/// JSON of every report, in order. Every `BENCH_*.json` digest and the
+/// pinned determinism tests use this one recipe.
+pub fn reports_digest<T: taxoglimpse_json::ToJson>(reports: &[T]) -> u64 {
+    use taxoglimpse_synth::rng::{hash_str, mix64};
+    reports.iter().fold(0xBA5E_11AE, |digest, report| {
+        mix64(digest ^ hash_str(0x5EED, &report.to_json().render()))
+    })
+}

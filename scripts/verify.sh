@@ -52,97 +52,7 @@ cargo run --release --offline -q -p taxoglimpse-lint -- \
     --validate "$LINT_OUT"
 rm -f "$LINT_OUT"
 
-# 4. Bench plumbing smoke: the committed baseline must parse and pass
-#    shape validation with the in-tree JSON crate — for the committed
-#    file that includes the v2 acceptance gates: every batch/cache
-#    config's reports_digest equal within each setting, hit rates in
-#    [0, 1], and the zero-shot headline >= 2x the embedded baseline.
-#    Then a quick-mode bench run (which sweeps every batched + cached
-#    config too, aborting in-process on any digest divergence) must
-#    produce a file that passes the same validation. Quick mode shrinks
-#    the workload so this costs seconds, not a real measurement.
-echo "==> bench smoke (TAXOGLIMPSE_BENCH_QUICK)"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_eval -- \
-    --check BENCH_eval.json
-SMOKE_OUT="$(mktemp)"
-TAXOGLIMPSE_BENCH_QUICK=1 cargo run --release --offline -q \
-    -p taxoglimpse-bench --bin bench_eval -- --label "verify smoke" --out "$SMOKE_OUT"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_eval -- \
-    --check "$SMOKE_OUT"
-rm -f "$SMOKE_OUT"
-
-# 4b. Answer-extraction audit: the adversarial parser corpus (the three
-#     PR 6 parser fixes plus the near-miss forms that must stay
-#     Unparsed) and its pinned-digest neutrality proof. Tier-1 already
-#     ran the whole suite; re-running just this corpus here keeps the
-#     parser contract visible as its own verification step.
-echo "==> answer-extraction corpus audit"
-cargo test --release --offline -q --test parser_corpus
-
-# 5. Data-production bench plumbing, same contract as stage 4: the
-#    committed BENCH_synth.json must pass shape validation, and a
-#    quick-mode run (tiny scales, snapshot cache in a temp dir) must
-#    produce a file that does too. Quick mode still asserts digest
-#    equality across worker counts, so the determinism contract is
-#    exercised — only the measurement is toy-sized.
-echo "==> synth bench smoke (TAXOGLIMPSE_BENCH_QUICK)"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_synth -- \
-    --check BENCH_synth.json
-SMOKE_OUT="$(mktemp)"
-SMOKE_CACHE="$(mktemp -d)"
-TAXOGLIMPSE_BENCH_QUICK=1 TAXOGLIMPSE_CACHE_DIR="$SMOKE_CACHE" \
-    cargo run --release --offline -q \
-    -p taxoglimpse-bench --bin bench_synth -- --label "verify smoke" --out "$SMOKE_OUT"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_synth -- \
-    --check "$SMOKE_OUT"
-rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
-
-# 6. Resilience bench plumbing, same contract as stages 4/5: the
-#    committed BENCH_resilience.json must pass shape validation
-#    (including its rate-0 transparency invariants), and a quick-mode
-#    fault smoke must produce a file that does too. The smoke run
-#    re-proves the two hard invariants in-process — digests equal
-#    across worker counts {1,2,8} at every fault rate, and the rate-0
-#    digest equal to the bare (un-wrapped) pipeline — because
-#    bench_resilience aborts if either fails. Also audit that the
-#    error-path migration left no unwrap() in the new modules (lint
-#    rule D003 gates this too; this is a cheap belt-and-braces check).
-echo "==> resilience bench smoke (TAXOGLIMPSE_BENCH_QUICK)"
-if grep -n '\.unwrap()' crates/core/src/resilience.rs crates/llm/src/faults.rs; then
-    echo "error: unwrap() in resilience/fault modules (see above)" >&2
-    exit 1
-fi
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_resilience -- \
-    --check BENCH_resilience.json
-SMOKE_OUT="$(mktemp)"
-TAXOGLIMPSE_BENCH_QUICK=1 cargo run --release --offline -q \
-    -p taxoglimpse-bench --bin bench_resilience -- --label "verify smoke" --out "$SMOKE_OUT"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_resilience -- \
-    --check "$SMOKE_OUT"
-rm -f "$SMOKE_OUT"
-
-# 7. Sharded scale-out bench plumbing, same contract as stages 4–6:
-#    the committed BENCH_shard.json must pass shape validation —
-#    including its headline invariant, reports/merged digests identical
-#    across shard counts {1,2,8} within every fault rate, and
-#    availability exactly 1 at fault rate 0 — and a quick-mode smoke
-#    (tiny scales, snapshot cache in a temp dir) must produce a file
-#    that passes the same validation. The smoke run re-proves the
-#    digest invariant in-process at both sharding levels because
-#    bench_shard aborts on any cross-shard-count divergence.
-echo "==> shard bench smoke (TAXOGLIMPSE_BENCH_QUICK)"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_shard -- \
-    --check BENCH_shard.json
-SMOKE_OUT="$(mktemp)"
-SMOKE_CACHE="$(mktemp -d)"
-TAXOGLIMPSE_BENCH_QUICK=1 TAXOGLIMPSE_CACHE_DIR="$SMOKE_CACHE" \
-    cargo run --release --offline -q \
-    -p taxoglimpse-bench --bin bench_shard -- --label "verify smoke" --out "$SMOKE_OUT"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_shard -- \
-    --check "$SMOKE_OUT"
-rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
-
-# 8. Interprocedural lint engine: exercise the schema-v2 surface the
+# 4. Interprocedural lint engine: exercise the schema-v2 surface the
 #    way a consumer would. The workspace scan in stage 3 already ran
 #    the new passes (D101/L001/L002/P001/S001 are part of --check);
 #    here we additionally dump the call graph, check it is valid JSON
@@ -175,49 +85,27 @@ if cargo run --release --offline -q -p taxoglimpse-lint -- \
 fi
 rm -f "$GRAPH_OUT" "$LINT_OUT"
 
-# 9. Serving bench plumbing, same contract as stages 4–7: the
-#    committed BENCH_serve.json must pass shape validation — including
-#    its headline invariant (wall-clock serving throughput within 1.5x
-#    of the offline grid at fault-free saturation), availability
-#    exactly 1 at fault rate 0, monotone p50 <= p99 <= p99.9, and shed
-#    accounting consistent with arrivals/admitted — and a quick-mode
-#    smoke (tiny pool, snapshot cache in a temp dir) must produce a
-#    file that passes the same validation. The smoke run re-proves the
-#    determinism invariant in-process because bench_serve aborts if
-#    any cell's serving report differs across prefetch worker counts
-#    {1,2,8}.
-echo "==> serve bench smoke (TAXOGLIMPSE_BENCH_QUICK)"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_serve -- \
-    --check BENCH_serve.json
-SMOKE_OUT="$(mktemp)"
-SMOKE_CACHE="$(mktemp -d)"
-TAXOGLIMPSE_BENCH_QUICK=1 TAXOGLIMPSE_CACHE_DIR="$SMOKE_CACHE" \
-    cargo run --release --offline -q \
-    -p taxoglimpse-bench --bin bench_serve -- --label "verify smoke" --out "$SMOKE_OUT"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_serve -- \
-    --check "$SMOKE_OUT"
-rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
-
-# 10. Hierarchical-classification bench plumbing, same contract as
-#     stages 4–7/9: the committed BENCH_hier.json must pass shape
-#     validation — including its headline invariant, the constrained
-#     descent's invalid-label count exactly 0 in every (model,
-#     taxonomy) cell, and outcome counts partitioning the instance
-#     count — and a quick-mode smoke (tiny caps, snapshot cache in a
-#     temp dir) must produce a file that passes the same validation.
-#     The smoke run re-proves the determinism invariant in-process
-#     because bench_hier aborts if any cell's report differs across
-#     worker counts {1,2,8}.
-echo "==> hier bench smoke (TAXOGLIMPSE_BENCH_QUICK)"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_hier -- \
-    --check BENCH_hier.json
-SMOKE_OUT="$(mktemp)"
-SMOKE_CACHE="$(mktemp -d)"
-TAXOGLIMPSE_BENCH_QUICK=1 TAXOGLIMPSE_CACHE_DIR="$SMOKE_CACHE" \
-    cargo run --release --offline -q \
-    -p taxoglimpse-bench --bin bench_hier -- --label "verify smoke" --out "$SMOKE_OUT"
-cargo run --release --offline -q -p taxoglimpse-bench --bin bench_hier -- \
-    --check "$SMOKE_OUT"
-rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
+# 5. Bench suites. For each suite: the committed BENCH_<suite>.json
+#    must pass the suite's --check (shape plus the invariants the
+#    document claims, e.g. digests identical across batch/cache configs,
+#    worker, shard and prefetch counts; availability exactly 1 at fault
+#    rate 0; zero invalid hierarchical labels), then a quick-mode run
+#    with a temp snapshot cache must write a file that passes the same
+#    --check. The quick run re-proves each suite's byte-identity
+#    invariants in-process, because a suite exits 1 on any digest
+#    divergence; only the measurement is toy-sized.
+bench() {
+    cargo run --release --offline -q -p taxoglimpse-bench --bin "bench_$suite" -- "$@"
+}
+for suite in eval synth resilience shard serve hier; do
+    echo "==> bench suite $suite (--check, TAXOGLIMPSE_BENCH_QUICK smoke)"
+    bench --check "BENCH_$suite.json"
+    SMOKE_OUT="$(mktemp)"
+    SMOKE_CACHE="$(mktemp -d)"
+    TAXOGLIMPSE_BENCH_QUICK=1 TAXOGLIMPSE_CACHE_DIR="$SMOKE_CACHE" \
+        bench --label "verify smoke" --out "$SMOKE_OUT"
+    bench --check "$SMOKE_OUT"
+    rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
+done
 
 echo "==> verify OK: hermetic tier-1 passed"

@@ -88,7 +88,7 @@ fn reports_digest_is_pinned() {
     use taxoglimpse::core::eval::EvalConfig;
     use taxoglimpse::core::grid::GridRunner;
     use taxoglimpse::core::model::LanguageModel;
-    use taxoglimpse::synth::rng::{hash_str, mix64};
+    use taxoglimpse::core::reports_digest;
 
     let datasets: Vec<Dataset> = [TaxonomyKind::Ebay, TaxonomyKind::GeoNames]
         .into_iter()
@@ -114,12 +114,7 @@ fn reports_digest_is_pinned() {
             .with_threads(4)
             .build();
         let reports = runner.run_cross(&models, &dataset_refs);
-        let mut digest = 0xBA5E_11AEu64;
-        for report in &reports {
-            let json = taxoglimpse::json::to_string(report).unwrap();
-            digest = mix64(digest ^ hash_str(0x5EED, &json));
-        }
-        digests.push(format!("{digest:016x}"));
+        digests.push(format!("{:016x}", reports_digest(&reports)));
     }
     assert_eq!(digests, ["55e93db6e5f85df9", "ca98ddf7b5163d0a"]);
 }

@@ -5,7 +5,8 @@
 //! any failure replays from its printed case index.
 
 use taxoglimpse::prelude::*;
-use taxoglimpse::synth::rng::{fork, hash_str, mix64, Rng, SynthRng};
+use taxoglimpse::core::reports_digest;
+use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
 
 const PROPTEST_SEED: u64 = 0x7265_7369_6c50_5235; // "resilPR5"
 
@@ -51,15 +52,6 @@ fn random_plan(rng: &mut SynthRng) -> FaultPlan {
         plan = plan.with_model_factor("GPT-4", rng.gen_range(0u64..30) as f64 / 10.0);
     }
     plan
-}
-
-fn digest_reports(reports: &[EvalReport]) -> u64 {
-    let mut digest = 0xBA5E_11AEu64;
-    for report in reports {
-        let json = taxoglimpse::json::to_string(report).expect("reports serialize");
-        digest = mix64(digest ^ hash_str(0x5EED, &json));
-    }
-    digest
 }
 
 /// `Resilient<FaultInjector<SimulatedLlm>>` at fault rate 0 is
@@ -117,7 +109,7 @@ fn report_digests_are_worker_count_invariant_under_any_fault_plan() {
                 .with_chunk_size(chunk)
                 .build()
                 .run_cross(&models, &dataset_refs);
-            digests.push(digest_reports(&reports));
+            digests.push(reports_digest(&reports));
         }
         assert_eq!(digests[0], digests[1], "1 vs 2 workers, plan {plan:?}");
         assert_eq!(digests[0], digests[2], "1 vs 8 workers, plan {plan:?}");

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use taxoglimpse::core::grid::GridRunnerBuilder;
 use taxoglimpse::core::shard::NUM_SLOTS;
 use taxoglimpse::prelude::*;
-use taxoglimpse::synth::rng::{fork, hash_str, mix64, Rng, SynthRng};
+use taxoglimpse::core::reports_digest;
+use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
 
 const PROPTEST_SEED: u64 = 0x5AAD_7E57_5052_0007; // "shard test PR 7"
 
@@ -31,15 +32,6 @@ fn cases(n: u64, tag: &str, f: impl Fn(&mut SynthRng, u64)) {
 }
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn digest_reports(reports: &[EvalReport]) -> u64 {
-    let mut digest = 0xBA5E_11AEu64;
-    for report in reports {
-        let json = taxoglimpse::json::to_string(report).expect("reports serialize");
-        digest = mix64(digest ^ hash_str(0x5EED, &json));
-    }
-    digest
-}
 
 /// One shard's model stack for taxonomy-level runs: the full PR 5 + 6
 /// composition `FaultInjector<CachedModel<Arc<SimulatedLlm>>>` with a
@@ -131,7 +123,7 @@ fn sharded_grid_matches_unsharded_cross_product() {
         let baseline_refs: Vec<&dyn LanguageModel> =
             baseline_stacks.iter().map(|m| m as &dyn LanguageModel).collect();
         let baseline = builder.build().run_cross(&baseline_refs, &dataset_refs);
-        let baseline_digest = digest_reports(&baseline);
+        let baseline_digest = reports_digest(&baseline);
 
         for shards in SHARD_COUNTS {
             // Each shard wraps the same bases in its own injector
@@ -145,7 +137,7 @@ fn sharded_grid_matches_unsharded_cross_product() {
                 .collect();
             let reports = run_grid_sharded(builder, &shard_refs, &dataset_refs);
             assert_eq!(
-                digest_reports(&reports),
+                reports_digest(&reports),
                 baseline_digest,
                 "{shards} shards × {workers} workers, chunk {chunk}, plan {plan:?}"
             );
