@@ -1,9 +1,8 @@
 //! `bench_synth` — the machine-readable data-production benchmark.
 //!
 //! Measures the cost of everything upstream of evaluation, per taxonomy
-//! kind: sequential generation (the legacy pinned stream), parallel
-//! chunk-stream generation at several worker counts, dataset assembly,
-//! and snapshot save/load through the on-disk cache. Writes
+//! kind: generation (the one pinned sequential stream), dataset
+//! assembly, and snapshot save/load through the on-disk cache. Writes
 //! `BENCH_synth.json` (same conventions as `BENCH_eval.json`: schema
 //! version, label, workload, results, embedded baseline) so perf PRs
 //! record before/after numbers on the same machine.
@@ -14,31 +13,26 @@
 //! cargo run --release -p taxoglimpse-bench --bin bench_synth -- --check FILE
 //! ```
 //!
-//! Determinism is enforced, not assumed: for every kind the parallel
-//! generator runs at 1, 2 and 8 workers and the binary content digests
-//! must be identical, and the snapshot round-trip must reproduce the
-//! sequential taxonomy's digest — any mismatch aborts the run.
+//! Determinism is enforced, not assumed: for every kind the snapshot
+//! round trip must reproduce the generated taxonomy's content digest —
+//! a mismatch aborts the run.
 //!
 //! `TAXOGLIMPSE_BENCH_QUICK=1` shrinks the workload to smoke-test size.
 
-use taxoglimpse_bench::suite::{self, counted, Args, Defaults, DigestGate, Suite};
+use taxoglimpse_bench::suite::{self, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_json::{Json, ToJson};
-use taxoglimpse_synth::{generate, generate_par, GenOptions, SEQ_STREAM_VERSION};
+use taxoglimpse_synth::{generate, GenOptions, SEQ_STREAM_VERSION};
 use taxoglimpse_taxonomy::SnapshotStore;
 
 const SUITE: Suite = Suite {
     name: "synth",
-    schema_version: 1,
+    schema_version: 2,
     flags: &[],
     full: Defaults { scale: 1.0, repeat: 3, ..Defaults::BASE },
     quick: Defaults { scale: 0.02, repeat: 1, ..Defaults::BASE },
 };
-
-/// Worker counts exercised by the parallel generator; digests across
-/// all of them must agree.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Single-thread sequential generation baseline: best-of-N milliseconds
 /// per kind at scale 1.0, seed 42, measured at commit b8d9056 on the
@@ -62,16 +56,6 @@ fn main() {
     suite::main(&SUITE, run_bench, check_doc);
 }
 
-/// JSON key for a worker count (the counts are fixed by `WORKER_COUNTS`).
-fn worker_key(workers: usize) -> &'static str {
-    match workers {
-        1 => "t1",
-        2 => "t2",
-        8 => "t8",
-        _ => unreachable!("WORKER_COUNTS only contains 1, 2 and 8"),
-    }
-}
-
 /// Best-of-`repeat` wall milliseconds of `f`, and its last result.
 fn best_ms<T>(repeat: usize, f: impl FnMut() -> T) -> (f64, T) {
     let (timing, value) = suite::time_reps(repeat, f, |_| {});
@@ -91,23 +75,9 @@ fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
     for kind in TaxonomyKind::ALL {
         let label = kind.label();
 
-        // Sequential (legacy pinned stream) generation.
         let (gen_seq_ms, seq) =
             best_ms(opts.repeat, || generate(kind, gen_opts).expect("valid scale"));
         let seq_digest = seq.content_digest();
-
-        // Parallel chunk-stream generation at each worker count; the
-        // digest must not depend on the worker count.
-        let mut par_ms = Vec::with_capacity(WORKER_COUNTS.len());
-        let mut par_gate = DigestGate::new(format_args!("{label}: generate_par"));
-        for &workers in &WORKER_COUNTS {
-            let (ms, t) = best_ms(opts.repeat, || {
-                generate_par(kind, gen_opts, workers).expect("valid scale")
-            });
-            par_gate.check(counted(workers, "worker"), t.content_digest());
-            par_ms.push((workers, ms));
-        }
-        let par_digest = par_gate.digest().expect("at least one worker count is measured");
 
         // Dataset assembly over the sequential taxonomy.
         let (dataset_ms, dataset) = best_ms(opts.repeat, || {
@@ -134,15 +104,10 @@ fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
             .find(|(l, _)| *l == label)
             .map(|&(_, ms)| ms)
             .filter(|_| baseline_applies);
-        let par8_ms = par_ms
-            .iter()
-            .find(|&&(w, _)| w == 8)
-            .map(|&(_, ms)| ms)
-            .expect("worker count 8 is always measured");
-        let speedup = baseline_gen_ms.map(|base| base / par8_ms);
+        let speedup = baseline_gen_ms.map(|base| base / gen_seq_ms);
 
         eprintln!(
-            "{label}: {} nodes, seq {gen_seq_ms:.3} ms, par8 {par8_ms:.3} ms{}, \
+            "{label}: {} nodes, seq {gen_seq_ms:.3} ms{}, \
              dataset {dataset_ms:.3} ms ({} questions), snapshot save {snap_save_ms:.3} ms \
              / load {snap_load_ms:.3} ms",
             seq.len(),
@@ -155,16 +120,6 @@ fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
             ("nodes", (seq.len() as u64).to_json()),
             ("gen_seq_ms", gen_seq_ms.to_json()),
             ("seq_digest", suite::hex(seq_digest)),
-            (
-                "gen_par_ms",
-                Json::obj(
-                    par_ms
-                        .iter()
-                        .map(|&(w, ms)| (worker_key(w), ms.to_json()))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            ("par_digest", suite::hex(par_digest)),
             ("dataset_questions", (dataset.len() as u64).to_json()),
             ("dataset_ms", dataset_ms.to_json()),
             ("snap_save_ms", snap_save_ms.to_json()),
@@ -173,7 +128,7 @@ fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
         ];
         if let (Some(base), Some(s)) = (baseline_gen_ms, speedup) {
             entry.push(("baseline_gen_ms", base.to_json()));
-            entry.push(("gen_speedup_par8_vs_baseline", s.to_json()));
+            entry.push(("gen_speedup_vs_baseline", s.to_json()));
             // Load speedup against what a bench bin paid for this
             // taxonomy before the cache existed: the b8d9056
             // single-thread generation cost.
@@ -187,7 +142,6 @@ fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
         ("scale", opts.scale.to_json()),
         ("seed", opts.seed.to_json()),
         ("repeats", (opts.repeat as u64).to_json()),
-        ("worker_counts", suite::uints(&WORKER_COUNTS)),
         ("dataset_threads", (dataset_threads as u64).to_json()),
         ("cache_dir", store.dir().display().to_string().to_json()),
     ]);
@@ -223,8 +177,6 @@ fn check_doc(doc: &Json) -> Result<String, String> {
                 "nodes",
                 "gen_seq_ms",
                 "seq_digest",
-                "gen_par_ms",
-                "par_digest",
                 "dataset_ms",
                 "snap_save_ms",
                 "snap_load_ms",

@@ -172,7 +172,7 @@ impl TaxonomyCache {
 
     /// Get or generate the taxonomy for `(kind, seed, scale)`.
     ///
-    /// Generation uses the legacy sequential stream ([`generate`]), the
+    /// Generation uses [`generate`]'s one sequential stream, the
     /// substrate under every pinned report digest in the workspace.
     pub fn get(&self, kind: TaxonomyKind, seed: u64, scale: f64) -> std::sync::Arc<Taxonomy> {
         let key = (kind, seed, scale.to_bits());

@@ -55,12 +55,6 @@ impl<'t> Enricher<'t> {
         Enricher { taxonomy, kind, parent_level, shortlist: 4 }
     }
 
-    /// Adjust the shortlist size (default 4).
-    pub fn with_shortlist(mut self, shortlist: usize) -> Self {
-        self.shortlist = shortlist.max(1);
-        self
-    }
-
     /// Rank all parent candidates for `entity` by surface similarity,
     /// best first.
     pub fn shortlist_for(&self, entity: &str) -> Vec<NodeId> {

@@ -28,12 +28,6 @@ impl EvalConfig {
         self.setting = setting;
         self
     }
-
-    /// Override the template paraphrase variant.
-    pub fn with_variant(mut self, variant: TemplateVariant) -> Self {
-        self.variant = variant;
-        self
-    }
 }
 
 /// Metrics for one child level.

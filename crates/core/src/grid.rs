@@ -156,11 +156,6 @@ impl GridRunner {
         GridRunnerBuilder::default()
     }
 
-    /// A runner sized to the machine's available parallelism.
-    pub fn with_available_parallelism(config: EvalConfig) -> Self {
-        Self::builder().with_config(config).build()
-    }
-
     /// Evaluate the full cross product of `models` × `datasets`.
     ///
     /// Results are returned in deterministic row-major order

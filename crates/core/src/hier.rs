@@ -86,13 +86,6 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// Set the region level (clamped at use to the taxonomy's deepest
-    /// level, since the bound is per-taxonomy).
-    pub fn with_level(mut self, level: usize) -> Self {
-        self.level = level;
-        self
-    }
-
     /// Set how many candidate regions the router keeps (clamped ≥ 1).
     pub fn with_top_k(mut self, top_k: usize) -> Self {
         self.top_k = top_k.max(1);

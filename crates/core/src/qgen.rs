@@ -15,7 +15,7 @@
 
 use crate::domain::TaxonomyKind;
 use crate::question::{NegativeKind, Question, QuestionBody};
-use taxoglimpse_synth::rng::{fork, Rng, SliceRandom, SynthRng};
+use taxoglimpse_synth::rng::{fork, SliceRandom, SynthRng};
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
 /// Generates questions for one taxonomy.
@@ -188,15 +188,6 @@ impl<'t> QuestionGenerator<'t> {
     /// builder controls determinism).
     pub fn negatives_rng(&self, child_level: usize) -> SynthRng {
         self.level_rng(child_level, "negatives")
-    }
-
-    /// Fresh RNG for auxiliary draws (exemplars etc.).
-    pub fn aux_rng(&self, tag: &str) -> SynthRng {
-        let mut rng = self.level_rng(0, tag);
-        // Burn one draw so "aux" streams differ from level streams even
-        // when tags collide with level tags.
-        let _ = rng.gen::<u64>();
-        rng
     }
 }
 

@@ -20,8 +20,8 @@
 //! # The determinism argument
 //!
 //! Merged reports must be **byte-identical across shard counts
-//! {1, 2, 8}** — the same proof obligation as PR 4's `generate_par`,
-//! one level up. The construction:
+//! {1, 2, 8}** — the proof obligation the grid runner already meets
+//! across worker counts, one level up. The construction:
 //!
 //! 1. Work is keyed to a **fixed pool of [`NUM_SLOTS`] virtual slots**,
 //!    never directly to shards. Slot membership is derived from content

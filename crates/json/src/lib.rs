@@ -56,11 +56,6 @@ impl Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
-    /// `true` iff this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// The boolean payload, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -1,22 +1,9 @@
 //! Whole-taxonomy generation.
 //!
-//! Two entry points share one allocation-free production engine:
-//!
-//! * [`generate`] — the **legacy sequential stream**: one name stream
-//!   consumed in node order. Its byte output is pinned by digest tests
-//!   and must never change; it is the substrate under every pinned
-//!   report digest in the workspace.
-//! * [`generate_par`] — the **chunk-indexed stream** (`PAR_STREAM_VERSION`):
-//!   each level's parents are partitioned into fixed-size contiguous
-//!   chunks and every chunk forks an independent name stream from the
-//!   master seed *by `(level, chunk index)`* — never by thread — so the
-//!   output is byte-identical for any worker count. Chunk buffers are
-//!   spliced into the builder in chunk order.
-//!
-//! The two paths produce *different* (both deterministic) name streams:
-//! chunk-forked RNGs cannot reproduce the sequential stream. Callers
-//! that participate in pinned-digest artifacts (the bench
-//! `TaxonomyCache`, `BENCH_eval.json`) stay on [`generate`].
+//! [`generate`] consumes one sequential name stream in node order over an
+//! allocation-free production engine. Its byte output is pinned by digest
+//! tests and must never change: it is the substrate under every pinned
+//! report digest in the workspace.
 
 use crate::kind::TaxonomyKind;
 use crate::names::Namer;
@@ -24,7 +11,6 @@ use crate::profiles::TaxonomyProfile;
 use crate::rng::{fork, SynthRng};
 use crate::shape::assign_children;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use taxoglimpse_taxonomy::{NodeId, Taxonomy, TaxonomyBuilder};
 
 /// Options controlling generation.
@@ -47,27 +33,11 @@ impl Default for GenOptions {
 /// the default generation is reproducible across releases.
 pub const DEFAULT_SEED: u64 = 0x7a_6c_1a_9e_5e_ed_00_01;
 
-/// Version tag of the chunk-indexed name-stream discipline used by
-/// [`generate_par`]. Snapshot cache keys embed it (alongside the binary
-/// codec version) so a stream change invalidates cached taxonomies.
-/// The legacy sequential stream of [`generate`] is version 1.
-pub const PAR_STREAM_VERSION: u32 = 2;
-
-/// Stream version of the legacy sequential discipline ([`generate`]).
+/// Stream version of [`generate`]. Snapshot cache keys embed it
+/// (alongside the binary codec version) so a stream change invalidates
+/// cached taxonomies. A future stream change must bump it to 3, not 2:
+/// 2 named the removed chunk-indexed parallel stream.
 pub const SEQ_STREAM_VERSION: u32 = 1;
-
-/// Parents per chunk in [`generate_par`]. A pure constant (never derived
-/// from the worker count) so the chunk partition — and therefore every
-/// forked stream — is identical no matter how many threads run.
-const PAR_CHUNK_PARENTS: usize = 512;
-
-/// Below this many children in a level, `generate_par` runs its chunks
-/// inline instead of spawning workers: chunk streams are execution-order
-/// independent, so this is pure overhead avoidance with identical bytes.
-/// The crossover reflects that spawn + join + per-chunk buffer handoff
-/// costs on the order of a hundred microseconds — producing ~8k names
-/// inline is cheaper than that.
-const PAR_SPAWN_THRESHOLD: usize = 8192;
 
 /// Generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,20 +62,6 @@ impl std::error::Error for GenError {}
 /// taxonomies.
 pub fn generate(kind: TaxonomyKind, options: GenOptions) -> Result<Taxonomy, GenError> {
     generate_profile(&TaxonomyProfile::of(kind), options)
-}
-
-/// Generate the synthetic stand-in for `kind` with `workers` threads,
-/// using the chunk-indexed name streams (see module docs).
-///
-/// Deterministic *across worker counts*: identical `(kind, options)`
-/// produce byte-identical taxonomies whether `workers` is 1 or 64,
-/// because every chunk's RNG is forked by chunk index, not by thread.
-pub fn generate_par(
-    kind: TaxonomyKind,
-    options: GenOptions,
-    workers: usize,
-) -> Result<Taxonomy, GenError> {
-    generate_profile_par(&TaxonomyProfile::of(kind), options, workers)
 }
 
 /// One name probed and accepted into a sibling scope. The buffer holds
@@ -288,12 +244,11 @@ fn decorate_into(buf: &mut Vec<u8>, attempt: usize) {
 /// Produce the children of one contiguous run of parents (ids
 /// `first_parent..first_parent + per_parent.len()`) into `prober`
 /// (names) and `counts` (children per parent, aligned with the run),
-/// drawing every name from `rng`. Shared by both generation paths: the
-/// legacy path calls it once per level with the continuous sequential
-/// stream, the parallel path once per chunk with that chunk's forked
-/// stream. Parent names are read straight out of the builder's arena —
-/// production only needs `&TaxonomyBuilder`, so no per-level copy of
-/// the frontier's names is made.
+/// drawing every name from `rng`. [`generate_profile`] calls it once per
+/// level with the continuous sequential stream. Parent names are read
+/// straight out of the builder's arena — production only needs
+/// `&TaxonomyBuilder`, so no per-level copy of the frontier's names is
+/// made.
 #[allow(clippy::too_many_arguments)]
 fn produce_run(
     namer: &Namer,
@@ -412,168 +367,6 @@ fn splice_run(
     b.extend_level(parents, counts, names, &prober.spans)
 }
 
-/// Generate from an explicit profile with chunk-indexed parallel name
-/// streams (see module docs). `workers` only controls execution, never
-/// bytes.
-pub fn generate_profile_par(
-    profile: &TaxonomyProfile,
-    options: GenOptions,
-    workers: usize,
-) -> Result<Taxonomy, GenError> {
-    if !(options.scale > 0.0 && options.scale <= 1.0) {
-        return Err(GenError::BadScale);
-    }
-    let workers = workers.max(1);
-    let levels = profile.scaled_levels(options.scale);
-    let total: usize = levels.iter().sum();
-    let namer = Namer::new(profile.regime);
-    let label = profile.kind.label();
-    let mut b = TaxonomyBuilder::with_capacity(label, total, 24);
-
-    // The shape stream is consumed sequentially (level by level) exactly
-    // as in the legacy path, so both paths produce identical forests
-    // shape-wise; only the name streams differ.
-    let mut shape_rng = fork(options.seed, label, 1);
-
-    let mut scratch = Vec::new();
-
-    // Roots: a single chunk — root uniqueness is scoped to the whole
-    // forest, so the root level cannot be split without changing the
-    // probing semantics.
-    let mut prober = SiblingProber::default();
-    let mut counts: Vec<u32> = Vec::new();
-    {
-        let mut rng = fork(options.seed, label, par_stream_index(0, 0));
-        produce_roots(&namer, &mut rng, levels[0], &mut prober, &mut scratch);
-    }
-    for name in prober.names() {
-        b.add_root(name);
-    }
-    // As in the sequential path, each level's ids are contiguous, so
-    // the frontier is a range.
-    let mut frontier = 0..u32::try_from(b.len()).expect("root count fits u32");
-
-    for (level, &count) in levels.iter().enumerate().skip(1) {
-        let per_parent = assign_children(&mut shape_rng, frontier.len(), count);
-
-        // Fixed partition: chunk boundaries depend only on the frontier
-        // length, never on the worker count.
-        let n_chunks = frontier.len().div_ceil(PAR_CHUNK_PARENTS);
-        let chunk_of = |c: usize| {
-            let lo = c * PAR_CHUNK_PARENTS;
-            let hi = ((c + 1) * PAR_CHUNK_PARENTS).min(frontier.len());
-            lo..hi
-        };
-
-        let level_start = u32::try_from(b.len()).expect("taxonomy exceeds u32::MAX nodes");
-        if workers == 1 || count < PAR_SPAWN_THRESHOLD || n_chunks == 1 {
-            // Inline execution: identical bytes, no spawn overhead.
-            // Each chunk is spliced as soon as it is produced, so one
-            // prober (and its table/buffer allocations) serves every
-            // chunk of the level.
-            for c in 0..n_chunks {
-                let range = chunk_of(c);
-                let mut rng = fork(options.seed, label, par_stream_index(level, c));
-                produce_run(
-                    &namer,
-                    &mut rng,
-                    level,
-                    &b,
-                    frontier.start + range.start as u32,
-                    &per_parent[range.clone()],
-                    &mut prober,
-                    &mut scratch,
-                    &mut counts,
-                );
-                let parents =
-                    frontier.start + range.start as u32..frontier.start + range.end as u32;
-                splice_run(&mut b, parents, &prober, &counts);
-            }
-        } else {
-            // Scoped workers pull chunk indices off a shared counter and
-            // return (chunk, output) pairs; the merge below places each
-            // result by chunk index, so scheduling order is invisible in
-            // the output. Workers read parent names from the shared
-            // `&TaxonomyBuilder`; the builder is only mutated after the
-            // scope ends.
-            let next_chunk = AtomicUsize::new(0);
-            let frontier_ref = &frontier;
-            let per_parent_ref = &per_parent;
-            let next_chunk_ref = &next_chunk;
-            let namer_ref = &namer;
-            let b_ref = &b;
-            let produced: Vec<Vec<(usize, SiblingProber, Vec<u32>)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers.min(n_chunks))
-                        .map(|_| {
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                let mut worker_scratch = Vec::new();
-                                loop {
-                                    // Relaxed: the counter only hands out distinct
-                                    // chunk indices; results merge positionally.
-                                    let c = next_chunk_ref.fetch_add(1, Ordering::Relaxed);
-                                    if c >= n_chunks {
-                                        break;
-                                    }
-                                    let lo = c * PAR_CHUNK_PARENTS;
-                                    let hi =
-                                        ((c + 1) * PAR_CHUNK_PARENTS).min(frontier_ref.len());
-                                    let mut rng =
-                                        fork(options.seed, label, par_stream_index(level, c));
-                                    let mut chunk_prober = SiblingProber::default();
-                                    let mut chunk_counts: Vec<u32> = Vec::new();
-                                    produce_run(
-                                        namer_ref,
-                                        &mut rng,
-                                        level,
-                                        b_ref,
-                                        frontier_ref.start + lo as u32,
-                                        &per_parent_ref[lo..hi],
-                                        &mut chunk_prober,
-                                        &mut worker_scratch,
-                                        &mut chunk_counts,
-                                    );
-                                    out.push((c, chunk_prober, chunk_counts));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("chunk worker thread must not panic"))
-                        .collect()
-                });
-            let mut slots: Vec<Option<(SiblingProber, Vec<u32>)>> = Vec::new();
-            slots.resize_with(n_chunks, || None);
-            for (c, p, k) in produced.into_iter().flatten() {
-                slots[c] = Some((p, k));
-            }
-            // Splice in chunk order: byte layout depends only on the
-            // chunk partition, which is fixed.
-            for (c, slot) in slots.into_iter().enumerate() {
-                let (chunk_prober, chunk_counts) =
-                    slot.expect("every chunk index below n_chunks is produced exactly once");
-                let lo = frontier.start + (c * PAR_CHUNK_PARENTS) as u32;
-                let parents = lo..lo + chunk_counts.len() as u32;
-                splice_run(&mut b, parents, &chunk_prober, &chunk_counts);
-            }
-        }
-
-        frontier = level_start..u32::try_from(b.len()).expect("taxonomy exceeds u32::MAX nodes");
-    }
-
-    Ok(b.build().expect("profile depths are far below the builder limit"))
-}
-
-/// Stream index for the chunk-forked name RNG of `(level, chunk)`.
-/// Indices 0 and 1 are the legacy sequential name/shape streams, so the
-/// parallel discipline starts at `(2 + level) << 32` to stay disjoint.
-fn par_stream_index(level: usize, chunk: usize) -> u64 {
-    ((2 + level as u64) << 32) | chunk as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,51 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sibling_names_are_unique() {
-        let t = generate_par(TaxonomyKind::Oae, opts(0.2), 2).unwrap();
-        for id in t.ids() {
-            let kids = t.children(id);
-            let mut names: Vec<&str> = kids.iter().map(|&k| t.name(k)).collect();
-            names.sort_unstable();
-            let before = names.len();
-            names.dedup();
-            assert_eq!(names.len(), before, "duplicate sibling names under {}", t.name(id));
-        }
-    }
-
-    #[test]
-    fn par_shape_matches_sequential_shape() {
-        for kind in [TaxonomyKind::Ebay, TaxonomyKind::Glottolog, TaxonomyKind::Icd10Cm] {
-            let a = generate(kind, opts(0.1)).unwrap();
-            let b = generate_par(kind, opts(0.1), 2).unwrap();
-            validate(&b).unwrap();
-            assert_eq!(a.len(), b.len(), "{kind}");
-            assert_eq!(a.num_levels(), b.num_levels(), "{kind}");
-            for level in 0..a.num_levels() {
-                assert_eq!(
-                    a.nodes_at_level(level).len(),
-                    b.nodes_at_level(level).len(),
-                    "{kind} level {level}"
-                );
-            }
-            // Parent structure is identical node-for-node (the shape
-            // stream is shared); only names differ.
-            for (x, y) in a.ids().zip(b.ids()) {
-                assert_eq!(a.parent(x).map(NodeId::raw), b.parent(y).map(NodeId::raw));
-            }
-        }
-    }
-
-    #[test]
-    fn par_is_worker_count_invariant() {
-        for kind in [TaxonomyKind::Ebay, TaxonomyKind::Oae] {
-            let t1 = generate_par(kind, opts(0.15), 1).unwrap();
-            let t4 = generate_par(kind, opts(0.15), 4).unwrap();
-            assert_eq!(t1.to_tsv(), t4.to_tsv(), "{kind}");
-        }
-    }
-
-    #[test]
     fn most_nodes_have_uncles() {
         // Hard-negative sampling needs uncles; the shape algorithm should
         // make them near-universal.
@@ -728,7 +476,6 @@ mod tests {
     fn bad_scale_is_rejected() {
         assert_eq!(generate(TaxonomyKind::Ebay, opts(0.0)).unwrap_err(), GenError::BadScale);
         assert_eq!(generate(TaxonomyKind::Ebay, opts(1.5)).unwrap_err(), GenError::BadScale);
-        assert_eq!(generate_par(TaxonomyKind::Ebay, opts(0.0), 2).unwrap_err(), GenError::BadScale);
     }
 }
 

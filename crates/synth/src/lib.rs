@@ -45,9 +45,7 @@ pub mod profiles;
 pub mod rng;
 pub mod shape;
 
-pub use generator::{
-    generate, generate_par, GenError, GenOptions, PAR_STREAM_VERSION, SEQ_STREAM_VERSION,
-};
+pub use generator::{generate, GenError, GenOptions, SEQ_STREAM_VERSION};
 pub use instances::InstanceGenerator;
 pub use kind::TaxonomyKind;
 pub use popularity::PopularityModel;

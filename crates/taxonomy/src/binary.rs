@@ -20,10 +20,10 @@
 //! ```
 //!
 //! Storing the name arena as one contiguous block with an offset table
-//! (instead of v1's per-name length prefixes) lets the loader slurp all
-//! names with a single allocation and a single UTF-8 validation pass —
-//! no per-name `String` — which is what makes snapshot-load an order of
-//! magnitude faster than regeneration for the NCBI-scale forest.
+//! lets the loader slurp all names with a single allocation and a single
+//! UTF-8 validation pass — no per-name `String` — which is what makes
+//! snapshot-load an order of magnitude faster than regeneration for the
+//! NCBI-scale forest.
 //!
 //! When every parent index precedes its child (true for anything this
 //! crate's writer emits, since the builder can only attach children to
@@ -31,11 +31,10 @@
 //! list, and the per-level index directly from the columns without the
 //! `from_edges` re-insertion pass, preserving node order exactly. Files
 //! with forward parent references fall back to the validating
-//! `from_edges` path (full dangling/cycle detection), same as v1.
+//! `from_edges` path (full dangling/cycle detection).
 //!
-//! Version 1 (`parents` followed by `n × (u32 length + utf-8)` names) is
-//! still decoded for old snapshots; [`Taxonomy::to_binary`] always
-//! writes v2.
+//! Version 2 is the only version written or read; any other version
+//! fails as [`BinaryError::BadVersion`].
 
 use crate::arena::{Taxonomy, NO_PARENT};
 use crate::builder::{BuildError, TaxonomyBuilder};
@@ -43,9 +42,7 @@ use crate::node::NodeId;
 use std::fmt;
 
 pub(crate) const MAGIC: &[u8; 4] = b"TAXG";
-const VERSION_V1: u16 = 1;
 const VERSION_V2: u16 = 2;
-const ROOT_SENTINEL: u32 = u32::MAX;
 
 /// Current write-side codec version. Snapshot cache keys embed this so a
 /// codec change invalidates cached files instead of misreading them.
@@ -110,31 +107,8 @@ impl Taxonomy {
         buf
     }
 
-    /// Encode into the legacy v1 TAXG format (per-name length prefixes).
-    /// Kept for interop tests and for exercising the v1 decode path.
-    pub fn to_binary_v1(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(
-            4 + 2 + 4 + self.label().len() + 8 + self.len() * 9 + self.name_bytes(),
-        );
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        buf.extend_from_slice(&(self.label().len() as u32).to_le_bytes());
-        buf.extend_from_slice(self.label().as_bytes());
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for id in self.ids() {
-            let raw = self.parent(id).map_or(ROOT_SENTINEL, |p| p.raw());
-            buf.extend_from_slice(&raw.to_le_bytes());
-        }
-        for id in self.ids() {
-            let name = self.name(id);
-            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-        }
-        buf
-    }
-
     /// Decode from the TAXG binary format (with full structural
-    /// validation). Accepts both the current v2 layout and legacy v1.
+    /// validation).
     pub fn from_binary(bytes: &[u8]) -> Result<Self, BinaryError> {
         let mut buf = bytes;
         if buf.len() < 4 || &buf[..4] != MAGIC {
@@ -142,48 +116,14 @@ impl Taxonomy {
         }
         buf = &buf[4..];
         let version = get_u16(&mut buf)?;
-        match version {
-            VERSION_V1 => from_binary_v1(buf),
-            VERSION_V2 => {
-                let rest = buf;
-                let decoded = decode_v2(rest)?;
-                Ok(materialize_names(decoded, |range| {
-                    String::from_utf8(rest[range].to_vec())
-                        .expect("decode_v2 validated the name block as UTF-8")
-                }))
-            }
-            other => Err(BinaryError::BadVersion(other)),
+        if version != VERSION_V2 {
+            return Err(BinaryError::BadVersion(version));
         }
-    }
-
-    /// Decode from the TAXG binary format, consuming the buffer. For v2
-    /// payloads this reuses `bytes` as the name arena (the multi-MB name
-    /// block is slid to the front of the existing allocation instead of
-    /// copied into a fresh one), which is what keeps NCBI-scale snapshot
-    /// loads an order of magnitude cheaper than regeneration. Semantics
-    /// are otherwise identical to [`Taxonomy::from_binary`].
-    pub fn from_binary_owned(mut bytes: Vec<u8>) -> Result<Self, BinaryError> {
-        if bytes.len() < 6 || &bytes[..4] != MAGIC {
-            return Err(BinaryError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        match version {
-            VERSION_V1 => from_binary_v1(&bytes[6..]),
-            VERSION_V2 => {
-                let decoded = decode_v2(&bytes[6..])?;
-                Ok(materialize_names(decoded, move |range| {
-                    // Range is relative to the payload after magic+version.
-                    bytes.truncate(6 + range.end);
-                    bytes.drain(..6 + range.start);
-                    debug_assert!(std::str::from_utf8(&bytes).is_ok());
-                    // SAFETY: `bytes` now holds exactly the name-block
-                    // range that decode_v2 validated as UTF-8 (truncate +
-                    // drain preserve those bytes unchanged).
-                    unsafe { String::from_utf8_unchecked(bytes) }
-                }))
-            }
-            other => Err(BinaryError::BadVersion(other)),
-        }
+        let decoded = decode_v2(buf, None, None)?;
+        Ok(materialize_names(decoded, |range| {
+            String::from_utf8(buf[range].to_vec())
+                .expect("decode_v2 validated the name block as UTF-8")
+        }))
     }
 }
 
@@ -211,11 +151,11 @@ pub(crate) fn from_binary_split(
     if version != VERSION_V2 {
         return Err(BinaryError::BadVersion(version));
     }
-    let decoded = decode_v2_with(&head[6..], Some(&names), names_ascii)?;
+    let decoded = decode_v2(&head[6..], Some(&names), names_ascii)?;
     Ok(materialize_names(decoded, move |range| {
         debug_assert_eq!(range, 0..names.len());
         debug_assert!(std::str::from_utf8(&names).is_ok());
-        // SAFETY: decode_v2_with validated the full name block as UTF-8.
+        // SAFETY: decode_v2 validated the full name block as UTF-8.
         unsafe { String::from_utf8_unchecked(names) }
     }))
 }
@@ -241,39 +181,13 @@ fn materialize_names(
     taxonomy
 }
 
-fn from_binary_v1(mut rest: &[u8]) -> Result<Taxonomy, BinaryError> {
-    let buf = &mut rest;
-    let label = get_string(buf)?;
-    let n = get_u64(buf)? as usize;
-    // Every node costs at least 4 (parent) + 4 (name length) bytes, so a
-    // declared count larger than the remaining buffer can support is a
-    // truncation — reject it *before* sizing any vector off `n`.
-    if buf.len() < n.checked_mul(8).ok_or(BinaryError::Truncated)? {
-        return Err(BinaryError::Truncated);
-    }
-    let mut parents = Vec::with_capacity(n);
-    for _ in 0..n {
-        let raw = get_u32(buf)?;
-        parents.push((raw != ROOT_SENTINEL).then_some(raw as usize));
-    }
-    let mut names = Vec::with_capacity(n);
-    for _ in 0..n {
-        names.push(get_string(buf)?);
-    }
-    TaxonomyBuilder::from_edges(label, &names, &parents).map_err(BinaryError::Build)
-}
-
-fn decode_v2(rest: &[u8]) -> Result<DecodedV2, BinaryError> {
-    decode_v2_with(rest, None, None)
-}
-
-/// Shared v2 decoder: `rest` holds everything after magic+version, and
+/// The v2 decoder: `rest` holds everything after magic+version, and
 /// the name block either follows the offset table inside `rest`
 /// (`split_names: None`) or was staged into its own buffer
 /// (`Some(block)`), whose length must match the declared count.
 /// `ascii_hint` is the caller's precomputed `is_ascii()` of the split
 /// name block, if it has one (see [`from_binary_split`]).
-fn decode_v2_with(
+fn decode_v2(
     rest: &[u8],
     split_names: Option<&[u8]>,
     ascii_hint: Option<bool>,
@@ -576,32 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_still_decodes() {
-        let t = sample();
-        let bytes = t.to_binary_v1();
-        let back = Taxonomy::from_binary(&bytes).unwrap();
-        validate(&back).unwrap();
-        assert_eq!(back.label(), "bin-fixture");
-        // v1 decode goes through from_edges (level-order re-insertion),
-        // so compare canonically.
-        let canon = |t: &Taxonomy| {
-            let mut v: Vec<(String, usize, Option<String>)> = t
-                .ids()
-                .map(|id| {
-                    (
-                        t.name(id).to_owned(),
-                        t.level(id),
-                        t.parent(id).map(|p| t.name(p).to_owned()),
-                    )
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(canon(&back), canon(&t));
-    }
-
-    #[test]
     fn binary_is_smaller_than_json() {
         // The binary codec's per-node cost is a fixed 8 bytes (parent +
         // offset/length) where JSON pays quotes, commas, and the parent
@@ -618,7 +506,6 @@ mod tests {
         }
         let t = b.build().unwrap();
         assert!(t.to_binary().len() < t.to_json().len());
-        assert!(t.to_binary_v1().len() < t.to_json().len());
     }
 
     #[test]
@@ -638,24 +525,23 @@ mod tests {
     #[test]
     fn rejects_truncation_everywhere() {
         let t = sample();
-        for bytes in [t.to_binary(), t.to_binary_v1()] {
-            // Chop the buffer at every possible point past the magic; all
-            // must fail cleanly (never panic), except the full length.
-            for cut in 4..bytes.len() {
-                let err = Taxonomy::from_binary(&bytes[..cut]).unwrap_err();
-                assert!(
-                    matches!(
-                        err,
-                        BinaryError::Truncated
-                            | BinaryError::BadVersion(_)
-                            | BinaryError::BadUtf8
-                            | BinaryError::BadOffsets
-                    ),
-                    "cut at {cut}: {err:?}"
-                );
-            }
-            assert!(Taxonomy::from_binary(&bytes).is_ok());
+        let bytes = t.to_binary();
+        // Chop the buffer at every possible point past the magic; all
+        // must fail cleanly (never panic), except the full length.
+        for cut in 4..bytes.len() {
+            let err = Taxonomy::from_binary(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BinaryError::Truncated
+                        | BinaryError::BadVersion(_)
+                        | BinaryError::BadUtf8
+                        | BinaryError::BadOffsets
+                ),
+                "cut at {cut}: {err:?}"
+            );
         }
+        assert!(Taxonomy::from_binary(&bytes).is_ok());
     }
 
     #[test]
@@ -706,14 +592,6 @@ mod tests {
         bytes.extend_from_slice(&4_000_000_000u64.to_le_bytes()); // absurd n
         assert_eq!(Taxonomy::from_binary(&bytes).unwrap_err(), BinaryError::Truncated);
 
-        // Same for v1.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&VERSION_V1.to_le_bytes());
-        v1.extend_from_slice(&0u32.to_le_bytes());
-        v1.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        assert_eq!(Taxonomy::from_binary(&v1).unwrap_err(), BinaryError::Truncated);
-
         // And a v2 name-block length far beyond the buffer: parents and
         // offsets are present, but name_bytes lies.
         let t = sample();
@@ -748,7 +626,5 @@ mod tests {
         let back = Taxonomy::from_binary(&t.to_binary()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.label(), "empty");
-        let back1 = Taxonomy::from_binary(&t.to_binary_v1()).unwrap();
-        assert!(back1.is_empty());
     }
 }

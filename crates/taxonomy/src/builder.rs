@@ -110,11 +110,6 @@ impl TaxonomyBuilder {
         &self.name_buf[start as usize..end as usize]
     }
 
-    /// Level of a node already added to this builder.
-    pub fn level_of(&self, id: NodeId) -> usize {
-        self.level[id.index()] as usize
-    }
-
     fn push_name(&mut self, name: &str) {
         let start = self.name_buf.len() as u32;
         self.name_buf.push_str(name);

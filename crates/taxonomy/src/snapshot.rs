@@ -128,18 +128,12 @@ impl SnapshotStore {
         // checksum streams over the pieces while they are still warm.
         let mut head = Vec::new();
         read_chunk(&mut file, &mut head, 10.min(stored_len))?;
-        let is_v2 = head.len() == 10
-            && &head[..4] == crate::binary::MAGIC
-            && u16::from_le_bytes([head[4], head[5]]) == CODEC_VERSION;
-        if !is_v2 {
-            // Legacy v1 (or foreign) payload: slurp the remainder and
-            // decode it contiguously; correctness over speed here.
-            let remaining = stored_len - head.len() as u64;
-            read_chunk(&mut file, &mut head, remaining)?;
-            if checksum(&head) != stored_sum {
-                return None;
-            }
-            return Taxonomy::from_binary_owned(head).ok();
+        // Only the current codec is decoded; any other payload misses.
+        if head.len() != 10
+            || &head[..4] != crate::binary::MAGIC
+            || u16::from_le_bytes([head[4], head[5]]) != CODEC_VERSION
+        {
+            return None;
         }
         let label_len =
             u32::from_le_bytes(head[6..10].try_into().expect("head holds 10 bytes")) as u64;
@@ -164,7 +158,7 @@ impl SnapshotStore {
         let name_bytes = u64::from_le_bytes(
             head[nb_off..nb_off + 8].try_into().expect("length field is 8 bytes"),
         );
-        if head.len() as u64 + name_bytes != stored_len {
+        if (head.len() as u64).checked_add(name_bytes) != Some(stored_len) {
             return None;
         }
         // Integrity before structure: the streamed checksum over the
@@ -361,7 +355,8 @@ impl Taxonomy {
     /// A stable digest of this taxonomy's full content (label, names,
     /// structure): the snapshot checksum of its binary encoding. Two
     /// taxonomies with equal digests are byte-identical on the wire,
-    /// which is what the parallel-generation equivalence tests compare.
+    /// which is what the snapshot round-trip and generator digest tests
+    /// compare.
     pub fn content_digest(&self) -> u64 {
         checksum(&self.to_binary())
     }
@@ -455,6 +450,28 @@ mod tests {
         // Keys are filesystem-safe even for hostile labels.
         let hostile = SnapshotStore::key("../../etc/passwd", 0, 0.1, 1);
         assert!(!hostile.contains('/') && !hostile.contains("..{"));
+    }
+
+    #[test]
+    fn inflated_name_block_length_misses() {
+        // A name-block length near u64::MAX behind a valid envelope
+        // checksum must miss, not overflow the length arithmetic.
+        let store = temp_store("inflated");
+        let t = sample("snap");
+        let mut payload = t.to_binary();
+        let name_bytes_off = 4 + 2 + 4 + t.label().len() + 8 + t.len() * 4;
+        payload[name_bytes_off..name_bytes_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let key = SnapshotStore::key("snap", 3, 1.0, 1);
+        fs::create_dir_all(store.dir()).expect("temp dir is creatable");
+        fs::write(store.path_for(&key), &bytes).expect("write of snapshot succeeds");
+        assert!(store.load(&key).is_none(), "inflated name-block length must miss");
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]

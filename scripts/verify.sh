@@ -39,6 +39,12 @@ export CARGO_HOME="$EMPTY_CARGO_HOME"
 cargo build --release --offline
 cargo test -q --offline
 
+# 2b. The benchmark package (e2e/, its own workspace with path deps on
+#     crates/*) links crate APIs that tier-1 never compiles; build and
+#     test it here so removing one fails before the benchmark runs.
+echo "==> building and testing the e2e benchmark package"
+cargo test -q --offline --manifest-path e2e/Cargo.toml
+
 # 3. Determinism & soundness lint. --check exits non-zero on any
 #    unsuppressed finding; the JSON report is then re-parsed and
 #    schema-validated by the linter itself (which uses the in-tree

@@ -7,6 +7,7 @@
 
 use taxoglimpse::prelude::*;
 use taxoglimpse::taxonomy::binary::BinaryError;
+use taxoglimpse::taxonomy::snapshot::SnapshotStore;
 use taxoglimpse::taxonomy::{validate, TaxonomyBuilder};
 
 fn sample() -> Taxonomy {
@@ -66,12 +67,9 @@ fn truncation_at_every_section_boundary_fails_cleanly() {
 
 #[test]
 fn truncation_at_every_byte_never_panics() {
-    let t = sample();
-    for bytes in [t.to_binary(), t.to_binary_v1()] {
-        for cut in 0..bytes.len() {
-            assert!(Taxonomy::from_binary(&bytes[..cut]).is_err(), "cut at {cut}");
-            assert!(Taxonomy::from_binary_owned(bytes[..cut].to_vec()).is_err(), "owned cut at {cut}");
-        }
+    let bytes = sample().to_binary();
+    for cut in 0..bytes.len() {
+        assert!(Taxonomy::from_binary(&bytes[..cut]).is_err(), "cut at {cut}");
     }
 }
 
@@ -87,19 +85,13 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn unsupported_version_is_rejected() {
-    // v1 and v2 are the supported formats; anything else must be
-    // rejected with the version echoed back, on both decode entry
-    // points.
+    // v2 is the one supported format; anything else, including the
+    // retired v1, must be rejected with the version echoed back.
     let mut bytes = sample().to_binary();
-    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
-    assert_eq!(Taxonomy::from_binary(&bytes).unwrap_err(), BinaryError::BadVersion(3));
-    assert_eq!(
-        Taxonomy::from_binary_owned(bytes.clone()).unwrap_err(),
-        BinaryError::BadVersion(3)
-    );
-    bytes[4..6].copy_from_slice(&0u16.to_le_bytes());
-    assert_eq!(Taxonomy::from_binary(&bytes).unwrap_err(), BinaryError::BadVersion(0));
-    assert_eq!(Taxonomy::from_binary_owned(bytes).unwrap_err(), BinaryError::BadVersion(0));
+    for version in [0u16, 1, 3] {
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(Taxonomy::from_binary(&bytes).unwrap_err(), BinaryError::BadVersion(version));
+    }
 }
 
 #[test]
@@ -129,27 +121,25 @@ fn every_taxonomy_kind_round_trips() {
         assert_eq!(back.label(), t.label(), "{kind:?}");
         // Decode→encode is a byte-level fixed point.
         assert_eq!(Taxonomy::from_binary(&back.to_binary()).unwrap().to_binary(), back.to_binary());
-        // The buffer-consuming decoder (the snapshot-load fast path)
-        // produces the identical taxonomy, for both codec versions.
-        assert_eq!(Taxonomy::from_binary_owned(bytes).unwrap().to_binary(), back.to_binary());
-        assert_eq!(
-            Taxonomy::from_binary_owned(t.to_binary_v1()).unwrap().to_binary(),
-            Taxonomy::from_binary(&t.to_binary_v1()).unwrap().to_binary(),
-            "{kind:?}"
-        );
     }
 }
 
 #[test]
 fn owned_decode_handles_non_ascii_names() {
     // Non-ASCII names take the slower UTF-8 validation + char-boundary
-    // path; the owned decoder must still reuse the buffer correctly.
+    // path; the snapshot loader's split decoder, which adopts its owned
+    // name-block buffer as the arena, must still handle them.
     let mut b = TaxonomyBuilder::new("unicode");
     let r = b.add_root("Racine α");
     b.add_child(r, "Enfant β");
     b.add_child(r, "été");
     let t = b.build().unwrap();
-    let back = Taxonomy::from_binary_owned(t.to_binary()).unwrap();
+    let dir = std::env::temp_dir().join(format!("taxoglimpse-codec-unicode-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = SnapshotStore::new(&dir);
+    store.save("unicode", &t).unwrap();
+    let back = store.load("unicode").expect("fresh snapshot must hit");
+    let _ = std::fs::remove_dir_all(&dir);
     validate(&back).unwrap();
     assert_eq!(back.to_binary(), t.to_binary());
     let names: Vec<&str> = back.ids().map(|id| back.name(id)).collect();

@@ -10,14 +10,12 @@
 //! * the [`SimilarityCache`] interner equals direct
 //!   `core::text::similarity` on a fuzz-style name corpus.
 //!
-//! PR 4 adds the data-production side: chunk-indexed parallel
-//! generation must be digest-identical across worker counts (and feed
-//! the evaluator identically), and the snapshot cache must round-trip
+//! On the data-production side, the snapshot cache must round-trip
 //! taxonomies byte-exactly — or fall back to regeneration, never to a
 //! wrong answer.
 
 use taxoglimpse::core::dataset::Dataset;
-use taxoglimpse::synth::{generate_par, PAR_STREAM_VERSION};
+use taxoglimpse::synth::SEQ_STREAM_VERSION;
 use taxoglimpse::taxonomy::snapshot::SnapshotStore;
 use taxoglimpse::core::eval::{EvalConfig, Evaluator};
 use taxoglimpse::core::grid::GridRunner;
@@ -160,50 +158,6 @@ fn similarity_cache_matches_direct_on_fuzz_corpus() {
                 );
             }
         }
-    }
-}
-
-/// Parallel generation must produce the same content digest no matter
-/// how many workers run — for every taxonomy kind, across worker
-/// counts 1, 2 and 8. The chunk-indexed streams make the partition
-/// (and therefore the bytes) a function of the options alone.
-#[test]
-fn parallel_generation_digest_is_worker_count_invariant() {
-    let options = GenOptions { seed: 29, scale: 0.05 };
-    for kind in TaxonomyKind::ALL {
-        let digests: Vec<u64> = [1usize, 2, 8]
-            .into_iter()
-            .map(|workers| generate_par(kind, options, workers).unwrap().content_digest())
-            .collect();
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "{kind:?}: digests differ across worker counts: {digests:x?}"
-        );
-    }
-}
-
-/// Evaluation reports built on taxonomies from different worker counts
-/// must be byte-identical — the digest equality above, pushed through
-/// the whole pipeline (dataset sampling included, which walks the
-/// taxonomy directly). Worker count is an execution detail; nothing
-/// downstream may observe it.
-#[test]
-fn reports_are_worker_count_invariant() {
-    let options = GenOptions { seed: 31, scale: 0.02 };
-    let zoo = ModelZoo::default_zoo();
-    let model = zoo.get(ModelId::Gpt4).unwrap();
-    let evaluator = Evaluator::default();
-    for kind in [TaxonomyKind::Ncbi, TaxonomyKind::Glottolog] {
-        let one = generate_par(kind, options, 1).unwrap();
-        let eight = generate_par(kind, options, 8).unwrap();
-        let rendered = [&one, &eight].map(|t| {
-            let d = DatasetBuilder::new(t, kind, 31)
-                .sample_cap(Some(40))
-                .build(QuestionDataset::Easy)
-                .unwrap();
-            taxoglimpse::json::to_string(&evaluator.run(model.as_ref(), &d)).unwrap()
-        });
-        assert_eq!(rendered[0], rendered[1], "{kind:?}");
     }
 }
 
@@ -360,8 +314,8 @@ fn snapshot_round_trips_and_corruption_falls_back_to_regeneration() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = SnapshotStore::new(&dir);
     let options = GenOptions { seed: 37, scale: 0.05 };
-    let t = generate_par(TaxonomyKind::Glottolog, options, 2).unwrap();
-    let key = SnapshotStore::key(t.label(), options.seed, options.scale, PAR_STREAM_VERSION);
+    let t = generate(TaxonomyKind::Glottolog, options).unwrap();
+    let key = SnapshotStore::key(t.label(), options.seed, options.scale, SEQ_STREAM_VERSION);
 
     store.save(&key, &t).unwrap();
     let loaded = store.load(&key).expect("fresh snapshot must hit");
@@ -379,7 +333,7 @@ fn snapshot_round_trips_and_corruption_falls_back_to_regeneration() {
     let mut regenerated = 0;
     let back = store.load_or_generate(&key, || {
         regenerated += 1;
-        generate_par(TaxonomyKind::Glottolog, options, 2).unwrap()
+        generate(TaxonomyKind::Glottolog, options).unwrap()
     });
     assert_eq!(regenerated, 1, "corruption must force regeneration");
     assert_eq!(back.content_digest(), t.content_digest());

@@ -195,6 +195,80 @@ fn binary_codec_round_trips() {
     });
 }
 
+/// `(offset, width)` of every u32/u64 field in the TAXG v2 encoding of
+/// `t`: label length, node count, parents, name-block length, offsets.
+fn binary_fields(t: &Taxonomy) -> Vec<(usize, usize)> {
+    let n = t.len();
+    let count_at = 10 + t.label().len();
+    let name_bytes_at = count_at + 8 + 4 * n;
+    let mut fields = vec![(6, 4), (count_at, 8), (name_bytes_at, 8)];
+    fields.extend((0..n).map(|i| (count_at + 8 + 4 * i, 4)));
+    fields.extend((0..=n).map(|i| (name_bytes_at + 8 + 4 * i, 4)));
+    fields
+}
+
+/// Hostile TAXG payloads: truncation at a random byte, 1–3 bit flips,
+/// or one integer field overwritten with an extreme value. Names are
+/// partly non-ASCII so the UTF-8 and char-boundary checks run.
+/// `from_binary` must return a valid taxonomy or a typed error, and
+/// the snapshot loader's split decoder — reached through an envelope
+/// whose checksum is re-stamped, so the mutation gets past the
+/// integrity check — must accept exactly the same payloads and decode
+/// them to the same bytes. Neither may panic.
+#[test]
+fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
+    use taxoglimpse::taxonomy::snapshot::{checksum, SnapshotStore};
+    const EXTREMES: [u64; 4] = [u32::MAX as u64, 1 << 31, u64::MAX, 1 << 40];
+    let dir = std::env::temp_dir().join(format!("taxoglimpse-prop-mutate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = SnapshotStore::new(&dir);
+    cases(2_000, "binary_mutation", |rng, _| {
+        let (mut names, parents) = random_forest(rng);
+        for name in &mut names {
+            if rng.gen_bool(0.3) {
+                name.push_str(["é", "α", "漢字"][rng.gen_index(3)]);
+            }
+        }
+        let t = taxoglimpse::taxonomy::TaxonomyBuilder::from_edges("prop", &names, &parents)
+            .expect("parents[i] < i is acyclic by construction");
+        let mut bytes = t.to_binary();
+        match rng.gen_index(3) {
+            0 => bytes.truncate(rng.gen_index(bytes.len())),
+            1 => {
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let at = rng.gen_index(bytes.len());
+                    bytes[at] ^= 1 << rng.gen_index(8);
+                }
+            }
+            _ => {
+                let fields = binary_fields(&t);
+                let (at, width) = fields[rng.gen_index(fields.len())];
+                let value = EXTREMES[rng.gen_index(EXTREMES.len())];
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            }
+        }
+        let decoded = Taxonomy::from_binary(&bytes);
+        if let Ok(back) = &decoded {
+            validate(back).unwrap();
+        }
+
+        let mut file = Vec::with_capacity(22 + bytes.len());
+        file.extend_from_slice(b"TXSP");
+        file.extend_from_slice(&1u16.to_le_bytes());
+        file.extend_from_slice(&checksum(&bytes).to_le_bytes());
+        file.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        file.extend_from_slice(&bytes);
+        std::fs::write(store.path_for("mutant"), &file).unwrap();
+        match (decoded, store.load("mutant")) {
+            (Ok(a), Some(b)) => assert_eq!(a.to_binary(), b.to_binary()),
+            (Err(_), None) => {}
+            (a, b) => panic!("decoders disagree: from_binary {:?}, load {}", a.err(), b.is_some()),
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Self-diff is empty; diff against a truncated version reports the
 /// removed paths exactly.
 #[test]
