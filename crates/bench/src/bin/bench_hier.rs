@@ -26,9 +26,10 @@
 use taxoglimpse_bench::suite::{self, counted, Args, Defaults, DigestGate, Suite};
 use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::domain::TaxonomyKind;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::hier::{DescentConfig, HierWorkload, RouterConfig};
 use taxoglimpse_core::reports_digest;
-use taxoglimpse_core::workload::{Workload, WorkloadContext, WorkloadRunner};
+use taxoglimpse_core::workload::{Workload, WorkloadContext};
 use taxoglimpse_json::{Json, ToJson};
 use taxoglimpse_llm::zoo::ModelZoo;
 
@@ -80,7 +81,7 @@ fn run_bench(opts: &Args) -> (Json, Vec<(&'static str, Json)>) {
             let mut cell_report = None;
             let mut workers_out = Vec::new();
             for workers in WORKER_COUNTS {
-                let runner = WorkloadRunner::builder().with_threads(workers).build();
+                let runner = GridRunner::builder().with_threads(workers).build();
                 let (timing, _) = suite::time_reps(
                     opts.repeat,
                     || workload.run(&runner, model.as_ref(), &cx, &data),

@@ -12,9 +12,8 @@ use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::eval::score;
 use taxoglimpse_core::metrics::{Metrics, Outcome};
 use taxoglimpse_core::model::{LanguageModel, Query};
-use taxoglimpse_core::parse::{parse_mcq, parse_tf};
+use taxoglimpse_core::parse::parse_answer;
 use taxoglimpse_core::prompts::{render_prompt_n, PromptSetting};
-use taxoglimpse_core::question::QuestionKind;
 use taxoglimpse_core::templates::TemplateVariant;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
@@ -53,13 +52,7 @@ fn main() {
                     let prompt = render_prompt_n(question, setting, TemplateVariant::Canonical, exemplars, shots);
                     let query = Query::new(&prompt, question, setting);
                     let outcome = match model.answer(&query) {
-                        Ok(response) => {
-                            let parsed = match question.kind() {
-                                QuestionKind::TrueFalse => parse_tf(&response.text),
-                                QuestionKind::Mcq => parse_mcq(&response.text),
-                            };
-                            score(question, parsed)
-                        }
+                        Ok(response) => score(question, parse_answer(question, &response.text)),
                         Err(_) => Outcome::Failed,
                     };
                     metrics.record(outcome);

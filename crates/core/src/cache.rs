@@ -448,21 +448,8 @@ mod tests {
     use super::*;
     use crate::domain::TaxonomyKind;
     use crate::prompts::PromptSetting;
-    use crate::question::QuestionBody;
+    use crate::question::tf_question as question;
     use std::sync::atomic::AtomicU32;
-
-    fn question(id: u64) -> Question {
-        Question {
-            id,
-            taxonomy: TaxonomyKind::Ebay,
-            child: "a".into(),
-            child_level: 1,
-            parent_level: 0,
-            true_parent: "b".into(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse { candidate: "b".into(), expected_yes: true, negative: None },
-        }
-    }
 
     /// Counts deliveries; answers with the prompt echoed back, so every
     /// distinct prompt has a distinct answer.

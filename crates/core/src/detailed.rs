@@ -16,9 +16,9 @@ use crate::dataset::Dataset;
 use crate::eval::{score, EvalConfig};
 use crate::metrics::{Metrics, Outcome};
 use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_mcq, parse_tf, ParsedAnswer};
+use crate::parse::{parse_answer, ParsedAnswer};
 use crate::prompts::render_prompt;
-use crate::question::{NegativeKind, Question, QuestionBody, QuestionKind};
+use crate::question::{NegativeKind, Question, QuestionBody};
 use crate::text::similarity;
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
@@ -97,10 +97,7 @@ impl DetailedRun {
                 // answer is unparsed, and the outcome is Failed.
                 let (response, parsed, outcome) = match model.answer(&query) {
                     Ok(ok) => {
-                        let parsed = match question.kind() {
-                            QuestionKind::TrueFalse => parse_tf(&ok.text),
-                            QuestionKind::Mcq => parse_mcq(&ok.text),
-                        };
+                        let parsed = parse_answer(question, &ok.text);
                         (ok.text, parsed, score(question, parsed))
                     }
                     Err(error) => {

@@ -6,9 +6,9 @@ use crate::dataset::{Dataset, QuestionDataset};
 use crate::domain::TaxonomyKind;
 use crate::metrics::{Metrics, Outcome};
 use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_mcq, parse_tf, ParsedAnswer};
+use crate::parse::{parse_answer, ParsedAnswer};
 use crate::prompts::{render_prefix, render_prompt, render_prompt_into, PromptSetting};
-use crate::question::{Question, QuestionBody, QuestionKind};
+use crate::question::{Question, QuestionBody};
 use crate::resilience::{ResiliencePolicy, ResilienceSession};
 use crate::templates::TemplateVariant;
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
@@ -352,11 +352,7 @@ impl Evaluator {
             for (first, query) in firsts.into_iter().zip(&queries) {
                 let outcome = match session.call_prefetched(model, query, first) {
                     Ok(response) => {
-                        let parsed = match query.question.kind() {
-                            QuestionKind::TrueFalse => parse_tf(&response.text),
-                            QuestionKind::Mcq => parse_mcq(&response.text),
-                        };
-                        score(query.question, parsed)
+                        score(query.question, parse_answer(query.question, &response.text))
                     }
                     Err(_) => Outcome::Failed,
                 };
@@ -378,13 +374,7 @@ impl Evaluator {
         let query = Query::new(&prompt, question, self.config.setting);
         let mut session = ResilienceSession::new(self.resilience);
         match session.call(model, &query) {
-            Ok(response) => {
-                let parsed = match question.kind() {
-                    QuestionKind::TrueFalse => parse_tf(&response.text),
-                    QuestionKind::Mcq => parse_mcq(&response.text),
-                };
-                score(question, parsed)
-            }
+            Ok(response) => score(question, parse_answer(question, &response.text)),
             Err(_) => Outcome::Failed,
         }
     }

@@ -1,4 +1,5 @@
-//! Parallel grid evaluation.
+//! Parallel grid evaluation, and the one execution policy every
+//! workload runs under.
 //!
 //! Tables 5–7 evaluate a (model × taxonomy) grid — hundreds of thousands
 //! of independent queries. [`GridRunner`] splits every cell into
@@ -8,6 +9,10 @@
 //! serializes the end of the grid, while chunks of a few hundred
 //! questions keep every worker fed until the last few units.
 //!
+//! The runner is also the execution policy every
+//! [`Workload`](crate::workload::Workload) runs under, and hier shares
+//! its worker pool (`run_indexed`).
+//!
 //! Everything is deterministic: models are `Send + Sync` and answer as a
 //! pure function of (question, setting), and chunk [`Metrics`] are
 //! additive counters merged in ascending index order — so the assembled
@@ -16,7 +21,7 @@
 //! `tests/perf_equivalence.rs`).
 
 use crate::dataset::Dataset;
-use crate::eval::{EvalConfig, EvalReport, Evaluator, LevelMetrics};
+use crate::eval::{EvalConfig, EvalReport, Evaluator, EvaluatorBuilder, LevelMetrics};
 use crate::metrics::Metrics;
 use crate::model::LanguageModel;
 use crate::resilience::ResiliencePolicy;
@@ -49,14 +54,14 @@ struct WorkUnit {
     end: usize,
 }
 
-/// Fans (model × dataset) evaluations out over worker threads.
+/// The execution policy every workload runs under: an [`Evaluator`]
+/// (prompt setting, resilience, batch size) plus the worker count and
+/// chunk size that fan its work out over threads.
 #[derive(Debug, Clone, Copy)]
 pub struct GridRunner {
-    config: EvalConfig,
+    evaluator: Evaluator,
     threads: usize,
     chunk_size: usize,
-    batch_size: usize,
-    resilience: ResiliencePolicy,
     shard: Option<usize>,
 }
 
@@ -64,33 +69,18 @@ pub struct GridRunner {
 /// configuration, worker count, chunk granularity and resilience
 /// policy. Defaults: `EvalConfig::default()`, the machine's available
 /// parallelism, [`DEFAULT_CHUNK_SIZE`], [`ResiliencePolicy::default`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GridRunnerBuilder {
-    config: EvalConfig,
+    evaluator: EvaluatorBuilder,
     threads: Option<usize>,
-    chunk_size: usize,
-    batch_size: usize,
-    resilience: ResiliencePolicy,
+    chunk_size: Option<usize>,
     shard: Option<usize>,
-}
-
-impl Default for GridRunnerBuilder {
-    fn default() -> Self {
-        GridRunnerBuilder {
-            config: EvalConfig::default(),
-            threads: None,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            batch_size: crate::eval::DEFAULT_BATCH_SIZE,
-            resilience: ResiliencePolicy::default(),
-            shard: None,
-        }
-    }
 }
 
 impl GridRunnerBuilder {
     /// Set the evaluation configuration (setting + template variant).
     pub fn with_config(mut self, config: EvalConfig) -> Self {
-        self.config = config;
+        self.evaluator = self.evaluator.with_config(config);
         self
     }
 
@@ -106,7 +96,7 @@ impl GridRunnerBuilder {
     /// count; chunk size additionally scopes per-chunk resilience
     /// sessions, so it is part of a run's deterministic identity.
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
+        self.chunk_size = Some(chunk_size.max(1));
         self
     }
 
@@ -114,13 +104,13 @@ impl GridRunnerBuilder {
     /// (clamped to >= 1). Report bytes are identical at every batch
     /// size; this only tunes how attempt-0 deliveries are grouped.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
+        self.evaluator = self.evaluator.with_batch_size(batch_size);
         self
     }
 
     /// Set the resilience policy applied inside every chunk.
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
+        self.evaluator = self.evaluator.with_resilience(resilience);
         self
     }
 
@@ -140,13 +130,17 @@ impl GridRunnerBuilder {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
         });
         GridRunner {
-            config: self.config,
+            evaluator: self.evaluator.build(),
             threads,
-            chunk_size: self.chunk_size,
-            batch_size: self.batch_size,
-            resilience: self.resilience,
+            chunk_size: self.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE),
             shard: self.shard,
         }
+    }
+}
+
+impl Default for GridRunner {
+    fn default() -> Self {
+        GridRunner::builder().build()
     }
 }
 
@@ -156,12 +150,26 @@ impl GridRunner {
         GridRunnerBuilder::default()
     }
 
+    /// The evaluator every work unit runs through.
+    pub fn evaluator(&self) -> &Evaluator {
+        &self.evaluator
+    }
+
+    /// The worker count (≥ 1).
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The questions-per-work-unit granularity (≥ 1).
+    pub fn chunk_size(&self) -> usize {
+        self.chunk_size
+    }
+
     /// Evaluate the full cross product of `models` × `datasets`.
     ///
     /// Results are returned in deterministic row-major order
     /// (`models[0]` on every dataset, then `models[1]`, and so on),
-    /// regardless
-    /// of scheduling.
+    /// regardless of scheduling.
     pub fn run_cross(
         &self,
         models: &[&dyn LanguageModel],
@@ -185,12 +193,6 @@ impl GridRunner {
         datasets: &[&Dataset],
         cells: &[GridCell],
     ) -> Vec<EvalReport> {
-        let evaluator = Evaluator::builder()
-            .with_config(self.config)
-            .with_resilience(self.resilience)
-            .with_batch_size(self.batch_size)
-            .build();
-
         // Split every cell into (level, question-range) work units —
         // cell-major, level-major, ascending start, so merging unit
         // results in index order replays the sequential question order.
@@ -222,44 +224,16 @@ impl GridRunner {
             models[cell.model].reset();
         }
 
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<ChunkResult>>> = Mutex::new(vec![None; units.len()]);
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(units.len().max(1)) {
-                scope.spawn(|| loop {
-                    // Relaxed is sound here: the counter is the *only*
-                    // cross-thread coordination, and each fetch_add
-                    // hands out a distinct unit index (RMW atomicity
-                    // needs no ordering). Results are merged in unit
-                    // order after `scope` joins, and the join itself is
-                    // the happens-before edge that publishes every
-                    // worker's writes — so claim order cannot affect
-                    // the merged bytes.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
-                        break;
-                    }
-                    let unit = units[i];
-                    let cell = cells[unit.cell];
-                    let slice = &datasets[cell.dataset].levels[unit.level];
-                    // Catch the panic *before* taking the lock so a
-                    // misbehaving chunk can never poison it for the rest
-                    // of the grid.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        evaluator.run_questions(
-                            models[cell.model],
-                            &slice.questions[unit.start..unit.end],
-                            &slice.exemplars,
-                        )
-                    }))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                    results.lock().expect("no panics while holding the lock")[i] = Some(outcome);
-                });
-            }
+        let outcomes = run_indexed(self.threads, units.len(), |i| {
+            let unit = units[i];
+            let cell = cells[unit.cell];
+            let slice = &datasets[cell.dataset].levels[unit.level];
+            self.evaluator.run_questions(
+                models[cell.model],
+                &slice.questions[unit.start..unit.end],
+                &slice.exemplars,
+            )
         });
-
-        let outcomes = results.into_inner().expect("scope joined all workers");
 
         // Failures are aggregated per *cell* (first failing chunk's
         // reason speaks for the cell), preserving the cell-identity
@@ -273,18 +247,12 @@ impl GridRunner {
                 let (unit, reason) = units[range.clone()]
                     .iter()
                     .zip(&outcomes[range.clone()])
-                    .find_map(|(unit, o)| match o {
-                        Some(Err(reason)) => Some((unit, reason)),
-                        _ => None,
-                    })?;
+                    .find_map(|(unit, o)| o.as_ref().err().map(|reason| (unit, reason)))?;
                 let dataset = datasets[cell.dataset];
                 // Sharded runs (`core::shard`) label each per-shard
                 // runner, so a failure stays attributable to the shard
                 // that owned the cell.
-                let shard = match self.shard {
-                    Some(s) => format!("shard {s} "),
-                    None => String::new(),
-                };
+                let shard = self.shard.map(|s| format!("shard {s} ")).unwrap_or_default();
                 Some(format!(
                     "{shard}cell (model `{}`, dataset `{:?}`) level {} questions {}..{}: {reason}",
                     models[cell.model].name(),
@@ -314,11 +282,7 @@ impl GridRunner {
                     .map(|s| LevelMetrics { child_level: s.child_level, metrics: Metrics::default() })
                     .collect();
                 for (unit, outcome) in units[range.clone()].iter().zip(&outcomes[range.clone()]) {
-                    let metrics = outcome
-                        .as_ref()
-                        .expect("every unit was processed")
-                        .as_ref()
-                        .expect("failures handled above");
+                    let metrics = outcome.as_ref().expect("failures handled above");
                     by_level[unit.level].metrics += *metrics;
                 }
                 let mut overall = Metrics::default();
@@ -329,7 +293,7 @@ impl GridRunner {
                     model: models[cell.model].name().to_owned(),
                     taxonomy: dataset.taxonomy,
                     flavor: dataset.flavor,
-                    setting: self.config.setting,
+                    setting: self.evaluator.config().setting,
                     overall,
                     by_level,
                 }
@@ -338,7 +302,43 @@ impl GridRunner {
     }
 }
 
-type ChunkResult = Result<Metrics, String>;
+/// The one claim-counter worker pool: runs `work(i)` for every index
+/// in `0..n` on up to `threads` scoped workers and returns the results
+/// in index order. A panic inside `work(i)` is caught *before* the
+/// result lock is taken — so it can never poison the lock for the other
+/// workers — and comes back as `Err` with the panic's message; every
+/// other index still runs. Callers attribute and re-raise failures.
+pub(crate) fn run_indexed<T: Send>(
+    threads: usize,
+    n: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<Result<T, String>> {
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<Result<T, String>>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n.max(1)) {
+            scope.spawn(|| loop {
+                // Relaxed suffices: each fetch_add hands out a distinct
+                // index, and the scope join publishes every worker's
+                // writes before the in-order merge, so claim order
+                // cannot affect the merged bytes.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(i)))
+                    .map_err(|payload| panic_message(payload.as_ref()));
+                results.lock().expect("no panics while holding the lock")[i] = Some(outcome);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("scope joined all workers")
+        .into_iter()
+        .map(|slot| slot.expect("every index was claimed"))
+        .collect()
+}
 
 /// Best-effort extraction of a panic payload's message (shared with
 /// `crate::shard`, which labels per-slot failures the same way).
@@ -425,6 +425,18 @@ mod tests {
             .run_cells(&models, &dataset_refs, &cells);
         assert_eq!(reports[0].taxonomy, TaxonomyKind::GeoNames);
         assert_eq!(reports[1].taxonomy, TaxonomyKind::Ebay);
+    }
+
+    #[test]
+    fn builder_clamps() {
+        let runner = GridRunner::builder()
+            .with_batch_size(0)
+            .with_threads(0)
+            .with_chunk_size(0)
+            .build();
+        assert_eq!(runner.evaluator().batch_size(), 1);
+        assert_eq!(runner.threads(), 1);
+        assert_eq!(runner.chunk_size(), 1);
     }
 
     #[test]

@@ -34,12 +34,14 @@
 //! descent question ids are pure functions of
 //! `(instance index, node, option window)` so fault plans and response
 //! caches key identically at any worker count; instances are processed
-//! via the same claim-counter + merge-in-index-order discipline as
-//! [`crate::grid`], with a fresh [`ResilienceSession`] per instance so
-//! no session state couples one worker's instances to another's.
+//! on the grid's worker pool ([`crate::grid`]: claim counter, merge in
+//! index order, panics attributed to their instance), with a fresh
+//! [`ResilienceSession`] per instance so no session state couples one
+//! worker's instances to another's.
 
 use crate::domain::TaxonomyKind;
 use crate::eval::EvalConfig;
+use crate::grid::{run_indexed, GridRunner};
 use crate::model::{LanguageModel, Query};
 use crate::parse::{parse_mcq, ParsedAnswer};
 use crate::prompts::render_prompt;
@@ -47,9 +49,7 @@ use crate::question::{Question, QuestionBody};
 use crate::resilience::ResilienceSession;
 use crate::sampling::cochran_sample_size;
 use crate::text::{token_count, Trigrams};
-use crate::workload::{Workload, WorkloadContext, WorkloadError, WorkloadRunner};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::workload::{Workload, WorkloadContext, WorkloadError};
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 use taxoglimpse_synth::instances::InstanceGenerator;
 use taxoglimpse_synth::rng::{SliceRandom, StreamHasher};
@@ -510,7 +510,7 @@ fn sibling_question(
 }
 
 /// Per-instance tally merged into [`HierMetrics`] in instance order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InstanceResult {
     outcome: HierOutcome,
     queries: usize,
@@ -705,7 +705,7 @@ impl HierWorkload {
     fn process_instance(
         &self,
         state: &RunState<'_>,
-        runner: &WorkloadRunner,
+        runner: &GridRunner,
         model: &dyn LanguageModel,
         instance_idx: usize,
         instance: &HierInstance,
@@ -717,7 +717,7 @@ impl HierWorkload {
             flat: FlatOutcome::Abstained,
             flat_tokens: 0,
         };
-        let mut session = ResilienceSession::new(runner.resilience());
+        let mut session = ResilienceSession::new(runner.evaluator().resilience());
         result.outcome =
             self.classify(state, &mut session, model, instance_idx, instance, &mut result);
         result.flat =
@@ -788,7 +788,7 @@ impl Workload for HierWorkload {
 
     fn run(
         &self,
-        runner: &WorkloadRunner,
+        runner: &GridRunner,
         model: &dyn LanguageModel,
         cx: &WorkloadContext<'_>,
         data: &HierDataset,
@@ -818,43 +818,35 @@ impl Workload for HierWorkload {
         let state = RunState {
             t,
             kind: cx.kind,
-            config: runner.config(),
+            config: runner.evaluator().config(),
             valid_names,
             leaf_sims,
             whole_taxonomy_base_tokens,
         };
 
         model.reset();
-        let threads = runner.threads().unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+        let outcomes = run_indexed(runner.threads(), data.instances.len(), |i| {
+            self.process_instance(&state, runner, model, i, &data.instances[i])
         });
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<InstanceResult>>> =
-            Mutex::new(vec![None; data.instances.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(data.instances.len().max(1)) {
-                scope.spawn(|| loop {
-                    // Same discipline as the grid runner: the counter
-                    // hands out distinct indices, results merge in
-                    // index order after the scope joins.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= data.instances.len() {
-                        break;
-                    }
-                    let r =
-                        self.process_instance(&state, runner, model, i, &data.instances[i]);
-                    results.lock().expect("hier result lock poisoned by a worker panic")[i] =
-                        Some(r);
-                });
-            }
-        });
+        let failures: Vec<String> = outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| o.as_ref().err().map(|reason| format!("instance {i}: {reason}")))
+            .collect();
+        if !failures.is_empty() {
+            // lint:allow(P001, deliberate re-panic - worker panics are joined and surfaced after all instances finish)
+            panic!(
+                "{} hier instance(s) panicked (model `{}`, taxonomy `{}`): {}",
+                failures.len(),
+                model.name(),
+                cx.kind,
+                failures.join("; ")
+            );
+        }
 
-        let merged = results
-            .into_inner()
-            .expect("hier result lock poisoned by a worker panic");
         let mut metrics = HierMetrics::default();
-        for (instance, slot) in data.instances.iter().zip(merged) {
-            let r = slot.expect("every claimed instance stores a result before scope join");
+        for (instance, outcome) in data.instances.iter().zip(outcomes) {
+            let r = outcome.expect("failures handled above");
             metrics.instances += 1;
             if instance.ambiguous {
                 metrics.ambiguous += 1;
@@ -964,8 +956,8 @@ mod tests {
         let w = HierWorkload::new()
             .with_router(RouterConfig::default().with_top_k(t.nodes_at_level(1).len().max(1)))
             .with_sample_cap(Some(15));
-        let runner = WorkloadRunner::builder().with_threads(2).build();
-        let report = runner.run(&w, &OracleModel, &cx).unwrap();
+        let runner = GridRunner::builder().with_threads(2).build();
+        let report = w.build_and_run(&runner, &OracleModel, &cx).unwrap();
         assert_eq!(report.metrics.hier_invalid, 0);
         assert_eq!(report.metrics.hier_failed, 0);
         assert_eq!(
@@ -982,8 +974,8 @@ mod tests {
         let cx = context(&t, TaxonomyKind::Amazon);
         let w = workload();
         let json_at = |threads: usize| {
-            let runner = WorkloadRunner::builder().with_threads(threads).build();
-            let report = runner.run(&w, &OracleModel, &cx).unwrap();
+            let runner = GridRunner::builder().with_threads(threads).build();
+            let report = w.build_and_run(&runner, &OracleModel, &cx).unwrap();
             taxoglimpse_json::to_string(&report.to_json()).unwrap()
         };
         let one = json_at(1);
@@ -995,12 +987,48 @@ mod tests {
     fn report_json_round_trips() {
         let t = generate(TaxonomyKind::Google, GenOptions { seed: 3, scale: 0.1 }).unwrap();
         let cx = context(&t, TaxonomyKind::Google);
-        let runner = WorkloadRunner::builder().with_threads(2).build();
-        let report = runner.run(&workload(), &OracleModel, &cx).unwrap();
+        let runner = GridRunner::builder().with_threads(2).build();
+        let report = workload().build_and_run(&runner, &OracleModel, &cx).unwrap();
         let json = taxoglimpse_json::to_string(&report.to_json()).unwrap();
         let back = HierReport::from_json(&taxoglimpse_json::from_str_value(&json).unwrap())
             .unwrap();
         assert_eq!(back, report);
+    }
+
+    /// Answers like the oracle, but panics on every query about the
+    /// instance with the given name.
+    struct PanicsOnInstance(String);
+
+    impl LanguageModel for PanicsOnInstance {
+        fn name(&self) -> &str {
+            "fragile"
+        }
+        fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
+            assert!(query.question.child != self.0, "synthetic instance failure");
+            OracleModel.answer(query)
+        }
+    }
+
+    #[test]
+    fn instance_panic_names_model_and_instance() {
+        let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 5, scale: 0.2 }).unwrap();
+        let cx = context(&t, TaxonomyKind::Ebay);
+        let w = workload();
+        let data = w.build(&cx).unwrap();
+        let target = data.instances.len() - 1;
+        let model = PanicsOnInstance(data.instances[target].name.clone());
+        let hits = data.instances.iter().filter(|x| x.name == model.0).count();
+        let runner = GridRunner::builder().with_threads(2).build();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.run(&runner, &model, &cx, &data)
+        }));
+        let message = crate::grid::panic_message(result.expect_err("the run must fail").as_ref());
+        assert!(message.contains(&format!("{hits} hier instance(s) panicked")), "{message}");
+        assert!(message.contains("model `fragile`"), "{message}");
+        assert!(
+            message.contains(&format!("instance {target}: synthetic instance failure")),
+            "{message}"
+        );
     }
 
     #[test]

@@ -82,9 +82,7 @@ pub use question::{NegativeKind, Question, QuestionBody, QuestionKind};
 pub use resilience::{BackoffPolicy, BreakerPolicy, Resilient, ResiliencePolicy};
 pub use serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
 pub use shard::{ShardRouter, ShardRun, ShardedDataset};
-pub use workload::{
-    InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError, WorkloadRunner,
-};
+pub use workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError};
 
 /// The pinned reports digest: a 64-bit hash chained over the compact
 /// JSON of every report, in order. Every `BENCH_*.json` digest and the

@@ -290,26 +290,12 @@ impl LanguageModel for FixedAnswerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::TaxonomyKind;
-    use crate::question::QuestionBody;
-
-    fn question() -> Question {
-        Question {
-            id: 0,
-            taxonomy: TaxonomyKind::Ebay,
-            child: "a".into(),
-            child_level: 1,
-            parent_level: 0,
-            true_parent: "b".into(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse { candidate: "b".into(), expected_yes: true, negative: None },
-        }
-    }
+    use crate::question::tf_question;
 
     #[test]
     fn fixed_model_answers_fixed() {
         let m = FixedAnswerModel::always_yes();
-        let q = question();
+        let q = tf_question(0);
         let query = Query::new("p", &q, PromptSetting::ZeroShot);
         assert_eq!(m.answer(&query).expect("fixed model never fails").text, "Yes.");
         assert_eq!(m.name(), "always-yes");
@@ -324,7 +310,7 @@ mod tests {
 
     #[test]
     fn query_attempt_defaults_to_zero_and_rebinds() {
-        let q = question();
+        let q = tf_question(0);
         let query = Query::new("p", &q, PromptSetting::ZeroShot);
         assert_eq!(query.attempt, 0);
         assert_eq!(query.with_attempt(3).attempt, 3);
@@ -332,7 +318,7 @@ mod tests {
 
     #[test]
     fn query_prefix_len_defaults_to_zero_and_rebinds() {
-        let q = question();
+        let q = tf_question(0);
         let query = Query::new("pp", &q, PromptSetting::FewShot);
         assert_eq!(query.prefix_len, 0);
         assert_eq!(query.with_prefix_len(1).prefix_len, 1);
@@ -341,7 +327,7 @@ mod tests {
     #[test]
     fn default_answer_batch_loops_in_order() {
         let m = FixedAnswerModel::always_yes();
-        let q = question();
+        let q = tf_question(0);
         let prompts = ["p0", "p1", "p2"];
         let queries: Vec<Query<'_>> =
             prompts.iter().map(|p| Query::new(p, &q, PromptSetting::ZeroShot)).collect();

@@ -7,6 +7,7 @@
 //! matching the paper's accuracy/miss bookkeeping where only explicit
 //! abstentions are misses.
 
+use crate::question::{Question, QuestionKind};
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
 /// Normalized model answer.
@@ -245,6 +246,17 @@ fn letter_at(s: &str) -> Option<u8> {
         None => Some(idx),
         Some(c) if !c.is_ascii_alphanumeric() => Some(idx),
         _ => None,
+    }
+}
+
+/// Parse a response with the parser for the question's kind: true/false
+/// questions go to [`parse_tf`], MCQ and sibling rounds to
+/// [`parse_mcq`].
+#[inline]
+pub fn parse_answer(question: &Question, text: &str) -> ParsedAnswer {
+    match question.kind() {
+        QuestionKind::TrueFalse => parse_tf(text),
+        QuestionKind::Mcq => parse_mcq(text),
     }
 }
 

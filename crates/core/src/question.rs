@@ -237,6 +237,22 @@ impl Question {
     }
 }
 
+/// The "is `a` a kind of `b`?" true/false question (gold: yes) the
+/// model, cache and resilience unit tests share.
+#[cfg(test)]
+pub(crate) fn tf_question(id: u64) -> Question {
+    Question {
+        id,
+        taxonomy: TaxonomyKind::Ebay,
+        child: "a".into(),
+        child_level: 1,
+        parent_level: 0,
+        true_parent: "b".into(),
+        instance_typing: false,
+        body: QuestionBody::TrueFalse { candidate: "b".into(), expected_yes: true, negative: None },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -502,24 +502,10 @@ impl<M: LanguageModel> LanguageModel for Resilient<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::TaxonomyKind;
     use crate::model::FixedAnswerModel;
     use crate::prompts::PromptSetting;
-    use crate::question::{Question, QuestionBody};
+    use crate::question::tf_question as question;
     use std::sync::atomic::{AtomicU32, Ordering};
-
-    fn question(id: u64) -> Question {
-        Question {
-            id,
-            taxonomy: TaxonomyKind::Ebay,
-            child: "a".into(),
-            child_level: 1,
-            parent_level: 0,
-            true_parent: "b".into(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse { candidate: "b".into(), expected_yes: true, negative: None },
-        }
-    }
 
     /// Fails the first `fail_first` deliveries of every query, then
     /// answers. `AtomicU32` is test-only bookkeeping, not product sync.

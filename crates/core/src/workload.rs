@@ -1,39 +1,32 @@
 //! The unified workload-entry surface.
 //!
-//! The repo grew four divergent ways to run a scenario — `Evaluator`
-//! for sequential QA, `GridRunner` for the model × taxonomy grid,
-//! a dataset builder + evaluator plumbing for §4.5, and the
-//! serving layer's own configuration — and the hierarchical
-//! classification scenario ([`crate::hier`]) would have made a fifth.
-//! This module collapses them behind one contract:
+//! Every experiment runs one model's questions on one taxonomy under a
+//! prompt setting; this module gives that shape one contract:
 //!
 //! * a [`Workload`] is *what* to measure: it builds its dataset from a
 //!   [`WorkloadContext`] (taxonomy + kind + seed) and turns one model's
-//!   answers into a typed report;
-//! * a [`WorkloadRunner`] is *how* to run it: one builder-configured
-//!   bundle of prompt settings, resilience policy, batch size, worker
-//!   threads and chunking that every execution path — `run`,
-//!   [`WorkloadRunner::run_cross`], [`WorkloadRunner::run_sharded`],
-//!   [`WorkloadRunner::serve`] — dispatches through.
+//!   answers into a typed report. [`Workload::build_and_run`] and
+//!   [`Workload::run_cross`] are provided on top of `build` and `run`;
+//! * a [`GridRunner`] is *how* to run it: one builder-configured policy
+//!   (prompt setting, resilience, batch size, worker threads, chunk
+//!   size) that every workload's `run` receives.
 //!
-//! The existing scenarios implement it ([`QaWorkload`],
+//! The scenarios implement it ([`QaWorkload`],
 //! [`InstanceTypingWorkload`], [`crate::hier::HierWorkload`]), so a bin
-//! or example configures *one* runner and swaps workloads freely.
-//! Determinism is inherited, not re-proven: every dispatch path bottoms
-//! out in the same `Evaluator`/`GridRunner` machinery whose report
-//! bytes are already proven independent of worker count, batch size,
-//! cache state and fault plans.
+//! or example configures *one* runner and swaps workloads freely. QA
+//! and instance typing run through [`GridRunner::run_cross`]; the
+//! hierarchical workload shares the grid's worker pool. Determinism is
+//! inherited, not re-proven: report bytes are already proven
+//! independent of worker count, batch size, cache state and fault plans.
+//! [`WorkloadRunner`] is an alias of [`GridRunner`], kept for callers
+//! that name the runner by its earlier name.
 
 use crate::dataset::{Dataset, DatasetBuilder, DatasetError, QuestionDataset};
 use crate::domain::TaxonomyKind;
-use crate::eval::{EvalConfig, EvalReport, Evaluator, DEFAULT_BATCH_SIZE};
-use crate::grid::{GridRunner, GridRunnerBuilder};
+use crate::eval::EvalReport;
+use crate::grid::GridRunner;
 use crate::instance_typing::InstanceTypingError;
 use crate::model::LanguageModel;
-use crate::question::Question;
-use crate::resilience::ResiliencePolicy;
-use crate::serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
-use crate::shard::{run_sharded, ShardRun, ShardedDataset};
 use std::fmt;
 use taxoglimpse_taxonomy::Taxonomy;
 
@@ -119,225 +112,42 @@ pub trait Workload {
     /// execution policy.
     fn run(
         &self,
-        runner: &WorkloadRunner,
+        runner: &GridRunner,
         model: &dyn LanguageModel,
         cx: &WorkloadContext<'_>,
         data: &Self::Data,
     ) -> Self::Report;
-}
 
-/// Builder-configured execution policy shared by every workload: which
-/// prompts to render, how to retry failures, how to batch model calls,
-/// and how many threads may carry the work.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadRunner {
-    config: EvalConfig,
-    resilience: ResiliencePolicy,
-    batch_size: usize,
-    threads: Option<usize>,
-    chunk_size: usize,
-}
-
-/// Builder for [`WorkloadRunner`] — the workspace's clamping `with_*`
-/// idiom: cheap default, chainable overrides that clamp rather than
-/// panic, infallible `build()`.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadRunnerBuilder {
-    config: EvalConfig,
-    resilience: ResiliencePolicy,
-    batch_size: usize,
-    threads: Option<usize>,
-    chunk_size: usize,
-}
-
-impl Default for WorkloadRunnerBuilder {
-    fn default() -> Self {
-        WorkloadRunnerBuilder {
-            config: EvalConfig::default(),
-            resilience: ResiliencePolicy::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            threads: None,
-            chunk_size: crate::grid::DEFAULT_CHUNK_SIZE,
-        }
-    }
-}
-
-impl WorkloadRunnerBuilder {
-    /// Override the evaluation configuration (setting + variant).
-    pub fn with_config(mut self, config: EvalConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Override the resilience policy applied to every model call.
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Override the `answer_batch` batch size (clamped to ≥ 1).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Pin the worker-thread count (clamped to ≥ 1). Unset, the runner
-    /// sizes to the machine. Purely an execution detail — report bytes
-    /// are identical at every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Override the work-unit chunk size (clamped to ≥ 1).
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> WorkloadRunner {
-        WorkloadRunner {
-            config: self.config,
-            resilience: self.resilience,
-            batch_size: self.batch_size,
-            threads: self.threads,
-            chunk_size: self.chunk_size,
-        }
-    }
-}
-
-impl Default for WorkloadRunner {
-    fn default() -> Self {
-        WorkloadRunner::builder().build()
-    }
-}
-
-impl WorkloadRunner {
-    /// Start building a runner.
-    pub fn builder() -> WorkloadRunnerBuilder {
-        WorkloadRunnerBuilder::default()
-    }
-
-    /// The evaluation configuration in force.
-    pub fn config(&self) -> EvalConfig {
-        self.config
-    }
-
-    /// The resilience policy in force.
-    pub fn resilience(&self) -> ResiliencePolicy {
-        self.resilience
-    }
-
-    /// The `answer_batch` batch size in force.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// The pinned worker-thread count, if any.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The work-unit chunk size in force.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
-    /// The sequential evaluator this runner's policy configures.
-    pub fn evaluator(&self) -> Evaluator {
-        Evaluator::builder()
-            .with_config(self.config)
-            .with_resilience(self.resilience)
-            .with_batch_size(self.batch_size)
-            .build()
-    }
-
-    /// A grid-runner builder carrying this runner's policy (callers may
-    /// still layer shard labels etc. on top before building).
-    pub fn grid_builder(&self) -> GridRunnerBuilder {
-        let builder = GridRunner::builder()
-            .with_config(self.config)
-            .with_resilience(self.resilience)
-            .with_batch_size(self.batch_size)
-            .with_chunk_size(self.chunk_size);
-        match self.threads {
-            Some(threads) => builder.with_threads(threads),
-            None => builder,
-        }
-    }
-
-    /// The grid runner this runner's policy configures.
-    pub fn grid(&self) -> GridRunner {
-        self.grid_builder().build()
-    }
-
-    /// Build and run one workload for one `(model, context)` cell.
-    pub fn run<W: Workload>(
+    /// Build and run one `(model, context)` cell.
+    fn build_and_run(
         &self,
-        workload: &W,
+        runner: &GridRunner,
         model: &dyn LanguageModel,
         cx: &WorkloadContext<'_>,
-    ) -> Result<W::Report, WorkloadError> {
-        let data = workload.build(cx)?;
-        Ok(workload.run(self, model, cx, &data))
+    ) -> Result<Self::Report, WorkloadError> {
+        let data = self.build(cx)?;
+        Ok(self.run(runner, model, cx, &data))
     }
 
-    /// Run a workload over the model × context grid, building each
-    /// context's dataset once. Reports come back model-major (all of
-    /// model 0's contexts, then model 1's, …), matching
-    /// [`GridRunner::run_cross`] cell order.
-    pub fn run_cross<W: Workload>(
+    /// Run over the model × context grid, building each context's
+    /// dataset once. Reports come back model-major (all of model 0's
+    /// contexts, then model 1's, …), matching [`GridRunner::run_cross`]
+    /// cell order.
+    fn run_cross(
         &self,
-        workload: &W,
+        runner: &GridRunner,
         models: &[&dyn LanguageModel],
         cxs: &[WorkloadContext<'_>],
-    ) -> Result<Vec<W::Report>, WorkloadError> {
-        let data: Vec<W::Data> =
-            cxs.iter().map(|cx| workload.build(cx)).collect::<Result<_, _>>()?;
-        let mut reports = Vec::with_capacity(models.len() * cxs.len());
-        for model in models {
-            for (cx, d) in cxs.iter().zip(&data) {
-                reports.push(workload.run(self, *model, cx, d));
-            }
-        }
-        Ok(reports)
-    }
-
-    /// Dispatch a sharded run (one worker per shard, merged in
-    /// shard-index order) under this runner's policy.
-    pub fn run_sharded(
-        &self,
-        shard_models: &[&dyn LanguageModel],
-        sharded: &ShardedDataset,
-    ) -> Vec<ShardRun> {
-        run_sharded(&self.evaluator(), shard_models, sharded)
-    }
-
-    /// A serving configuration carrying this runner's prompt settings
-    /// and resilience policy (serving-specific knobs keep their
-    /// defaults; override them on the returned value).
-    pub fn serve_config(&self) -> ServeConfig {
-        ServeConfig {
-            max_batch: self.batch_size,
-            setting: self.config.setting,
-            variant: self.config.variant,
-            resilience: self.resilience,
-            ..ServeConfig::default()
-        }
-    }
-
-    /// Dispatch the virtual-time serving loop over a question pool
-    /// under this runner's policy.
-    pub fn serve(
-        &self,
-        models: &[&dyn LanguageModel],
-        questions: &[Question],
-        traffic: &TrafficConfig,
-    ) -> ServeReport {
-        run_serve(models, questions, traffic, &self.serve_config())
+    ) -> Result<Vec<Self::Report>, WorkloadError> {
+        let data = cxs.iter().map(|cx| self.build(cx)).collect::<Result<Vec<_>, _>>()?;
+        Ok(models
+            .iter()
+            .flat_map(|&m| cxs.iter().zip(&data).map(move |(cx, d)| self.run(runner, m, cx, d)))
+            .collect())
     }
 }
+
+pub use crate::grid::GridRunner as WorkloadRunner;
 
 /// The paper's grid QA scenario (§4): Easy/Hard/MCQ datasets built by
 /// [`DatasetBuilder`], evaluated over the chunked grid.
@@ -376,13 +186,12 @@ impl Workload for QaWorkload {
 
     fn run(
         &self,
-        runner: &WorkloadRunner,
+        runner: &GridRunner,
         model: &dyn LanguageModel,
         _cx: &WorkloadContext<'_>,
         data: &Dataset,
     ) -> EvalReport {
-        let mut reports = runner.grid().run_cross(&[model], &[data]);
-        reports.remove(0)
+        runner.run_cross(&[model], &[data]).remove(0)
     }
 }
 
@@ -427,19 +236,19 @@ impl Workload for InstanceTypingWorkload {
 
     fn run(
         &self,
-        runner: &WorkloadRunner,
+        runner: &GridRunner,
         model: &dyn LanguageModel,
         _cx: &WorkloadContext<'_>,
         data: &Dataset,
     ) -> EvalReport {
-        let mut reports = runner.grid().run_cross(&[model], &[data]);
-        reports.remove(0)
+        runner.run_cross(&[model], &[data]).remove(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Evaluator;
     use crate::model::FixedAnswerModel;
     use taxoglimpse_json::ToJson;
     use taxoglimpse_synth::{generate, GenOptions};
@@ -453,9 +262,9 @@ mod tests {
         let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 21, scale: 1.0 }).unwrap();
         let cx = context(&t);
         let workload = QaWorkload::new(QuestionDataset::Hard).with_sample_cap(Some(40));
-        let runner = WorkloadRunner::builder().with_threads(2).build();
+        let runner = GridRunner::builder().with_threads(2).build();
         let model = FixedAnswerModel::always_yes();
-        let report = runner.run(&workload, &model, &cx).unwrap();
+        let report = workload.build_and_run(&runner, &model, &cx).unwrap();
         let direct = Evaluator::default().run(&model, &workload.build(&cx).unwrap());
         assert_eq!(
             taxoglimpse_json::to_string(&report.to_json()).unwrap(),
@@ -468,11 +277,10 @@ mod tests {
         let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 21, scale: 0.5 }).unwrap();
         let cx = context(&t);
         let workload = QaWorkload::new(QuestionDataset::Easy).with_sample_cap(Some(10));
-        let runner = WorkloadRunner::default();
         let yes = FixedAnswerModel::always_yes();
         let idk = FixedAnswerModel::always_idk();
-        let reports = runner
-            .run_cross(&workload, &[&yes, &idk], &[cx, cx])
+        let reports = workload
+            .run_cross(&GridRunner::default(), &[&yes, &idk], &[cx, cx])
             .unwrap();
         assert_eq!(reports.len(), 4);
         assert_eq!(reports[0].model, yes.name());
@@ -489,17 +297,5 @@ mod tests {
             workload.build(&cx),
             Err(WorkloadError::InstanceTyping(InstanceTypingError::Unsupported(_)))
         ));
-    }
-
-    #[test]
-    fn builder_clamps() {
-        let runner = WorkloadRunner::builder()
-            .with_batch_size(0)
-            .with_threads(0)
-            .with_chunk_size(0)
-            .build();
-        assert_eq!(runner.batch_size(), 1);
-        assert_eq!(runner.threads(), Some(1));
-        assert_eq!(runner.chunk_size(), 1);
     }
 }

@@ -12,9 +12,8 @@
 
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
-use taxoglimpse_core::parse::{parse_mcq, parse_tf, ParsedAnswer};
+use taxoglimpse_core::parse::{parse_answer, ParsedAnswer};
 use taxoglimpse_core::prompts::render_gold;
-use taxoglimpse_core::question::QuestionKind;
 use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// A base model wrapped with domain-specific instruction tuning.
@@ -64,10 +63,7 @@ impl<M: LanguageModel> InstructionTuned<M> {
         if !self.covers(question.taxonomy) {
             return base_answer;
         }
-        let parsed = match question.kind() {
-            QuestionKind::TrueFalse => parse_tf(&base_answer.text),
-            QuestionKind::Mcq => parse_mcq(&base_answer.text),
-        };
+        let parsed = parse_answer(question, &base_answer.text);
         let gold = question.gold();
         let is_correct = matches!(
             (parsed, gold),

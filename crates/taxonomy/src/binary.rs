@@ -62,6 +62,8 @@ pub enum BinaryError {
     /// The v2 offset table is inconsistent (non-monotonic, out of range,
     /// or splitting a UTF-8 sequence).
     BadOffsets,
+    /// Bytes follow the name block.
+    TrailingBytes,
     /// Structure failed validation after decode.
     Build(BuildError),
 }
@@ -74,6 +76,7 @@ impl fmt::Display for BinaryError {
             BinaryError::Truncated => write!(f, "buffer ends before declared content"),
             BinaryError::BadUtf8 => write!(f, "name is not valid UTF-8"),
             BinaryError::BadOffsets => write!(f, "name offset table is inconsistent"),
+            BinaryError::TrailingBytes => write!(f, "bytes follow the name block"),
             BinaryError::Build(e) => write!(f, "structure error: {e}"),
         }
     }
@@ -235,6 +238,9 @@ fn decode_v2(
             (0, block)
         }
     };
+    if !buf.is_empty() {
+        return Err(BinaryError::TrailingBytes);
+    }
     // ASCII blocks (the common case for generated taxonomies) are
     // trivially valid UTF-8 and make every offset a char boundary, so
     // one SIMD-friendly `is_ascii` scan replaces both the full UTF-8
@@ -599,6 +605,13 @@ mod tests {
         let name_bytes_off = 4 + 2 + 4 + t.label().len() + 8 + t.len() * 4;
         big[name_bytes_off..name_bytes_off + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
         assert_eq!(Taxonomy::from_binary(&big).unwrap_err(), BinaryError::Truncated);
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = sample().to_binary();
+        bytes.push(0);
+        assert_eq!(Taxonomy::from_binary(&bytes).unwrap_err(), BinaryError::TrailingBytes);
     }
 
     #[test]

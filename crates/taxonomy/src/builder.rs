@@ -26,6 +26,13 @@ pub enum BuildError {
         /// A node on the cycle.
         node: usize,
     },
+    /// `from_edges` was given `names` and `parents` of different lengths.
+    LengthMismatch {
+        /// Length of `names`.
+        names: usize,
+        /// Length of `parents`.
+        parents: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -39,6 +46,9 @@ impl fmt::Display for BuildError {
                 write!(f, "node {child} references nonexistent parent {parent}")
             }
             BuildError::Cycle { node } => write!(f, "parent edges form a cycle through node {node}"),
+            BuildError::LengthMismatch { names, parents } => {
+                write!(f, "{names} names but {parents} parents")
+            }
         }
     }
 }
@@ -310,7 +320,9 @@ impl TaxonomyBuilder {
         names: &[String],
         parents: &[Option<usize>],
     ) -> Result<Taxonomy, BuildError> {
-        assert_eq!(names.len(), parents.len(), "names/parents length mismatch");
+        if names.len() != parents.len() {
+            return Err(BuildError::LengthMismatch { names: names.len(), parents: parents.len() });
+        }
         let n = names.len();
         if n > u32::MAX as usize {
             return Err(BuildError::TooManyNodes);

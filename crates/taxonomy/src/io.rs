@@ -227,6 +227,14 @@ mod tests {
         assert!(matches!(Taxonomy::from_tsv(tsv), Err(TsvError::Build(_))));
     }
 
+    /// Regression: mismatched `names`/`parents` arrays used to trip an
+    /// assertion in `from_edges` instead of returning an error.
+    #[test]
+    fn json_rejects_mismatched_arrays() {
+        let err = Taxonomy::from_json(r#"{"label":"x","names":["a"],"parents":[]}"#).unwrap_err();
+        assert_eq!(err.to_string(), "1 names but 0 parents");
+    }
+
     #[test]
     fn names_with_tabs_survive_json_but_not_tsv_format_choice() {
         // JSON handles any name; TSV callers should avoid embedded tabs.

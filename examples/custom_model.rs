@@ -59,7 +59,7 @@ fn main() {
     let baseline = SurfaceBaseline { threshold: 0.18 };
     let zoo = ModelZoo::default_zoo();
     let gpt4 = zoo.get(ModelId::Gpt4).expect("zoo covers all models");
-    let runner = WorkloadRunner::default();
+    let runner = GridRunner::default();
     let workload = QaWorkload::new(QuestionDataset::Hard).with_sample_cap(Some(150));
 
     println!(
@@ -74,8 +74,8 @@ fn main() {
     ] {
         let taxonomy = generate(kind, GenOptions { seed: 42, scale }).expect("valid options");
         let cx = WorkloadContext::new(&taxonomy, kind, 42);
-        let reports = runner
-            .run_cross(&workload, &[&baseline, gpt4.as_ref()], &[cx])
+        let reports = workload
+            .run_cross(&runner, &[&baseline, gpt4.as_ref()], &[cx])
             .expect("probe levels exist");
         println!(
             "{:<12} {:>18.3} {:>12.3}",

@@ -66,12 +66,10 @@ fn main() {
 
     // The anecdote, generalized: the full per-level accuracy curve,
     // through the unified Workload API.
-    let report = WorkloadRunner::default()
-        .run(
-            &QaWorkload::new(QuestionDataset::Hard).with_sample_cap(Some(150)),
-            model.as_ref(),
-            &WorkloadContext::new(&taxonomy, kind, 42),
-        )
+    let cx = WorkloadContext::new(&taxonomy, kind, 42);
+    let report = QaWorkload::new(QuestionDataset::Hard)
+        .with_sample_cap(Some(150))
+        .build_and_run(&GridRunner::default(), model.as_ref(), &cx)
         .expect("probe levels exist");
     println!("{} per-level accuracy on {} (hard, zero-shot):", model.name(), kind);
     for (level, accuracy) in report.accuracy_by_level() {

@@ -46,8 +46,8 @@ fn main() {
     let zoo = ModelZoo::default_zoo();
     let arcs: Vec<_> = candidates.iter().map(|&id| zoo.get(id).expect("zoo")).collect();
     let models: Vec<&dyn LanguageModel> = arcs.iter().map(|m| m.as_ref() as &dyn LanguageModel).collect();
-    let reports = WorkloadRunner::default()
-        .run_cross(&QaWorkload::new(QuestionDataset::Hard), &models, &[WorkloadContext::new(&taxonomy, kind, 42)])
+    let reports = QaWorkload::new(QuestionDataset::Hard)
+        .run_cross(&GridRunner::default(), &models, &[WorkloadContext::new(&taxonomy, kind, 42)])
         .expect("probe levels exist");
     println!("{}", render(&leaderboard(&reports)));
 

@@ -44,9 +44,8 @@ fn main() {
         .with_backoff(BackoffPolicy::default().with_base_s(0.01).with_max_s(0.1))
         .with_breaker(BreakerPolicy::default().with_cooldown_s(0.5).with_fast_fail_s(0.001));
     let traffic = TrafficConfig::mixed_fleet(7, 2_000.0, 2.0);
-    let runner = WorkloadRunner::builder().with_resilience(resilience).build();
-    let config = runner
-        .serve_config()
+    let config = ServeConfig::default()
+        .with_resilience(resilience)
         .with_batch_deadline_s(0.01)
         .with_queue_capacity(128);
     let report = run_serve(&lanes, &questions, &traffic, &config);

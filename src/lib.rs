@@ -22,8 +22,8 @@
 //! let tax = generate(TaxonomyKind::Ebay, GenOptions::default()).unwrap();
 //! let cx = WorkloadContext::new(&tax, TaxonomyKind::Ebay, 7);
 //! let model = ModelZoo::default_zoo().get(ModelId::Gpt4).unwrap();
-//! let report = WorkloadRunner::default()
-//!     .run(&QaWorkload::new(QuestionDataset::Hard), model.as_ref(), &cx)
+//! let report = QaWorkload::new(QuestionDataset::Hard)
+//!     .build_and_run(&GridRunner::default(), model.as_ref(), &cx)
 //!     .unwrap();
 //! assert!(report.overall.accuracy() > 0.5);
 //! ```
@@ -58,10 +58,7 @@ pub mod prelude {
         resilience::{BackoffPolicy, BreakerPolicy, Resilient, ResiliencePolicy},
         serve::{run_serve, ServeConfig, ServeReport, TenantSpec, TrafficConfig},
         shard::{run_grid_sharded, run_sharded, ShardRouter, ShardRun, ShardedDataset},
-        workload::{
-            InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError,
-            WorkloadRunner,
-        },
+        workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError},
     };
     pub use taxoglimpse_report::histogram::LatencyHistogram;
     pub use taxoglimpse_report::merge::{merge_reports, merge_sharded, MergeError};

@@ -2,6 +2,8 @@
 //! artifacts at every stage — taxonomies, datasets, model answers, and
 //! whole evaluation reports — and different seeds genuinely differ.
 
+mod common;
+
 use taxoglimpse::core::model::Query;
 use taxoglimpse::prelude::*;
 
@@ -84,39 +86,7 @@ fn seed_changes_propagate_to_taxonomies() {
 /// scheduler refactor prove it changed nothing observable.
 #[test]
 fn reports_digest_is_pinned() {
-    use taxoglimpse::core::dataset::Dataset;
-    use taxoglimpse::core::eval::EvalConfig;
-    use taxoglimpse::core::grid::GridRunner;
-    use taxoglimpse::core::model::LanguageModel;
-    use taxoglimpse::core::reports_digest;
-
-    let datasets: Vec<Dataset> = [TaxonomyKind::Ebay, TaxonomyKind::GeoNames]
-        .into_iter()
-        .map(|kind| {
-            let t = generate(kind, GenOptions { seed: 42, scale: 0.1 }).unwrap();
-            DatasetBuilder::new(&t, kind, 42)
-                .sample_cap(Some(60))
-                .build(QuestionDataset::Hard)
-                .unwrap()
-        })
-        .collect();
-    let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
-    let zoo = ModelZoo::default_zoo();
-    let model_arcs =
-        [zoo.get(ModelId::Gpt4).unwrap(), zoo.get(ModelId::Llama2_7b).unwrap()];
-    let models: Vec<&dyn LanguageModel> =
-        model_arcs.iter().map(|m| m.as_ref() as &dyn LanguageModel).collect();
-
-    let mut digests = Vec::new();
-    for setting in [PromptSetting::ZeroShot, PromptSetting::FewShot] {
-        let runner = GridRunner::builder()
-            .with_config(EvalConfig::default().with_setting(setting))
-            .with_threads(4)
-            .build();
-        let reports = runner.run_cross(&models, &dataset_refs);
-        digests.push(format!("{:016x}", reports_digest(&reports)));
-    }
-    assert_eq!(digests, ["55e93db6e5f85df9", "ca98ddf7b5163d0a"]);
+    assert_eq!(common::pinned_workload_digests(), ["55e93db6e5f85df9", "ca98ddf7b5163d0a"]);
 }
 
 /// Pin the legacy (sequential) name streams of all ten kinds. The

@@ -16,24 +16,11 @@ use std::sync::Arc;
 
 use taxoglimpse::core::cache::{CachedModel, ResponseCache};
 use taxoglimpse::core::hier::RouterConfig;
-use taxoglimpse::core::model::LanguageModel;
 use taxoglimpse::prelude::*;
 
 /// Serialize a hier report for byte comparison.
 fn report_bytes(report: &taxoglimpse::core::hier::HierReport) -> String {
     taxoglimpse::json::to_string(report).expect("reports serialize")
-}
-
-/// One run of the hier workload over `model` with `workers` threads.
-fn run_cell(
-    workload: &HierWorkload,
-    data: &taxoglimpse::core::hier::HierDataset,
-    cx: &WorkloadContext<'_>,
-    model: &dyn LanguageModel,
-    workers: usize,
-) -> taxoglimpse::core::hier::HierReport {
-    let runner = WorkloadRunner::builder().with_threads(workers).build();
-    workload.run(&runner, model, cx, data)
 }
 
 /// Contract 1: report bytes are invariant across workers {1, 2, 8} ×
@@ -59,16 +46,17 @@ fn hier_reports_byte_identical_across_workers_cache_and_faults() {
             // must not change a byte.
             let cache = Arc::new(ResponseCache::new());
             for workers in [1usize, 2, 8] {
+                let runner = GridRunner::builder().with_threads(workers).build();
                 let report = if cache_on {
                     let stack = FaultInjector::new(
                         CachedModel::with_cache(Arc::clone(&base), Arc::clone(&cache)),
                         FaultPlan::uniform(42, 0.2),
                     );
-                    run_cell(&workload, &data, &cx, &stack, workers)
+                    workload.run(&runner, &stack, &cx, &data)
                 } else {
                     let stack =
                         FaultInjector::new(Arc::clone(&base), FaultPlan::uniform(42, 0.2));
-                    run_cell(&workload, &data, &cx, &stack, workers)
+                    workload.run(&runner, &stack, &cx, &data)
                 };
                 let bytes = report_bytes(&report);
                 match &reference {
@@ -92,7 +80,7 @@ fn hier_reports_byte_identical_across_workers_cache_and_faults() {
 #[test]
 fn descent_emits_zero_invalid_labels_on_all_ten_taxonomies() {
     let zoo = ModelZoo::default_zoo();
-    let runner = WorkloadRunner::default();
+    let runner = GridRunner::default();
     let workload = HierWorkload::new()
         .with_router(RouterConfig::default().with_top_k(2))
         .with_sample_cap(Some(8));

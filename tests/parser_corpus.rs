@@ -17,8 +17,9 @@
 //! produces the pre-fix report digests, so none of the rewrites moved a
 //! single byte of the benchmark's observable output.
 
+mod common;
+
 use taxoglimpse::core::parse::{parse_mcq, parse_tf, ParsedAnswer};
-use taxoglimpse::prelude::*;
 
 fn check(cases: &[(&str, ParsedAnswer)], parser: fn(&str) -> ParsedAnswer, tag: &str) {
     for (response, expected) in cases {
@@ -188,36 +189,5 @@ fn tf_near_miss_forms_stay_unparsed() {
 /// — so the pins must not move.
 #[test]
 fn parser_fixes_are_digest_neutral_on_the_pinned_workload() {
-    use taxoglimpse::core::dataset::Dataset;
-    use taxoglimpse::core::eval::EvalConfig;
-    use taxoglimpse::core::grid::GridRunner;
-    use taxoglimpse::core::model::LanguageModel;
-    use taxoglimpse::core::reports_digest;
-
-    let datasets: Vec<Dataset> = [TaxonomyKind::Ebay, TaxonomyKind::GeoNames]
-        .into_iter()
-        .map(|kind| {
-            let t = generate(kind, GenOptions { seed: 42, scale: 0.1 }).unwrap();
-            DatasetBuilder::new(&t, kind, 42)
-                .sample_cap(Some(60))
-                .build(QuestionDataset::Hard)
-                .unwrap()
-        })
-        .collect();
-    let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
-    let zoo = ModelZoo::default_zoo();
-    let model_arcs = [zoo.get(ModelId::Gpt4).unwrap(), zoo.get(ModelId::Llama2_7b).unwrap()];
-    let models: Vec<&dyn LanguageModel> =
-        model_arcs.iter().map(|m| m.as_ref() as &dyn LanguageModel).collect();
-
-    let mut digests = Vec::new();
-    for setting in [PromptSetting::ZeroShot, PromptSetting::FewShot] {
-        let runner = GridRunner::builder()
-            .with_config(EvalConfig::default().with_setting(setting))
-            .with_threads(4)
-            .build();
-        let reports = runner.run_cross(&models, &dataset_refs);
-        digests.push(format!("{:016x}", reports_digest(&reports)));
-    }
-    assert_eq!(digests, ["55e93db6e5f85df9", "ca98ddf7b5163d0a"]);
+    assert_eq!(common::pinned_workload_digests(), ["55e93db6e5f85df9", "ca98ddf7b5163d0a"]);
 }

@@ -6,30 +6,16 @@
 //! so failures are reproducible by construction — the failing case
 //! index is printed and re-running the test replays the exact input.
 
-use taxoglimpse::core::parse::{parse_mcq, parse_tf, ParsedAnswer};
+mod common;
+
+use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf, ParsedAnswer};
 use taxoglimpse::core::sampling::cochran_sample_size;
 use taxoglimpse::prelude::*;
-use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
+use common::cases;
+use taxoglimpse::synth::rng::{Rng, SynthRng};
 use taxoglimpse::taxonomy::{validate, Taxonomy};
 
 const PROPTEST_SEED: u64 = 0x7a78_6f67_6c69_6d70; // "taxoglimp"
-
-/// Run `f` for `n` deterministic cases, reporting the failing case
-/// index (which is all that's needed to replay it).
-fn cases(n: u64, tag: &str, f: impl Fn(&mut SynthRng, u64)) {
-    for i in 0..n {
-        let mut rng = fork(PROPTEST_SEED, tag, i);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng, i)));
-        if let Err(payload) = result {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            panic!("property `{tag}` failed at case {i}/{n}: {message}");
-        }
-    }
-}
 
 /// A random well-formed forest described as a parent array where
 /// `parents[i] < i` (or none), which guarantees acyclicity at the
@@ -60,7 +46,7 @@ fn random_taxonomy(rng: &mut SynthRng) -> Taxonomy {
 /// structural invariants.
 #[test]
 fn from_edges_always_validates() {
-    cases(64, "from_edges", |rng, _| {
+    cases(PROPTEST_SEED, 64, "from_edges", |rng, _| {
         let (names, parents) = random_forest(rng);
         let t = taxoglimpse::taxonomy::TaxonomyBuilder::from_edges("prop", &names, &parents).unwrap();
         validate(&t).unwrap();
@@ -72,7 +58,7 @@ fn from_edges_always_validates() {
 /// structure comparison — ids may be permuted).
 #[test]
 fn serialization_round_trips() {
-    cases(64, "serialization", |rng, _| {
+    cases(PROPTEST_SEED, 64, "serialization", |rng, _| {
         let t = random_taxonomy(rng);
         let canon = |t: &Taxonomy| {
             let mut v: Vec<(String, usize, Option<String>)> = t
@@ -93,7 +79,7 @@ fn serialization_round_trips() {
 /// Edits preserve invariants and the remap is consistent.
 #[test]
 fn edits_preserve_invariants() {
-    cases(64, "edits", |rng, _| {
+    cases(PROPTEST_SEED, 64, "edits", |rng, _| {
         let t = random_taxonomy(rng);
         let cutoff = rng.gen_index(6);
         let out = t.truncate_below(cutoff);
@@ -115,7 +101,7 @@ fn edits_preserve_invariants() {
 /// matches `subtree_size`.
 #[test]
 fn subtree_extraction_consistent() {
-    cases(64, "subtree", |rng, _| {
+    cases(PROPTEST_SEED, 64, "subtree", |rng, _| {
         let t = random_taxonomy(rng);
         let ids: Vec<_> = t.ids().collect();
         let node = ids[rng.gen_index(ids.len())];
@@ -130,7 +116,7 @@ fn subtree_extraction_consistent() {
 /// never exceed 385.
 #[test]
 fn cochran_bounds() {
-    cases(64, "cochran", |rng, _| {
+    cases(PROPTEST_SEED, 64, "cochran", |rng, _| {
         let a = rng.gen_index(3_000_000);
         let b = rng.gen_index(3_000_000);
         let (lo, hi) = (a.min(b), a.max(b));
@@ -146,7 +132,7 @@ fn cochran_bounds() {
 #[test]
 fn tf_parser_total_and_consistent() {
     const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz ";
-    cases(64, "tf_parser", |rng, _| {
+    cases(PROPTEST_SEED, 64, "tf_parser", |rng, _| {
         let len = rng.gen_index(41);
         let junk: String =
             (0..len).map(|_| ALPHABET[rng.gen_index(ALPHABET.len())] as char).collect();
@@ -183,7 +169,7 @@ fn mcq_parser_letters() {
 /// on truncated input.
 #[test]
 fn binary_codec_round_trips() {
-    cases(64, "binary_codec", |rng, _| {
+    cases(PROPTEST_SEED, 64, "binary_codec", |rng, _| {
         let t = random_taxonomy(rng);
         let bytes = t.to_binary();
         let back = Taxonomy::from_binary(&bytes).unwrap();
@@ -207,10 +193,22 @@ fn binary_fields(t: &Taxonomy) -> Vec<(usize, usize)> {
     fields
 }
 
+/// A random taxonomy whose names are partly non-ASCII, so the UTF-8
+/// and char-boundary checks of the decoders run.
+fn random_unicode_taxonomy(rng: &mut SynthRng) -> Taxonomy {
+    let (mut names, parents) = random_forest(rng);
+    for name in &mut names {
+        if rng.gen_bool(0.3) {
+            name.push_str(["é", "α", "漢字"][rng.gen_index(3)]);
+        }
+    }
+    taxoglimpse::taxonomy::TaxonomyBuilder::from_edges("prop", &names, &parents)
+        .expect("parents[i] < i is acyclic by construction")
+}
+
 /// Hostile TAXG payloads: truncation at a random byte, 1–3 bit flips,
-/// or one integer field overwritten with an extreme value. Names are
-/// partly non-ASCII so the UTF-8 and char-boundary checks run.
-/// `from_binary` must return a valid taxonomy or a typed error, and
+/// one integer field overwritten with an extreme value, or 1–16 random
+/// bytes appended. `from_binary` must return a valid taxonomy or a typed error, and
 /// the snapshot loader's split decoder — reached through an envelope
 /// whose checksum is re-stamped, so the mutation gets past the
 /// integrity check — must accept exactly the same payloads and decode
@@ -223,17 +221,10 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let store = SnapshotStore::new(&dir);
-    cases(2_000, "binary_mutation", |rng, _| {
-        let (mut names, parents) = random_forest(rng);
-        for name in &mut names {
-            if rng.gen_bool(0.3) {
-                name.push_str(["é", "α", "漢字"][rng.gen_index(3)]);
-            }
-        }
-        let t = taxoglimpse::taxonomy::TaxonomyBuilder::from_edges("prop", &names, &parents)
-            .expect("parents[i] < i is acyclic by construction");
+    cases(PROPTEST_SEED, 2_000, "binary_mutation", |rng, _| {
+        let t = random_unicode_taxonomy(rng);
         let mut bytes = t.to_binary();
-        match rng.gen_index(3) {
+        match rng.gen_index(4) {
             0 => bytes.truncate(rng.gen_index(bytes.len())),
             1 => {
                 for _ in 0..rng.gen_range(1usize..4) {
@@ -241,12 +232,13 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
                     bytes[at] ^= 1 << rng.gen_index(8);
                 }
             }
-            _ => {
+            2 => {
                 let fields = binary_fields(&t);
                 let (at, width) = fields[rng.gen_index(fields.len())];
                 let value = EXTREMES[rng.gen_index(EXTREMES.len())];
                 bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
             }
+            _ => bytes.extend((0..rng.gen_range(1usize..17)).map(|_| rng.gen_index(256) as u8)),
         }
         let decoded = Taxonomy::from_binary(&bytes);
         if let Ok(back) = &decoded {
@@ -269,11 +261,61 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Hostile JSON and TSV text: truncation, 1–3 bit flips, non-UTF-8
+/// bytes spliced into a name (reaching the `&str` parsers through a
+/// lossy decode), or nesting past `MAX_DEPTH`, which must be rejected.
+/// `json::from_str_value`, `Taxonomy::from_json` and
+/// `Taxonomy::from_tsv` each get every mutant and must return a valid
+/// value or a typed error, never panic.
+#[test]
+fn mutated_text_fails_cleanly() {
+    use taxoglimpse::json::{from_str_value, MAX_DEPTH};
+    const NON_UTF8: [&[u8]; 5] = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88"];
+    cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
+        let t = random_unicode_taxonomy(rng);
+        let mut bytes = if rng.gen_bool(0.5) { t.to_json() } else { t.to_tsv() }.into_bytes();
+        let mut nested = false;
+        match rng.gen_index(4) {
+            0 => bytes.truncate(rng.gen_index(bytes.len())),
+            1 => {
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let at = rng.gen_index(bytes.len());
+                    bytes[at] ^= 1 << rng.gen_index(8);
+                }
+            }
+            2 => {
+                let name = format!("node-{}", rng.gen_index(t.len()));
+                let start = bytes
+                    .windows(name.len())
+                    .position(|w| w == name.as_bytes())
+                    .expect("every name is serialized");
+                let at = start + rng.gen_index(name.len() + 1);
+                bytes.splice(at..at, NON_UTF8[rng.gen_index(NON_UTF8.len())].iter().copied());
+            }
+            _ => {
+                let depth = MAX_DEPTH + rng.gen_index(4);
+                bytes.splice(0..0, std::iter::repeat(b'[').take(depth));
+                bytes.extend(std::iter::repeat(b']').take(depth));
+                nested = true;
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let value = from_str_value(&text);
+        assert!(!nested || value.is_err(), "nesting past MAX_DEPTH must be rejected");
+        if let Ok(back) = Taxonomy::from_json(&text) {
+            validate(&back).unwrap();
+        }
+        if let Ok(back) = Taxonomy::from_tsv(&text) {
+            validate(&back).unwrap();
+        }
+    });
+}
+
 /// Self-diff is empty; diff against a truncated version reports the
 /// removed paths exactly.
 #[test]
 fn diff_laws() {
-    cases(64, "diff", |rng, _| {
+    cases(PROPTEST_SEED, 64, "diff", |rng, _| {
         use taxoglimpse::taxonomy::diff::diff;
         let t = random_taxonomy(rng);
         let cutoff = rng.gen_range(1usize..5);
@@ -293,7 +335,7 @@ fn diff_laws() {
 /// ancestor of both.
 #[test]
 fn lca_laws() {
-    cases(64, "lca", |rng, _| {
+    cases(PROPTEST_SEED, 64, "lca", |rng, _| {
         let t = random_taxonomy(rng);
         let ids: Vec<_> = t.ids().collect();
         let a = ids[rng.gen_index(ids.len())];
@@ -316,7 +358,7 @@ fn lca_laws() {
 /// The name index agrees with a linear scan.
 #[test]
 fn name_index_agrees_with_scan() {
-    cases(64, "name_index", |rng, _| {
+    cases(PROPTEST_SEED, 64, "name_index", |rng, _| {
         let t = random_taxonomy(rng);
         let idx = t.name_index();
         let ids: Vec<_> = t.ids().collect();
@@ -380,7 +422,7 @@ fn check_dataset_invariants(seed: u64, flavor_pick: usize) {
 /// taxonomy.
 #[test]
 fn dataset_invariants() {
-    cases(12, "dataset", |rng, _| {
+    cases(PROPTEST_SEED, 12, "dataset", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let flavor_pick = rng.gen_index(3);
         check_dataset_invariants(seed, flavor_pick);
@@ -398,7 +440,7 @@ fn dataset_invariants_regression_seed_466() {
 /// Unparsed) across models, flavors and settings.
 #[test]
 fn simulated_responses_always_parse() {
-    cases(12, "simulated", |rng, _| {
+    cases(PROPTEST_SEED, 12, "simulated", |rng, _| {
         let seed = rng.gen_range(0u64..200);
         let model_id = ModelId::ALL[rng.gen_index(ModelId::ALL.len())];
         let zoo = ModelZoo::with_seed(seed);
@@ -415,10 +457,7 @@ fn simulated_responses_always_parse() {
                     let query =
                         taxoglimpse::core::model::Query::new(&prompt, q, PromptSetting::ZeroShot);
                     let response = model.answer(&query).expect("simulated models never fail");
-                    let parsed = match q.kind() {
-                        QuestionKind::TrueFalse => parse_tf(&response.text),
-                        QuestionKind::Mcq => parse_mcq(&response.text),
-                    };
+                    let parsed = parse_answer(q, &response.text);
                     assert_ne!(parsed, ParsedAnswer::Unparsed, "{}: {:?}", model_id, response);
                 }
             }

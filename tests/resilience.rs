@@ -4,27 +4,14 @@
 //! `proptests.rs` — inputs are forked from a fixed seed per case, so
 //! any failure replays from its printed case index.
 
+mod common;
+
 use taxoglimpse::prelude::*;
 use taxoglimpse::core::reports_digest;
-use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
+use common::cases;
+use taxoglimpse::synth::rng::{Rng, SynthRng};
 
 const PROPTEST_SEED: u64 = 0x7265_7369_6c50_5235; // "resilPR5"
-
-/// Run `f` for `n` deterministic cases, reporting the failing case.
-fn cases(n: u64, tag: &str, f: impl Fn(&mut SynthRng, u64)) {
-    for i in 0..n {
-        let mut rng = fork(PROPTEST_SEED, tag, i);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng, i)));
-        if let Err(payload) = result {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            panic!("property `{tag}` failed at case {i}/{n}: {message}");
-        }
-    }
-}
 
 fn small_dataset(seed: u64) -> taxoglimpse::core::dataset::Dataset {
     let kind = TaxonomyKind::Ebay;
@@ -58,7 +45,7 @@ fn random_plan(rng: &mut SynthRng) -> FaultPlan {
 /// byte-identical to the bare model, query by query, for any policy.
 #[test]
 fn zero_rate_stack_is_byte_identical_to_bare_model() {
-    cases(8, "zero-rate-transparent", |rng, _| {
+    cases(PROPTEST_SEED, 8, "zero-rate-transparent", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let dataset = small_dataset(seed);
         let policy = ResiliencePolicy::default()
@@ -89,7 +76,7 @@ fn zero_rate_stack_is_byte_identical_to_bare_model() {
 /// state is per-chunk, and chunk partitioning ignores thread count.
 #[test]
 fn report_digests_are_worker_count_invariant_under_any_fault_plan() {
-    cases(6, "worker-invariant-faults", |rng, _| {
+    cases(PROPTEST_SEED, 6, "worker-invariant-faults", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let dataset = small_dataset(seed);
         let dataset_refs = [&dataset];
@@ -120,7 +107,7 @@ fn report_digests_are_worker_count_invariant_under_any_fault_plan() {
 /// availability accounts for exactly the failed questions.
 #[test]
 fn heavy_faults_degrade_gracefully_into_availability() {
-    cases(6, "graceful-degradation", |rng, _| {
+    cases(PROPTEST_SEED, 6, "graceful-degradation", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let dataset = small_dataset(seed);
         let rate = 0.5 + rng.gen_range(0u64..50) as f64 / 100.0;

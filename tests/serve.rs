@@ -7,30 +7,17 @@
 //! latencies. Runs on the same in-tree deterministic proptest harness
 //! as `proptests.rs` and `shard.rs`.
 
+mod common;
+
 use std::sync::Arc;
 use taxoglimpse::core::question::Question;
 use taxoglimpse::core::serve::{ServeConfig, TenantSpec};
 use taxoglimpse::prelude::*;
 use taxoglimpse::report::histogram::{bucket_index, LatencyHistogram};
-use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
+use common::cases;
+use taxoglimpse::synth::rng::Rng;
 
 const PROPTEST_SEED: u64 = 0x5AAD_7E57_5052_0009; // "serve test PR 9"
-
-/// Run `f` for `n` deterministic cases, reporting the failing case.
-fn cases(n: u64, tag: &str, f: impl Fn(&mut SynthRng, u64)) {
-    for i in 0..n {
-        let mut rng = fork(PROPTEST_SEED, tag, i);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng, i)));
-        if let Err(payload) = result {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            panic!("property `{tag}` failed at case {i}/{n}: {message}");
-        }
-    }
-}
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -70,7 +57,7 @@ fn towers(seed: u64, fault_rate: f64) -> Vec<Box<dyn LanguageModel>> {
 /// plans.
 #[test]
 fn reports_are_worker_count_invariant() {
-    cases(6, "serve-worker-invariant", |rng, _| {
+    cases(PROPTEST_SEED, 6, "serve-worker-invariant", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let questions = question_pool(seed, 40);
         let fault_rate = [0.0, 0.05, 0.20][rng.gen_index(3)];
@@ -133,7 +120,7 @@ fn trace_digest_separates_seeds() {
 /// never exceed it (the estimate is the bucket's lower bound).
 #[test]
 fn histogram_percentiles_match_exact_sort_oracle() {
-    cases(6, "serve-histogram-oracle", |rng, _| {
+    cases(PROPTEST_SEED, 6, "serve-histogram-oracle", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let questions = question_pool(seed, 30);
         let stacks = towers(seed, [0.0, 0.20][rng.gen_index(2)]);

@@ -6,30 +6,17 @@
 //! enumerated. Runs on the same in-tree deterministic proptest harness
 //! as `proptests.rs`.
 
+mod common;
+
 use std::sync::Arc;
 use taxoglimpse::core::grid::GridRunnerBuilder;
 use taxoglimpse::core::shard::NUM_SLOTS;
 use taxoglimpse::prelude::*;
 use taxoglimpse::core::reports_digest;
-use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
+use common::cases;
+use taxoglimpse::synth::rng::Rng;
 
 const PROPTEST_SEED: u64 = 0x5AAD_7E57_5052_0007; // "shard test PR 7"
-
-/// Run `f` for `n` deterministic cases, reporting the failing case.
-fn cases(n: u64, tag: &str, f: impl Fn(&mut SynthRng, u64)) {
-    for i in 0..n {
-        let mut rng = fork(PROPTEST_SEED, tag, i);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng, i)));
-        if let Err(payload) = result {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            panic!("property `{tag}` failed at case {i}/{n}: {message}");
-        }
-    }
-}
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -53,7 +40,7 @@ fn shard_stack(base: &Arc<SimulatedLlm>, plan: &FaultPlan, cached: bool) -> Box<
 /// across shard counts {1, 2, 8}.
 #[test]
 fn merged_reports_are_shard_count_invariant() {
-    cases(6, "merged-shard-invariant", |rng, _| {
+    cases(PROPTEST_SEED, 6, "merged-shard-invariant", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let kind = TaxonomyKind::Ebay;
         let taxonomy = generate(kind, GenOptions { seed, scale: 0.5 }).expect("valid options");
@@ -100,7 +87,7 @@ fn merged_reports_are_shard_count_invariant() {
 /// counts × worker counts × chunk sizes × a 20% fault plan.
 #[test]
 fn sharded_grid_matches_unsharded_cross_product() {
-    cases(4, "sharded-grid-invariant", |rng, _| {
+    cases(PROPTEST_SEED, 4, "sharded-grid-invariant", |rng, _| {
         let seed = rng.gen_range(0u64..1000);
         let kind = TaxonomyKind::Ebay;
         let taxonomy = generate(kind, GenOptions { seed, scale: 0.5 }).expect("valid options");
@@ -151,7 +138,7 @@ fn sharded_grid_matches_unsharded_cross_product() {
 /// enumerated in (we walk them backwards and compare against forward).
 #[test]
 fn subtree_partitioner_invariants() {
-    cases(6, "partitioner-invariants", |rng, _| {
+    cases(PROPTEST_SEED, 6, "partitioner-invariants", |rng, _| {
         let kind = [TaxonomyKind::Ebay, TaxonomyKind::Amazon, TaxonomyKind::GeoNames]
             [rng.gen_range(0u64..3) as usize];
         let seed = rng.gen_range(0u64..1000);
