@@ -23,6 +23,12 @@
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+/// Whether `TAXOGLIMPSE_BENCH_QUICK` (any value but `0`) asks for a
+/// smoke-test-sized run.
+fn quick_mode() -> bool {
+    std::env::var("TAXOGLIMPSE_BENCH_QUICK").map(|v| v != "0").unwrap_or(false)
+}
+
 /// Per-iteration throughput unit attached to a benchmark.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
@@ -50,7 +56,7 @@ impl Bench {
     /// measurement windows to smoke-test levels.
     pub fn from_env() -> Self {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        let (warmup, measure) = if crate::suite::quick_mode() {
+        let (warmup, measure) = if quick_mode() {
             (Duration::from_millis(2), Duration::from_millis(10))
         } else {
             (Duration::from_millis(100), Duration::from_millis(400))

@@ -13,13 +13,13 @@
 //! --models <csv>  restrict to a comma-separated model list
 //! ```
 //!
-//! The six `bench_*` suite binaries share one scaffold, [`suite`], whose
-//! flag parser reuses [`RunOptions`]' parsing of these four flags.
+//! The determinism gates of the reproduction (every pinned digest) are
+//! tier-1 tests in `tests/pinned_digests.rs`; the `e2e` benchmark
+//! package measures throughput.
 
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod suite;
 
 // lint:allow(D001, bench-only cache: keyed lookups under a Mutex, never iterated, and bench output is not digested)
 use std::collections::HashMap;
@@ -56,41 +56,31 @@ impl RunOptions {
     pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = RunOptions::default();
         while let Some(arg) = args.next() {
-            if opts.parse_flag(&arg, &mut args)? {
-                continue;
+            match arg.as_str() {
+                "--scale" => {
+                    // The generator's range, (0, 1]; NaN fails both
+                    // comparisons.
+                    let scale: f64 = parse_value(&arg, &mut args)?;
+                    if !(scale > 0.0 && scale <= 1.0) {
+                        return Err(format!("{arg} must be in (0, 1]"));
+                    }
+                    opts.scale = scale;
+                }
+                "--cap" => opts.cap = Some(parse_value(&arg, &mut args)?),
+                "--seed" => opts.seed = parse_value(&arg, &mut args)?,
+                "--models" => {
+                    let csv = next_value(&mut args, &arg)?;
+                    let mut models = Vec::new();
+                    for name in csv.split(',') {
+                        models.push(name.trim().parse::<ModelId>()?);
+                    }
+                    opts.models = Some(models);
+                }
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                _ => opts.positional.push(arg),
             }
-            if arg.starts_with("--") {
-                return Err(format!("unknown flag {arg}"));
-            }
-            opts.positional.push(arg);
         }
         Ok(opts)
-    }
-
-    /// If `flag` is `--scale`, `--cap`, `--seed` or `--models`, take its
-    /// value from `args`, store it and return `true`; otherwise leave
-    /// `args` alone and return `false`. The bench suites parse these
-    /// four flags through here too.
-    pub(crate) fn parse_flag(
-        &mut self,
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--scale" => self.scale = parse_scale(flag, args)?,
-            "--cap" => self.cap = Some(parse_value(flag, args)?),
-            "--seed" => self.seed = parse_value(flag, args)?,
-            "--models" => {
-                let csv = next_value(args, flag)?;
-                let mut models = Vec::new();
-                for name in csv.split(',') {
-                    models.push(name.trim().parse::<ModelId>()?);
-                }
-                self.models = Some(models);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
     }
 
     /// Parse from the process arguments, exiting with a message on error.
@@ -122,17 +112,6 @@ where
     T::Err: std::fmt::Display,
 {
     next_value(args, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
-/// A taxonomy scale in `(0, 1]`, the range the generator accepts (NaN
-/// fails both comparisons).
-fn parse_scale(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<f64, String> {
-    let scale: f64 = parse_value(flag, args)?;
-    if scale > 0.0 && scale <= 1.0 {
-        Ok(scale)
-    } else {
-        Err(format!("{flag} must be in (0, 1]"))
-    }
 }
 
 /// Cache of generated taxonomies so `run_all` builds each only once.
@@ -245,26 +224,6 @@ mod tests {
                 "--scale {scale}"
             );
         }
-        let suite = suite::Suite {
-            name: "t",
-            schema_version: 1,
-            flags: &["--big-scale"],
-            full: suite::Defaults::BASE,
-            quick: suite::Defaults::BASE,
-        };
-        let parse_suite =
-            |args: &[&str]| suite::parse(&suite, false, args.iter().map(|s| s.to_string()));
-        for undeclared in [&["--cap", "5"][..], &["--models", "GPT-4"], &["--threads", "2"], &["x"]]
-        {
-            assert!(parse_suite(undeclared).unwrap_err().starts_with("unknown argument"));
-        }
-        assert!(parse_suite(&["--label"]).is_err());
-        assert_eq!(parse_suite(&["--repeat", "0"]).unwrap_err(), "--repeat must be at least 1");
-        assert_eq!(
-            parse_suite(&["--big-scale", "2"]).unwrap_err(),
-            "--big-scale must be in (0, 1]"
-        );
-        assert_eq!(parse_suite(&["--scale", "nan"]).unwrap_err(), "--scale must be in (0, 1]");
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl CacheStats {
 }
 
 /// Counters are additive, so per-shard snapshots aggregate into a
-/// fleet-wide view (`bench_shard` sums one snapshot per shard cache).
+/// fleet-wide view (one snapshot per shard cache, summed).
 impl std::ops::AddAssign for CacheStats {
     fn add_assign(&mut self, rhs: CacheStats) {
         self.hits += rhs.hits;

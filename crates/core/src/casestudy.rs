@@ -277,6 +277,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "case study requires an instance-bearing taxonomy")]
+    fn instance_free_taxonomy_panics_with_the_precondition() {
+        let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 5, scale: 0.1 }).unwrap();
+        CaseStudy::new(&t, TaxonomyKind::Ebay, CaseStudyConfig::default())
+            .run(&FixedAnswerModel::always_yes());
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let t = amazon_small();
         let mk = || {

@@ -60,9 +60,11 @@ pub(crate) fn build_dataset(
     if !kind.has_instances() {
         return Err(InstanceTypingError::Unsupported(kind));
     }
-    if flavor == QuestionDataset::Mcq {
-        return Err(InstanceTypingError::McqNotDefined);
-    }
+    let negative_kind = match flavor {
+        QuestionDataset::Easy => NegativeKind::Easy,
+        QuestionDataset::Hard => NegativeKind::Hard,
+        QuestionDataset::Mcq => return Err(InstanceTypingError::McqNotDefined),
+    };
     let generator =
         InstanceGenerator::new(kind, seed).expect("has_instances was checked above");
 
@@ -112,17 +114,15 @@ pub(crate) fn build_dataset(
                 },
             });
             // Negative.
-            let negative = match flavor {
-                QuestionDataset::Hard => {
+            let negative = match negative_kind {
+                NegativeKind::Hard => {
                     let sibs = t.siblings(target);
                     sibs.choose(&mut rng).copied()
                 }
-                QuestionDataset::Easy => {
+                NegativeKind::Easy => {
                     let pool = t.nodes_at_level(target_level);
                     pool.choose(&mut rng).copied().filter(|&c| c != target)
                 }
-                // lint:allow(P001, Mcq is rejected by the guard at the top of build_dataset before this match runs)
-                QuestionDataset::Mcq => unreachable!("rejected above"),
             };
             if let Some(neg) = negative {
                 slices[target_level].push(Question {
@@ -136,10 +136,7 @@ pub(crate) fn build_dataset(
                     body: QuestionBody::TrueFalse {
                         candidate: t.name(neg).to_owned(),
                         expected_yes: false,
-                        negative: Some(match flavor {
-                            QuestionDataset::Hard => NegativeKind::Hard,
-                            _ => NegativeKind::Easy,
-                        }),
+                        negative: Some(negative_kind),
                     },
                 });
             }

@@ -31,7 +31,7 @@
 //! split across threads — results are spliced back in index order, and
 //! model answers are pure per query, so the [`ServeReport`] (and its
 //! trace digest) is byte-identical for any worker count. `tests/serve.rs`
-//! and `bench_serve` both enforce this.
+//! enforces this, and `tests/pinned_digests.rs` pins 18 trace digests.
 
 pub mod admission;
 pub mod batcher;

@@ -22,8 +22,8 @@
 //! The scheduler also owns the run's [`TraceDigest`]: a chained
 //! `mix64` fold over every arrival, shed, dispatch, and completion.
 //! Two runs with byte-identical traces produce the same digest; the
-//! worker-count invariance tests and `bench_serve`'s in-run abort both
-//! compare nothing else.
+//! worker-count invariance tests and the pinned serve digests compare
+//! nothing else.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -123,7 +123,8 @@ impl TrafficConfig {
         self.tenants.iter().map(|t| t.process.mean_rate_qps()).sum()
     }
 
-    /// The default mixed fleet used by `bench_serve` and the examples:
+    /// The default mixed fleet used by the pinned serve cells and the
+    /// examples:
     /// six steady Poisson tenants (70% of `total_qps`), one bursty
     /// tenant (20%), and one abusive tenant offering 10% but allowed
     /// only 3%.

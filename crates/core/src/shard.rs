@@ -43,8 +43,8 @@
 //!    any ordered sum over them.
 //!
 //! `tests/shard.rs` proves the property across shard counts × worker
-//! counts × cache on/off × a 20% fault plan; `bench_shard` enforces it
-//! in-run on every benchmark execution and commits the digests.
+//! counts × cache on/off × a 20% fault plan; `tests/pinned_digests.rs`
+//! pins the sharded grid and the NCBI/ICD-10-CM merged digests.
 
 use crate::dataset::{Dataset, LevelSlice};
 use crate::domain::TaxonomyKind;

@@ -751,7 +751,7 @@ mod tests {
     fn module_paths_from_rel_paths() {
         assert_eq!(module_of("crates/core/src/grid.rs"), "core::grid");
         assert_eq!(module_of("crates/llm/src/lib.rs"), "llm");
-        assert_eq!(module_of("crates/bench/src/bin/bench_eval.rs"), "bench::bench_eval");
+        assert_eq!(module_of("crates/bench/src/bin/tables567.rs"), "bench::tables567");
         assert_eq!(module_of("src/lib.rs"), "taxoglimpse");
         assert_eq!(module_of("src/main.rs"), "taxoglimpse::main");
     }

@@ -129,22 +129,7 @@ impl SimulatedLlm {
                 if correct {
                     Verdict::Option(*gold)
                 } else {
-                    // Wrong answers gravitate to the most surface-similar
-                    // distractor, like a confused human.
-                    similarity::with_cache(|cache| {
-                        let mut best = (0u8, f64::NEG_INFINITY);
-                        for (i, option) in options.iter().enumerate() {
-                            if i as u8 == *gold {
-                                continue;
-                            }
-                            let sim = cache.similarity(&question.child, option)
-                                + 0.05 * Self::draw_from(base, 2 + i as u64);
-                            if sim > best.1 {
-                                best = (i as u8, sim);
-                            }
-                        }
-                        Verdict::Option(best.0)
-                    })
+                    Self::closest_distractor(question, options, Some(*gold), base)
                 }
             }
             QuestionBody::Sibling { options, correct: gold } => match gold {
@@ -156,20 +141,7 @@ impl SimulatedLlm {
                         // move left is abstaining.
                         Verdict::IDontKnow
                     } else {
-                        similarity::with_cache(|cache| {
-                            let mut best = (0u8, f64::NEG_INFINITY);
-                            for (i, option) in options.iter().enumerate() {
-                                if i as u8 == *gold {
-                                    continue;
-                                }
-                                let sim = cache.similarity(&question.child, option)
-                                    + 0.05 * Self::draw_from(base, 2 + i as u64);
-                                if sim > best.1 {
-                                    best = (i as u8, sim);
-                                }
-                            }
-                            Verdict::Option(best.0)
-                        })
+                        Self::closest_distractor(question, options, Some(*gold), base)
                     }
                 }
                 // Gold child not among the shown options: the correct
@@ -181,21 +153,37 @@ impl SimulatedLlm {
                     if correct {
                         Verdict::IDontKnow
                     } else {
-                        similarity::with_cache(|cache| {
-                            let mut best = (0u8, f64::NEG_INFINITY);
-                            for (i, option) in options.iter().enumerate() {
-                                let sim = cache.similarity(&question.child, option)
-                                    + 0.05 * Self::draw_from(base, 2 + i as u64);
-                                if sim > best.1 {
-                                    best = (i as u8, sim);
-                                }
-                            }
-                            Verdict::Option(best.0)
-                        })
+                        Self::closest_distractor(question, options, None, base)
                     }
                 }
             },
         }
+    }
+
+    /// Where wrong answers gravitate, like a confused human: the option
+    /// most surface-similar to the question's child, skipping the
+    /// `gold` index when there is one. A small per-option draw breaks
+    /// near-ties.
+    fn closest_distractor(
+        question: &Question,
+        options: &[String],
+        gold: Option<u8>,
+        base: u64,
+    ) -> Verdict {
+        similarity::with_cache(|cache| {
+            let mut best = (0u8, f64::NEG_INFINITY);
+            for (i, option) in options.iter().enumerate() {
+                if Some(i as u8) == gold {
+                    continue;
+                }
+                let sim = cache.similarity(&question.child, option)
+                    + 0.05 * Self::draw_from(base, 2 + i as u64);
+                if sim > best.1 {
+                    best = (i as u8, sim);
+                }
+            }
+            Verdict::Option(best.0)
+        })
     }
 }
 

@@ -69,8 +69,7 @@ fn main() {
         report.occupancy_max
     );
 
-    // 4. Tail latencies from the fixed-bucket log-scale histogram —
-    //    the same estimator BENCH_serve.json records.
+    // 4. Tail latencies from the fixed-bucket log-scale histogram.
     let mut histogram = LatencyHistogram::new();
     histogram.record_all(&report.latencies);
     println!(

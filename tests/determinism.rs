@@ -78,8 +78,8 @@ fn seed_changes_propagate_to_taxonomies() {
     }
 }
 
-/// The digest recipe `bench_eval` records as `reports_digest`, pinned
-/// over a fixed small workload. The constant was captured before the
+/// The `reports_digest` recipe `tests/pinned_digests.rs` pins at scale,
+/// here over a fixed small workload. The constant was captured before the
 /// D001 container conversions (`HashMap`/`HashSet` → ordered
 /// equivalents) and must never move: report bytes are the repo's core
 /// deterministic artifact, and this test is what lets a container or

@@ -34,7 +34,9 @@ fn hier_reports_byte_identical_across_workers_cache_and_faults() {
     let base = zoo.get(ModelId::Gpt4).expect("zoo covers GPT-4");
     let workload = HierWorkload::new().with_sample_cap(Some(12));
 
-    for (kind, scale) in [(TaxonomyKind::Ebay, 0.1), (TaxonomyKind::Google, 0.05)] {
+    for (kind, scale) in
+        [(TaxonomyKind::Ebay, 0.1), (TaxonomyKind::Google, 0.05), (TaxonomyKind::Ncbi, 0.05)]
+    {
         let taxonomy = generate(kind, GenOptions { seed: 42, scale }).expect("valid options");
         let cx = WorkloadContext::new(&taxonomy, kind, 42);
         let data = workload.build(&cx).expect("benchmark taxonomies support hier");

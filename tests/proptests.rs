@@ -261,19 +261,36 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hostile JSON and TSV text: truncation, 1–3 bit flips, non-UTF-8
-/// bytes spliced into a name (reaching the `&str` parsers through a
-/// lossy decode), or nesting past `MAX_DEPTH`, which must be rejected.
-/// `json::from_str_value`, `Taxonomy::from_json` and
-/// `Taxonomy::from_tsv` each get every mutant and must return a valid
-/// value or a typed error, never panic.
+/// Hostile text: a taxonomy's JSON or TSV, or a recorded transcript's
+/// JSONL, under truncation, 1–3 bit flips, non-UTF-8 bytes spliced into
+/// a name (reaching the `&str` parsers through a lossy decode), or
+/// nesting past `MAX_DEPTH`, which must be rejected.
+/// `json::from_str_value`, `Taxonomy::from_json`, `Taxonomy::from_tsv`,
+/// `DetailedRun::from_jsonl` and the raw-answer parsers `parse_tf` and
+/// `parse_mcq` each get every mutant and must return a valid value or
+/// a typed error, never panic.
 #[test]
 fn mutated_text_fails_cleanly() {
+    use taxoglimpse::core::detailed::DetailedRun;
     use taxoglimpse::json::{from_str_value, MAX_DEPTH};
     const NON_UTF8: [&[u8]; 5] = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88"];
+    const TRANSCRIPT_FIELDS: [&str; 4] = ["prompt", "response", "parsed", "outcome"];
+    let ebay = generate(TaxonomyKind::Ebay, GenOptions { seed: 3, scale: 0.1 }).unwrap();
+    let dataset = DatasetBuilder::new(&ebay, TaxonomyKind::Ebay, 3)
+        .sample_cap(Some(2))
+        .build(QuestionDataset::Mcq)
+        .unwrap();
+    let model = SimulatedLlm::new(ModelId::Llama2_7b);
+    let transcript = DetailedRun::record(&model, &dataset, EvalConfig::default()).to_jsonl();
     cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
         let t = random_unicode_taxonomy(rng);
-        let mut bytes = if rng.gen_bool(0.5) { t.to_json() } else { t.to_tsv() }.into_bytes();
+        let source = rng.gen_index(3);
+        let mut bytes = match source {
+            0 => t.to_json(),
+            1 => t.to_tsv(),
+            _ => transcript.clone(),
+        }
+        .into_bytes();
         let mut nested = false;
         match rng.gen_index(4) {
             0 => bytes.truncate(rng.gen_index(bytes.len())),
@@ -284,7 +301,10 @@ fn mutated_text_fails_cleanly() {
                 }
             }
             2 => {
-                let name = format!("node-{}", rng.gen_index(t.len()));
+                let name = match source {
+                    2 => TRANSCRIPT_FIELDS[rng.gen_index(TRANSCRIPT_FIELDS.len())].to_owned(),
+                    _ => format!("node-{}", rng.gen_index(t.len())),
+                };
                 let start = bytes
                     .windows(name.len())
                     .position(|w| w == name.as_bytes())
@@ -308,6 +328,10 @@ fn mutated_text_fails_cleanly() {
         if let Ok(back) = Taxonomy::from_tsv(&text) {
             validate(&back).unwrap();
         }
+        let run = DetailedRun::from_jsonl("mutant", &text);
+        assert!(!nested || run.is_err(), "nesting past MAX_DEPTH must be rejected");
+        parse_tf(&text);
+        parse_mcq(&text);
     });
 }
 
