@@ -2,6 +2,12 @@
 //! benchmark (all three flavors, all ten taxonomies) cost per model —
 //! dollars for API models, simulated GPU-hours for self-hosted ones?
 //!
+//! Each model is served through the same tower every workload uses: a
+//! [`FaultInjector`] failing 2% of deliveries as `Unavailable`, retried
+//! by the evaluator's resilience session. Tokens and dollars come from
+//! the model's own usage meter; every delivery, retried or not, takes
+//! one `seconds_per_delivery` of simulated serving time.
+//!
 //! ```text
 //! cargo run --release -p taxoglimpse-bench --bin cost [--models GPT-4,Llama-2-70B] [--cap 50]
 //! ```
@@ -10,10 +16,14 @@ use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::eval::Evaluator;
-use taxoglimpse_llm::api::ApiClient;
+use taxoglimpse_llm::api::{cost_usd, seconds_per_delivery};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
+use taxoglimpse_llm::{FaultInjector, FaultPlan};
 use taxoglimpse_report::table::Table;
+
+/// Share of deliveries the serving layer loses to transient outages.
+const UNAVAILABLE_RATE: f64 = 0.02;
 
 fn main() {
     let opts = RunOptions::from_env();
@@ -38,7 +48,10 @@ fn main() {
     );
 
     for model_id in models {
-        let client = ApiClient::new(SimulatedLlm::new(model_id));
+        let client = FaultInjector::new(
+            SimulatedLlm::new(model_id),
+            FaultPlan::disabled(opts.seed).with_unavailable_rate(UNAVAILABLE_RATE),
+        );
         let mut questions = 0usize;
         for kind in TaxonomyKind::ALL {
             let taxonomy = cache.get(kind, opts.seed, opts.scale);
@@ -53,15 +66,17 @@ fn main() {
                 }
             }
         }
-        let stats = client.stats();
+        let usage = client.base().usage();
+        let faults = client.stats();
+        let usd = cost_usd(model_id, usage.prompt_tokens, usage.completion_tokens);
         table.push_row(vec![
             model_id.to_string(),
             questions.to_string(),
-            stats.prompt_tokens.to_string(),
-            stats.completion_tokens.to_string(),
-            stats.transient_failures.to_string(),
-            format!("{:.2}", stats.simulated_seconds / 3600.0),
-            if stats.cost_usd > 0.0 { format!("${:.2}", stats.cost_usd) } else { "self-hosted".into() },
+            usage.prompt_tokens.to_string(),
+            usage.completion_tokens.to_string(),
+            faults.injected.to_string(),
+            format!("{:.2}", faults.calls as f64 * seconds_per_delivery(model_id) / 3600.0),
+            if usd > 0.0 { format!("${usd:.2}") } else { "self-hosted".into() },
         ]);
     }
     println!("{}", table.render_ascii());

@@ -452,19 +452,30 @@ impl HierWorkload {
     pub fn route(&self, t: &Taxonomy, name: &str) -> Vec<NodeId> {
         let level = self.router.level.min(t.num_levels().saturating_sub(1));
         let probe = Trigrams::new(name);
-        let mut scored: Vec<(f64, NodeId)> = t
+        let scored = t
             .nodes_at_level(level)
             .iter()
             .map(|&n| (probe.jaccard(&Trigrams::new(t.name(n))), n))
             .collect();
-        scored.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| t.name(a.1).cmp(t.name(b.1)))
-                .then_with(|| a.1.raw().cmp(&b.1.raw()))
-        });
-        scored.truncate(self.router.top_k);
-        scored.into_iter().map(|(_, n)| n).collect()
+        top_k(t, scored, self.router.top_k)
     }
+}
+
+/// The `k` best of `scored`, most similar first, ties broken by node
+/// name then id so the ranking is total (and so independent of the
+/// selection algorithm).
+fn top_k(t: &Taxonomy, mut scored: Vec<(f64, NodeId)>, k: usize) -> Vec<NodeId> {
+    let order = |a: &(f64, NodeId), b: &(f64, NodeId)| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| t.name(a.1).cmp(t.name(b.1)))
+            .then_with(|| a.1.raw().cmp(&b.1.raw()))
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, order);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(order);
+    scored.into_iter().map(|(_, n)| n).collect()
 }
 
 /// Deterministic question id: a hash of `(tag, instance, node, window)`
@@ -524,9 +535,6 @@ struct RunState<'r> {
     t: &'r Taxonomy,
     kind: TaxonomyKind,
     config: EvalConfig,
-    /// Lowercased names of every taxonomy node, sorted, for the flat
-    /// baseline's validity check.
-    valid_names: Vec<String>,
     /// Leaf ids paired with trigram sets, for the flat shortlist.
     leaf_sims: Vec<(NodeId, Trigrams)>,
     /// Token cost of the instruction + full leaf listing the
@@ -624,18 +632,9 @@ impl HierWorkload {
     ) -> FlatOutcome {
         let t = state.t;
         let probe = Trigrams::new(&instance.name);
-        let mut scored: Vec<(f64, NodeId)> = state
-            .leaf_sims
-            .iter()
-            .map(|(leaf, set)| (probe.jaccard(set), *leaf))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| t.name(a.1).cmp(t.name(b.1)))
-                .then_with(|| a.1.raw().cmp(&b.1.raw()))
-        });
-        scored.truncate(self.descent.max_options);
-        let shortlist: Vec<NodeId> = scored.into_iter().map(|(_, n)| n).collect();
+        let scored =
+            state.leaf_sims.iter().map(|(leaf, set)| (probe.jaccard(set), *leaf)).collect();
+        let shortlist = top_k(t, scored, self.descent.max_options);
 
         let options: Vec<String> = shortlist.iter().map(|&l| t.name(l).to_owned()).collect();
         let correct = shortlist.iter().position(|&l| l == instance.gold).map(|i| i as u8);
@@ -678,21 +677,21 @@ impl HierWorkload {
         let draw = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
         let exact_prob = if was_correct { 0.97 } else { 0.75 };
         let emitted = if draw < exact_prob {
+            // A shortlist name verbatim: valid by construction.
             options[chosen].clone()
         } else {
             // Blend the chosen label with a neighboring shortlist
-            // label — the classic free-form hallucination shape.
+            // label — the classic free-form hallucination shape —
+            // valid only if it happens to spell some node's name.
             let other = &options[(chosen + 1) % options.len()];
             let head = other.split_whitespace().next().unwrap_or(other);
-            format!("{head} {}", options[chosen])
+            let blended = format!("{head} {}", options[chosen]);
+            if !t.ids().any(|id| t.name(id).eq_ignore_ascii_case(&blended)) {
+                return FlatOutcome::Invalid;
+            }
+            blended
         };
-
-        let emitted_lower: String = emitted.chars().map(|c| c.to_ascii_lowercase()).collect();
-        if state.valid_names.binary_search(&emitted_lower).is_err() {
-            FlatOutcome::Invalid
-        } else if emitted_lower
-            == t.name(instance.gold).chars().map(|c| c.to_ascii_lowercase()).collect::<String>()
-        {
+        if emitted.eq_ignore_ascii_case(t.name(instance.gold)) {
             FlatOutcome::Correct
         } else {
             FlatOutcome::WrongValid
@@ -794,12 +793,6 @@ impl Workload for HierWorkload {
         data: &HierDataset,
     ) -> HierReport {
         let t = cx.taxonomy;
-        let mut valid_names: Vec<String> = t
-            .ids()
-            .map(|id| t.name(id).chars().map(|c| c.to_ascii_lowercase()).collect())
-            .collect();
-        valid_names.sort_unstable();
-        valid_names.dedup();
         let leaf_sims: Vec<(NodeId, Trigrams)> = t
             .leaves()
             .into_iter()
@@ -819,7 +812,6 @@ impl Workload for HierWorkload {
             t,
             kind: cx.kind,
             config: runner.evaluator().config(),
-            valid_names,
             leaf_sims,
             whole_taxonomy_base_tokens,
         };

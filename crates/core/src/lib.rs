@@ -63,7 +63,6 @@ pub mod resilience;
 pub mod sampling;
 pub mod serve;
 pub mod shard;
-pub mod store;
 pub mod templates;
 pub mod text;
 pub mod workload;

@@ -116,18 +116,6 @@ impl ServeConfig {
         self
     }
 
-    /// Override the per-batch fixed service cost.
-    pub fn with_batch_overhead_s(mut self, overhead_s: f64) -> Self {
-        self.batch_overhead_s = overhead_s.max(0.0);
-        self
-    }
-
-    /// Override the per-request marginal service cost.
-    pub fn with_per_item_s(mut self, per_item_s: f64) -> Self {
-        self.per_item_s = per_item_s.max(0.0);
-        self
-    }
-
     /// Override the prefetch worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -703,16 +691,13 @@ mod tests {
             .with_max_batch(0)
             .with_batch_deadline_s(-1.0)
             .with_queue_capacity(0)
-            .with_batch_overhead_s(-1.0)
-            .with_per_item_s(-1.0)
             .with_workers(0);
         assert_eq!(config.max_batch, 1);
         assert_eq!(config.batch_deadline_s, 0.0);
         assert_eq!(config.queue_capacity, 1);
-        assert_eq!(config.batch_overhead_s, 0.0);
-        assert_eq!(config.per_item_s, 0.0);
         assert_eq!(config.workers, 1);
-        assert_eq!(config.lane_capacity_qps(), f64::INFINITY);
+        let free = ServeConfig { batch_overhead_s: 0.0, per_item_s: 0.0, ..config };
+        assert_eq!(free.lane_capacity_qps(), f64::INFINITY);
         assert!(ServeConfig::default().lane_capacity_qps() > 0.0);
     }
 }

@@ -4,14 +4,13 @@
 //!
 //! The pipeline: evaluate candidate models on the domain's hard dataset
 //! in parallel, rank them with confidence intervals, price the workload
-//! through the serving layer, and print a quality-vs-cost decision
-//! table.
+//! at list prices, and print a quality-vs-cost decision table.
 //!
 //! ```text
 //! cargo run --release --example model_selection [-- icd-10-cm]
 //! ```
 
-use taxoglimpse::llm::api::ApiClient;
+use taxoglimpse::llm::api::cost_usd;
 use taxoglimpse::prelude::*;
 use taxoglimpse::report::leaderboard::{leaderboard, render};
 
@@ -51,12 +50,11 @@ fn main() {
         .expect("probe levels exist");
     println!("{}", render(&leaderboard(&reports)));
 
-    // 2. Cost: price a production month through the serving layer.
+    // 2. Cost: price a production month at list prices.
     println!("cost of {monthly_queries} queries/month (avg 30 prompt + 8 completion tokens):\n");
     println!("{:<12} {:>14} {:>16}", "model", "monthly USD", "or GPU-hours");
     for &id in &candidates {
-        let client = ApiClient::new(SimulatedLlm::new(id));
-        let usd = client.estimate_cost(monthly_queries, 30.0, 8.0);
+        let usd = cost_usd(id, monthly_queries * 30, monthly_queries * 8);
         let gpu_hours = taxoglimpse::llm::scalability::footprint(id)
             .map(|f| f.seconds_per_question * monthly_queries as f64 / 3600.0);
         match (usd > 0.0, gpu_hours) {

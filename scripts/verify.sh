@@ -96,4 +96,16 @@ rm -f "$GRAPH_OUT" "$LINT_OUT"
 echo "==> compiling the micro-benches"
 cargo bench --offline --no-run -p taxoglimpse-bench
 
+# 6. Experiment bins: no test runs them, so drive one end to end. The
+#    `cost` bin serves two models through the fault/resilience tower;
+#    it must exit 0 and print a GPT-4 row.
+echo "==> running the cost experiment bin"
+COST_OUT="$(cargo run --release --offline -q -p taxoglimpse-bench --bin cost -- \
+    --scale 0.05 --cap 5 --models GPT-4,Llama-2-70B)"
+grep -q '^GPT-4 ' <<< "$COST_OUT" || {
+    echo "error: cost printed no GPT-4 row:" >&2
+    echo "$COST_OUT" >&2
+    exit 1
+}
+
 echo "==> verify OK: hermetic tier-1 passed"

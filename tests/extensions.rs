@@ -7,9 +7,9 @@ use taxoglimpse::core::enrich::evaluate_reattachment;
 use taxoglimpse::core::grid::GridRunner;
 use taxoglimpse::core::hybrid::{recommended_cutoff, HybridTaxonomy};
 use taxoglimpse::core::model::LanguageModel;
-use taxoglimpse::llm::api::ApiClient;
+use taxoglimpse::llm::api::cost_usd;
 use taxoglimpse::llm::baselines::{LexicalBaseline, NgramVectorBaseline, RandomBaseline};
-use taxoglimpse::llm::SimulatedLlm;
+use taxoglimpse::llm::{FaultInjector, FaultPlan, SimulatedLlm};
 use taxoglimpse::prelude::*;
 use taxoglimpse::synth::drift::{evolve, DriftConfig};
 use taxoglimpse::taxonomy::diff::diff;
@@ -128,12 +128,23 @@ fn api_layer_is_transparent_to_quality() {
         .build(QuestionDataset::Hard)
         .unwrap();
     let evaluator = Evaluator::default();
-    let direct = evaluator.run(&SimulatedLlm::new(ModelId::Claude3), &d);
-    let served = ApiClient::new(SimulatedLlm::new(ModelId::Claude3));
+    let bare = SimulatedLlm::new(ModelId::Claude3);
+    let direct = evaluator.run(&bare, &d);
+    // The `cost` bin's serving plan: 2% of deliveries lost to outages.
+    let served = FaultInjector::new(
+        SimulatedLlm::new(ModelId::Claude3),
+        FaultPlan::disabled(75).with_unavailable_rate(0.02),
+    );
     let through_api = evaluator.run(&served, &d);
-    // Default 2% transient failures always recover within 4 attempts.
+    assert!(served.stats().injected > 0, "2% outages must fire");
+    // The evaluator's session retries every outage away, and an outage
+    // never reaches the model, so quality and billed tokens are those
+    // of a fault-free run.
     assert_eq!(direct.overall, through_api.overall);
-    assert!(served.stats().cost_usd > 0.0);
+    assert_eq!(direct.by_level, through_api.by_level);
+    let usage = served.base().usage();
+    assert_eq!(usage, bare.usage());
+    assert!(cost_usd(ModelId::Claude3, usage.prompt_tokens, usage.completion_tokens) > 0.0);
 }
 
 #[test]
