@@ -162,7 +162,6 @@ pub struct DatasetBuilder<'t> {
     taxonomy: &'t Taxonomy,
     kind: TaxonomyKind,
     sample_cap: Option<usize>,
-    threads: usize,
 }
 
 impl<'t> DatasetBuilder<'t> {
@@ -174,7 +173,6 @@ impl<'t> DatasetBuilder<'t> {
             taxonomy,
             kind,
             sample_cap: None,
-            threads: 1,
         }
     }
 
@@ -182,16 +180,6 @@ impl<'t> DatasetBuilder<'t> {
     /// quick runs and tests). `None` restores the paper's sizes.
     pub fn sample_cap(mut self, cap: Option<usize>) -> Self {
         self.sample_cap = cap;
-        self
-    }
-
-    /// Build levels concurrently (one worker per level) when `threads`
-    /// is greater than one. Byte-identical to the sequential build for
-    /// any value: every level's sampling and negative streams are forked
-    /// from the seed *by level*, so slices are independent and are
-    /// merged back in level order.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -210,24 +198,8 @@ impl<'t> DatasetBuilder<'t> {
         if self.taxonomy.num_levels() < 2 {
             return Err(DatasetError::TooShallow);
         }
-        let child_levels: Vec<usize> = (1..self.taxonomy.num_levels()).collect();
-        let levels: Vec<LevelSlice> = if self.threads <= 1 || child_levels.len() <= 1 {
-            child_levels.iter().map(|&l| self.build_level(flavor, l)).collect()
-        } else {
-            // One scoped worker per level (taxonomies are at most a
-            // handful of levels deep); joining in spawn order merges the
-            // slices shallowest-first, same as the sequential loop.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = child_levels
-                    .iter()
-                    .map(|&l| scope.spawn(move || self.build_level(flavor, l)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("level build worker must not panic"))
-                    .collect()
-            })
-        };
+        let levels: Vec<LevelSlice> =
+            (1..self.taxonomy.num_levels()).map(|l| self.build_level(flavor, l)).collect();
         Ok(Dataset { taxonomy: self.kind, flavor, levels })
     }
 
@@ -402,21 +374,6 @@ mod tests {
         let ja = taxoglimpse_json::to_string(&a).unwrap();
         let jb = taxoglimpse_json::to_string(&b2).unwrap();
         assert_eq!(ja, jb);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical() {
-        let t = ebay();
-        for flavor in QuestionDataset::ALL {
-            let seq = DatasetBuilder::new(&t, TaxonomyKind::Ebay, 6).build(flavor).unwrap();
-            let par = DatasetBuilder::new(&t, TaxonomyKind::Ebay, 6)
-                .threads(4)
-                .build(flavor)
-                .unwrap();
-            let js = taxoglimpse_json::to_string(&seq).unwrap();
-            let jp = taxoglimpse_json::to_string(&par).unwrap();
-            assert_eq!(js, jp, "{flavor} dataset must not depend on the thread count");
-        }
     }
 
     #[test]

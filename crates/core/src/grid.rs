@@ -10,8 +10,10 @@
 //! questions keep every worker fed until the last few units.
 //!
 //! The runner is also the execution policy every
-//! [`Workload`](crate::workload::Workload) runs under, and hier shares
-//! its worker pool (`run_indexed`).
+//! [`Workload`](crate::workload::Workload) runs under, and every
+//! fan-out in the library shares its one worker pool, `run_indexed`:
+//! grid cells, both sharding levels ([`crate::shard`] hands `run_cells`
+//! a cell list), hier instances and serve's batch prefetch.
 //!
 //! Everything is deterministic: models are `Send + Sync` and answer as a
 //! pure function of (question, setting), and chunk [`Metrics`] are
@@ -62,7 +64,6 @@ pub struct GridRunner {
     evaluator: Evaluator,
     threads: usize,
     chunk_size: usize,
-    shard: Option<usize>,
 }
 
 /// Builds a [`GridRunner`]: the one place to set the evaluation
@@ -74,7 +75,6 @@ pub struct GridRunnerBuilder {
     evaluator: EvaluatorBuilder,
     threads: Option<usize>,
     chunk_size: Option<usize>,
-    shard: Option<usize>,
 }
 
 impl GridRunnerBuilder {
@@ -114,16 +114,6 @@ impl GridRunnerBuilder {
         self
     }
 
-    /// Label this runner as shard `shard` of a sharded run
-    /// (`core::shard`). The label is pure attribution: it prefixes cell
-    /// panic reports so a failure in a sharded grid names the shard it
-    /// happened on, and it never influences scheduling, evaluation, or
-    /// report bytes.
-    pub fn with_shard_id(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
     /// Finish: resolve defaults into a runner.
     pub fn build(self) -> GridRunner {
         let threads = self.threads.unwrap_or_else(|| {
@@ -133,7 +123,6 @@ impl GridRunnerBuilder {
             evaluator: self.evaluator.build(),
             threads,
             chunk_size: self.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE),
-            shard: self.shard,
         }
     }
 }
@@ -186,7 +175,8 @@ impl GridRunner {
     /// A panic inside one cell's evaluation does not take down the whole
     /// grid or poison the result lock: the cell's panic is caught, every
     /// other cell still completes, and this method then panics with a
-    /// message naming each failed `(model, dataset)` cell.
+    /// message naming each failed cell by its index in `cells` and its
+    /// `(model, dataset)` identity.
     pub fn run_cells(
         &self,
         models: &[&dyn LanguageModel],
@@ -243,18 +233,18 @@ impl GridRunner {
         let failures: Vec<String> = cells
             .iter()
             .zip(&cell_units)
-            .filter_map(|(cell, range)| {
+            .enumerate()
+            .filter_map(|(ci, (cell, range))| {
                 let (unit, reason) = units[range.clone()]
                     .iter()
                     .zip(&outcomes[range.clone()])
                     .find_map(|(unit, o)| o.as_ref().err().map(|reason| (unit, reason)))?;
                 let dataset = datasets[cell.dataset];
-                // Sharded runs (`core::shard`) label each per-shard
-                // runner, so a failure stays attributable to the shard
-                // that owned the cell.
-                let shard = self.shard.map(|s| format!("shard {s} ")).unwrap_or_default();
+                // The cell index keeps a failure attributable when the
+                // list encodes placement: `core::shard` lays slot `p`
+                // out as cell `p`.
                 Some(format!(
-                    "{shard}cell (model `{}`, dataset `{:?}`) level {} questions {}..{}: {reason}",
+                    "cell {ci} (model `{}`, dataset `{:?}`) level {} questions {}..{}: {reason}",
                     models[cell.model].name(),
                     dataset.taxonomy,
                     dataset.levels[unit.level].child_level,
@@ -340,8 +330,7 @@ pub(crate) fn run_indexed<T: Send>(
         .collect()
 }
 
-/// Best-effort extraction of a panic payload's message (shared with
-/// `crate::shard`, which labels per-slot failures the same way).
+/// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -503,36 +492,30 @@ mod tests {
         );
     }
 
-    /// Regression (PR 7): a shard-labelled runner prefixes cell panic
-    /// reports with its shard id; an unlabelled runner stays as before.
+    /// Regression: a failed cell is named by its index in the
+    /// cell list. Sharded callers lay slot `p` out as cell `p`, so the
+    /// index is the shard label (shard = index mod shard count).
     #[test]
     fn panic_report_names_shard_when_labelled() {
         let ds = datasets();
         let dataset_refs: Vec<&Dataset> = vec![&ds[0]];
+        let yes = FixedAnswerModel::always_yes();
         let bad = PanickingModel;
-        let models: Vec<&dyn LanguageModel> = vec![&bad];
+        let models: Vec<&dyn LanguageModel> = vec![&yes, &bad];
+        let mut cells = vec![GridCell { model: 0, dataset: 0 }; 5];
+        cells.push(GridCell { model: 1, dataset: 0 });
 
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            GridRunner::builder()
-                .with_threads(1)
-                .with_shard_id(5)
-                .build()
-                .run_cross(&models, &dataset_refs)
+            GridRunner::builder().with_threads(2).build().run_cells(&models, &dataset_refs, &cells)
         }));
         let message = panic_message(result.expect_err("grid should surface the failure").as_ref());
+        let first_level = ds[0].levels[0].child_level;
+        assert!(message.contains("1 grid cell(s) panicked"), "{message}");
         assert!(
-            message.contains("shard 5 cell (model `panicker`"),
-            "sharded failure must carry its shard id: {message}"
-        );
-
-        let unlabelled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            GridRunner::builder().with_threads(1).build().run_cross(&models, &dataset_refs)
-        }));
-        let message =
-            panic_message(unlabelled.expect_err("grid should surface the failure").as_ref());
-        assert!(
-            message.contains("panicked: cell (model `panicker`"),
-            "unsharded failures must not grow a shard label: {message}"
+            message.contains(&format!(
+                "cell 5 (model `panicker`, dataset `Ebay`) level {first_level} questions 0.."
+            )),
+            "failure must carry its cell index, model and level: {message}"
         );
     }
 

@@ -32,8 +32,9 @@
 //!   retrieval with precision/recall accounting ([`casestudy`]).
 //! * **Sharded scale-out** ([`shard`]): one logical benchmark over
 //!   partitioned taxonomies and grids behind a deterministic
-//!   content-keyed router; merged reports are byte-identical across
-//!   shard counts.
+//!   content-keyed router, laid out as cell lists for the grid's one
+//!   worker pool; merged reports are byte-identical across shard
+//!   counts.
 //! * **Online serving** ([`serve`]): a virtual-time discrete-event
 //!   serving layer — open-loop multi-tenant traffic, dynamic batching,
 //!   admission control — over the same model towers, with
@@ -80,7 +81,7 @@ pub use prompts::PromptSetting;
 pub use question::{NegativeKind, Question, QuestionBody, QuestionKind};
 pub use resilience::{BackoffPolicy, BreakerPolicy, Resilient, ResiliencePolicy};
 pub use serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
-pub use shard::{ShardRouter, ShardRun, ShardedDataset};
+pub use shard::{ShardRouter, ShardedDataset};
 pub use workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError};
 
 /// The pinned reports digest: a 64-bit hash chained over the compact

@@ -43,6 +43,7 @@ pub use batcher::{CompletedRequest, Lane, LaneStats, PendingRequest};
 pub use sim::{Event, EventKey, EventQueue, TraceDigest, SYSTEM_TENANT};
 pub use traffic::{ArrivalProcess, TenantSpec, TrafficConfig, TrafficSource};
 
+use crate::grid::run_indexed;
 use crate::model::{LanguageModel, ModelError, Query, Response};
 use crate::prompts::{render_prompt, PromptSetting};
 use crate::question::Question;
@@ -223,11 +224,13 @@ impl ServeReport {
     }
 }
 
-/// Split a batch's attempt-0 prefetch across `workers` threads.
+/// Split a batch's attempt-0 prefetch across `workers` threads of the
+/// grid's worker pool.
 ///
 /// Contiguous even chunks, results spliced back in chunk order: model
 /// answers are pure per query, so the split is unobservable in the
-/// results — only in wall-clock time.
+/// results — only in wall-clock time. A worker panic is re-raised with
+/// the lane's model name and the worker's own message.
 fn prefetch(
     model: &dyn LanguageModel,
     queries: &[Query<'_>],
@@ -237,17 +240,15 @@ fn prefetch(
     let results = if workers == 1 || queries.len() < 2 {
         model.answer_batch(queries)
     } else {
-        let chunk = queries.len().div_ceil(workers);
+        let parts: Vec<&[Query<'_>]> = queries.chunks(queries.len().div_ceil(workers)).collect();
         let mut spliced = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || model.answer_batch(part)))
-                .collect();
-            for handle in handles {
-                spliced.extend(handle.join().expect("serve prefetch worker panicked"));
+        for part in run_indexed(workers, parts.len(), |i| model.answer_batch(parts[i])) {
+            match part {
+                Ok(answers) => spliced.extend(answers),
+                // lint:allow(P001, deliberate re-panic - prefetch worker panics are joined and surfaced with the lane's model)
+                Err(reason) => panic!("serve prefetch (model `{}`) panicked: {reason}", model.name()),
             }
-        });
+        }
         spliced
     };
     assert_eq!(
@@ -683,6 +684,35 @@ mod tests {
         for workers in [2, 3, 8, 16] {
             assert_eq!(prefetch(&model, &queries, workers), sequential);
         }
+    }
+
+    #[test]
+    fn prefetch_worker_panic_names_the_lane_model() {
+        struct Bomb;
+        impl LanguageModel for Bomb {
+            fn name(&self) -> &str {
+                "bomb"
+            }
+            fn answer(&self, _query: &Query<'_>) -> Result<Response, ModelError> {
+                panic!("synthetic prefetch failure")
+            }
+        }
+        let models: Vec<&dyn LanguageModel> = vec![&Bomb];
+        let questions = pool(40);
+        // Dense traffic fills the first batch, so its prefetch splits.
+        let dense = TrafficConfig {
+            seed: 1,
+            horizon_s: 1.0,
+            tenants: vec![TenantSpec::poisson("t", 4000.0)],
+        };
+        let config = ServeConfig::default().with_workers(2).with_batch_deadline_s(0.05);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_serve(&models, &questions, &dense, &config)
+        }));
+        let payload = result.expect_err("a panicking lane must surface");
+        let message = crate::grid::panic_message(payload.as_ref());
+        assert!(message.contains("serve prefetch (model `bomb`) panicked"), "{message}");
+        assert!(message.contains("synthetic prefetch failure"), "{message}");
     }
 
     #[test]

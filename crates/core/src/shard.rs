@@ -1,56 +1,57 @@
 //! Sharded scale-out: one logical benchmark over partitioned work.
 //!
-//! The grid runner parallelizes *within* one process-wide question
-//! list; this module partitions the work itself across shard workers
-//! behind a deterministic router, at two levels:
+//! Sharding is placement, not a second executor: both levels lay their
+//! work out as a cell list for [`GridRunner::run_cells`], so the grid's
+//! worker pool runs every shard and the grid's chunking, panic
+//! attribution and index-order merge apply unchanged.
 //!
 //! * **Grid-level** ([`run_grid_sharded`]): the (model × taxonomy) grid
-//!   is split into shards, each owning a disjoint set of cells with its
-//!   own [`crate::grid::GridRunner`] (labelled via
-//!   `GridRunnerBuilder::with_shard_id` so panics stay attributable),
-//!   its own response cache and its own per-chunk circuit breakers.
-//!   A cell's shard is a pure function of `(model name, taxonomy)`
+//!   is split across shards, each shard carrying its own model stack
+//!   (typically its own response cache and fault injector over shared
+//!   base models). The per-shard stacks are flattened into one model
+//!   list, and cell `(m, d)` runs on the stack of the shard that owns
+//!   it. A cell's shard is a pure function of `(model name, taxonomy)`
 //!   content, so the assignment is identical on every machine and run.
 //! * **Taxonomy-level** ([`run_sharded`]): one big dataset (NCBI/ICD
 //!   scale) is split into content-keyed subtree slots
-//!   ([`SubtreePartition`]), each shard evaluates the slots it owns,
-//!   and the per-shard reports merge back (in shard-index order, slot
-//!   ascending within each shard) into one logical report.
+//!   ([`SubtreePartition`]); slot `p` becomes cell `p`, answered by the
+//!   stack of shard `p mod S`, and the per-slot reports are summed per
+//!   level in slot order into one logical report.
 //!
 //! # The determinism argument
 //!
 //! Merged reports must be **byte-identical across shard counts
-//! {1, 2, 8}** — the proof obligation the grid runner already meets
-//! across worker counts, one level up. The construction:
+//! {1, 2, 8}**. The construction reduces that to the grid's own
+//! worker-count invariance:
 //!
 //! 1. Work is keyed to a **fixed pool of [`NUM_SLOTS`] virtual slots**,
 //!    never directly to shards. Slot membership is derived from content
 //!    (taxonomy subtree names, or `(model, taxonomy)` identity for grid
 //!    cells) — never from thread identity, timing, or the shard count.
 //! 2. Shard `s` of `S` owns exactly the slots `{p : p mod S == s}`.
-//!    Changing `S` regroups slots across workers but cannot move a
-//!    question between slots.
-//! 3. Every `(slot, level)` run is its own evaluation unit with a
-//!    *fresh* resilience session ([`Evaluator::run_questions`]), so
-//!    retry/backoff/breaker state — and therefore every attempt number
-//!    a fault stream sees — depends only on the slot's own question
-//!    sequence. Fault decisions themselves are pure functions of
-//!    `(plan, model, taxonomy, question id, attempt)`, and response
-//!    caches are proven byte-transparent, so per-shard caches with
-//!    different hit patterns still cannot perturb outcome bytes.
-//! 4. Metrics are additive counters summed per level in slot order;
-//!    per-slot bytes are shard-count-invariant by (1)–(3), hence so is
-//!    any ordered sum over them.
+//!    Changing `S` only changes which (functionally identical) model
+//!    stack answers a cell; it cannot move a question between cells.
+//! 3. The grid splits every cell level into `chunk_size` chunks, each
+//!    with a *fresh* resilience session, and a chunk never straddles a
+//!    slot-level. Retry/backoff/breaker state — and so every attempt
+//!    number a fault stream sees — depends only on the slot's own
+//!    question sequence and the chunk size. Fault decisions are pure
+//!    functions of `(plan, model, taxonomy, question id, attempt)`, and
+//!    response caches are byte-transparent, so per-shard caches with
+//!    different hit patterns cannot perturb outcome bytes.
+//! 4. By (1)–(3) every cell's report is shard-count-invariant, and the
+//!    grid returns cell reports in cell order for any worker count, so
+//!    any ordered sum over them is too.
 //!
 //! `tests/shard.rs` proves the property across shard counts × worker
-//! counts × cache on/off × a 20% fault plan; `tests/pinned_digests.rs`
-//! pins the sharded grid and the NCBI/ICD-10-CM merged digests.
+//! counts × chunk sizes × cache on/off × a 20% fault plan;
+//! `tests/pinned_digests.rs` pins the sharded grid and the
+//! NCBI/ICD-10-CM merged digests.
 
 use crate::dataset::{Dataset, LevelSlice};
 use crate::domain::TaxonomyKind;
-use crate::eval::{EvalReport, Evaluator, LevelMetrics};
-use crate::grid::{GridCell, GridRunnerBuilder};
-use crate::metrics::Metrics;
+use crate::eval::EvalReport;
+use crate::grid::{GridCell, GridRunner, GridRunnerBuilder};
 use crate::model::LanguageModel;
 use std::collections::BTreeMap;
 use taxoglimpse_synth::rng::hash_str;
@@ -96,11 +97,6 @@ impl ShardRouter {
     /// The shard owning `slot`.
     pub fn shard_of_slot(&self, slot: usize) -> usize {
         slot % self.num_shards
-    }
-
-    /// Whether `shard` owns `slot`.
-    pub fn owns(&self, shard: usize, slot: usize) -> bool {
-        self.shard_of_slot(slot) == shard
     }
 
     /// The slot of a grid cell, keyed purely by `(model name,
@@ -214,175 +210,65 @@ impl ShardedDataset {
     }
 }
 
-/// One shard's share of a taxonomy-level sharded run.
-#[derive(Debug, Clone)]
-pub struct ShardRun {
-    /// The shard index (0-based, dense).
-    pub shard: usize,
-    /// The slots this shard owned (ascending).
-    pub slots: Vec<usize>,
-    /// Questions this shard evaluated.
-    pub questions: usize,
-    /// The shard's partial report: full level structure, metrics only
-    /// from the shard's own slots.
-    pub report: EvalReport,
-}
-
-/// Evaluate one [`ShardedDataset`] across `shard_models.len()` shards —
-/// shard `s` runs `shard_models[s]` over the slots `{p : p mod S == s}`
-/// in ascending slot order, each `(slot, level)` as its own evaluation
-/// unit — and return the per-shard partial runs in shard-index order.
+/// Evaluate one [`ShardedDataset`] across `shard_models.len()` shards
+/// and return the one logical report.
 ///
-/// The model stacks must be functionally identical (same underlying
-/// model and fault plan per shard; per-shard caches and breakers are
-/// fine — both are byte-transparent). Merge the partial reports with
-/// `taxoglimpse_report::merge::merge_reports`; the module docs carry
-/// the proof that the merged bytes are independent of the shard count.
+/// Slot `p` is cell `p` of a single [`GridRunner::run_cells`] call:
+/// `shard_models[p mod S]` on `sharded.slot(p)`. The per-slot reports
+/// are summed per level in slot order; the module docs carry the proof
+/// that the result is independent of the shard count. The stacks must
+/// be functionally identical (same underlying model and fault plan;
+/// per-shard caches and breakers are fine — both are byte-transparent)
+/// and must all carry the same model name.
 ///
-/// A panic inside one slot's evaluation surfaces with the owning
-/// `(shard, slot, level)` identity so failures in sharded runs remain
-/// attributable.
+/// A panic inside one slot surfaces through the grid as `cell p`, so
+/// the failing slot is `p` and its shard `p mod S`.
 pub fn run_sharded(
-    evaluator: &Evaluator,
+    runner: &GridRunner,
     shard_models: &[&dyn LanguageModel],
     sharded: &ShardedDataset,
-) -> Vec<ShardRun> {
+) -> EvalReport {
     assert!(!shard_models.is_empty(), "run_sharded needs at least one shard model");
-    let num_shards = shard_models.len();
-    let router = ShardRouter::new(num_shards);
-    for model in shard_models {
-        model.reset();
+    let name = shard_models[0].name();
+    for (shard, model) in shard_models.iter().enumerate() {
+        assert!(
+            model.name() == name,
+            "shard {shard} runs `{}` but shard 0 runs `{name}`: every shard must carry the \
+             same model",
+            model.name(),
+        );
     }
-
-    // One worker per shard; handles joined in shard-index order, so
-    // assembly order is fixed regardless of which shard finishes first.
-    let mut runs: Vec<ShardRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_models
-            .iter()
-            .enumerate()
-            .map(|(shard, model)| {
-                let router = router;
-                scope.spawn(move || run_one_shard(evaluator, shard, &router, *model, sharded))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(run) => run,
-                // Re-raise the labelled per-slot payload unchanged.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    runs.sort_by_key(|r| r.shard);
-    runs
-}
-
-/// Evaluate the slots `shard` owns, ascending, one `(slot, level)` per
-/// [`Evaluator::run_questions`] call.
-fn run_one_shard(
-    evaluator: &Evaluator,
-    shard: usize,
-    router: &ShardRouter,
-    model: &dyn LanguageModel,
-    sharded: &ShardedDataset,
-) -> ShardRun {
-    // The level template is uniform across slots by construction; take
-    // it from slot 0 (an empty partition still has its level skeleton).
-    let template: Vec<usize> = sharded
-        .slot(0)
-        .levels
-        .iter()
-        .map(|s| s.child_level)
+    let router = ShardRouter::new(shard_models.len());
+    let datasets: Vec<&Dataset> = sharded.slots.iter().collect();
+    let cells: Vec<GridCell> = (0..datasets.len())
+        .map(|p| GridCell { model: router.shard_of_slot(p), dataset: p })
         .collect();
-    let mut by_level: Vec<LevelMetrics> = template
-        .iter()
-        .map(|&child_level| LevelMetrics { child_level, metrics: Metrics::default() })
-        .collect();
-    let mut slots = Vec::new();
-    let mut questions = 0usize;
 
-    for slot in 0..sharded.num_slots() {
-        if !router.owns(shard, slot) {
-            continue;
-        }
-        slots.push(slot);
-        let dataset = sharded.slot(slot);
-        for (li, slice) in dataset.levels.iter().enumerate() {
-            if slice.questions.is_empty() {
-                continue;
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                evaluator.run_questions(model, &slice.questions, &slice.exemplars)
-            }));
-            let metrics = match outcome {
-                Ok(metrics) => metrics,
-                // lint:allow(P001, deliberate re-panic - a shard worker panic is re-raised with its shard and slot context)
-                Err(payload) => panic!(
-                    "shard {shard} slot {slot} (model `{}`, taxonomy {:?}, level {}): {}",
-                    model.name(),
-                    dataset.taxonomy,
-                    slice.child_level,
-                    crate::grid::panic_message(payload.as_ref()),
-                ),
-            };
-            by_level[li].metrics += metrics;
-            questions += slice.questions.len();
+    // Every slot keeps the full level skeleton, and slot 0 is answered
+    // by shard 0, so its report carries the logical run's identity.
+    let mut slots = runner.run_cells(shard_models, &datasets, &cells).into_iter();
+    let mut merged = slots.next().expect("a partition has at least one slot");
+    for report in slots {
+        merged.overall += report.overall;
+        for (level, part) in merged.by_level.iter_mut().zip(&report.by_level) {
+            level.metrics += part.metrics;
         }
     }
-
-    let mut overall = Metrics::default();
-    for level in &by_level {
-        overall += level.metrics;
-    }
-    let template_dataset = sharded.slot(0);
-    ShardRun {
-        shard,
-        slots,
-        questions,
-        report: EvalReport {
-            model: model.name().to_owned(),
-            taxonomy: template_dataset.taxonomy,
-            flavor: template_dataset.flavor,
-            setting: evaluator.config().setting,
-            overall,
-            by_level,
-        },
-    }
+    merged
 }
 
-/// Partition the row-major (model × dataset) cell grid into per-shard
-/// cell lists by content-keyed cell slots. Returns `router.num_shards()`
-/// lists; within each, cells keep their global row-major order. Also
-/// returns each cell's global index for reassembly.
-pub fn shard_cells(
-    router: &ShardRouter,
-    model_names: &[&str],
-    datasets: &[&Dataset],
-) -> Vec<Vec<(usize, GridCell)>> {
-    let mut shards: Vec<Vec<(usize, GridCell)>> = vec![Vec::new(); router.num_shards()];
-    for (m, name) in model_names.iter().enumerate() {
-        for (d, dataset) in datasets.iter().enumerate() {
-            let shard = router.shard_of_cell(name, dataset.taxonomy);
-            let global = m * datasets.len() + d;
-            shards[shard].push((global, GridCell { model: m, dataset: d }));
-        }
-    }
-    shards
-}
-
-/// Run the full (model × dataset) grid as `shard_models.len()` shards,
-/// each with its own [`crate::grid::GridRunner`] built from `builder`
-/// (labelled with its shard id), and reassemble the per-cell reports in
-/// global row-major order — byte-identical to an unsharded
+/// Run the full (model × dataset) grid as `shard_models.len()` shards
+/// under one runner built from `builder`, returning the per-cell
+/// reports in global row-major order — byte-identical to an unsharded
 /// `run_cross` with the same per-cell model stacks.
 ///
 /// `shard_models[s]` is shard `s`'s model stack: one entry per logical
 /// model, same length and same model *names* across shards (each shard
-/// typically wraps the shared base models in its own cache). Cell
-/// ownership is routed by `(model name, taxonomy)` content via
-/// [`ShardRouter::cell_slot`], so the placement is reproducible
-/// everywhere.
+/// typically wraps the shared base models in its own cache). The stacks
+/// are flattened into one model list, and cell `(m, d)` runs on model
+/// `shard * num_models + m`, where `shard` is routed by `(model name,
+/// taxonomy)` content via [`ShardRouter::shard_of_cell`], so the
+/// placement is reproducible everywhere.
 pub fn run_grid_sharded(
     builder: GridRunnerBuilder,
     shard_models: &[Vec<&dyn LanguageModel>],
@@ -408,49 +294,25 @@ pub fn run_grid_sharded(
     }
 
     let router = ShardRouter::new(shard_models.len());
-    let names: Vec<&str> = shard_models[0].iter().map(|m| m.name()).collect();
-    let sharded_cells = shard_cells(&router, &names, datasets);
-
-    let mut results: Vec<Option<EvalReport>> = (0..num_models * datasets.len())
-        .map(|_| None)
+    let models: Vec<&dyn LanguageModel> = shard_models.iter().flatten().copied().collect();
+    let cells: Vec<GridCell> = shard_models[0]
+        .iter()
+        .enumerate()
+        .flat_map(|(m, model)| {
+            datasets.iter().enumerate().map(move |(d, dataset)| GridCell {
+                model: router.shard_of_cell(model.name(), dataset.taxonomy) * num_models + m,
+                dataset: d,
+            })
+        })
         .collect();
-    let shard_reports: Vec<(usize, Vec<EvalReport>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sharded_cells
-            .iter()
-            .enumerate()
-            .map(|(shard, owned)| {
-                let models = &shard_models[shard];
-                scope.spawn(move || {
-                    let cells: Vec<GridCell> = owned.iter().map(|&(_, cell)| cell).collect();
-                    let runner = builder.with_shard_id(shard).build();
-                    (shard, runner.run_cells(models, datasets, &cells))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(reports) => reports,
-                // run_cells already labels failures with the shard id.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    for (shard, reports) in shard_reports {
-        for (&(global, _), report) in sharded_cells[shard].iter().zip(reports) {
-            results[global] = Some(report);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every grid cell is owned by exactly one shard"))
-        .collect()
+    builder.build().run_cells(&models, datasets, &cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, QuestionDataset};
+    use crate::eval::Evaluator;
     use crate::model::FixedAnswerModel;
     use taxoglimpse_json::to_string;
     use taxoglimpse_synth::{generate, GenOptions};
@@ -495,27 +357,33 @@ mod tests {
         let d = dataset(&t);
         let p = SubtreePartition::new(&t, NUM_SLOTS);
         let sharded = ShardedDataset::partition(&d, &t, &p);
-        let evaluator = Evaluator::default();
         let model = FixedAnswerModel::always_yes();
 
-        let baseline = evaluator.run(&model, &d);
+        let baseline = Evaluator::default().run(&model, &d);
         for shards in [1usize, 2, 8] {
             let stacks: Vec<&dyn LanguageModel> = (0..shards).map(|_| &model as _).collect();
-            let runs = run_sharded(&evaluator, &stacks, &sharded);
-            assert_eq!(runs.len(), shards);
-            let mut overall = Metrics::default();
-            let mut questions = 0usize;
-            for (s, run) in runs.iter().enumerate() {
-                assert_eq!(run.shard, s);
-                assert!(run.slots.iter().all(|&slot| slot % shards == s));
-                overall += run.report.overall;
-                questions += run.questions;
-            }
-            assert_eq!(questions, d.len());
+            let runner = GridRunner::builder().with_threads(shards).with_chunk_size(7).build();
+            let merged = run_sharded(&runner, &stacks, &sharded);
             // A stateless model answers identically under any grouping,
-            // so the merged counters must equal the unsharded run's.
-            assert_eq!(overall, baseline.overall);
+            // so the merged report must equal the unsharded run's.
+            assert_eq!(merged.overall.total(), d.len());
+            assert_eq!(
+                to_string(&merged).expect("report serializes"),
+                to_string(&baseline).expect("report serializes"),
+                "{shards} shards"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every shard must carry the same model")]
+    fn mismatched_shard_stacks_are_rejected() {
+        let t = taxonomy();
+        let d = dataset(&t);
+        let sharded = ShardedDataset::partition(&d, &t, &SubtreePartition::new(&t, NUM_SLOTS));
+        let yes = FixedAnswerModel::always_yes();
+        let idk = FixedAnswerModel::always_idk();
+        run_sharded(&GridRunner::default(), &[&yes, &idk], &sharded);
     }
 
     #[test]
@@ -558,7 +426,6 @@ mod tests {
             assert!(slot < NUM_SLOTS);
             assert_eq!(slot, ShardRouter::cell_slot("GPT-4", kind), "slot must be stable");
             assert_eq!(router.shard_of_cell("GPT-4", kind), slot % 3);
-            assert!(router.owns(slot % 3, slot));
         }
         // Zero shards clamps to one, the degenerate single-owner router.
         assert_eq!(ShardRouter::new(0).num_shards(), 1);
@@ -582,17 +449,35 @@ mod tests {
         let d = dataset(&t);
         let p = SubtreePartition::new(&t, NUM_SLOTS);
         let sharded = ShardedDataset::partition(&d, &t, &p);
-        let evaluator = Evaluator::default();
         let bomb = Bomb;
         let stacks: Vec<&dyn LanguageModel> = vec![&bomb, &bomb];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded(&evaluator, &stacks, &sharded)
+            run_sharded(&GridRunner::builder().with_threads(2).build(), &stacks, &sharded)
         }));
         let payload = result.expect_err("sharded run must surface the failure");
         let message = crate::grid::panic_message(payload.as_ref());
-        assert!(message.starts_with("shard "), "panic must lead with the shard id: {message}");
-        assert!(message.contains(" slot "), "panic must name the slot: {message}");
-        assert!(message.contains("model `bomb`"), "{message}");
+        // Slot `p` is cell `p` (shard `p mod 2`); a failed cell is
+        // reported at its first non-empty level.
+        let slot = (0..sharded.num_slots())
+            .find(|&p| !sharded.slot(p).is_empty())
+            .expect("ebay occupies some slot");
+        let level = sharded
+            .slot(slot)
+            .levels
+            .iter()
+            .find(|l| !l.questions.is_empty())
+            .expect("an occupied slot has a non-empty level")
+            .child_level;
+        assert!(
+            message.starts_with(&format!("{} grid cell(s) panicked", sharded.occupied_slots())),
+            "{message}"
+        );
+        assert!(
+            message.contains(&format!(
+                "cell {slot} (model `bomb`, dataset `Ebay`) level {level} questions 0.."
+            )),
+            "panic must name the slot, model and level: {message}"
+        );
         assert!(message.contains("synthetic shard failure"), "{message}");
     }
 }

@@ -4,9 +4,10 @@
 //! CSV tables ([`table`]), text "figures" (per-level accuracy curves,
 //! radar-chart data, scalability series — [`figures`]), and the
 //! paper-vs-measured comparison used to fill EXPERIMENTS.md
-//! ([`compare`]), plus the order-stable merge of per-shard partial
-//! reports ([`merge`]) and the fixed-bucket log-scale latency
-//! histogram behind the serving benchmarks ([`histogram`]).
+//! ([`compare`]), plus the fixed-bucket log-scale latency histogram
+//! behind the serving benchmarks ([`histogram`]). Sharded runs need no
+//! merge step here: `taxoglimpse_core::shard::run_sharded` returns the
+//! one logical report.
 
 #![warn(missing_docs)]
 
@@ -14,11 +15,9 @@ pub mod compare;
 pub mod figures;
 pub mod histogram;
 pub mod leaderboard;
-pub mod merge;
 pub mod table;
 
 pub use compare::{CellComparison, ComparisonSummary};
 pub use figures::Series;
 pub use histogram::LatencyHistogram;
-pub use merge::{merge_reports, merge_sharded, MergeError};
 pub use table::Table;

@@ -28,6 +28,18 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 
+# 1b. One worker pool: `grid::run_indexed` is the only code that runs
+#     work on threads. A `thread::scope` or `thread::spawn` anywhere
+#     else in library or binary sources is a second executor.
+echo "==> checking that only crates/core/src/grid.rs spawns threads"
+spawns="$(grep -rnE 'thread::(scope|spawn)' --include='*.rs' src crates/*/src \
+    | grep -v '^crates/core/src/grid\.rs:' || true)"
+if [ -n "$spawns" ]; then
+    echo "error: threads spawned outside crates/core/src/grid.rs (use grid::run_indexed):" >&2
+    echo "$spawns" >&2
+    exit 1
+fi
+
 # 2. Tier-1 offline against an empty registry cache. A fresh CARGO_HOME
 #    has no .crate files, no index — if anything tried to resolve from
 #    crates.io this fails immediately.

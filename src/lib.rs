@@ -41,7 +41,8 @@ pub use taxoglimpse_taxonomy as taxonomy;
 /// dataset construction, the fallible model interface, the unified
 /// [`Workload`](taxoglimpse_core::workload::Workload) surface (grid QA,
 /// instance typing, hierarchical classification), evaluation (sequential
-/// and grid), resilience, fault injection, and the virtual-time serving
+/// and grid), sharded runs (`run_sharded` returns the merged report
+/// itself), resilience, fault injection, and the virtual-time serving
 /// layer.
 pub mod prelude {
     pub use taxoglimpse_core::{
@@ -57,11 +58,10 @@ pub mod prelude {
         question::{Question, QuestionKind},
         resilience::{BackoffPolicy, BreakerPolicy, Resilient, ResiliencePolicy},
         serve::{run_serve, ServeConfig, ServeReport, TenantSpec, TrafficConfig},
-        shard::{run_grid_sharded, run_sharded, ShardRouter, ShardRun, ShardedDataset},
+        shard::{run_grid_sharded, run_sharded, ShardRouter, ShardedDataset},
         workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError},
     };
     pub use taxoglimpse_report::histogram::LatencyHistogram;
-    pub use taxoglimpse_report::merge::{merge_reports, merge_sharded, MergeError};
     pub use taxoglimpse_llm::{
         faults::{FaultInjector, FaultPlan},
         profile::ModelId,

@@ -33,8 +33,9 @@
 //! * **shard big** ([`big_taxonomy_merged_digests_are_shard_count_invariant`]):
 //!   NCBI and ICD-10-CM at scale 1.0, cap 250, GPT-4 only, batch 32,
 //!   partitioned into subtree slots without losing a question; the
-//!   merged report at 1, 2 and 8 shards equals the constant of its
-//!   fault rate (13.3 s with NCBI generated in-test).
+//!   report `run_sharded` merges from one grid cell per slot, at 1, 2
+//!   and 8 shards, equals the constant of its fault rate (13.3 s with
+//!   NCBI generated in-test).
 //! * **serve** ([`serve_trace_digests_are_pinned`]): 18 cells, rate
 //!   factor {0.5, 0.9, 1.3} x batch deadline {5, 50} ms x fault rate
 //!   {0, 0.05, 0.2}, 25,000 target requests over the eBay Hard dataset
@@ -369,7 +370,7 @@ fn sharded_grid_with_per_shard_caches_matches_resilience() {
 #[test]
 fn big_taxonomy_merged_digests_are_shard_count_invariant() {
     let gpt4 = models().swap_remove(0);
-    let evaluator = Evaluator::builder().with_batch_size(32).build();
+    let runner = GridRunner::builder().with_batch_size(32).build();
     for (kind, expected) in BIG_SHARD_DIGESTS {
         let icd;
         let taxonomy = if kind == TaxonomyKind::Ncbi {
@@ -388,8 +389,7 @@ fn big_taxonomy_merged_digests_are_shard_count_invariant() {
                     .into_iter()
                     .flatten()
                     .collect();
-                let runs = run_sharded(&evaluator, &as_dyn(&stacks), &sharded);
-                let merged = merge_sharded(&runs).expect("shard reports merge");
+                let merged = run_sharded(&runner, &as_dyn(&stacks), &sharded);
                 let at = format!("{kind}, rate {rate}, {shards} shards");
                 assert_eq!(hex(reports_digest(std::slice::from_ref(&merged))), expected, "{at}");
                 if rate == 0.0 {

@@ -1,7 +1,7 @@
 //! Property tests for sharded scale-out (`core::shard`): merged
 //! reports must be byte-identical across shard counts {1, 2, 8} —
-//! under any combination of worker counts, response caches on/off, and
-//! a 20% fault plan — and the subtree partitioner must assign every
+//! under any combination of worker counts, chunk sizes, response caches
+//! on/off, and a 20% fault plan — and the subtree partitioner must assign every
 //! node to exactly one shard, independent of how shard counts are
 //! enumerated. Runs on the same in-tree deterministic proptest harness
 //! as `proptests.rs`.
@@ -36,8 +36,8 @@ fn shard_stack(base: &Arc<SimulatedLlm>, plan: &FaultPlan, cached: bool) -> Box<
 }
 
 /// Taxonomy-level sharding: for random (seed, batch size, cache
-/// on/off, fault plan off/20%), the merged report is byte-identical
-/// across shard counts {1, 2, 8}.
+/// on/off, fault plan off/20%, worker count, chunk size), the merged
+/// report is byte-identical across shard counts {1, 2, 8}.
 #[test]
 fn merged_reports_are_shard_count_invariant() {
     cases(PROPTEST_SEED, 6, "merged-shard-invariant", |rng, _| {
@@ -60,15 +60,20 @@ fn merged_reports_are_shard_count_invariant() {
         };
         let batch = rng.gen_range(1u64..40) as usize;
         let base = Arc::new(SimulatedLlm::with_seed(ModelId::Gpt4, seed));
-        let evaluator = Evaluator::builder().with_batch_size(batch).build();
+        let workers = [1usize, 2, 8][rng.gen_range(0u64..3) as usize];
+        let chunk = rng.gen_range(1u64..40) as usize;
+        let runner = GridRunner::builder()
+            .with_batch_size(batch)
+            .with_threads(workers)
+            .with_chunk_size(chunk)
+            .build();
 
         let mut merged_json: Vec<String> = Vec::new();
         for shards in SHARD_COUNTS {
             let stacks: Vec<Box<dyn LanguageModel>> =
                 (0..shards).map(|_| shard_stack(&base, &plan, cached)).collect();
             let stack_refs: Vec<&dyn LanguageModel> = stacks.iter().map(|b| b.as_ref()).collect();
-            let runs = run_sharded(&evaluator, &stack_refs, &sharded);
-            let merged = merge_sharded(&runs).expect("per-shard partials merge");
+            let merged = run_sharded(&runner, &stack_refs, &sharded);
             assert_eq!(
                 merged.overall.total(),
                 dataset.len(),
@@ -77,8 +82,9 @@ fn merged_reports_are_shard_count_invariant() {
             merged_json
                 .push(taxoglimpse::json::to_string(&merged).expect("merged report serializes"));
         }
-        assert_eq!(merged_json[0], merged_json[1], "1 vs 2 shards, plan {plan:?}");
-        assert_eq!(merged_json[0], merged_json[2], "1 vs 8 shards, plan {plan:?}");
+        let at = format!("{workers} workers, chunk {chunk}, plan {plan:?}");
+        assert_eq!(merged_json[0], merged_json[1], "1 vs 2 shards, {at}");
+        assert_eq!(merged_json[0], merged_json[2], "1 vs 8 shards, {at}");
     });
 }
 
