@@ -6,7 +6,7 @@ use taxoglimpse_bench::harness::{black_box, Bench};
 use taxoglimpse_core::casestudy::{CaseStudy, CaseStudyConfig};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::Evaluator;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_synth::{generate, GenOptions};
@@ -19,7 +19,7 @@ fn bench_cell(b: &mut Bench) {
         let dataset = DatasetBuilder::new(&taxonomy, TaxonomyKind::Ebay, 3)
             .build(QuestionDataset::Hard)
             .unwrap();
-        black_box(Evaluator::default().run(model.as_ref(), &dataset))
+        black_box(GridRunner::builder().with_threads(1).build().run(model.as_ref(), &dataset))
     });
 }
 

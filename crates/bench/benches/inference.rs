@@ -4,7 +4,8 @@
 use taxoglimpse_bench::harness::{black_box, Bench, Throughput};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::{EvalConfig, Evaluator};
+use taxoglimpse_core::eval::EvalConfig;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::parse::parse_tf;
 use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_core::text::similarity;
@@ -36,13 +37,13 @@ fn bench_inference(b: &mut Bench) {
     for model_id in [ModelId::Gpt4, ModelId::FlanT5_3b, ModelId::Llama2_7b] {
         let model = zoo.get(model_id).unwrap();
         for setting in [PromptSetting::ZeroShot, PromptSetting::FewShot] {
-            let evaluator = Evaluator::builder().with_config(EvalConfig { setting, ..Default::default() }).build();
+            let runner = GridRunner::builder().with_config(EvalConfig { setting, ..Default::default() }).with_threads(1).build();
             let name = format!(
                 "inference/ebay_hard_200q/{}/{setting}",
                 model_id.display_name()
             );
             b.bench_with_throughput(&name, Throughput::Elements(questions), || {
-                evaluator.run(model.as_ref(), &dataset)
+                runner.run(model.as_ref(), &dataset)
             });
         }
     }

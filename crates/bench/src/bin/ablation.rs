@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::{EvalConfig, Evaluator};
+use taxoglimpse_core::eval::EvalConfig;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::templates::TemplateVariant;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
@@ -55,7 +56,7 @@ fn materialize(
 fn main() {
     let opts = RunOptions::from_env();
     let cache = TaxonomyCache::new();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
 
     // ── 1. hard vs easy negatives ────────────────────────────────────
     println!("Ablation 1: negative sampling (uncles vs random), GPT-4, zero-shot\n");
@@ -66,8 +67,8 @@ fn main() {
     let model = SimulatedLlm::new(ModelId::Gpt4);
     for kind in [TaxonomyKind::Amazon, TaxonomyKind::Glottolog, TaxonomyKind::Ncbi] {
         let taxonomy = materialize(&cache, kind, opts.seed, opts.scale);
-        let easy = evaluator.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Easy, &opts));
-        let hard = evaluator.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts));
+        let easy = runner.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Easy, &opts));
+        let hard = runner.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts));
         t1.push_row(vec![
             kind.display_name().into(),
             fmt3(easy.overall.accuracy()),
@@ -81,8 +82,8 @@ fn main() {
     println!("Ablation 2: surface-form evidence and the NCBI last-level uplift\n");
     let ncbi = materialize(&cache, TaxonomyKind::Ncbi, opts.seed, opts.scale);
     let dataset = build_dataset(&ncbi, TaxonomyKind::Ncbi, QuestionDataset::Hard, &opts);
-    let with = evaluator.run(&SimulatedLlm::new(ModelId::Gpt4), &dataset);
-    let without = evaluator.run(
+    let with = runner.run(&SimulatedLlm::new(ModelId::Gpt4), &dataset);
+    let without = runner.run(
         &SimulatedLlm::new(ModelId::Gpt4).without_surface_evidence(),
         &dataset,
     );
@@ -112,7 +113,7 @@ fn main() {
     let gd = build_dataset(&google, TaxonomyKind::Google, QuestionDataset::Hard, &opts);
     let flan = SimulatedLlm::new(ModelId::FlanT5_11b);
     for variant in TemplateVariant::ALL {
-        let report = Evaluator::builder().with_config(EvalConfig { variant, ..Default::default() }).build().run(&flan, &gd);
+        let report = GridRunner::builder().with_config(EvalConfig { variant, ..Default::default() }).build().run(&flan, &gd);
         println!("  {variant:?}: A={}", fmt3(report.overall.accuracy()));
     }
     println!();

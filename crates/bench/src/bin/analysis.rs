@@ -11,7 +11,7 @@ use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::analysis::{level_trend, spearman, two_proportion_z};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::Evaluator;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_llm::zoo::ModelZoo;
@@ -22,7 +22,7 @@ fn main() {
     let opts = RunOptions::from_env();
     let cache = TaxonomyCache::new();
     let zoo = ModelZoo::default_zoo();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
 
     // ── popularity → accuracy correlation (Finding 1, quantified) ────
     println!("Popularity vs accuracy (hard datasets, Spearman rank correlation)\n");
@@ -39,7 +39,7 @@ fn main() {
             .map(|&kind| {
                 let taxonomy = cache.get(kind, opts.seed, opts.scale);
                 let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
-                evaluator.run(model.as_ref(), &dataset).overall.accuracy()
+                runner.run(model.as_ref(), &dataset).overall.accuracy()
             })
             .collect();
         table.push_row(vec![model_id.to_string(), format!("{:+.3}", spearman(&pops, &accs))]);
@@ -53,7 +53,7 @@ fn main() {
     let contenders = [ModelId::Gpt4, ModelId::Llms4Ol, ModelId::Llama3_8b, ModelId::FlanT5_11b];
     let reports: Vec<_> = contenders
         .iter()
-        .map(|&id| evaluator.run(zoo.get(id).unwrap().as_ref(), &gd))
+        .map(|&id| runner.run(zoo.get(id).unwrap().as_ref(), &gd))
         .collect();
     for i in 0..contenders.len() {
         for j in (i + 1)..contenders.len() {
@@ -78,7 +78,7 @@ fn main() {
         let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
         let mut slopes = Vec::new();
         for model in zoo.all() {
-            slopes.push(level_trend(&evaluator.run(model.as_ref(), &dataset)));
+            slopes.push(level_trend(&runner.run(model.as_ref(), &dataset)));
         }
         let declining = slopes.iter().filter(|&&s| s < 0.0).count();
         let mean = slopes.iter().sum::<f64>() / slopes.len() as f64;
@@ -91,7 +91,7 @@ fn main() {
     let ed = build_dataset(&ebay, TaxonomyKind::Ebay, QuestionDataset::Hard, &opts);
     let accs: Vec<f64> = (0..8u64)
         .map(|s| {
-            evaluator
+            runner
                 .run(&SimulatedLlm::with_seed(ModelId::Gpt4, s), &ed)
                 .overall
                 .accuracy()
@@ -99,7 +99,7 @@ fn main() {
         .collect();
     let mean = accs.iter().sum::<f64>() / accs.len() as f64;
     let sd = (accs.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>() / accs.len() as f64).sqrt();
-    let (lo, hi) = evaluator
+    let (lo, hi) = runner
         .run(&SimulatedLlm::new(ModelId::Gpt4), &ed)
         .overall
         .accuracy_ci95();

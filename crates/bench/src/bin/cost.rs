@@ -4,7 +4,7 @@
 //!
 //! Each model is served through the same tower every workload uses: a
 //! [`FaultInjector`] failing 2% of deliveries as `Unavailable`, retried
-//! by the evaluator's resilience session. Tokens and dollars come from
+//! by the runner's resilience session. Tokens and dollars come from
 //! the model's own usage meter; every delivery, retried or not, takes
 //! one `seconds_per_delivery` of simulated serving time.
 //!
@@ -15,7 +15,7 @@
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::Evaluator;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::api::{cost_usd, seconds_per_delivery};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
@@ -28,7 +28,7 @@ const UNAVAILABLE_RATE: f64 = 0.02;
 fn main() {
     let opts = RunOptions::from_env();
     let cache = TaxonomyCache::new();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     let models = opts
         .models
         .clone()
@@ -61,7 +61,7 @@ fn main() {
                 // Accumulate across datasets: bypass the per-run reset.
                 for slice in &dataset.levels {
                     for q in &slice.questions {
-                        evaluator.ask(&client, q, &slice.exemplars);
+                        runner.ask(&client, q, &slice.exemplars);
                     }
                 }
             }

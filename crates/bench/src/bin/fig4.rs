@@ -10,7 +10,8 @@
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::{EvalConfig, Evaluator};
+use taxoglimpse_core::eval::EvalConfig;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::model::LanguageModel;
 use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_llm::zoo::ModelZoo;
@@ -25,13 +26,13 @@ fn main() {
         let mut acc_figure = Figure::new(format!("Figure 4: {} — accuracy radar (hard)", model.name()));
         let mut miss_figure = Figure::new(format!("Figure 4: {} — miss-rate radar (hard)", model.name()));
         for setting in PromptSetting::ALL {
-            let evaluator = Evaluator::builder().with_config(EvalConfig { setting, ..Default::default() }).build();
+            let runner = GridRunner::builder().with_config(EvalConfig { setting, ..Default::default() }).build();
             let mut acc_points = Vec::new();
             let mut miss_points = Vec::new();
             for kind in TaxonomyKind::ALL {
                 let taxonomy = cache.get(kind, opts.seed, opts.scale);
                 let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
-                let report = evaluator.run(model.as_ref(), &dataset);
+                let report = runner.run(model.as_ref(), &dataset);
                 acc_points.push((kind.display_name().to_owned(), report.overall.accuracy()));
                 miss_points.push((kind.display_name().to_owned(), report.overall.miss_rate()));
             }

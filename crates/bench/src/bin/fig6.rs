@@ -9,7 +9,7 @@
 use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::Evaluator;
+use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::workload::{InstanceTypingWorkload, Workload, WorkloadContext};
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::figures::{Figure, Series};
@@ -18,7 +18,7 @@ fn main() {
     let opts = RunOptions::from_env();
     let cache = TaxonomyCache::new();
     let zoo = ModelZoo::default_zoo();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     let models = opts.model_list();
 
     let mut panel = b'a';
@@ -39,7 +39,7 @@ fn main() {
         ));
         for &model_id in &models {
             let model = zoo.get(model_id).expect("zoo covers all ids");
-            let report = evaluator.run(model.as_ref(), &dataset);
+            let report = runner.run(model.as_ref(), &dataset);
             let points = report
                 .accuracy_by_level()
                 .into_iter()

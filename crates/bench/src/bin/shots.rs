@@ -7,14 +7,11 @@
 //! ```
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
-use taxoglimpse_core::dataset::QuestionDataset;
+use taxoglimpse_core::dataset::{Dataset, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::score;
-use taxoglimpse_core::metrics::{Metrics, Outcome};
-use taxoglimpse_core::model::{LanguageModel, Query};
-use taxoglimpse_core::parse::parse_answer;
-use taxoglimpse_core::prompts::{render_prompt_n, PromptSetting};
-use taxoglimpse_core::templates::TemplateVariant;
+use taxoglimpse_core::eval::EvalConfig;
+use taxoglimpse_core::grid::GridRunner;
+use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::table::{fmt3, Table};
@@ -35,29 +32,31 @@ fn main() {
         headers,
     );
 
+    // One (runner, dataset) pair per shot count. 0 shots is zero-shot;
+    // >0 is few-shot over exemplar pools truncated to `shots`. The
+    // *setting* passed to the model is FewShot whenever exemplars are
+    // present, because the abstention effect comes from seeing answered
+    // examples.
+    let sweep: Vec<(GridRunner, Dataset)> = shot_counts
+        .iter()
+        .map(|&shots| {
+            let setting = if shots == 0 { PromptSetting::ZeroShot } else { PromptSetting::FewShot };
+            let mut truncated = dataset.clone();
+            for slice in &mut truncated.levels {
+                slice.exemplars.truncate(shots);
+            }
+            let runner =
+                GridRunner::builder().with_config(EvalConfig::default().with_setting(setting)).build();
+            (runner, truncated)
+        })
+        .collect();
+
     for model_id in [ModelId::Llama2_7b, ModelId::Falcon40b, ModelId::Mistral7b, ModelId::Gpt4] {
         let model = zoo.get(model_id).expect("zoo covers all ids");
         let mut row_a = vec![model_id.to_string(), "A".to_owned()];
         let mut row_m = vec![String::new(), "M".to_owned()];
-        for &shots in &shot_counts {
-            // 0 shots is rendered as zero-shot; >0 as few-shot with a
-            // truncated exemplar block. The *setting* passed to the model
-            // is FewShot whenever exemplars are present, because the
-            // abstention effect comes from seeing answered examples.
-            let setting = if shots == 0 { PromptSetting::ZeroShot } else { PromptSetting::FewShot };
-            let mut metrics = Metrics::default();
-            for slice in &dataset.levels {
-                let exemplars = &slice.exemplars[..shots.min(slice.exemplars.len())];
-                for question in &slice.questions {
-                    let prompt = render_prompt_n(question, setting, TemplateVariant::Canonical, exemplars, shots);
-                    let query = Query::new(&prompt, question, setting);
-                    let outcome = match model.answer(&query) {
-                        Ok(response) => score(question, parse_answer(question, &response.text)),
-                        Err(_) => Outcome::Failed,
-                    };
-                    metrics.record(outcome);
-                }
-            }
+        for (runner, truncated) in &sweep {
+            let metrics = runner.run(model.as_ref(), truncated).overall;
             row_a.push(fmt3(metrics.accuracy()));
             row_m.push(fmt3(metrics.miss_rate()));
         }

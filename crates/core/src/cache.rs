@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 
 use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
 
-use crate::model::{LanguageModel, ModelError, Query, Response};
+use crate::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
 use crate::question::Question;
 
 /// Shard count for the entry map (power of two; the low key bits pick
@@ -340,25 +340,6 @@ impl<M: LanguageModel> CachedModel<M> {
     pub fn cache(&self) -> &Arc<ResponseCache> {
         &self.cache
     }
-
-    /// Longest shared few-shot prefix declared by every query in the
-    /// batch (via [`Query::prefix_len`]), verified byte-for-byte so a
-    /// wrong hint can never corrupt a key.
-    fn shared_prefix<'p>(queries: &[Query<'p>]) -> Option<&'p str> {
-        let first = queries.first()?;
-        if first.prefix_len == 0 {
-            return None;
-        }
-        let prefix = first.prompt.get(..first.prefix_len)?;
-        queries
-            .iter()
-            .all(|q| {
-                q.prefix_len == prefix.len()
-                    && q.prompt.len() >= prefix.len()
-                    && q.prompt.as_bytes()[..prefix.len()] == *prefix.as_bytes()
-            })
-            .then_some(prefix)
-    }
 }
 
 impl<M: LanguageModel> LanguageModel for CachedModel<M> {
@@ -385,7 +366,7 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
         // Hash the shared few-shot prefix once; per query, clone the
         // hasher state and stream only the suffix (StreamHasher is
         // documented byte-for-byte equal to one-shot hashing).
-        let prefix_state = Self::shared_prefix(queries).map(|prefix| {
+        let prefix_state = shared_prefix(queries).map(|prefix| {
             let mut h = StreamHasher::new(PROMPT_SEED);
             h.write_str(prefix);
             (prefix.len(), h)

@@ -201,7 +201,7 @@ mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, QuestionDataset};
     use crate::domain::TaxonomyKind;
-    use crate::eval::Evaluator;
+    use crate::grid::GridRunner;
     use crate::model::FixedAnswerModel;
     use taxoglimpse_synth::{generate, GenOptions};
 
@@ -218,7 +218,7 @@ mod tests {
         let d = dataset(QuestionDataset::Hard);
         let model = FixedAnswerModel::always_yes();
         let run = DetailedRun::record(&model, &d, EvalConfig::default());
-        let report = Evaluator::default().run(&model, &d);
+        let report = GridRunner::default().run(&model, &d);
         assert_eq!(run.overall(), report.overall);
         assert_eq!(run.exchanges.len(), d.len());
     }

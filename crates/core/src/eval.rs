@@ -1,15 +1,15 @@
-//! The evaluation harness (§4): run a model over a dataset, parse its
-//! free-text answers, and aggregate accuracy / miss rate overall and per
-//! level.
+//! The evaluation vocabulary (§4): the prompt configuration, the
+//! per-answer [`score`], and the overall / per-level [`EvalReport`]
+//! every run produces. The loop that renders, answers, parses and
+//! scores lives in [`crate::grid::GridRunner`], the one evaluation
+//! path.
 
-use crate::dataset::{Dataset, QuestionDataset};
+use crate::dataset::QuestionDataset;
 use crate::domain::TaxonomyKind;
 use crate::metrics::{Metrics, Outcome};
-use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_answer, ParsedAnswer};
-use crate::prompts::{render_prefix, render_prompt, render_prompt_into, PromptSetting};
+use crate::parse::ParsedAnswer;
+use crate::prompts::PromptSetting;
 use crate::question::{Question, QuestionBody};
-use crate::resilience::{ResiliencePolicy, ResilienceSession};
 use crate::templates::TemplateVariant;
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
@@ -173,217 +173,16 @@ pub fn score(question: &Question, parsed: ParsedAnswer) -> Outcome {
     }
 }
 
-/// Default number of queries handed to [`LanguageModel::answer_batch`]
+/// Default number of queries handed to [`crate::model::LanguageModel::answer_batch`]
 /// per call — large enough to amortize prefix hashing and lock traffic,
 /// small enough that prompt buffers stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 
-/// Runs models over datasets.
-#[derive(Debug, Clone, Copy)]
-pub struct Evaluator {
-    config: EvalConfig,
-    resilience: ResiliencePolicy,
-    batch_size: usize,
-}
-
-impl Default for Evaluator {
-    fn default() -> Self {
-        Evaluator::builder().build()
-    }
-}
-
-/// Builder for [`Evaluator`] — the workspace's clamping `with_*`
-/// idiom: a cheap default, chainable overrides that clamp rather than
-/// panic, and a `build()` that cannot fail.
-#[derive(Debug, Clone, Copy)]
-pub struct EvaluatorBuilder {
-    config: EvalConfig,
-    resilience: ResiliencePolicy,
-    batch_size: usize,
-}
-
-impl Default for EvaluatorBuilder {
-    fn default() -> Self {
-        EvaluatorBuilder {
-            config: EvalConfig::default(),
-            resilience: ResiliencePolicy::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
-}
-
-impl EvaluatorBuilder {
-    /// Override the evaluation configuration (setting + variant).
-    pub fn with_config(mut self, config: EvalConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Override the resilience policy applied to every model call.
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Override the `answer_batch` batch size (clamped to ≥ 1). Report
-    /// bytes are identical at every batch size — batching only changes
-    /// how attempt-0 deliveries are grouped, never their content.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> Evaluator {
-        Evaluator {
-            config: self.config,
-            resilience: self.resilience,
-            batch_size: self.batch_size,
-        }
-    }
-}
-
-impl Evaluator {
-    /// Start building an evaluator.
-    pub fn builder() -> EvaluatorBuilder {
-        EvaluatorBuilder::default()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> EvalConfig {
-        self.config
-    }
-
-    /// The resilience policy in force.
-    pub fn resilience(&self) -> ResiliencePolicy {
-        self.resilience
-    }
-
-    /// The `answer_batch` batch size in force.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Evaluate `model` on every question of `dataset`.
-    pub fn run(&self, model: &dyn LanguageModel, dataset: &Dataset) -> EvalReport {
-        model.reset();
-        let mut overall = Metrics::default();
-        let mut by_level = Vec::with_capacity(dataset.levels.len());
-        let mut bufs = Vec::new();
-        for slice in &dataset.levels {
-            let level_metrics =
-                self.eval_questions(model, &slice.questions, &slice.exemplars, &mut bufs);
-            overall += level_metrics;
-            by_level.push(LevelMetrics { child_level: slice.child_level, metrics: level_metrics });
-        }
-        EvalReport {
-            model: model.name().to_owned(),
-            taxonomy: dataset.taxonomy,
-            flavor: dataset.flavor,
-            setting: self.config.setting,
-            overall,
-            by_level,
-        }
-    }
-
-    /// Evaluate `model` on a run of questions sharing one exemplar pool,
-    /// without resetting the model first — the unit of work the grid
-    /// scheduler hands out as `(cell, chunk)`. Metrics are additive, so
-    /// summing chunk results in index order equals one sequential pass.
-    pub fn run_questions(
-        &self,
-        model: &dyn LanguageModel,
-        questions: &[Question],
-        exemplars: &[Question],
-    ) -> Metrics {
-        self.eval_questions(model, questions, exemplars, &mut Vec::new())
-    }
-
-    /// The question loop behind [`Evaluator::run`] / `run_questions`:
-    /// renders the few-shot prefix once for the whole run and each
-    /// batch of target questions into the reused `bufs`, so the steady
-    /// state allocates nothing per query.
-    ///
-    /// Questions are processed in batches of [`Evaluator::batch_size`]:
-    /// each batch's attempt-0 deliveries are prefetched through
-    /// [`LanguageModel::answer_batch`] (where models amortize prefix
-    /// hashing, knowledge lookups and lock traffic), then replayed
-    /// through the session **in question order** via
-    /// [`ResilienceSession::call_prefetched`] — so retries, backoff and
-    /// breaker state evolve exactly as in the sequential path and
-    /// outcome bytes are independent of the batch size.
-    ///
-    /// Every run gets a *fresh* [`ResilienceSession`]: retry, backoff
-    /// and breaker state are local to the question sequence, never
-    /// shared across grid chunks — a chunk's outcome bytes therefore
-    /// depend only on the chunk, not on worker count or scheduling.
-    /// Queries the session gives up on score as [`Outcome::Failed`].
-    fn eval_questions(
-        &self,
-        model: &dyn LanguageModel,
-        questions: &[Question],
-        exemplars: &[Question],
-        bufs: &mut Vec<String>,
-    ) -> Metrics {
-        let prefix =
-            render_prefix(self.config.setting, self.config.variant, exemplars, PromptSetting::SHOTS);
-        let mut session = ResilienceSession::new(self.resilience);
-        let mut metrics = Metrics::default();
-        for chunk in questions.chunks(self.batch_size.max(1)) {
-            if bufs.len() < chunk.len() {
-                bufs.resize_with(chunk.len(), String::new);
-            }
-            for (question, buf) in chunk.iter().zip(bufs.iter_mut()) {
-                render_prompt_into(question, self.config.setting, self.config.variant, &prefix, buf);
-            }
-            let queries: Vec<Query<'_>> = chunk
-                .iter()
-                .zip(bufs.iter())
-                .map(|(question, buf)| {
-                    Query::new(buf, question, self.config.setting).with_prefix_len(prefix.len())
-                })
-                .collect();
-            let firsts = model.answer_batch(&queries);
-            assert_eq!(
-                firsts.len(),
-                queries.len(),
-                "answer_batch must return exactly one result per query"
-            );
-            for (first, query) in firsts.into_iter().zip(&queries) {
-                let outcome = match session.call_prefetched(model, query, first) {
-                    Ok(response) => {
-                        score(query.question, parse_answer(query.question, &response.text))
-                    }
-                    Err(_) => Outcome::Failed,
-                };
-                metrics.record(outcome);
-            }
-        }
-        metrics
-    }
-
-    /// Ask a single question and score the response (with a one-shot
-    /// resilience session).
-    pub fn ask(
-        &self,
-        model: &dyn LanguageModel,
-        question: &Question,
-        exemplars: &[Question],
-    ) -> Outcome {
-        let prompt = render_prompt(question, self.config.setting, self.config.variant, exemplars);
-        let query = Query::new(&prompt, question, self.config.setting);
-        let mut session = ResilienceSession::new(self.resilience);
-        match session.call(model, &query) {
-            Ok(response) => score(question, parse_answer(question, &response.text)),
-            Err(_) => Outcome::Failed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DatasetBuilder;
+    use crate::dataset::{Dataset, DatasetBuilder};
+    use crate::grid::GridRunner;
     use crate::model::FixedAnswerModel;
     use taxoglimpse_synth::{generate, GenOptions};
 
@@ -398,7 +197,7 @@ mod tests {
     #[test]
     fn always_yes_gets_positive_rate_accuracy() {
         let d = hard_dataset();
-        let report = Evaluator::default().run(&FixedAnswerModel::always_yes(), &d);
+        let report = GridRunner::default().run(&FixedAnswerModel::always_yes(), &d);
         let positives = d.questions().filter(|q| q.expected_yes() == Some(true)).count();
         let expected = positives as f64 / d.len() as f64;
         assert!((report.overall.accuracy() - expected).abs() < 1e-12);
@@ -409,7 +208,7 @@ mod tests {
     #[test]
     fn always_idk_has_full_miss_rate() {
         let d = hard_dataset();
-        let report = Evaluator::default().run(&FixedAnswerModel::always_idk(), &d);
+        let report = GridRunner::default().run(&FixedAnswerModel::always_idk(), &d);
         assert_eq!(report.overall.accuracy(), 0.0);
         assert_eq!(report.overall.miss_rate(), 1.0);
     }
@@ -417,7 +216,7 @@ mod tests {
     #[test]
     fn per_level_metrics_sum_to_overall() {
         let d = hard_dataset();
-        let report = Evaluator::default().run(&FixedAnswerModel::always_yes(), &d);
+        let report = GridRunner::default().run(&FixedAnswerModel::always_yes(), &d);
         let mut sum = Metrics::default();
         for l in &report.by_level {
             sum += l.metrics;

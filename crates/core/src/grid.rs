@@ -1,5 +1,12 @@
-//! Parallel grid evaluation, and the one execution policy every
-//! workload runs under.
+//! Parallel grid evaluation: the one evaluation path, and the one
+//! execution policy every workload runs under.
+//!
+//! Every [`EvalReport`] in the workspace comes from
+//! [`GridRunner::run_cells`] — [`GridRunner::run`] is `run_cells` on one
+//! cell — and every work unit goes through the same loop: render,
+//! answer in batches, replay through a fresh [`ResilienceSession`],
+//! parse, score. [`GridRunner::ask`] is the single-question form of
+//! that loop, with one session per question.
 //!
 //! Tables 5–7 evaluate a (model × taxonomy) grid — hundreds of thousands
 //! of independent queries. [`GridRunner`] splits every cell into
@@ -23,10 +30,13 @@
 //! `tests/perf_equivalence.rs`).
 
 use crate::dataset::Dataset;
-use crate::eval::{EvalConfig, EvalReport, Evaluator, EvaluatorBuilder, LevelMetrics};
-use crate::metrics::Metrics;
-use crate::model::LanguageModel;
-use crate::resilience::ResiliencePolicy;
+use crate::eval::{score, EvalConfig, EvalReport, LevelMetrics, DEFAULT_BATCH_SIZE};
+use crate::metrics::{Metrics, Outcome};
+use crate::model::{LanguageModel, Query};
+use crate::parse::parse_answer;
+use crate::prompts::{render_prefix, render_prompt, render_prompt_into, PromptSetting};
+use crate::question::Question;
+use crate::resilience::{ResiliencePolicy, ResilienceSession};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -56,31 +66,49 @@ struct WorkUnit {
     end: usize,
 }
 
-/// The execution policy every workload runs under: an [`Evaluator`]
-/// (prompt setting, resilience, batch size) plus the worker count and
-/// chunk size that fan its work out over threads.
+/// The execution policy every workload runs under: prompt
+/// configuration, resilience policy and `answer_batch` batch size, plus
+/// the worker count and chunk size that fan the work out over threads.
 #[derive(Debug, Clone, Copy)]
 pub struct GridRunner {
-    evaluator: Evaluator,
+    config: EvalConfig,
+    resilience: ResiliencePolicy,
+    batch_size: usize,
     threads: usize,
     chunk_size: usize,
 }
 
 /// Builds a [`GridRunner`]: the one place to set the evaluation
-/// configuration, worker count, chunk granularity and resilience
-/// policy. Defaults: `EvalConfig::default()`, the machine's available
-/// parallelism, [`DEFAULT_CHUNK_SIZE`], [`ResiliencePolicy::default`].
-#[derive(Debug, Clone, Copy, Default)]
+/// configuration, resilience policy, batch size, worker count and chunk
+/// granularity — the workspace's clamping `with_*` idiom. Defaults:
+/// `EvalConfig::default()`, [`ResiliencePolicy::default`],
+/// [`DEFAULT_BATCH_SIZE`], the machine's available parallelism,
+/// [`DEFAULT_CHUNK_SIZE`].
+#[derive(Debug, Clone, Copy)]
 pub struct GridRunnerBuilder {
-    evaluator: EvaluatorBuilder,
+    config: EvalConfig,
+    resilience: ResiliencePolicy,
+    batch_size: usize,
     threads: Option<usize>,
     chunk_size: Option<usize>,
+}
+
+impl Default for GridRunnerBuilder {
+    fn default() -> Self {
+        GridRunnerBuilder {
+            config: EvalConfig::default(),
+            resilience: ResiliencePolicy::default(),
+            batch_size: DEFAULT_BATCH_SIZE,
+            threads: None,
+            chunk_size: None,
+        }
+    }
 }
 
 impl GridRunnerBuilder {
     /// Set the evaluation configuration (setting + template variant).
     pub fn with_config(mut self, config: EvalConfig) -> Self {
-        self.evaluator = self.evaluator.with_config(config);
+        self.config = config;
         self
     }
 
@@ -104,13 +132,13 @@ impl GridRunnerBuilder {
     /// (clamped to >= 1). Report bytes are identical at every batch
     /// size; this only tunes how attempt-0 deliveries are grouped.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.evaluator = self.evaluator.with_batch_size(batch_size);
+        self.batch_size = batch_size.max(1);
         self
     }
 
     /// Set the resilience policy applied inside every chunk.
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.evaluator = self.evaluator.with_resilience(resilience);
+        self.resilience = resilience;
         self
     }
 
@@ -120,7 +148,9 @@ impl GridRunnerBuilder {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
         });
         GridRunner {
-            evaluator: self.evaluator.build(),
+            config: self.config,
+            resilience: self.resilience,
+            batch_size: self.batch_size,
             threads,
             chunk_size: self.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE),
         }
@@ -139,9 +169,19 @@ impl GridRunner {
         GridRunnerBuilder::default()
     }
 
-    /// The evaluator every work unit runs through.
-    pub fn evaluator(&self) -> &Evaluator {
-        &self.evaluator
+    /// The evaluation configuration (setting + template variant).
+    pub fn config(&self) -> EvalConfig {
+        self.config
+    }
+
+    /// The resilience policy in force.
+    pub fn resilience(&self) -> ResiliencePolicy {
+        self.resilience
+    }
+
+    /// The `answer_batch` batch size (≥ 1).
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
     }
 
     /// The worker count (≥ 1).
@@ -152,6 +192,31 @@ impl GridRunner {
     /// The questions-per-work-unit granularity (≥ 1).
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
+    }
+
+    /// Evaluate `model` on every question of `dataset`: [`run_cells`]
+    /// on one cell.
+    ///
+    /// [`run_cells`]: GridRunner::run_cells
+    pub fn run(&self, model: &dyn LanguageModel, dataset: &Dataset) -> EvalReport {
+        self.run_cells(&[model], &[dataset], &[GridCell { model: 0, dataset: 0 }]).remove(0)
+    }
+
+    /// Ask a single question and score the response, with a one-shot
+    /// resilience session.
+    pub fn ask(
+        &self,
+        model: &dyn LanguageModel,
+        question: &Question,
+        exemplars: &[Question],
+    ) -> Outcome {
+        let prompt = render_prompt(question, self.config.setting, self.config.variant, exemplars);
+        let query = Query::new(&prompt, question, self.config.setting);
+        let mut session = ResilienceSession::new(self.resilience);
+        match session.call(model, &query) {
+            Ok(response) => score(question, parse_answer(question, &response.text)),
+            Err(_) => Outcome::Failed,
+        }
     }
 
     /// Evaluate the full cross product of `models` × `datasets`.
@@ -218,7 +283,7 @@ impl GridRunner {
             let unit = units[i];
             let cell = cells[unit.cell];
             let slice = &datasets[cell.dataset].levels[unit.level];
-            self.evaluator.run_questions(
+            self.eval_questions(
                 models[cell.model],
                 &slice.questions[unit.start..unit.end],
                 &slice.exemplars,
@@ -283,12 +348,76 @@ impl GridRunner {
                     model: models[cell.model].name().to_owned(),
                     taxonomy: dataset.taxonomy,
                     flavor: dataset.flavor,
-                    setting: self.evaluator.config().setting,
+                    setting: self.config.setting,
                     overall,
                     by_level,
                 }
             })
             .collect()
+    }
+
+    /// The question loop of one work unit: renders the few-shot prefix
+    /// once for the unit and each batch of target questions into reused
+    /// buffers, so the steady state allocates nothing per query.
+    ///
+    /// Questions are processed in batches of [`GridRunner::batch_size`]:
+    /// each batch's attempt-0 deliveries are prefetched through
+    /// [`LanguageModel::answer_batch`] (where models amortize prefix
+    /// hashing, knowledge lookups and lock traffic), then replayed
+    /// through the session **in question order** via
+    /// [`ResilienceSession::call_prefetched`] — so retries, backoff and
+    /// breaker state evolve exactly as in the one-by-one path and
+    /// outcome bytes are independent of the batch size.
+    ///
+    /// Every unit gets a *fresh* [`ResilienceSession`]: retry, backoff
+    /// and breaker state are local to the unit's question range, never
+    /// shared across units — a unit's outcome bytes therefore depend
+    /// only on the unit, not on worker count or scheduling. Queries the
+    /// session gives up on score as [`Outcome::Failed`]. Metrics are
+    /// additive, so summing unit results in index order equals one
+    /// sequential pass.
+    fn eval_questions(
+        &self,
+        model: &dyn LanguageModel,
+        questions: &[Question],
+        exemplars: &[Question],
+    ) -> Metrics {
+        let prefix =
+            render_prefix(self.config.setting, self.config.variant, exemplars, PromptSetting::SHOTS);
+        let mut session = ResilienceSession::new(self.resilience);
+        let mut metrics = Metrics::default();
+        let mut bufs: Vec<String> = Vec::new();
+        for chunk in questions.chunks(self.batch_size) {
+            if bufs.len() < chunk.len() {
+                bufs.resize_with(chunk.len(), String::new);
+            }
+            for (question, buf) in chunk.iter().zip(bufs.iter_mut()) {
+                render_prompt_into(question, self.config.setting, self.config.variant, &prefix, buf);
+            }
+            let queries: Vec<Query<'_>> = chunk
+                .iter()
+                .zip(bufs.iter())
+                .map(|(question, buf)| {
+                    Query::new(buf, question, self.config.setting).with_prefix_len(prefix.len())
+                })
+                .collect();
+            let firsts = model.answer_batch(&queries);
+            assert_eq!(
+                firsts.len(),
+                queries.len(),
+                "answer_batch must return exactly one result per query"
+            );
+            for (first, query) in firsts.into_iter().zip(&queries) {
+                let outcome = match session.call_prefetched(model, query, first) {
+                    Ok(response) => {
+                        score(query.question, parse_answer(query.question, &response.text))
+                    }
+                    Err(_) => Outcome::Failed,
+                };
+                metrics.record(outcome);
+            }
+        }
+        metrics
     }
 }
 
@@ -347,6 +476,7 @@ mod tests {
     use crate::dataset::{DatasetBuilder, QuestionDataset};
     use crate::domain::TaxonomyKind;
     use crate::model::FixedAnswerModel;
+    use taxoglimpse_json::ToJson;
     use taxoglimpse_synth::{generate, GenOptions};
 
     fn datasets() -> Vec<Dataset> {
@@ -369,23 +499,18 @@ mod tests {
         let yes = FixedAnswerModel::always_yes();
         let idk = FixedAnswerModel::always_idk();
         let models: Vec<&dyn LanguageModel> = vec![&yes, &idk];
-
-        let sequential: Vec<EvalReport> = models
-            .iter()
-            .flat_map(|m| {
-                dataset_refs
-                    .iter()
-                    .map(|d| Evaluator::default().run(*m, d))
-            })
-            .collect();
-        let parallel = GridRunner::builder().with_threads(4).build().run_cross(&models, &dataset_refs);
-
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.overall, s.overall);
-            assert_eq!(p.model, s.model);
-            assert_eq!(p.taxonomy, s.taxonomy);
-        }
+        let json = |threads: usize| -> Vec<String> {
+            GridRunner::builder()
+                .with_threads(threads)
+                .build()
+                .run_cross(&models, &dataset_refs)
+                .iter()
+                .map(|r| taxoglimpse_json::to_string(&r.to_json()).unwrap())
+                .collect()
+        };
+        let sequential = json(1);
+        assert_eq!(sequential.len(), models.len() * dataset_refs.len());
+        assert_eq!(json(4), sequential);
     }
 
     #[test]
@@ -423,7 +548,7 @@ mod tests {
             .with_threads(0)
             .with_chunk_size(0)
             .build();
-        assert_eq!(runner.evaluator().batch_size(), 1);
+        assert_eq!(runner.batch_size(), 1);
         assert_eq!(runner.threads(), 1);
         assert_eq!(runner.chunk_size(), 1);
     }

@@ -716,7 +716,7 @@ impl HierWorkload {
             flat: FlatOutcome::Abstained,
             flat_tokens: 0,
         };
-        let mut session = ResilienceSession::new(runner.evaluator().resilience());
+        let mut session = ResilienceSession::new(runner.resilience());
         result.outcome =
             self.classify(state, &mut session, model, instance_idx, instance, &mut result);
         result.flat =
@@ -811,7 +811,7 @@ impl Workload for HierWorkload {
         let state = RunState {
             t,
             kind: cx.kind,
-            config: runner.evaluator().config(),
+            config: runner.config(),
             leaf_sims,
             whole_taxonomy_base_tokens,
         };

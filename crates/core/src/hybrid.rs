@@ -14,7 +14,8 @@
 
 use crate::dataset::{DatasetBuilder, QuestionDataset};
 use crate::domain::TaxonomyKind;
-use crate::eval::{Evaluator, LevelMetrics};
+use crate::grid::GridRunner;
+use crate::metrics::Metrics;
 use crate::model::{LanguageModel, Query};
 use crate::parse::{parse_tf, ParsedAnswer};
 use crate::prompts::PromptSetting;
@@ -89,22 +90,7 @@ impl HybridTaxonomy {
             let holds = self.explicit.is_ancestor(a, c);
             return (if holds { IsA::Yes } else { IsA::No }, AnsweredBy::Tree);
         }
-        let question = self.model_question(child, ancestor);
-        let prompt = render_question(&question, TemplateVariant::Canonical);
-        let query = Query::new(&prompt, &question, PromptSetting::ZeroShot);
-        // A failed delivery degrades to Unknown — the same epistemic
-        // state as an abstention for the router.
-        let verdict = match model.answer(&query) {
-            Ok(response) => match parse_tf(&response.text) {
-                ParsedAnswer::Yes => IsA::Yes,
-                ParsedAnswer::No => IsA::No,
-                ParsedAnswer::IDontKnow | ParsedAnswer::Option(_) | ParsedAnswer::Unparsed => {
-                    IsA::Unknown
-                }
-            },
-            Err(_) => IsA::Unknown,
-        };
-        (verdict, AnsweredBy::Model)
+        self.is_a_via_model(child, ancestor, model)
     }
 
     /// Route an arbitrary (possibly removed) concept name to its most
@@ -185,24 +171,17 @@ impl HybridTaxonomy {
         cap: Option<usize>,
     ) -> Vec<(usize, f64)> {
         let builder = DatasetBuilder::new(full, self.kind, seed).sample_cap(cap);
-        let evaluator = Evaluator::default();
-        let mut out = Vec::with_capacity(full.num_levels().saturating_sub(1));
-        for child_level in 1..full.num_levels() {
-            if child_level < self.cutoff {
-                out.push((child_level, 1.0));
-            } else {
-                let slice = builder.build_level(QuestionDataset::Hard, child_level);
-                let mut metrics = crate::metrics::Metrics::default();
-                for q in &slice.questions {
-                    metrics.record(evaluator.ask(model, q, &slice.exemplars));
-                }
-                out.push((
-                    child_level,
-                    LevelMetrics { child_level, metrics }.metrics.accuracy(),
-                ));
-            }
-        }
-        out
+        let runner = GridRunner::default();
+        (1..full.num_levels())
+            .map(|child_level| {
+                let accuracy = if child_level < self.cutoff {
+                    1.0
+                } else {
+                    level_accuracy(&runner, &builder, model, child_level)
+                };
+                (child_level, accuracy)
+            })
+            .collect()
     }
 }
 
@@ -218,17 +197,11 @@ pub fn recommended_cutoff(
     cap: Option<usize>,
 ) -> Option<usize> {
     let builder = DatasetBuilder::new(full, kind, seed).sample_cap(cap);
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     // Per-level model accuracy, measured once.
-    let mut level_acc = Vec::new();
-    for child_level in 1..full.num_levels() {
-        let slice = builder.build_level(QuestionDataset::Hard, child_level);
-        let mut metrics = crate::metrics::Metrics::default();
-        for q in &slice.questions {
-            metrics.record(evaluator.ask(model, q, &slice.exemplars));
-        }
-        level_acc.push(metrics.accuracy());
-    }
+    let level_acc: Vec<f64> = (1..full.num_levels())
+        .map(|child_level| level_accuracy(&runner, &builder, model, child_level))
+        .collect();
     // The deepest cutoff c such that every level >= c meets the target.
     let mut cutoff = None;
     for c in (1..full.num_levels()).rev() {
@@ -240,6 +213,22 @@ pub fn recommended_cutoff(
         }
     }
     cutoff
+}
+
+/// The model's accuracy on one level's hard questions, asked one by one
+/// (one resilience session per question).
+fn level_accuracy(
+    runner: &GridRunner,
+    builder: &DatasetBuilder<'_>,
+    model: &dyn LanguageModel,
+    child_level: usize,
+) -> f64 {
+    let slice = builder.build_level(QuestionDataset::Hard, child_level);
+    let mut metrics = Metrics::default();
+    for q in &slice.questions {
+        metrics.record(runner.ask(model, q, &slice.exemplars));
+    }
+    metrics.accuracy()
 }
 
 /// Word-level overlap score used for routing shortlists.

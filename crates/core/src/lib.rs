@@ -23,8 +23,9 @@
 //!   score as `Failed` and lower a report's availability.
 //! * **Metrics** (§3.3): accuracy *A*, miss rate *M* and availability
 //!   ([`metrics`]).
-//! * **Evaluation harness** (§4): [`eval::Evaluator`] producing overall
-//!   and per-level reports.
+//! * **Evaluation harness** (§4): [`grid::GridRunner`], the one
+//!   evaluation path, producing overall and per-level
+//!   [`eval::EvalReport`]s.
 //! * **Instance typing** (§4.5): [`instance_typing`].
 //! * **Text rules** ([`text`]): the one trigram-similarity kernel and the
 //!   one token counter every layer shares.
@@ -71,7 +72,7 @@ pub mod workload;
 pub use cache::{CachedModel, ResponseCache};
 pub use dataset::{Dataset, DatasetBuilder, QuestionDataset};
 pub use domain::{Domain, TaxonomyKind};
-pub use eval::{EvalConfig, EvalReport, Evaluator};
+pub use eval::{EvalConfig, EvalReport};
 pub use grid::GridRunner;
 pub use hier::{DescentConfig, HierReport, HierWorkload, RouterConfig};
 pub use hybrid::HybridTaxonomy;
@@ -79,7 +80,7 @@ pub use metrics::Metrics;
 pub use model::{LanguageModel, ModelError, Query, Response};
 pub use prompts::PromptSetting;
 pub use question::{NegativeKind, Question, QuestionBody, QuestionKind};
-pub use resilience::{BackoffPolicy, BreakerPolicy, Resilient, ResiliencePolicy};
+pub use resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy};
 pub use serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
 pub use shard::{ShardRouter, ShardedDataset};
 pub use workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError};

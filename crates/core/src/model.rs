@@ -21,7 +21,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy)]
 pub struct Query<'q> {
     /// The fully rendered prompt text (templates + prompting setting).
-    /// Borrowed so the evaluator can render into one reusable buffer
+    /// Borrowed so the runner can render into one reusable buffer
     /// per worker instead of allocating a `String` per query.
     pub prompt: &'q str,
     /// The structured question behind the prompt.
@@ -61,6 +61,26 @@ impl<'q> Query<'q> {
         self.prefix_len = prefix_len;
         self
     }
+}
+
+/// The batch's shared few-shot prefix: `Some` when every query declares
+/// the same nonzero [`Query::prefix_len`] and the prefix bytes match the
+/// first query's byte for byte, so a wrong hint can never corrupt what a
+/// model derives from it.
+pub fn shared_prefix<'p>(queries: &[Query<'p>]) -> Option<&'p str> {
+    let first = queries.first()?;
+    if first.prefix_len == 0 {
+        return None;
+    }
+    let prefix = first.prompt.get(..first.prefix_len)?;
+    queries
+        .iter()
+        .all(|q| {
+            q.prefix_len == prefix.len()
+                && q.prompt.len() >= prefix.len()
+                && q.prompt.as_bytes()[..prefix.len()] == *prefix.as_bytes()
+        })
+        .then_some(prefix)
 }
 
 /// Why a model call failed. The five classes cover what the paper's
@@ -185,7 +205,7 @@ pub trait LanguageModel: Send + Sync {
         queries.iter().map(|query| self.answer(query)).collect()
     }
 
-    /// Reset any per-run state (default: no-op). Called by the evaluator
+    /// Reset any per-run state (default: no-op). Called by the runner
     /// before each dataset run.
     fn reset(&self) {}
 }

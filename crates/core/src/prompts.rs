@@ -70,7 +70,7 @@ pub fn render_gold_into(gold: GoldAnswer, out: &mut String) {
 /// under the same `(setting, variant, exemplars, shots)`.
 ///
 /// Empty except for few-shot, where it is the exemplar block of
-/// Figure 5 (top). The evaluator renders this once per dataset level
+/// Figure 5 (top). The grid runner renders this once per work unit
 /// and reuses it for every question and repeat — the few-shot prefix is
 /// ~85% of the prompt bytes, so re-rendering it per question dominated
 /// the old prompt-construction cost.
@@ -127,22 +127,7 @@ pub fn render_prompt(
     variant: TemplateVariant,
     exemplars: &[Question],
 ) -> String {
-    render_prompt_n(question, setting, variant, exemplars, PromptSetting::SHOTS)
-}
-
-/// Like [`render_prompt`] with an explicit few-shot exemplar count
-/// (used by shot-count sweeps; ignored outside the few-shot setting).
-pub fn render_prompt_n(
-    question: &Question,
-    setting: PromptSetting,
-    variant: TemplateVariant,
-    exemplars: &[Question],
-    shots: usize,
-) -> String {
-    // Delegating through render_prefix also fixes the old capacity
-    // estimate, which ignored the "Example: " prefixes and gold answers
-    // and guaranteed mid-build reallocation.
-    let mut out = render_prefix(setting, variant, exemplars, shots);
+    let mut out = render_prefix(setting, variant, exemplars, PromptSetting::SHOTS);
     render_question_into(question, variant, &mut out);
     if setting == PromptSetting::ChainOfThought {
         out.push_str(COT_SUFFIX);
@@ -211,17 +196,11 @@ mod tests {
             .map(|i| q(&format!("c{i}"), &format!("p{i}"), i % 2 == 0))
             .collect();
         for shots in [0usize, 1, 3, 5, 8] {
-            let p = render_prompt_n(
-                &q("x", "y", true),
-                PromptSetting::FewShot,
-                TemplateVariant::Canonical,
-                &exemplars,
-                shots,
-            );
+            let p = render_prefix(PromptSetting::FewShot, TemplateVariant::Canonical, &exemplars, shots);
             assert_eq!(p.matches("Example: ").count(), shots, "shots = {shots}");
         }
         // Shot count is irrelevant outside few-shot.
-        let z = render_prompt_n(&q("x", "y", true), PromptSetting::ZeroShot, TemplateVariant::Canonical, &exemplars, 9);
+        let z = render_prefix(PromptSetting::ZeroShot, TemplateVariant::Canonical, &exemplars, 9);
         assert!(!z.contains("Example"));
     }
 

@@ -10,14 +10,13 @@
 //!   wall time, no sleeping), plus an optional per-model circuit
 //!   breaker (closed → open → half-open).
 //! * [`ResilienceSession`] — the mutable state executing one policy
-//!   over a run of questions. The evaluator creates a fresh session per
-//!   question run (grid chunk), so breaker state is a function of the
-//!   chunk's question sequence alone — never of worker count or
-//!   scheduling order, which preserves the byte-identical-reports
-//!   guarantee.
-//! * [`Resilient<M>`] — the same machinery as a [`LanguageModel`]
-//!   middleware for sequential use: wrap any model and call it as
-//!   usual.
+//!   over a run of questions. [`crate::grid::GridRunner`] creates a
+//!   fresh session per work unit (grid chunk), so breaker state is a
+//!   function of the chunk's question sequence alone — never of worker
+//!   count or scheduling order, which preserves the
+//!   byte-identical-reports guarantee. `GridRunner::ask`, hier and serve
+//!   own their sessions the same way; a policy is never applied through
+//!   a shared, lock-held session.
 //!
 //! Queries that exhaust their retries surface as
 //! [`crate::metrics::Outcome::Failed`] and lower the report's
@@ -29,7 +28,6 @@
 //! both independent of thread count, chunk scheduling and wall clock.
 
 use crate::model::{LanguageModel, ModelError, Query, Response};
-use std::sync::Mutex;
 use taxoglimpse_synth::rng::mix64;
 
 /// Exponential backoff with deterministic jitter, in simulated seconds.
@@ -276,11 +274,6 @@ impl ResilienceSession {
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> ResiliencePolicy {
-        self.policy
-    }
-
     /// Current breaker position.
     pub fn state(&self) -> BreakerState {
         self.state
@@ -309,7 +302,7 @@ impl ResilienceSession {
 
     /// [`Self::call`] with the attempt-0 delivery already performed.
     ///
-    /// This is the batching hook: the evaluator prefetches a chunk's
+    /// This is the batching hook: the grid runner prefetches a chunk's
     /// first deliveries through [`LanguageModel::answer_batch`], then
     /// replays them through the session in order. Because model answers
     /// are pure functions of the query (the determinism contract), the
@@ -423,79 +416,6 @@ impl ResilienceSession {
             | ModelError::Unavailable
             | ModelError::Malformed => jittered,
         }
-    }
-}
-
-/// Resilience as middleware: wraps any model and applies a policy to
-/// every call, for sequential use (case studies, hybrid probing, CLI).
-///
-/// The session state lives behind a mutex, so concurrent callers would
-/// observe scheduling-dependent breaker state — which is exactly why
-/// [`crate::grid::GridRunner`] takes a [`ResiliencePolicy`] and builds
-/// per-chunk [`ResilienceSession`]s instead of sharing one wrapper.
-pub struct Resilient<M> {
-    base: M,
-    session: Mutex<ResilienceSession>,
-}
-
-impl<M: LanguageModel> Resilient<M> {
-    /// Wrap with the default policy.
-    pub fn new(base: M) -> Self {
-        Self::with_policy(base, ResiliencePolicy::default())
-    }
-
-    /// Wrap with an explicit policy.
-    pub fn with_policy(base: M, policy: ResiliencePolicy) -> Self {
-        Resilient { base, session: Mutex::new(ResilienceSession::new(policy)) }
-    }
-
-    /// The wrapped model.
-    pub fn base(&self) -> &M {
-        &self.base
-    }
-
-    /// Counters accumulated since construction or the last reset.
-    pub fn stats(&self) -> ResilienceStats {
-        self.session.lock().expect("resilience session lock not poisoned").stats()
-    }
-
-    /// Simulated seconds spent so far.
-    pub fn clock_s(&self) -> f64 {
-        self.session.lock().expect("resilience session lock not poisoned").clock_s()
-    }
-}
-
-impl<M: LanguageModel> LanguageModel for Resilient<M> {
-    /// The base model's name: at fault rate zero the wrapper is
-    /// invisible, reports included.
-    fn name(&self) -> &str {
-        self.base.name()
-    }
-
-    fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        // lint:allow(L002, the breaker state machine is single-session by design - serializing calls through the lock is the feature)
-        self.session.lock().expect("resilience session lock not poisoned").call(&self.base, query)
-    }
-
-    fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
-        // Prefetch attempt-0 deliveries through the base model's batch
-        // path, then replay them through the session sequentially; see
-        // `ResilienceSession::call_prefetched` for why this is
-        // equivalent to the one-by-one path.
-        let firsts = self.base.answer_batch(queries);
-        // lint:allow(L002, only retry traffic runs under the lock - attempt-0 answers were prefetched above it)
-        let mut session = self.session.lock().expect("resilience session lock not poisoned");
-        firsts
-            .into_iter()
-            .zip(queries)
-            .map(|(first, query)| session.call_prefetched(&self.base, query, first))
-            .collect()
-    }
-
-    fn reset(&self) {
-        self.base.reset();
-        let mut session = self.session.lock().expect("resilience session lock not poisoned");
-        *session = ResilienceSession::new(session.policy());
     }
 }
 
@@ -660,35 +580,6 @@ mod tests {
         };
         assert_eq!(clock(1), clock(1), "same seed, same virtual time");
         assert_ne!(clock(1), clock(2), "jitter seed matters");
-    }
-
-    #[test]
-    fn resilient_wrapper_is_transparent_for_healthy_models() {
-        let wrapped = Resilient::new(FixedAnswerModel::always_yes());
-        let q = question(8);
-        let query = Query::new("p", &q, PromptSetting::ZeroShot);
-        assert_eq!(wrapped.name(), "always-yes");
-        let response = wrapped.answer(&query).expect("healthy model never fails");
-        assert_eq!(response.text, "Yes.");
-        assert_eq!(response.attempts, 1);
-        assert_eq!(wrapped.stats().retries, 0);
-        assert_eq!(wrapped.stats().amplification(), 1.0);
-        wrapped.reset();
-        assert_eq!(wrapped.stats(), ResilienceStats::default());
-    }
-
-    #[test]
-    fn resilient_wrapper_retries_like_a_session() {
-        let wrapped = Resilient::with_policy(
-            FlakyModel::new(1, ModelError::Truncated { partial: "Ye".into() }),
-            ResiliencePolicy::default(),
-        );
-        let q = question(9);
-        let query = Query::new("p", &q, PromptSetting::ZeroShot);
-        let response = wrapped.answer(&query).expect("retry recovers the truncation");
-        assert_eq!(response.attempts, 2);
-        assert!(wrapped.stats().amplification() > 1.0);
-        assert_eq!(wrapped.base().calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   closes batches by size cap or deadline;
 //! * dispatched batches flow through the *existing* model stack — the
 //!   lane's [`ResilienceSession`] replays `answer_batch` prefetches
-//!   exactly like the evaluator does, so caches, fault injection,
+//!   exactly like the grid runner does, so caches, fault injection,
 //!   retries, backoff and breaker trips all behave identically to the
 //!   offline pipeline.
 //!

@@ -312,7 +312,6 @@ pub fn run_grid_sharded(
 mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, QuestionDataset};
-    use crate::eval::Evaluator;
     use crate::model::FixedAnswerModel;
     use taxoglimpse_json::to_string;
     use taxoglimpse_synth::{generate, GenOptions};
@@ -359,7 +358,7 @@ mod tests {
         let sharded = ShardedDataset::partition(&d, &t, &p);
         let model = FixedAnswerModel::always_yes();
 
-        let baseline = Evaluator::default().run(&model, &d);
+        let baseline = GridRunner::default().run(&model, &d);
         for shards in [1usize, 2, 8] {
             let stacks: Vec<&dyn LanguageModel> = (0..shards).map(|_| &model as _).collect();
             let runner = GridRunner::builder().with_threads(shards).with_chunk_size(7).build();

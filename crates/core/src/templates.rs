@@ -42,7 +42,7 @@ impl TemplateVariant {
 
 /// The domain-specific noun phrase appended to entity names in the
 /// templates (Table 2/3), e.g. "products" for Shopping — appended to
-/// `out` so the evaluator's hot path can reuse one buffer per worker.
+/// `out` so the runner's hot path can reuse one buffer per worker.
 fn tf_phrase_into(kind: TaxonomyKind, name: &str, out: &mut String) {
     out.push_str(name);
     out.push_str(match kind.domain() {

@@ -14,7 +14,7 @@
 //! The scenarios implement it ([`QaWorkload`],
 //! [`InstanceTypingWorkload`], [`crate::hier::HierWorkload`]), so a bin
 //! or example configures *one* runner and swaps workloads freely. QA
-//! and instance typing run through [`GridRunner::run_cross`]; the
+//! and instance typing run through [`GridRunner::run`]; the
 //! hierarchical workload shares the grid's worker pool. Determinism is
 //! inherited, not re-proven: report bytes are already proven
 //! independent of worker count, batch size, cache state and fault plans.
@@ -191,7 +191,7 @@ impl Workload for QaWorkload {
         _cx: &WorkloadContext<'_>,
         data: &Dataset,
     ) -> EvalReport {
-        runner.run_cross(&[model], &[data]).remove(0)
+        runner.run(model, data)
     }
 }
 
@@ -241,35 +241,18 @@ impl Workload for InstanceTypingWorkload {
         _cx: &WorkloadContext<'_>,
         data: &Dataset,
     ) -> EvalReport {
-        runner.run_cross(&[model], &[data]).remove(0)
+        runner.run(model, data)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
     use crate::model::FixedAnswerModel;
-    use taxoglimpse_json::ToJson;
     use taxoglimpse_synth::{generate, GenOptions};
 
     fn context(t: &Taxonomy) -> WorkloadContext<'_> {
         WorkloadContext::new(t, TaxonomyKind::Ebay, 21)
-    }
-
-    #[test]
-    fn qa_workload_matches_direct_evaluator() {
-        let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 21, scale: 1.0 }).unwrap();
-        let cx = context(&t);
-        let workload = QaWorkload::new(QuestionDataset::Hard).with_sample_cap(Some(40));
-        let runner = GridRunner::builder().with_threads(2).build();
-        let model = FixedAnswerModel::always_yes();
-        let report = workload.build_and_run(&runner, &model, &cx).unwrap();
-        let direct = Evaluator::default().run(&model, &workload.build(&cx).unwrap());
-        assert_eq!(
-            taxoglimpse_json::to_string(&report.to_json()).unwrap(),
-            taxoglimpse_json::to_string(&direct.to_json()).unwrap()
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! official API" and deployed open models on 8×RTX-3090 + 4×A100. This
 //! module prices that serving reality; the failures and retries live in
 //! the one tower every workload uses (`FaultInjector` under the
-//! evaluator's `ResilienceSession`), and the tokens come from
+//! runner's `ResilienceSession`), and the tokens come from
 //! `SimulatedLlm::usage`.
 
 use crate::profile::ModelId;

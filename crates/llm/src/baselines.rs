@@ -273,7 +273,7 @@ mod tests {
     use super::*;
     use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
     use taxoglimpse_core::domain::TaxonomyKind;
-    use taxoglimpse_core::eval::Evaluator;
+    use taxoglimpse_core::grid::GridRunner;
     use taxoglimpse_synth::{generate, GenOptions};
 
     fn dataset(kind: TaxonomyKind, scale: f64, flavor: QuestionDataset) -> taxoglimpse_core::dataset::Dataset {
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn random_baseline_is_near_half_on_tf() {
         let d = dataset(TaxonomyKind::Ebay, 1.0, QuestionDataset::Hard);
-        let report = Evaluator::default().run(&RandomBaseline::new(1), &d);
+        let report = GridRunner::default().run(&RandomBaseline::new(1), &d);
         assert!((report.overall.accuracy() - 0.5).abs() < 0.08, "{}", report.overall.accuracy());
         assert_eq!(report.overall.miss_rate(), 0.0);
     }
@@ -292,14 +292,14 @@ mod tests {
     #[test]
     fn random_baseline_is_near_quarter_on_mcq() {
         let d = dataset(TaxonomyKind::Google, 0.5, QuestionDataset::Mcq);
-        let report = Evaluator::default().run(&RandomBaseline::new(2), &d);
+        let report = GridRunner::default().run(&RandomBaseline::new(2), &d);
         assert!((report.overall.accuracy() - 0.25).abs() < 0.08, "{}", report.overall.accuracy());
     }
 
     #[test]
     fn majority_yes_scores_positive_rate() {
         let d = dataset(TaxonomyKind::Ebay, 1.0, QuestionDataset::Easy);
-        let report = Evaluator::default().run(&MajorityYesBaseline, &d);
+        let report = GridRunner::default().run(&MajorityYesBaseline, &d);
         assert!((report.overall.accuracy() - 0.5).abs() < 0.05);
     }
 
@@ -308,8 +308,8 @@ mod tests {
         let oae = dataset(TaxonomyKind::Oae, 0.3, QuestionDataset::Easy);
         let glotto = dataset(TaxonomyKind::Glottolog, 0.2, QuestionDataset::Easy);
         let lex = LexicalBaseline::default();
-        let on_oae = Evaluator::default().run(&lex, &oae).overall.accuracy();
-        let on_glotto = Evaluator::default().run(&lex, &glotto).overall.accuracy();
+        let on_oae = GridRunner::default().run(&lex, &oae).overall.accuracy();
+        let on_glotto = GridRunner::default().run(&lex, &glotto).overall.accuracy();
         assert!(on_oae > 0.8, "OAE children embed parents: {on_oae}");
         assert!(on_oae > on_glotto + 0.2, "oae {on_oae} vs glottolog {on_glotto}");
     }
@@ -333,14 +333,14 @@ mod tests {
         let slice = DatasetBuilder::new(&t, TaxonomyKind::Ncbi, 21)
             .sample_cap(Some(150))
             .build_level(QuestionDataset::Hard, t.num_levels() - 1);
-        let evaluator = Evaluator::default();
+        let runner = GridRunner::default();
         let mut vsm_metrics = taxoglimpse_core::metrics::Metrics::default();
         let mut rnd_metrics = taxoglimpse_core::metrics::Metrics::default();
         let vsm = NgramVectorBaseline::default();
         let rnd = RandomBaseline::new(3);
         for q in &slice.questions {
-            vsm_metrics.record(evaluator.ask(&vsm, q, &[]));
-            rnd_metrics.record(evaluator.ask(&rnd, q, &[]));
+            vsm_metrics.record(runner.ask(&vsm, q, &[]));
+            rnd_metrics.record(runner.ask(&rnd, q, &[]));
         }
         assert!(
             vsm_metrics.accuracy() > rnd_metrics.accuracy() + 0.2,
@@ -354,7 +354,7 @@ mod tests {
     fn baselines_handle_mcq() {
         let d = dataset(TaxonomyKind::Ncbi, 0.003, QuestionDataset::Mcq);
         for model in [&LexicalBaseline::default() as &dyn LanguageModel, &NgramVectorBaseline::default()] {
-            let report = Evaluator::default().run(model, &d);
+            let report = GridRunner::default().run(model, &d);
             assert!(report.overall.accuracy() > 0.25, "{} should beat chance", model.name());
         }
     }

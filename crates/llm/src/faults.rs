@@ -356,7 +356,7 @@ mod tests {
     use crate::profile::ModelId;
     use crate::simulate::SimulatedLlm;
     use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
-    use taxoglimpse_core::eval::Evaluator;
+    use taxoglimpse_core::grid::GridRunner;
     use taxoglimpse_synth::{generate, GenOptions};
 
     fn dataset() -> taxoglimpse_core::dataset::Dataset {
@@ -374,8 +374,8 @@ mod tests {
         let bare = SimulatedLlm::new(ModelId::Gpt4);
         let wrapped = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), FaultPlan::disabled(1));
         assert_eq!(wrapped.name(), bare.name());
-        let a = Evaluator::default().run(&bare, &d);
-        let b = Evaluator::default().run(&wrapped, &d);
+        let a = GridRunner::default().run(&bare, &d);
+        let b = GridRunner::default().run(&wrapped, &d);
         assert_eq!(a.overall, b.overall);
         assert_eq!(a.by_level, b.by_level);
         let stats = wrapped.stats();
@@ -388,7 +388,7 @@ mod tests {
         let d = dataset();
         let wrapped =
             FaultInjector::new(SimulatedLlm::new(ModelId::Gpt35), FaultPlan::uniform(7, 0.9));
-        Evaluator::default().run(&wrapped, &d);
+        GridRunner::default().run(&wrapped, &d);
         let stats = wrapped.stats();
         assert!(stats.injected > 0);
         for (label, count) in [
@@ -413,7 +413,7 @@ mod tests {
         let run = || {
             let m =
                 FaultInjector::new(SimulatedLlm::new(ModelId::Gpt35), FaultPlan::uniform(9, 0.2));
-            let report = Evaluator::default().run(&m, &d);
+            let report = GridRunner::default().run(&m, &d);
             (m.stats(), report.overall)
         };
         assert_eq!(run(), run());
@@ -424,7 +424,7 @@ mod tests {
         let d = dataset();
         let plan = FaultPlan::uniform(11, 0.5).with_malformed_rate(0.0);
         let injector = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), plan);
-        let report = Evaluator::default().run(&injector, &d);
+        let report = GridRunner::default().run(&injector, &d);
         let stats = injector.stats();
         // Retries re-roll: deliveries exceed questions, and most
         // questions recover (availability well above the 60% a
@@ -467,12 +467,12 @@ mod tests {
         let d = dataset();
         let zeroed = FaultPlan::uniform(13, 0.6).with_taxonomy_factor(TaxonomyKind::Ebay, 0.0);
         let m = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), zeroed);
-        Evaluator::default().run(&m, &d);
+        GridRunner::default().run(&m, &d);
         assert_eq!(m.stats().injected, 0, "factor 0 silences the injector");
 
         let model_zeroed = FaultPlan::uniform(13, 0.6).with_model_factor("GPT-4", 0.0);
         let m2 = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), model_zeroed);
-        Evaluator::default().run(&m2, &d);
+        GridRunner::default().run(&m2, &d);
         assert_eq!(m2.stats().injected, 0);
     }
 

@@ -141,7 +141,7 @@ mod tests {
     use crate::profile::ModelId;
     use crate::simulate::SimulatedLlm;
     use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
-    use taxoglimpse_core::eval::Evaluator;
+    use taxoglimpse_core::grid::GridRunner;
     use taxoglimpse_synth::{generate, GenOptions};
 
     fn glottolog_dataset() -> (taxoglimpse_taxonomy::Taxonomy, TaxonomyKind) {
@@ -154,9 +154,9 @@ mod tests {
         let (t, k) = glottolog_dataset();
         let d = DatasetBuilder::new(&t, k, 9).sample_cap(Some(60)).build(QuestionDataset::Hard).unwrap();
         let base = SimulatedLlm::new(ModelId::FlanT5_3b);
-        let base_report = Evaluator::default().run(&base, &d);
+        let base_report = GridRunner::default().run(&base, &d);
         let tuned = InstructionTuned::new(SimulatedLlm::new(ModelId::FlanT5_3b), 0.4, 1);
-        let tuned_report = Evaluator::default().run(&tuned, &d);
+        let tuned_report = GridRunner::default().run(&tuned, &d);
         assert!(
             tuned_report.overall.accuracy() > base_report.overall.accuracy(),
             "tuned {} vs base {}",
@@ -172,7 +172,7 @@ mod tests {
         let d = DatasetBuilder::new(&t, k, 10).sample_cap(Some(40)).build(QuestionDataset::Hard).unwrap();
         // Mistral abstains a lot on Glottolog (M = 0.818 in Table 5).
         let tuned = InstructionTuned::new(SimulatedLlm::new(ModelId::Mistral7b), 0.3, 2);
-        let report = Evaluator::default().run(&tuned, &d);
+        let report = GridRunner::default().run(&tuned, &d);
         assert_eq!(report.overall.miss_rate(), 0.0);
     }
 
@@ -180,11 +180,11 @@ mod tests {
     fn domain_restriction_passes_other_taxonomies_through() {
         let (t, k) = glottolog_dataset();
         let d = DatasetBuilder::new(&t, k, 11).sample_cap(Some(40)).build(QuestionDataset::Hard).unwrap();
-        let base_report = Evaluator::default().run(&SimulatedLlm::new(ModelId::FlanT5_3b), &d);
+        let base_report = GridRunner::default().run(&SimulatedLlm::new(ModelId::FlanT5_3b), &d);
         // Tuned only on Shopping: Glottolog answers are untouched.
         let tuned = InstructionTuned::new(SimulatedLlm::new(ModelId::FlanT5_3b), 0.9, 3)
             .with_domains(vec![TaxonomyKind::Amazon]);
-        let tuned_report = Evaluator::default().run(&tuned, &d);
+        let tuned_report = GridRunner::default().run(&tuned, &d);
         assert_eq!(tuned_report.overall, base_report.overall);
     }
 
@@ -193,7 +193,7 @@ mod tests {
         let (t, k) = glottolog_dataset();
         let d = DatasetBuilder::new(&t, k, 12).sample_cap(Some(30)).build(QuestionDataset::Mcq).unwrap();
         let tuned = InstructionTuned::new(SimulatedLlm::new(ModelId::Llama2_7b), 1.0, 4);
-        let report = Evaluator::default().run(&tuned, &d);
+        let report = GridRunner::default().run(&tuned, &d);
         assert_eq!(report.overall.accuracy(), 1.0);
     }
 

@@ -6,7 +6,7 @@ use crate::profile::ModelId;
 use crate::respond::{render, Verdict};
 use crate::similarity;
 use std::sync::Mutex;
-use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
+use taxoglimpse_core::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
 use taxoglimpse_core::text::token_count;
 use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
@@ -198,9 +198,8 @@ struct BatchPrefix {
 }
 
 impl SimulatedLlm {
-    /// The batch's shared prefix, if every query declares the same
-    /// `prefix_len`, the bytes verify against the first query, and the
-    /// prefix ends in `'\n'` (as `render_prefix` output always does).
+    /// The batch's verified [`shared_prefix`], if it ends in `'\n'` (as
+    /// `render_prefix` output always does).
     ///
     /// The trailing newline is what makes per-query work splittable at
     /// the boundary with *exact* equality to the unsplit computation:
@@ -211,22 +210,7 @@ impl SimulatedLlm {
     /// byte-for-byte equal to one-shot hashing however the input is
     /// split.
     fn batch_prefix<'p>(queries: &[Query<'p>]) -> Option<&'p str> {
-        let first = queries.first()?;
-        if first.prefix_len == 0 {
-            return None;
-        }
-        let prefix = first.prompt.get(..first.prefix_len)?;
-        if !prefix.ends_with('\n') {
-            return None;
-        }
-        queries
-            .iter()
-            .all(|q| {
-                q.prefix_len == prefix.len()
-                    && q.prompt.len() >= prefix.len()
-                    && q.prompt.as_bytes()[..prefix.len()] == *prefix.as_bytes()
-            })
-            .then_some(prefix)
+        shared_prefix(queries).filter(|prefix| prefix.ends_with('\n'))
     }
 }
 
@@ -309,7 +293,8 @@ mod tests {
     use super::*;
     use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
     use taxoglimpse_core::domain::TaxonomyKind;
-    use taxoglimpse_core::eval::{EvalConfig, Evaluator};
+    use taxoglimpse_core::eval::EvalConfig;
+    use taxoglimpse_core::grid::GridRunner;
     use taxoglimpse_core::prompts::PromptSetting;
     use taxoglimpse_synth::{generate, GenOptions};
 
@@ -321,7 +306,7 @@ mod tests {
             .build(QuestionDataset::Hard)
             .unwrap();
         let m = SimulatedLlm::new(ModelId::Gpt4);
-        let e = Evaluator::default();
+        let e = GridRunner::default();
         let r1 = e.run(&m, &d);
         let r2 = e.run(&m, &d);
         assert_eq!(r1.overall, r2.overall);
@@ -332,7 +317,7 @@ mod tests {
         let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 11, scale: 1.0 }).unwrap();
         let d = DatasetBuilder::new(&t, TaxonomyKind::Ebay, 11).build(QuestionDataset::Hard).unwrap();
         let m = SimulatedLlm::new(ModelId::Gpt4);
-        let report = Evaluator::default().run(&m, &d);
+        let report = GridRunner::default().run(&m, &d);
         // Paper: A=0.921, M=0.003 on eBay hard.
         assert!((report.overall.accuracy() - 0.921).abs() < 0.06, "A={}", report.overall.accuracy());
         assert!(report.overall.miss_rate() < 0.03, "M={}", report.overall.miss_rate());
@@ -346,10 +331,10 @@ mod tests {
             .build(QuestionDataset::Hard)
             .unwrap();
         let m = SimulatedLlm::new(ModelId::Llama2_7b);
-        let report = Evaluator::default().run(&m, &d);
+        let report = GridRunner::default().run(&m, &d);
         assert!(report.overall.miss_rate() > 0.85, "M={}", report.overall.miss_rate());
         // Few-shot prompting rescues it (Finding 4 / Figure 4(c,d)).
-        let few = Evaluator::builder().with_config(EvalConfig { setting: PromptSetting::FewShot, ..Default::default() }).build().run(&m, &d);
+        let few = GridRunner::builder().with_config(EvalConfig { setting: PromptSetting::FewShot, ..Default::default() }).build().run(&m, &d);
         assert!(few.overall.miss_rate() < 0.3, "few-shot M={}", few.overall.miss_rate());
         assert!(few.overall.accuracy() > report.overall.accuracy());
     }
@@ -362,7 +347,7 @@ mod tests {
             .build(QuestionDataset::Mcq)
             .unwrap();
         let m = SimulatedLlm::new(ModelId::Mixtral8x7b);
-        Evaluator::default().run(&m, &d);
+        GridRunner::default().run(&m, &d);
         let usage = m.usage();
         assert_eq!(usage.queries as usize, d.len());
         assert!(usage.prompt_tokens > usage.queries * 5);
@@ -416,8 +401,8 @@ mod tests {
     fn different_seeds_change_individual_answers_not_aggregates() {
         let t = generate(TaxonomyKind::Google, GenOptions { seed: 3, scale: 0.3 }).unwrap();
         let d = DatasetBuilder::new(&t, TaxonomyKind::Google, 3).build(QuestionDataset::Easy).unwrap();
-        let a = Evaluator::default().run(&SimulatedLlm::with_seed(ModelId::Gpt35, 1), &d);
-        let b = Evaluator::default().run(&SimulatedLlm::with_seed(ModelId::Gpt35, 2), &d);
+        let a = GridRunner::default().run(&SimulatedLlm::with_seed(ModelId::Gpt35, 1), &d);
+        let b = GridRunner::default().run(&SimulatedLlm::with_seed(ModelId::Gpt35, 2), &d);
         // Aggregates stay close to each other (both calibrated)…
         assert!((a.overall.accuracy() - b.overall.accuracy()).abs() < 0.08);
         // …but the seeds genuinely differ somewhere.

@@ -161,7 +161,7 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 mod tests {
     use super::*;
     use taxoglimpse_core::dataset::DatasetBuilder;
-    use taxoglimpse_core::eval::Evaluator;
+    use taxoglimpse_core::grid::GridRunner;
     use taxoglimpse_llm::zoo::ModelZoo;
     use taxoglimpse_synth::{generate, GenOptions};
 
@@ -169,7 +169,7 @@ mod tests {
         let t = generate(kind, GenOptions { seed: 31, scale: 1.0 }).unwrap();
         let d = DatasetBuilder::new(&t, kind, 31).build(flavor).unwrap();
         let zoo = ModelZoo::default_zoo();
-        Evaluator::default().run(zoo.get(model).unwrap().as_ref(), &d)
+        GridRunner::default().run(zoo.get(model).unwrap().as_ref(), &d)
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() {
     }
 
     // 4. Serving faults? Wrap any model in the deterministic fault
-    //    injector: the evaluator retries transient errors, scores what
+    //    injector: the runner retries transient errors, scores what
     //    still fails as Failed, and reports availability alongside
     //    accuracy — no crash, no lost report.
     let flaky = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), FaultPlan::uniform(7, 0.2));

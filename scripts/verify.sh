@@ -108,15 +108,24 @@ rm -f "$GRAPH_OUT" "$LINT_OUT"
 echo "==> compiling the micro-benches"
 cargo bench --offline --no-run -p taxoglimpse-bench
 
-# 6. Experiment bins: no test runs them, so drive one end to end. The
+# 6. Experiment bins: no test runs them, so drive two end to end. The
 #    `cost` bin serves two models through the fault/resilience tower;
-#    it must exit 0 and print a GPT-4 row.
+#    the `shots` bin sweeps truncated exemplar pools through the grid
+#    runner. Each must exit 0 and print a GPT-4 row.
 echo "==> running the cost experiment bin"
 COST_OUT="$(cargo run --release --offline -q -p taxoglimpse-bench --bin cost -- \
     --scale 0.05 --cap 5 --models GPT-4,Llama-2-70B)"
 grep -q '^GPT-4 ' <<< "$COST_OUT" || {
     echo "error: cost printed no GPT-4 row:" >&2
     echo "$COST_OUT" >&2
+    exit 1
+}
+echo "==> running the shots experiment bin"
+SHOTS_OUT="$(cargo run --release --offline -q -p taxoglimpse-bench --bin shots -- \
+    --scale 0.05 --cap 5)"
+grep -q '^GPT-4 ' <<< "$SHOTS_OUT" || {
+    echo "error: shots printed no GPT-4 row:" >&2
+    echo "$SHOTS_OUT" >&2
     exit 1
 }
 

@@ -40,8 +40,8 @@ pub use taxoglimpse_taxonomy as taxonomy;
 /// Convenient glob-import surface covering the common workflow types:
 /// dataset construction, the fallible model interface, the unified
 /// [`Workload`](taxoglimpse_core::workload::Workload) surface (grid QA,
-/// instance typing, hierarchical classification), evaluation (sequential
-/// and grid), sharded runs (`run_sharded` returns the merged report
+/// instance typing, hierarchical classification), evaluation through
+/// the one [`GridRunner`](taxoglimpse_core::grid::GridRunner), sharded runs (`run_sharded` returns the merged report
 /// itself), resilience, fault injection, and the virtual-time serving
 /// layer.
 pub mod prelude {
@@ -49,14 +49,14 @@ pub mod prelude {
         cache::{CachedModel, ResponseCache},
         dataset::{DatasetBuilder, QuestionDataset},
         domain::{Domain, TaxonomyKind},
-        eval::{EvalConfig, EvalReport, Evaluator},
+        eval::{EvalConfig, EvalReport},
         grid::GridRunner,
         hier::{DescentConfig, HierMetrics, HierReport, HierWorkload, RouterConfig},
         metrics::{Metrics, Outcome},
         model::{LanguageModel, ModelError, Query, Response},
         prompts::PromptSetting,
         question::{Question, QuestionKind},
-        resilience::{BackoffPolicy, BreakerPolicy, Resilient, ResiliencePolicy},
+        resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy},
         serve::{run_serve, ServeConfig, ServeReport, TenantSpec, TrafficConfig},
         shard::{run_grid_sharded, run_sharded, ShardRouter, ShardedDataset},
         workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError},

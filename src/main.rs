@@ -202,7 +202,7 @@ fn cmd_eval(flags: &Flags) -> Result<String, String> {
         .sample_cap(flags.cap)
         .build(flags.flavor)
         .map_err(|e| e.to_string())?;
-    let report = Evaluator::builder().with_config(EvalConfig { setting: flags.setting, ..Default::default() }).build()
+    let report = GridRunner::builder().with_config(EvalConfig { setting: flags.setting, ..Default::default() }).build()
         .run(model.as_ref(), &dataset);
     let mut out = format!(
         "{} on {} {} ({}):\n  overall: {}\n",

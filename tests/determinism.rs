@@ -57,10 +57,10 @@ fn reports_identical_for_identical_seeds_distinct_for_different() {
     let d = DatasetBuilder::new(&t, TaxonomyKind::Google, 6)
         .build(QuestionDataset::Easy)
         .unwrap();
-    let evaluator = Evaluator::default();
-    let r1 = evaluator.run(ModelZoo::with_seed(9).get(ModelId::Gpt35).unwrap().as_ref(), &d);
-    let r2 = evaluator.run(ModelZoo::with_seed(9).get(ModelId::Gpt35).unwrap().as_ref(), &d);
-    let r3 = evaluator.run(ModelZoo::with_seed(10).get(ModelId::Gpt35).unwrap().as_ref(), &d);
+    let runner = GridRunner::default();
+    let r1 = runner.run(ModelZoo::with_seed(9).get(ModelId::Gpt35).unwrap().as_ref(), &d);
+    let r2 = runner.run(ModelZoo::with_seed(9).get(ModelId::Gpt35).unwrap().as_ref(), &d);
+    let r3 = runner.run(ModelZoo::with_seed(10).get(ModelId::Gpt35).unwrap().as_ref(), &d);
     assert_eq!(taxoglimpse::json::to_string(&r1).unwrap(), taxoglimpse::json::to_string(&r2).unwrap());
     assert_ne!(taxoglimpse::json::to_string(&r1).unwrap(), taxoglimpse::json::to_string(&r3).unwrap());
 }

@@ -18,13 +18,13 @@ use taxoglimpse::core::dataset::Dataset;
 fn full_pipeline_runs_for_every_taxonomy_and_flavor() {
     let zoo = ModelZoo::default_zoo();
     let model = zoo.get(ModelId::Llama3_8b).unwrap();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     for kind in TaxonomyKind::ALL {
         let scale = if kind == TaxonomyKind::Ncbi { 0.003 } else { 0.15 };
         for flavor in QuestionDataset::ALL {
             let (_t, d) = dataset(kind, scale, flavor, 40);
             assert!(!d.is_empty(), "{kind} {flavor}");
-            let report = evaluator.run(model.as_ref(), &d);
+            let report = runner.run(model.as_ref(), &d);
             assert_eq!(report.overall.total(), d.len());
             let sum = report.overall.correct + report.overall.missed + report.overall.wrong;
             assert_eq!(sum, d.len());
@@ -41,12 +41,12 @@ fn all_eighteen_models_answer_parseably() {
     // scoring well is evidence the loop is airtight.
     let (_t, d) = dataset(TaxonomyKind::Ebay, 1.0, QuestionDataset::Hard, 30);
     let zoo = ModelZoo::default_zoo();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     for model in zoo.all() {
-        let report = evaluator.run(model.as_ref(), &d);
+        let report = runner.run(model.as_ref(), &d);
         assert_eq!(report.overall.total(), d.len(), "{}", report.model);
     }
-    let strong = evaluator.run(zoo.get(ModelId::Gpt4).unwrap().as_ref(), &d);
+    let strong = runner.run(zoo.get(ModelId::Gpt4).unwrap().as_ref(), &d);
     assert!(strong.overall.accuracy() > 0.8, "GPT-4 accuracy {}", strong.overall.accuracy());
 }
 
@@ -57,7 +57,7 @@ fn prompt_settings_flow_through_the_whole_stack() {
     let model = zoo.get(ModelId::Llama2_7b).unwrap();
     let mut misses = Vec::new();
     for setting in PromptSetting::ALL {
-        let report = Evaluator::builder().with_config(EvalConfig { setting, ..Default::default() }).build().run(model.as_ref(), &d);
+        let report = GridRunner::builder().with_config(EvalConfig { setting, ..Default::default() }).build().run(model.as_ref(), &d);
         assert_eq!(report.setting, setting);
         misses.push(report.overall.miss_rate());
     }
@@ -71,7 +71,7 @@ fn prompt_settings_flow_through_the_whole_stack() {
 fn instance_typing_pipeline_end_to_end() {
     let zoo = ModelZoo::default_zoo();
     let model = zoo.get(ModelId::Gpt4).unwrap();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     for kind in TaxonomyKind::ALL.into_iter().filter(|k| k.has_instances()) {
         let scale = if kind == TaxonomyKind::Ncbi { 0.003 } else { 0.1 };
         let taxonomy = generate(kind, GenOptions { seed: 99, scale }).expect("valid options");
@@ -80,7 +80,7 @@ fn instance_typing_pipeline_end_to_end() {
             .build(&WorkloadContext::new(&taxonomy, kind, 99))
             .expect("hard flavor defined for instance-bearing kinds");
         assert!(!d.is_empty(), "{kind}");
-        let report = evaluator.run(model.as_ref(), &d);
+        let report = runner.run(model.as_ref(), &d);
         assert!(report.overall.accuracy() > 0.2, "{kind}: {}", report.overall.accuracy());
         // Slices are keyed by target ancestor level and cover the root.
         assert!(d.levels.iter().any(|s| s.child_level == 0), "{kind} misses root-level pairs");
@@ -98,7 +98,7 @@ fn template_paraphrases_leave_results_stable() {
     let mut accuracies = Vec::new();
     for variant in TemplateVariant::ALL {
         let report =
-            Evaluator::builder().with_config(EvalConfig { variant, ..Default::default() }).build().run(model.as_ref(), &d);
+            GridRunner::builder().with_config(EvalConfig { variant, ..Default::default() }).build().run(model.as_ref(), &d);
         accuracies.push(report.overall.accuracy());
     }
     let spread = accuracies.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
@@ -110,7 +110,7 @@ fn template_paraphrases_leave_results_stable() {
 fn reports_serialize_for_downstream_tools() {
     let (_t, d) = dataset(TaxonomyKind::Schema, 0.5, QuestionDataset::Mcq, 40);
     let zoo = ModelZoo::default_zoo();
-    let report = Evaluator::default().run(zoo.get(ModelId::Mixtral8x7b).unwrap().as_ref(), &d);
+    let report = GridRunner::default().run(zoo.get(ModelId::Mixtral8x7b).unwrap().as_ref(), &d);
     let json = taxoglimpse::json::to_string(&report).expect("reports are serializable");
     let back: taxoglimpse::core::eval::EvalReport = taxoglimpse::json::from_str(&json).expect("round trip");
     assert_eq!(back.overall, report.overall);

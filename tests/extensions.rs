@@ -85,10 +85,10 @@ fn baselines_tell_the_surface_form_story() {
         .sample_cap(Some(120))
         .build(QuestionDataset::Hard)
         .unwrap();
-    let evaluator = Evaluator::default();
-    let vsm = evaluator.run(&NgramVectorBaseline::default(), &d);
-    let lex = evaluator.run(&LexicalBaseline::default(), &d);
-    let rnd = evaluator.run(&RandomBaseline::new(2), &d);
+    let runner = GridRunner::default();
+    let vsm = runner.run(&NgramVectorBaseline::default(), &d);
+    let lex = runner.run(&LexicalBaseline::default(), &d);
+    let rnd = runner.run(&RandomBaseline::new(2), &d);
     let test = two_proportion_z(&vsm.overall, &rnd.overall);
     assert!(test.significant(), "vsm {} vs random {}: p = {}", vsm.overall.accuracy(), rnd.overall.accuracy(), test.p_value);
     assert!(lex.overall.accuracy() > rnd.overall.accuracy());
@@ -113,7 +113,7 @@ fn grid_runner_parallel_equals_sequential_on_real_models() {
         GridRunner::builder().with_threads(6).build().run_cross(&models, &dataset_refs);
     let sequential: Vec<_> = models
         .iter()
-        .flat_map(|m| dataset_refs.iter().map(|d| Evaluator::default().run(*m, d)))
+        .flat_map(|m| dataset_refs.iter().map(|d| GridRunner::default().run(*m, d)))
         .collect();
     for (p, s) in parallel.iter().zip(&sequential) {
         assert_eq!(p.overall, s.overall, "{} on {} {}", p.model, p.taxonomy, p.flavor);
@@ -127,17 +127,17 @@ fn api_layer_is_transparent_to_quality() {
         .sample_cap(Some(60))
         .build(QuestionDataset::Hard)
         .unwrap();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     let bare = SimulatedLlm::new(ModelId::Claude3);
-    let direct = evaluator.run(&bare, &d);
+    let direct = runner.run(&bare, &d);
     // The `cost` bin's serving plan: 2% of deliveries lost to outages.
     let served = FaultInjector::new(
         SimulatedLlm::new(ModelId::Claude3),
         FaultPlan::disabled(75).with_unavailable_rate(0.02),
     );
-    let through_api = evaluator.run(&served, &d);
+    let through_api = runner.run(&served, &d);
     assert!(served.stats().injected > 0, "2% outages must fire");
-    // The evaluator's session retries every outage away, and an outage
+    // The runner's session retries every outage away, and an outage
     // never reaches the model, so quality and billed tokens are those
     // of a fault-free run.
     assert_eq!(direct.overall, through_api.overall);
@@ -165,7 +165,7 @@ fn level_trends_are_negative_for_strong_models_on_deep_taxonomies() {
     let d = DatasetBuilder::new(&t, TaxonomyKind::Glottolog, 77).build(QuestionDataset::Hard).unwrap();
     let zoo = ModelZoo::default_zoo();
     for id in [ModelId::Gpt4, ModelId::FlanT5_11b, ModelId::Vicuna7b] {
-        let report = Evaluator::default().run(zoo.get(id).unwrap().as_ref(), &d);
+        let report = GridRunner::default().run(zoo.get(id).unwrap().as_ref(), &d);
         assert!(level_trend(&report) < 0.0, "{id} should decline root-to-leaf");
     }
 }

@@ -36,16 +36,16 @@ fn lint_report_json_is_schema_valid() {
 #[test]
 fn interprocedural_passes_are_armed_against_this_workspace() {
     // A clean report proves nothing if the new passes never ran. Check
-    // the engine end-to-end against the real tree: the call graph must
-    // resolve the known model-under-lock shape in `Resilient::answer`,
-    // and that site must carry a live L002 suppression (the allow is
-    // consumed, so the report stays clean).
+    // the engine end-to-end against the real tree: the triaged P001
+    // suppressions must be consumed (so the report stays clean), and the
+    // call graph must resolve the evaluation path. L002's detection is
+    // covered by `crates/lint/tests/interproc.rs`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = taxoglimpse_lint::lint_workspace(root).expect("workspace sources readable");
     assert!(report.findings.is_empty(), "{}", report.render_table());
     assert!(
-        report.allows_used >= 12,
-        "expected the triaged L002/P001 suppressions to fire; only {} allow(s) used",
+        report.allows_used >= 10,
+        "expected the triaged P001 suppressions to fire; only {} allow(s) used",
         report.allows_used
     );
 
@@ -53,7 +53,7 @@ fn interprocedural_passes_are_armed_against_this_workspace() {
     let doc = taxoglimpse::json::from_str_value(&graph_json).expect("graph JSON parses");
     let rendered = doc.render_pretty();
     for expected in [
-        "core::resilience::Resilient::answer",
+        "core::grid::GridRunner::run_cells",
         "core::resilience::ResilienceSession::call",
         "core::shard::run_sharded",
         "core::eval",

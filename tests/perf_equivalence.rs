@@ -4,7 +4,8 @@
 //!
 //! Three groups, matching the three tentpole optimisations:
 //! * chunked-parallel [`GridRunner`] output equals a sequential
-//!   [`Evaluator`] pass, across thread counts and chunk sizes;
+//!   one-thread, one-chunk-per-level pass, across thread counts and
+//!   chunk sizes;
 //! * cached-prefix prompt rendering equals fresh whole-prompt renders
 //!   for every `PromptSetting × TemplateVariant`;
 //! * the [`SimilarityCache`] interner equals direct
@@ -17,14 +18,20 @@
 use taxoglimpse::core::dataset::Dataset;
 use taxoglimpse::synth::SEQ_STREAM_VERSION;
 use taxoglimpse::taxonomy::snapshot::SnapshotStore;
-use taxoglimpse::core::eval::{EvalConfig, Evaluator};
-use taxoglimpse::core::grid::GridRunner;
+use taxoglimpse::core::eval::EvalConfig;
+use taxoglimpse::core::grid::{GridRunner, GridRunnerBuilder};
 use taxoglimpse::core::model::LanguageModel;
 use taxoglimpse::core::prompts::{render_prefix, render_prompt, render_prompt_into};
 use taxoglimpse::core::templates::TemplateVariant;
 use taxoglimpse::core::text::similarity;
 use taxoglimpse::llm::similarity::SimilarityCache;
 use taxoglimpse::prelude::*;
+
+/// The plain sequential pass every fast path is compared against: one
+/// worker, and one chunk (so one resilience session) per level.
+fn sequential_runner(config: EvalConfig) -> GridRunnerBuilder {
+    GridRunner::builder().with_config(config).with_threads(1).with_chunk_size(usize::MAX)
+}
 
 fn datasets() -> Vec<Dataset> {
     [
@@ -42,7 +49,7 @@ fn datasets() -> Vec<Dataset> {
 }
 
 /// Chunked-parallel grid output must be byte-identical to a plain
-/// sequential evaluator pass — for every thread count and chunk size,
+/// sequential pass — for every thread count and chunk size,
 /// including a chunk of 1 and a chunk larger than any dataset.
 #[test]
 fn chunked_parallel_grid_is_byte_identical_to_sequential() {
@@ -55,11 +62,11 @@ fn chunked_parallel_grid_is_byte_identical_to_sequential() {
 
     for setting in PromptSetting::ALL {
         let config = EvalConfig { setting, ..Default::default() };
-        let evaluator = Evaluator::builder().with_config(config).build();
+        let baseline = sequential_runner(config).build();
         let sequential: Vec<String> = models
             .iter()
             .flat_map(|m| dataset_refs.iter().map(|d| {
-                taxoglimpse::json::to_string(&evaluator.run(*m, d)).unwrap()
+                taxoglimpse::json::to_string(&baseline.run(*m, d)).unwrap()
             }))
             .collect();
 
@@ -164,7 +171,7 @@ fn similarity_cache_matches_direct_on_fuzz_corpus() {
 /// PR 6: the batched executor and the response cache are pure execution
 /// details. Reports must be byte-identical across batch sizes {1, 32,
 /// 256} × worker counts {1, 2, 8}, with the cache off, cold, and warm
-/// — all compared against the plain sequential evaluator pass.
+/// — all compared against the plain sequential pass.
 #[test]
 fn batched_and_cached_grid_is_byte_identical_to_sequential() {
     use std::sync::Arc;
@@ -177,13 +184,13 @@ fn batched_and_cached_grid_is_byte_identical_to_sequential() {
 
     for setting in [PromptSetting::ZeroShot, PromptSetting::FewShot] {
         let config = EvalConfig { setting, ..Default::default() };
-        let evaluator = Evaluator::builder().with_config(config).build();
+        let baseline = sequential_runner(config).build();
         let sequential: Vec<String> = [gpt4.as_ref(), flan.as_ref()]
             .iter()
             .flat_map(|m| {
                 dataset_refs
                     .iter()
-                    .map(|d| taxoglimpse::json::to_string(&evaluator.run(*m, d)).unwrap())
+                    .map(|d| taxoglimpse::json::to_string(&baseline.run(*m, d)).unwrap())
             })
             .collect();
 
@@ -255,11 +262,10 @@ fn batched_and_cached_grid_is_fault_invariant() {
     let sequential: Vec<String> = {
         let model =
             FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), plan.clone());
-        let evaluator =
-            Evaluator::builder().with_config(config).with_resilience(policy).build();
+        let baseline = sequential_runner(config).with_resilience(policy).build();
         dataset_refs
             .iter()
-            .map(|d| taxoglimpse::json::to_string(&evaluator.run(&model, d)).unwrap())
+            .map(|d| taxoglimpse::json::to_string(&baseline.run(&model, d)).unwrap())
             .collect()
     };
 

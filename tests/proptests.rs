@@ -266,12 +266,15 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
 /// a name (reaching the `&str` parsers through a lossy decode), or
 /// nesting past `MAX_DEPTH`, which must be rejected.
 /// `json::from_str_value`, `Taxonomy::from_json`, `Taxonomy::from_tsv`,
-/// `DetailedRun::from_jsonl` and the raw-answer parsers `parse_tf` and
-/// `parse_mcq` each get every mutant and must return a valid value or
-/// a typed error, never panic.
+/// `DetailedRun::from_jsonl`, the raw-answer parsers `parse_tf` and
+/// `parse_mcq`, and `parse_answer` (then `score`) for a true/false, an
+/// MCQ and a sibling question each get every mutant and must return a
+/// valid value or a typed error, never panic.
 #[test]
 fn mutated_text_fails_cleanly() {
     use taxoglimpse::core::detailed::DetailedRun;
+    use taxoglimpse::core::eval::score;
+    use taxoglimpse::core::question::QuestionBody;
     use taxoglimpse::json::{from_str_value, MAX_DEPTH};
     const NON_UTF8: [&[u8]; 5] = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88"];
     const TRANSCRIPT_FIELDS: [&str; 4] = ["prompt", "response", "parsed", "outcome"];
@@ -282,6 +285,16 @@ fn mutated_text_fails_cleanly() {
         .unwrap();
     let model = SimulatedLlm::new(ModelId::Llama2_7b);
     let transcript = DetailedRun::record(&model, &dataset, EvalConfig::default()).to_jsonl();
+    let mcq = dataset.questions().next().expect("ebay MCQ dataset is non-empty").clone();
+    assert!(matches!(mcq.body, QuestionBody::Mcq { .. }));
+    let tf = Question {
+        body: QuestionBody::TrueFalse { candidate: mcq.true_parent.clone(), expected_yes: true, negative: None },
+        ..mcq.clone()
+    };
+    let sibling = Question {
+        body: QuestionBody::Sibling { options: vec!["a".into(), "b".into(), "c".into()], correct: Some(1) },
+        ..mcq.clone()
+    };
     cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
         let t = random_unicode_taxonomy(rng);
         let source = rng.gen_index(3);
@@ -332,6 +345,9 @@ fn mutated_text_fails_cleanly() {
         assert!(!nested || run.is_err(), "nesting past MAX_DEPTH must be rejected");
         parse_tf(&text);
         parse_mcq(&text);
+        for question in [&tf, &mcq, &sibling] {
+            score(question, parse_answer(question, &text));
+        }
     });
 }
 

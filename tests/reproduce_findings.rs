@@ -16,7 +16,7 @@ fn run(
         .build(flavor)
         .expect("probe levels exist");
     let zoo = ModelZoo::default_zoo();
-    Evaluator::builder().with_config(EvalConfig { setting, ..Default::default() }).build()
+    GridRunner::builder().with_config(EvalConfig { setting, ..Default::default() }).build()
         .run(zoo.get(model).unwrap().as_ref(), &dataset)
 }
 
@@ -163,7 +163,7 @@ fn finding_4_prompting_effects() {
 fn finding_5_instance_typing_gap() {
     let zoo = ModelZoo::default_zoo();
     let model = zoo.get(ModelId::Gpt4).unwrap();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
 
     let accuracy = |kind: TaxonomyKind, scale: f64| {
         let taxonomy = generate(kind, GenOptions { seed: 55, scale }).expect("valid");
@@ -171,7 +171,7 @@ fn finding_5_instance_typing_gap() {
             .with_sample_cap(Some(150))
             .build(&WorkloadContext::new(&taxonomy, kind, 55))
             .unwrap();
-        evaluator.run(model.as_ref(), &dataset).overall.accuracy()
+        runner.run(model.as_ref(), &dataset).overall.accuracy()
     };
     let google = accuracy(TaxonomyKind::Google, 0.5);
     let ncbi = accuracy(TaxonomyKind::Ncbi, 0.003);

@@ -86,13 +86,13 @@ fn measure_grid(
     flavor: QuestionDataset,
 ) -> ComparisonSummary {
     let zoo = ModelZoo::default_zoo();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     let mut reports = Vec::new();
     for &(kind, scale) in kinds {
         let t = generate(kind, GenOptions { seed: 4242, scale }).unwrap();
         let d = DatasetBuilder::new(&t, kind, 4242).build(flavor).unwrap();
         for &model in models {
-            let report = evaluator.run(zoo.get(model).unwrap().as_ref(), &d);
+            let report = runner.run(zoo.get(model).unwrap().as_ref(), &d);
             reports.push((model, report));
         }
     }
@@ -150,7 +150,7 @@ fn tables_5_6_7_cells_near_paper() {
 #[test]
 fn specialized_hard_top_accuracy_is_about_seventy_percent() {
     let zoo = ModelZoo::default_zoo();
-    let evaluator = Evaluator::default();
+    let runner = GridRunner::default();
     for (kind, scale) in [
         (TaxonomyKind::Glottolog, 1.0),
         (TaxonomyKind::GeoNames, 1.0),
@@ -160,7 +160,7 @@ fn specialized_hard_top_accuracy_is_about_seventy_percent() {
         let d = DatasetBuilder::new(&t, kind, 7).build(QuestionDataset::Hard).unwrap();
         let best = ModelId::ALL
             .iter()
-            .map(|&m| evaluator.run(zoo.get(m).unwrap().as_ref(), &d).overall.accuracy())
+            .map(|&m| runner.run(zoo.get(m).unwrap().as_ref(), &d).overall.accuracy())
             .fold(0.0f64, f64::max);
         assert!(
             (0.60..=0.82).contains(&best),

@@ -1,6 +1,6 @@
 //! Property tests for the resilience stack: the fault injector, the
-//! retry/breaker middleware, and their interaction with the parallel
-//! grid. Runs on the same in-tree deterministic proptest harness as
+//! runner's retry/breaker sessions, and their interaction with the
+//! parallel grid. Runs on the same in-tree deterministic proptest harness as
 //! `proptests.rs` — inputs are forked from a fixed seed per case, so
 //! any failure replays from its printed case index.
 
@@ -41,8 +41,8 @@ fn random_plan(rng: &mut SynthRng) -> FaultPlan {
     plan
 }
 
-/// `Resilient<FaultInjector<SimulatedLlm>>` at fault rate 0 is
-/// byte-identical to the bare model, query by query, for any policy.
+/// `FaultInjector<SimulatedLlm>` at fault rate 0, run under any
+/// resilience policy, is byte-identical to the bare model.
 #[test]
 fn zero_rate_stack_is_byte_identical_to_bare_model() {
     cases(PROPTEST_SEED, 8, "zero-rate-transparent", |rng, _| {
@@ -52,17 +52,14 @@ fn zero_rate_stack_is_byte_identical_to_bare_model() {
             .with_max_attempts(rng.gen_range(1u64..6) as u32)
             .with_seed(rng.gen_range(0u64..1 << 32));
         let bare = SimulatedLlm::with_seed(ModelId::Gpt4, seed);
-        let stacked = Resilient::with_policy(
-            FaultInjector::new(
-                SimulatedLlm::with_seed(ModelId::Gpt4, seed),
-                FaultPlan::disabled(rng.gen_range(0u64..1 << 32)),
-            ),
-            policy,
+        let stacked = FaultInjector::new(
+            SimulatedLlm::with_seed(ModelId::Gpt4, seed),
+            FaultPlan::disabled(rng.gen_range(0u64..1 << 32)),
         );
         assert_eq!(stacked.name(), bare.name());
-        let evaluator = Evaluator::default();
-        let bare_report = evaluator.run(&bare, &dataset);
-        let stacked_report = evaluator.run(&stacked, &dataset);
+        let runner = GridRunner::builder().with_resilience(policy).build();
+        let bare_report = runner.run(&bare, &dataset);
+        let stacked_report = runner.run(&stacked, &dataset);
         assert_eq!(
             taxoglimpse::json::to_string(&bare_report).expect("report serializes"),
             taxoglimpse::json::to_string(&stacked_report).expect("report serializes"),
@@ -115,7 +112,7 @@ fn heavy_faults_degrade_gracefully_into_availability() {
             SimulatedLlm::with_seed(ModelId::Gpt35, seed),
             FaultPlan::uniform(rng.gen_range(0u64..1 << 32), rate),
         );
-        let report = Evaluator::default().run(&injector, &dataset);
+        let report = GridRunner::default().run(&injector, &dataset);
         let metrics = report.overall;
         assert_eq!(metrics.total(), dataset.len());
         let expected = 1.0 - metrics.failed as f64 / metrics.total() as f64;
@@ -126,7 +123,7 @@ fn heavy_faults_degrade_gracefully_into_availability() {
     });
 }
 
-/// The `Resilient` wrapper recovers transiently-faulty models: at a
+/// The runner's resilience policy recovers transiently-faulty models: at a
 /// modest fault rate, retries push availability well above the
 /// no-retry floor.
 #[test]
@@ -134,10 +131,10 @@ fn retries_buy_availability() {
     let dataset = small_dataset(7);
     let plan = FaultPlan::uniform(3, 0.4).with_malformed_rate(0.0);
 
-    let no_retries = Evaluator::builder()
+    let no_retries = GridRunner::builder()
         .with_resilience(ResiliencePolicy::default().with_max_attempts(1).without_breaker())
         .build();
-    let with_retries = Evaluator::builder()
+    let with_retries = GridRunner::builder()
         .with_resilience(ResiliencePolicy::default().with_max_attempts(5).without_breaker())
         .build();
 

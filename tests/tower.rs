@@ -2,7 +2,7 @@
 //!
 //! The serving layer (and before it the grid/shard runners) dispatch
 //! whole batches through arbitrary compositions of the model wrappers
-//! — `CachedModel`, `FaultInjector`, `Resilient`, plus the blanket
+//! — `CachedModel` and `FaultInjector`, plus the blanket
 //! `Box`/`&M`/`Arc` impls. Two properties keep that sound, and this
 //! file pins both:
 //!
@@ -81,12 +81,9 @@ fn tower_compositions_implement_language_model() {
     assert_model::<Box<dyn LanguageModel>>();
     assert_model::<CachedModel<ProbeModel>>();
     assert_model::<FaultInjector<ProbeModel>>();
-    assert_model::<Resilient<ProbeModel>>();
     // The PR 5/6 serving tower and its boxed/shared variants.
     assert_model::<FaultInjector<CachedModel<Arc<SimulatedLlm>>>>();
-    assert_model::<Resilient<FaultInjector<CachedModel<Arc<SimulatedLlm>>>>>();
     assert_model::<CachedModel<FaultInjector<SimulatedLlm>>>();
-    assert_model::<Resilient<Box<dyn LanguageModel>>>();
     assert_model::<Arc<FaultInjector<CachedModel<Box<dyn LanguageModel>>>>>();
 }
 
@@ -173,13 +170,6 @@ fn wrappers_forward_the_batch_path() {
     injector.answer_batch(&queries);
     assert_eq!(injector.base().batch_calls.load(Ordering::Relaxed), 1);
     assert_eq!(injector.base().single_calls.load(Ordering::Relaxed), 0);
-
-    // Resilient prefetches attempt 0 through the base batch path; with
-    // a healthy base there is no retry traffic, so exactly one batch
-    // call and zero single calls.
-    let resilient = Resilient::new(ProbeModel::new());
-    resilient.answer_batch(&queries);
-    assert_eq!(resilient.stats().queries, queries.len() as u64);
 }
 
 /// For every documented tower (and both cache/injector stacking
@@ -207,12 +197,6 @@ fn batch_equals_element_wise_singles_for_every_tower() {
         (
             "cache-over-injector",
             Box::new(move || Box::new(CachedModel::new(FaultInjector::new(base(), plan())))),
-        ),
-        (
-            "resilient-full-tower",
-            Box::new(move || {
-                Box::new(Resilient::new(FaultInjector::new(CachedModel::new(base()), plan())))
-            }),
         ),
     ];
 
