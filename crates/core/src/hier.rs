@@ -30,6 +30,15 @@
 //! calibration against router-measurable ambiguity, and prompt-token
 //! cost per query versus stuffing the whole taxonomy into one prompt.
 //!
+//! Scoring: routing and the flat baseline's leaf shortlist share one
+//! loop (`scan`): candidates are scored against every probe name at
+//! once through [`ProbeTrigrams`], each probe keeping a bounded top-k
+//! under the total order, and per-chunk lists merge exactly. A run
+//! makes one pass over the leaves, chunked on the worker pool, that
+//! yields every instance's shortlist and the whole-taxonomy listing's
+//! token count (summed per name, never joined); `route` is the same
+//! loop over the router regions with one probe.
+//!
 //! Determinism: routing is a pure function of `(taxonomy, instance)`;
 //! descent question ids are pure functions of
 //! `(instance index, node, option window)` so fault plans and response
@@ -38,6 +47,8 @@
 //! index order, panics attributed to their instance), with a fresh
 //! [`ResilienceSession`] per instance so no session state couples one
 //! worker's instances to another's.
+
+use std::cmp::Ordering;
 
 use crate::domain::TaxonomyKind;
 use crate::eval::EvalConfig;
@@ -48,7 +59,7 @@ use crate::prompts::render_prompt;
 use crate::question::{Question, QuestionBody};
 use crate::resilience::ResilienceSession;
 use crate::sampling::cochran_sample_size;
-use crate::text::{token_count, Trigrams};
+use crate::text::{listed_token_count, token_count, ProbeTrigrams, Trigrams};
 use crate::workload::{Workload, WorkloadContext, WorkloadError};
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 use taxoglimpse_synth::instances::InstanceGenerator;
@@ -66,6 +77,9 @@ const ID_TAG_DESCENT: u64 = 0x41E2_17A6;
 const ID_TAG_FLAT: u64 = 0x41E2_F1A7;
 /// Seed tag for the flat baseline's surface-form corruption stream.
 const FLAT_CORRUPT_TAG: u64 = 0xC0_44AB7;
+/// Leaf chunks per worker in the leaf pass: enough to balance uneven
+/// chunks, few enough that merging the per-chunk shortlists is free.
+const LEAF_CHUNKS_PER_WORKER: usize = 8;
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -451,31 +465,124 @@ impl HierWorkload {
     /// broken by region name then id so the ranking is total.
     pub fn route(&self, t: &Taxonomy, name: &str) -> Vec<NodeId> {
         let level = self.router.level.min(t.num_levels().saturating_sub(1));
-        let probe = Trigrams::new(name);
-        let scored = t
-            .nodes_at_level(level)
-            .iter()
-            .map(|&n| (probe.jaccard(&Trigrams::new(t.name(n))), n))
-            .collect();
-        top_k(t, scored, self.router.top_k)
+        let probe = ProbeTrigrams::new([name]);
+        let best = scan(t, t.nodes_at_level(level), &probe, self.router.top_k);
+        merge(t, vec![best], 1, self.router.top_k).swap_remove(0)
     }
 }
 
-/// The `k` best of `scored`, most similar first, ties broken by node
-/// name then id so the ranking is total (and so independent of the
-/// selection algorithm).
-fn top_k(t: &Taxonomy, mut scored: Vec<(f64, NodeId)>, k: usize) -> Vec<NodeId> {
-    let order = |a: &(f64, NodeId), b: &(f64, NodeId)| {
+/// The shortlist order: most similar first, ties broken by node name
+/// then id, so the ranking is total (and so independent of the
+/// selection algorithm and of how candidates are chunked).
+fn rank(t: &Taxonomy) -> impl Fn(&(f64, NodeId), &(f64, NodeId)) -> Ordering + '_ {
+    |a, b| {
         b.0.total_cmp(&a.0)
             .then_with(|| t.name(a.1).cmp(t.name(b.1)))
             .then_with(|| a.1.raw().cmp(&b.1.raw()))
-    };
+    }
+}
+
+/// The `k` best of `scored` under [`rank`].
+fn top_k(t: &Taxonomy, mut scored: Vec<(f64, NodeId)>, k: usize) -> Vec<NodeId> {
+    let order = rank(t);
     if k < scored.len() {
-        scored.select_nth_unstable_by(k, order);
+        scored.select_nth_unstable_by(k, &order);
         scored.truncate(k);
     }
-    scored.sort_unstable_by(order);
+    scored.sort_unstable_by(&order);
     scored.into_iter().map(|(_, n)| n).collect()
+}
+
+/// Insert `entry` into `best`, the sorted `k` best so far under
+/// [`rank`], if it ranks among them.
+fn offer(t: &Taxonomy, best: &mut Vec<(f64, NodeId)>, k: usize, entry: (f64, NodeId)) {
+    let order = rank(t);
+    if best.len() == k {
+        match best.last() {
+            Some(worst) if order(&entry, worst).is_lt() => best.pop(),
+            _ => return,
+        };
+    }
+    let at = best.partition_point(|e| order(e, &entry).is_lt());
+    best.insert(at, entry);
+}
+
+/// One slice of candidates' bounded shortlists.
+struct Best {
+    /// Per probe, its `k` best candidates of nonzero similarity.
+    scored: Vec<Vec<(f64, NodeId)>>,
+    /// The `k` first candidates by `(name, id)`: what every probe
+    /// ranks next after its nonzero candidates.
+    zero: Vec<(f64, NodeId)>,
+}
+
+/// Score every candidate against every probe in one walk over the
+/// candidates, keeping each probe's `k` best.
+fn scan(t: &Taxonomy, candidates: &[NodeId], probes: &ProbeTrigrams, k: usize) -> Best {
+    let mut best = Best {
+        scored: vec![Vec::new(); probes.len()],
+        zero: Vec::with_capacity(k),
+    };
+    let mut scorer = probes.scorer();
+    for &c in candidates {
+        scorer.score(t.name(c), |p, score| offer(t, &mut best.scored[p], k, (score, c)));
+        offer(t, &mut best.zero, k, (0.0, c));
+    }
+    best
+}
+
+/// Merge the [`scan`]s of disjoint candidate slices into each of the
+/// `probes` probes' `k` best, equal to [`top_k`] over every candidate's
+/// exact score. A candidate missing from a probe's nonzero lists scores
+/// zero, unless its slice's list was full; then the probe has `k`
+/// nonzero candidates, which all outrank it.
+fn merge(t: &Taxonomy, parts: Vec<Best>, probes: usize, k: usize) -> Vec<Vec<NodeId>> {
+    let zero = top_k(t, parts.iter().flat_map(|b| b.zero.iter().copied()).collect(), k);
+    (0..probes)
+        .map(|p| {
+            let mut scored: Vec<(f64, NodeId)> =
+                parts.iter().flat_map(|b| b.scored[p].iter().copied()).collect();
+            let fill: Vec<(f64, NodeId)> = zero
+                .iter()
+                .filter(|&&z| scored.iter().all(|&(_, n)| n != z))
+                .map(|&z| (0.0, z))
+                .collect();
+            scored.extend(fill);
+            top_k(t, scored, k)
+        })
+        .collect()
+}
+
+/// One pass over `t`'s leaves, split into chunks on `threads` workers:
+/// each probe's `k` most similar leaves, and the token count of the
+/// `", "`-joined leaf listing.
+fn leaf_pass(
+    t: &Taxonomy,
+    probes: &ProbeTrigrams,
+    k: usize,
+    threads: usize,
+) -> (Vec<Vec<NodeId>>, usize) {
+    let leaves = t.leaves();
+    let chunk = leaves.len().div_ceil(threads * LEAF_CHUNKS_PER_WORKER).max(1);
+    let chunks: Vec<&[NodeId]> = leaves.chunks(chunk).collect();
+    let parts = run_indexed(threads, chunks.len(), |c| {
+        let listed: usize = chunks[c].iter().map(|&l| listed_token_count(t.name(l))).sum();
+        (scan(t, chunks[c], probes, k), listed)
+    });
+    let (mut best, mut listed) = (Vec::with_capacity(parts.len()), 0);
+    for part in parts {
+        let (part, tokens) = part.unwrap_or_else(|reason| {
+            // lint:allow(P001, deliberate re-panic - a worker panic is surfaced once every chunk has finished)
+            panic!("hier leaf pass panicked: {reason}")
+        });
+        best.push(part);
+        listed += tokens;
+    }
+    // The last leaf is not followed by a comma.
+    if let Some(&last) = leaves.last() {
+        listed = listed - listed_token_count(t.name(last)) + token_count(t.name(last));
+    }
+    (merge(t, best, probes.len(), k), listed)
 }
 
 /// Deterministic question id: a hash of `(tag, instance, node, window)`
@@ -530,13 +637,15 @@ struct InstanceResult {
     flat_tokens: usize,
 }
 
-/// Shared read-only state for one `run` call.
+/// Shared read-only state for one `run` call, built by one
+/// [`leaf_pass`]: nothing in it is kept per leaf.
 struct RunState<'r> {
     t: &'r Taxonomy,
     kind: TaxonomyKind,
     config: EvalConfig,
-    /// Leaf ids paired with trigram sets, for the flat shortlist.
-    leaf_sims: Vec<(NodeId, Trigrams)>,
+    /// Per instance, its flat-baseline shortlist: the most similar
+    /// leaves, from the run's one leaf pass.
+    shortlists: Vec<Vec<NodeId>>,
     /// Token cost of the instruction + full leaf listing the
     /// whole-taxonomy-in-prompt alternative pays before the instance
     /// name is even added.
@@ -631,10 +740,7 @@ impl HierWorkload {
         result: &mut InstanceResult,
     ) -> FlatOutcome {
         let t = state.t;
-        let probe = Trigrams::new(&instance.name);
-        let scored =
-            state.leaf_sims.iter().map(|(leaf, set)| (probe.jaccard(set), *leaf)).collect();
-        let shortlist = top_k(t, scored, self.descent.max_options);
+        let shortlist = &state.shortlists[instance_idx];
 
         let options: Vec<String> = shortlist.iter().map(|&l| t.name(l).to_owned()).collect();
         let correct = shortlist.iter().position(|&l| l == instance.gold).map(|i| i as u8);
@@ -793,27 +899,17 @@ impl Workload for HierWorkload {
         data: &HierDataset,
     ) -> HierReport {
         let t = cx.taxonomy;
-        let leaf_sims: Vec<(NodeId, Trigrams)> = t
-            .leaves()
-            .into_iter()
-            .map(|l| (l, Trigrams::new(t.name(l))))
-            .collect();
-        let whole_taxonomy_base_tokens = {
-            let listing: String = leaf_sims
-                .iter()
-                .map(|(l, _)| t.name(*l))
-                .collect::<Vec<_>>()
-                .join(", ");
-            token_count(
-                "Classify the instance into exactly one of the following categories:",
-            ) + token_count(&listing)
-        };
+        let probes = ProbeTrigrams::new(data.instances.iter().map(|i| i.name.as_str()));
+        let (shortlists, listing_tokens) =
+            leaf_pass(t, &probes, self.descent.max_options, runner.threads());
         let state = RunState {
             t,
             kind: cx.kind,
             config: runner.config(),
-            leaf_sims,
-            whole_taxonomy_base_tokens,
+            shortlists,
+            whole_taxonomy_base_tokens: token_count(
+                "Classify the instance into exactly one of the following categories:",
+            ) + listing_tokens,
         };
 
         model.reset();
@@ -1021,6 +1117,89 @@ mod tests {
             message.contains(&format!("instance {target}: synthetic instance failure")),
             "{message}"
         );
+    }
+
+    /// A forest of one-node trees: every name is a leaf, in order.
+    fn leaves_named<S: AsRef<str>>(names: &[S]) -> Taxonomy {
+        let mut b = taxoglimpse_taxonomy::TaxonomyBuilder::new("leaves");
+        for name in names {
+            b.add_root(name.as_ref());
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn leaf_pass_shortlists_equal_brute_force_top_k() {
+        use crate::text::tests::{adversarial_probes, ADVERSARIAL};
+        // Every adversarial name twice (duplicate names under different
+        // ids), so ties fall through to the id.
+        let names: Vec<&str> = ADVERSARIAL.iter().chain(ADVERSARIAL.iter()).copied().collect();
+        let t = leaves_named(&names);
+        let leaves = t.leaves();
+        for n in [0, 1, 64, 65, 130] {
+            let probes = adversarial_probes(n);
+            let index = ProbeTrigrams::new(probes.iter().map(String::as_str));
+            for k in [0, 1, 4, leaves.len() + 3] {
+                let want: Vec<Vec<NodeId>> = probes
+                    .iter()
+                    .map(|p| {
+                        let probe = Trigrams::new(p);
+                        let scored = leaves
+                            .iter()
+                            .map(|&l| (probe.jaccard(&Trigrams::new(t.name(l))), l))
+                            .collect();
+                        top_k(&t, scored, k)
+                    })
+                    .collect();
+                for threads in [1, 2, 8] {
+                    let (got, _) = leaf_pass(&t, &index, k, threads);
+                    assert_eq!(got, want, "{n} probes, k {k}, {threads} workers");
+                }
+            }
+        }
+        // A probe sharing no trigram with any leaf ranks them all zero:
+        // the shortlist is the first leaves by (name, id).
+        let (got, _) = leaf_pass(&t, &ProbeTrigrams::new(["qqzzqq"]), 3, 2);
+        assert_eq!(got, [vec![leaves[0], leaves[30], leaves[2]]]);
+    }
+
+    #[test]
+    fn route_equals_brute_force_top_k() {
+        let t = generate(TaxonomyKind::Amazon, GenOptions { seed: 9, scale: 0.1 }).unwrap();
+        let regions = t.nodes_at_level(1);
+        for top in [1, 3, regions.len() + 2] {
+            let w = HierWorkload::new().with_router(RouterConfig::default().with_top_k(top));
+            for id in t.ids().step_by(37) {
+                let probe = Trigrams::new(t.name(id));
+                let scored = regions
+                    .iter()
+                    .map(|&r| (probe.jaccard(&Trigrams::new(t.name(r))), r))
+                    .collect();
+                assert_eq!(w.route(&t, t.name(id)), top_k(&t, scored, top));
+            }
+            assert_eq!(w.route(&t, "qqzzqq").len(), top.min(regions.len()));
+        }
+    }
+
+    #[test]
+    fn listing_tokens_sum_per_name() {
+        let lists: [&[&str]; 7] = [
+            &[],
+            &["Books"],
+            &["dots.....", "Books"],
+            &["dots......", "x !?!?!?", "x !?!?!", "tail......"],
+            &["trailing ", "", "  ", "", "end "],
+            &["naïve —", "語言……", "Sinō-Tibetan 語言", "x — y"],
+            &crate::text::tests::ADVERSARIAL,
+        ];
+        for names in lists {
+            let t = leaves_named(names);
+            for threads in [1, 2, 8] {
+                let (_, listed) = leaf_pass(&t, &ProbeTrigrams::new([]), 4, threads);
+                let want = token_count(&crate::text::tests::joined(names));
+                assert_eq!(listed, want, "{names:?}, {threads} workers");
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! * **Surface similarity**: character-trigram Jaccard over ASCII-lowered
 //!   bytes ([`Trigrams`], [`similarity`]). The simulated models use it as
-//!   their surface-form evidence (the NCBI species→genus uplift), the
-//!   hier router ranks regions with it, and the detailed error analysis
-//!   bands questions by it.
+//!   their surface-form evidence (the NCBI species→genus uplift) and the
+//!   detailed error analysis bands questions by it. [`ProbeTrigrams`]
+//!   scores many names against one at a time, bit-identically: the hier
+//!   router and flat shortlist rank taxonomy nodes with it.
 //! * **Token count**: whitespace words split into alternating
 //!   alphanumeric/other runs, each run costing `ceil(chars / 6)` tokens
 //!   ([`token_count`], with [`tokenize`] as the materialising
 //!   reference). It drives usage accounting, API cost and the hier
-//!   prompt-cost comparison.
+//!   prompt-cost comparison, whose `", "`-joined leaf listing is costed
+//!   per name ([`listed_token_count`]).
 //!
 //! This is not a trained BPE; it approximates modern LLM tokenizers
 //! (≈ 4 characters per token for English, punctuation split off, long
@@ -19,6 +21,21 @@ use std::cmp::Ordering;
 
 /// Maximum characters a single token may span before being chunked.
 const MAX_TOKEN_CHARS: usize = 6;
+
+/// The one trigram extraction rule: every 3-byte window of an
+/// ASCII-lowercased name, in order, repeats included. Windows span UTF-8
+/// boundaries; names under three bytes have none.
+#[inline]
+fn windows(lower: &[u8]) -> impl Iterator<Item = [u8; 3]> + '_ {
+    lower.windows(3).map(|w| [w[0], w[1], w[2]])
+}
+
+/// The one Jaccard formula over two non-empty trigram sets of sizes `a`
+/// and `b` that share `shared` trigrams.
+#[inline]
+fn jaccard_from_counts(shared: usize, a: usize, b: usize) -> f64 {
+    shared as f64 / (a + b - shared) as f64
+}
 
 /// A name's ASCII-lowercased form and its sorted, deduplicated byte
 /// trigrams (empty for names under three bytes).
@@ -32,11 +49,7 @@ impl Trigrams {
     /// Compute the trigram set of `name`.
     pub fn new(name: &str) -> Trigrams {
         let lower = name.to_ascii_lowercase();
-        let mut grams: Vec<[u8; 3]> = lower
-            .as_bytes()
-            .windows(3)
-            .map(|w| [w[0], w[1], w[2]])
-            .collect();
+        let mut grams: Vec<[u8; 3]> = windows(lower.as_bytes()).collect();
         grams.sort_unstable();
         grams.dedup();
         Trigrams {
@@ -77,7 +90,194 @@ impl Trigrams {
                 }
             }
         }
-        shared as f64 / (a.len() + b.len() - shared) as f64
+        jaccard_from_counts(shared, a.len(), b.len())
+    }
+}
+
+/// Marks a free [`ProbeTrigrams`] slot; packed trigrams fit in 24 bits.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// A trigram packed big-endian into the low 24 bits, so packed order is
+/// the byte order of [`Trigrams::grams`].
+#[inline]
+fn pack(g: [u8; 3]) -> u32 {
+    u32::from_be_bytes([0, g[0], g[1], g[2]])
+}
+
+/// Multiplicative hash of a packed trigram; callers take high bits.
+#[inline]
+fn hash(key: u32) -> u64 {
+    u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The trigram sets of many probe names, indexed so one candidate name
+/// is scored against every probe in a single walk over its own trigrams.
+///
+/// An open-addressed table maps each packed trigram that some probe
+/// contains to a bitmask of those probes: `words` `u64`s per trigram,
+/// one bit per probe, so any probe count fits. A candidate looks each of
+/// its distinct trigrams up once, which counts its overlap with every
+/// probe at the same time. Scores are bit-identical to
+/// [`Trigrams::jaccard`].
+#[derive(Debug, Clone)]
+pub struct ProbeTrigrams {
+    /// Distinct trigram count of each probe.
+    sizes: Vec<usize>,
+    /// Probes under three bytes with their lowered bytes: they match
+    /// only candidates equal to them ignoring ASCII case.
+    short: Vec<(usize, Box<[u8]>)>,
+    /// Slot keys: a packed trigram or [`EMPTY_SLOT`]. At most an eighth
+    /// full, so most candidate trigrams, which no probe has, miss on
+    /// their first slot; empty when no probe has trigrams.
+    keys: Vec<u32>,
+    /// Per slot, the row of its trigram's mask in `masks`.
+    rows: Vec<u32>,
+    /// `words` mask words per distinct probe trigram.
+    masks: Vec<u64>,
+    words: usize,
+}
+
+impl ProbeTrigrams {
+    /// Index the trigrams of `probes`; probe `i` is the `i`-th name.
+    pub fn new<'a>(probes: impl IntoIterator<Item = &'a str>) -> ProbeTrigrams {
+        let sets: Vec<Trigrams> = probes.into_iter().map(Trigrams::new).collect();
+        let words = sets.len().div_ceil(64);
+        let grams: usize = sets.iter().map(|s| s.grams().len()).sum();
+        let slots = if grams == 0 {
+            0
+        } else {
+            (8 * grams).next_power_of_two()
+        };
+        let mut index = ProbeTrigrams {
+            sizes: sets.iter().map(|s| s.grams().len()).collect(),
+            short: Vec::new(),
+            keys: vec![EMPTY_SLOT; slots],
+            rows: vec![0; slots],
+            masks: Vec::new(),
+            words,
+        };
+        for (p, set) in sets.iter().enumerate() {
+            if set.grams().is_empty() {
+                index.short.push((p, set.lower().as_bytes().into()));
+            }
+            for &g in set.grams() {
+                let slot = index.slot(pack(g));
+                if index.keys[slot] == EMPTY_SLOT {
+                    index.keys[slot] = pack(g);
+                    index.rows[slot] = (index.masks.len() / words) as u32;
+                    index.masks.resize(index.masks.len() + words, 0);
+                }
+                index.masks[index.rows[slot] as usize * words + p / 64] |= 1 << (p % 64);
+            }
+        }
+        index
+    }
+
+    /// Number of probes.
+    pub fn len(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// The slot holding `key`, or the free slot where it belongs. The
+    /// table is never full, so the linear probe ends.
+    #[inline]
+    fn slot(&self, key: u32) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut slot = (hash(key) >> 32) as usize & mask;
+        while self.keys[slot] != key && self.keys[slot] != EMPTY_SLOT {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// A scorer with its own scratch buffers, one per worker.
+    pub fn scorer(&self) -> ProbeScorer<'_> {
+        ProbeScorer {
+            probes: self,
+            lower: Vec::new(),
+            grams: Vec::new(),
+            shared: vec![0; self.len()],
+            touched: Vec::new(),
+        }
+    }
+}
+
+/// Scores candidate names against a [`ProbeTrigrams`], reusing its
+/// buffers so scoring allocates nothing once they have grown.
+#[derive(Debug)]
+pub struct ProbeScorer<'p> {
+    probes: &'p ProbeTrigrams,
+    /// The candidate's ASCII-lowercased bytes.
+    lower: Vec<u8>,
+    /// The candidate's packed trigrams, in order, repeats included.
+    grams: Vec<u32>,
+    /// Trigrams each probe shares with the candidate (zero between calls).
+    shared: Vec<usize>,
+    /// Probes with a nonzero `shared` entry.
+    touched: Vec<usize>,
+}
+
+impl ProbeScorer<'_> {
+    /// Call `hit(probe, score)` for every probe whose similarity to
+    /// `name` is nonzero, where `score` equals
+    /// `Trigrams::new(probe).jaccard(&Trigrams::new(name))` bit for bit.
+    /// Every probe not reported scores exactly `0.0`.
+    pub fn score(&mut self, name: &str, mut hit: impl FnMut(usize, f64)) {
+        let probes = self.probes;
+        if name.len() < 3 {
+            for (p, lower) in &probes.short {
+                if name.as_bytes().eq_ignore_ascii_case(lower) {
+                    hit(*p, 1.0);
+                }
+            }
+            return;
+        }
+        if probes.keys.is_empty() {
+            return;
+        }
+        self.lower.clear();
+        self.lower
+            .extend(name.bytes().map(|b| b.to_ascii_lowercase()));
+        self.grams.clear();
+        self.grams.extend(windows(&self.lower).map(pack));
+        // Skip repeats without sorting: a trigram is checked against the
+        // earlier ones only when its bit in a small hashed filter is
+        // already set, which for distinct trigrams is rare.
+        let mut seen = [0u64; 16];
+        let mut distinct = 0;
+        for (i, &g) in self.grams.iter().enumerate() {
+            let bit = (hash(g) >> 54) as usize;
+            let (word, mask) = (bit / 64, 1 << (bit % 64));
+            if seen[word] & mask != 0 && self.grams[..i].contains(&g) {
+                continue;
+            }
+            seen[word] |= mask;
+            distinct += 1;
+            let slot = probes.slot(g);
+            if probes.keys[slot] == EMPTY_SLOT {
+                continue;
+            }
+            let row = probes.rows[slot] as usize * probes.words;
+            for (word, &mask) in probes.masks[row..row + probes.words].iter().enumerate() {
+                let mut bits = mask;
+                while bits != 0 {
+                    let p = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.shared[p] == 0 {
+                        self.touched.push(p);
+                    }
+                    self.shared[p] += 1;
+                }
+            }
+        }
+        for &p in &self.touched {
+            hit(
+                p,
+                jaccard_from_counts(self.shared[p], probes.sizes[p], distinct),
+            );
+            self.shared[p] = 0;
+        }
+        self.touched.clear();
     }
 }
 
@@ -85,6 +285,21 @@ impl Trigrams {
 /// in ASCII.
 pub fn similarity(a: &str, b: &str) -> f64 {
     Trigrams::new(a).jaccard(&Trigrams::new(b))
+}
+
+/// Tokens `name` costs as a non-final entry of a `", "`-joined listing:
+/// `token_count(&format!("{name},"))` without building the string. The
+/// comma opens a run of its own unless `name` ends in a run of other
+/// characters, which it lengthens by one char. Since [`token_count`] is
+/// additive across whitespace, `names.join(", ")` costs the sum of this
+/// over every name but the last, plus `token_count(last)`.
+pub fn listed_token_count(name: &str) -> usize {
+    let tail = name
+        .chars()
+        .rev()
+        .take_while(|c| !c.is_whitespace() && !c.is_alphanumeric())
+        .count();
+    token_count(name) + usize::from(tail % MAX_TOKEN_CHARS == 0)
 }
 
 /// The whitespace-separated words of `text` split into maximal runs of
@@ -182,7 +397,7 @@ fn count_ascii(bytes: &[u8]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::domain::TaxonomyKind;
     use taxoglimpse_synth::{generate, GenOptions};
@@ -232,6 +447,120 @@ mod tests {
         assert_eq!(t.lower(), "aaaab");
         assert_eq!(t.grams(), &[*b"aaa", *b"aab"]);
         assert!(Trigrams::new("ab").grams().is_empty());
+    }
+
+    /// Names that stress the trigram rules: empty and 1–2 byte names,
+    /// case variants, repeated trigrams and non-ASCII bytes whose
+    /// trigrams span UTF-8 boundaries.
+    pub(crate) const ADVERSARIAL: [&str; 30] = [
+        "",
+        "a",
+        "A",
+        "ab",
+        "AB",
+        "é",
+        "—",
+        "abc",
+        "ABC",
+        "aBc",
+        "abcabc",
+        "aaaa",
+        "AAAAb",
+        "aaaaaaaa",
+        "naïve",
+        "NAÏVE",
+        "naïve tæxon",
+        "x — y",
+        "x—y",
+        "語言",
+        "Sinō-Tibetan 語言",
+        "Verbascum",
+        "Verbascum chaixii",
+        "verbascum CHAIXII",
+        "Silene",
+        "Wireless Speakers",
+        "Books",
+        "cardiac lesion AE",
+        "acute cardiac lesion AE",
+        "Emphysema, J43",
+    ];
+
+    /// `n` probe names cycling through [`ADVERSARIAL`] in variants:
+    /// verbatim, upper-cased, doubled, and one sharing nothing.
+    pub(crate) fn adversarial_probes(n: usize) -> Vec<String> {
+        (0..n)
+            .map(|i| {
+                let base = ADVERSARIAL[i % ADVERSARIAL.len()];
+                match i / ADVERSARIAL.len() % 4 {
+                    0 => base.to_owned(),
+                    1 => base.to_uppercase(),
+                    2 => format!("{base}{base}"),
+                    _ => format!("qqzz{i}"),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn probe_scores_are_bit_identical_to_jaccard() {
+        for n in [0, 1, 2, 64, 65, 130] {
+            let probes = adversarial_probes(n);
+            let index = ProbeTrigrams::new(probes.iter().map(String::as_str));
+            assert_eq!(index.len(), n);
+            let mut scorer = index.scorer();
+            let candidates = ADVERSARIAL
+                .iter()
+                .map(|s| s.to_string())
+                .chain(adversarial_probes(130));
+            for name in candidates {
+                let mut got = vec![None; n];
+                scorer.score(&name, |p, score| {
+                    assert!(got[p].is_none(), "probe {p} reported twice for {name:?}");
+                    got[p] = Some(score);
+                });
+                for (p, probe) in probes.iter().enumerate() {
+                    let want = Trigrams::new(probe).jaccard(&Trigrams::new(&name));
+                    assert_eq!(
+                        got[p].unwrap_or(0.0).to_bits(),
+                        want.to_bits(),
+                        "{probe:?} vs {name:?} ({n} probes)"
+                    );
+                    assert!(
+                        got[p].is_none() || want > 0.0,
+                        "{probe:?} vs {name:?} reported zero"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A `", "`-joined listing, materialised: the reference that
+    /// per-name [`listed_token_count`] sums are tested against.
+    pub(crate) fn joined(names: &[&str]) -> String {
+        names.join(", ")
+    }
+
+    #[test]
+    fn listed_token_count_prices_the_trailing_comma() {
+        let names = ADVERSARIAL.into_iter().chain([
+            "dots.....",
+            "dots......",
+            "x !?!?!",
+            "x !?!?!?",
+            "trailing ",
+            "tab\t",
+            "   ",
+            "naïve —",
+            "語言……",
+            "語言……………",
+        ]);
+        for name in names {
+            assert_eq!(
+                listed_token_count(name),
+                token_count(&format!("{name},")),
+                "{name:?}"
+            );
+        }
     }
 
     #[test]
