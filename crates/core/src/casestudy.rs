@@ -163,6 +163,7 @@ impl<'t> CaseStudy<'t> {
                 expected_yes: positive,
                 negative: (!positive).then_some(NegativeKind::Hard),
             },
+            surface_memo: Default::default(),
         }
     }
 

@@ -200,6 +200,13 @@ impl<'t> DatasetBuilder<'t> {
         }
         let levels: Vec<LevelSlice> =
             (1..self.taxonomy.num_levels()).map(|l| self.build_level(flavor, l)).collect();
+        // Every model and prompt setting reads the same surface record,
+        // so it is computed here, once per question, with one set of
+        // buffers for the whole dataset.
+        let mut scratch = Default::default();
+        for q in levels.iter().flat_map(|l| &l.questions) {
+            q.fill_surface(&mut scratch);
+        }
         Ok(Dataset { taxonomy: self.kind, flavor, levels })
     }
 

@@ -101,6 +101,7 @@ impl<'t> Enricher<'t> {
                 expected_yes: true,
                 negative: None,
             },
+            surface_memo: Default::default(),
         };
         let prompt = render_question(&question, TemplateVariant::Canonical);
         let query = Query::new(&prompt, &question, PromptSetting::ZeroShot);

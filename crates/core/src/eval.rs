@@ -237,6 +237,7 @@ mod tests {
             true_parent: "p".into(),
             instance_typing: false,
             body: QuestionBody::TrueFalse { candidate: "p".into(), expected_yes: true, negative: None },
+            surface_memo: Default::default(),
         };
         let tf_neg = Question {
             body: QuestionBody::TrueFalse {
@@ -281,6 +282,7 @@ mod tests {
                 options: vec!["w".into(), "p".into(), "x".into()],
                 correct: Some(1),
             },
+            surface_memo: Default::default(),
         };
         // Gold child shown: pick it, miss it, or abstain (the index at
         // or past the child count is the abstain slot).

@@ -624,6 +624,7 @@ fn sibling_question(
         true_parent: t.name(instance.gold).to_owned(),
         instance_typing: true,
         body: QuestionBody::Sibling { options, correct },
+        surface_memo: Default::default(),
     }
 }
 
@@ -754,6 +755,7 @@ impl HierWorkload {
             true_parent: t.name(instance.gold).to_owned(),
             instance_typing: true,
             body: QuestionBody::Sibling { options: options.clone(), correct },
+            surface_memo: Default::default(),
         };
         let prompt =
             render_prompt(&question, state.config.setting, state.config.variant, &[]);

@@ -156,6 +156,7 @@ impl HybridTaxonomy {
                 expected_yes: true, // unknown at query time; irrelevant to the model
                 negative: None,
             },
+            surface_memo: Default::default(),
         }
     }
 

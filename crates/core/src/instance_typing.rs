@@ -112,6 +112,7 @@ pub(crate) fn build_dataset(
                     expected_yes: true,
                     negative: None,
                 },
+                surface_memo: Default::default(),
             });
             // Negative.
             let negative = match negative_kind {
@@ -138,6 +139,7 @@ pub(crate) fn build_dataset(
                         expected_yes: false,
                         negative: Some(negative_kind),
                     },
+                    surface_memo: Default::default(),
                 });
             }
         }

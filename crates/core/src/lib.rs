@@ -29,6 +29,8 @@
 //! * **Instance typing** (§4.5): [`instance_typing`].
 //! * **Text rules** ([`text`]): the one trigram-similarity kernel and the
 //!   one token counter every layer shares.
+//! * **Surface similarity** ([`similarity`]): each question's record of
+//!   raw name evidence, computed once and read by every simulated model.
 //! * **Case study** (§5.3): hybrid LLM + truncated-taxonomy product
 //!   retrieval with precision/recall accounting ([`casestudy`]).
 //! * **Sharded scale-out** ([`shard`]): one logical benchmark over
@@ -65,6 +67,7 @@ pub mod resilience;
 pub mod sampling;
 pub mod serve;
 pub mod shard;
+pub mod similarity;
 pub mod templates;
 pub mod text;
 pub mod workload;

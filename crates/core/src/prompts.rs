@@ -155,6 +155,7 @@ mod tests {
                 expected_yes: yes,
                 negative: None,
             },
+            surface_memo: Default::default(),
         }
     }
 

@@ -159,6 +159,7 @@ impl<'t> QuestionGenerator<'t> {
             true_parent: t.name(parent).to_owned(),
             instance_typing: false,
             body: QuestionBody::Mcq { options, correct },
+            surface_memo: Default::default(),
         })
     }
 
@@ -181,6 +182,7 @@ impl<'t> QuestionGenerator<'t> {
             true_parent: t.name(parent).to_owned(),
             instance_typing: false,
             body: QuestionBody::TrueFalse { candidate, expected_yes, negative },
+            surface_memo: Default::default(),
         }
     }
 

@@ -1,6 +1,8 @@
 //! Question data model.
 
 use crate::domain::TaxonomyKind;
+use crate::similarity::{Surface, SurfaceMemo};
+use crate::text::{similarity, Trigrams};
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
 /// The abstain option appended to every sibling MCQ (rendered as the
@@ -100,6 +102,13 @@ pub struct Question {
     pub instance_typing: bool,
     /// The payload.
     pub body: QuestionBody,
+    /// Memo behind [`Question::surface`]. Build questions with
+    /// `Default::default()` here; the memo fills itself on first read.
+    /// `Clone` copies a filled memo, so a question made from another by
+    /// struct update (`Question { body, ..q.clone() }`) must set this to
+    /// `Default::default()` too, or it would read `q`'s record; debug
+    /// builds assert that the record matches the names.
+    pub surface_memo: SurfaceMemo,
 }
 
 impl Question {
@@ -114,6 +123,53 @@ impl Question {
             QuestionBody::TrueFalse { expected_yes, .. } => Some(*expected_yes),
             QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => None,
         }
+    }
+
+    /// The names offered as answers: the TF candidate, the MCQ options
+    /// or the sibling round's children.
+    pub fn shown_names(&self) -> &[String] {
+        match &self.body {
+            QuestionBody::TrueFalse { candidate, .. } => std::slice::from_ref(candidate),
+            QuestionBody::Mcq { options, .. } => options,
+            QuestionBody::Sibling { options, .. } => options,
+        }
+    }
+
+    /// The names a [`Surface`] record covers, in slot order: the shown
+    /// names, then for a TF question its true parent.
+    pub fn surface_names(&self) -> impl Iterator<Item = &str> {
+        let parent = matches!(self.body, QuestionBody::TrueFalse { .. })
+            .then_some(self.true_parent.as_str());
+        self.shown_names().iter().map(String::as_str).chain(parent)
+    }
+
+    /// This question's surface record, computed on first read.
+    pub fn surface(&self) -> &Surface {
+        self.fill_surface(&mut Default::default())
+    }
+
+    /// [`Question::surface`], computing a missing record with `scratch`'s
+    /// trigram buffers.
+    pub(crate) fn fill_surface(&self, scratch: &mut [Trigrams; 2]) -> &Surface {
+        let surface = self.surface_memo.0.get_or_init(|| Surface::of(self, scratch));
+        debug_assert!(surface.describes(self), "stale surface memo on question {}", self.id);
+        surface
+    }
+
+    /// The child's trigram similarity to surface slot `slot`'s name:
+    /// read from the record, or scored directly for a name the record
+    /// does not hold. `0.0` for a slot the question does not have.
+    pub fn similarity_to(&self, slot: usize) -> f64 {
+        match self.surface().similarity(slot) {
+            Some(sim) => sim,
+            None => self.surface_names().nth(slot).map_or(0.0, |n| similarity(&self.child, n)),
+        }
+    }
+
+    /// [`Question::similarity_to`] each of [`Question::shown_names`], in
+    /// order.
+    pub fn shown_similarities(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.shown_names().len()).map(|slot| self.similarity_to(slot))
     }
 
     /// The candidate parent shown to the model (TF) or the correct
@@ -205,6 +261,7 @@ impl FromJson for Question {
             true_parent: json.field_as("true_parent")?,
             instance_typing: json.field_as("instance_typing")?,
             body: json.field_as("body")?,
+            surface_memo: SurfaceMemo::default(),
         })
     }
 }
@@ -250,6 +307,7 @@ pub(crate) fn tf_question(id: u64) -> Question {
         true_parent: "b".into(),
         instance_typing: false,
         body: QuestionBody::TrueFalse { candidate: "b".into(), expected_yes: true, negative: None },
+        surface_memo: Default::default(),
     }
 }
 
@@ -271,6 +329,7 @@ mod tests {
                 expected_yes: expected,
                 negative: (!expected).then_some(NegativeKind::Easy),
             },
+            surface_memo: Default::default(),
         }
     }
 
@@ -296,6 +355,14 @@ mod tests {
         assert_eq!(tf(true).shown_candidate(), "Audio");
         assert_eq!(tf(false).shown_candidate(), "Garden Tools");
         assert_eq!(tf(true).expected_yes(), Some(true));
+    }
+
+    #[test]
+    fn surface_record_stays_inline() {
+        // 184 bytes on 64-bit targets before the memo. The inline record
+        // may add at most 48 bytes and no heap allocation: every
+        // response-cache entry holds a question clone.
+        assert_eq!(std::mem::size_of::<Question>(), 184 + 16);
     }
 
     #[test]

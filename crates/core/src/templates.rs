@@ -383,6 +383,7 @@ mod tests {
                 expected_yes: false,
                 negative: Some(NegativeKind::Easy),
             },
+            surface_memo: Default::default(),
         };
         assert_eq!(
             t.render(&q),

@@ -17,45 +17,51 @@
 //! (≈ 4 characters per token for English, punctuation split off, long
 //! words chunked) well enough for token-dependent cost models.
 
-use std::cmp::Ordering;
-
 /// Maximum characters a single token may span before being chunked.
 const MAX_TOKEN_CHARS: usize = 6;
 
 /// The one trigram extraction rule: every 3-byte window of an
-/// ASCII-lowercased name, in order, repeats included. Windows span UTF-8
-/// boundaries; names under three bytes have none.
+/// ASCII-lowercased name, in order, repeats included, packed big-endian
+/// into the low 24 bits of a `u32` so packed order is byte order.
+/// Windows span UTF-8 boundaries; names under three bytes have none.
 #[inline]
-fn windows(lower: &[u8]) -> impl Iterator<Item = [u8; 3]> + '_ {
-    lower.windows(3).map(|w| [w[0], w[1], w[2]])
+fn windows(lower: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    lower.windows(3).map(|w| u32::from_be_bytes([0, w[0], w[1], w[2]]))
 }
 
-/// The one Jaccard formula over two non-empty trigram sets of sizes `a`
-/// and `b` that share `shared` trigrams.
+/// The one Jaccard formula: `shared` trigrams over the `union` of two
+/// trigram sets (see [`Trigrams::overlap`]).
 #[inline]
-fn jaccard_from_counts(shared: usize, a: usize, b: usize) -> f64 {
-    shared as f64 / (a + b - shared) as f64
+pub(crate) fn jaccard_from_counts(shared: usize, union: usize) -> f64 {
+    shared as f64 / union as f64
 }
 
 /// A name's ASCII-lowercased form and its sorted, deduplicated byte
-/// trigrams (empty for names under three bytes).
-#[derive(Debug, Clone)]
+/// trigrams (empty for names under three bytes). [`Trigrams::set`]
+/// refills one in place, so scoring many names can reuse two buffers.
+#[derive(Debug, Clone, Default)]
 pub struct Trigrams {
-    lower: Box<str>,
-    grams: Box<[[u8; 3]]>,
+    lower: String,
+    grams: Vec<u32>,
 }
 
 impl Trigrams {
     /// Compute the trigram set of `name`.
     pub fn new(name: &str) -> Trigrams {
-        let lower = name.to_ascii_lowercase();
-        let mut grams: Vec<[u8; 3]> = windows(lower.as_bytes()).collect();
-        grams.sort_unstable();
-        grams.dedup();
-        Trigrams {
-            lower: lower.into_boxed_str(),
-            grams: grams.into_boxed_slice(),
-        }
+        let mut set = Trigrams::default();
+        set.set(name);
+        set
+    }
+
+    /// Replace this set with `name`'s, reusing its buffers.
+    pub fn set(&mut self, name: &str) {
+        self.lower.clear();
+        self.lower.push_str(name);
+        self.lower.make_ascii_lowercase();
+        self.grams.clear();
+        self.grams.extend(windows(self.lower.as_bytes()));
+        self.grams.sort_unstable();
+        self.grams.dedup();
     }
 
     /// The ASCII-lowercased name.
@@ -64,9 +70,9 @@ impl Trigrams {
         &self.lower
     }
 
-    /// The sorted, deduplicated trigrams of [`Trigrams::lower`].
+    /// The sorted, deduplicated packed trigrams of [`Trigrams::lower`].
     #[inline]
-    pub fn grams(&self) -> &[[u8; 3]] {
+    pub fn grams(&self) -> &[u32] {
         &self.grams
     }
 
@@ -74,35 +80,34 @@ impl Trigrams {
     /// trigrams fall back to equality ignoring ASCII case.
     #[inline]
     pub fn jaccard(&self, other: &Trigrams) -> f64 {
+        let (shared, union) = self.overlap(other);
+        jaccard_from_counts(shared, union)
+    }
+
+    /// The `(shared, union)` trigram counts behind [`Trigrams::jaccard`].
+    /// Names too short for trigrams count `(1, 1)` when equal ignoring
+    /// ASCII case, else `(0, 1)`.
+    #[inline]
+    pub fn overlap(&self, other: &Trigrams) -> (usize, usize) {
         let (a, b) = (self.grams(), other.grams());
         if a.is_empty() || b.is_empty() {
-            return if self.lower == other.lower { 1.0 } else { 0.0 };
+            return (usize::from(self.lower == other.lower), 1);
         }
+        // A branch-free merge: which side advances is data, not control
+        // flow, so the walk does not stall on mispredicted branches.
         let (mut i, mut j, mut shared) = (0, 0, 0usize);
         while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    shared += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let (x, y) = (a[i], b[j]);
+            shared += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
-        jaccard_from_counts(shared, a.len(), b.len())
+        (shared, a.len() + b.len() - shared)
     }
 }
 
 /// Marks a free [`ProbeTrigrams`] slot; packed trigrams fit in 24 bits.
 const EMPTY_SLOT: u32 = u32::MAX;
-
-/// A trigram packed big-endian into the low 24 bits, so packed order is
-/// the byte order of [`Trigrams::grams`].
-#[inline]
-fn pack(g: [u8; 3]) -> u32 {
-    u32::from_be_bytes([0, g[0], g[1], g[2]])
-}
 
 /// Multiplicative hash of a packed trigram; callers take high bits.
 #[inline]
@@ -161,9 +166,9 @@ impl ProbeTrigrams {
                 index.short.push((p, set.lower().as_bytes().into()));
             }
             for &g in set.grams() {
-                let slot = index.slot(pack(g));
+                let slot = index.slot(g);
                 if index.keys[slot] == EMPTY_SLOT {
-                    index.keys[slot] = pack(g);
+                    index.keys[slot] = g;
                     index.rows[slot] = (index.masks.len() / words) as u32;
                     index.masks.resize(index.masks.len() + words, 0);
                 }
@@ -239,7 +244,7 @@ impl ProbeScorer<'_> {
         self.lower
             .extend(name.bytes().map(|b| b.to_ascii_lowercase()));
         self.grams.clear();
-        self.grams.extend(windows(&self.lower).map(pack));
+        self.grams.extend(windows(&self.lower));
         // Skip repeats without sorting: a trigram is checked against the
         // earlier ones only when its bit in a small hashed filter is
         // already set, which for distinct trigrams is rare.
@@ -273,7 +278,7 @@ impl ProbeScorer<'_> {
         for &p in &self.touched {
             hit(
                 p,
-                jaccard_from_counts(self.shared[p], probes.sizes[p], distinct),
+                jaccard_from_counts(self.shared[p], probes.sizes[p] + distinct - self.shared[p]),
             );
             self.shared[p] = 0;
         }
@@ -445,7 +450,7 @@ pub(crate) mod tests {
     fn trigrams_are_sorted_lowered_and_deduplicated() {
         let t = Trigrams::new("AAAAb");
         assert_eq!(t.lower(), "aaaab");
-        assert_eq!(t.grams(), &[*b"aaa", *b"aab"]);
+        assert_eq!(t.grams(), &[0x61_6161, 0x61_6162]); // "aaa", "aab"
         assert!(Trigrams::new("ab").grams().is_empty());
     }
 

@@ -18,9 +18,9 @@
 //!   threshold, MCQ picks the nearest option. This is the "statistical
 //!   IR" baseline a pre-LLM system would actually use.
 
-use crate::similarity::{self, SimilarityCache};
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
-use taxoglimpse_core::question::QuestionBody;
+use taxoglimpse_core::question::{Question, QuestionBody};
+use taxoglimpse_core::similarity::Surface;
 use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// Coin-flip / uniform-choice baseline (deterministic per question).
@@ -93,15 +93,13 @@ impl Default for LexicalBaseline {
 }
 
 impl LexicalBaseline {
-    /// Lowercased forms come from the interner, so repeated names across
-    /// a batch (or a whole dataset level) lowercase exactly once.
-    fn matches(&self, cache: &SimilarityCache, child: &str, candidate: &str) -> bool {
-        let child_entry = cache.entry(child);
-        let candidate_entry = cache.entry(candidate);
-        let (cl, al) = (child_entry.lower(), candidate_entry.lower());
-        if al.len() >= 4 && cl.contains(al) {
+    /// Whether the candidate's whole name occurs in the child's (read
+    /// from the question's surface record) or enough of its words do.
+    fn matches(&self, question: &Question, candidate: &str) -> bool {
+        if question.surface().contains(Surface::CANDIDATE) {
             return true;
         }
+        let (cl, al) = (question.child.to_ascii_lowercase(), candidate.to_ascii_lowercase());
         let cw: Vec<&str> = cl.split(' ').collect();
         let aw: Vec<&str> = al.split(' ').collect();
         if aw.is_empty() {
@@ -109,50 +107,6 @@ impl LexicalBaseline {
         }
         let shared = aw.iter().filter(|w| cw.contains(w)).count();
         shared as f64 / aw.len() as f64 >= self.overlap_threshold
-    }
-
-    /// Answer one query against an explicit similarity cache — the
-    /// shared core of `answer` and `answer_batch`. `cache.similarity`
-    /// is proven identical to `core::text::similarity` (see
-    /// `crate::similarity`), so routing the MCQ arm through it changes
-    /// no answer bytes.
-    fn respond(&self, query: &Query<'_>, cache: &SimilarityCache) -> Response {
-        let text = match &query.question.body {
-            QuestionBody::TrueFalse { candidate, .. } => {
-                if self.matches(cache, &query.question.child, candidate) {
-                    "Yes.".to_owned()
-                } else {
-                    "No.".to_owned()
-                }
-            }
-            QuestionBody::Mcq { options, .. } => {
-                let best = options
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| {
-                        cache
-                            .similarity(&query.question.child, a.1)
-                            .total_cmp(&cache.similarity(&query.question.child, b.1))
-                    })
-                    .map(|(i, _)| i as u8)
-                    .unwrap_or(0);
-                format!("{})", (b'A' + best) as char)
-            }
-            QuestionBody::Sibling { options, .. } => {
-                let best = options
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| {
-                        cache
-                            .similarity(&query.question.child, a.1)
-                            .total_cmp(&cache.similarity(&query.question.child, b.1))
-                    })
-                    .map(|(i, _)| i as u8)
-                    .unwrap_or(0);
-                format!("{})", (b'A' + best) as char)
-            }
-        };
-        Response::new(text)
     }
 }
 
@@ -162,17 +116,27 @@ impl LanguageModel for LexicalBaseline {
     }
 
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        Ok(similarity::with_cache(|cache| self.respond(query, cache)))
+        let question = query.question;
+        let text = match &question.body {
+            QuestionBody::TrueFalse { candidate, .. } => {
+                if self.matches(question, candidate) {
+                    "Yes.".to_owned()
+                } else {
+                    "No.".to_owned()
+                }
+            }
+            QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => {
+                best_option(question.shown_similarities())
+            }
+        };
+        Ok(Response::new(text))
     }
+}
 
-    /// Batched answering: one interner scope for the whole batch, so a
-    /// level's vocabulary (children repeat across options, options
-    /// repeat across questions) is lowercased and trigram-set once.
-    fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
-        similarity::with_cache(|cache| {
-            queries.iter().map(|query| Ok(self.respond(query, cache))).collect()
-        })
-    }
+/// The letter of the highest-scoring option (the last one on ties).
+fn best_option(scores: impl Iterator<Item = f64>) -> String {
+    let best = scores.enumerate().max_by(|a, b| a.1.total_cmp(&b.1)).map_or(0, |(i, _)| i as u8);
+    format!("{})", (b'A' + best) as char)
 }
 
 /// Dimensionality of the hashed n-gram space.
@@ -239,29 +203,9 @@ impl LanguageModel for NgramVectorBaseline {
                     "No.".to_owned()
                 }
             }
-            QuestionBody::Mcq { options, .. } => {
-                let best = options
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| {
-                        Self::cosine(&query.question.child, a.1)
-                            .total_cmp(&Self::cosine(&query.question.child, b.1))
-                    })
-                    .map(|(i, _)| i as u8)
-                    .unwrap_or(0);
-                format!("{})", (b'A' + best) as char)
-            }
-            QuestionBody::Sibling { options, .. } => {
-                let best = options
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| {
-                        Self::cosine(&query.question.child, a.1)
-                            .total_cmp(&Self::cosine(&query.question.child, b.1))
-                    })
-                    .map(|(i, _)| i as u8)
-                    .unwrap_or(0);
-                format!("{})", (b'A' + best) as char)
+            QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => {
+                let child = &query.question.child;
+                best_option(query.question.shown_names().iter().map(|o| Self::cosine(child, o)))
             }
         };
         Ok(Response::new(text))

@@ -22,14 +22,18 @@
 //!   the paper's NCBI species→genus uplift (species names embed the
 //!   genus) and keeps OAE hard negatives hard (uncles share the parent's
 //!   phrase). Evidence is centered per name regime so aggregates stay
-//!   anchored.
+//!   anchored. The raw features (similarities, containment and
+//!   head-noun bits) are read from the question's
+//!   [`Surface`](taxoglimpse_core::similarity::Surface) record, which
+//!   `DatasetBuilder` fills once per question; the weights and centres
+//!   that turn them into evidence live here.
 
 use crate::calib;
 use crate::profile::{ModelId, ModelProfile};
-use crate::similarity::{self, SimilarityCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_core::question::{NegativeKind, Question, QuestionBody};
+use taxoglimpse_core::similarity::Surface;
 use taxoglimpse_synth::profiles::{NameRegime, TaxonomyProfile};
 
 /// The decision probabilities for one question.
@@ -136,8 +140,7 @@ impl KnowledgeModel {
 
         // Surface-form evidence, centered per regime.
         if self.use_surface_evidence {
-            let evidence = similarity::with_cache(|cache| self.evidence(question, cache));
-            logit += self.profile.similarity_weight * evidence;
+            logit += self.profile.similarity_weight * self.evidence(question);
         }
 
         // Prompt-setting accuracy shift.
@@ -169,12 +172,13 @@ impl KnowledgeModel {
 
     /// Signed surface evidence in roughly [-1, 1], centered per regime.
     ///
-    /// All surface lookups (trigram similarity, whole-name containment,
-    /// head-noun matches) are served from the [`SimilarityCache`]
-    /// interner — byte-identical to the direct functions, but each
-    /// unique name's lowercase form and trigram set is computed only
-    /// once per thread instead of up to five times per question.
-    fn evidence(&self, question: &Question, cache: &SimilarityCache) -> f64 {
+    /// Reads only the question's [`Surface`] record: trigram
+    /// similarity, whole-name containment and head-noun matches are pure
+    /// functions of the names, computed once per question when its
+    /// dataset is built and shared by every model and prompt setting.
+    /// Only the weights and per-regime centres below are the model's.
+    fn evidence(&self, question: &Question) -> f64 {
+        let surface = question.surface();
         let center = regime_center(question.taxonomy);
         // Instance typing gets an extra lexical term: a product named
         // "… Compact Pencil X137" trivially string-matches a "Pencils"
@@ -185,17 +189,16 @@ impl KnowledgeModel {
         // about the exact category.
         const LEX_CONFIRM: f64 = 0.40;
         const LEX_REJECT: f64 = 0.80;
-        let lexical = |supports: &str, against: Option<&str>, weight: f64| -> f64 {
+        let lexical = |supports: usize, against: Option<usize>, weight: f64| -> f64 {
             if !question.instance_typing {
                 return 0.0;
             }
-            let hit = |concept: &str| cache.head_matches(&question.child, concept);
             let mut e = 0.0;
-            if hit(supports) {
+            if surface.head_matches(supports) {
                 e += weight;
             }
             if let Some(against) = against {
-                if hit(against) {
+                if surface.head_matches(against) {
                     e -= weight;
                 }
             }
@@ -208,61 +211,42 @@ impl KnowledgeModel {
         // children *always* embed the parent, so there the term is
         // neutral; for NCBI only the species level fires).
         const CONTAINMENT: f64 = 0.6;
-        let contains = |name: &str, concept: &str| -> bool { cache.contains_name(name, concept) };
+        const CAND: usize = Surface::CANDIDATE;
+        const PARENT: usize = Surface::TRUE_PARENT;
         let lex_center = containment_center(question.taxonomy);
-        match &question.body {
-            QuestionBody::TrueFalse { candidate, expected_yes, .. } => {
-                if *expected_yes {
-                    let fires = contains(&question.child, candidate);
-                    cache.similarity(&question.child, candidate) - center
-                        + CONTAINMENT * (f64::from(fires) - lex_center)
-                        + lexical(candidate, None, LEX_CONFIRM)
-                } else {
-                    // Correctly rejecting is easier when the child clearly
-                    // belongs elsewhere (high similarity to the true
-                    // parent, low to the candidate).
-                    let to_true = cache.similarity(&question.child, &question.true_parent);
-                    let to_cand = cache.similarity(&question.child, candidate);
-                    let fires = contains(&question.child, &question.true_parent)
-                        && !contains(&question.child, candidate);
-                    to_true - to_cand
-                        + CONTAINMENT * (f64::from(fires) - lex_center)
-                        + lexical(&question.true_parent, Some(candidate), LEX_REJECT)
-                }
+        let gold = match &question.body {
+            QuestionBody::TrueFalse { expected_yes: true, .. } => {
+                return question.similarity_to(CAND) - center
+                    + CONTAINMENT * (f64::from(surface.contains(CAND)) - lex_center)
+                    + lexical(CAND, None, LEX_CONFIRM);
             }
-            QuestionBody::Mcq { options, correct } => {
-                let to_correct = cache.similarity(&question.child, &options[*correct as usize]);
-                let best_distractor = options
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != *correct as usize)
-                    .map(|(_, o)| cache.similarity(&question.child, o))
-                    .fold(0.0f64, f64::max);
-                to_correct - best_distractor
+            // Correctly rejecting is easier when the child clearly
+            // belongs elsewhere (high similarity to the true parent, low
+            // to the candidate).
+            QuestionBody::TrueFalse { expected_yes: false, .. } => {
+                let fires = surface.contains(PARENT) && !surface.contains(CAND);
+                return question.similarity_to(PARENT) - question.similarity_to(CAND)
+                    + CONTAINMENT * (f64::from(fires) - lex_center)
+                    + lexical(PARENT, Some(CAND), LEX_REJECT);
             }
-            QuestionBody::Sibling { options, correct } => match correct {
-                // Gold child shown: the MCQ margin, over however many
-                // children this round presents.
-                Some(c) => {
-                    let to_correct = cache.similarity(&question.child, &options[*c as usize]);
-                    let best_distractor = options
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != *c as usize)
-                        .map(|(_, o)| cache.similarity(&question.child, o))
-                        .fold(0.0f64, f64::max);
-                    to_correct - best_distractor
-                }
-                // Gold child absent: uniformly low similarity to every
-                // shown child is evidence *for* the correct abstention.
-                None => {
-                    let best_option = options
-                        .iter()
-                        .map(|o| cache.similarity(&question.child, o))
-                        .fold(0.0f64, f64::max);
-                    regime_center(question.taxonomy) - best_option
-                }
-            },
+            QuestionBody::Mcq { correct, .. } => Some(*correct as usize),
+            QuestionBody::Sibling { correct, .. } => correct.map(usize::from),
+        };
+        let (mut to_gold, mut best_other) = (0.0, 0.0f64);
+        for (i, sim) in question.shown_similarities().enumerate() {
+            if Some(i) == gold {
+                to_gold = sim;
+            } else {
+                best_other = best_other.max(sim);
+            }
+        }
+        match gold {
+            // The MCQ margin, over however many options are shown.
+            Some(_) => to_gold - best_other,
+            // Sibling round without the gold child: uniformly low
+            // similarity to every shown child is evidence *for* the
+            // correct abstention.
+            None => center - best_other,
         }
     }
 }
@@ -326,6 +310,7 @@ mod tests {
                 expected_yes: neg.is_none(),
                 negative: neg,
             },
+            surface_memo: Default::default(),
         }
     }
 
@@ -413,6 +398,7 @@ mod tests {
                 options: ["p".into(), "q".into(), "r".into(), "s".into()],
                 correct: 0,
             },
+            surface_memo: Default::default(),
         };
         let (a, m) = k.effective_anchor(&q);
         assert_eq!((a, m), calib::anchor(ModelId::Falcon7b, TaxonomyKind::Ebay, QuestionDataset::Mcq));

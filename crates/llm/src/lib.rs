@@ -15,7 +15,8 @@
 //! * **surface similarity** — character-trigram overlap between the
 //!   child and candidate names shifts the answer logit, which produces
 //!   the NCBI species→genus uplift and the OAE behaviour without any
-//!   per-level hardcoding,
+//!   per-level hardcoding; the overlap is read from the question's
+//!   `Surface` record, computed once per question in `core`,
 //! * **prompting setting** — few-shot suppresses abstention, CoT
 //!   inflates it for abstention-prone models (Finding 4),
 //! * **question type** — TF vs MCQ anchors differ per the tables.
@@ -39,7 +40,6 @@ pub mod knowledge;
 pub mod profile;
 pub mod respond;
 pub mod scalability;
-pub mod similarity;
 pub mod simulate;
 pub mod zoo;
 

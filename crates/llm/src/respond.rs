@@ -116,6 +116,7 @@ mod tests {
                 expected_yes: true,
                 negative: None,
             },
+            surface_memo: Default::default(),
         }
     }
 

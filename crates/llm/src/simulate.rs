@@ -4,7 +4,6 @@
 use crate::knowledge::{Decision, KnowledgeModel};
 use crate::profile::ModelId;
 use crate::respond::{render, Verdict};
-use crate::similarity;
 use std::sync::Mutex;
 use taxoglimpse_core::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
@@ -125,38 +124,30 @@ impl SimulatedLlm {
                     Verdict::No
                 }
             }
-            QuestionBody::Mcq { options, correct: gold } => {
+            QuestionBody::Mcq { correct: gold, .. }
+            | QuestionBody::Sibling { correct: Some(gold), .. } => {
                 if correct {
                     Verdict::Option(*gold)
+                } else if question.shown_names().len() == 1 {
+                    // Only the gold child is shown: the sole wrong move
+                    // left is abstaining.
+                    Verdict::IDontKnow
                 } else {
-                    Self::closest_distractor(question, options, Some(*gold), base)
+                    Self::closest_distractor(question, Some(*gold), base)
                 }
             }
-            QuestionBody::Sibling { options, correct: gold } => match gold {
-                Some(gold) => {
-                    if correct {
-                        Verdict::Option(*gold)
-                    } else if options.len() == 1 {
-                        // Only the gold child is shown: the sole wrong
-                        // move left is abstaining.
-                        Verdict::IDontKnow
-                    } else {
-                        Self::closest_distractor(question, options, Some(*gold), base)
-                    }
+            // Gold child not among the shown options: the correct
+            // behaviour is the abstain slot; the failure mode is
+            // committing to the most surface-similar shown child —
+            // exactly the hallucinated-descent error the constrained
+            // workload is built to measure.
+            QuestionBody::Sibling { correct: None, .. } => {
+                if correct {
+                    Verdict::IDontKnow
+                } else {
+                    Self::closest_distractor(question, None, base)
                 }
-                // Gold child not among the shown options: the correct
-                // behaviour is the abstain slot; the failure mode is
-                // committing to the most surface-similar shown child —
-                // exactly the hallucinated-descent error the constrained
-                // workload is built to measure.
-                None => {
-                    if correct {
-                        Verdict::IDontKnow
-                    } else {
-                        Self::closest_distractor(question, options, None, base)
-                    }
-                }
-            },
+            }
         }
     }
 
@@ -164,26 +155,18 @@ impl SimulatedLlm {
     /// most surface-similar to the question's child, skipping the
     /// `gold` index when there is one. A small per-option draw breaks
     /// near-ties.
-    fn closest_distractor(
-        question: &Question,
-        options: &[String],
-        gold: Option<u8>,
-        base: u64,
-    ) -> Verdict {
-        similarity::with_cache(|cache| {
-            let mut best = (0u8, f64::NEG_INFINITY);
-            for (i, option) in options.iter().enumerate() {
-                if Some(i as u8) == gold {
-                    continue;
-                }
-                let sim = cache.similarity(&question.child, option)
-                    + 0.05 * Self::draw_from(base, 2 + i as u64);
-                if sim > best.1 {
-                    best = (i as u8, sim);
-                }
+    fn closest_distractor(question: &Question, gold: Option<u8>, base: u64) -> Verdict {
+        let mut best = (0u8, f64::NEG_INFINITY);
+        for (i, sim) in question.shown_similarities().enumerate() {
+            if Some(i as u8) == gold {
+                continue;
             }
-            Verdict::Option(best.0)
-        })
+            let sim = sim + 0.05 * Self::draw_from(base, 2 + i as u64);
+            if sim > best.1 {
+                best = (i as u8, sim);
+            }
+        }
+        Verdict::Option(best.0)
     }
 }
 

@@ -13,7 +13,7 @@
 //! ```
 
 use taxoglimpse::core::question::QuestionBody;
-use taxoglimpse::core::text::similarity;
+use taxoglimpse::core::similarity::Surface;
 use taxoglimpse::prelude::*;
 
 /// Yes iff trigram similarity clears a threshold; never abstains.
@@ -21,34 +21,31 @@ struct SurfaceBaseline {
     threshold: f64,
 }
 
-/// The option letter whose text is most trigram-similar to `child`.
-fn pick_most_similar(child: &str, options: &[String]) -> String {
-    let best = options
-        .iter()
-        .enumerate()
-        .max_by(|a, b| similarity(child, a.1).total_cmp(&similarity(child, b.1)))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    format!("{})", (b'A' + best as u8) as char)
-}
-
 impl LanguageModel for SurfaceBaseline {
     fn name(&self) -> &str {
         "trigram-baseline"
     }
 
+    /// Reads the question's surface record: the child's trigram
+    /// similarity to each shown name, computed once per question.
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        let text = match &query.question.body {
-            QuestionBody::TrueFalse { candidate, .. } => {
-                if similarity(&query.question.child, candidate) >= self.threshold {
+        let question = query.question;
+        let text = match &question.body {
+            QuestionBody::TrueFalse { .. } => {
+                if question.similarity_to(Surface::CANDIDATE) >= self.threshold {
                     "Yes.".to_owned()
                 } else {
                     "No.".to_owned()
                 }
             }
-            QuestionBody::Mcq { options, .. } => pick_most_similar(&query.question.child, &options[..]),
-            QuestionBody::Sibling { options, .. } => {
-                pick_most_similar(&query.question.child, options)
+            // The option letter most trigram-similar to the child.
+            QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => {
+                let best = question
+                    .shown_similarities()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    .map_or(0, |(i, _)| i as u8);
+                format!("{})", (b'A' + best) as char)
             }
         };
         Ok(Response::new(text))

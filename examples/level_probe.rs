@@ -50,6 +50,7 @@ fn main() {
                 expected_yes: true,
                 negative: None,
             },
+            surface_memo: Default::default(),
         };
         let prompt = render_question(&question, Default::default());
         let query = Query::new(&prompt, &question, PromptSetting::ZeroShot);

@@ -40,6 +40,17 @@ if [ -n "$spawns" ]; then
     exit 1
 fi
 
+# 1c. No per-thread state: a `thread_local!` memo makes results depend
+#     on which worker ran a question. Per-question work is memoized on
+#     the question itself (`Question::surface`).
+echo "==> checking that no library or binary source declares thread_local!"
+locals="$(grep -rn 'thread_local!' --include='*.rs' src crates/*/src || true)"
+if [ -n "$locals" ]; then
+    echo "error: thread_local! in library or binary sources:" >&2
+    echo "$locals" >&2
+    exit 1
+fi
+
 # 2. Tier-1 offline against an empty registry cache. A fresh CARGO_HOME
 #    has no .crate files, no index — if anything tried to resolve from
 #    crates.io this fails immediately.

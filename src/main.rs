@@ -240,6 +240,7 @@ fn cmd_ask(flags: &Flags) -> Result<String, String> {
             expected_yes: true,
             negative: None,
         },
+        surface_memo: Default::default(),
     };
     let prompt = render_question(&question, Default::default());
     let query = Query::new(&prompt, &question, flags.setting);

@@ -8,8 +8,9 @@
 //!   chunk sizes;
 //! * cached-prefix prompt rendering equals fresh whole-prompt renders
 //!   for every `PromptSetting × TemplateVariant`;
-//! * the [`SimilarityCache`] interner equals direct
-//!   `core::text::similarity` on a fuzz-style name corpus.
+//! * each question's [`Surface`] record equals the plain
+//!   `core::text::similarity`, containment and head-match rules on a
+//!   fuzz-style name corpus, and filling its memo changes no answer.
 //!
 //! On the data-production side, the snapshot cache must round-trip
 //! taxonomies byte-exactly — or fall back to regeneration, never to a
@@ -23,8 +24,11 @@ use taxoglimpse::core::grid::{GridRunner, GridRunnerBuilder};
 use taxoglimpse::core::model::LanguageModel;
 use taxoglimpse::core::prompts::{render_prefix, render_prompt, render_prompt_into};
 use taxoglimpse::core::templates::TemplateVariant;
+use taxoglimpse::core::question::{NegativeKind, QuestionBody};
+use taxoglimpse::core::similarity::Surface;
 use taxoglimpse::core::text::similarity;
-use taxoglimpse::llm::similarity::SimilarityCache;
+use taxoglimpse::json::{FromJson, ToJson};
+use taxoglimpse::llm::simulate::SimulatedLlm;
 use taxoglimpse::prelude::*;
 
 /// The plain sequential pass every fast path is compared against: one
@@ -117,9 +121,62 @@ fn cached_prefix_prompts_equal_fresh_renders() {
     }
 }
 
-/// The interner must agree exactly with the direct trigram similarity
-/// on a fuzz-style corpus: real generated taxonomy names (repeated, so
-/// the cached path is actually exercised) plus adversarial edge cases.
+/// Whole-name containment, the plain way: `concept` has at least four
+/// bytes and occurs in `name`, ignoring ASCII case.
+fn reference_contains(name: &str, concept: &str) -> bool {
+    concept.len() >= 4 && name.to_ascii_lowercase().contains(&concept.to_ascii_lowercase())
+}
+
+/// Head-noun match, the plain way: the last word of `concept`, less a
+/// trailing lowercase `s`, has at least three bytes and occurs in
+/// `name`, ignoring ASCII case.
+fn reference_head_matches(name: &str, concept: &str) -> bool {
+    let head = concept.split(' ').next_back().unwrap_or(concept);
+    let head = head.strip_suffix('s').unwrap_or(head);
+    head.len() >= 3 && name.to_ascii_lowercase().contains(&head.to_ascii_lowercase())
+}
+
+/// Every body shape the models read, with `child` against `names`: TF
+/// positive and negative, each as concept and as instance typing; MCQ;
+/// sibling rounds with the gold child shown and absent; and a
+/// hand-built sibling round wider than the record.
+fn body_shapes(child: &str, names: [&str; 5]) -> Vec<Question> {
+    let question = |true_parent: &str, instance_typing: bool, body: QuestionBody| Question {
+        id: 1,
+        taxonomy: TaxonomyKind::Amazon,
+        child: child.to_owned(),
+        child_level: 2,
+        parent_level: 1,
+        true_parent: true_parent.to_owned(),
+        instance_typing,
+        body,
+        surface_memo: Default::default(),
+    };
+    let tf = |expected_yes: bool| QuestionBody::TrueFalse {
+        candidate: names[0].to_owned(),
+        expected_yes,
+        negative: (!expected_yes).then_some(NegativeKind::Hard),
+    };
+    let mut shapes = Vec::new();
+    for instance_typing in [false, true] {
+        shapes.push(question(names[0], instance_typing, tf(true)));
+        shapes.push(question(names[1], instance_typing, tf(false)));
+    }
+    let options = [0, 1, 2, 3].map(|i| names[i].to_owned());
+    shapes.push(question(names[2], false, QuestionBody::Mcq { options, correct: 2 }));
+    let sibling = |n: &[&str], correct| {
+        QuestionBody::Sibling { options: n.iter().map(|&s| s.to_owned()).collect(), correct }
+    };
+    shapes.push(question(names[1], true, sibling(&names[..3], Some(1))));
+    shapes.push(question(names[4], true, sibling(&names[..2], None)));
+    shapes.push(question(names[4], true, sibling(&names, Some(4))));
+    shapes
+}
+
+/// Each question's surface record, its precomputed similarity cache,
+/// must equal the direct rules: `f64` similarities bit for bit,
+/// containment and head matches exactly, on adversarial names plus real
+/// generated ones, for every body shape.
 #[test]
 fn similarity_cache_matches_direct_on_fuzz_corpus() {
     let mut corpus: Vec<String> = vec![
@@ -131,6 +188,9 @@ fn similarity_cache_matches_direct_on_fuzz_corpus() {
         "aBc".into(),
         "CARS".into(),
         "cars".into(),
+        "three car garage".into(),
+        "three cars here".into(),
+        "Compact Pencil X137".into(),
         "Pencils".into(),
         "pencil".into(),
         "  spaced  name ".into(),
@@ -150,19 +210,81 @@ fn similarity_cache_matches_direct_on_fuzz_corpus() {
         corpus.push(q.true_parent.clone());
     }
 
-    let cache = SimilarityCache::new();
-    // Two passes: the first populates the interner, the second is served
-    // entirely from cached entries. Both must agree with the direct
-    // computation bit-for-bit (f64 equality, not approximate).
-    for _ in 0..2 {
-        for a in &corpus {
-            for b in &corpus {
-                let direct = similarity(a, b);
-                let cached = cache.similarity(a, b);
-                assert!(
-                    cached == direct,
-                    "similarity({a:?}, {b:?}): cached {cached} != direct {direct}"
-                );
+    let n = corpus.len();
+    for child in &corpus {
+        for j in 0..n {
+            let names = [0, 1, 5, 11, 17].map(|k| corpus[(j + k) % n].as_str());
+            for q in body_shapes(child, names) {
+                check_surface(&q, true);
+            }
+        }
+    }
+    // Names with more distinct trigrams than the record's 14-bit counts
+    // hold are scored directly.
+    let long = |seed: u32| -> String {
+        (0..40_000u32).filter_map(|i| char::from_u32(0x100 + (i * 7919 + seed) % 0xD000)).collect()
+    };
+    let (child, name) = (long(0), long(1));
+    check_surface(&body_shapes(&child, [&name, "b", "c", "d", "e"])[0], false);
+}
+
+/// Check `q`'s surface record against the plain rules, slot by slot;
+/// `recorded` says whether its similarities fit the record.
+fn check_surface(q: &Question, recorded: bool) {
+    let surface = q.surface();
+    let child = &q.child;
+    for (slot, name) in q.surface_names().enumerate() {
+        let direct = similarity(child, name);
+        // The failure message is formatted only when an assertion fails.
+        macro_rules! check {
+            ($got:expr, $want:expr) => {
+                assert_eq!($got, $want, "{child:?} vs {name:?} (slot {slot} of {:?})", q.body)
+            };
+        }
+        check!(q.similarity_to(slot).to_bits(), direct.to_bits());
+        if slot < Surface::SLOTS {
+            check!(surface.similarity(slot).map(f64::to_bits), recorded.then_some(direct.to_bits()));
+            check!(surface.contains(slot), reference_contains(child, name));
+            check!(surface.head_matches(slot), reference_head_matches(child, name));
+        }
+    }
+    assert!(q.shown_similarities().eq(q.shown_names().iter().map(|o| similarity(child, o))));
+}
+
+/// The surface memo is invisible: a question rebuilt from its JSON or
+/// from a struct literal starts with an empty memo, yet equals the
+/// `DatasetBuilder`-filled original, and the simulated model answers
+/// both with the same bytes and the same usage.
+#[test]
+fn surface_memo_changes_no_answer() {
+    let t = generate(TaxonomyKind::Ncbi, GenOptions { seed: 29, scale: 0.003 }).unwrap();
+    for flavor in QuestionDataset::ALL {
+        let d = DatasetBuilder::new(&t, TaxonomyKind::Ncbi, 29)
+            .sample_cap(Some(40))
+            .build(flavor)
+            .unwrap();
+        let filled: Vec<Question> = d.questions().cloned().collect();
+        let from_json: Vec<Question> =
+            filled.iter().map(|q| Question::from_json(&q.to_json()).unwrap()).collect();
+        let literal: Vec<Question> = filled
+            .iter()
+            .map(|q| Question { surface_memo: Default::default(), ..q.clone() })
+            .collect();
+        for copies in [from_json, literal] {
+            assert_eq!(copies, filled, "{flavor}");
+            for setting in PromptSetting::ALL {
+                let answer = |questions: &[Question]| {
+                    let model = SimulatedLlm::new(ModelId::Gpt4);
+                    let prompts: Vec<String> =
+                        questions.iter().map(|q| render_prompt(q, setting, Default::default(), &[])).collect();
+                    let queries: Vec<Query<'_>> = prompts
+                        .iter()
+                        .zip(questions)
+                        .map(|(p, q)| Query::new(p, q, setting))
+                        .collect();
+                    (model.answer_batch(&queries), model.usage())
+                };
+                assert_eq!(answer(&copies), answer(&filled), "{flavor} {setting}");
             }
         }
     }

@@ -289,10 +289,12 @@ fn mutated_text_fails_cleanly() {
     assert!(matches!(mcq.body, QuestionBody::Mcq { .. }));
     let tf = Question {
         body: QuestionBody::TrueFalse { candidate: mcq.true_parent.clone(), expected_yes: true, negative: None },
+        surface_memo: Default::default(),
         ..mcq.clone()
     };
     let sibling = Question {
         body: QuestionBody::Sibling { options: vec!["a".into(), "b".into(), "c".into()], correct: Some(1) },
+        surface_memo: Default::default(),
         ..mcq.clone()
     };
     cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
