@@ -19,8 +19,7 @@
 //! The runner is also the execution policy every
 //! [`Workload`](crate::workload::Workload) runs under, and every
 //! fan-out in the library shares its one worker pool, `run_indexed`:
-//! grid cells, both sharding levels ([`crate::shard`] hands `run_cells`
-//! a cell list), hier instances and serve's batch prefetch.
+//! grid cells, hier instances and serve's batch prefetch.
 //!
 //! Everything is deterministic: models are `Send + Sync` and answer as a
 //! pure function of (question, setting), and chunk [`Metrics`] are
@@ -305,9 +304,8 @@ impl GridRunner {
                     .zip(&outcomes[range.clone()])
                     .find_map(|(unit, o)| o.as_ref().err().map(|reason| (unit, reason)))?;
                 let dataset = datasets[cell.dataset];
-                // The cell index keeps a failure attributable when the
-                // list encodes placement: `core::shard` lays slot `p`
-                // out as cell `p`.
+                // The cell index maps a failure back to the caller's
+                // own cell list.
                 Some(format!(
                     "cell {ci} (model `{}`, dataset `{:?}`) level {} questions {}..{}: {reason}",
                     models[cell.model].name(),
@@ -618,8 +616,8 @@ mod tests {
     }
 
     /// Regression: a failed cell is named by its index in the
-    /// cell list. Sharded callers lay slot `p` out as cell `p`, so the
-    /// index is the shard label (shard = index mod shard count).
+    /// cell list, so a caller that lays its work out as cells can
+    /// label each one by position.
     #[test]
     fn panic_report_names_shard_when_labelled() {
         let ds = datasets();

@@ -33,11 +33,6 @@
 //!   raw name evidence, computed once and read by every simulated model.
 //! * **Case study** (§5.3): hybrid LLM + truncated-taxonomy product
 //!   retrieval with precision/recall accounting ([`casestudy`]).
-//! * **Sharded scale-out** ([`shard`]): one logical benchmark over
-//!   partitioned taxonomies and grids behind a deterministic
-//!   content-keyed router, laid out as cell lists for the grid's one
-//!   worker pool; merged reports are byte-identical across shard
-//!   counts.
 //! * **Online serving** ([`serve`]): a virtual-time discrete-event
 //!   serving layer — open-loop multi-tenant traffic, dynamic batching,
 //!   admission control — over the same model towers, with
@@ -66,7 +61,6 @@ pub mod question;
 pub mod resilience;
 pub mod sampling;
 pub mod serve;
-pub mod shard;
 pub mod similarity;
 pub mod templates;
 pub mod text;
@@ -85,7 +79,6 @@ pub use prompts::PromptSetting;
 pub use question::{NegativeKind, Question, QuestionBody, QuestionKind};
 pub use resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy};
 pub use serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
-pub use shard::{ShardRouter, ShardedDataset};
 pub use workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError};
 
 /// The pinned reports digest: a 64-bit hash chained over the compact

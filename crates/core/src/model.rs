@@ -231,8 +231,8 @@ impl<M: LanguageModel + ?Sized> LanguageModel for Box<M> {
 }
 
 /// Blanket implementation so `&M` works wherever a `LanguageModel` is
-/// expected — e.g. sharded runs (`crate::shard`) handing the same
-/// per-shard model stack to several evaluation calls without cloning.
+/// expected — e.g. handing the same model stack to several evaluation
+/// calls without cloning.
 impl<M: LanguageModel + ?Sized> LanguageModel for &M {
     fn name(&self) -> &str {
         (**self).name()

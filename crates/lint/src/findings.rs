@@ -84,7 +84,7 @@ pub const EXPLAIN: &[(&str, &str, &str, &str, &str)] = &[
     (
         "D101",
         "A function reachable from deterministic code must not transitively reach a D001/D002 entropy source.",
-        "Token-local rules stop at the call site: a one-line wrapper in an exempt location (crates/bench) launders Instant::now past D002. D101 walks the workspace call graph from the deterministic root set (core eval/parse/metrics/grid/shard/cache/resilience, synth, taxonomy, report) and reports the full propagation chain. Sites carrying a lint:allow(D001/D002) are trusted — their reason documents why the source is safe.",
+        "Token-local rules stop at the call site: a one-line wrapper in an exempt location (crates/bench) launders Instant::now past D002. D101 walks the workspace call graph from the deterministic root set (core eval/parse/metrics/grid/cache/resilience, synth, taxonomy, report) and reports the full propagation chain. Sites carrying a lint:allow(D001/D002) are trusted — their reason documents why the source is safe.",
         "// crates/core/src/eval.rs\nfn score() -> f64 { stamp() }\n// crates/bench/src/util.rs (D002-exempt)\npub fn stamp() -> f64 { elapsed_s(Instant::now()) }",
         "// crates/core/src/eval.rs\nfn score(clock: &VirtualClock) -> f64 { clock.now_s() }",
     ),

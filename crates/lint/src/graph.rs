@@ -628,7 +628,7 @@ impl<'a> Builder<'a> {
         if let Some(list) = self.by_impl.get(&(qual.clone(), name.to_owned())) {
             return list.clone();
         }
-        // Module-qualified free fn: `report::merge(..)`.
+        // Module-qualified free fn: `grid::run_indexed(..)`.
         self.by_name
             .get(name)
             .map(|l| {

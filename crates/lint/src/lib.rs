@@ -22,7 +22,7 @@
 //! The first six are token-local. The interprocedural rules run over a
 //! workspace call graph built by [`parser`] (item-level, no expression
 //! AST) and [`graph`] (name/type-based call resolution); see [`passes`]
-//! for the propagation algorithms and DESIGN.md §11 for the soundness
+//! for the propagation algorithms and DESIGN.md §10 for the soundness
 //! trade-offs.
 //!
 //! Findings can be suppressed inline with `// lint:allow(<rule>, <reason>)`

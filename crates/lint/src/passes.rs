@@ -25,7 +25,6 @@ pub const D101_ROOT_FILES: &[&str] = &[
     "crates/core/src/grid.rs",
     "crates/core/src/hier.rs",
     "crates/core/src/workload.rs",
-    "crates/core/src/shard.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/resilience.rs",
     "crates/core/src/serve/mod.rs",

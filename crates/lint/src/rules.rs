@@ -22,7 +22,6 @@ pub const M001_PATHS: &[&str] = &[
     "crates/core/src/workload.rs",
     "crates/core/src/resilience.rs",
     "crates/core/src/cache.rs",
-    "crates/core/src/shard.rs",
     "crates/core/src/serve/mod.rs",
     "crates/core/src/serve/admission.rs",
     "crates/core/src/serve/batcher.rs",

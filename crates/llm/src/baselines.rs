@@ -8,8 +8,6 @@
 //! * [`RandomBaseline`] — coin-flip TF, uniform MCQ. Calibrates the
 //!   floor (0.5 TF / 0.25 MCQ) that several real models hover near on
 //!   specialized taxonomies.
-//! * [`MajorityYesBaseline`] — always Yes: exploits the balanced
-//!   positives, scoring ~0.5 on TF; a sanity floor.
 //! * [`LexicalBaseline`] — Hearst-style surface matching: Yes iff the
 //!   child's name embeds (or heavily overlaps) the candidate's.
 //! * [`NgramVectorBaseline`] — a small character-n-gram vector-space
@@ -58,23 +56,6 @@ impl LanguageModel for RandomBaseline {
             }
         };
         Ok(Response::new(text))
-    }
-}
-
-/// Always answers Yes (TF) / A (MCQ).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MajorityYesBaseline;
-
-impl LanguageModel for MajorityYesBaseline {
-    fn name(&self) -> &str {
-        "always-yes"
-    }
-
-    fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        Ok(Response::new(match &query.question.body {
-            QuestionBody::TrueFalse { .. } => "Yes.".to_owned(),
-            QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => "A)".to_owned(),
-        }))
     }
 }
 
@@ -238,13 +219,6 @@ mod tests {
         let d = dataset(TaxonomyKind::Google, 0.5, QuestionDataset::Mcq);
         let report = GridRunner::default().run(&RandomBaseline::new(2), &d);
         assert!((report.overall.accuracy() - 0.25).abs() < 0.08, "{}", report.overall.accuracy());
-    }
-
-    #[test]
-    fn majority_yes_scores_positive_rate() {
-        let d = dataset(TaxonomyKind::Ebay, 1.0, QuestionDataset::Easy);
-        let report = GridRunner::default().run(&MajorityYesBaseline, &d);
-        assert!((report.overall.accuracy() - 0.5).abs() < 0.05);
     }
 
     #[test]

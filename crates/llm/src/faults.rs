@@ -10,11 +10,10 @@
 //! retried delivery (`query.attempt` bumped) re-rolls rather than
 //! replays its faults.
 //!
-//! This purity is also what makes sharded runs (`core::shard`) honest:
-//! two injector *instances* built from the same plan — one per shard,
-//! each with its own stats mutex — produce identical fault streams for
-//! the same queries, so splitting a benchmark across shards can never
-//! change which deliveries fail, only which worker observes them.
+//! This purity also means two injector *instances* built from the same
+//! plan — each with its own stats mutex — produce identical fault
+//! streams for the same queries, so a fresh stack per run (or per
+//! worker count) can never change which deliveries fail.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -434,18 +433,17 @@ mod tests {
         assert!(report.overall.failed > 0, "50% injection with 3 attempts still exhausts some");
     }
 
-    /// The shard-identity property `core::shard` relies on: two
-    /// injector *instances* built from the same plan (one per shard)
-    /// produce identical result streams for the same queries — fault
-    /// decisions live in the plan's pure hash, not in instance state.
+    /// Two injector *instances* built from the same plan produce
+    /// identical result streams for the same queries — fault decisions
+    /// live in the plan's pure hash, not in instance state.
     #[test]
     fn separate_injector_instances_share_one_fault_stream() {
         let d = dataset();
         let make = || {
             FaultInjector::new(SimulatedLlm::new(ModelId::Gpt35), FaultPlan::uniform(19, 0.4))
         };
-        let shard_a = make();
-        let shard_b = make();
+        let first = make();
+        let second = make();
         let setting = taxoglimpse_core::prompts::PromptSetting::ZeroShot;
         for (i, q) in d.questions().take(60).enumerate() {
             let prompt = taxoglimpse_core::prompts::render_prompt(
@@ -457,9 +455,9 @@ mod tests {
             // Interleave attempts so the two instances see different
             // call *orders* — the streams must still agree per query.
             let query = Query::new(&prompt, q, setting).with_attempt((i % 3) as u32);
-            assert_eq!(shard_a.answer(&query), shard_b.answer(&query));
+            assert_eq!(first.answer(&query), second.answer(&query));
         }
-        assert_eq!(shard_a.stats(), shard_b.stats());
+        assert_eq!(first.stats(), second.stats());
     }
 
     #[test]

@@ -25,9 +25,7 @@
 //! model-family-specific phrasing, and are deterministic: the same
 //! (model, question, setting) always yields the same response.
 //!
-//! [`scalability`] models Figure 7 (GPU RAM and per-question latency);
-//! [`finetune`] provides the domain-specific instruction-tuning wrapper
-//! that LLMs4OL applies to Flan-T5-3B (Finding 3).
+//! [`scalability`] models Figure 7 (GPU RAM and per-question latency).
 
 #![warn(missing_docs)]
 
@@ -35,7 +33,6 @@ pub mod api;
 pub mod baselines;
 pub mod calib;
 pub mod faults;
-pub mod finetune;
 pub mod knowledge;
 pub mod profile;
 pub mod respond;

@@ -4,10 +4,6 @@ use crate::profile::ModelId;
 use crate::simulate::SimulatedLlm;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use taxoglimpse_synth::rng::hash_str;
-
-/// Seed for the content-keyed zoo partition ([`ModelZoo::partition`]).
-const ZOO_PARTITION_SEED: u64 = 0x5AAD_2000_0000_0003;
 
 /// A registry of simulated models.
 #[derive(Clone)]
@@ -66,27 +62,6 @@ impl ModelZoo {
     pub fn by_name(&self, name: &str) -> Option<Arc<SimulatedLlm>> {
         name.parse::<ModelId>().ok().and_then(|id| self.get(id))
     }
-
-    /// Partition the zoo into `num_shards` (clamped to ≥ 1) disjoint
-    /// model groups for sharded runs where each shard serves a subset
-    /// of models rather than a subset of taxonomies.
-    ///
-    /// A model's group is keyed by its *display name* content — never
-    /// by registry iteration order, insertion history, or the shard
-    /// count enumeration — so the same model lands in slot
-    /// `hash(name) mod num_shards` on every machine and every run.
-    /// Groups keep table row order internally, and every model appears
-    /// in exactly one group.
-    pub fn partition(&self, num_shards: usize) -> Vec<Vec<Arc<SimulatedLlm>>> {
-        let num_shards = num_shards.max(1);
-        let mut groups: Vec<Vec<Arc<SimulatedLlm>>> = vec![Vec::new(); num_shards];
-        for model in self.all() {
-            let shard =
-                (hash_str(ZOO_PARTITION_SEED, model.id().display_name()) % num_shards as u64) as usize;
-            groups[shard].push(model);
-        }
-        groups
-    }
 }
 
 impl std::fmt::Debug for ModelZoo {
@@ -126,34 +101,5 @@ mod tests {
         assert_eq!(zoo.by_name("gpt-4").unwrap().id(), ModelId::Gpt4);
         assert_eq!(zoo.by_name("MISTRAL").unwrap().id(), ModelId::Mistral7b);
         assert!(zoo.by_name("gpt-5").is_none());
-    }
-
-    /// Partitioning covers all eighteen models disjointly at every
-    /// shard count, and a model's group is a pure function of its name
-    /// (independent of which shard count we enumerate first).
-    #[test]
-    fn partition_is_disjoint_exhaustive_and_content_keyed() {
-        let zoo = ModelZoo::default_zoo();
-        for shards in [1usize, 2, 3, 8] {
-            let groups = zoo.partition(shards);
-            assert_eq!(groups.len(), shards);
-            let mut names: Vec<String> =
-                groups.iter().flatten().map(|m| m.name().to_owned()).collect();
-            assert_eq!(names.len(), zoo.len(), "{shards} shards must cover the whole zoo");
-            names.sort();
-            names.dedup();
-            assert_eq!(names.len(), zoo.len(), "no model may appear in two groups");
-        }
-        // Re-partitioning (fresh zoo instance, any call order) lands
-        // every model in the same group: content, not history.
-        let a = zoo.partition(3);
-        let b = ModelZoo::default_zoo().partition(3);
-        for (ga, gb) in a.iter().zip(&b) {
-            let na: Vec<&str> = ga.iter().map(|m| m.name()).collect();
-            let nb: Vec<&str> = gb.iter().map(|m| m.name()).collect();
-            assert_eq!(na, nb);
-        }
-        // Clamping: zero shards behaves as one.
-        assert_eq!(zoo.partition(0).len(), 1);
     }
 }

@@ -5,9 +5,7 @@
 //! radar-chart data, scalability series — [`figures`]), and the
 //! paper-vs-measured comparison used to fill EXPERIMENTS.md
 //! ([`compare`]), plus the fixed-bucket log-scale latency histogram
-//! behind the serving benchmarks ([`histogram`]). Sharded runs need no
-//! merge step here: `taxoglimpse_core::shard::run_sharded` returns the
-//! one logical report.
+//! behind the serving benchmarks ([`histogram`]).
 
 #![warn(missing_docs)]
 

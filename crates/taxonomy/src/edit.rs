@@ -2,8 +2,8 @@
 //!
 //! A [`Taxonomy`] is immutable; edits produce a new taxonomy (ids are
 //! *not* stable across edits — the returned [`EditOutcome`] carries the
-//! old-to-new id mapping). These operations back the paper's §5.3 case
-//! study, where the Amazon Product Category's level-4-and-below nodes are
+//! old-to-new id mapping). Truncation backs the paper's §5.3 case study,
+//! where the Amazon Product Category's level-4-and-below nodes are
 //! removed and replaced by an LLM.
 
 use crate::arena::Taxonomy;
@@ -63,43 +63,6 @@ impl Taxonomy {
     pub fn truncate_below(&self, cutoff_level: usize) -> EditOutcome {
         self.rebuild_keeping(|id| self.level(id) < cutoff_level)
     }
-
-    /// Remove the subtree rooted at `node` (including `node`).
-    pub fn remove_subtree(&self, node: NodeId) -> EditOutcome {
-        self.rebuild_keeping(|id| id != node && !self.is_ancestor(node, id))
-    }
-
-    /// Extract the subtree rooted at `node` as a standalone taxonomy
-    /// (with `node` as its only root).
-    pub fn subtree(&self, node: NodeId) -> EditOutcome {
-        let mut keep = vec![false; self.len()];
-        for d in self.descendants(node) {
-            keep[d.index()] = true;
-        }
-        let mut b = TaxonomyBuilder::new(format!("{}:{}", self.label(), self.name(node)));
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.len()];
-        for level in self.level(node)..self.num_levels() {
-            for &id in self.nodes_at_level(level) {
-                if !keep[id.index()] {
-                    continue;
-                }
-                let new_id = if id == node {
-                    b.add_root(self.name(id))
-                } else {
-                    let p = self.parent(id).expect("non-root descendant has a parent");
-                    b.add_child(remap[p.index()].expect("parent mapped first"), self.name(id))
-                };
-                remap[id.index()] = Some(new_id);
-            }
-        }
-        EditOutcome { taxonomy: b.build().expect("subtree depth bounded by original"), remap }
-    }
-
-    /// Keep only nodes accepted by `pred` whose entire ancestor chain is
-    /// also accepted (descendants of removed nodes are dropped).
-    pub fn prune(&self, pred: impl Fn(NodeId) -> bool) -> EditOutcome {
-        self.rebuild_keeping(pred)
-    }
 }
 
 #[cfg(test)]
@@ -136,40 +99,5 @@ mod tests {
         let (t, _) = sample();
         let out = t.truncate_below(0);
         assert!(out.taxonomy.is_empty());
-    }
-
-    #[test]
-    fn remove_subtree() {
-        let (t, ids) = sample();
-        let out = t.remove_subtree(ids[1]); // remove a (and b1, c)
-        validate(&out.taxonomy).unwrap();
-        assert_eq!(out.taxonomy.len(), 2); // r, d
-        assert!(out.map(ids[1]).is_none());
-        assert!(out.map(ids[3]).is_none());
-        assert!(out.map(ids[4]).is_some());
-    }
-
-    #[test]
-    fn subtree_extraction() {
-        let (t, ids) = sample();
-        let out = t.subtree(ids[1]); // a -> b1 -> c
-        validate(&out.taxonomy).unwrap();
-        assert_eq!(out.taxonomy.len(), 3);
-        assert_eq!(out.taxonomy.roots().len(), 1);
-        let new_root = out.map(ids[1]).unwrap();
-        assert_eq!(out.taxonomy.name(new_root), "a");
-        assert_eq!(out.taxonomy.level(new_root), 0);
-        assert_eq!(out.taxonomy.num_levels(), 3);
-    }
-
-    #[test]
-    fn prune_drops_descendants_of_removed() {
-        let (t, ids) = sample();
-        // Reject b1; c must disappear even though pred accepts it.
-        let b1 = ids[2];
-        let out = t.prune(|id| id != b1);
-        validate(&out.taxonomy).unwrap();
-        assert_eq!(out.taxonomy.len(), 3); // r, a, d
-        assert!(out.map(ids[3]).is_none());
     }
 }

@@ -43,9 +43,7 @@ pub mod diff;
 pub mod edit;
 pub mod index;
 pub mod io;
-pub mod merge;
 pub mod node;
-pub mod partition;
 pub mod reason;
 pub mod snapshot;
 pub mod stats;
@@ -55,9 +53,7 @@ pub mod validate;
 pub use arena::Taxonomy;
 pub use builder::{BuildError, TaxonomyBuilder};
 pub use index::NameIndex;
-pub use merge::merge;
 pub use node::NodeId;
-pub use partition::SubtreePartition;
 pub use snapshot::SnapshotStore;
 pub use stats::TaxonomyStats;
 pub use validate::{validate, ValidationError};

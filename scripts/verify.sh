@@ -68,19 +68,25 @@ cargo test -q --offline
 echo "==> building and testing the e2e benchmark package"
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 
-# 2c. Paper-scale hier determinism. Tier-1 runs hier at scale 0.1 only;
-#     one seed-1 `hier_scale1` pass (all ten taxonomies at scale 1.0,
-#     NCBI's 2.19M nodes included) must exit 0 with its committed
-#     reports digest.
-echo "==> hier_scale1 determinism gate (seed 1, scale 1.0)"
-HIER_DIGEST=40185887dc377cf5
-HIER_OUT="$(cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
-    --workload hier_scale1 --seed 1 --seconds 1)"
-grep -q "\"reports_digest\":\"$HIER_DIGEST\"" <<< "$HIER_OUT" || {
-    echo "error: hier_scale1 seed 1 did not print reports_digest $HIER_DIGEST:" >&2
-    echo "$HIER_OUT" >&2
-    exit 1
-}
+# 2c. Benchmark digests. One seed-1 pass of every `e2e` workload must
+#     exit 0 with its committed reports digest, so a library change
+#     that moves a benchmark workload fails here before the benchmark
+#     runs. `hier_scale1` is also the only paper-scale hier run (all ten
+#     taxonomies at scale 1.0, NCBI's 2.19M nodes included); tier-1
+#     runs hier at scale 0.1 only.
+echo "==> e2e reports digest gates (seed 1)"
+for gate in paper_grid:73b986488c6982f4 grid_faults_cached:82fc69e9208c342d \
+    serve_mixed:65a1f3a412aa151d hier_scale1:40185887dc377cf5; do
+    workload="${gate%%:*}"
+    digest="${gate##*:}"
+    out="$(cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1)"
+    grep -q "\"reports_digest\":\"$digest\"" <<< "$out" || {
+        echo "error: $workload seed 1 did not print reports_digest $digest:" >&2
+        echo "$out" >&2
+        exit 1
+    }
+done
 
 # 3. Determinism & soundness lint. --check exits non-zero on any
 #    unsuppressed finding; the JSON report is then re-parsed and

@@ -41,9 +41,8 @@ pub use taxoglimpse_taxonomy as taxonomy;
 /// dataset construction, the fallible model interface, the unified
 /// [`Workload`](taxoglimpse_core::workload::Workload) surface (grid QA,
 /// instance typing, hierarchical classification), evaluation through
-/// the one [`GridRunner`](taxoglimpse_core::grid::GridRunner), sharded runs (`run_sharded` returns the merged report
-/// itself), resilience, fault injection, and the virtual-time serving
-/// layer.
+/// the one [`GridRunner`](taxoglimpse_core::grid::GridRunner),
+/// resilience, fault injection, and the virtual-time serving layer.
 pub mod prelude {
     pub use taxoglimpse_core::{
         cache::{CachedModel, ResponseCache},
@@ -58,7 +57,6 @@ pub mod prelude {
         question::{Question, QuestionKind},
         resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy},
         serve::{run_serve, ServeConfig, ServeReport, TenantSpec, TrafficConfig},
-        shard::{run_grid_sharded, run_sharded, ShardRouter, ShardedDataset},
         workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError},
     };
     pub use taxoglimpse_report::histogram::LatencyHistogram;
@@ -69,5 +67,5 @@ pub mod prelude {
         zoo::ModelZoo,
     };
     pub use taxoglimpse_synth::{generate, GenOptions};
-    pub use taxoglimpse_taxonomy::{NodeId, SubtreePartition, Taxonomy, TaxonomyBuilder};
+    pub use taxoglimpse_taxonomy::{NodeId, Taxonomy, TaxonomyBuilder};
 }

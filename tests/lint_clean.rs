@@ -55,7 +55,7 @@ fn interprocedural_passes_are_armed_against_this_workspace() {
     for expected in [
         "core::grid::GridRunner::run_cells",
         "core::resilience::ResilienceSession::call",
-        "core::shard::run_sharded",
+        "core::hier::HierWorkload::run",
         "core::eval",
     ] {
         assert!(rendered.contains(expected), "call graph is missing `{expected}`");

@@ -6,7 +6,7 @@
 //! digests with constants that must never move. A refactor is
 //! byte-neutral exactly when this file still passes untouched. Costs
 //! are dev-profile wall times of each test run alone on a 2-vCPU
-//! x86-64 host; the whole file takes about 40 s on two test threads.
+//! x86-64 host; the whole file takes about 35 s on two test threads.
 //!
 //! Gate ledger:
 //!
@@ -15,7 +15,7 @@
 //!   for all ten kinds, each also equal after a save/load through a
 //!   temporary `SnapshotStore` (11.7 s). Generating NCBI (2.19M nodes)
 //!   takes 5.5 s of that and the other nine kinds 0.16 s together; NCBI
-//!   is generated once per process and shared with the big-shard test.
+//!   is generated once per process and shared with the big-taxonomy test.
 //! * **eval** ([`eval_digests_are_batch_and_cache_invariant`]): the
 //!   Hard grid (ten taxonomies at scale 0.1, cap 250), for each prompt
 //!   setting under all five `(batch, cache)` configs, cold and warm
@@ -26,16 +26,16 @@
 //!   also equals the bare models' digest, availability is 1, the
 //!   injectors see exactly one delivery per query, and no query moves
 //!   a `ResilienceSession` clock (5.0 s).
-//! * **shard grid** ([`sharded_grid_with_per_shard_caches_matches_resilience`]):
-//!   `run_grid_sharded` over per-shard `FaultInjector<CachedModel>`
-//!   stacks at batch 32, cold and warm, at 1, 2 and 8 shards, gives the
-//!   resilience constants; availability is 1 at rate 0 (5.3 s).
-//! * **shard big** ([`big_taxonomy_merged_digests_are_shard_count_invariant`]):
-//!   NCBI and ICD-10-CM at scale 1.0, cap 250, GPT-4 only, batch 32,
-//!   partitioned into subtree slots without losing a question; the
-//!   report `run_sharded` merges from one grid cell per slot, at 1, 2
-//!   and 8 shards, equals the constant of its fault rate (13.3 s with
-//!   NCBI generated in-test).
+//! * **cached grid** ([`cached_faulty_grid_matches_resilience`]):
+//!   `run_cross` over `FaultInjector<CachedModel>` stacks sharing one
+//!   response cache, at batch 32, cold and warm, at 1, 2 and 8 workers,
+//!   gives the resilience constants; availability is 1 at rate 0
+//!   (8.4 s).
+//! * **big taxonomy** ([`big_taxonomy_digests_are_worker_count_invariant`]):
+//!   NCBI and ICD-10-CM at scale 1.0, cap 250, GPT-4 only, batch 32:
+//!   `GridRunner::run` over the whole Hard dataset behind a
+//!   `FaultInjector<CachedModel>`, at 1, 2 and 8 workers, equals the
+//!   constant of its fault rate (11.3 s with NCBI generated in-test).
 //! * **serve** ([`serve_trace_digests_are_pinned`]): 18 cells, rate
 //!   factor {0.5, 0.9, 1.3} x batch deadline {5, 50} ms x fault rate
 //!   {0, 0.05, 0.2}, 25,000 target requests over the eBay Hard dataset
@@ -54,11 +54,9 @@
 use std::sync::{Arc, OnceLock};
 
 use taxoglimpse::core::dataset::Dataset;
-use taxoglimpse::core::grid::GridRunnerBuilder;
 use taxoglimpse::core::prompts::render_prompt;
 use taxoglimpse::core::reports_digest;
 use taxoglimpse::core::resilience::ResilienceSession;
-use taxoglimpse::core::shard::NUM_SLOTS;
 use taxoglimpse::core::templates::TemplateVariant;
 use taxoglimpse::prelude::*;
 use taxoglimpse::synth::SEQ_STREAM_VERSION;
@@ -73,7 +71,7 @@ const DEFAULT_MODELS: [ModelId; 4] =
 
 const FAULT_RATES: [f64; 3] = [0.0, 0.05, 0.2];
 
-/// Worker and shard counts every executor gate sweeps.
+/// Worker counts every executor gate sweeps.
 const COUNTS: [usize; 3] = [1, 2, 8];
 
 /// `content_digest()` of each kind at scale 1.0, in `TaxonomyKind::ALL`
@@ -103,8 +101,8 @@ const EVAL_DIGESTS: [(PromptSetting, &str); 3] = [
 const RESILIENCE_DIGESTS: [(f64, &str); 3] =
     [(0.0, "ed6fc555126eab4c"), (0.05, "f721e97f266fa756"), (0.2, "3f6cff3cdf51b013")];
 
-/// Merged GPT-4 report digest per big taxonomy and fault rate.
-const BIG_SHARD_DIGESTS: [(TaxonomyKind, [&str; 3]); 2] = [
+/// GPT-4 report digest per big taxonomy and fault rate.
+const BIG_TAXONOMY_DIGESTS: [(TaxonomyKind, [&str; 3]); 2] = [
     (TaxonomyKind::Ncbi, ["ab39eb8575c27d38", "89296988b0eeee66", "451bd865af228b15"]),
     (TaxonomyKind::Icd10Cm, ["d5c076bfed340529", "f99f3a05c7250c44", "933cfa24b5070942"]),
 ];
@@ -185,7 +183,7 @@ fn taxonomy(kind: TaxonomyKind, scale: f64) -> Taxonomy {
 }
 
 /// NCBI at scale 1.0, generated once and shared by the synth and
-/// big-shard tests.
+/// big-taxonomy tests.
 fn ncbi_full() -> &'static Taxonomy {
     static NCBI: OnceLock<Taxonomy> = OnceLock::new();
     NCBI.get_or_init(|| taxonomy(TaxonomyKind::Ncbi, 1.0))
@@ -325,42 +323,35 @@ fn resilience_digests_are_worker_invariant_per_fault_rate() {
     }
 }
 
-/// Per-shard `FaultInjector<CachedModel>` stacks over the shared base
-/// models: one response cache per shard.
-fn shard_stacks(
+/// `FaultInjector<CachedModel>` stacks over the base models, all
+/// sharing `cache`.
+fn cached_stacks(
     base: &[Arc<SimulatedLlm>],
-    shards: usize,
+    cache: &Arc<ResponseCache>,
     rate: f64,
-) -> Vec<Vec<FaultInjector<CachedModel<Arc<SimulatedLlm>>>>> {
-    (0..shards)
-        .map(|_| {
-            let cache = Arc::new(ResponseCache::new());
-            base.iter()
-                .map(|m| {
-                    FaultInjector::new(
-                        CachedModel::with_cache(Arc::clone(m), Arc::clone(&cache)),
-                        FaultPlan::uniform(SEED, rate),
-                    )
-                })
-                .collect()
+) -> Vec<FaultInjector<CachedModel<Arc<SimulatedLlm>>>> {
+    base.iter()
+        .map(|m| {
+            FaultInjector::new(
+                CachedModel::with_cache(Arc::clone(m), Arc::clone(cache)),
+                FaultPlan::uniform(SEED, rate),
+            )
         })
         .collect()
 }
 
 #[test]
-fn sharded_grid_with_per_shard_caches_matches_resilience() {
+fn cached_faulty_grid_matches_resilience() {
     let datasets = hard_grid();
     let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
     let models = models();
-    let builder = GridRunnerBuilder::default().with_batch_size(32);
     for (rate, expected) in RESILIENCE_DIGESTS {
-        for shards in COUNTS {
-            let stacks = shard_stacks(&models, shards, rate);
-            let stack_refs: Vec<Vec<&dyn LanguageModel>> =
-                stacks.iter().map(|stack| as_dyn(stack)).collect();
+        for workers in COUNTS {
+            let runner = GridRunner::builder().with_batch_size(32).with_threads(workers).build();
+            let stacks = cached_stacks(&models, &Arc::new(ResponseCache::new()), rate);
             for pass in ["cold", "warm"] {
-                let reports = run_grid_sharded(builder, &stack_refs, &dataset_refs);
-                let at = format!("rate {rate}, {shards} shards, {pass}");
+                let reports = runner.run_cross(&as_dyn(&stacks), &dataset_refs);
+                let at = format!("rate {rate}, {workers} workers, {pass}");
                 assert_eq!(hex(reports_digest(&reports)), expected, "{at}");
                 if rate == 0.0 {
                     assert_eq!(pooled_availability(&reports), 1.0, "{at}");
@@ -371,10 +362,9 @@ fn sharded_grid_with_per_shard_caches_matches_resilience() {
 }
 
 #[test]
-fn big_taxonomy_merged_digests_are_shard_count_invariant() {
+fn big_taxonomy_digests_are_worker_count_invariant() {
     let gpt4 = models().swap_remove(0);
-    let runner = GridRunner::builder().with_batch_size(32).build();
-    for (kind, expected) in BIG_SHARD_DIGESTS {
+    for (kind, expected) in BIG_TAXONOMY_DIGESTS {
         let icd;
         let taxonomy = if kind == TaxonomyKind::Ncbi {
             ncbi_full()
@@ -383,20 +373,17 @@ fn big_taxonomy_merged_digests_are_shard_count_invariant() {
             &icd
         };
         let dataset = hard_dataset(taxonomy, kind, 250);
-        let partition = SubtreePartition::new(taxonomy, NUM_SLOTS);
-        let sharded = ShardedDataset::partition(&dataset, taxonomy, &partition);
-        assert_eq!(sharded.len(), dataset.len(), "{kind}: partitioning dropped questions");
         for (rate, expected) in FAULT_RATES.into_iter().zip(expected) {
-            for shards in COUNTS {
-                let stacks: Vec<_> = shard_stacks(std::slice::from_ref(&gpt4), shards, rate)
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                let merged = run_sharded(&runner, &as_dyn(&stacks), &sharded);
-                let at = format!("{kind}, rate {rate}, {shards} shards");
-                assert_eq!(hex(reports_digest(std::slice::from_ref(&merged))), expected, "{at}");
+            for workers in COUNTS {
+                let runner =
+                    GridRunner::builder().with_batch_size(32).with_threads(workers).build();
+                let cache = Arc::new(ResponseCache::new());
+                let stack = cached_stacks(std::slice::from_ref(&gpt4), &cache, rate);
+                let report = runner.run(&stack[0], &dataset);
+                let at = format!("{kind}, rate {rate}, {workers} workers");
+                assert_eq!(hex(reports_digest(std::slice::from_ref(&report))), expected, "{at}");
                 if rate == 0.0 {
-                    assert_eq!(merged.overall.availability(), 1.0, "{at}");
+                    assert_eq!(report.overall.availability(), 1.0, "{at}");
                 }
             }
         }

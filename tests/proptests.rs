@@ -97,21 +97,6 @@ fn edits_preserve_invariants() {
     });
 }
 
-/// Subtree extraction yields a single-rooted, valid taxonomy whose size
-/// matches `subtree_size`.
-#[test]
-fn subtree_extraction_consistent() {
-    cases(PROPTEST_SEED, 64, "subtree", |rng, _| {
-        let t = random_taxonomy(rng);
-        let ids: Vec<_> = t.ids().collect();
-        let node = ids[rng.gen_index(ids.len())];
-        let out = t.subtree(node);
-        validate(&out.taxonomy).unwrap();
-        assert_eq!(out.taxonomy.len(), t.subtree_size(node));
-        assert_eq!(out.taxonomy.roots().len(), 1);
-    });
-}
-
 /// Cochran sample sizes are monotone, bounded by the population, and
 /// never exceed 385.
 #[test]

@@ -6,6 +6,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use taxoglimpse::prelude::*;
 use taxoglimpse::core::reports_digest;
 use common::cases;
@@ -70,7 +72,9 @@ fn zero_rate_stack_is_byte_identical_to_bare_model() {
 
 /// For ANY fault plan, grid report digests are invariant across worker
 /// counts {1, 2, 8}: fault streams key on question identity, breaker
-/// state is per-chunk, and chunk partitioning ignores thread count.
+/// state is per-chunk, and chunk partitioning ignores thread count. A
+/// response cache shared by both models is byte-transparent too: the
+/// stacks over it, cold and then warm, give the uncached digest.
 #[test]
 fn report_digests_are_worker_count_invariant_under_any_fault_plan() {
     cases(PROPTEST_SEED, 6, "worker-invariant-faults", |rng, _| {
@@ -79,24 +83,42 @@ fn report_digests_are_worker_count_invariant_under_any_fault_plan() {
         let dataset_refs = [&dataset];
         let plan = random_plan(rng);
         let chunk = rng.gen_range(1u64..40) as usize;
+        let batch = rng.gen_range(1u64..40) as usize;
+        let bases = [
+            SimulatedLlm::with_seed(ModelId::Gpt4, seed),
+            SimulatedLlm::with_seed(ModelId::Llama2_7b, seed),
+        ];
 
         let mut digests = Vec::new();
         for workers in [1usize, 2, 8] {
-            let injectors = [
-                FaultInjector::new(SimulatedLlm::with_seed(ModelId::Gpt4, seed), plan.clone()),
-                FaultInjector::new(SimulatedLlm::with_seed(ModelId::Llama2_7b, seed), plan.clone()),
-            ];
-            let models: Vec<&dyn LanguageModel> =
-                injectors.iter().map(|m| m as &dyn LanguageModel).collect();
-            let reports = GridRunner::builder()
+            let runner = GridRunner::builder()
                 .with_threads(workers)
                 .with_chunk_size(chunk)
-                .build()
-                .run_cross(&models, &dataset_refs);
-            digests.push(reports_digest(&reports));
+                .with_batch_size(batch)
+                .build();
+            let uncached: Vec<_> =
+                bases.iter().map(|base| FaultInjector::new(base, plan.clone())).collect();
+            let cache = Arc::new(ResponseCache::new());
+            let cached: Vec<_> = bases
+                .iter()
+                .map(|base| {
+                    FaultInjector::new(CachedModel::with_cache(base, Arc::clone(&cache)), plan.clone())
+                })
+                .collect();
+            let uncached: Vec<&dyn LanguageModel> =
+                uncached.iter().map(|m| m as &dyn LanguageModel).collect();
+            let cached: Vec<&dyn LanguageModel> =
+                cached.iter().map(|m| m as &dyn LanguageModel).collect();
+            for (pass, models) in [("uncached", &uncached), ("cold", &cached), ("warm", &cached)] {
+                let reports = runner.run_cross(models, &dataset_refs);
+                digests.push((workers, pass, reports_digest(&reports)));
+            }
         }
-        assert_eq!(digests[0], digests[1], "1 vs 2 workers, plan {plan:?}");
-        assert_eq!(digests[0], digests[2], "1 vs 8 workers, plan {plan:?}");
+        let expected = digests[0].2;
+        for (workers, pass, digest) in digests {
+            let at = format!("{workers} workers, {pass}, chunk {chunk}, batch {batch}");
+            assert_eq!(digest, expected, "{at}, plan {plan:?}");
+        }
     });
 }
 

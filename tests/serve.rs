@@ -5,7 +5,7 @@
 //! and the log-scale latency histogram's percentile estimates must
 //! land in the same bucket as an exact-sort oracle over the same serve
 //! latencies. Runs on the same in-tree deterministic proptest harness
-//! as `proptests.rs` and `shard.rs`.
+//! as `proptests.rs` and `resilience.rs`.
 
 mod common;
 

@@ -1,6 +1,6 @@
 //! Wrapper-tower forwarding audit.
 //!
-//! The serving layer (and before it the grid/shard runners) dispatch
+//! The serving layer and the grid runner dispatch
 //! whole batches through arbitrary compositions of the model wrappers
 //! — `CachedModel` and `FaultInjector`, plus the blanket
 //! `Box`/`&M`/`Arc` impls. Two properties keep that sound, and this
