@@ -4,7 +4,6 @@
 use taxoglimpse_bench::harness::{black_box, Bench, Throughput};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::workload::{InstanceTypingWorkload, Workload, WorkloadContext};
 use taxoglimpse_core::sampling::cochran_sample_size;
 use taxoglimpse_synth::{generate, GenOptions};
 
@@ -26,9 +25,9 @@ fn bench_dataset_build(b: &mut Bench) {
 fn bench_instance_typing_build(b: &mut Bench) {
     let icd = generate(TaxonomyKind::Icd10Cm, GenOptions { seed: 5, scale: 1.0 }).unwrap();
     b.bench("instance_typing_build/icd_hard", || {
-        InstanceTypingWorkload::new(QuestionDataset::Hard)
-            .with_sample_cap(Some(200))
-            .build(&WorkloadContext::new(&icd, TaxonomyKind::Icd10Cm, 5))
+        DatasetBuilder::new(&icd, TaxonomyKind::Icd10Cm, 5)
+            .sample_cap(Some(200))
+            .instance_typing(QuestionDataset::Hard)
             .unwrap()
     });
 }

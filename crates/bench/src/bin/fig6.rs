@@ -7,10 +7,9 @@
 //! ```
 
 use taxoglimpse_bench::{RunOptions, TaxonomyCache};
-use taxoglimpse_core::dataset::QuestionDataset;
+use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::grid::GridRunner;
-use taxoglimpse_core::workload::{InstanceTypingWorkload, Workload, WorkloadContext};
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::figures::{Figure, Series};
 
@@ -27,9 +26,9 @@ fn main() {
             continue;
         }
         let taxonomy = cache.get(kind, opts.seed, opts.scale);
-        let dataset = InstanceTypingWorkload::new(QuestionDataset::Hard)
-            .with_sample_cap(opts.cap)
-            .build(&WorkloadContext::new(&taxonomy, kind, opts.seed))
+        let dataset = DatasetBuilder::new(&taxonomy, kind, opts.seed)
+            .sample_cap(opts.cap)
+            .instance_typing(QuestionDataset::Hard)
             .expect("hard flavor is always defined for instance-bearing kinds");
 
         let mut figure = Figure::new(format!(

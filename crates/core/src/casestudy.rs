@@ -12,19 +12,20 @@
 //! sampled removed concept we pool its own products with its siblings'
 //! products and ask the model, product by product, "Are `<product>`
 //! products a type of `<concept>` products?" — a product is returned iff
-//! the model answers Yes.
+//! the model answers Yes. Every probe is a [`Question::probe`] asked
+//! through one [`GridRunner`] per run, so it renders, retries, parses and
+//! scores exactly as a Tables 5–7 question does; a query the session
+//! gives up on returns nothing.
 
 use crate::domain::TaxonomyKind;
+use crate::grid::GridRunner;
 use crate::metrics::Outcome;
-use crate::model::{LanguageModel, ModelError, Query};
-use crate::parse::{parse_tf, ParsedAnswer};
-use crate::prompts::PromptSetting;
-use crate::question::{NegativeKind, Question, QuestionBody};
+use crate::model::LanguageModel;
+use crate::question::{NegativeKind, Question};
 use crate::sampling::cochran_sample_size;
-use crate::templates::{render_question, TemplateVariant};
 use taxoglimpse_synth::instances::InstanceGenerator;
 use taxoglimpse_synth::rng::{fork, SliceRandom};
-use taxoglimpse_taxonomy::Taxonomy;
+use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
 /// Case-study configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +112,17 @@ impl<'t> CaseStudy<'t> {
 
         let (mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize);
         let mut classifications = 0usize;
+        let runner = GridRunner::default();
+        // "Are <product> products a type of <concept> products?" — an
+        // instance-typing probe; for a sibling product the candidate is
+        // its category's sibling, a hard negative.
+        let ask = |product: &str, concept: NodeId, negative: Option<NegativeKind>| {
+            let question = Question {
+                instance_typing: true,
+                ..Question::probe(self.kind, product, t.name(concept), t.level(concept), negative)
+            };
+            runner.ask(model, &question, &[]).outcome
+        };
         for &concept in &candidates {
             let own = instgen.instances_for(t, &[concept], self.config.products_per_concept);
             let siblings = t.siblings(concept);
@@ -118,18 +130,18 @@ impl<'t> CaseStudy<'t> {
 
             for inst in &own {
                 classifications += 1;
-                match self.classify(model, &inst.name, concept) {
+                match ask(&inst.name, concept, None) {
                     Outcome::Correct => tp += 1, // returned, truly under concept
-                    // Withheld, abstained, or never answered (failed
-                    // delivery): the product is not retrieved either way.
+                    // Withheld, abstained, or a query the session gave
+                    // up on: the product is not retrieved either way.
                     Outcome::Missed | Outcome::Wrong | Outcome::Failed => fn_ += 1,
                 }
             }
             for inst in &sibling_products {
                 classifications += 1;
-                // A sibling product returned as a match is a false
-                // positive; classify() scores "No" as Correct here.
-                if self.classify_negative(model, &inst.name, concept) == Outcome::Wrong {
+                // A sibling product returned as a match (a Yes to the
+                // negative probe) is a false positive.
+                if ask(&inst.name, concept, Some(NegativeKind::Hard)) == Outcome::Wrong {
                     fp += 1;
                 }
             }
@@ -145,71 +157,6 @@ impl<'t> CaseStudy<'t> {
             recall,
             concepts_evaluated: candidates.len(),
             classifications,
-        }
-    }
-
-    fn make_question(&self, product: &str, concept: taxoglimpse_taxonomy::NodeId, positive: bool) -> Question {
-        let t = self.taxonomy;
-        Question {
-            id: 0,
-            taxonomy: self.kind,
-            child: product.to_owned(),
-            child_level: t.level(concept) + 1,
-            parent_level: t.level(concept),
-            true_parent: t.name(concept).to_owned(),
-            instance_typing: true,
-            body: QuestionBody::TrueFalse {
-                candidate: t.name(concept).to_owned(),
-                expected_yes: positive,
-                negative: (!positive).then_some(NegativeKind::Hard),
-            },
-            surface_memo: Default::default(),
-        }
-    }
-
-    fn ask(
-        &self,
-        model: &dyn LanguageModel,
-        question: &Question,
-    ) -> Result<ParsedAnswer, ModelError> {
-        let prompt = render_question(question, TemplateVariant::Canonical);
-        let query = Query::new(&prompt, question, PromptSetting::ZeroShot);
-        Ok(parse_tf(&model.answer(&query)?.text))
-    }
-
-    /// Classify a product that truly belongs to `concept`.
-    fn classify(&self, model: &dyn LanguageModel, product: &str, concept: taxoglimpse_taxonomy::NodeId) -> Outcome {
-        let q = self.make_question(product, concept, true);
-        match self.ask(model, &q) {
-            Ok(ParsedAnswer::Yes) => Outcome::Correct,
-            Ok(ParsedAnswer::IDontKnow) => Outcome::Missed,
-            Ok(ParsedAnswer::No | ParsedAnswer::Option(_) | ParsedAnswer::Unparsed) => Outcome::Wrong,
-            Err(
-                ModelError::Timeout
-                | ModelError::RateLimited { .. }
-                | ModelError::Truncated { .. }
-                | ModelError::Unavailable
-                | ModelError::Malformed,
-            ) => Outcome::Failed,
-        }
-    }
-
-    /// Classify a sibling product (ground truth: not under `concept`).
-    /// For this call the question is a *hard negative*: the candidate
-    /// concept is a sibling of the product's true category.
-    fn classify_negative(&self, model: &dyn LanguageModel, product: &str, concept: taxoglimpse_taxonomy::NodeId) -> Outcome {
-        let q = self.make_question(product, concept, false);
-        match self.ask(model, &q) {
-            Ok(ParsedAnswer::No) => Outcome::Correct,
-            Ok(ParsedAnswer::IDontKnow) => Outcome::Missed,
-            Ok(ParsedAnswer::Yes | ParsedAnswer::Option(_) | ParsedAnswer::Unparsed) => Outcome::Wrong,
-            Err(
-                ModelError::Timeout
-                | ModelError::RateLimited { .. }
-                | ModelError::Truncated { .. }
-                | ModelError::Unavailable
-                | ModelError::Malformed,
-            ) => Outcome::Failed,
         }
     }
 }

@@ -12,6 +12,7 @@
 //! disjoint from the evaluation questions.
 
 use crate::domain::TaxonomyKind;
+use crate::instance_typing::InstanceTypingError;
 use crate::qgen::QuestionGenerator;
 use crate::question::Question;
 use crate::sampling::cochran_sample_size;
@@ -161,6 +162,7 @@ pub struct DatasetBuilder<'t> {
     generator: QuestionGenerator<'t>,
     taxonomy: &'t Taxonomy,
     kind: TaxonomyKind,
+    seed: u64,
     sample_cap: Option<usize>,
 }
 
@@ -172,6 +174,7 @@ impl<'t> DatasetBuilder<'t> {
             generator: QuestionGenerator::new(taxonomy, kind, seed),
             taxonomy,
             kind,
+            seed,
             sample_cap: None,
         }
     }
@@ -208,6 +211,19 @@ impl<'t> DatasetBuilder<'t> {
             q.fill_surface(&mut scratch);
         }
         Ok(Dataset { taxonomy: self.kind, flavor, levels })
+    }
+
+    /// Build the Easy or Hard instance-typing dataset (§4.5) from the
+    /// same taxonomy, kind and seed; here the sample cap bounds the
+    /// number of sampled leaf concepts. See [`crate::instance_typing`].
+    pub fn instance_typing(&self, flavor: QuestionDataset) -> Result<Dataset, InstanceTypingError> {
+        crate::instance_typing::build_dataset(
+            self.taxonomy,
+            self.kind,
+            self.seed,
+            self.sample_cap,
+            flavor,
+        )
     }
 
     /// Build one level slice.
@@ -403,5 +419,13 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), before);
+    }
+
+    #[test]
+    fn instance_typing_rejects_unsupported_kind() {
+        let err = DatasetBuilder::new(&ebay(), TaxonomyKind::Ebay, 1)
+            .instance_typing(QuestionDataset::Hard)
+            .unwrap_err();
+        assert_eq!(err, InstanceTypingError::Unsupported(TaxonomyKind::Ebay));
     }
 }

@@ -13,11 +13,11 @@
 //!   error-analysis views behind the paper's §4 discussions.
 
 use crate::dataset::Dataset;
-use crate::eval::{score, EvalConfig};
+use crate::eval::EvalConfig;
+use crate::grid::GridRunner;
 use crate::metrics::{Metrics, Outcome};
-use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_answer, ParsedAnswer};
-use crate::prompts::render_prompt;
+use crate::model::LanguageModel;
+use crate::parse::ParsedAnswer;
 use crate::question::{NegativeKind, Question, QuestionBody};
 use crate::text::similarity;
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
@@ -87,31 +87,26 @@ impl DetailedRun {
     /// Execute `model` over `dataset`, recording everything.
     pub fn record(model: &dyn LanguageModel, dataset: &Dataset, config: EvalConfig) -> Self {
         model.reset();
+        let runner = GridRunner::builder().with_config(config).build();
         let mut exchanges = Vec::with_capacity(dataset.len());
         for slice in &dataset.levels {
             for question in &slice.questions {
-                let prompt = render_prompt(question, config.setting, config.variant, &slice.exemplars);
-                let query = Query::new(&prompt, question, config.setting);
-                // A failed delivery is recorded faithfully: the error
-                // display stands in for the (absent) response text, the
-                // answer is unparsed, and the outcome is Failed.
-                let (response, parsed, outcome) = match model.answer(&query) {
-                    Ok(ok) => {
-                        let parsed = parse_answer(question, &ok.text);
-                        (ok.text, parsed, score(question, parsed))
-                    }
-                    Err(error) => {
-                        (format!("[{error}]"), ParsedAnswer::Unparsed, Outcome::Failed)
-                    }
+                let answer = runner.ask(model, question, &slice.exemplars);
+                // A query the session gives up on is recorded
+                // faithfully: the error display stands in for the
+                // (absent) response text.
+                let response = match answer.response {
+                    Ok(ok) => ok.text,
+                    Err(error) => format!("[{error}]"),
                 };
                 exchanges.push(Exchange {
                     question_id: question.id,
                     child_level: question.child_level,
                     negative: negative_of(question),
-                    prompt,
+                    prompt: answer.prompt,
                     response,
-                    parsed,
-                    outcome,
+                    parsed: answer.parsed,
+                    outcome: answer.outcome,
                     similarity: similarity(&question.child, question.shown_candidate()),
                 });
             }
@@ -201,7 +196,6 @@ mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, QuestionDataset};
     use crate::domain::TaxonomyKind;
-    use crate::grid::GridRunner;
     use crate::model::FixedAnswerModel;
     use taxoglimpse_synth::{generate, GenOptions};
 

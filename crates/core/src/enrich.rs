@@ -7,7 +7,9 @@
 //! [`Enricher`] shortlists candidate parents by surface similarity and
 //! lets the model confirm via the standard Is-A templates, so any
 //! [`LanguageModel`] (simulated LLM, lexical baseline, your own) slots
-//! in.
+//! in. Each confirmation is a [`Question::probe`] asked through the
+//! enricher's [`GridRunner`]; a query the session gives up on reads as
+//! not confirmed.
 //!
 //! [`evaluate_reattachment`] measures attachment quality the standard
 //! way: remove sampled leaves, re-attach them, and score top-1 parent
@@ -15,12 +17,11 @@
 //! shortlist.
 
 use crate::domain::TaxonomyKind;
-use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_tf, ParsedAnswer};
-use crate::prompts::PromptSetting;
-use crate::question::{Question, QuestionBody};
+use crate::grid::GridRunner;
+use crate::model::LanguageModel;
+use crate::parse::ParsedAnswer;
+use crate::question::Question;
 use crate::sampling::cochran_sample_size;
-use crate::templates::{render_question, TemplateVariant};
 use taxoglimpse_synth::rng::{fork, SliceRandom};
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
@@ -46,13 +47,15 @@ pub struct Enricher<'t> {
     parent_level: usize,
     /// How many shortlisted candidates the model is asked about.
     shortlist: usize,
+    /// Asks every confirmation probe (default policy).
+    runner: GridRunner,
 }
 
 impl<'t> Enricher<'t> {
     /// Create an enricher attaching entities under `parent_level`
     /// concepts.
     pub fn new(taxonomy: &'t Taxonomy, kind: TaxonomyKind, parent_level: usize) -> Self {
-        Enricher { taxonomy, kind, parent_level, shortlist: 4 }
+        Enricher { taxonomy, kind, parent_level, shortlist: 4, runner: GridRunner::default() }
     }
 
     /// Rank all parent candidates for `entity` by surface similarity,
@@ -75,7 +78,7 @@ impl<'t> Enricher<'t> {
         let ranked = self.shortlist_for(entity);
         let first = *ranked.first()?;
         for (rank, &candidate) in ranked.iter().take(self.shortlist).enumerate() {
-            if self.confirm(entity, candidate, model) == ParsedAnswer::Yes {
+            if self.confirm(entity, candidate, model) {
                 return Some(Placement {
                     entity: entity.to_owned(),
                     parent: candidate,
@@ -87,30 +90,14 @@ impl<'t> Enricher<'t> {
         Some(Placement { entity: entity.to_owned(), parent: first, model_confirmed: false, rank: 0 })
     }
 
-    fn confirm(&self, entity: &str, candidate: NodeId, model: &dyn LanguageModel) -> ParsedAnswer {
-        let question = Question {
-            id: 0,
-            taxonomy: self.kind,
-            child: entity.to_owned(),
-            child_level: self.parent_level + 1,
-            parent_level: self.parent_level,
-            true_parent: self.taxonomy.name(candidate).to_owned(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse {
-                candidate: self.taxonomy.name(candidate).to_owned(),
-                expected_yes: true,
-                negative: None,
-            },
-            surface_memo: Default::default(),
-        };
-        let prompt = render_question(&question, TemplateVariant::Canonical);
-        let query = Query::new(&prompt, &question, PromptSetting::ZeroShot);
-        // A failed delivery reads as not-confirmed: reattachment then
-        // falls back to the lexical shortlist, never to a guess.
-        match model.answer(&query) {
-            Ok(response) => parse_tf(&response.text),
-            Err(_) => ParsedAnswer::Unparsed,
-        }
+    /// Whether the model confirms `entity` as a type of `candidate`. A
+    /// query the session gives up on reads as not-confirmed:
+    /// reattachment then falls back to the lexical shortlist, never to
+    /// a guess.
+    fn confirm(&self, entity: &str, candidate: NodeId, model: &dyn LanguageModel) -> bool {
+        let question =
+            Question::probe(self.kind, entity, self.taxonomy.name(candidate), self.parent_level, None);
+        self.runner.ask(model, &question, &[]).parsed == ParsedAnswer::Yes
     }
 }
 
@@ -207,7 +194,8 @@ fn surface_score(entity: &str, concept: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FixedAnswerModel, ModelError, Response};
+    use crate::model::{FixedAnswerModel, ModelError, Query, Response};
+    use crate::question::QuestionBody;
     use taxoglimpse_synth::{generate, GenOptions};
 
     /// Oracle that confirms exactly the true parent (it compares the

@@ -6,7 +6,9 @@
 //! cell — and every work unit goes through the same loop: render,
 //! answer in batches, replay through a fresh [`ResilienceSession`],
 //! parse, score. [`GridRunner::ask`] is the single-question form of
-//! that loop, with one session per question.
+//! that loop and the only other place a question meets a model: the
+//! case study, the hybrid taxonomy, enrichment, detailed transcripts,
+//! the CLI and hier's descent all ask through it.
 //!
 //! Tables 5–7 evaluate a (model × taxonomy) grid — hundreds of thousands
 //! of independent queries. [`GridRunner`] splits every cell into
@@ -31,8 +33,8 @@
 use crate::dataset::Dataset;
 use crate::eval::{score, EvalConfig, EvalReport, LevelMetrics, DEFAULT_BATCH_SIZE};
 use crate::metrics::{Metrics, Outcome};
-use crate::model::{LanguageModel, Query};
-use crate::parse::parse_answer;
+use crate::model::{LanguageModel, ModelError, Query, Response};
+use crate::parse::{parse_answer, ParsedAnswer};
 use crate::prompts::{render_prefix, render_prompt, render_prompt_into, PromptSetting};
 use crate::question::Question;
 use crate::resilience::{ResiliencePolicy, ResilienceSession};
@@ -43,6 +45,22 @@ use std::sync::Mutex;
 /// overhead (one atomic fetch and one lock per unit) is noise, small
 /// enough that even a single big cell splits into many units.
 pub const DEFAULT_CHUNK_SIZE: usize = 256;
+
+/// One asked question, from [`GridRunner::ask`]: the prompt sent, the
+/// model's reply (or the error the session gave up on), and its parsed
+/// and scored reading.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The rendered prompt.
+    pub prompt: String,
+    /// The final delivery: the response, or the error the resilience
+    /// session gave up on.
+    pub response: Result<Response, ModelError>,
+    /// The parsed reply; [`ParsedAnswer::Unparsed`] on error.
+    pub parsed: ParsedAnswer,
+    /// The scored outcome; [`Outcome::Failed`] on error.
+    pub outcome: Outcome,
+}
 
 /// One grid cell: which model to run on which dataset.
 #[derive(Debug, Clone, Copy)]
@@ -201,21 +219,41 @@ impl GridRunner {
         self.run_cells(&[model], &[dataset], &[GridCell { model: 0, dataset: 0 }]).remove(0)
     }
 
-    /// Ask a single question and score the response, with a one-shot
-    /// resilience session.
+    /// Ask a single question: the one path that turns a question into a
+    /// parsed, scored answer outside a grid cell. Renders under the
+    /// runner's configuration, delivers through a fresh
+    /// [`ResilienceSession`] under the runner's policy, then parses and
+    /// scores.
     pub fn ask(
         &self,
         model: &dyn LanguageModel,
         question: &Question,
         exemplars: &[Question],
-    ) -> Outcome {
+    ) -> Answer {
+        self.ask_in(&mut ResilienceSession::new(self.resilience), model, question, exemplars)
+    }
+
+    /// [`GridRunner::ask`] through a caller's session, for callers that
+    /// share one session across a run of questions (hier: one per
+    /// instance). A query the session gives up on parses as
+    /// [`ParsedAnswer::Unparsed`] and scores as [`Outcome::Failed`].
+    pub(crate) fn ask_in(
+        &self,
+        session: &mut ResilienceSession,
+        model: &dyn LanguageModel,
+        question: &Question,
+        exemplars: &[Question],
+    ) -> Answer {
         let prompt = render_prompt(question, self.config.setting, self.config.variant, exemplars);
-        let query = Query::new(&prompt, question, self.config.setting);
-        let mut session = ResilienceSession::new(self.resilience);
-        match session.call(model, &query) {
-            Ok(response) => score(question, parse_answer(question, &response.text)),
-            Err(_) => Outcome::Failed,
-        }
+        let response = session.call(model, &Query::new(&prompt, question, self.config.setting));
+        let (parsed, outcome) = match &response {
+            Ok(ok) => {
+                let parsed = parse_answer(question, &ok.text);
+                (parsed, score(question, parsed))
+            }
+            Err(_) => (ParsedAnswer::Unparsed, Outcome::Failed),
+        };
+        Answer { prompt, response, parsed, outcome }
     }
 
     /// Evaluate the full cross product of `models` × `datasets`.

@@ -51,11 +51,9 @@
 use std::cmp::Ordering;
 
 use crate::domain::TaxonomyKind;
-use crate::eval::EvalConfig;
 use crate::grid::{run_indexed, GridRunner};
-use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_mcq, ParsedAnswer};
-use crate::prompts::render_prompt;
+use crate::model::LanguageModel;
+use crate::parse::ParsedAnswer;
 use crate::question::{Question, QuestionBody};
 use crate::resilience::ResilienceSession;
 use crate::sampling::cochran_sample_size;
@@ -643,7 +641,8 @@ struct InstanceResult {
 struct RunState<'r> {
     t: &'r Taxonomy,
     kind: TaxonomyKind,
-    config: EvalConfig,
+    /// Asks every descent and flat-baseline question.
+    runner: &'r GridRunner,
     /// Per instance, its flat-baseline shortlist: the most similar
     /// leaves, from the run's one leaf pass.
     shortlists: Vec<Vec<NodeId>>,
@@ -691,20 +690,13 @@ impl HierWorkload {
                     let question = sibling_question(
                         state.kind, t, instance_idx, instance, node, window_idx, window,
                     );
-                    let prompt = render_prompt(
-                        &question,
-                        state.config.setting,
-                        state.config.variant,
-                        &[],
-                    );
+                    let answer = state.runner.ask_in(session, model, &question, &[]);
                     result.queries += 1;
-                    result.prompt_tokens += token_count(&prompt);
-                    let query = Query::new(&prompt, &question, state.config.setting);
-                    let text = match session.call(model, &query) {
-                        Ok(response) => response.text,
-                        Err(_) => return HierOutcome::Failed,
-                    };
-                    match parse_mcq(&text) {
+                    result.prompt_tokens += token_count(&answer.prompt);
+                    if answer.response.is_err() {
+                        return HierOutcome::Failed;
+                    }
+                    match answer.parsed {
                         ParsedAnswer::Option(i) if (i as usize) < window.len() => {
                             node = window[i as usize];
                             continue 'descend;
@@ -757,15 +749,12 @@ impl HierWorkload {
             body: QuestionBody::Sibling { options: options.clone(), correct },
             surface_memo: Default::default(),
         };
-        let prompt =
-            render_prompt(&question, state.config.setting, state.config.variant, &[]);
-        result.flat_tokens += token_count(&prompt);
-        let query = Query::new(&prompt, &question, state.config.setting);
-        let text = match session.call(model, &query) {
-            Ok(response) => response.text,
-            Err(_) => return FlatOutcome::Failed,
-        };
-        let chosen = match parse_mcq(&text) {
+        let answer = state.runner.ask_in(session, model, &question, &[]);
+        result.flat_tokens += token_count(&answer.prompt);
+        if answer.response.is_err() {
+            return FlatOutcome::Failed;
+        }
+        let chosen = match answer.parsed {
             ParsedAnswer::Option(i) if (i as usize) < options.len() => i as usize,
             ParsedAnswer::Option(_) | ParsedAnswer::IDontKnow => return FlatOutcome::Abstained,
             // Free-form text that maps to no label at all.
@@ -812,7 +801,6 @@ impl HierWorkload {
     fn process_instance(
         &self,
         state: &RunState<'_>,
-        runner: &GridRunner,
         model: &dyn LanguageModel,
         instance_idx: usize,
         instance: &HierInstance,
@@ -824,7 +812,7 @@ impl HierWorkload {
             flat: FlatOutcome::Abstained,
             flat_tokens: 0,
         };
-        let mut session = ResilienceSession::new(runner.resilience());
+        let mut session = ResilienceSession::new(state.runner.resilience());
         result.outcome =
             self.classify(state, &mut session, model, instance_idx, instance, &mut result);
         result.flat =
@@ -907,7 +895,7 @@ impl Workload for HierWorkload {
         let state = RunState {
             t,
             kind: cx.kind,
-            config: runner.config(),
+            runner,
             shortlists,
             whole_taxonomy_base_tokens: token_count(
                 "Classify the instance into exactly one of the following categories:",
@@ -916,7 +904,7 @@ impl Workload for HierWorkload {
 
         model.reset();
         let outcomes = run_indexed(runner.threads(), data.instances.len(), |i| {
-            self.process_instance(&state, runner, model, i, &data.instances[i])
+            self.process_instance(&state, model, i, &data.instances[i])
         });
         let failures: Vec<String> = outcomes
             .iter()
@@ -985,7 +973,7 @@ impl Workload for HierWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ModelError, Response};
+    use crate::model::{ModelError, Query, Response};
     use crate::prompts::render_gold;
     use taxoglimpse_synth::{generate, GenOptions};
 

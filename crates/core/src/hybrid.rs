@@ -4,7 +4,10 @@
 //!
 //! [`HybridTaxonomy`] answers Is-A queries by routing: if both concepts
 //! resolve in the explicit tree the answer is structural (exact); as
-//! soon as one side is unknown, the query goes to the attached model.
+//! soon as one side is unknown, the query goes to the attached model,
+//! as a [`Question::probe`] asked through the taxonomy's [`GridRunner`]
+//! (the grid's render, retry, parse and score path); a query the
+//! session gives up on reads as [`IsA::Unknown`].
 //! [`HybridTaxonomy::reliability`] measures the per-level accuracy of
 //! the combined system against a full reference taxonomy, and
 //! [`recommended_cutoff`] picks the deepest replacement that still meets
@@ -16,11 +19,9 @@ use crate::dataset::{DatasetBuilder, QuestionDataset};
 use crate::domain::TaxonomyKind;
 use crate::grid::GridRunner;
 use crate::metrics::Metrics;
-use crate::model::{LanguageModel, Query};
-use crate::parse::{parse_tf, ParsedAnswer};
-use crate::prompts::PromptSetting;
-use crate::question::{Question, QuestionBody};
-use crate::templates::{render_question, TemplateVariant};
+use crate::model::LanguageModel;
+use crate::parse::ParsedAnswer;
+use crate::question::Question;
 use taxoglimpse_taxonomy::{NameIndex, NodeId, Taxonomy};
 
 /// Outcome of a hybrid Is-A query.
@@ -50,6 +51,8 @@ pub struct HybridTaxonomy {
     index: NameIndex,
     cutoff: usize,
     original_len: usize,
+    /// Asks every model-side question (default policy).
+    runner: GridRunner,
 }
 
 impl HybridTaxonomy {
@@ -58,7 +61,14 @@ impl HybridTaxonomy {
     pub fn build(full: &Taxonomy, kind: TaxonomyKind, cutoff: usize) -> Self {
         let explicit = full.truncate_below(cutoff).taxonomy;
         let index = explicit.name_index();
-        HybridTaxonomy { kind, explicit, index, cutoff, original_len: full.len() }
+        HybridTaxonomy {
+            kind,
+            explicit,
+            index,
+            cutoff,
+            original_len: full.len(),
+            runner: GridRunner::default(),
+        }
     }
 
     /// The explicit (kept) tree.
@@ -121,43 +131,18 @@ impl HybridTaxonomy {
     }
 
     fn is_a_via_model(&self, child: &str, ancestor: &str, model: &dyn LanguageModel) -> (IsA, AnsweredBy) {
-        let question = self.model_question(child, ancestor);
-        let prompt = render_question(&question, TemplateVariant::Canonical);
-        let query = Query::new(&prompt, &question, PromptSetting::ZeroShot);
-        // A failed delivery degrades to Unknown — the same epistemic
-        // state as an abstention for the router.
-        let verdict = match model.answer(&query) {
-            Ok(response) => match parse_tf(&response.text) {
-                ParsedAnswer::Yes => IsA::Yes,
-                ParsedAnswer::No => IsA::No,
-                ParsedAnswer::IDontKnow | ParsedAnswer::Option(_) | ParsedAnswer::Unparsed => {
-                    IsA::Unknown
-                }
-            },
-            Err(_) => IsA::Unknown,
+        // The model side only kicks in for below-cutoff entities, so the
+        // effective depth is the cutoff boundary. The expected answer is
+        // unknown at query time and irrelevant to the model.
+        let question = Question::probe(self.kind, child, ancestor, self.cutoff.max(1) - 1, None);
+        // A query the session gives up on reads as Unknown — the same
+        // epistemic state as an abstention for the router.
+        let verdict = match self.runner.ask(model, &question, &[]).parsed {
+            ParsedAnswer::Yes => IsA::Yes,
+            ParsedAnswer::No => IsA::No,
+            ParsedAnswer::IDontKnow | ParsedAnswer::Option(_) | ParsedAnswer::Unparsed => IsA::Unknown,
         };
         (verdict, AnsweredBy::Model)
-    }
-
-    fn model_question(&self, child: &str, ancestor: &str) -> Question {
-        // The model side only kicks in for below-cutoff entities, so the
-        // effective depth is the cutoff boundary.
-        let child_level = self.cutoff.max(1);
-        Question {
-            id: 0,
-            taxonomy: self.kind,
-            child: child.to_owned(),
-            child_level,
-            parent_level: child_level - 1,
-            true_parent: ancestor.to_owned(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse {
-                candidate: ancestor.to_owned(),
-                expected_yes: true, // unknown at query time; irrelevant to the model
-                negative: None,
-            },
-            surface_memo: Default::default(),
-        }
     }
 
     /// Measure the hybrid's per-level Is-A reliability against the full
@@ -172,13 +157,12 @@ impl HybridTaxonomy {
         cap: Option<usize>,
     ) -> Vec<(usize, f64)> {
         let builder = DatasetBuilder::new(full, self.kind, seed).sample_cap(cap);
-        let runner = GridRunner::default();
         (1..full.num_levels())
             .map(|child_level| {
                 let accuracy = if child_level < self.cutoff {
                     1.0
                 } else {
-                    level_accuracy(&runner, &builder, model, child_level)
+                    level_accuracy(&self.runner, &builder, model, child_level)
                 };
                 (child_level, accuracy)
             })
@@ -227,7 +211,7 @@ fn level_accuracy(
     let slice = builder.build_level(QuestionDataset::Hard, child_level);
     let mut metrics = Metrics::default();
     for q in &slice.questions {
-        metrics.record(runner.ask(model, q, &slice.exemplars));
+        metrics.record(runner.ask(model, q, &slice.exemplars).outcome);
     }
     metrics.accuracy()
 }
@@ -246,7 +230,7 @@ fn name_overlap(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FixedAnswerModel, ModelError, Response};
+    use crate::model::{FixedAnswerModel, ModelError, Query, Response};
     use taxoglimpse_synth::{generate, GenOptions};
 
     fn amazon() -> Taxonomy {

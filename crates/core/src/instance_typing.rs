@@ -49,7 +49,7 @@ impl fmt::Display for InstanceTypingError {
 impl std::error::Error for InstanceTypingError {}
 
 /// Build the Easy or Hard instance-typing dataset — the construction
-/// path behind [`crate::workload::InstanceTypingWorkload`].
+/// path behind [`crate::dataset::DatasetBuilder::instance_typing`].
 pub(crate) fn build_dataset(
     t: &Taxonomy,
     kind: TaxonomyKind,

@@ -79,7 +79,7 @@ pub use prompts::PromptSetting;
 pub use question::{NegativeKind, Question, QuestionBody, QuestionKind};
 pub use resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy};
 pub use serve::{run_serve, ServeConfig, ServeReport, TrafficConfig};
-pub use workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError};
+pub use workload::{Workload, WorkloadContext, WorkloadError};
 
 /// The pinned reports digest: a 64-bit hash chained over the compact
 /// JSON of every report, in order. Every pinned digest in

@@ -112,6 +112,36 @@ pub struct Question {
 }
 
 impl Question {
+    /// An ad-hoc true/false probe posed outside any dataset: "Is `child`
+    /// a type of `candidate`?", with `candidate` as the true parent one
+    /// level above the child. `negative: None` expects Yes; a negative
+    /// regime expects No. Id 0 and concept-level; set `id` or
+    /// `instance_typing` by struct update where a probe needs otherwise
+    /// (the memo is still empty, so that is safe).
+    pub fn probe(
+        taxonomy: TaxonomyKind,
+        child: &str,
+        candidate: &str,
+        parent_level: usize,
+        negative: Option<NegativeKind>,
+    ) -> Question {
+        Question {
+            id: 0,
+            taxonomy,
+            child: child.to_owned(),
+            child_level: parent_level + 1,
+            parent_level,
+            true_parent: candidate.to_owned(),
+            instance_typing: false,
+            body: QuestionBody::TrueFalse {
+                candidate: candidate.to_owned(),
+                expected_yes: negative.is_none(),
+                negative,
+            },
+            surface_memo: Default::default(),
+        }
+    }
+
     /// Which question family this is.
     pub fn kind(&self) -> QuestionKind {
         self.body.kind()

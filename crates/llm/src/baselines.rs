@@ -257,8 +257,8 @@ mod tests {
         let vsm = NgramVectorBaseline::default();
         let rnd = RandomBaseline::new(3);
         for q in &slice.questions {
-            vsm_metrics.record(runner.ask(&vsm, q, &[]));
-            rnd_metrics.record(runner.ask(&rnd, q, &[]));
+            vsm_metrics.record(runner.ask(&vsm, q, &[]).outcome);
+            rnd_metrics.record(runner.ask(&rnd, q, &[]).outcome);
         }
         assert!(
             vsm_metrics.accuracy() > rnd_metrics.accuracy() + 0.2,

@@ -57,7 +57,6 @@ fn main() {
     let zoo = ModelZoo::default_zoo();
     let gpt4 = zoo.get(ModelId::Gpt4).expect("zoo covers all models");
     let runner = GridRunner::default();
-    let workload = QaWorkload::new(QuestionDataset::Hard).with_sample_cap(Some(150));
 
     println!(
         "{:<12} {:>18} {:>12}",
@@ -70,10 +69,11 @@ fn main() {
         (TaxonomyKind::Ebay, 1.0),
     ] {
         let taxonomy = generate(kind, GenOptions { seed: 42, scale }).expect("valid options");
-        let cx = WorkloadContext::new(&taxonomy, kind, 42);
-        let reports = workload
-            .run_cross(&runner, &[&baseline, gpt4.as_ref()], &[cx])
+        let dataset = DatasetBuilder::new(&taxonomy, kind, 42)
+            .sample_cap(Some(150))
+            .build(QuestionDataset::Hard)
             .expect("probe levels exist");
+        let reports = runner.run_cross(&[&baseline, gpt4.as_ref()], &[&dataset]);
         println!(
             "{:<12} {:>18.3} {:>12.3}",
             kind.to_string(),

@@ -13,9 +13,7 @@
 //! ```
 
 use taxoglimpse::core::hybrid::HybridTaxonomy;
-use taxoglimpse::core::parse::{parse_tf, ParsedAnswer};
-use taxoglimpse::core::question::{Question, QuestionBody};
-use taxoglimpse::core::templates::render_question;
+use taxoglimpse::core::parse::ParsedAnswer;
 use taxoglimpse::prelude::*;
 use taxoglimpse::synth::instances::InstanceGenerator;
 use taxoglimpse::taxonomy::diff::path_of;
@@ -65,28 +63,16 @@ fn main() {
     println!("\ninventory under that category: {} products; asking {} which match…", inventory.len(), model.name());
 
     // 3. LLM-filter the inventory against the query concept.
+    let runner = GridRunner::default();
     let mut hits = Vec::new();
     for item in &inventory {
         let question = Question {
-            id: 0,
-            taxonomy: kind,
-            child: item.name.clone(),
-            child_level: full.num_levels(),
-            parent_level: full.num_levels() - 1,
-            true_parent: query.clone(),
             instance_typing: true,
-            body: QuestionBody::TrueFalse {
-                candidate: query.clone(),
-                expected_yes: true,
-                negative: None,
-            },
-            surface_memo: Default::default(),
+            ..Question::probe(kind, &item.name, &query, full.num_levels() - 1, None)
         };
-        let prompt = render_question(&question, Default::default());
-        let q = Query::new(&prompt, &question, PromptSetting::ZeroShot);
-        // A delivery failure simply leaves the product out of the hits —
-        // graceful degradation, not a crash.
-        if model.answer(&q).is_ok_and(|r| parse_tf(&r.text) == ParsedAnswer::Yes) {
+        // A query the session gives up on simply leaves the product out
+        // of the hits — graceful degradation, not a crash.
+        if runner.ask(model.as_ref(), &question, &[]).parsed == ParsedAnswer::Yes {
             hits.push(item);
         }
     }

@@ -7,10 +7,6 @@
 //! cargo run --release --example level_probe [-- GPT-4]
 //! ```
 
-use taxoglimpse::core::eval::score;
-use taxoglimpse::core::parse::parse_tf;
-use taxoglimpse::core::question::{Question, QuestionBody};
-use taxoglimpse::core::templates::render_question;
 use taxoglimpse::prelude::*;
 
 fn main() {
@@ -35,43 +31,28 @@ fn main() {
         chain.iter().map(|&n| taxonomy.name(n)).collect::<Vec<_>>().join(" ← ")
     );
 
+    let runner = GridRunner::default();
     for pair in chain.windows(2) {
         let (parent, child) = (pair[0], pair[1]);
         let question = Question {
             id: taxonomy.level(child) as u64,
-            taxonomy: kind,
-            child: taxonomy.name(child).to_owned(),
-            child_level: taxonomy.level(child),
-            parent_level: taxonomy.level(parent),
-            true_parent: taxonomy.name(parent).to_owned(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse {
-                candidate: taxonomy.name(parent).to_owned(),
-                expected_yes: true,
-                negative: None,
-            },
-            surface_memo: Default::default(),
+            ..Question::probe(kind, taxonomy.name(child), taxonomy.name(parent), taxonomy.level(parent), None)
         };
-        let prompt = render_question(&question, Default::default());
-        let query = Query::new(&prompt, &question, PromptSetting::ZeroShot);
-        let (text, outcome) = match model.answer(&query) {
-            Ok(response) => {
-                let outcome = score(&question, parse_tf(&response.text));
-                (response.text, outcome)
-            }
-            Err(error) => (format!("[{error}]"), Outcome::Failed),
+        let answer = runner.ask(model.as_ref(), &question, &[]);
+        let text = match answer.response {
+            Ok(response) => response.text,
+            Err(error) => format!("[{error}]"),
         };
-        println!("L{} Q: {prompt}", question.child_level);
-        println!("   {}: {text}   [{outcome:?}]\n", model.name());
+        println!("L{} Q: {}", question.child_level, answer.prompt);
+        println!("   {}: {text}   [{:?}]\n", model.name(), answer.outcome);
     }
 
-    // The anecdote, generalized: the full per-level accuracy curve,
-    // through the unified Workload API.
-    let cx = WorkloadContext::new(&taxonomy, kind, 42);
-    let report = QaWorkload::new(QuestionDataset::Hard)
-        .with_sample_cap(Some(150))
-        .build_and_run(&GridRunner::default(), model.as_ref(), &cx)
+    // The anecdote, generalized: the full per-level accuracy curve.
+    let dataset = DatasetBuilder::new(&taxonomy, kind, 42)
+        .sample_cap(Some(150))
+        .build(QuestionDataset::Hard)
         .expect("probe levels exist");
+    let report = runner.run(model.as_ref(), &dataset);
     println!("{} per-level accuracy on {} (hard, zero-shot):", model.name(), kind);
     for (level, accuracy) in report.accuracy_by_level() {
         let bar = "#".repeat((accuracy * 40.0).round() as usize);

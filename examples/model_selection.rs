@@ -45,9 +45,7 @@ fn main() {
     let zoo = ModelZoo::default_zoo();
     let arcs: Vec<_> = candidates.iter().map(|&id| zoo.get(id).expect("zoo")).collect();
     let models: Vec<&dyn LanguageModel> = arcs.iter().map(|m| m.as_ref() as &dyn LanguageModel).collect();
-    let reports = QaWorkload::new(QuestionDataset::Hard)
-        .run_cross(&GridRunner::default(), &models, &[WorkloadContext::new(&taxonomy, kind, 42)])
-        .expect("probe levels exist");
+    let reports = GridRunner::default().run_cross(&models, &[&dataset]);
     println!("{}", render(&leaderboard(&reports)));
 
     // 2. Cost: price a production month at list prices.

@@ -34,15 +34,12 @@ fn main() {
     );
 
     // 3. Evaluate GPT-4 and Llama-2-7B (simulated, calibrated on the
-    //    paper's published results) through the unified Workload API.
+    //    paper's published results) through the one evaluation path.
     let zoo = ModelZoo::default_zoo();
     let runner = GridRunner::default();
-    let workload = QaWorkload::new(QuestionDataset::Hard);
-    let cx = WorkloadContext::new(&taxonomy, TaxonomyKind::Ebay, 42);
     for id in [ModelId::Gpt4, ModelId::Llama2_7b] {
         let model = zoo.get(id).expect("zoo covers all models");
-        let report =
-            workload.build_and_run(&runner, model.as_ref(), &cx).expect("eBay has probe levels");
+        let report = runner.run(model.as_ref(), &dataset);
         println!("\n{} on eBay hard (zero-shot):", report.model);
         println!("  overall: {}", report.overall);
         for level in &report.by_level {
@@ -61,7 +58,7 @@ fn main() {
     //    still fails as Failed, and reports availability alongside
     //    accuracy — no crash, no lost report.
     let flaky = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), FaultPlan::uniform(7, 0.2));
-    let degraded = workload.build_and_run(&runner, &flaky, &cx).expect("eBay has probe levels");
+    let degraded = runner.run(&flaky, &dataset);
     println!(
         "\nGPT-4 behind a 20% fault injector: A={:.3}, availability {:.1}%",
         degraded.overall.accuracy(),

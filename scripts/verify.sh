@@ -51,6 +51,24 @@ if [ -n "$locals" ]; then
     exit 1
 fi
 
+# 1d. One question path: only the grid runner (`GridRunner::ask_in` and
+#     the chunk loop) and the serving layer build a `Query`. Any other
+#     library, binary or example code asks through `GridRunner::ask`,
+#     so it renders, retries, parses and scores like Tables 5-7. Test
+#     modules (from the first `#[cfg(test)]` line on) may build their own.
+echo "==> checking that only grid.rs and serve/mod.rs build a Query"
+queries="$(find src crates/*/src examples -name '*.rs' | sort | while read -r f; do
+    case "$f" in
+        crates/core/src/grid.rs | crates/core/src/serve/mod.rs) continue ;;
+    esac
+    awk '/^#\[cfg\(test\)\]/ { exit } /Query::new\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$queries" ]; then
+    echo "error: Query built outside grid.rs and serve/mod.rs (ask through GridRunner::ask):" >&2
+    echo "$queries" >&2
+    exit 1
+fi
+
 # 2. Tier-1 offline against an empty registry cache. A fresh CARGO_HOME
 #    has no .crate files, no index — if anything tried to resolve from
 #    crates.io this fails immediately.

@@ -18,13 +18,13 @@
 //! use taxoglimpse::prelude::*;
 //!
 //! // Generate a small shopping taxonomy and evaluate one simulated
-//! // model on its hard QA workload through the unified Workload API.
+//! // model on its hard QA dataset through the one evaluation path.
 //! let tax = generate(TaxonomyKind::Ebay, GenOptions::default()).unwrap();
-//! let cx = WorkloadContext::new(&tax, TaxonomyKind::Ebay, 7);
-//! let model = ModelZoo::default_zoo().get(ModelId::Gpt4).unwrap();
-//! let report = QaWorkload::new(QuestionDataset::Hard)
-//!     .build_and_run(&GridRunner::default(), model.as_ref(), &cx)
+//! let dataset = DatasetBuilder::new(&tax, TaxonomyKind::Ebay, 7)
+//!     .build(QuestionDataset::Hard)
 //!     .unwrap();
+//! let model = ModelZoo::default_zoo().get(ModelId::Gpt4).unwrap();
+//! let report = GridRunner::default().run(model.as_ref(), &dataset);
 //! assert!(report.overall.accuracy() > 0.5);
 //! ```
 
@@ -38,11 +38,13 @@ pub use taxoglimpse_synth as synth;
 pub use taxoglimpse_taxonomy as taxonomy;
 
 /// Convenient glob-import surface covering the common workflow types:
-/// dataset construction, the fallible model interface, the unified
-/// [`Workload`](taxoglimpse_core::workload::Workload) surface (grid QA,
-/// instance typing, hierarchical classification), evaluation through
-/// the one [`GridRunner`](taxoglimpse_core::grid::GridRunner),
-/// resilience, fault injection, and the virtual-time serving layer.
+/// dataset construction (grid QA and instance typing through
+/// [`DatasetBuilder`](taxoglimpse_core::dataset::DatasetBuilder)), the
+/// fallible model interface, evaluation and single questions through
+/// the one [`GridRunner`](taxoglimpse_core::grid::GridRunner), the
+/// [`Workload`](taxoglimpse_core::workload::Workload) surface of
+/// hierarchical classification, resilience, fault injection, and the
+/// virtual-time serving layer.
 pub mod prelude {
     pub use taxoglimpse_core::{
         cache::{CachedModel, ResponseCache},
@@ -57,7 +59,7 @@ pub mod prelude {
         question::{Question, QuestionKind},
         resilience::{BackoffPolicy, BreakerPolicy, ResiliencePolicy},
         serve::{run_serve, ServeConfig, ServeReport, TenantSpec, TrafficConfig},
-        workload::{InstanceTypingWorkload, QaWorkload, Workload, WorkloadContext, WorkloadError},
+        workload::{Workload, WorkloadContext, WorkloadError},
     };
     pub use taxoglimpse_report::histogram::LatencyHistogram;
     pub use taxoglimpse_llm::{

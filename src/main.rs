@@ -5,17 +5,13 @@
 //! taxoglimpse stats    <taxonomy|FILE> [--scale S] [--seed N]
 //! taxoglimpse dataset  <taxonomy> --flavor easy|hard|mcq [--cap N] [--out FILE]
 //! taxoglimpse eval     <taxonomy> --model NAME [--flavor F] [--setting zero|few|cot] [--cap N]
-//! taxoglimpse ask      <taxonomy> --model NAME <child> <parent>
+//! taxoglimpse ask      <taxonomy> --model NAME [--setting zero|few|cot] <child> <parent>
 //! taxoglimpse hybrid   <taxonomy> --model NAME --cutoff K [--cap N]
 //! taxoglimpse models
 //! ```
 
 use std::io::Write;
 use taxoglimpse::core::hybrid::HybridTaxonomy;
-use taxoglimpse::core::model::Query;
-use taxoglimpse::core::parse::parse_tf;
-use taxoglimpse::core::question::{Question, QuestionBody};
-use taxoglimpse::core::templates::render_question;
 use taxoglimpse::prelude::*;
 use taxoglimpse::taxonomy::TaxonomyStats;
 
@@ -37,7 +33,7 @@ usage:
   taxoglimpse stats    <taxonomy> [--scale S] [--seed N]
   taxoglimpse dataset  <taxonomy> --flavor easy|hard|mcq [--cap N] [--seed N] [--out FILE]
   taxoglimpse eval     <taxonomy> --model NAME [--flavor F] [--setting zero|few|cot] [--cap N]
-  taxoglimpse ask      <taxonomy> --model NAME <child> <parent>
+  taxoglimpse ask      <taxonomy> --model NAME [--setting zero|few|cot] <child> <parent>
   taxoglimpse hybrid   <taxonomy> --model NAME --cutoff K [--cap N]
   taxoglimpse enrich   <taxonomy> --model NAME [--cap N]
   taxoglimpse evolve   <taxonomy> [--seed N] [--scale S]
@@ -227,32 +223,17 @@ fn cmd_ask(flags: &Flags) -> Result<String, String> {
     let [_, child, parent] = flags.positional.as_slice() else {
         return Err("ask needs <taxonomy> <child> <parent>".to_owned());
     };
-    let question = Question {
-        id: 0,
-        taxonomy: kind,
-        child: child.clone(),
-        child_level: 1,
-        parent_level: 0,
-        true_parent: parent.clone(),
-        instance_typing: false,
-        body: QuestionBody::TrueFalse {
-            candidate: parent.clone(),
-            expected_yes: true,
-            negative: None,
-        },
-        surface_memo: Default::default(),
-    };
-    let prompt = render_question(&question, Default::default());
-    let query = Query::new(&prompt, &question, flags.setting);
-    match model.answer(&query) {
-        Ok(response) => Ok(format!(
-            "Q: {prompt}\n{}: {}\nparsed: {:?}",
-            model.id(),
-            response.text,
-            parse_tf(&response.text)
-        )),
-        Err(error) => Ok(format!("Q: {prompt}\n{}: request failed: {error}", model.id())),
-    }
+    let question = Question::probe(kind, child, parent, 0, None);
+    let runner =
+        GridRunner::builder().with_config(EvalConfig::default().with_setting(flags.setting)).build();
+    let answer = runner.ask(model.as_ref(), &question, &[]);
+    let prompt = answer.prompt;
+    Ok(match answer.response {
+        Ok(response) => {
+            format!("Q: {prompt}\n{}: {}\nparsed: {:?}", model.id(), response.text, answer.parsed)
+        }
+        Err(error) => format!("Q: {prompt}\n{}: request failed: {error}", model.id()),
+    })
 }
 
 fn cmd_hybrid(flags: &Flags) -> Result<String, String> {
@@ -337,6 +318,7 @@ fn cmd_models() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taxoglimpse::core::prompts::COT_SUFFIX;
 
     fn runv(args: &[&str]) -> Result<String, String> {
         run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -375,6 +357,13 @@ mod tests {
         let out = runv(&["ask", "ncbi", "--model", "Flan-T5-3B", "Verbascum chaixii", "Verbascum"]).unwrap();
         assert!(out.contains("Is Verbascum chaixii a type of Verbascum?"));
         assert!(out.contains("parsed:"));
+        // The printed prompt is the one sent: CoT carries its suffix.
+        let cot = runv(&[
+            "ask", "ncbi", "--model", "Flan-T5-3B", "--setting", "cot", "Verbascum chaixii", "Verbascum",
+        ])
+        .unwrap();
+        let prompt = cot.lines().next().unwrap();
+        assert!(prompt.ends_with(COT_SUFFIX), "{prompt}");
     }
 
     #[test]

@@ -123,9 +123,9 @@ fn instance_typing_and_casestudy_are_deterministic() {
     let t = generate(TaxonomyKind::Amazon, GenOptions { seed: 4, scale: 0.05 }).unwrap();
     let mk_it = || {
         taxoglimpse::json::to_string(
-            &InstanceTypingWorkload::new(QuestionDataset::Hard)
-                .with_sample_cap(Some(25))
-                .build(&WorkloadContext::new(&t, TaxonomyKind::Amazon, 4))
+            &DatasetBuilder::new(&t, TaxonomyKind::Amazon, 4)
+                .sample_cap(Some(25))
+                .instance_typing(QuestionDataset::Hard)
                 .unwrap(),
         )
         .unwrap()

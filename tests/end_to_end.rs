@@ -75,9 +75,9 @@ fn instance_typing_pipeline_end_to_end() {
     for kind in TaxonomyKind::ALL.into_iter().filter(|k| k.has_instances()) {
         let scale = if kind == TaxonomyKind::Ncbi { 0.003 } else { 0.1 };
         let taxonomy = generate(kind, GenOptions { seed: 99, scale }).expect("valid options");
-        let d = InstanceTypingWorkload::new(QuestionDataset::Hard)
-            .with_sample_cap(Some(40))
-            .build(&WorkloadContext::new(&taxonomy, kind, 99))
+        let d = DatasetBuilder::new(&taxonomy, kind, 99)
+            .sample_cap(Some(40))
+            .instance_typing(QuestionDataset::Hard)
             .expect("hard flavor defined for instance-bearing kinds");
         assert!(!d.is_empty(), "{kind}");
         let report = runner.run(model.as_ref(), &d);

@@ -167,9 +167,9 @@ fn finding_5_instance_typing_gap() {
 
     let accuracy = |kind: TaxonomyKind, scale: f64| {
         let taxonomy = generate(kind, GenOptions { seed: 55, scale }).expect("valid");
-        let dataset = InstanceTypingWorkload::new(QuestionDataset::Hard)
-            .with_sample_cap(Some(150))
-            .build(&WorkloadContext::new(&taxonomy, kind, 55))
+        let dataset = DatasetBuilder::new(&taxonomy, kind, 55)
+            .sample_cap(Some(150))
+            .instance_typing(QuestionDataset::Hard)
             .unwrap();
         runner.run(model.as_ref(), &dataset).overall.accuracy()
     };

@@ -169,3 +169,77 @@ fn retries_buy_availability() {
         "5 attempts ({ceiling:.3}) should clear 1 attempt ({floor:.3}) by a wide margin"
     );
 }
+
+/// Fails every query's first two deliveries with a retryable error and
+/// answers the third exactly as the wrapped model does.
+struct FailsTwiceThenAnswers<M>(M);
+
+impl<M: LanguageModel> LanguageModel for FailsTwiceThenAnswers<M> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
+        if query.attempt < 2 {
+            Err(ModelError::Unavailable)
+        } else {
+            self.0.answer(query)
+        }
+    }
+
+    fn reset(&self) {
+        self.0.reset()
+    }
+}
+
+/// Every single-question path asks through the runner's resilience
+/// session: two transient faults per query are retried away, so the
+/// case study, reattachment, the hybrid taxonomy and detailed
+/// transcripts all match the bare model exactly.
+#[test]
+fn single_question_paths_absorb_retryable_faults() {
+    use taxoglimpse::core::casestudy::{CaseStudy, CaseStudyConfig};
+    use taxoglimpse::core::detailed::DetailedRun;
+    use taxoglimpse::core::enrich::evaluate_reattachment;
+    use taxoglimpse::core::hybrid::{AnsweredBy, HybridTaxonomy};
+
+    let bare = SimulatedLlm::new(ModelId::Gpt4);
+    let flaky = FailsTwiceThenAnswers(SimulatedLlm::new(ModelId::Gpt4));
+
+    let amazon = generate(TaxonomyKind::Amazon, GenOptions { seed: 8, scale: 0.05 }).unwrap();
+    let config = CaseStudyConfig {
+        cutoff_level: 3,
+        products_per_concept: 4,
+        sample_cap: Some(8),
+        seed: 8,
+    };
+    let case_study = CaseStudy::new(&amazon, TaxonomyKind::Amazon, config);
+    let expected = case_study.run(&bare);
+    assert!(expected.recall > 0.0, "the bare model retrieves something");
+    assert_eq!(case_study.run(&flaky), expected);
+
+    let oae = generate(TaxonomyKind::Oae, GenOptions { seed: 8, scale: 0.1 }).unwrap();
+    let expected = evaluate_reattachment(&oae, TaxonomyKind::Oae, &bare, 8, Some(20));
+    assert!(expected.confirmed_rate > 0.0, "the bare model confirms something");
+    assert_eq!(evaluate_reattachment(&oae, TaxonomyKind::Oae, &flaky, 8, Some(20)), expected);
+
+    let hybrid = HybridTaxonomy::build(&amazon, TaxonomyKind::Amazon, 2);
+    for &removed in amazon.nodes_at_level(3).iter().take(10) {
+        let (child, ancestor) = (amazon.name(removed), amazon.name(amazon.root_of(removed)));
+        let expected = hybrid.is_a(child, ancestor, &bare);
+        assert_eq!(expected.1, AnsweredBy::Model);
+        assert_eq!(hybrid.is_a(child, ancestor, &flaky), expected, "{child} is-a {ancestor}");
+    }
+    assert_eq!(
+        hybrid.reliability(&amazon, &flaky, 8, Some(10)),
+        hybrid.reliability(&amazon, &bare, 8, Some(10))
+    );
+
+    let dataset = small_dataset(8);
+    let transcript = |model: &dyn LanguageModel| {
+        DetailedRun::record(model, &dataset, EvalConfig::default()).to_jsonl()
+    };
+    let expected = transcript(&bare);
+    assert!(!expected.contains("service unavailable"));
+    assert_eq!(transcript(&flaky), expected);
+}
