@@ -19,8 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod harness;
-
 // lint:allow(D001, bench-only cache: keyed lookups under a Mutex, never iterated, and bench output is not digested)
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -126,7 +124,7 @@ where
 pub struct TaxonomyCache {
     // lint:allow(D001, keyed get-or-insert only; iteration order never observed)
     inner: Mutex<HashMap<(TaxonomyKind, u64, u64), std::sync::Arc<Taxonomy>>>,
-    store: Option<SnapshotStore>,
+    store: SnapshotStore,
 }
 
 impl Default for TaxonomyCache {
@@ -140,13 +138,7 @@ impl TaxonomyCache {
     /// (`$TAXOGLIMPSE_CACHE_DIR`, else `target/taxo-cache`).
     pub fn new() -> Self {
         // lint:allow(D001, lookup-only memo keyed by (kind, seed, scale); iteration order never reaches any serialized output)
-        TaxonomyCache { inner: Mutex::new(HashMap::new()), store: Some(SnapshotStore::open_default()) }
-    }
-
-    /// A purely in-process cache that never touches the filesystem.
-    pub fn in_memory() -> Self {
-        // lint:allow(D001, same lookup-only memo as `new`; never iterated for output)
-        TaxonomyCache { inner: Mutex::new(HashMap::new()), store: None }
+        TaxonomyCache { inner: Mutex::new(HashMap::new()), store: SnapshotStore::open_default() }
     }
 
     /// Get or generate the taxonomy for `(kind, seed, scale)`.
@@ -159,13 +151,8 @@ impl TaxonomyCache {
             return t.clone();
         }
         let fresh = || generate(kind, GenOptions { seed, scale }).expect("valid scale");
-        let t = std::sync::Arc::new(match &self.store {
-            Some(store) => {
-                let skey = SnapshotStore::key(kind.label(), seed, scale, SEQ_STREAM_VERSION);
-                store.load_or_generate(&skey, fresh)
-            }
-            None => fresh(),
-        });
+        let skey = SnapshotStore::key(kind.label(), seed, scale, SEQ_STREAM_VERSION);
+        let t = std::sync::Arc::new(self.store.load_or_generate(&skey, fresh));
         self.inner.lock().expect("cache lock").insert(key, t.clone());
         t
     }

@@ -22,9 +22,9 @@ use crate::grid::GridRunner;
 use crate::metrics::Outcome;
 use crate::model::LanguageModel;
 use crate::question::{NegativeKind, Question};
-use crate::sampling::cochran_sample_size;
+use crate::sampling::cochran_sample;
 use taxoglimpse_synth::instances::InstanceGenerator;
-use taxoglimpse_synth::rng::{fork, SliceRandom};
+use taxoglimpse_synth::rng::fork;
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
 /// Case-study configuration.
@@ -99,12 +99,7 @@ impl<'t> CaseStudy<'t> {
             .filter(|&id| t.level(id) >= cutoff && t.is_leaf(id) && !t.siblings(id).is_empty())
             .collect();
         let mut rng = fork(self.config.seed, "casestudy", 0);
-        candidates.shuffle(&mut rng);
-        let mut n = cochran_sample_size(candidates.len());
-        if let Some(cap) = self.config.sample_cap {
-            n = n.min(cap);
-        }
-        candidates.truncate(n);
+        cochran_sample(&mut candidates, &mut rng, self.config.sample_cap);
 
         let instgen = InstanceGenerator::new(self.kind, self.config.seed)
             // lint:allow(P001, documented precondition of run - callers select an instance-bearing kind)

@@ -21,8 +21,8 @@ use crate::grid::GridRunner;
 use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
 use crate::question::Question;
-use crate::sampling::cochran_sample_size;
-use taxoglimpse_synth::rng::{fork, SliceRandom};
+use crate::sampling::cochran_sample;
+use taxoglimpse_synth::rng::fork;
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
 /// A proposed attachment for one entity.
@@ -131,13 +131,7 @@ pub fn evaluate_reattachment(
         .copied()
         .filter(|&l| taxonomy.parent(l).is_some())
         .collect();
-    let mut rng = fork(seed, "reattach", kind as u64);
-    leaves.shuffle(&mut rng);
-    let mut n = cochran_sample_size(leaves.len());
-    if let Some(cap) = cap {
-        n = n.min(cap);
-    }
-    leaves.truncate(n);
+    cochran_sample(&mut leaves, &mut fork(seed, "reattach", kind as u64), cap);
 
     let parent_level = deepest.saturating_sub(1);
     let enricher = Enricher::new(taxonomy, kind, parent_level);

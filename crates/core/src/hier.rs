@@ -56,12 +56,12 @@ use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
 use crate::question::{Question, QuestionBody};
 use crate::resilience::ResilienceSession;
-use crate::sampling::cochran_sample_size;
+use crate::sampling::cochran_sample;
 use crate::text::{listed_token_count, token_count, ProbeTrigrams, Trigrams};
 use crate::workload::{Workload, WorkloadContext, WorkloadError};
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 use taxoglimpse_synth::instances::InstanceGenerator;
-use taxoglimpse_synth::rng::{SliceRandom, StreamHasher};
+use taxoglimpse_synth::rng::StreamHasher;
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
 /// Hard ceiling on options per descent question: letters `A`–`D`, with
@@ -843,12 +843,7 @@ impl Workload for HierWorkload {
             "hier-instances",
             0,
         );
-        leaves.shuffle(&mut rng);
-        let mut n = cochran_sample_size(leaves.len());
-        if let Some(cap) = self.sample_cap {
-            n = n.min(cap);
-        }
-        leaves.truncate(n);
+        cochran_sample(&mut leaves, &mut rng, self.sample_cap);
 
         // Shopping taxonomies synthesize product instances; everywhere
         // else the leaf entity itself is the instance being placed.

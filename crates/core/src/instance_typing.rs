@@ -17,7 +17,7 @@
 use crate::dataset::{Dataset, LevelSlice, QuestionDataset};
 use crate::domain::TaxonomyKind;
 use crate::question::{NegativeKind, Question, QuestionBody};
-use crate::sampling::cochran_sample_size;
+use crate::sampling::cochran_sample;
 use std::fmt;
 use taxoglimpse_synth::instances::InstanceGenerator;
 use taxoglimpse_synth::rng::{fork, SliceRandom};
@@ -71,12 +71,7 @@ pub(crate) fn build_dataset(
     // Sample leaf concepts with the §2.2 confidence/margin.
     let mut leaves = t.leaves();
     let mut rng = fork(seed ^ (kind as u64) << 16, "instance-typing", 0);
-    leaves.shuffle(&mut rng);
-    let mut n = cochran_sample_size(leaves.len());
-    if let Some(cap) = sample_cap {
-        n = n.min(cap);
-    }
-    leaves.truncate(n);
+    cochran_sample(&mut leaves, &mut rng, sample_cap);
 
     let instances = generator.instances_for(t, &leaves, 1);
 

@@ -13,6 +13,8 @@
 //! For large levels this saturates at 384–385 samples; for small levels
 //! it approaches the population size.
 
+use taxoglimpse_synth::rng::{SliceRandom, SynthRng};
+
 /// z-score for 95% confidence.
 pub const Z_95: f64 = 1.959_963_985;
 /// Default margin of error.
@@ -31,6 +33,15 @@ pub fn cochran_infinite(z: f64, margin: f64) -> f64 {
 /// population).
 pub fn cochran_sample_size(population: usize) -> usize {
     cochran_sample_size_with(population, Z_95, MARGIN_5PCT)
+}
+
+/// Draw the §2.2 sample from `items` without replacement: shuffle them
+/// with `rng`, then keep the first [`cochran_sample_size`] of them, or
+/// the first `cap` if that is fewer.
+pub fn cochran_sample<T>(items: &mut Vec<T>, rng: &mut SynthRng, cap: Option<usize>) {
+    items.shuffle(rng);
+    let n = cochran_sample_size(items.len());
+    items.truncate(cap.map_or(n, |cap| n.min(cap)));
 }
 
 /// Inverse planning: the sample size needed so a measured proportion's

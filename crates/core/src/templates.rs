@@ -118,7 +118,7 @@ pub fn render_mcq_into(
 
 /// Append a constrained-descent sibling round: the shown children as
 /// lettered options, then the abstain option as the next letter — a
-/// full four-child round reads "… D) <child> E) None of the above".
+/// full four-child round reads `… D) <child> E) None of the above`.
 pub fn render_sibling_into(
     kind: TaxonomyKind,
     variant: TemplateVariant,

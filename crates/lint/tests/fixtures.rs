@@ -70,7 +70,7 @@ fn d002_flags_clock_and_entropy_sources() {
 #[test]
 fn d002_exempts_crates_bench() {
     let src = "fn f() { let t = Instant::now(); }\n";
-    let report = lint_one("crates/bench/src/harness.rs", src);
+    let report = lint_one("crates/bench/src/bin/table1.rs", src);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 

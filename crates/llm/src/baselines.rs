@@ -10,11 +10,6 @@
 //!   specialized taxonomies.
 //! * [`LexicalBaseline`] — Hearst-style surface matching: Yes iff the
 //!   child's name embeds (or heavily overlaps) the candidate's.
-//! * [`NgramVectorBaseline`] — a small character-n-gram vector-space
-//!   model with an inverted index: names are embedded into hashed
-//!   n-gram space; Is-A is accepted when cosine similarity clears a
-//!   threshold, MCQ picks the nearest option. This is the "statistical
-//!   IR" baseline a pre-LLM system would actually use.
 
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
@@ -120,79 +115,6 @@ fn best_option(scores: impl Iterator<Item = f64>) -> String {
     format!("{})", (b'A' + best) as char)
 }
 
-/// Dimensionality of the hashed n-gram space.
-const NGRAM_DIMS: usize = 512;
-
-/// A character-n-gram vector-space model: names are embedded as hashed
-/// 2–4-gram count vectors; Is-A is cosine similarity above a threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct NgramVectorBaseline {
-    /// Cosine similarity above which a TF relation is accepted.
-    pub threshold: f64,
-}
-
-impl Default for NgramVectorBaseline {
-    fn default() -> Self {
-        NgramVectorBaseline { threshold: 0.35 }
-    }
-}
-
-impl NgramVectorBaseline {
-    /// Embed a name into hashed n-gram space (L2-normalized).
-    pub fn embed(name: &str) -> [f32; NGRAM_DIMS] {
-        let mut v = [0f32; NGRAM_DIMS];
-        let lower: Vec<u8> = name.bytes().map(|b| b.to_ascii_lowercase()).collect();
-        for n in 2..=4usize {
-            if lower.len() < n {
-                continue;
-            }
-            for gram in lower.windows(n) {
-                let mut h = 0xcbf29ce484222325u64; // FNV-1a
-                for &b in gram {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-                }
-                v[(h % NGRAM_DIMS as u64) as usize] += 1.0;
-            }
-        }
-        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            for x in &mut v {
-                *x /= norm;
-            }
-        }
-        v
-    }
-
-    /// Cosine similarity of two embedded names.
-    pub fn cosine(a: &str, b: &str) -> f64 {
-        let (va, vb) = (Self::embed(a), Self::embed(b));
-        va.iter().zip(&vb).map(|(x, y)| f64::from(x * y)).sum()
-    }
-}
-
-impl LanguageModel for NgramVectorBaseline {
-    fn name(&self) -> &str {
-        "ngram-vsm"
-    }
-
-    fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        let text = match &query.question.body {
-            QuestionBody::TrueFalse { candidate, .. } => {
-                if Self::cosine(&query.question.child, candidate) >= self.threshold {
-                    "Yes.".to_owned()
-                } else {
-                    "No.".to_owned()
-                }
-            }
-            QuestionBody::Mcq { .. } | QuestionBody::Sibling { .. } => {
-                let child = &query.question.child;
-                best_option(query.question.shown_names().iter().map(|o| Self::cosine(child, o)))
-            }
-        };
-        Ok(Response::new(text))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,47 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn ngram_embedding_properties() {
-        let v = NgramVectorBaseline::embed("Verbascum");
-        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-5);
-        assert!((NgramVectorBaseline::cosine("abc", "abc") - 1.0).abs() < 1e-6);
-        assert!(NgramVectorBaseline::cosine("Verbascum chaixii", "Verbascum") > 0.5);
-        assert!(NgramVectorBaseline::cosine("Verbascum chaixii", "Panthera") < 0.2);
-        // Empty / tiny strings embed to zero vectors (cosine 0).
-        assert_eq!(NgramVectorBaseline::cosine("a", "a"), 0.0);
-    }
-
-    #[test]
-    fn vsm_beats_random_on_species_level() {
-        // The VSM exploits the genus⊂species surface form; random cannot.
-        let t = generate(TaxonomyKind::Ncbi, GenOptions { seed: 21, scale: 0.003 }).unwrap();
-        let slice = DatasetBuilder::new(&t, TaxonomyKind::Ncbi, 21)
-            .sample_cap(Some(150))
-            .build_level(QuestionDataset::Hard, t.num_levels() - 1);
-        let runner = GridRunner::default();
-        let mut vsm_metrics = taxoglimpse_core::metrics::Metrics::default();
-        let mut rnd_metrics = taxoglimpse_core::metrics::Metrics::default();
-        let vsm = NgramVectorBaseline::default();
-        let rnd = RandomBaseline::new(3);
-        for q in &slice.questions {
-            vsm_metrics.record(runner.ask(&vsm, q, &[]).outcome);
-            rnd_metrics.record(runner.ask(&rnd, q, &[]).outcome);
-        }
-        assert!(
-            vsm_metrics.accuracy() > rnd_metrics.accuracy() + 0.2,
-            "vsm {} vs random {}",
-            vsm_metrics.accuracy(),
-            rnd_metrics.accuracy()
-        );
-    }
-
-    #[test]
     fn baselines_handle_mcq() {
         let d = dataset(TaxonomyKind::Ncbi, 0.003, QuestionDataset::Mcq);
-        for model in [&LexicalBaseline::default() as &dyn LanguageModel, &NgramVectorBaseline::default()] {
-            let report = GridRunner::default().run(model, &d);
-            assert!(report.overall.accuracy() > 0.25, "{} should beat chance", model.name());
-        }
+        let report = GridRunner::default().run(&LexicalBaseline::default(), &d);
+        assert!(report.overall.accuracy() > 0.25, "lexical should beat chance");
     }
 }

@@ -24,7 +24,7 @@
 //!   phrase). Evidence is centered per name regime so aggregates stay
 //!   anchored. The raw features (similarities, containment and
 //!   head-noun bits) are read from the question's
-//!   [`Surface`](taxoglimpse_core::similarity::Surface) record, which
+//!   [`Surface`] record, which
 //!   `DatasetBuilder` fills once per question; the weights and centres
 //!   that turn them into evidence live here.
 

@@ -7,7 +7,7 @@
 //! share long substrings with their parents (`... AE`).
 //!
 //! The syllable pools are stored twice: as `&str` slices (the readable
-//! source of truth, used by tests) and as packed [`Frag`] tables whose
+//! source of truth, used by tests) and as packed `Frag` tables whose
 //! appends compile to one unconditional 4-byte copy — this is the
 //! hottest loop in taxonomy generation, running once per syllable of
 //! every generated node name.

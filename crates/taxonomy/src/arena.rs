@@ -167,17 +167,6 @@ impl Taxonomy {
         self.ids().filter(|&id| self.is_leaf(id)).collect()
     }
 
-    /// Number of nodes in the subtree rooted at `id` (including `id`).
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        let mut n = 0;
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            n += 1;
-            stack.extend_from_slice(self.children(cur));
-        }
-        n
-    }
-
     /// Whether `anc` is a strict ancestor of `id`.
     pub fn is_ancestor(&self, anc: NodeId, id: NodeId) -> bool {
         let target = self.level(anc);
@@ -287,15 +276,12 @@ mod tests {
     #[test]
     fn leaves_and_subtree_size() {
         let (t, ids) = sample();
-        let [r0, _, a, b, c, d, e] = ids[..] else { unreachable!() };
+        let [_, _, _, b, c, d, e] = ids[..] else { unreachable!() };
         let mut leaves = t.leaves();
         leaves.sort();
         let mut expect = vec![b, c, d, e];
         expect.sort();
         assert_eq!(leaves, expect);
-        assert_eq!(t.subtree_size(r0), 5);
-        assert_eq!(t.subtree_size(a), 3);
-        assert_eq!(t.subtree_size(b), 1);
     }
 
     #[test]

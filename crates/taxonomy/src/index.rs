@@ -2,10 +2,9 @@
 //!
 //! Taxonomies are queried by name constantly (entity search, hybrid
 //! routing, instance attachment), so this module provides a prebuilt
-//! index: exact (case-sensitive and -insensitive) lookup plus
-//! lexicographic prefix scans. Names are not globally unique in real
-//! taxonomies (e.g. "Accessories" under many Amazon departments), so
-//! lookups return every match.
+//! index for exact, case-insensitive lookup. Names are not globally
+//! unique in real taxonomies (e.g. "Accessories" under many Amazon
+//! departments), so lookups return every match.
 
 use crate::arena::Taxonomy;
 use crate::node::NodeId;
@@ -62,30 +61,6 @@ impl NameIndex {
         }
     }
 
-    /// All nodes whose name starts with `prefix` (case-insensitive), in
-    /// name order, capped at `limit`.
-    pub fn prefix(&self, prefix: &str, limit: usize) -> Vec<NodeId> {
-        let key = prefix.to_ascii_lowercase();
-        let start = self.entries.partition_point(|(n, _)| n.as_str() < key.as_str());
-        self.entries[start..]
-            .iter()
-            .take_while(|(n, _)| n.starts_with(&key))
-            .take(limit)
-            .map(|&(_, id)| id)
-            .collect()
-    }
-
-    /// Case-insensitive containment scan (O(n) — for interactive search
-    /// over mid-size taxonomies; use [`NameIndex::prefix`] on hot paths).
-    pub fn containing(&self, needle: &str, limit: usize) -> Vec<NodeId> {
-        let key = needle.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .filter(|(n, _)| n.contains(&key))
-            .take(limit)
-            .map(|&(_, id)| id)
-            .collect()
-    }
 }
 
 impl Taxonomy {
@@ -94,11 +69,6 @@ impl Taxonomy {
         NameIndex::build(self)
     }
 
-    /// Linear-scan lookup of the first node with this exact name
-    /// (case-sensitive). Prefer [`NameIndex`] for repeated lookups.
-    pub fn find_by_name(&self, name: &str) -> Option<NodeId> {
-        self.ids().find(|&id| self.name(id) == name)
-    }
 }
 
 #[cfg(test)]
@@ -141,38 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan() {
-        let t = sample();
-        let idx = t.name_index();
-        let hits = idx.prefix("sp", 10);
-        assert_eq!(hits.len(), 2);
-        let capped = idx.prefix("", 3);
-        assert_eq!(capped.len(), 3, "empty prefix matches everything, capped");
-        assert!(idx.prefix("zz", 10).is_empty());
-    }
-
-    #[test]
-    fn containment_scan() {
-        let t = sample();
-        let idx = t.name_index();
-        let hits = idx.containing("phone", 10);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(t.name(hits[0]), "Headphones");
-    }
-
-    #[test]
-    fn find_by_name_is_case_sensitive() {
-        let t = sample();
-        assert!(t.find_by_name("Audio").is_some());
-        assert!(t.find_by_name("audio").is_none());
-    }
-
-    #[test]
     fn empty_taxonomy_index() {
         let t = TaxonomyBuilder::new("e").build().unwrap();
         let idx = t.name_index();
         assert!(idx.is_empty());
         assert!(idx.lookup("x").is_empty());
-        assert!(idx.prefix("x", 5).is_empty());
     }
 }

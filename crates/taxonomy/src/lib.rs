@@ -17,7 +17,7 @@
 //!   ([`stats::TaxonomyStats`]).
 //!
 //! Construction goes through [`TaxonomyBuilder`], which enforces the
-//! structural invariants (no cycles, consistent levels); [`validate`]
+//! structural invariants (no cycles, consistent levels); [`validate()`]
 //! re-checks them on any instance.
 //!
 //! ```

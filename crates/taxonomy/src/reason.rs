@@ -1,44 +1,10 @@
-//! Structural reasoning: lowest common ancestors, tree distance, and
-//! subsumption checks — the "knowledge reasoning" primitives the paper's
-//! introduction lists among taxonomy use cases.
+//! Structural reasoning: subsumption checks — the "knowledge reasoning"
+//! primitives the paper's introduction lists among taxonomy use cases.
 
 use crate::arena::Taxonomy;
 use crate::node::NodeId;
 
 impl Taxonomy {
-    /// Lowest common ancestor of `a` and `b`, or `None` when they live
-    /// in different trees. `lca(x, x) == Some(x)`.
-    pub fn lca(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
-        let (mut x, mut y) = (a, b);
-        // Climb the deeper node to the shallower's level, then climb in
-        // lockstep.
-        while self.level(x) > self.level(y) {
-            x = self.parent(x)?;
-        }
-        while self.level(y) > self.level(x) {
-            y = self.parent(y)?;
-        }
-        loop {
-            if x == y {
-                return Some(x);
-            }
-            match (self.parent(x), self.parent(y)) {
-                (Some(px), Some(py)) => {
-                    x = px;
-                    y = py;
-                }
-                _ => return None, // reached distinct roots
-            }
-        }
-    }
-
-    /// Number of edges on the tree path between `a` and `b`, or `None`
-    /// when they are in different trees.
-    pub fn tree_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        let anc = self.lca(a, b)?;
-        Some(self.level(a) + self.level(b) - 2 * self.level(anc))
-    }
-
     /// Subsumption: does concept `general` subsume `specific` (i.e. is
     /// `general` the same node or an ancestor)?
     pub fn subsumes(&self, general: NodeId, specific: NodeId) -> bool {
@@ -76,30 +42,6 @@ mod tests {
         let r2 = b.add_root("r2");
         let f = b.add_child(r2, "f");
         (b.build().unwrap(), vec![r, a, bb, c, d, e, r2, f])
-    }
-
-    #[test]
-    fn lca_basics() {
-        let (t, ids) = sample();
-        let [r, a, bb, c, d, e, r2, f] = ids[..] else { unreachable!() };
-        assert_eq!(t.lca(c, d), Some(bb));
-        assert_eq!(t.lca(c, e), Some(r));
-        assert_eq!(t.lca(a, a), Some(a));
-        assert_eq!(t.lca(r, c), Some(r));
-        assert_eq!(t.lca(c, r), Some(r), "symmetric");
-        assert_eq!(t.lca(c, f), None, "different trees");
-        assert_eq!(t.lca(r, r2), None);
-    }
-
-    #[test]
-    fn tree_distance() {
-        let (t, ids) = sample();
-        let [r, a, _bb, c, d, e, _r2, f] = ids[..] else { unreachable!() };
-        assert_eq!(t.tree_distance(c, d), Some(2));
-        assert_eq!(t.tree_distance(c, c), Some(0));
-        assert_eq!(t.tree_distance(c, e), Some(4));
-        assert_eq!(t.tree_distance(r, a), Some(1));
-        assert_eq!(t.tree_distance(c, f), None);
     }
 
     #[test]

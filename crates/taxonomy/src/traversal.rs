@@ -2,7 +2,6 @@
 
 use crate::arena::Taxonomy;
 use crate::node::NodeId;
-use std::collections::VecDeque;
 
 /// Depth-first (pre-order) traversal of the subtree rooted at a node.
 pub struct Descendants<'t> {
@@ -23,37 +22,10 @@ impl<'t> Iterator for Descendants<'t> {
     }
 }
 
-/// Breadth-first traversal of the whole forest.
-pub struct BreadthFirst<'t> {
-    taxonomy: &'t Taxonomy,
-    queue: VecDeque<NodeId>,
-}
-
-impl<'t> Iterator for BreadthFirst<'t> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let cur = self.queue.pop_front()?;
-        self.queue.extend(self.taxonomy.children(cur).iter().copied());
-        Some(cur)
-    }
-}
-
 impl Taxonomy {
     /// Pre-order iterator over `id` and all of its descendants.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
         Descendants { taxonomy: self, stack: vec![id] }
-    }
-
-    /// Pre-order iterator over the *strict* descendants of `id`.
-    pub fn strict_descendants(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.descendants(id).skip(1)
-    }
-
-    /// Breadth-first iterator over the whole forest (all trees, level by
-    /// level within each BFS frontier).
-    pub fn breadth_first(&self) -> BreadthFirst<'_> {
-        BreadthFirst { taxonomy: self, queue: self.roots().iter().copied().collect() }
     }
 
     /// The leaves of the subtree rooted at `id`.
@@ -77,21 +49,6 @@ mod tests {
         let t = b.build().unwrap();
         let order: Vec<_> = t.descendants(r).collect();
         assert_eq!(order, vec![r, a, b1, b2, c]);
-        let strict: Vec<_> = t.strict_descendants(r).collect();
-        assert_eq!(strict, vec![a, b1, b2, c]);
-    }
-
-    #[test]
-    fn breadth_first_visits_all_levelwise() {
-        let mut b = TaxonomyBuilder::new("t");
-        let r1 = b.add_root("r1");
-        let r2 = b.add_root("r2");
-        let a = b.add_child(r1, "a");
-        let bb = b.add_child(r2, "b");
-        let c = b.add_child(a, "c");
-        let t = b.build().unwrap();
-        let order: Vec<_> = t.breadth_first().collect();
-        assert_eq!(order, vec![r1, r2, a, bb, c]);
     }
 
     #[test]
@@ -115,7 +72,6 @@ mod tests {
             parents.push(b.add_child(p, &format!("n{i}")));
         }
         let t = b.build().unwrap();
-        assert_eq!(t.breadth_first().count(), t.len());
         assert_eq!(t.descendants(t.roots()[0]).count(), t.len());
     }
 }

@@ -152,30 +152,29 @@ if cargo run --release --offline -q -p taxoglimpse-lint -- \
 fi
 rm -f "$GRAPH_OUT" "$LINT_OUT"
 
-# 5. The in-tree micro-benches (crates/bench/benches/*). `cargo test`
-#    skips bench targets, so compile them here to keep them from rotting.
-echo "==> compiling the micro-benches"
-cargo bench --offline --no-run -p taxoglimpse-bench
+# 5. Rustdoc: every intra-doc link resolves and no doc comment has
+#    broken HTML, so `cargo doc` stays warning-free.
+echo "==> building rustdoc with warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-# 6. Experiment bins: no test runs them, so drive two end to end. The
-#    `cost` bin serves two models through the fault/resilience tower;
-#    the `shots` bin sweeps truncated exemplar pools through the grid
-#    runner. Each must exit 0 and print a GPT-4 row.
-echo "==> running the cost experiment bin"
-COST_OUT="$(cargo run --release --offline -q -p taxoglimpse-bench --bin cost -- \
-    --scale 0.05 --cap 5 --models GPT-4,Llama-2-70B)"
-grep -q '^GPT-4 ' <<< "$COST_OUT" || {
-    echo "error: cost printed no GPT-4 row:" >&2
-    echo "$COST_OUT" >&2
-    exit 1
-}
-echo "==> running the shots experiment bin"
-SHOTS_OUT="$(cargo run --release --offline -q -p taxoglimpse-bench --bin shots -- \
-    --scale 0.05 --cap 5)"
-grep -q '^GPT-4 ' <<< "$SHOTS_OUT" || {
-    echo "error: shots printed no GPT-4 row:" >&2
-    echo "$SHOTS_OUT" >&2
-    exit 1
-}
+# 6. Experiment bins: no test runs them, so drive all sixteen through
+#    `run_all`, which stops at the first bin that exits non-zero. The
+#    `cost` section serves two models through the fault/resilience
+#    tower; the `shots` section sweeps truncated exemplar pools through
+#    the grid runner. Each of those two must print a GPT-4 row.
+echo "==> running every experiment bin through run_all"
+cargo build --release --offline -q -p taxoglimpse-bench --bins
+RUN_ALL_OUT="$(target/release/run_all --scale 0.05 --cap 5)"
+for bin in cost shots; do
+    section="$(awk -v bin="$bin" '
+        /^==================== / { on = ($2 == bin); next }
+        on
+    ' <<< "$RUN_ALL_OUT")"
+    grep -q '^GPT-4 ' <<< "$section" || {
+        echo "error: run_all printed no GPT-4 row in the $bin section:" >&2
+        echo "$section" >&2
+        exit 1
+    }
+done
 
 echo "==> verify OK: hermetic tier-1 passed"

@@ -5,7 +5,7 @@
 //! taxoglimpse stats    <taxonomy|FILE> [--scale S] [--seed N]
 //! taxoglimpse dataset  <taxonomy> --flavor easy|hard|mcq [--cap N] [--out FILE]
 //! taxoglimpse eval     <taxonomy> --model NAME [--flavor F] [--setting zero|few|cot] [--cap N]
-//! taxoglimpse ask      <taxonomy> --model NAME [--setting zero|few|cot] <child> <parent>
+//! taxoglimpse ask      <taxonomy> --model NAME [--setting zero|cot] [--scale S] [--seed N] <child> <parent>
 //! taxoglimpse hybrid   <taxonomy> --model NAME --cutoff K [--cap N]
 //! taxoglimpse models
 //! ```
@@ -33,7 +33,7 @@ usage:
   taxoglimpse stats    <taxonomy> [--scale S] [--seed N]
   taxoglimpse dataset  <taxonomy> --flavor easy|hard|mcq [--cap N] [--seed N] [--out FILE]
   taxoglimpse eval     <taxonomy> --model NAME [--flavor F] [--setting zero|few|cot] [--cap N]
-  taxoglimpse ask      <taxonomy> --model NAME [--setting zero|few|cot] <child> <parent>
+  taxoglimpse ask      <taxonomy> --model NAME [--setting zero|cot] [--scale S] [--seed N] <child> <parent>
   taxoglimpse hybrid   <taxonomy> --model NAME --cutoff K [--cap N]
   taxoglimpse enrich   <taxonomy> --model NAME [--cap N]
   taxoglimpse evolve   <taxonomy> [--seed N] [--scale S]
@@ -223,16 +223,34 @@ fn cmd_ask(flags: &Flags) -> Result<String, String> {
     let [_, child, parent] = flags.positional.as_slice() else {
         return Err("ask needs <taxonomy> <child> <parent>".to_owned());
     };
-    let question = Question::probe(kind, child, parent, 0, None);
+    if flags.setting == PromptSetting::FewShot {
+        return Err("ask has no exemplar pool; use --setting zero or cot".to_owned());
+    }
+    // The model's knowledge declines with depth, so a parent the
+    // taxonomy names unambiguously is probed at its own level; any
+    // other name is probed as a root.
+    let taxonomy = generate(kind, GenOptions { seed: flags.seed, scale: flags.scale })
+        .map_err(|e| e.to_string())?;
+    let (parent_level, level_note) = match taxonomy.name_index().lookup_unique(parent) {
+        Some(id) => (taxonomy.level(id), String::new()),
+        None => (0, format!(" ({parent:?} is not a unique {kind} name)")),
+    };
+    let question = Question::probe(kind, child, parent, parent_level, None);
     let runner =
         GridRunner::builder().with_config(EvalConfig::default().with_setting(flags.setting)).build();
     let answer = runner.ask(model.as_ref(), &question, &[]);
     let prompt = answer.prompt;
     Ok(match answer.response {
-        Ok(response) => {
-            format!("Q: {prompt}\n{}: {}\nparsed: {:?}", model.id(), response.text, answer.parsed)
-        }
-        Err(error) => format!("Q: {prompt}\n{}: request failed: {error}", model.id()),
+        Ok(response) => format!(
+            "Q: {prompt}\n{}: {}\nparsed: {:?}\nparent level: {parent_level}{level_note}",
+            model.id(),
+            response.text,
+            answer.parsed
+        ),
+        Err(error) => format!(
+            "Q: {prompt}\n{}: request failed: {error}\nparent level: {parent_level}{level_note}",
+            model.id()
+        ),
     })
 }
 
@@ -354,16 +372,46 @@ mod tests {
 
     #[test]
     fn ask_round_trips() {
-        let out = runv(&["ask", "ncbi", "--model", "Flan-T5-3B", "Verbascum chaixii", "Verbascum"]).unwrap();
+        // `ask` generates the taxonomy to look the parent up; a small
+        // NCBI keeps the debug build quick.
+        let out = runv(&["ask", "ncbi", "--scale", "0.01", "--model", "Flan-T5-3B", "Verbascum chaixii", "Verbascum"])
+            .unwrap();
         assert!(out.contains("Is Verbascum chaixii a type of Verbascum?"));
         assert!(out.contains("parsed:"));
         // The printed prompt is the one sent: CoT carries its suffix.
         let cot = runv(&[
-            "ask", "ncbi", "--model", "Flan-T5-3B", "--setting", "cot", "Verbascum chaixii", "Verbascum",
+            "ask", "ncbi", "--scale", "0.01", "--model", "Flan-T5-3B", "--setting", "cot", "Verbascum chaixii",
+            "Verbascum",
         ])
         .unwrap();
         let prompt = cot.lines().next().unwrap();
         assert!(prompt.ends_with(COT_SUFFIX), "{prompt}");
+        // Without exemplars a few-shot prompt would be the zero-shot
+        // text under a few-shot tag.
+        let few = runv(&["ask", "ncbi", "--model", "GPT-4", "--setting", "few", "Verbascum chaixii", "Verbascum"]);
+        assert!(few.unwrap_err().contains("no exemplar pool"));
+    }
+
+    #[test]
+    fn ask_probes_a_known_pair_at_its_level() {
+        let t = generate(TaxonomyKind::Glottolog, GenOptions { seed: 42, scale: 0.05 }).unwrap();
+        let index = t.name_index();
+        // A deepest-level child whose parent's name is unique.
+        let (child, parent) = t
+            .nodes_at_level(t.num_levels() - 1)
+            .iter()
+            .filter_map(|&c| Some((c, t.parent(c)?)))
+            .find(|&(_, p)| index.lookup_unique(t.name(p)).is_some())
+            .unwrap();
+        let level = t.level(parent);
+        assert!(level >= 3, "a deep pair, parent at level {level}");
+        let out = runv(&[
+            "ask", "glottolog", "--model", "GPT-4", "--scale", "0.05", "--seed", "42", t.name(child), t.name(parent),
+        ])
+        .unwrap();
+        assert!(out.ends_with(&format!("parent level: {level}")), "{out}");
+        let unknown = runv(&["ask", "glottolog", "--model", "GPT-4", "--scale", "0.05", "Hailu", "Hakka-Chinese"]).unwrap();
+        assert!(unknown.ends_with("parent level: 0 (\"Hakka-Chinese\" is not a unique Glottolog name)"), "{unknown}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn interprocedural_passes_are_armed_against_this_workspace() {
     let report = taxoglimpse_lint::lint_workspace(root).expect("workspace sources readable");
     assert!(report.findings.is_empty(), "{}", report.render_table());
     assert!(
-        report.allows_used >= 9,
+        report.allows_used >= 8,
         "expected the triaged P001 suppressions to fire; only {} allow(s) used",
         report.allows_used
     );

@@ -358,30 +358,6 @@ fn diff_laws() {
     });
 }
 
-/// LCA laws: idempotent, symmetric, level ≤ both inputs' levels, and an
-/// ancestor of both.
-#[test]
-fn lca_laws() {
-    cases(PROPTEST_SEED, 64, "lca", |rng, _| {
-        let t = random_taxonomy(rng);
-        let ids: Vec<_> = t.ids().collect();
-        let a = ids[rng.gen_index(ids.len())];
-        let b = ids[rng.gen_index(ids.len())];
-        assert_eq!(t.lca(a, a), Some(a));
-        assert_eq!(t.lca(a, b), t.lca(b, a));
-        if let Some(anc) = t.lca(a, b) {
-            assert!(t.level(anc) <= t.level(a).min(t.level(b)));
-            assert!(t.subsumes(anc, a));
-            assert!(t.subsumes(anc, b));
-            // Distances are consistent with levels.
-            let dist = t.tree_distance(a, b).unwrap();
-            assert_eq!(dist, t.level(a) + t.level(b) - 2 * t.level(anc));
-        } else {
-            assert_ne!(t.root_of(a), t.root_of(b));
-        }
-    });
-}
-
 /// The name index agrees with a linear scan.
 #[test]
 fn name_index_agrees_with_scan() {
