@@ -29,6 +29,13 @@
 //!    answers observed against an edited snapshot can never leak into
 //!    runs over the old one or vice versa.
 //!
+//! Storage is flat. Each of the 64 shards holds fixed-size slots, one
+//! byte arena with every entry's model name, prompt, question encoding
+//! and response text back to back, and an open-addressed table of slot
+//! ids. An insertion makes no heap allocation of its own, and a hit
+//! reads one slot and one arena span. The traffic counters live in the
+//! shards, under the lock each lookup already takes.
+//!
 //! Composition with the PR 5 fault/resilience stack: the cache sits
 //! *under* the fault injector (`FaultInjector<CachedModel<M>>`), so
 //! fault streams — keyed on question identity and attempt — decide
@@ -36,19 +43,35 @@
 //! have produced. Cached runs therefore replay the exact same fault
 //! sequence as uncached ones.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
 
 use crate::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
-use crate::question::Question;
+use crate::prompts::PromptSetting;
+use crate::question::{NegativeKind, Question, QuestionBody};
 
-/// Shard count for the entry map (power of two; the low key bits pick
-/// the shard). 64 shards keep lock contention negligible at the grid's
-/// worker counts while staying cheap to clear.
+/// Shard count (power of two; the low key bits pick the shard). 64
+/// shards keep lock contention negligible at the grid's worker counts
+/// while staying cheap to clear.
 const SHARDS: usize = 64;
+
+/// Key bits spent on the shard choice; the probe table hashes the rest.
+const SHARD_BITS: u32 = SHARDS.trailing_zeros();
+
+/// An empty probe-table cell.
+const EMPTY: u32 = u32::MAX;
+
+/// Probe-table size of a shard's first insertion. The table doubles
+/// whenever it would pass half full, so linear probes stay short.
+const MIN_CELLS: usize = 16;
+
+/// Buffer bytes reserved per question encoding: room for a typical
+/// question, so encoding rarely reallocates (the buffer grows for a
+/// longer one).
+const QUESTION_BYTES: usize = 256;
 
 /// Seed for the metadata half of the key stream.
 const KEY_SEED: u64 = 0xCAC4_E05E_ED00_0001;
@@ -58,15 +81,253 @@ const KEY_SEED: u64 = 0xCAC4_E05E_ED00_0001;
 /// the hasher state per query).
 const PROMPT_SEED: u64 = 0xCAC4_E05E_ED00_0002;
 
-/// One memoized delivery with everything needed to verify a hit.
-#[derive(Debug, Clone)]
-struct CacheEntry {
+/// The materials of one delivery, borrowed: everything a hit must match
+/// byte for byte.
+#[derive(Debug, Clone, Copy)]
+struct Probe<'a> {
+    key: u64,
     version: u64,
-    model: Box<str>,
-    question: Question,
-    prompt: Box<str>,
+    model: &'a str,
+    setting: PromptSetting,
     attempt: u32,
-    response: Response,
+    prompt: &'a str,
+    /// The question's [`encode_question`] bytes.
+    question: &'a [u8],
+}
+
+impl<'a> Probe<'a> {
+    fn new(key: u64, version: u64, model: &'a str, query: &Query<'a>, question: &'a [u8]) -> Self {
+        Probe {
+            key,
+            version,
+            model,
+            setting: query.setting,
+            attempt: query.attempt,
+            prompt: query.prompt,
+            question,
+        }
+    }
+}
+
+/// One memoized delivery as a fixed-size record. Its variable-length
+/// materials sit back to back in the shard arena from `offset`: model
+/// name, prompt, question encoding, then the response text.
+struct Slot {
+    key: u64,
+    version: u64,
+    offset: usize,
+    latency_s: f64,
+    model_len: u32,
+    prompt_len: u32,
+    question_len: u32,
+    text_len: u32,
+    attempt: u32,
+    attempts: u32,
+    setting: PromptSetting,
+}
+
+impl Slot {
+    /// The entry's model name, prompt, question encoding and response
+    /// text in `arena`.
+    fn parts<'b>(&self, arena: &'b [u8]) -> [&'b [u8]; 4] {
+        let mut at = self.offset;
+        [self.model_len, self.prompt_len, self.question_len, self.text_len].map(|len| {
+            let part = &arena[at..at + len as usize];
+            at += len as usize;
+            part
+        })
+    }
+
+    /// Whether this entry is exactly the delivery `probe` asks for.
+    fn verifies(&self, arena: &[u8], probe: &Probe<'_>) -> bool {
+        if self.key != probe.key {
+            return false;
+        }
+        let [model, prompt, question, _] = self.parts(arena);
+        self.version == probe.version
+            && self.setting == probe.setting
+            && self.attempt == probe.attempt
+            && model == probe.model.as_bytes()
+            && prompt == probe.prompt.as_bytes()
+            && question == probe.question
+    }
+}
+
+/// One lock's worth of the cache: fixed-size slots, one byte arena for
+/// their materials, an open-addressed table of slot ids, and the
+/// traffic counters of the lookups that landed here.
+#[derive(Default)]
+struct Shard {
+    slots: Vec<Slot>,
+    arena: Vec<u8>,
+    /// Slot ids by key, linear probing from the key bits above
+    /// [`SHARD_BITS`]; a power of two long, at most half full, and
+    /// empty until the first insertion.
+    index: Vec<u32>,
+    stats: CacheStats,
+}
+
+impl Shard {
+    /// `Ok(slot id)` of the entry that verifies against `probe`, or
+    /// `Err(cell)`: the empty cell that ends its probe sequence. Needs a
+    /// nonempty index.
+    fn locate(&self, probe: &Probe<'_>) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut cell = (probe.key >> SHARD_BITS) as usize & mask;
+        loop {
+            let id = self.index[cell];
+            if id == EMPTY {
+                return Err(cell);
+            }
+            if self.slots[id as usize].verifies(&self.arena, probe) {
+                return Ok(id as usize);
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    /// Serve a verified hit, or count a miss. The stored response is
+    /// returned verbatim (text, latency, attempts); see module rule 2.
+    fn find(&mut self, probe: &Probe<'_>) -> Option<Response> {
+        let found = if self.index.is_empty() { None } else { self.locate(probe).ok() };
+        let Some(id) = found else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let slot = &self.slots[id];
+        let [_, _, _, text] = slot.parts(&self.arena);
+        // Copied in from a `&str`, so the lossy path never replaces.
+        Some(Response {
+            text: String::from_utf8_lossy(text).into_owned(),
+            latency_s: slot.latency_s,
+            attempts: slot.attempts,
+        })
+    }
+
+    /// Store a successful delivery. Two racing misses may both compute
+    /// the (identical) answer; the second insertion is dropped. A
+    /// material longer than `u32::MAX` bytes is never stored.
+    fn insert(&mut self, probe: &Probe<'_>, response: &Response) {
+        let materials =
+            [probe.model.as_bytes(), probe.prompt.as_bytes(), probe.question, response.text.as_bytes()];
+        let [Ok(model_len), Ok(prompt_len), Ok(question_len), Ok(text_len)] =
+            materials.map(|part| u32::try_from(part.len()))
+        else {
+            return;
+        };
+        let id = match u32::try_from(self.slots.len()) {
+            Ok(id) if id != EMPTY => id,
+            _ => return,
+        };
+        if 2 * (self.slots.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let Err(cell) = self.locate(probe) else {
+            return;
+        };
+        self.index[cell] = id;
+        self.slots.push(Slot {
+            key: probe.key,
+            version: probe.version,
+            offset: self.arena.len(),
+            latency_s: response.latency_s,
+            model_len,
+            prompt_len,
+            question_len,
+            text_len,
+            attempt: probe.attempt,
+            attempts: response.attempts,
+            setting: probe.setting,
+        });
+        for part in materials {
+            self.arena.extend_from_slice(part);
+        }
+        self.stats.insertions += 1;
+    }
+
+    /// Double the probe table (or allocate the first one) and re-place
+    /// every slot id.
+    fn grow(&mut self) {
+        let cells = (2 * self.index.len()).max(MIN_CELLS);
+        let mask = cells - 1;
+        let mut index = vec![EMPTY; cells];
+        for (id, slot) in self.slots.iter().enumerate() {
+            let mut cell = (slot.key >> SHARD_BITS) as usize & mask;
+            while index[cell] != EMPTY {
+                cell = (cell + 1) & mask;
+            }
+            // Ids fit: `insert` never pushes a slot past `EMPTY - 1`.
+            index[cell] = id as u32;
+        }
+        self.index = index;
+    }
+}
+
+/// Append an injective encoding of `question` to `out`: fixed-width
+/// integers, length-prefixed strings and a tag per body variant, so two
+/// questions encode to the same bytes exactly when they compare equal.
+/// The patterns name every field: a field added to [`Question`] or
+/// [`QuestionBody`] fails to compile here until it is encoded.
+fn encode_question(question: &Question, out: &mut Vec<u8>) {
+    let Question {
+        id,
+        taxonomy,
+        child,
+        child_level,
+        parent_level,
+        true_parent,
+        instance_typing,
+        body,
+        // Derived from the names above, and every memo compares equal.
+        surface_memo: _,
+    } = question;
+    out.extend_from_slice(&id.to_le_bytes());
+    out.push(*taxonomy as u8);
+    put_str(out, child);
+    put_len(out, *child_level);
+    put_len(out, *parent_level);
+    put_str(out, true_parent);
+    out.push(u8::from(*instance_typing));
+    match body {
+        QuestionBody::TrueFalse { candidate, expected_yes, negative } => {
+            out.push(0);
+            put_str(out, candidate);
+            out.push(u8::from(*expected_yes));
+            out.push(match negative {
+                None => 0,
+                Some(NegativeKind::Easy) => 1,
+                Some(NegativeKind::Hard) => 2,
+            });
+        }
+        QuestionBody::Mcq { options, correct } => {
+            out.push(1);
+            for option in options {
+                put_str(out, option);
+            }
+            out.push(*correct);
+        }
+        QuestionBody::Sibling { options, correct } => {
+            out.push(2);
+            put_len(out, options.len());
+            for option in options {
+                put_str(out, option);
+            }
+            match correct {
+                None => out.push(0),
+                Some(index) => out.extend_from_slice(&[1, *index]),
+            }
+        }
+    }
+}
+
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Monotonic counters describing cache traffic.
@@ -92,8 +353,9 @@ impl CacheStats {
     }
 }
 
-/// Counters are additive, so per-shard snapshots aggregate into a
-/// fleet-wide view (one snapshot per shard cache, summed).
+/// Counters are additive: [`ResponseCache::stats`] sums its shards,
+/// and callers sum the snapshots of several caches (one per serving
+/// lane, say) into one view.
 impl std::ops::AddAssign for CacheStats {
     fn add_assign(&mut self, rhs: CacheStats) {
         self.hits += rhs.hits;
@@ -118,10 +380,7 @@ pub struct ResponseCache {
     /// Snapshot version the cache is valid for (e.g. the taxonomy's
     /// `content_digest()`); mixed into every key and checked on hits.
     version: AtomicU64,
-    shards: Vec<Mutex<BTreeMap<u64, Vec<CacheEntry>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl std::fmt::Debug for ResponseCache {
@@ -145,10 +404,7 @@ impl ResponseCache {
     pub fn new() -> Self {
         ResponseCache {
             version: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
         }
     }
 
@@ -181,10 +437,11 @@ impl ResponseCache {
         }
     }
 
-    /// Drop every entry (counters are kept).
+    /// Drop every entry and free its memory (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard lock not poisoned").clear();
+            let mut shard = shard.lock().expect("cache shard lock not poisoned");
+            *shard = Shard { stats: shard.stats, ..Shard::default() };
         }
     }
 
@@ -192,13 +449,7 @@ impl ResponseCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard lock not poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
+            .map(|s| s.lock().expect("cache shard lock not poisoned").slots.len())
             .sum()
     }
 
@@ -207,100 +458,43 @@ impl ResponseCache {
         self.len() == 0
     }
 
-    /// Traffic counters so far.
+    /// Traffic counters so far, summed over the shards.
     pub fn stats(&self) -> CacheStats {
-        // Relaxed throughout: independent monotonic counters; readers
-        // want totals, not a consistent snapshot across the three.
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed), // Relaxed: monotonic counter
-            misses: self.misses.load(Ordering::Relaxed), // Relaxed: monotonic counter
-            insertions: self.insertions.load(Ordering::Relaxed), // Relaxed: monotonic counter
-        }
+        self.shards.iter().map(|s| s.lock().expect("cache shard lock not poisoned").stats).sum()
     }
 
-    /// Hash of the metadata key half for `query` against `model_name`,
-    /// at the current version. Kept separate from the prompt hash so
-    /// batch lookups can amortize both halves.
-    fn meta_hasher(&self, model_name: &str) -> StreamHasher {
-        let mut h = StreamHasher::new(KEY_SEED ^ self.version());
-        h.write_str(model_name);
-        h
+    /// Hash of the model half of the key at `version`. Kept separate
+    /// from the prompt hash so a batch computes it once.
+    fn model_key(version: u64, model_name: &str) -> u64 {
+        hash_str(KEY_SEED ^ version, model_name)
     }
 
-    fn finish_key(meta: &StreamHasher, query: &Query<'_>, prompt_hash: u64) -> u64 {
-        let mut h = meta.clone();
-        h.write_decimal(query.setting as u64);
-        h.write_decimal(u64::from(query.attempt));
-        h.write_decimal(query.question.taxonomy as u64);
-        h.write_decimal(query.question.id);
-        mix64(h.finish() ^ prompt_hash)
+    /// Mix the query's setting, attempt, taxonomy and question id
+    /// (packed into two words) and its prompt hash into `model_key`.
+    fn finish_key(model_key: u64, query: &Query<'_>, prompt_hash: u64) -> u64 {
+        let small = (query.setting as u64)
+            | (u64::from(query.attempt) << 8)
+            | ((query.question.taxonomy as u64) << 40);
+        mix64(mix64(mix64(model_key ^ small) ^ query.question.id) ^ prompt_hash)
     }
 
-    /// Full key for a standalone lookup.
-    fn key(&self, model_name: &str, query: &Query<'_>) -> u64 {
-        Self::finish_key(&self.meta_hasher(model_name), query, hash_str(PROMPT_SEED, query.prompt))
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<BTreeMap<u64, Vec<CacheEntry>>> {
+    fn shard(&self, key: u64) -> &Mutex<Shard> {
         &self.shards[(key as usize) & (SHARDS - 1)]
     }
 
-    /// Serve a verified hit, or record a miss. The stored response is
-    /// returned verbatim (text, latency, attempts) — see module rule 2.
-    fn lookup(&self, key: u64, model_name: &str, query: &Query<'_>) -> Option<Response> {
-        let version = self.version();
-        let shard = self.shard(key).lock().expect("cache shard lock not poisoned");
-        let found = shard.get(&key).and_then(|entries| {
-            entries
-                .iter()
-                .find(|e| e.verifies(version, model_name, query))
-                .map(|e| e.response.clone())
-        });
+    /// Serve a verified hit, or count a miss.
+    fn lookup(&self, probe: &Probe<'_>) -> Option<Response> {
+        let mut shard = self.shard(probe.key).lock().expect("cache shard lock not poisoned");
+        let found = shard.find(probe);
         drop(shard);
-        if found.is_some() {
-            // Relaxed: monotonic counter, no ordering needed.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // Relaxed: monotonic counter, no ordering needed.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
         found
     }
 
-    /// Store a successful delivery under `key`.
-    fn insert(&self, key: u64, model_name: &str, query: &Query<'_>, response: &Response) {
-        let version = self.version();
-        let entry = CacheEntry {
-            version,
-            model: model_name.into(),
-            question: query.question.clone(),
-            prompt: query.prompt.into(),
-            attempt: query.attempt,
-            response: response.clone(),
-        };
-        let mut shard = self.shard(key).lock().expect("cache shard lock not poisoned");
-        let entries = shard.entry(key).or_default();
-        // Two racing misses may both compute the (identical) answer;
-        // keep one copy.
-        if entries.iter().any(|e| e.verifies(version, model_name, query)) {
-            return;
-        }
-        entries.push(entry);
-        // Relaxed: monotonic counter, no ordering needed.
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl CacheEntry {
-    /// Whether this entry is exactly the delivery `query` asks for.
-    fn verifies(&self, version: u64, model_name: &str, query: &Query<'_>) -> bool {
-        self.version == version
-            && self.attempt == query.attempt
-            && self.question.id == query.question.id
-            && self.question.taxonomy == query.question.taxonomy
-            && &*self.model == model_name
-            && &*self.prompt == query.prompt
-            && &self.question == query.question
+    /// Store a successful delivery.
+    fn insert(&self, probe: &Probe<'_>, response: &Response) {
+        let mut shard = self.shard(probe.key).lock().expect("cache shard lock not poisoned");
+        shard.insert(probe, response);
+        drop(shard);
     }
 }
 
@@ -349,20 +543,27 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
     }
 
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        let key = self.cache.key(self.base.name(), query);
-        if let Some(hit) = self.cache.lookup(key, self.base.name(), query) {
+        let name = self.base.name();
+        let version = self.cache.version();
+        let model_key = ResponseCache::model_key(version, name);
+        let key = ResponseCache::finish_key(model_key, query, hash_str(PROMPT_SEED, query.prompt));
+        let mut question = Vec::with_capacity(QUESTION_BYTES);
+        encode_question(query.question, &mut question);
+        let probe = Probe::new(key, version, name, query, &question);
+        if let Some(hit) = self.cache.lookup(&probe) {
             return Ok(hit);
         }
         let result = self.base.answer(query);
         if let Ok(response) = &result {
-            self.cache.insert(key, self.base.name(), query, response);
+            self.cache.insert(&probe, response);
         }
         result
     }
 
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
         let name = self.base.name();
-        let meta = self.cache.meta_hasher(name);
+        let version = self.cache.version();
+        let model_key = ResponseCache::model_key(version, name);
         // Hash the shared few-shot prefix once; per query, clone the
         // hasher state and stream only the suffix (StreamHasher is
         // documented byte-for-byte equal to one-shot hashing).
@@ -371,10 +572,12 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
             h.write_str(prefix);
             (prefix.len(), h)
         });
+        // Question encodings of the misses, back to back; a hit's
+        // encoding is truncated away again.
+        let mut encoded: Vec<u8> = Vec::with_capacity(QUESTION_BYTES * queries.len());
         let mut results: Vec<Option<Result<Response, ModelError>>> =
             Vec::with_capacity(queries.len());
-        let mut miss_indices: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<u64> = Vec::new();
+        let mut misses: Vec<(usize, u64, Range<usize>)> = Vec::new();
         for (i, query) in queries.iter().enumerate() {
             let prompt_hash = match &prefix_state {
                 Some((len, h)) => {
@@ -384,29 +587,30 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
                 }
                 None => hash_str(PROMPT_SEED, query.prompt),
             };
-            let key = ResponseCache::finish_key(&meta, query, prompt_hash);
-            if let Some(hit) = self.cache.lookup(key, name, query) {
+            let key = ResponseCache::finish_key(model_key, query, prompt_hash);
+            let start = encoded.len();
+            encode_question(query.question, &mut encoded);
+            let probe = Probe::new(key, version, name, query, &encoded[start..]);
+            if let Some(hit) = self.cache.lookup(&probe) {
+                encoded.truncate(start);
                 results.push(Some(Ok(hit)));
             } else {
                 results.push(None);
-                miss_indices.push(i);
-                miss_keys.push(key);
+                misses.push((i, key, start..encoded.len()));
             }
         }
-        if !miss_indices.is_empty() {
-            let miss_queries: Vec<Query<'_>> =
-                miss_indices.iter().map(|&i| queries[i]).collect();
+        if !misses.is_empty() {
+            let miss_queries: Vec<Query<'_>> = misses.iter().map(|&(i, ..)| queries[i]).collect();
             let answers = self.base.answer_batch(&miss_queries);
             assert_eq!(
                 answers.len(),
                 miss_queries.len(),
                 "answer_batch must return exactly one result per query"
             );
-            for ((&i, &key), answer) in
-                miss_indices.iter().zip(&miss_keys).zip(answers)
-            {
+            for ((i, key, question), answer) in misses.into_iter().zip(answers) {
                 if let Ok(response) = &answer {
-                    self.cache.insert(key, name, &queries[i], response);
+                    let probe = Probe::new(key, version, name, &queries[i], &encoded[question]);
+                    self.cache.insert(&probe, response);
                 }
                 results[i] = Some(answer);
             }
@@ -428,7 +632,6 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
 mod tests {
     use super::*;
     use crate::domain::TaxonomyKind;
-    use crate::prompts::PromptSetting;
     use crate::question::tf_question as question;
     use std::sync::atomic::AtomicU32;
 
@@ -606,6 +809,144 @@ mod tests {
         assert_eq!(batched.answer_batch(&bare), expected, "unhinted batch diverged");
         assert_eq!(batched.base().calls(), 3, "second pass must be fully cached");
         assert_eq!(batched.cache().stats().hits, 3);
+    }
+
+    /// A question per body variant, then each with exactly one field
+    /// changed (every `Question` field and every body field), plus a
+    /// pair whose names only differ in where `child` ends.
+    fn question_variants() -> Vec<Question> {
+        let base = |body| Question {
+            id: 9,
+            taxonomy: TaxonomyKind::Ebay,
+            child: "ab".to_owned(),
+            child_level: 2,
+            parent_level: 1,
+            true_parent: "cd".to_owned(),
+            instance_typing: false,
+            body,
+            surface_memo: Default::default(),
+        };
+        let options = || ["w", "x", "y", "z"].map(str::to_owned);
+        let bodies = [
+            QuestionBody::TrueFalse { candidate: "cd".to_owned(), expected_yes: true, negative: None },
+            QuestionBody::Mcq { options: options(), correct: 0 },
+            QuestionBody::Sibling { options: vec!["w".to_owned(), "x".to_owned()], correct: None },
+        ];
+        let mut out = Vec::new();
+        for body in bodies {
+            let q = base(body.clone());
+            let edit = |change: &dyn Fn(&mut Question)| {
+                let mut v = q.clone();
+                change(&mut v);
+                v
+            };
+            out.push(q.clone());
+            out.push(edit(&|v| v.id += 1));
+            out.push(edit(&|v| v.taxonomy = TaxonomyKind::Amazon));
+            out.push(edit(&|v| v.child.push('!')));
+            out.push(edit(&|v| v.child_level += 1));
+            out.push(edit(&|v| v.parent_level += 1));
+            out.push(edit(&|v| v.true_parent.push('!')));
+            out.push(edit(&|v| v.instance_typing = true));
+            out.push(edit(&|v| (v.child, v.true_parent) = ("a".to_owned(), "bcd".to_owned())));
+            let bodies: Vec<QuestionBody> = match body {
+                QuestionBody::TrueFalse { candidate, expected_yes, negative } => vec![
+                    QuestionBody::TrueFalse { candidate: "ce".to_owned(), expected_yes, negative },
+                    QuestionBody::TrueFalse { candidate: candidate.clone(), expected_yes: false, negative },
+                    QuestionBody::TrueFalse {
+                        candidate: candidate.clone(),
+                        expected_yes,
+                        negative: Some(NegativeKind::Easy),
+                    },
+                    QuestionBody::TrueFalse { candidate, expected_yes, negative: Some(NegativeKind::Hard) },
+                ],
+                QuestionBody::Mcq { options, correct } => (0..4)
+                    .map(|i| {
+                        let mut options = options.clone();
+                        options[i].push('!');
+                        QuestionBody::Mcq { options, correct }
+                    })
+                    .chain([QuestionBody::Mcq { options: options.clone(), correct: 1 }])
+                    .collect(),
+                QuestionBody::Sibling { options, correct } => vec![
+                    QuestionBody::Sibling { options: vec!["w".to_owned(), "xx".to_owned()], correct },
+                    QuestionBody::Sibling { options: vec!["wx".to_owned()], correct },
+                    QuestionBody::Sibling { options: options.clone(), correct: Some(0) },
+                    QuestionBody::Sibling { options, correct: Some(1) },
+                ],
+            };
+            out.extend(bodies.into_iter().map(|body| Question { body, ..q.clone() }));
+        }
+        out
+    }
+
+    #[test]
+    fn question_encoding_is_injective() {
+        let questions = question_variants();
+        let encoded: Vec<Vec<u8>> = questions
+            .iter()
+            .map(|q| {
+                let mut out = Vec::new();
+                encode_question(q, &mut out);
+                out
+            })
+            .collect();
+        for (a, ea) in questions.iter().zip(&encoded) {
+            for (b, eb) in questions.iter().zip(&encoded) {
+                assert_eq!(a == b, ea == eb, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// Every delivery shares one key, so they all share one probe
+    /// chain: only the material checks tell them apart.
+    #[test]
+    fn colliding_keys_never_serve_another_delivery() {
+        const KEY: u64 = 0x5EED;
+        let questions = question_variants();
+        let encoded: Vec<Vec<u8>> = questions
+            .iter()
+            .map(|q| {
+                let mut out = Vec::new();
+                encode_question(q, &mut out);
+                out
+            })
+            .collect();
+        let base = Probe {
+            key: KEY,
+            version: 7,
+            model: "m",
+            setting: PromptSetting::ZeroShot,
+            attempt: 0,
+            prompt: "Is ab a type of cd?",
+            question: &encoded[0],
+        };
+        let mut probes = vec![
+            base,
+            Probe { version: 8, ..base },
+            Probe { model: "n", ..base },
+            Probe { setting: PromptSetting::FewShot, ..base },
+            Probe { setting: PromptSetting::ChainOfThought, ..base },
+            Probe { attempt: 1, ..base },
+            Probe { prompt: "Is ab a type of ce?", ..base },
+        ];
+        probes.extend(encoded[1..].iter().map(|question| Probe { question, ..base }));
+
+        let mut shard = Shard::default();
+        let response = |i: usize| Response::new(format!("r{i}")).with_latency(i as f64);
+        for (i, probe) in probes.iter().enumerate() {
+            shard.insert(probe, &response(i));
+        }
+        assert_eq!(shard.slots.len(), probes.len(), "a distinct delivery was taken for a duplicate");
+        for (i, probe) in probes.iter().enumerate() {
+            assert_eq!(shard.find(probe), Some(response(i)), "delivery {i}: {probe:?}");
+        }
+        // Re-inserting is a no-op, and an absent delivery misses.
+        shard.insert(&base, &response(0));
+        assert_eq!(shard.slots.len(), probes.len());
+        assert_eq!(shard.find(&Probe { attempt: 2, ..base }), None);
+        let n = probes.len() as u64;
+        assert_eq!(shard.stats, CacheStats { hits: n, misses: 1, insertions: n });
     }
 
     #[test]

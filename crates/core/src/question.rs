@@ -391,7 +391,7 @@ mod tests {
     fn surface_record_stays_inline() {
         // 184 bytes on 64-bit targets before the memo. The inline record
         // may add at most 48 bytes and no heap allocation: every
-        // response-cache entry holds a question clone.
+        // dataset holds its questions inline.
         assert_eq!(std::mem::size_of::<Question>(), 184 + 16);
     }
 

@@ -223,6 +223,9 @@ fn cmd_ask(flags: &Flags) -> Result<String, String> {
     let [_, child, parent] = flags.positional.as_slice() else {
         return Err("ask needs <taxonomy> <child> <parent>".to_owned());
     };
+    if child.trim().is_empty() || parent.trim().is_empty() {
+        return Err("ask needs a non-empty <child> and <parent>".to_owned());
+    }
     if flags.setting == PromptSetting::FewShot {
         return Err("ask has no exemplar pool; use --setting zero or cot".to_owned());
     }
@@ -390,6 +393,11 @@ mod tests {
         // text under a few-shot tag.
         let few = runv(&["ask", "ncbi", "--model", "GPT-4", "--setting", "few", "Verbascum chaixii", "Verbascum"]);
         assert!(few.unwrap_err().contains("no exemplar pool"));
+        // Empty or blank names are refused before anything is generated.
+        for (child, parent) in [("", ""), ("Verbascum chaixii", ""), (" \t", "Verbascum")] {
+            let err = runv(&["ask", "ncbi", "--model", "GPT-4", child, parent]).unwrap_err();
+            assert!(err.contains("non-empty"), "{child:?} / {parent:?}: {err}");
+        }
     }
 
     #[test]

@@ -53,6 +53,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use taxoglimpse::core::cache::CacheStats;
 use taxoglimpse::core::dataset::Dataset;
 use taxoglimpse::core::prompts::render_prompt;
 use taxoglimpse::core::reports_digest;
@@ -348,7 +349,9 @@ fn cached_faulty_grid_matches_resilience() {
     for (rate, expected) in RESILIENCE_DIGESTS {
         for workers in COUNTS {
             let runner = GridRunner::builder().with_batch_size(32).with_threads(workers).build();
-            let stacks = cached_stacks(&models, &Arc::new(ResponseCache::new()), rate);
+            let cache = Arc::new(ResponseCache::new());
+            let stacks = cached_stacks(&models, &cache, rate);
+            let mut cold: Option<(CacheStats, usize)> = None;
             for pass in ["cold", "warm"] {
                 let reports = runner.run_cross(&as_dyn(&stacks), &dataset_refs);
                 let at = format!("rate {rate}, {workers} workers, {pass}");
@@ -356,6 +359,16 @@ fn cached_faulty_grid_matches_resilience() {
                 if rate == 0.0 {
                     assert_eq!(pooled_availability(&reports), 1.0, "{at}");
                 }
+                // The fault streams replay, so every delivery of the warm
+                // pass reaches the cache as one the cold pass stored.
+                let (stats, len) = (cache.stats(), cache.len());
+                if let Some((before, before_len)) = cold {
+                    assert_eq!(stats.misses, before.misses, "{at}: a warm lookup missed");
+                    assert_eq!(stats.insertions, before.insertions, "{at}: the warm pass inserted");
+                    assert_eq!(len, before_len, "{at}: the warm pass grew the cache");
+                    assert!(stats.hits > before.hits, "{at}: the warm pass never hit the cache");
+                }
+                cold = Some((stats, len));
             }
         }
     }
