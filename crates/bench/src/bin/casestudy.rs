@@ -40,5 +40,6 @@ fn main() {
     println!("  precision:         {:.3}   (paper: 0.713)", result.precision);
     println!("  recall:            {:.3}   (paper: 0.792)", result.recall);
     println!("  concepts sampled:  {}", result.concepts_evaluated);
-    println!("  classifications:   {} in {elapsed:?}", result.classifications);
+    println!("  classifications:   {}", result.classifications);
+    eprintln!("classified in {elapsed:?}");
 }

@@ -26,14 +26,17 @@ pub const RULES: &[(&str, &str)] = &[
     ("D001", "no HashMap/HashSet in deterministic (serialized/digested) paths; use BTreeMap/BTreeSet or sort at emission"),
     ("D002", "no SystemTime::now/Instant::now/RandomState entropy outside crates/bench and #[cfg(test)]"),
     ("D003", "no unwrap()/short expect() in library code without lint:allow(D003, reason)"),
+    ("D004", "no thread_local! state: results must not depend on which worker ran a question"),
     ("C001", "atomic Ordering / unsafe / static mut requires an adjacent justification comment"),
+    ("C002", "no thread::scope/thread::spawn outside crates/core/src/grid.rs: grid::run_indexed is the one worker pool"),
     ("M001", "no bare `_` wildcard arm over project enums in scoring/parse matches"),
+    ("Q001", "no Query::new outside grid.rs and serve/mod.rs: a single question goes through GridRunner::ask"),
     ("U001", "lint:allow annotation is unused or malformed"),
     ("D101", "deterministic code must not transitively reach a D001/D002 entropy source through any call chain"),
     ("L001", "no cycle in the workspace lock-order graph (AB/BA acquisition patterns deadlock)"),
     ("L002", "no model call (answer/answer_batch) or chunk evaluation while a Mutex guard is held"),
     ("P001", "no panic!/unreachable!/unchecked-op reachable from public library entry points"),
-    ("S001", "rule path lists (M001_PATHS, D101 roots) must match the workspace on disk"),
+    ("S001", "rule path lists (M001_PATHS, C002_PATHS, Q001_PATHS, D101 roots) must match the workspace on disk"),
 ];
 
 /// Long-form documentation for `--explain <rule>`: `(id, doc,
@@ -61,6 +64,13 @@ pub const EXPLAIN: &[(&str, &str, &str, &str, &str)] = &[
         "fn head(v: &[u32]) -> Option<u32> { v.first().copied() }",
     ),
     (
+        "D004",
+        "thread_local! is forbidden in non-test code.",
+        "Work is spread over grid::run_indexed's workers in whatever order they claim it; a per-thread memo makes a result depend on which worker ran a question, so a rerun with a different thread count can differ. Memoize per question instead (Question::surface, filled by DatasetBuilder).",
+        "thread_local! { static MEMO: RefCell<Vec<String>> = RefCell::new(Vec::new()); }",
+        "let surface = question.surface(); // memoized on the question itself",
+    ),
+    (
         "C001",
         "Atomic memory orderings, unsafe blocks, and static mut need an adjacent justification comment.",
         "These constructs encode concurrency contracts the compiler cannot check; the justification comment (same line or the line above) is the reviewable record of why the contract holds.",
@@ -68,11 +78,25 @@ pub const EXPLAIN: &[(&str, &str, &str, &str, &str)] = &[
         "// Relaxed: monotonic counter, no ordering needed.\ncounter.fetch_add(1, Ordering::Relaxed);",
     ),
     (
+        "C002",
+        "Threads start only in crates/core/src/grid.rs (C002_PATHS): thread::scope and thread::spawn are forbidden elsewhere.",
+        "grid::run_indexed is the workspace's one worker pool, byte-identical to a sequential run; grid cells, hier instances and serve prefetch all run on it. A second executor would need its own determinism proof and its own thread-count policy.",
+        "fn fan_out(jobs: &[Job]) { std::thread::scope(|s| for j in jobs { s.spawn(|| j.run()); }); }",
+        "fn fan_out(jobs: &[Job], threads: usize) -> Vec<Out> { grid::run_indexed(threads, jobs.len(), |i| jobs[i].run()) }",
+    ),
+    (
         "M001",
         "Bare `_` arms over project enums are forbidden in scoring/parse matches (M001_PATHS files).",
         "When a new Outcome or answer variant is added, every scoring match must be forced to decide how to count it; a wildcard arm silently scores new variants as whatever the default was.",
         "match outcome { Outcome::Correct => 1, _ => 0 }",
         "match outcome { Outcome::Correct => 1, Outcome::Missed | Outcome::Wrong => 0 }",
+    ),
+    (
+        "Q001",
+        "Only crates/core/src/grid.rs and crates/core/src/serve/mod.rs (Q001_PATHS) build a Query.",
+        "A single question goes through GridRunner::ask (ad-hoc true/false probes come from Question::probe), so it renders, retries, parses and scores exactly like the Tables 5-7 grid. A hand-built Query skips the resilience session and drifts from the grid's answers under faults.",
+        "let response = model.answer(&Query::new(&prompt, &question, setting));",
+        "let answer = GridRunner::default().ask(model, &question, &[]);",
     ),
     (
         "U001",
@@ -112,7 +136,7 @@ pub const EXPLAIN: &[(&str, &str, &str, &str, &str)] = &[
     (
         "S001",
         "Hand-maintained rule path lists must match the workspace.",
-        "M001_PATHS and the D101 root set are lists of files; when a file is renamed or a new core module starts matching over Outcome/Metrics, a stale list silently skips it. S001 fails --check on the drift: listed paths must exist, and every core file matching over Outcome/Metrics must be listed.",
+        "M001_PATHS, C002_PATHS, Q001_PATHS and the D101 root set are lists of files; when a file is renamed or a new core module starts matching over Outcome/Metrics, a stale list silently skips it (or, for C002/Q001, flags the renamed file). S001 fails --check on the drift: listed paths must exist, and every core file matching over Outcome/Metrics must be listed.",
         "// M001_PATHS lists crates/core/src/scores.rs, but the file was renamed to eval.rs",
         "// M001_PATHS lists exactly the on-disk scoring files, including every new one",
     ),

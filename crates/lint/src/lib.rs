@@ -10,8 +10,11 @@
 //! | D001 | no `HashMap`/`HashSet` in deterministic code — ordered containers or a justified suppression |
 //! | D002 | no `SystemTime::now`/`Instant::now`/`RandomState` outside `crates/bench` and `#[cfg(test)]` |
 //! | D003 | no `.unwrap()` / context-free `.expect(…)` in library code |
+//! | D004 | no `thread_local!`: results must not depend on which worker ran a question |
 //! | C001 | atomic `Ordering`, `unsafe`, `static mut` need adjacent justification comments |
+//! | C002 | no `thread::scope`/`thread::spawn` outside `crates/core/src/grid.rs` |
 //! | M001 | no bare `_` arm over project enums in scoring/parse matches |
+//! | Q001 | no `Query::new` outside `crates/core/src/grid.rs` and `crates/core/src/serve/mod.rs` |
 //! | U001 | `lint:allow` annotations must parse and must fire |
 //! | D101 | deterministic roots must not *transitively* reach a D001/D002 source |
 //! | L001 | the workspace lock-order graph must be acyclic |
@@ -19,7 +22,7 @@
 //! | P001 | no panic-family site reachable from a public library entry point |
 //! | S001 | the linter's own path registries must track the workspace |
 //!
-//! The first six are token-local. The interprocedural rules run over a
+//! The first nine are token-local. The interprocedural rules run over a
 //! workspace call graph built by [`parser`] (item-level, no expression
 //! AST) and [`graph`] (name/type-based call resolution); see [`passes`]
 //! for the propagation algorithms and DESIGN.md §10 for the soundness
@@ -113,8 +116,8 @@ pub fn lint_sources(sources: &[(String, String)]) -> LintReport {
 }
 
 /// Lint every `.rs` source under `root`'s workspace layout: the root
-/// crate's `src/` plus each `crates/*/src/`. Test trees (`tests/`,
-/// `benches/`, `examples/`) are out of scope by construction.
+/// crate's `src/` and `examples/`, plus each `crates/*/src/`. Test
+/// trees (`tests/`, `benches/`) are out of scope by construction.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     Ok(lint_sources(&collect_workspace_sources(root)?))
 }
@@ -137,6 +140,7 @@ pub fn collect_workspace_sources(
 ) -> Result<Vec<(String, String)>, LintError> {
     let mut rel_paths = Vec::new();
     collect_rs_files(root, &root.join("src"), &mut rel_paths)?;
+    collect_rs_files(root, &root.join("examples"), &mut rel_paths)?;
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut members: Vec<PathBuf> = read_dir_sorted(&crates_dir)?

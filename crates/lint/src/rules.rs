@@ -1,5 +1,6 @@
-//! The rule engine: D001/D002/D003/C001/M001 over a lexed file, plus
-//! the U001 meta-rule for unused or malformed suppressions.
+//! The rule engine: D001/D002/D003/D004/C001/C002/M001/Q001 over a
+//! lexed file, plus the U001 meta-rule for unused or malformed
+//! suppressions.
 //!
 //! Every matcher works on the token stream, never the raw text, so a
 //! trigger word inside a string literal or comment can never fire.
@@ -29,6 +30,12 @@ pub const M001_PATHS: &[&str] = &[
     "crates/core/src/serve/traffic.rs",
     "crates/llm/src/faults.rs",
 ];
+
+/// Files that may start threads (C002): `grid::run_indexed`'s pool.
+pub const C002_PATHS: &[&str] = &["crates/core/src/grid.rs"];
+
+/// Files that may build a `Query` (Q001): the grid runner and serving.
+pub const Q001_PATHS: &[&str] = &["crates/core/src/grid.rs", "crates/core/src/serve/mod.rs"];
 
 /// Minimum `expect("…")` message length D003 accepts as "carrying
 /// context"; anything shorter reads as a bare assertion.
@@ -140,6 +147,24 @@ pub fn run_rules(
                     }
                 }
             }
+            // D004 — per-thread state; C002/Q001 — one worker pool and
+            // one question path, each confined to its listed files.
+            "thread_local" if next_is(toks, i + 1, "!") => {
+                let msg = "`thread_local!` ties results to a worker — memoize on the question instead";
+                emit("D004", t.line, msg.to_owned());
+            }
+            "thread" if path_call(toks, i, "scope") || path_call(toks, i, "spawn") => {
+                if !C002_PATHS.contains(&file.rel_path.as_str()) {
+                    let call = &toks[i + 2].text;
+                    emit("C002", t.line, format!("`thread::{call}` outside grid.rs — use `grid::run_indexed`"));
+                }
+            }
+            "Query" if path_call(toks, i, "new") => {
+                if !Q001_PATHS.contains(&file.rel_path.as_str()) {
+                    let msg = "`Query::new` outside grid.rs and serve/mod.rs — ask through `GridRunner::ask`";
+                    emit("Q001", t.line, msg.to_owned());
+                }
+            }
             // C001 — atomics / unsafe / static mut need adjacent
             // justification comments.
             "Ordering" => {
@@ -221,10 +246,11 @@ const S001_SCORING_ENUMS: &[&str] = &["Outcome", "Metrics"];
 /// S001 — the linter's own registries must track the workspace. Armed
 /// only on full-workspace scans (marker: the core crate root is in the
 /// scanned set), so fixture and unit scans are unaffected. Two checks:
-/// every path in [`M001_PATHS`] and the D101 root set exists on disk,
-/// and every core file that matches over a scoring enum is listed in
-/// [`M001_PATHS`]. Not suppressible: a stale registry silently turns
-/// other rules off, which is exactly the drift this rule exists to
+/// every path in [`M001_PATHS`], [`C002_PATHS`], [`Q001_PATHS`] and
+/// the D101 root set exists on disk, and every core file that matches
+/// over a scoring enum is listed in [`M001_PATHS`]. Not suppressible: a
+/// stale registry silently turns other rules off (or, for an allowlist,
+/// on everywhere), which is exactly the drift this rule exists to
 /// catch.
 pub fn self_check(files: &[SourceFile], findings: &mut Vec<Finding>) {
     if !files.iter().any(|f| f.rel_path == "crates/core/src/lib.rs") {
@@ -235,6 +261,8 @@ pub fn self_check(files: &[SourceFile], findings: &mut Vec<Finding>) {
     let listed = M001_PATHS
         .iter()
         .map(|p| ("M001_PATHS", *p))
+        .chain(C002_PATHS.iter().map(|p| ("C002_PATHS", *p)))
+        .chain(Q001_PATHS.iter().map(|p| ("Q001_PATHS", *p)))
         .chain(crate::passes::D101_ROOT_FILES.iter().map(|p| ("the D101 root set", *p)));
     for (registry, path) in listed {
         if !scanned.contains(path) {

@@ -205,6 +205,84 @@ fn m001_is_scoped_to_scoring_and_parse_paths() {
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
+// ------------------------------------------------- C002 / D004 / Q001
+
+/// `(rule, offending statement, the file allowed to contain it)`. D004
+/// has no allowed file.
+const SOURCE_INVARIANTS: [(&str, &str, Option<&str>); 4] = [
+    ("C002", "std::thread::scope(|s| { s.spawn(|| 1); });", Some("crates/core/src/grid.rs")),
+    ("C002", "let h = thread::spawn(|| 1);", Some("crates/core/src/grid.rs")),
+    ("D004", "thread_local! { static MEMO: u32 = 0; }", None),
+    ("Q001", "let q = Query::new(\"p\", &question, setting);", Some("crates/core/src/serve/mod.rs")),
+];
+
+#[test]
+fn source_invariants_fire_in_library_binary_and_example_code() {
+    for (rule, stmt, _) in SOURCE_INVARIANTS {
+        let src = format!("fn f() {{\n    {stmt}\n}}\n");
+        for path in ["crates/x/src/lib.rs", "crates/bench/src/bin/tool.rs", "examples/demo.rs"] {
+            let report = lint_one(path, &src);
+            assert_eq!(rules_of(&report), [rule], "{path}: {stmt}");
+            assert_eq!(report.findings[0].line, 2, "{path}: {stmt}");
+        }
+    }
+}
+
+#[test]
+fn source_invariants_are_silent_in_their_allowed_files() {
+    for (rule, stmt, allowed) in SOURCE_INVARIANTS {
+        let src = format!("fn f() {{\n    {stmt}\n}}\n");
+        match allowed {
+            Some(path) => {
+                let report = lint_one(path, &src);
+                assert!(report.findings.is_empty(), "{rule} in {path}: {:?}", report.findings);
+            }
+            // No file may keep per-thread state, not even the pool.
+            None => assert_eq!(rules_of(&lint_one("crates/core/src/grid.rs", &src)), [rule]),
+        }
+    }
+    // grid.rs may build a Query as well as start threads.
+    let src = "fn f() { let q = Query::new(p, q, s); }\n";
+    assert!(lint_one("crates/core/src/grid.rs", src).findings.is_empty());
+}
+
+#[test]
+fn source_invariants_ignore_comments_and_strings() {
+    for (_, stmt, _) in SOURCE_INVARIANTS {
+        let quoted = stmt.replace('"', "\\\"");
+        let src = format!(
+            "/// Never `{stmt}` here.\n// {stmt}\n/* {stmt} */\nfn f() -> (&'static str, &'static str) {{\n    (\"{quoted}\", r#\"{stmt}\n{stmt}\"#)\n}}\n"
+        );
+        let report = lint_one("crates/x/src/lib.rs", &src);
+        assert!(report.findings.is_empty(), "{src}\n{:?}", report.findings);
+    }
+}
+
+#[test]
+fn source_invariants_skip_cfg_test_items() {
+    for (_, stmt, _) in SOURCE_INVARIANTS {
+        let src = format!(
+            "fn f() {{}}\n\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        {stmt}\n    }}\n}}\n\n#[cfg(test)]\nfn helper() {{ {stmt} }}\n"
+        );
+        let report = lint_one("crates/x/src/lib.rs", &src);
+        assert!(report.findings.is_empty(), "{stmt}: {:?}", report.findings);
+    }
+}
+
+#[test]
+fn source_invariants_fire_after_a_cfg_test_module() {
+    // A test module ends at its closing brace, not at the end of the
+    // file: library code below it is checked like any other.
+    for (rule, stmt, _) in SOURCE_INVARIANTS {
+        let src = format!(
+            "#[cfg(test)]\nmod tests {{\n    fn t() {{ {stmt} }}\n}}\n\nfn f() {{\n    {stmt}\n}}\n"
+        );
+        let report = lint_one("crates/x/src/lib.rs", &src);
+        assert_eq!(rules_of(&report), [rule], "{stmt}");
+        assert_eq!(report.findings[0].line, 7, "{stmt}");
+    }
+}
+
 // ------------------------------------------------------- suppressions
 
 #[test]

@@ -43,7 +43,8 @@ fn main() {
         ModelId::Llms4Ol,
     ];
     let zoo = ModelZoo::default_zoo();
-    let arcs: Vec<_> = candidates.iter().map(|&id| zoo.get(id).expect("zoo")).collect();
+    let arcs: Vec<_> =
+        candidates.iter().map(|&id| zoo.get(id).expect("candidate is in the default zoo")).collect();
     let models: Vec<&dyn LanguageModel> = arcs.iter().map(|m| m.as_ref() as &dyn LanguageModel).collect();
     let reports = GridRunner::default().run_cross(&models, &[&dataset]);
     println!("{}", render(&leaderboard(&reports)));

@@ -3,7 +3,8 @@
 #
 # Proves the workspace needs nothing from crates.io: tier-1 (build +
 # tests) runs --offline against an EMPTY cargo home, and every manifest
-# is grepped for registry (non-path) dependencies.
+# is grepped for registry (non-path) dependencies. Source invariants are
+# linter rules, which tier-1 runs in tests/lint_clean.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,47 +26,6 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
 done
 if [ "$bad" -ne 0 ]; then
     echo "error: registry (non-path) dependency found above" >&2
-    exit 1
-fi
-
-# 1b. One worker pool: `grid::run_indexed` is the only code that runs
-#     work on threads. A `thread::scope` or `thread::spawn` anywhere
-#     else in library or binary sources is a second executor.
-echo "==> checking that only crates/core/src/grid.rs spawns threads"
-spawns="$(grep -rnE 'thread::(scope|spawn)' --include='*.rs' src crates/*/src \
-    | grep -v '^crates/core/src/grid\.rs:' || true)"
-if [ -n "$spawns" ]; then
-    echo "error: threads spawned outside crates/core/src/grid.rs (use grid::run_indexed):" >&2
-    echo "$spawns" >&2
-    exit 1
-fi
-
-# 1c. No per-thread state: a `thread_local!` memo makes results depend
-#     on which worker ran a question. Per-question work is memoized on
-#     the question itself (`Question::surface`).
-echo "==> checking that no library or binary source declares thread_local!"
-locals="$(grep -rn 'thread_local!' --include='*.rs' src crates/*/src || true)"
-if [ -n "$locals" ]; then
-    echo "error: thread_local! in library or binary sources:" >&2
-    echo "$locals" >&2
-    exit 1
-fi
-
-# 1d. One question path: only the grid runner (`GridRunner::ask_in` and
-#     the chunk loop) and the serving layer build a `Query`. Any other
-#     library, binary or example code asks through `GridRunner::ask`,
-#     so it renders, retries, parses and scores like Tables 5-7. Test
-#     modules (from the first `#[cfg(test)]` line on) may build their own.
-echo "==> checking that only grid.rs and serve/mod.rs build a Query"
-queries="$(find src crates/*/src examples -name '*.rs' | sort | while read -r f; do
-    case "$f" in
-        crates/core/src/grid.rs | crates/core/src/serve/mod.rs) continue ;;
-    esac
-    awk '/^#\[cfg\(test\)\]/ { exit } /Query::new\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
-done)"
-if [ -n "$queries" ]; then
-    echo "error: Query built outside grid.rs and serve/mod.rs (ask through GridRunner::ask):" >&2
-    echo "$queries" >&2
     exit 1
 fi
 
@@ -105,52 +65,6 @@ for gate in paper_grid:73b986488c6982f4 grid_faults_cached:82fc69e9208c342d \
         exit 1
     }
 done
-
-# 3. Determinism & soundness lint. --check exits non-zero on any
-#    unsuppressed finding; the JSON report is then re-parsed and
-#    schema-validated by the linter itself (which uses the in-tree
-#    crates/json parser), so the machine-readable side of the contract
-#    is exercised on every run too.
-echo "==> determinism & soundness lint (--check)"
-LINT_OUT="$(mktemp)"
-cargo run --release --offline -q -p taxoglimpse-lint -- \
-    --workspace --check --json "$LINT_OUT"
-cargo run --release --offline -q -p taxoglimpse-lint -- \
-    --validate "$LINT_OUT"
-rm -f "$LINT_OUT"
-
-# 4. Interprocedural lint engine: exercise the schema-v2 surface the
-#    way a consumer would. The workspace scan in stage 3 already ran
-#    the new passes (D101/L001/L002/P001/S001 are part of --check);
-#    here we additionally dump the call graph, check it is valid JSON
-#    that names a known deep chain, validate a v2 report written fresh,
-#    and require --explain to resolve every published rule id while
-#    rejecting an unknown one with the usage exit code.
-echo "==> interprocedural lint surface (--graph / --explain / schema v2)"
-GRAPH_OUT="$(mktemp)"
-LINT_OUT="$(mktemp)"
-cargo run --release --offline -q -p taxoglimpse-lint -- \
-    --workspace --check --graph "$GRAPH_OUT" --json "$LINT_OUT"
-cargo run --release --offline -q -p taxoglimpse-lint -- \
-    --validate "$LINT_OUT"
-grep -q '"schema_version": 2' "$LINT_OUT" || {
-    echo "error: lint report is not schema v2" >&2
-    exit 1
-}
-grep -q 'core::resilience::ResilienceSession::call_impl' "$GRAPH_OUT" || {
-    echo "error: call-graph dump is missing a known workspace chain" >&2
-    exit 1
-}
-for rule in D001 D002 D003 C001 M001 U001 D101 L001 L002 P001 S001; do
-    cargo run --release --offline -q -p taxoglimpse-lint -- \
-        --explain "$rule" > /dev/null
-done
-if cargo run --release --offline -q -p taxoglimpse-lint -- \
-    --explain Z999 > /dev/null 2>&1; then
-    echo "error: --explain accepted an unknown rule id" >&2
-    exit 1
-fi
-rm -f "$GRAPH_OUT" "$LINT_OUT"
 
 # 5. Rustdoc: every intra-doc link resolves and no doc comment has
 #    broken HTML, so `cargo doc` stays warning-free.

@@ -1,11 +1,14 @@
 //! Helpers shared by the integration suites: the deterministic
-//! property loop and the pinned report-digest workload. Each suite uses
-//! a subset, hence the `dead_code` allowance.
+//! property loop, the random-taxonomy and hostile-payload generators,
+//! and the pinned report-digest workload. Each suite uses a subset,
+//! hence the `dead_code` allowance.
 #![allow(dead_code)]
 
 use taxoglimpse::core::reports_digest;
+use taxoglimpse::json::MAX_DEPTH;
 use taxoglimpse::prelude::*;
-use taxoglimpse::synth::rng::{fork, SynthRng};
+use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
+use taxoglimpse::taxonomy::{Taxonomy, TaxonomyBuilder};
 
 /// Run `f` for `n` cases, case `i` drawing from `fork(seed, tag, i)`,
 /// and report the failing case index (which is all that's needed to
@@ -22,6 +25,111 @@ pub fn cases(seed: u64, n: u64, tag: &str, f: impl Fn(&mut SynthRng, u64)) {
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
             panic!("property `{tag}` failed at case {i}/{n}: {message}");
         }
+    }
+}
+
+/// A random well-formed forest described as a parent array where
+/// `parents[i] < i` (or none), which guarantees acyclicity at the
+/// generator level; `from_edges` must accept it and `validate` must
+/// pass.
+pub fn random_forest(rng: &mut SynthRng) -> (Vec<String>, Vec<Option<usize>>) {
+    let n = rng.gen_range(1usize..120);
+    let names: Vec<String> = (0..n).map(|i| format!("node-{i}")).collect();
+    let parents: Vec<Option<usize>> = (0..n)
+        .map(|i| {
+            if i == 0 || rng.gen_bool(0.2) {
+                None // roots, roughly one in five
+            } else {
+                Some(rng.gen_index(i))
+            }
+        })
+        .collect();
+    (names, parents)
+}
+
+/// A random taxonomy whose names are partly non-ASCII, so the UTF-8
+/// and char-boundary checks of the decoders run.
+pub fn random_unicode_taxonomy(rng: &mut SynthRng) -> Taxonomy {
+    let (mut names, parents) = random_forest(rng);
+    for name in &mut names {
+        if rng.gen_bool(0.3) {
+            name.push_str(["é", "α", "漢字"][rng.gen_index(3)]);
+        }
+    }
+    TaxonomyBuilder::from_edges("prop", &names, &parents)
+        .expect("parents[i] < i is acyclic by construction")
+}
+
+/// `(offset, width)` of every u32/u64 field in the TAXG v2 encoding of
+/// `t`: label length, node count, parents, name-block length, offsets.
+fn binary_fields(t: &Taxonomy) -> Vec<(usize, usize)> {
+    let n = t.len();
+    let count_at = 10 + t.label().len();
+    let name_bytes_at = count_at + 8 + 4 * n;
+    let mut fields = vec![(6, 4), (count_at, 8), (name_bytes_at, 8)];
+    fields.extend((0..n).map(|i| (count_at + 8 + 4 * i, 4)));
+    fields.extend((0..=n).map(|i| (name_bytes_at + 8 + 4 * i, 4)));
+    fields
+}
+
+/// A hostile TAXG payload made from `t`'s encoding: truncation at a
+/// random byte, 1–3 bit flips, one integer field overwritten with an
+/// extreme value, or 1–16 random bytes appended.
+pub fn mutate_binary(rng: &mut SynthRng, t: &Taxonomy) -> Vec<u8> {
+    const EXTREMES: [u64; 4] = [u32::MAX as u64, 1 << 31, u64::MAX, 1 << 40];
+    let mut bytes = t.to_binary();
+    match rng.gen_index(4) {
+        0 => bytes.truncate(rng.gen_index(bytes.len())),
+        1 => flip_bits(rng, &mut bytes),
+        2 => {
+            let fields = binary_fields(t);
+            let (at, width) = fields[rng.gen_index(fields.len())];
+            let value = EXTREMES[rng.gen_index(EXTREMES.len())];
+            bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        }
+        _ => bytes.extend((0..rng.gen_range(1usize..17)).map(|_| rng.gen_index(256) as u8)),
+    }
+    bytes
+}
+
+/// A hostile mutant of the text `bytes`: truncation, 1–3 bit flips,
+/// non-UTF-8 bytes spliced into the name `pick_name` draws (which must
+/// occur in `bytes`), or nesting past `MAX_DEPTH`. Returns the mutant
+/// and whether it is the nesting case, which every JSON reader must
+/// reject.
+pub fn mutate_text(
+    rng: &mut SynthRng,
+    mut bytes: Vec<u8>,
+    pick_name: impl FnOnce(&mut SynthRng) -> String,
+) -> (Vec<u8>, bool) {
+    const NON_UTF8: [&[u8]; 5] = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88"];
+    let mut nested = false;
+    match rng.gen_index(4) {
+        0 => bytes.truncate(rng.gen_index(bytes.len())),
+        1 => flip_bits(rng, &mut bytes),
+        2 => {
+            let name = pick_name(rng);
+            let start = bytes
+                .windows(name.len())
+                .position(|w| w == name.as_bytes())
+                .expect("every name is serialized");
+            let at = start + rng.gen_index(name.len() + 1);
+            bytes.splice(at..at, NON_UTF8[rng.gen_index(NON_UTF8.len())].iter().copied());
+        }
+        _ => {
+            let depth = MAX_DEPTH + rng.gen_index(4);
+            bytes.splice(0..0, std::iter::repeat(b'[').take(depth));
+            bytes.extend(std::iter::repeat(b']').take(depth));
+            nested = true;
+        }
+    }
+    (bytes, nested)
+}
+
+fn flip_bits(rng: &mut SynthRng, bytes: &mut [u8]) {
+    for _ in 0..rng.gen_range(1usize..4) {
+        let at = rng.gen_index(bytes.len());
+        bytes[at] ^= 1 << rng.gen_index(8);
     }
 }
 

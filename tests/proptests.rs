@@ -11,30 +11,11 @@ mod common;
 use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf, ParsedAnswer};
 use taxoglimpse::core::sampling::cochran_sample_size;
 use taxoglimpse::prelude::*;
-use common::cases;
+use common::{cases, mutate_binary, mutate_text, random_forest, random_unicode_taxonomy};
 use taxoglimpse::synth::rng::{Rng, SynthRng};
 use taxoglimpse::taxonomy::{validate, Taxonomy};
 
 const PROPTEST_SEED: u64 = 0x7a78_6f67_6c69_6d70; // "taxoglimp"
-
-/// A random well-formed forest described as a parent array where
-/// `parents[i] < i` (or none), which guarantees acyclicity at the
-/// generator level; `from_edges` must accept it and `validate` must
-/// pass.
-fn random_forest(rng: &mut SynthRng) -> (Vec<String>, Vec<Option<usize>>) {
-    let n = rng.gen_range(1usize..120);
-    let names: Vec<String> = (0..n).map(|i| format!("node-{i}")).collect();
-    let parents: Vec<Option<usize>> = (0..n)
-        .map(|i| {
-            if i == 0 || rng.gen_bool(0.2) {
-                None // roots, roughly one in five
-            } else {
-                Some(rng.gen_index(i))
-            }
-        })
-        .collect();
-    (names, parents)
-}
 
 fn random_taxonomy(rng: &mut SynthRng) -> Taxonomy {
     let (names, parents) = random_forest(rng);
@@ -166,31 +147,6 @@ fn binary_codec_round_trips() {
     });
 }
 
-/// `(offset, width)` of every u32/u64 field in the TAXG v2 encoding of
-/// `t`: label length, node count, parents, name-block length, offsets.
-fn binary_fields(t: &Taxonomy) -> Vec<(usize, usize)> {
-    let n = t.len();
-    let count_at = 10 + t.label().len();
-    let name_bytes_at = count_at + 8 + 4 * n;
-    let mut fields = vec![(6, 4), (count_at, 8), (name_bytes_at, 8)];
-    fields.extend((0..n).map(|i| (count_at + 8 + 4 * i, 4)));
-    fields.extend((0..=n).map(|i| (name_bytes_at + 8 + 4 * i, 4)));
-    fields
-}
-
-/// A random taxonomy whose names are partly non-ASCII, so the UTF-8
-/// and char-boundary checks of the decoders run.
-fn random_unicode_taxonomy(rng: &mut SynthRng) -> Taxonomy {
-    let (mut names, parents) = random_forest(rng);
-    for name in &mut names {
-        if rng.gen_bool(0.3) {
-            name.push_str(["é", "α", "漢字"][rng.gen_index(3)]);
-        }
-    }
-    taxoglimpse::taxonomy::TaxonomyBuilder::from_edges("prop", &names, &parents)
-        .expect("parents[i] < i is acyclic by construction")
-}
-
 /// Hostile TAXG payloads: truncation at a random byte, 1–3 bit flips,
 /// one integer field overwritten with an extreme value, or 1–16 random
 /// bytes appended. `from_binary` must return a valid taxonomy or a typed error, and
@@ -201,30 +157,13 @@ fn random_unicode_taxonomy(rng: &mut SynthRng) -> Taxonomy {
 #[test]
 fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
     use taxoglimpse::taxonomy::snapshot::{checksum, SnapshotStore};
-    const EXTREMES: [u64; 4] = [u32::MAX as u64, 1 << 31, u64::MAX, 1 << 40];
     let dir = std::env::temp_dir().join(format!("taxoglimpse-prop-mutate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let store = SnapshotStore::new(&dir);
     cases(PROPTEST_SEED, 2_000, "binary_mutation", |rng, _| {
         let t = random_unicode_taxonomy(rng);
-        let mut bytes = t.to_binary();
-        match rng.gen_index(4) {
-            0 => bytes.truncate(rng.gen_index(bytes.len())),
-            1 => {
-                for _ in 0..rng.gen_range(1usize..4) {
-                    let at = rng.gen_index(bytes.len());
-                    bytes[at] ^= 1 << rng.gen_index(8);
-                }
-            }
-            2 => {
-                let fields = binary_fields(&t);
-                let (at, width) = fields[rng.gen_index(fields.len())];
-                let value = EXTREMES[rng.gen_index(EXTREMES.len())];
-                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
-            }
-            _ => bytes.extend((0..rng.gen_range(1usize..17)).map(|_| rng.gen_index(256) as u8)),
-        }
+        let bytes = mutate_binary(rng, &t);
         let decoded = Taxonomy::from_binary(&bytes);
         if let Ok(back) = &decoded {
             validate(back).unwrap();
@@ -260,8 +199,7 @@ fn mutated_text_fails_cleanly() {
     use taxoglimpse::core::detailed::DetailedRun;
     use taxoglimpse::core::eval::score;
     use taxoglimpse::core::question::QuestionBody;
-    use taxoglimpse::json::{from_str_value, MAX_DEPTH};
-    const NON_UTF8: [&[u8]; 5] = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88"];
+    use taxoglimpse::json::from_str_value;
     const TRANSCRIPT_FIELDS: [&str; 4] = ["prompt", "response", "parsed", "outcome"];
     let ebay = generate(TaxonomyKind::Ebay, GenOptions { seed: 3, scale: 0.1 }).unwrap();
     let dataset = DatasetBuilder::new(&ebay, TaxonomyKind::Ebay, 3)
@@ -285,40 +223,15 @@ fn mutated_text_fails_cleanly() {
     cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
         let t = random_unicode_taxonomy(rng);
         let source = rng.gen_index(3);
-        let mut bytes = match source {
+        let text = match source {
             0 => t.to_json(),
             1 => t.to_tsv(),
             _ => transcript.clone(),
-        }
-        .into_bytes();
-        let mut nested = false;
-        match rng.gen_index(4) {
-            0 => bytes.truncate(rng.gen_index(bytes.len())),
-            1 => {
-                for _ in 0..rng.gen_range(1usize..4) {
-                    let at = rng.gen_index(bytes.len());
-                    bytes[at] ^= 1 << rng.gen_index(8);
-                }
-            }
-            2 => {
-                let name = match source {
-                    2 => TRANSCRIPT_FIELDS[rng.gen_index(TRANSCRIPT_FIELDS.len())].to_owned(),
-                    _ => format!("node-{}", rng.gen_index(t.len())),
-                };
-                let start = bytes
-                    .windows(name.len())
-                    .position(|w| w == name.as_bytes())
-                    .expect("every name is serialized");
-                let at = start + rng.gen_index(name.len() + 1);
-                bytes.splice(at..at, NON_UTF8[rng.gen_index(NON_UTF8.len())].iter().copied());
-            }
-            _ => {
-                let depth = MAX_DEPTH + rng.gen_index(4);
-                bytes.splice(0..0, std::iter::repeat(b'[').take(depth));
-                bytes.extend(std::iter::repeat(b']').take(depth));
-                nested = true;
-            }
-        }
+        };
+        let (bytes, nested) = mutate_text(rng, text.into_bytes(), |rng| match source {
+            2 => TRANSCRIPT_FIELDS[rng.gen_index(TRANSCRIPT_FIELDS.len())].to_owned(),
+            _ => format!("node-{}", rng.gen_index(t.len())),
+        });
         let text = String::from_utf8_lossy(&bytes);
         let value = from_str_value(&text);
         assert!(!nested || value.is_err(), "nesting past MAX_DEPTH must be rejected");
