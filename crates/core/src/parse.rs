@@ -128,8 +128,56 @@ pub fn parse_tf(response: &str) -> ParsedAnswer {
 }
 
 /// Abstention phrases recognized in MCQ responses.
-const MCQ_ABSTENTIONS: [&str; 6] =
-    ["don't know", "dont know", "do not know", "not sure", "none of", "cannot determine"];
+const MCQ_ABSTENTIONS: [&[u8]; 6] =
+    [b"don't know", b"dont know", b"do not know", b"not sure", b"none of", b"cannot determine"];
+
+/// Pattern-1 markers, in priority order: the option letter follows
+/// them ("answer is X", "option X", "choose X").
+const MCQ_MARKERS: [&[u8]; 6] =
+    [b"answer is", b"answer:", b"option", b"choose", b"select", b"pick"];
+
+/// Cue bit of a standalone "x)" option reference, after one bit per
+/// abstention phrase and one per marker.
+const PAREN_CUE: usize = MCQ_ABSTENTIONS.len() + MCQ_MARKERS.len();
+
+/// `MCQ_CUE_BYTES[k][b]`: the cues whose byte `k` can be `b`. A cue is
+/// a phrase (bit `p` for abstention phrase `p`, bit `6 + m` for marker
+/// `m`; its byte `k` in either ASCII case) or [`PAREN_CUE`] (a letter
+/// a–e in either case, `')'`, then any byte). A cue can start at `i`
+/// only if its bit survives the AND of the three rows at `text[i]`,
+/// `text[i + 1]` and `text[i + 2]` (0 past the end), which rules out
+/// nearly every position of ordinary text without a comparison.
+const MCQ_CUE_BYTES: [[u16; 256]; 3] = {
+    let mut rows = [[0u16; 256]; 3];
+    let mut cue = 0;
+    while cue < PAREN_CUE {
+        let phrase = if cue < MCQ_ABSTENTIONS.len() {
+            MCQ_ABSTENTIONS[cue]
+        } else {
+            MCQ_MARKERS[cue - MCQ_ABSTENTIONS.len()]
+        };
+        let mut k = 0;
+        while k < 3 {
+            rows[k][phrase[k] as usize] |= 1 << cue;
+            rows[k][phrase[k].to_ascii_uppercase() as usize] |= 1 << cue;
+            k += 1;
+        }
+        cue += 1;
+    }
+    let mut letter = b'a';
+    while letter <= b'e' {
+        rows[0][letter as usize] |= 1 << PAREN_CUE;
+        rows[0][letter.to_ascii_uppercase() as usize] |= 1 << PAREN_CUE;
+        letter += 1;
+    }
+    rows[1][b')' as usize] |= 1 << PAREN_CUE;
+    let mut byte = 0;
+    while byte < 256 {
+        rows[2][byte] |= 1 << PAREN_CUE;
+        byte += 1;
+    }
+    rows
+};
 
 /// Index of the explicit abstain slot: the letter after 'd'. A response
 /// that resolves to 'e' ("E) None of the above", "The answer is E") can
@@ -147,106 +195,121 @@ const ABSTAIN_SLOT: u8 = 4;
 /// option list (two or more distinct standalone "x)" references) before
 /// a bare "none of the above" is an abstention, not a pick of the first
 /// echoed letter.
+///
+/// Option references are looked for in three patterns, in priority
+/// order: (1) a letter after a marker ("The answer is: B", "I would
+/// choose c)"), trying "answer is", "answer:", "option", "choose",
+/// "select" and "pick" in that order, each at its first occurrence;
+/// (2) a leading letter, possibly wrapped in
+/// punctuation ("B", "(b)", "B) Audio"); (3) the first standalone "x)".
+/// An option-list echo suppresses patterns 2 and 3.
+///
+/// One forward, allocation-free scan over the trimmed bytes (case
+/// folded in the comparisons, never copied) finds everything the
+/// patterns need: where each marker first starts, which standalone
+/// "x)" letters occur, and where the first abstention phrase starts.
+/// The scan stops there, because option extraction is scoped to the
+/// text before the first hedge: an option named after it ("I don't
+/// know … maybe B?") is not a commitment.
 pub fn parse_mcq(response: &str) -> ParsedAnswer {
-    let trimmed = response.trim();
-    if trimmed.is_empty() {
+    let text = response.trim().as_bytes();
+    if text.is_empty() {
         return ParsedAnswer::Unparsed;
     }
-    let lower = trimmed.to_ascii_lowercase();
-    let abstention = MCQ_ABSTENTIONS.iter().filter_map(|p| lower.find(p)).min();
-    // Option extraction is scoped to the text before the first
-    // abstention phrase: an option named there is the answer; one named
-    // after the hedge ("I don't know … maybe B?") is not a commitment.
-    let scope = match abstention {
-        Some(pos) => &lower[..pos],
-        None => &lower[..],
-    };
-    match extract_option(scope) {
+    let mut scope = text.len();
+    let mut marker_at = [None; MCQ_MARKERS.len()];
+    // Bit per letter a–e seen as a standalone "x)", and the first one.
+    let mut echoed = 0u8;
+    let mut first_paren = None;
+    // A two-stage pipeline over the bytes (two zeros appended): `one`
+    // holds the cues that can start at the previous byte, `two` those
+    // that can start two bytes back, which this byte settles.
+    let (mut one, mut two) = (0u16, 0u16);
+    'scan: for (j, &byte) in text.iter().chain(&[0, 0]).enumerate() {
+        let byte = usize::from(byte);
+        let mut cues = two & MCQ_CUE_BYTES[2][byte];
+        two = one & MCQ_CUE_BYTES[1][byte];
+        one = MCQ_CUE_BYTES[0][byte];
+        while cues != 0 {
+            let (cue, i) = (cues.trailing_zeros() as usize, j - 2);
+            cues &= cues - 1;
+            if cue < MCQ_ABSTENTIONS.len() {
+                if starts_with_phrase(&text[i..], MCQ_ABSTENTIONS[cue]) {
+                    scope = i;
+                    break 'scan;
+                }
+            } else if cue < PAREN_CUE {
+                let m = cue - MCQ_ABSTENTIONS.len();
+                if marker_at[m].is_none() && starts_with_phrase(&text[i..], MCQ_MARKERS[m]) {
+                    marker_at[m] = Some(i);
+                }
+            } else if i == 0 || !text[i - 1].is_ascii_alphanumeric() {
+                // A letter a–e then `')'`, not inside a word.
+                let letter = text[i].to_ascii_lowercase() - b'a';
+                echoed |= 1 << letter;
+                first_paren.get_or_insert(letter);
+            }
+        }
+    }
+    let scoped = &text[..scope];
+    match extract_option(scoped, &marker_at, echoed, first_paren) {
         Some(opt) if opt >= ABSTAIN_SLOT => ParsedAnswer::IDontKnow,
         Some(opt) => ParsedAnswer::Option(opt),
-        None if abstention.is_some() => ParsedAnswer::IDontKnow,
+        None if scope < text.len() => ParsedAnswer::IDontKnow,
         None => ParsedAnswer::Unparsed,
     }
 }
 
-/// Find an option reference in (already lowercased) response text.
-fn extract_option(lower: &str) -> Option<u8> {
-    // Pattern 1: "answer is X" / "option X" / "choose X". Punctuation
-    // and whitespace may separate the marker from the letter ("The
-    // answer is: B", "answer is — B", "answer is 'C'").
-    for marker in ["answer is", "answer:", "option", "choose", "select", "pick"] {
-        let Some(pos) = lower.find(marker) else { continue };
-        let after = &lower[pos + marker.len()..];
-        let candidate = after.trim_start_matches(|c: char| !c.is_ascii_alphanumeric());
-        // The marker must end at a word boundary: "optional b" and
-        // "chooses b" contain marker words only as fragments.
-        if candidate.len() == after.len() && !after.is_empty() {
-            continue;
-        }
-        if let Some(opt) = letter_at(candidate) {
-            return Some(opt);
-        }
-    }
+/// Whether `text` starts with `phrase`, ignoring ASCII case.
+#[inline]
+fn starts_with_phrase(text: &[u8], phrase: &[u8]) -> bool {
+    text.get(..phrase.len()).is_some_and(|head| head.eq_ignore_ascii_case(phrase))
+}
 
-    // An option-list echo ("A) x B) y … — none of the above.") names
-    // two or more DISTINCT standalone "x)" letters: the model is
-    // reciting the options, not answering with the first one. Only an
-    // explicit marker (pattern 1, handled above) extracts from such
-    // text; patterns 2 and 3 are suppressed so a trailing abstention
-    // phrase can decide.
-    let bytes = lower.as_bytes();
-    let mut seen = [false; (ABSTAIN_SLOT + 1) as usize];
-    for i in 0..bytes.len().saturating_sub(1) {
-        if bytes[i + 1] == b')' && (b'a'..=b'e').contains(&bytes[i]) {
-            let preceded_ok = i == 0 || !bytes[i - 1].is_ascii_alphanumeric();
-            if preceded_ok {
-                seen[(bytes[i] - b'a') as usize] = true;
-            }
+/// Apply patterns 1–3 to the scoped text, given what the scan found.
+fn extract_option(
+    scoped: &[u8],
+    marker_at: &[Option<usize>; MCQ_MARKERS.len()],
+    echoed: u8,
+    first_paren: Option<u8>,
+) -> Option<u8> {
+    // Pattern 1. Punctuation and whitespace may separate the marker
+    // from the letter ("answer is — B", "answer is 'C'"), but the marker
+    // must end at a word boundary: "optional b" and "chooses b" hold
+    // marker words only as fragments. A marker whose first occurrence
+    // runs past the scope does not count.
+    let marked = MCQ_MARKERS.iter().zip(marker_at).find_map(|(marker, at)| {
+        let after = scoped.get(at.as_ref()? + marker.len()..)?;
+        let skip = after.iter().take_while(|b| !b.is_ascii_alphanumeric()).count();
+        if skip == 0 && !after.is_empty() {
+            return None;
         }
+        letter_at(&after[skip..])
+    });
+    if marked.is_some() {
+        return marked;
     }
-    if seen.iter().filter(|s| **s).count() >= 2 {
+    // An option-list echo ("A) x B) y … — none of the above.") names
+    // two or more DISTINCT standalone letters: the model is reciting the
+    // options, not answering with the first one, so only an explicit
+    // marker extracts from it and a trailing hedge can decide.
+    if echoed.count_ones() >= 2 {
         return None;
     }
-
-    // Pattern 2: a leading letter possibly wrapped in punctuation:
-    // "B", "B)", "(b)", "b.", "B) Audio".
-    let stripped = lower.trim_start_matches(['(', '[', '"', '\'', ' ']);
-    if let Some(opt) = letter_at(stripped) {
-        return Some(opt);
-    }
-
-    // Pattern 3: anywhere a standalone "x)" appears.
-    for i in 0..bytes.len().saturating_sub(1) {
-        if bytes[i + 1] == b')' && (b'a'..=b'e').contains(&bytes[i]) {
-            let preceded_ok = i == 0 || !bytes[i - 1].is_ascii_alphanumeric();
-            if preceded_ok {
-                return Some(bytes[i] - b'a');
-            }
-        }
-    }
-
-    None
+    // Pattern 2, then pattern 3.
+    let lead = scoped.iter().take_while(|b| matches!(b, b'(' | b'[' | b'"' | b'\'' | b' ')).count();
+    letter_at(&scoped[lead..]).or(first_paren)
 }
 
 /// If `s` starts with an option letter a–e followed by a non-alphanumeric
-/// boundary (or end of string), return its index ('e' is the abstain
-/// slot, [`ABSTAIN_SLOT`]).
-fn letter_at(s: &str) -> Option<u8> {
-    let mut chars = s.chars();
-    let first = chars.next()?;
-    let idx = match first.to_ascii_lowercase() {
-        'a' => 0,
-        'b' => 1,
-        'c' => 2,
-        'd' => 3,
-        'e' => ABSTAIN_SLOT,
-        _ => return None,
-    };
-    match chars.next() {
-        None => Some(idx),
-        Some(c) if !c.is_ascii_alphanumeric() => Some(idx),
-        _ => None,
-    }
+/// byte (or the end), return its index ('e' is the abstain slot,
+/// [`ABSTAIN_SLOT`]).
+#[inline]
+fn letter_at(s: &[u8]) -> Option<u8> {
+    let (&first, rest) = s.split_first()?;
+    let letter = first.to_ascii_lowercase();
+    let boundary = rest.first().is_none_or(|b| !b.is_ascii_alphanumeric());
+    ((b'a'..=b'e').contains(&letter) && boundary).then(|| letter - b'a')
 }
 
 /// Parse a response with the parser for the question's kind: true/false

@@ -4,6 +4,7 @@
 
 use crate::question::{GoldAnswer, Question, ABSTAIN_OPTION};
 use crate::templates::{render_question_into, TemplateVariant};
+use crate::text::EXEMPLAR_MARKER;
 use std::fmt;
 
 /// The Chain-of-Thoughts suffix of Figure 5 (bottom).
@@ -90,7 +91,7 @@ pub fn render_prefix(
             // rest — exemplar lines are near-uniform in length.
             out.reserve(out.len() * (shots.min(exemplars.len()) - 1));
         }
-        out.push_str("Example: ");
+        out.push_str(EXEMPLAR_MARKER);
         render_question_into(e, variant, &mut out);
         out.push(' ');
         render_gold_into(e.gold(), &mut out);

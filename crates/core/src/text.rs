@@ -11,7 +11,8 @@
 //!   ([`token_count`], with [`tokenize`] as the materialising
 //!   reference). It drives usage accounting, API cost and the hier
 //!   prompt-cost comparison, whose `", "`-joined leaf listing is costed
-//!   per name ([`listed_token_count`]).
+//!   per name ([`listed_token_count`]). [`prompt_counts`] also counts a
+//!   prompt's exemplars in the same pass, for the simulated models.
 //!
 //! This is not a trained BPE; it approximates modern LLM tokenizers
 //! (≈ 4 characters per token for English, punctuation split off, long
@@ -342,63 +343,226 @@ pub fn tokenize(text: &str) -> Vec<&str> {
     tokens
 }
 
-/// Token count of `text`: the same value as `tokenize(text).len()`,
-/// computed without materialising the tokens. It runs twice per query
-/// for usage accounting, so ASCII text takes a byte-level fast path.
-#[inline]
-pub fn token_count(text: &str) -> usize {
-    if text.is_ascii() {
-        return count_ascii(text.as_bytes());
-    }
-    // A run of k chars chunks into ceil(k / MAX_TOKEN_CHARS) tokens.
-    runs(text)
-        .map(|run| run.chars().count().div_ceil(MAX_TOKEN_CHARS))
-        .sum()
+/// Opens every answered exemplar of a few-shot prompt
+/// (`prompts::render_prefix`); counting it tells a model how many shots
+/// it was shown.
+pub const EXEMPLAR_MARKER: &str = "Example: ";
+
+/// What one pass over a prompt, or a part of one cut after a `'\n'`,
+/// counts. Both counts are additive across such a cut: tokens come from
+/// whitespace-separated words, and [`EXEMPLAR_MARKER`] holds no `'\n'`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PromptCounts {
+    /// `token_count(text)`.
+    pub tokens: usize,
+    /// Occurrences of [`EXEMPLAR_MARKER`] in the text.
+    pub exemplars: usize,
 }
 
-/// Byte-level counting for ASCII text, avoiding UTF-8 decoding. Exactly
-/// equivalent to the generic path: for ASCII, `char::is_alphanumeric`
-/// is `[0-9A-Za-z]` and `char::is_whitespace` is `\t \n \x0b \x0c \r`
-/// and space (note `\x0b` *is* Unicode whitespace but not
-/// `u8::is_ascii_whitespace`).
+/// Token count of `text`: the same value as `tokenize(text).len()`,
+/// computed without materialising the tokens.
 #[inline]
-fn count_ascii(bytes: &[u8]) -> usize {
-    // Byte classes: 0 = whitespace, 1 = alphanumeric, 2 = other.
-    const WS: u8 = 0;
-    const AL: u8 = 1;
-    const OT: u8 = 2;
-    const CLASS: [u8; 256] = {
-        let mut t = [OT; 256];
-        let mut b = 0usize;
-        while b < 256 {
-            let c = b as u8;
-            if matches!(c, b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b' ') {
-                t[b] = WS;
-            } else if c.is_ascii_alphanumeric() {
-                t[b] = AL;
-            }
-            b += 1;
+pub fn token_count(text: &str) -> usize {
+    count(text, false).tokens
+}
+
+/// The token count and the [`EXEMPLAR_MARKER`] count of `text` in one
+/// bit-parallel pass over 64-byte blocks.
+#[inline]
+pub fn prompt_counts(text: &str) -> PromptCounts {
+    count(text, true)
+}
+
+/// [`prompt_counts`], leaving `exemplars` at 0 unless `exemplars` is set
+/// (a constant at each call site once inlined). Text that is not ASCII
+/// is scanned as one ASCII stand-in byte per char, of the char's class,
+/// and its exemplars are counted by `str::matches`; a run too long for
+/// the scan sends the tokens to the generic path over [`runs`].
+#[inline(always)]
+fn count(text: &str, exemplars: bool) -> PromptCounts {
+    let bytes = text.as_bytes();
+    let mut scan = AsciiScan::default();
+    let mut markers = 0;
+    if text.is_ascii() {
+        // The first block is peeled off: with no history yet, its
+        // 128-bit arithmetic folds to 64 bits (most texts are one block).
+        let (first, rest) = bytes.split_at(bytes.len().min(64));
+        let colons = if first.is_empty() { 0 } else { scan.block(first) };
+        if exemplars {
+            markers += count_markers(bytes, 0, colons);
         }
-        t
+        for (i, block) in rest.chunks(64).enumerate() {
+            let colons = scan.block(block);
+            if exemplars {
+                markers += count_markers(bytes, 64 * (i + 1), colons);
+            }
+        }
+    } else {
+        let mut block = [0u8; 64];
+        let mut filled = 0;
+        let mut at = 0;
+        while at < bytes.len() {
+            block[filled] = if bytes[at].is_ascii() {
+                at += 1;
+                bytes[at - 1]
+            } else {
+                let c = text[at..].chars().next().expect("`at` is on a char boundary");
+                at += c.len_utf8();
+                // Stand-ins that spell no marker.
+                if c.is_alphanumeric() {
+                    b'0'
+                } else if c.is_whitespace() {
+                    b'\t'
+                } else {
+                    b'#'
+                }
+            };
+            filled += 1;
+            if filled == 64 {
+                scan.block(&block);
+                filled = 0;
+            }
+        }
+        if filled > 0 {
+            scan.block(&block[..filled]);
+        }
+        if exemplars {
+            markers = text.matches(EXEMPLAR_MARKER).count();
+        }
+    }
+    let tokens = if scan.overflow {
+        // A run of k chars chunks into ceil(k / MAX_TOKEN_CHARS) tokens.
+        runs(text).map(|run| run.chars().count().div_ceil(MAX_TOKEN_CHARS)).sum()
+    } else {
+        scan.tokens
     };
-    let mut tokens = 0usize;
-    let mut run_len = 0usize;
-    let mut run_class = WS;
-    for &b in bytes {
-        let class = CLASS[b as usize];
-        if class != run_class {
-            if run_class != WS {
-                tokens += run_len.div_ceil(MAX_TOKEN_CHARS);
-            }
-            run_class = class;
-            run_len = 0;
+    PromptCounts { tokens, exemplars: markers }
+}
+
+/// [`EXEMPLAR_MARKER`]s among the `':'` bytes flagged in `colons`, a
+/// block mask of `bytes` from `at`. The marker holds one `':'`, at
+/// offset 7.
+#[inline(always)]
+fn count_markers(bytes: &[u8], at: usize, mut colons: u64) -> usize {
+    let mut markers = 0;
+    while colons != 0 {
+        let colon = at + colons.trailing_zeros() as usize;
+        colons &= colons - 1;
+        let marker = colon.checked_sub(7).and_then(|start| bytes.get(start..start + 9));
+        markers += usize::from(marker == Some(EXEMPLAR_MARKER.as_bytes()));
+    }
+    markers
+}
+
+/// `0x01` in every byte lane of a word.
+const LANES_LO: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte lane of a word.
+const LANES_HI: u64 = 0x8080_8080_8080_8080;
+
+/// Lanes of `word`, all ASCII, whose byte lies in `lo..=hi`, as the lane's
+/// high bit. Adding `0x80 - lo` sets a lane's high bit exactly when its
+/// byte is at least `lo`, and no lane carries into the next.
+#[inline(always)]
+fn lanes_in(word: u64, lo: u8, hi: u8) -> u64 {
+    let at_least = |b: u8| word.wrapping_add(LANES_LO * u64::from(0x80 - b));
+    at_least(lo) & !at_least(hi + 1) & LANES_HI
+}
+
+/// Lanes of `word` holding an ASCII alphanumeric byte, as the lane's
+/// high bit. Bytes from `0x80` up are never alphanumeric; they are
+/// masked to seven bits first so that no lane carries into the next.
+#[inline(always)]
+fn alnum_lanes(word: u64) -> u64 {
+    let low = word & !LANES_HI;
+    let letters = lanes_in(low | (LANES_LO * 0x20), b'a', b'z');
+    (lanes_in(low, b'0', b'9') | letters) & !word
+}
+
+/// The high bits of a word's eight lanes as the low eight bits, lane
+/// `k` at bit `k`.
+#[inline(always)]
+fn lane_bits(high: u64) -> u64 {
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
+}
+
+/// Token counting over 64-byte blocks of ASCII as bitmasks, one bit
+/// per byte; the last block may be shorter.
+///
+/// Counting byte by byte takes a branch at every change of byte class,
+/// which on prompt text mispredicts about once per word (about 3 ns per
+/// byte). Instead each block is classified eight bytes at a time
+/// into an alphanumeric mask and an other-character mask (whitespace is
+/// neither). A token starts at every byte that opens a run, the
+/// popcount of a shift-and-compare, and at every sixth byte into a run:
+/// with `r_k` the bytes at least `k` bytes into their run, those are
+/// `r_{6j} & !r_{6j+1}`, built by shifting and AND-ing over this block
+/// and the last. No step branches on the text. A run longer than 61
+/// bytes needs more history than one block and sets `overflow`.
+#[derive(Default)]
+struct AsciiScan {
+    tokens: usize,
+    /// The last block's alphanumeric and other-character masks.
+    alnum: u64,
+    other: u64,
+    /// The last block's bytes that continue a run.
+    cont: u64,
+    /// Set when a run was too long to count.
+    overflow: bool,
+}
+
+impl AsciiScan {
+    /// Count the tokens of the next 1–64 bytes, which end the text if
+    /// there are fewer than 64; returns the mask of their `':'` bytes.
+    #[inline(always)]
+    fn block(&mut self, block: &[u8]) -> u64 {
+        let (mut alnum, mut space, mut colon) = (0u64, 0u64, 0u64);
+        for (k, chunk) in block.chunks(8).enumerate() {
+            let word = match (chunk.try_into(), block.len()) {
+                (Ok(word), _) => u64::from_le_bytes(word),
+                // A short last chunk: the block's last eight bytes,
+                // shifted down past the ones already read.
+                (Err(_), len @ 8..) => {
+                    let last: [u8; 8] = block[len - 8..].try_into().expect("eight bytes");
+                    u64::from_le_bytes(last) >> (8 * (8 - chunk.len()))
+                }
+                (Err(_), _) => chunk.iter().rev().fold(0, |word, &b| (word << 8) | u64::from(b)),
+            };
+            alnum |= lane_bits(alnum_lanes(word)) << (8 * k);
+            let spaces = lanes_in(word, b'\t', b'\r') | lanes_in(word, b' ', b' ');
+            space |= lane_bits(spaces) << (8 * k);
+            colon |= lane_bits(lanes_in(word, b':', b':')) << (8 * k);
         }
-        run_len += 1;
+        // Past the end is no run: neither alphanumeric nor other.
+        let other = !(alnum | space) & (u64::MAX >> (64 - block.len()));
+        let after_alnum = (alnum << 1) | (self.alnum >> 63);
+        let after_other = (other << 1) | (self.other >> 63);
+        let opens = (alnum & !after_alnum) | (other & !after_other);
+        let cont = (alnum & after_alnum) | (other & after_other);
+        self.tokens += opens.count_ones() as usize;
+
+        // The high half is this block; the low half supplies history.
+        let history = (u128::from(cont) << 64) | u128::from(self.cont);
+        let r2 = history & (history << 1);
+        let r6 = r2 & (r2 << 2) & (r2 << 4);
+        let mut deep = r6; // r_{6j}, j = 1, 2, …
+        for j in 1..=10 {
+            let deeper = deep & (history << (6 * j));
+            self.tokens += ((deep & !deeper) >> 64).count_ones() as usize;
+            if j == 10 {
+                self.overflow |= deeper >> 64 != 0;
+                break;
+            }
+            deep &= r6 << (6 * j);
+            // Rounds 1 and 2 (runs of 7 to 18 chars, common in names)
+            // always run; an exit test before them would often be
+            // mispredicted, one after them rarely is.
+            if j >= 2 && deep >> 64 == 0 {
+                break;
+            }
+        }
+        (self.alnum, self.other, self.cont) = (alnum, other, cont);
+        colon
     }
-    if run_class != WS {
-        tokens += run_len.div_ceil(MAX_TOKEN_CHARS);
-    }
-    tokens
 }
 
 #[cfg(test)]
@@ -609,6 +773,59 @@ pub(crate) mod tests {
     #[test]
     fn unicode_does_not_panic() {
         assert!(token_count("naïve café Sinō-Tibetan 語言") >= 4);
+    }
+
+    /// The bit-parallel scan against [`tokenize`] and `str::matches` on
+    /// random text built to cross every block edge: runs of 1–70 chars
+    /// of each class (past the 61-char limit, so the generic path runs
+    /// too), markers, and non-ASCII alphanumeric, whitespace and other
+    /// chars (the stand-in path).
+    #[test]
+    fn prompt_counts_match_references() {
+        use taxoglimpse_synth::rng::{fork, Rng};
+        const PIECES: [&str; 16] = [
+            "Example: ", "Example:", "xExample: ", " ", "\n", "\t", "\x0b", "a", "Z9", "-", ")?",
+            "Example:\u{a0}", "—", "\u{a0}", "\u{2003}", "語言",
+        ];
+        for case in 0..3_000u64 {
+            let mut rng = fork(0x70C5, "prompt-counts", case);
+            let ascii = rng.gen_bool(0.5);
+            let mut text = String::new();
+            let len = rng.gen_index(400);
+            while text.len() < len {
+                let run = 1 + rng.gen_index(70);
+                match rng.gen_index(5) {
+                    0 => {
+                        let pieces = PIECES.len() - 5 * usize::from(ascii);
+                        text.push_str(PIECES[rng.gen_index(pieces)]);
+                    }
+                    1 => text.extend(std::iter::repeat_n('w', run)),
+                    2 => text.extend(std::iter::repeat_n('.', run / 5 + 1)),
+                    3 if !ascii => text.extend(std::iter::repeat_n('é', run)),
+                    _ => text.extend(std::iter::repeat_n(' ', 1 + rng.gen_index(3))),
+                }
+            }
+            let want = PromptCounts {
+                tokens: tokenize(&text).len(),
+                exemplars: text.matches(EXEMPLAR_MARKER).count(),
+            };
+            assert_eq!(prompt_counts(&text), want, "case {case}: {text:?}");
+        }
+    }
+
+    #[test]
+    fn prompt_counts_are_additive_across_a_newline_cut() {
+        let prompt = "Example: Is Verbascum chaixii a type of Verbascum? Yes.\n\
+                      Example: Is Silene a type of Caryophyllaceae? No.\n\
+                      Is Hailu a type of Hakka-Chinese? answer with (Yes/No/I don't know)";
+        let whole = prompt_counts(prompt);
+        assert_eq!(whole.exemplars, 2);
+        for (cut, _) in prompt.match_indices('\n') {
+            let (head, tail) = prompt.split_at(cut + 1);
+            let (a, b) = (prompt_counts(head), prompt_counts(tail));
+            assert_eq!(a.tokens + b.tokens, whole.tokens);
+            assert_eq!(a.exemplars + b.exemplars, whole.exemplars);
+        }
     }
 
     #[test]

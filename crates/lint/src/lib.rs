@@ -77,42 +77,7 @@ impl std::error::Error for LintError {}
 /// Lint in-memory `(rel_path, source)` pairs — the entry point fixture
 /// tests use, and the core `lint_workspace` delegates to.
 pub fn lint_sources(sources: &[(String, String)]) -> LintReport {
-    let files: Vec<SourceFile> =
-        sources.iter().map(|(path, src)| SourceFile::new(path, src)).collect();
-
-    // Pass 1: project-wide facts — enum names for M001, suppression
-    // registrations for U001.
-    let mut enums = BTreeSet::new();
-    let mut ledger = AllowLedger::default();
-    for f in &files {
-        rules::collect_enums(f, &mut enums);
-        ledger.register(f);
-    }
-
-    // Pass 2: per-file token rules.
-    let mut findings = Vec::new();
-    for f in &files {
-        rules::run_rules(f, &enums, &mut ledger, &mut findings);
-    }
-
-    // Pass 3: interprocedural — parse items, build the call graph, run
-    // the reachability and lock passes over it.
-    let parsed: Vec<parser::ParsedFile> = files.iter().map(parser::parse_items).collect();
-    let graph = CallGraph::build(&files, &parsed);
-    passes::run_passes(&files, &graph, &mut ledger, &mut findings);
-
-    // Pass 4: the linter checks itself, then surfaces allows that never
-    // fired.
-    rules::self_check(&files, &mut findings);
-    rules::unused_allow_findings(&ledger, &mut findings);
-
-    let mut report = LintReport {
-        findings,
-        files_scanned: files.len(),
-        allows_used: ledger.used_count(),
-    };
-    report.sort();
-    report
+    lint_files(&source_files(sources)).0
 }
 
 /// Lint every `.rs` source under `root`'s workspace layout: the root
@@ -122,16 +87,55 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     Ok(lint_sources(&collect_workspace_sources(root)?))
 }
 
-/// Serialize the workspace call graph (`--graph`): the same file set
-/// `lint_workspace` scans, parsed and resolved, rendered as graph
-/// schema v1 JSON.
-pub fn workspace_graph_json(root: &Path) -> Result<String, LintError> {
+/// [`lint_workspace`] and, from the same scan, the workspace call graph
+/// the interprocedural passes ran over, rendered as graph schema v1
+/// JSON (what `--graph` writes).
+pub fn lint_workspace_with_graph(root: &Path) -> Result<(LintReport, String), LintError> {
     let sources = collect_workspace_sources(root)?;
-    let files: Vec<SourceFile> =
-        sources.iter().map(|(path, src)| SourceFile::new(path, src)).collect();
+    let files = source_files(&sources);
+    let (report, graph) = lint_files(&files);
+    Ok((report, graph.to_json(&files).render_pretty() + "\n"))
+}
+
+fn source_files(sources: &[(String, String)]) -> Vec<SourceFile> {
+    sources.iter().map(|(path, src)| SourceFile::new(path, src)).collect()
+}
+
+/// Run every rule over `files`; returns the report and the call graph.
+fn lint_files(files: &[SourceFile]) -> (LintReport, CallGraph) {
+    // Pass 1: project-wide facts — enum names for M001, suppression
+    // registrations for U001.
+    let mut enums = BTreeSet::new();
+    let mut ledger = AllowLedger::default();
+    for f in files {
+        rules::collect_enums(f, &mut enums);
+        ledger.register(f);
+    }
+
+    // Pass 2: per-file token rules.
+    let mut findings = Vec::new();
+    for f in files {
+        rules::run_rules(f, &enums, &mut ledger, &mut findings);
+    }
+
+    // Pass 3: interprocedural — parse items, build the call graph, run
+    // the reachability and lock passes over it.
     let parsed: Vec<parser::ParsedFile> = files.iter().map(parser::parse_items).collect();
-    let graph = CallGraph::build(&files, &parsed);
-    Ok(graph.to_json(&files).render_pretty() + "\n")
+    let graph = CallGraph::build(files, &parsed);
+    passes::run_passes(files, &graph, &mut ledger, &mut findings);
+
+    // Pass 4: the linter checks itself, then surfaces allows that never
+    // fired.
+    rules::self_check(files, &mut findings);
+    rules::unused_allow_findings(&ledger, &mut findings);
+
+    let mut report = LintReport {
+        findings,
+        files_scanned: files.len(),
+        allows_used: ledger.used_count(),
+    };
+    report.sort();
+    (report, graph)
 }
 
 /// Read every in-scope `.rs` file under `root` as `(rel_path, text)`.

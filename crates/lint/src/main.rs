@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use taxoglimpse_lint::{
-    explain_rule, lint_workspace, validate_report, workspace_graph_json, RULES,
+    explain_rule, lint_workspace, lint_workspace_with_graph, validate_report, RULES,
 };
 
 const USAGE: &str = "usage:\n  taxoglimpse-lint --workspace [--root DIR] [--check] [--json FILE] [--graph FILE]\n  taxoglimpse-lint --validate FILE\n  taxoglimpse-lint --explain RULE\n  taxoglimpse-lint --list-rules\n";
@@ -117,12 +117,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Err("nothing to do: pass --workspace, --validate, or --list-rules".to_owned());
     }
 
-    if let Some(path) = &graph_out {
-        let doc = workspace_graph_json(&root).map_err(|e| e.to_string())?;
-        std::fs::write(path, doc).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-
-    let report = lint_workspace(&root).map_err(|e| e.to_string())?;
+    let report = match &graph_out {
+        Some(path) => {
+            let (report, graph) = lint_workspace_with_graph(&root).map_err(|e| e.to_string())?;
+            std::fs::write(path, graph).map_err(|e| format!("{}: {e}", path.display()))?;
+            report
+        }
+        None => lint_workspace(&root).map_err(|e| e.to_string())?,
+    };
     if let Some(path) = &json_out {
         let doc = report.to_json().render_pretty() + "\n";
         std::fs::write(path, doc).map_err(|e| format!("{}: {e}", path.display()))?;

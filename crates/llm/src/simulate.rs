@@ -7,8 +7,8 @@ use crate::respond::{render, Verdict};
 use std::sync::Mutex;
 use taxoglimpse_core::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
-use taxoglimpse_core::text::token_count;
-use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
+use taxoglimpse_core::text::{prompt_counts, token_count};
+use taxoglimpse_synth::rng::{mix64, StreamHasher};
 
 /// Cumulative usage counters for one simulated model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,17 +96,10 @@ impl SimulatedLlm {
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn verdict(&self, query: &Query<'_>) -> Verdict {
-        // Condition on what the model actually sees: the number of
-        // answered exemplars in the prompt (few-shot saturation).
-        let shots = query.prompt.matches("Example: ").count();
-        self.verdict_with_shots(query, shots)
-    }
-
-    /// [`Self::verdict`] with the exemplar count already known — the
-    /// batch path counts the shared prefix's exemplars once instead of
-    /// rescanning the full prompt per query.
-    fn verdict_with_shots(&self, query: &Query<'_>, shots: usize) -> Verdict {
+    /// What the model says to `query`, conditioned on what it actually
+    /// sees: the `shots` answered exemplars in its prompt (few-shot
+    /// saturation).
+    fn verdict(&self, query: &Query<'_>, shots: usize) -> Verdict {
         let question = query.question;
         let decision = self.knowledge.decide_with_shots(question, query.setting, shots);
         let setting_tag = query.setting as u64 + 1;
@@ -168,30 +161,15 @@ impl SimulatedLlm {
         }
         Verdict::Option(best.0)
     }
-}
 
-/// Precomputed state of a batch's shared few-shot prefix: everything
-/// `answer` derives from the prompt that splits cleanly at the
-/// prefix/suffix boundary.
-struct BatchPrefix {
-    len: usize,
-    shots: usize,
-    prompt_tokens: u64,
-    noise: StreamHasher,
-}
-
-impl SimulatedLlm {
     /// The batch's verified [`shared_prefix`], if it ends in `'\n'` (as
     /// `render_prefix` output always does).
     ///
     /// The trailing newline is what makes per-query work splittable at
     /// the boundary with *exact* equality to the unsplit computation:
-    /// `"Example: "` contains no `'\n'`, so no occurrence can span the
-    /// boundary, and [`token_count`] derives tokens from whitespace-split
-    /// words, so token counts are additive across a whitespace
-    /// boundary. The noise hasher is a [`StreamHasher`], documented
-    /// byte-for-byte equal to one-shot hashing however the input is
-    /// split.
+    /// both counts of [`prompt_counts`] are additive across a cut after
+    /// a `'\n'`, and the noise hasher is a [`StreamHasher`], which
+    /// hashes its input alike however it is split.
     fn batch_prefix<'p>(queries: &[Query<'p>]) -> Option<&'p str> {
         shared_prefix(queries).filter(|prefix| prefix.ends_with('\n'))
     }
@@ -203,58 +181,32 @@ impl LanguageModel for SimulatedLlm {
     }
 
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        let verdict = self.verdict(query);
-        let noise = hash_str(self.seed ^ 0xF00D, &query.prompt);
-        let text = render(self.id, query.question, verdict, query.setting, noise);
-        let mut usage = self.usage.lock().expect("usage lock not poisoned");
-        usage.queries += 1;
-        usage.prompt_tokens += token_count(query.prompt) as u64;
-        usage.completion_tokens += token_count(&text) as u64;
-        Ok(Response::new(text))
+        self.answer_batch(std::slice::from_ref(query))
+            .pop()
+            .expect("answer_batch returns one result per query")
     }
 
-    /// Batched answering: answers are byte-identical to per-query
-    /// [`Self::answer`] calls; only the per-query *work* changes. When
-    /// the batch shares a verified few-shot prefix, the exemplar scan,
-    /// the prompt-noise hash state and the prompt token count of the
-    /// prefix are computed once and only suffixes are processed per
-    /// query; usage counters are merged under a single lock either way.
+    /// Answers a batch with one pass over each prompt. A shared few-shot
+    /// prefix is counted and fed to the noise hasher once per batch, and
+    /// each query then scans only its suffix (a batch without one has
+    /// the empty prefix). Usage counters are merged under one lock.
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
-        let prefix_state = Self::batch_prefix(queries).map(|prefix| {
-            let mut noise = StreamHasher::new(self.seed ^ 0xF00D);
-            noise.write_str(prefix);
-            BatchPrefix {
-                len: prefix.len(),
-                shots: prefix.matches("Example: ").count(),
-                prompt_tokens: token_count(prefix) as u64,
-                noise,
-            }
-        });
+        let prefix = Self::batch_prefix(queries).unwrap_or("");
+        let prefix_counts = prompt_counts(prefix);
+        let mut prefix_noise = StreamHasher::new(self.seed ^ 0xF00D);
+        prefix_noise.write_str(prefix);
         let mut local = UsageStats::default();
         let results: Vec<Result<Response, ModelError>> = queries
             .iter()
             .map(|query| {
-                let (shots, noise, prompt_tokens) = match &prefix_state {
-                    Some(p) => {
-                        let suffix = &query.prompt[p.len..];
-                        let mut h = p.noise.clone();
-                        h.write_str(suffix);
-                        (
-                            p.shots + suffix.matches("Example: ").count(),
-                            h.finish(),
-                            p.prompt_tokens + token_count(suffix) as u64,
-                        )
-                    }
-                    None => (
-                        query.prompt.matches("Example: ").count(),
-                        hash_str(self.seed ^ 0xF00D, query.prompt),
-                        token_count(query.prompt) as u64,
-                    ),
-                };
-                let verdict = self.verdict_with_shots(query, shots);
-                let text = render(self.id, query.question, verdict, query.setting, noise);
+                let suffix = &query.prompt[prefix.len()..];
+                let counts = prompt_counts(suffix);
+                let mut noise = prefix_noise.clone();
+                noise.write_str(suffix);
+                let verdict = self.verdict(query, prefix_counts.exemplars + counts.exemplars);
+                let text = render(self.id, query.question, verdict, query.setting, noise.finish());
                 local.queries += 1;
-                local.prompt_tokens += prompt_tokens;
+                local.prompt_tokens += (prefix_counts.tokens + counts.tokens) as u64;
                 local.completion_tokens += token_count(&text) as u64;
                 Ok(Response::new(text))
             })

@@ -39,7 +39,7 @@ pub struct TaxonomyProfile {
     pub kind: TaxonomyKind,
     /// Exact node count per level, root level first. The first entry is
     /// also the number of trees.
-    pub nodes_per_level: Vec<usize>,
+    pub nodes_per_level: &'static [usize],
     /// Name-morphology regime.
     pub regime: NameRegime,
     /// Figure-2 popularity anchor: mean google-hit count per concept
@@ -49,42 +49,43 @@ pub struct TaxonomyProfile {
 }
 
 impl TaxonomyProfile {
-    /// The canonical profile for `kind`, straight from Table 1.
+    /// The canonical profile for `kind`, straight from Table 1. It
+    /// allocates nothing, so per-question callers may use it freely.
     pub fn of(kind: TaxonomyKind) -> Self {
-        let (nodes_per_level, regime, popularity_hits): (Vec<usize>, _, f64) = match kind {
+        let (nodes_per_level, regime, popularity_hits): (&[usize], _, f64) = match kind {
             TaxonomyKind::Ebay => {
-                (vec![13, 110, 472], NameRegime::Shopping, 2.0e8)
+                (&[13, 110, 472], NameRegime::Shopping, 2.0e8)
             }
             TaxonomyKind::Amazon => (
-                vec![41, 507, 3910, 13579, 25777],
+                &[41, 507, 3910, 13579, 25777],
                 NameRegime::Shopping,
                 9.0e7,
             ),
             TaxonomyKind::Google => {
-                (vec![21, 192, 1349, 2203, 1830], NameRegime::Shopping, 6.0e7)
+                (&[21, 192, 1349, 2203, 1830], NameRegime::Shopping, 6.0e7)
             }
             TaxonomyKind::Schema => (
-                vec![3, 17, 215, 403, 436, 272],
+                &[3, 17, 215, 403, 436, 272],
                 NameRegime::SchemaOrg,
                 1.1e8,
             ),
             TaxonomyKind::AcmCcs => {
-                (vec![13, 84, 543, 1087, 386], NameRegime::AcmCcs, 8.0e6)
+                (&[13, 84, 543, 1087, 386], NameRegime::AcmCcs, 8.0e6)
             }
-            TaxonomyKind::GeoNames => (vec![9, 680], NameRegime::GeoNames, 3.0e6),
+            TaxonomyKind::GeoNames => (&[9, 680], NameRegime::GeoNames, 3.0e6),
             TaxonomyKind::Glottolog => (
-                vec![245, 712, 1048, 1205, 1366, 7393],
+                &[245, 712, 1048, 1205, 1366, 7393],
                 NameRegime::Glottolog,
                 9.0e5,
             ),
             TaxonomyKind::Icd10Cm => {
-                (vec![22, 155, 963, 3383], NameRegime::Icd, 2.5e6)
+                (&[22, 155, 963, 3383], NameRegime::Icd, 2.5e6)
             }
             TaxonomyKind::Oae => {
-                (vec![181, 1854, 3817, 2587, 1108], NameRegime::Oae, 4.0e5)
+                (&[181, 1854, 3817, 2587, 1108], NameRegime::Oae, 4.0e5)
             }
             TaxonomyKind::Ncbi => (
-                vec![53, 309, 514, 1859, 10215, 107615, 2069560],
+                &[53, 309, 514, 1859, 10215, 107615, 2069560],
                 NameRegime::Ncbi,
                 1.5e5,
             ),
@@ -113,7 +114,7 @@ impl TaxonomyProfile {
     pub fn scaled_levels(&self, scale: f64) -> Vec<usize> {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         if (scale - 1.0).abs() < f64::EPSILON {
-            return self.nodes_per_level.clone();
+            return self.nodes_per_level.to_vec();
         }
         self.nodes_per_level
             .iter()

@@ -216,16 +216,14 @@ pub fn fork(seed: u64, tag: &str, index: u64) -> SynthRng {
 
 /// Stable 64-bit hash of a string mixed with a seed. Used to make
 /// per-question decisions deterministic in downstream crates as well.
+///
+/// The bytes are read as little-endian 8-byte words, each folded into
+/// the state with [`mix64`]; a final short word is zero-padded. This is
+/// the one-shot form of [`StreamHasher`].
 pub fn hash_str(seed: u64, s: &str) -> u64 {
-    let mut h = mix64(seed ^ 0x51_7c_c1_b7_27_22_0a_95);
-    for chunk in s.as_bytes().chunks(8) {
-        let mut word = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            word |= u64::from(b) << (8 * i);
-        }
-        h = mix64(h ^ word);
-    }
-    h
+    let mut h = StreamHasher::new(seed);
+    h.write_str(s);
+    h.finish()
 }
 
 /// Incremental [`hash_str`]: feeds byte slices one at a time and
@@ -250,20 +248,37 @@ impl StreamHasher {
         StreamHasher { h: mix64(seed ^ 0x51_7c_c1_b7_27_22_0a_95), word: 0, shift: 0 }
     }
 
-    /// Feed raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+    /// Feed raw bytes. Whole words are read with `u64::from_le_bytes`;
+    /// only the bytes that complete a buffered partial word, and the
+    /// tail that starts the next one, are folded in one at a time. A
+    /// word's value does not depend on how its bytes arrived, so every
+    /// split of the input hashes alike.
+    #[inline]
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        if self.shift > 0 {
+            while self.shift < 64 {
+                let Some((&b, rest)) = bytes.split_first() else { return };
+                self.word |= u64::from(b) << self.shift;
+                self.shift += 8;
+                bytes = rest;
+            }
+            self.h = mix64(self.h ^ self.word);
+            self.word = 0;
+            self.shift = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+            self.h = mix64(self.h ^ word);
+        }
+        for &b in words.remainder() {
             self.word |= u64::from(b) << self.shift;
             self.shift += 8;
-            if self.shift == 64 {
-                self.h = mix64(self.h ^ self.word);
-                self.word = 0;
-                self.shift = 0;
-            }
         }
     }
 
     /// Feed a string's bytes.
+    #[inline]
     pub fn write_str(&mut self, s: &str) {
         self.write(s.as_bytes());
     }
@@ -284,8 +299,8 @@ impl StreamHasher {
         self.write(&buf[i..]);
     }
 
-    /// Finish the stream, mixing any buffered partial word like
-    /// [`hash_str`] mixes its final short chunk.
+    /// Finish the stream, mixing in any buffered partial word.
+    #[inline]
     pub fn finish(self) -> u64 {
         if self.shift > 0 {
             mix64(self.h ^ self.word)
@@ -523,6 +538,81 @@ mod tests {
                     h.write_str(&s[split..]);
                     assert_eq!(h.finish(), hash_str(seed, s), "{s:?} split at {split}");
                 }
+            }
+        }
+    }
+
+    /// The hash as first specified: every byte folded into its word one
+    /// at a time, each full or final short word mixed in.
+    fn reference_hash(seed: u64, bytes: &[u8]) -> u64 {
+        let mut h = mix64(seed ^ 0x51_7c_c1_b7_27_22_0a_95);
+        for chunk in bytes.chunks(8) {
+            let mut word = 0u64;
+            for (i, &b) in chunk.iter().enumerate() {
+                word |= u64::from(b) << (8 * i);
+            }
+            h = mix64(h ^ word);
+        }
+        h
+    }
+
+    /// Values `hash_str` returned before it read whole words. Every
+    /// digest in the workspace depends on them.
+    #[test]
+    fn hash_str_keeps_its_recorded_values() {
+        let pinned: [(u64, &str, u64); 6] = [
+            (0x0, "", 0x35f5_76a4_e31c_f92b),
+            (0x1, "a", 0x096c_7a29_1ad9_80ef),
+            (0x2a, "abcdefgh", 0x1913_e97b_1cea_0bb5),
+            (0x7, "eBay|Wireless Speakers|Audio|4294967297", 0xbf49_cf0d_2e64_f607),
+            (
+                0xf00d,
+                "Is Hailu a type of Hakka-Chinese? answer with (Yes/No/I don't know)\n",
+                0xf9f6_c825_efa7_7848,
+            ),
+            (0x5eed, "ünïcødé names työ", 0xeafd_33b5_d25f_9e9a),
+        ];
+        for (seed, s, want) in pinned {
+            assert_eq!(hash_str(seed, s), want, "hash_str({seed:#x}, {s:?})");
+            assert_eq!(reference_hash(seed, s.as_bytes()), want, "reference on {s:?}");
+        }
+    }
+
+    /// Word-at-a-time hashing equals the byte-at-a-time reference on
+    /// random bytes of every length up to 200, whole and split into up
+    /// to five writes at arbitrary byte offsets (UTF-8 boundaries play
+    /// no part: the hasher sees bytes).
+    #[test]
+    fn word_hashing_matches_bytewise_reference() {
+        for case in 0..2_000u64 {
+            let mut rng = fork(0x4A5B, "hash-equivalence", case);
+            let len = rng.gen_index(201);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u64>() as u8).collect();
+            let seed = rng.gen::<u64>();
+            let want = reference_hash(seed, &bytes);
+            if let Ok(s) = std::str::from_utf8(&bytes) {
+                assert_eq!(hash_str(seed, s), want, "case {case}");
+            }
+            let mut cuts: Vec<usize> =
+                (0..rng.gen_index(5)).map(|_| rng.gen_index(len + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = StreamHasher::new(seed);
+            let mut at = 0;
+            for cut in cuts.iter().copied().chain([len]) {
+                h.write(&bytes[at..cut]);
+                at = cut;
+            }
+            assert_eq!(h.finish(), want, "case {case}: {len} bytes cut at {cuts:?}");
+        }
+        // Text, cut inside multi-byte chars.
+        let text = "Sinō-Tibetan 語言 — naïve tæxon œuvre";
+        for a in 0..=text.len() {
+            for b in a..=text.len() {
+                let mut h = StreamHasher::new(3);
+                h.write(&text.as_bytes()[..a]);
+                h.write(&text.as_bytes()[a..b]);
+                h.write(&text.as_bytes()[b..]);
+                assert_eq!(h.finish(), reference_hash(3, text.as_bytes()), "cut at {a}, {b}");
             }
         }
     }

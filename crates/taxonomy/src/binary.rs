@@ -202,26 +202,19 @@ fn decode_v2(
     if n > u32::MAX as usize {
         return Err(BinaryError::Build(BuildError::TooManyNodes));
     }
-    // Minimum remaining size implied by the header: parents (4n) +
-    // name_bytes field (8) + offsets (4(n+1)). Checked before the first
-    // `Vec::with_capacity(n)` so an adversarial count cannot request a
-    // huge allocation from a tiny buffer.
-    let min_len = n
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(12))
-        .ok_or(BinaryError::Truncated)?;
-    if buf.len() < min_len {
-        return Err(BinaryError::Truncated);
-    }
-
-    let parent_bytes = take(buf, n * 4)?;
+    // `take` checks that the bytes behind the count are present before
+    // anything `n`-sized is allocated: an adversarial count fails here as
+    // `Truncated` instead of requesting a huge allocation. A byte length
+    // that overflows `usize` (possible where it is 32 bits) is one too.
+    let parent_bytes = take(buf, n.checked_mul(4).ok_or(BinaryError::Truncated)?)?;
     let parent: Vec<u32> = parent_bytes
         .chunks_exact(4)
         .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("chunks_exact yields 4 bytes")))
         .collect();
 
     let name_bytes = get_u64(buf)? as usize;
-    let offset_bytes = take(buf, (n + 1) * 4)?;
+    let offsets_len = n.checked_add(1).and_then(|entries| entries.checked_mul(4));
+    let offset_bytes = take(buf, offsets_len.ok_or(BinaryError::Truncated)?)?;
     // The name block must actually be present before we use it.
     let (name_start, name_block) = match split_names {
         None => {
@@ -589,8 +582,9 @@ mod tests {
 
     #[test]
     fn adversarial_length_prefix_fails_before_allocating() {
-        // A tiny buffer declaring a huge node count must be rejected by
-        // the remaining-length guard, not by attempting the allocation.
+        // A tiny buffer declaring a huge node count is `Truncated`. This
+        // checks only the error; that nothing count-sized is allocated
+        // first is checked by `tests/bounded_alloc.rs`.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&VERSION_V2.to_le_bytes());

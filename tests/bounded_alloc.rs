@@ -2,14 +2,16 @@
 //!
 //! The binary installs a counting `#[global_allocator]` over `System`
 //! and feeds the mutants of `tests/proptests.rs` (the same generators,
-//! from `tests/common`) to every byte-parsing entry point of the
-//! taxonomy codecs: TAXG payloads to `Taxonomy::from_binary`, JSON and
-//! TSV text to `json::from_str_value`, `Taxonomy::from_json` and
-//! `Taxonomy::from_tsv`. For each decode the peak of live heap bytes
-//! above the level at its start must stay within `C · len + K`, where
-//! `len` is the input's length in bytes. A length prefix trusted before
-//! the bytes behind it are checked (`Vec::with_capacity(n)` for an
-//! adversarial `n`) breaks that bound by orders of magnitude.
+//! from `tests/common`) to every byte-parsing entry point: TAXG payloads
+//! to `Taxonomy::from_binary`; JSON and TSV text to
+//! `json::from_str_value`, `Taxonomy::from_json` and `Taxonomy::from_tsv`;
+//! and JSON, TSV and transcript text to `DetailedRun::from_jsonl`. For
+//! each decode the peak of live heap bytes above the level at its start
+//! must stay within `C · len + K`, where `len` is the input's length in
+//! bytes. A length prefix trusted before the bytes behind it are checked
+//! (`Vec::with_capacity(n)` for an adversarial `n`) breaks that bound by
+//! orders of magnitude. The answer parsers `parse_tf`, `parse_mcq` and
+//! `parse_answer` must allocate nothing at all on any of the texts.
 //!
 //! It holds a single `#[test]`, so no other test allocates while a peak
 //! is being measured.
@@ -19,7 +21,12 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use common::{cases, mutate_binary, mutate_text, random_unicode_taxonomy};
+use common::{
+    cases, mutate_binary, mutate_text, random_unicode_taxonomy, text_mutant, transcript_fixture,
+};
+use taxoglimpse::core::detailed::DetailedRun;
+use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf};
+use taxoglimpse::core::question::Question;
 use taxoglimpse::json::from_str_value;
 use taxoglimpse::synth::rng::Rng;
 use taxoglimpse::taxonomy::Taxonomy;
@@ -119,8 +126,22 @@ fn assert_bounded(what: &str, len: usize, peak: usize) {
     );
 }
 
+/// The answer parsers allocate nothing on `text`, for every question
+/// kind `parse_answer` dispatches on.
+fn assert_parsers_allocate_nothing(text: &str, questions: &[Question]) {
+    let parsers = [
+        ("parse_tf", peak_of(|| parse_tf(text))),
+        ("parse_mcq", peak_of(|| parse_mcq(text))),
+    ];
+    let answers = questions.iter().map(|q| ("parse_answer", peak_of(|| parse_answer(q, text))));
+    for (what, peak) in parsers.into_iter().chain(answers) {
+        assert_eq!(peak, 0, "{what} on {} hostile bytes allocated {peak} heap bytes", text.len());
+    }
+}
+
 #[test]
 fn hostile_input_allocates_at_most_linearly() {
+    let (transcript, questions) = transcript_fixture();
     cases(SEED, 2_000, "bounded_alloc", |rng, _| {
         let t = random_unicode_taxonomy(rng);
 
@@ -136,5 +157,14 @@ fn hostile_input_allocates_at_most_linearly() {
         assert_bounded("json::from_str_value", len, peak_of(|| from_str_value(&text)));
         assert_bounded("Taxonomy::from_json", len, peak_of(|| Taxonomy::from_json(&text)));
         assert_bounded("Taxonomy::from_tsv", len, peak_of(|| Taxonomy::from_tsv(&text)));
+        assert_parsers_allocate_nothing(&text, &questions);
+    });
+    // The mutants of `tests/proptests.rs`'s text property, transcripts
+    // included.
+    cases(SEED, 2_000, "bounded_alloc_text", |rng, _| {
+        let (text, _) = text_mutant(rng, &transcript);
+        let peak = peak_of(|| DetailedRun::from_jsonl("mutant", &text));
+        assert_bounded("DetailedRun::from_jsonl", text.len(), peak);
+        assert_parsers_allocate_nothing(&text, &questions);
     });
 }

@@ -4,6 +4,7 @@
 //! hence the `dead_code` allowance.
 #![allow(dead_code)]
 
+use taxoglimpse::core::parse::ParsedAnswer;
 use taxoglimpse::core::reports_digest;
 use taxoglimpse::json::MAX_DEPTH;
 use taxoglimpse::prelude::*;
@@ -163,4 +164,146 @@ pub fn pinned_workload_digests() -> Vec<String> {
             format!("{:016x}", reports_digest(&reports))
         })
         .collect()
+}
+
+/// The recorded transcript that text mutants are cut from, besides
+/// taxonomy JSON and TSV (Llama-2-7B on eBay's MCQ set, two questions
+/// per level), and one true/false, one MCQ and one sibling question
+/// made from its first question: the three kinds `parse_answer`
+/// dispatches on.
+pub fn transcript_fixture() -> (String, [Question; 3]) {
+    use taxoglimpse::core::detailed::DetailedRun;
+    use taxoglimpse::core::question::QuestionBody;
+    let ebay = generate(TaxonomyKind::Ebay, GenOptions { seed: 3, scale: 0.1 }).unwrap();
+    let dataset = DatasetBuilder::new(&ebay, TaxonomyKind::Ebay, 3)
+        .sample_cap(Some(2))
+        .build(QuestionDataset::Mcq)
+        .unwrap();
+    let model = SimulatedLlm::new(ModelId::Llama2_7b);
+    let transcript = DetailedRun::record(&model, &dataset, EvalConfig::default()).to_jsonl();
+    let mcq = dataset.questions().next().expect("ebay MCQ dataset is non-empty").clone();
+    assert!(matches!(mcq.body, QuestionBody::Mcq { .. }));
+    let tf = Question {
+        body: QuestionBody::TrueFalse {
+            candidate: mcq.true_parent.clone(),
+            expected_yes: true,
+            negative: None,
+        },
+        surface_memo: Default::default(),
+        ..mcq.clone()
+    };
+    let sibling = Question {
+        body: QuestionBody::Sibling {
+            options: vec!["a".into(), "b".into(), "c".into()],
+            correct: Some(1),
+        },
+        surface_memo: Default::default(),
+        ..mcq.clone()
+    };
+    (transcript, [tf, mcq, sibling])
+}
+
+/// Fields of a transcript record, where [`text_mutant`] splices bytes.
+const TRANSCRIPT_FIELDS: [&str; 4] = ["prompt", "response", "parsed", "outcome"];
+
+/// One hostile text: a random taxonomy's JSON or TSV, or `transcript`,
+/// through [`mutate_text`], lossily decoded so the `&str` parsers can
+/// take it. Returns it with whether it is the nesting case.
+pub fn text_mutant(rng: &mut SynthRng, transcript: &str) -> (String, bool) {
+    let t = random_unicode_taxonomy(rng);
+    let source = rng.gen_index(3);
+    let text = match source {
+        0 => t.to_json(),
+        1 => t.to_tsv(),
+        _ => transcript.to_owned(),
+    };
+    let (bytes, nested) = mutate_text(rng, text.into_bytes(), |rng| match source {
+        2 => TRANSCRIPT_FIELDS[rng.gen_index(TRANSCRIPT_FIELDS.len())].to_owned(),
+        _ => format!("node-{}", rng.gen_index(t.len())),
+    });
+    (String::from_utf8_lossy(&bytes).into_owned(), nested)
+}
+
+/// `core::parse::parse_mcq` as it was before it became one forward
+/// scan: lowercase a copy, find each phrase with `str::find`, then try
+/// the three patterns. The one-scan parser must agree with it on every
+/// input.
+pub fn parse_mcq_oracle(response: &str) -> ParsedAnswer {
+    const MCQ_ABSTENTIONS: [&str; 6] =
+        ["don't know", "dont know", "do not know", "not sure", "none of", "cannot determine"];
+    const ABSTAIN_SLOT: u8 = 4;
+
+    fn extract_option(lower: &str) -> Option<u8> {
+        for marker in ["answer is", "answer:", "option", "choose", "select", "pick"] {
+            let Some(pos) = lower.find(marker) else { continue };
+            let after = &lower[pos + marker.len()..];
+            let candidate = after.trim_start_matches(|c: char| !c.is_ascii_alphanumeric());
+            if candidate.len() == after.len() && !after.is_empty() {
+                continue;
+            }
+            if let Some(opt) = letter_at(candidate) {
+                return Some(opt);
+            }
+        }
+        let bytes = lower.as_bytes();
+        let mut seen = [false; (ABSTAIN_SLOT + 1) as usize];
+        for i in 0..bytes.len().saturating_sub(1) {
+            if bytes[i + 1] == b')' && (b'a'..=b'e').contains(&bytes[i]) {
+                let preceded_ok = i == 0 || !bytes[i - 1].is_ascii_alphanumeric();
+                if preceded_ok {
+                    seen[(bytes[i] - b'a') as usize] = true;
+                }
+            }
+        }
+        if seen.iter().filter(|s| **s).count() >= 2 {
+            return None;
+        }
+        let stripped = lower.trim_start_matches(['(', '[', '"', '\'', ' ']);
+        if let Some(opt) = letter_at(stripped) {
+            return Some(opt);
+        }
+        for i in 0..bytes.len().saturating_sub(1) {
+            if bytes[i + 1] == b')' && (b'a'..=b'e').contains(&bytes[i]) {
+                let preceded_ok = i == 0 || !bytes[i - 1].is_ascii_alphanumeric();
+                if preceded_ok {
+                    return Some(bytes[i] - b'a');
+                }
+            }
+        }
+        None
+    }
+
+    fn letter_at(s: &str) -> Option<u8> {
+        let mut chars = s.chars();
+        let idx = match chars.next()?.to_ascii_lowercase() {
+            'a' => 0,
+            'b' => 1,
+            'c' => 2,
+            'd' => 3,
+            'e' => ABSTAIN_SLOT,
+            _ => return None,
+        };
+        match chars.next() {
+            None => Some(idx),
+            Some(c) if !c.is_ascii_alphanumeric() => Some(idx),
+            _ => None,
+        }
+    }
+
+    let trimmed = response.trim();
+    if trimmed.is_empty() {
+        return ParsedAnswer::Unparsed;
+    }
+    let lower = trimmed.to_ascii_lowercase();
+    let abstention = MCQ_ABSTENTIONS.iter().filter_map(|p| lower.find(p)).min();
+    let scope = match abstention {
+        Some(pos) => &lower[..pos],
+        None => &lower[..],
+    };
+    match extract_option(scope) {
+        Some(opt) if opt >= ABSTAIN_SLOT => ParsedAnswer::IDontKnow,
+        Some(opt) => ParsedAnswer::Option(opt),
+        None if abstention.is_some() => ParsedAnswer::IDontKnow,
+        None => ParsedAnswer::Unparsed,
+    }
 }

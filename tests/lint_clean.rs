@@ -5,7 +5,8 @@
 //! (D001/D002/D003/D004/C001/C002/M001/Q001), the interprocedural
 //! passes (D101/L001/L002/P001), the linter's own registry self-check
 //! (S001), or a `lint:allow` that no longer fires (U001) fails
-//! `cargo test`. The three tests share one lint of the workspace.
+//! `cargo test`. The three tests share one lint of the workspace, which
+//! also yields the call graph the third inspects.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -14,11 +15,17 @@ use taxoglimpse_lint::LintReport;
 
 const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
-fn report() -> &'static LintReport {
-    static REPORT: OnceLock<LintReport> = OnceLock::new();
-    REPORT.get_or_init(|| {
-        taxoglimpse_lint::lint_workspace(Path::new(ROOT)).expect("workspace sources readable")
+/// The workspace's lint report and call graph JSON, from one scan.
+fn lint() -> &'static (LintReport, String) {
+    static LINT: OnceLock<(LintReport, String)> = OnceLock::new();
+    LINT.get_or_init(|| {
+        taxoglimpse_lint::lint_workspace_with_graph(Path::new(ROOT))
+            .expect("workspace sources readable")
     })
+}
+
+fn report() -> &'static LintReport {
+    &lint().0
 }
 
 #[test]
@@ -57,8 +64,7 @@ fn interprocedural_passes_are_armed_against_this_workspace() {
         report.allows_used
     );
 
-    let graph_json = taxoglimpse_lint::workspace_graph_json(Path::new(ROOT)).expect("graph builds");
-    let doc = taxoglimpse::json::from_str_value(&graph_json).expect("graph JSON parses");
+    let doc = taxoglimpse::json::from_str_value(&lint().1).expect("graph JSON parses");
     let rendered = doc.render_pretty();
     for expected in [
         "core::grid::GridRunner::run_cells",

@@ -11,7 +11,10 @@ mod common;
 use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf, ParsedAnswer};
 use taxoglimpse::core::sampling::cochran_sample_size;
 use taxoglimpse::prelude::*;
-use common::{cases, mutate_binary, mutate_text, random_forest, random_unicode_taxonomy};
+use common::{
+    cases, mutate_binary, parse_mcq_oracle, random_forest, random_unicode_taxonomy, text_mutant,
+    transcript_fixture,
+};
 use taxoglimpse::synth::rng::{Rng, SynthRng};
 use taxoglimpse::taxonomy::{validate, Taxonomy};
 
@@ -131,6 +134,65 @@ fn mcq_parser_letters() {
     }
 }
 
+/// `parse_mcq` agrees with the function it replaced
+/// (`common::parse_mcq_oracle`) on every reply the simulated models can
+/// render, on the 2,000 hostile texts of `mutated_text_fails_cleanly`,
+/// and on random compositions of keywords, markers, hedges, letters and
+/// punctuation.
+#[test]
+fn mcq_parser_matches_its_oracle() {
+    use std::collections::BTreeSet;
+    use taxoglimpse::llm::respond::{render, Verdict};
+    let check = |text: &str| {
+        assert_eq!(parse_mcq(text), parse_mcq_oracle(text), "parse_mcq on {text:?}");
+    };
+
+    // Every reply: each variant is picked by a hash of the noise modulo
+    // at most 3, so 32 noise values reach every one that 128 do (the
+    // set sizes prove it), and all 128 are checked.
+    let (transcript, questions) = transcript_fixture();
+    let verdicts = [Verdict::Yes, Verdict::No, Verdict::IDontKnow]
+        .into_iter()
+        .chain((0..4).map(Verdict::Option));
+    for verdict in verdicts {
+        for model in ModelId::ALL {
+            for setting in PromptSetting::ALL {
+                for question in &questions {
+                    let (mut few, mut all) = (BTreeSet::new(), BTreeSet::new());
+                    for noise in 0..128u64 {
+                        let text = render(model, question, verdict, setting, noise);
+                        check(&text);
+                        if noise < 32 {
+                            few.insert(text.clone());
+                        }
+                        all.insert(text);
+                    }
+                    assert_eq!(few.len(), all.len(), "{model} {setting} {verdict:?}");
+                }
+            }
+        }
+    }
+
+    cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
+        check(&text_mutant(rng, &transcript).0);
+    });
+
+    const PIECES: [&str; 62] = [
+        "answer is", "The Answer Is", "answer:", "option", "OPTION", "choose", "select", "pick",
+        "optional", "chooses", "answer isn't", "don't know", "DONT KNOW", "do not know",
+        "not sure", "None of", "cannot determine", "don't", "not", "a", "b", "c", "d", "e", "f",
+        "A", "E", "(", ")", "[", "\"", "'", ":", ".", "—", " ", "\n", "é", "cab", "x", "yes",
+        "YEAH", "yep", "no", "Nope", "correct", "true", "incorrect", "FALSE", "unsure",
+        "uncertain", "sure", "know", "can't", "can", "t", "say", "determine", "north",
+        "knowing", "incorrectly", "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    ];
+    cases(PROPTEST_SEED, 20_000, "parser_oracles", |rng, _| {
+        let text: String =
+            (0..rng.gen_index(13)).map(|_| PIECES[rng.gen_index(PIECES.len())]).collect();
+        check(&text);
+    });
+}
+
 /// The binary codec round-trips arbitrary taxonomies and never panics
 /// on truncated input.
 #[test]
@@ -198,41 +260,10 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
 fn mutated_text_fails_cleanly() {
     use taxoglimpse::core::detailed::DetailedRun;
     use taxoglimpse::core::eval::score;
-    use taxoglimpse::core::question::QuestionBody;
     use taxoglimpse::json::from_str_value;
-    const TRANSCRIPT_FIELDS: [&str; 4] = ["prompt", "response", "parsed", "outcome"];
-    let ebay = generate(TaxonomyKind::Ebay, GenOptions { seed: 3, scale: 0.1 }).unwrap();
-    let dataset = DatasetBuilder::new(&ebay, TaxonomyKind::Ebay, 3)
-        .sample_cap(Some(2))
-        .build(QuestionDataset::Mcq)
-        .unwrap();
-    let model = SimulatedLlm::new(ModelId::Llama2_7b);
-    let transcript = DetailedRun::record(&model, &dataset, EvalConfig::default()).to_jsonl();
-    let mcq = dataset.questions().next().expect("ebay MCQ dataset is non-empty").clone();
-    assert!(matches!(mcq.body, QuestionBody::Mcq { .. }));
-    let tf = Question {
-        body: QuestionBody::TrueFalse { candidate: mcq.true_parent.clone(), expected_yes: true, negative: None },
-        surface_memo: Default::default(),
-        ..mcq.clone()
-    };
-    let sibling = Question {
-        body: QuestionBody::Sibling { options: vec!["a".into(), "b".into(), "c".into()], correct: Some(1) },
-        surface_memo: Default::default(),
-        ..mcq.clone()
-    };
+    let (transcript, questions) = transcript_fixture();
     cases(PROPTEST_SEED, 2_000, "text_mutation", |rng, _| {
-        let t = random_unicode_taxonomy(rng);
-        let source = rng.gen_index(3);
-        let text = match source {
-            0 => t.to_json(),
-            1 => t.to_tsv(),
-            _ => transcript.clone(),
-        };
-        let (bytes, nested) = mutate_text(rng, text.into_bytes(), |rng| match source {
-            2 => TRANSCRIPT_FIELDS[rng.gen_index(TRANSCRIPT_FIELDS.len())].to_owned(),
-            _ => format!("node-{}", rng.gen_index(t.len())),
-        });
-        let text = String::from_utf8_lossy(&bytes);
+        let (text, nested) = text_mutant(rng, &transcript);
         let value = from_str_value(&text);
         assert!(!nested || value.is_err(), "nesting past MAX_DEPTH must be rejected");
         if let Ok(back) = Taxonomy::from_json(&text) {
@@ -245,7 +276,7 @@ fn mutated_text_fails_cleanly() {
         assert!(!nested || run.is_err(), "nesting past MAX_DEPTH must be rejected");
         parse_tf(&text);
         parse_mcq(&text);
-        for question in [&tf, &mcq, &sibling] {
+        for question in &questions {
             score(question, parse_answer(question, &text));
         }
     });
