@@ -8,12 +8,8 @@
 //! 4. **synthetic scale** — Cochran sample sizes saturate, so dataset
 //!    sizes are insensitive to generating a 10× smaller NCBI.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin ablation
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- ablation`.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
@@ -23,39 +19,8 @@ use taxoglimpse_core::templates::TemplateVariant;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_report::table::{fmt3, Table};
-use taxoglimpse_synth::{generate, GenOptions};
-use taxoglimpse_taxonomy::Taxonomy;
 
-/// Wall-time budget for materializing one taxonomy. Even NCBI at full
-/// fidelity (2.19M nodes) generates in well under a second and loads
-/// from its binary snapshot in tens of milliseconds, so the budget only
-/// trips on pathologically slow storage — in which case we point at the
-/// `--scale` escape hatch rather than silently overriding the request.
-const MATERIALIZE_BUDGET: Duration = Duration::from_secs(10);
-
-fn materialize(
-    cache: &TaxonomyCache,
-    kind: TaxonomyKind,
-    seed: u64,
-    scale: f64,
-) -> Arc<Taxonomy> {
-    let t0 = Instant::now();
-    let taxonomy = cache.get(kind, seed, scale);
-    if t0.elapsed() > MATERIALIZE_BUDGET {
-        eprintln!(
-            "note: materializing {} at scale {scale} took {:?} (budget {:?}); \
-             pass --scale to cap the taxonomy size",
-            kind.display_name(),
-            t0.elapsed(),
-            MATERIALIZE_BUDGET,
-        );
-    }
-    taxonomy
-}
-
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let runner = GridRunner::default();
 
     // ── 1. hard vs easy negatives ────────────────────────────────────
@@ -66,9 +31,9 @@ fn main() {
     );
     let model = SimulatedLlm::new(ModelId::Gpt4);
     for kind in [TaxonomyKind::Amazon, TaxonomyKind::Glottolog, TaxonomyKind::Ncbi] {
-        let taxonomy = materialize(&cache, kind, opts.seed, opts.scale);
-        let easy = runner.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Easy, &opts));
-        let hard = runner.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts));
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
+        let easy = runner.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Easy, opts));
+        let hard = runner.run(&model, &build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts));
         t1.push_row(vec![
             kind.display_name().into(),
             fmt3(easy.overall.accuracy()),
@@ -80,8 +45,8 @@ fn main() {
 
     // ── 2. surface evidence on/off ───────────────────────────────────
     println!("Ablation 2: surface-form evidence and the NCBI last-level uplift\n");
-    let ncbi = materialize(&cache, TaxonomyKind::Ncbi, opts.seed, opts.scale);
-    let dataset = build_dataset(&ncbi, TaxonomyKind::Ncbi, QuestionDataset::Hard, &opts);
+    let ncbi = cache.get(TaxonomyKind::Ncbi, opts.seed, opts.scale);
+    let dataset = build_dataset(&ncbi, TaxonomyKind::Ncbi, QuestionDataset::Hard, opts);
     let with = runner.run(&SimulatedLlm::new(ModelId::Gpt4), &dataset);
     let without = runner.run(
         &SimulatedLlm::new(ModelId::Gpt4).without_surface_evidence(),
@@ -109,8 +74,8 @@ fn main() {
 
     // ── 3. template paraphrases ──────────────────────────────────────
     println!("Ablation 3: template paraphrase stability (Flan-T5-11B, Google hard)\n");
-    let google = materialize(&cache, TaxonomyKind::Google, opts.seed, opts.scale);
-    let gd = build_dataset(&google, TaxonomyKind::Google, QuestionDataset::Hard, &opts);
+    let google = cache.get(TaxonomyKind::Google, opts.seed, opts.scale);
+    let gd = build_dataset(&google, TaxonomyKind::Google, QuestionDataset::Hard, opts);
     let flan = SimulatedLlm::new(ModelId::FlanT5_11b);
     for variant in TemplateVariant::ALL {
         let report = GridRunner::builder().with_config(EvalConfig { variant, ..Default::default() }).build().run(&flan, &gd);
@@ -121,7 +86,7 @@ fn main() {
     // ── 4. synthetic scale insensitivity ─────────────────────────────
     println!("Ablation 4: Cochran saturation — NCBI dataset sizes vs taxonomy scale\n");
     for scale in [1.0, 0.5, 0.1] {
-        let t = generate(TaxonomyKind::Ncbi, GenOptions { seed: opts.seed, scale }).expect("valid");
+        let t = cache.get(TaxonomyKind::Ncbi, opts.seed, scale);
         let d = DatasetBuilder::new(&t, TaxonomyKind::Ncbi, opts.seed)
             .build(QuestionDataset::Mcq)
             .expect("probe levels");

@@ -3,9 +3,7 @@
 //! level-trend slopes behind Finding 2, and multi-seed variance of the
 //! simulation vs the benchmark's own sampling error.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin analysis [--cap 200]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- analysis [--cap 200]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::analysis::{level_trend, spearman, two_proportion_z};
@@ -18,9 +16,7 @@ use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::table::Table;
 use taxoglimpse_synth::PopularityModel;
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
     let runner = GridRunner::default();
 
@@ -38,7 +34,7 @@ fn main() {
             .iter()
             .map(|&kind| {
                 let taxonomy = cache.get(kind, opts.seed, opts.scale);
-                let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
+                let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts);
                 runner.run(model.as_ref(), &dataset).overall.accuracy()
             })
             .collect();
@@ -49,7 +45,7 @@ fn main() {
     // ── pairwise significance on a specialized taxonomy ──────────────
     println!("Pairwise significance, Glottolog hard (two-proportion z-test)\n");
     let glotto = cache.get(TaxonomyKind::Glottolog, opts.seed, opts.scale);
-    let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, &opts);
+    let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, opts);
     let contenders = [ModelId::Gpt4, ModelId::Llms4Ol, ModelId::Llama3_8b, ModelId::FlanT5_11b];
     let reports: Vec<_> = contenders
         .iter()
@@ -75,7 +71,7 @@ fn main() {
     println!("\nLevel-trend slopes (accuracy per level step; negative = root-to-leaf decline)\n");
     for kind in [TaxonomyKind::Amazon, TaxonomyKind::Glottolog, TaxonomyKind::Oae] {
         let taxonomy = cache.get(kind, opts.seed, opts.scale);
-        let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
+        let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts);
         let mut slopes = Vec::new();
         for model in zoo.all() {
             slopes.push(level_trend(&runner.run(model.as_ref(), &dataset)));
@@ -88,7 +84,7 @@ fn main() {
     // ── simulation variance vs sampling error ────────────────────────
     println!("\nMulti-seed variance (GPT-4, eBay hard): simulation noise vs the ±5% design margin\n");
     let ebay = cache.get(TaxonomyKind::Ebay, opts.seed, 1.0);
-    let ed = build_dataset(&ebay, TaxonomyKind::Ebay, QuestionDataset::Hard, &opts);
+    let ed = build_dataset(&ebay, TaxonomyKind::Ebay, QuestionDataset::Hard, opts);
     let accs: Vec<f64> = (0..8u64)
         .map(|s| {
             runner

@@ -4,9 +4,7 @@
 //! Paper reference points: 59% construction/maintenance saving,
 //! precision 0.713, recall 0.792.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin casestudy [--cap 100]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- casestudy [--cap 100]`.
 
 use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_core::casestudy::{CaseStudy, CaseStudyConfig};
@@ -14,9 +12,7 @@ use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let taxonomy = cache.get(TaxonomyKind::Amazon, opts.seed, opts.scale);
 
     let config = CaseStudyConfig {

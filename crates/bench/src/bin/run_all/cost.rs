@@ -8,9 +8,7 @@
 //! the model's own usage meter; every delivery, retried or not, takes
 //! one `seconds_per_delivery` of simulated serving time.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin cost [--models GPT-4,Llama-2-70B] [--cap 50]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- cost [--models GPT-4,Llama-2-70B] [--cap 50]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
@@ -25,9 +23,7 @@ use taxoglimpse_report::table::Table;
 /// Share of deliveries the serving layer loses to transient outages.
 const UNAVAILABLE_RATE: f64 = 0.02;
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let runner = GridRunner::default();
     let models = opts
         .models
@@ -56,7 +52,7 @@ fn main() {
         for kind in TaxonomyKind::ALL {
             let taxonomy = cache.get(kind, opts.seed, opts.scale);
             for flavor in QuestionDataset::ALL {
-                let dataset = build_dataset(&taxonomy, kind, flavor, &opts);
+                let dataset = build_dataset(&taxonomy, kind, flavor, opts);
                 questions += dataset.len();
                 // Accumulate across datasets: bypass the per-run reset.
                 for slice in &dataset.levels {

@@ -1,17 +1,13 @@
 //! Regenerates **Figure 2** — popularity of the ten taxonomies, measured
 //! as the mean simulated web-hit count over 100 sampled concepts each.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin fig2 [--scale 0.1]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- fig2 [--scale 0.1]`.
 
 use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_synth::PopularityModel;
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let model = PopularityModel::new(opts.seed);
 
     let taxonomies: Vec<(TaxonomyKind, std::sync::Arc<taxoglimpse_taxonomy::Taxonomy>)> =

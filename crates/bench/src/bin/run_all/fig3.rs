@@ -2,9 +2,7 @@
 //! under zero-shot prompting, for the nine multi-level taxonomies
 //! (GeoNames has a single child level and is omitted, as in the paper).
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin fig3 [--models GPT-4,LLMs4OL]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- fig3 [--models GPT-4,LLMs4OL]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
@@ -13,9 +11,7 @@ use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::figures::{Figure, Series};
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
     let runner = GridRunner::default();
     let models = opts.model_list();
@@ -26,7 +22,7 @@ fn main() {
             continue; // single child level: nothing to plot (paper §4.2)
         }
         let taxonomy = cache.get(kind, opts.seed, opts.scale);
-        let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
+        let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts);
         let mut figure = Figure::new(format!(
             "Figure 3({}): {} — accuracy per level, hard, zero-shot",
             panel as char,

@@ -3,9 +3,7 @@
 //! zero-shot, few-shot and CoT prompting: accuracy and miss rate per
 //! taxonomy.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin fig4 [--cap 100]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- fig4 [--cap 100]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
@@ -17,9 +15,7 @@ use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::figures::{Figure, Series};
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
 
     for model in zoo.figure4_representatives() {
@@ -31,7 +27,7 @@ fn main() {
             let mut miss_points = Vec::new();
             for kind in TaxonomyKind::ALL {
                 let taxonomy = cache.get(kind, opts.seed, opts.scale);
-                let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
+                let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts);
                 let report = runner.run(model.as_ref(), &dataset);
                 acc_points.push((kind.display_name().to_owned(), report.overall.accuracy()));
                 miss_points.push((kind.display_name().to_owned(), report.overall.miss_rate()));

@@ -1,9 +1,7 @@
 //! Regenerates **Figure 5** — example few-shot and Chain-of-Thoughts
 //! prompts, rendered from a real dataset slice.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin fig5
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- fig5`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
@@ -11,12 +9,10 @@ use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::prompts::{render_prompt, PromptSetting};
 use taxoglimpse_core::templates::TemplateVariant;
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let kind = TaxonomyKind::Glottolog;
     let taxonomy = cache.get(kind, opts.seed, opts.scale.min(0.2));
-    let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
+    let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts);
 
     let slice = &dataset.levels[dataset.levels.len() - 1];
     let question = &slice.questions[0];

@@ -2,9 +2,7 @@
 //! on hard datasets, zero-shot, for the six instance-bearing taxonomies
 //! (Amazon, Google, Glottolog, ICD-10-CM, OAE, NCBI).
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin fig6 [--cap 100]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- fig6 [--cap 100]`.
 
 use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
@@ -13,9 +11,7 @@ use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::figures::{Figure, Series};
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
     let runner = GridRunner::default();
     let models = opts.model_list();

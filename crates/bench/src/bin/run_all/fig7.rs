@@ -1,14 +1,13 @@
 //! Regenerates **Figure 7** — scalability of the six open-source model
 //! series: GPU RAM and average per-question inference time.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin fig7
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- fig7`.
 
+use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_llm::scalability::{family_latency_slope, figure7_series};
 use taxoglimpse_report::table::Table;
 
-fn main() {
+pub fn run(_opts: &RunOptions, _cache: &TaxonomyCache) {
     let mut table = Table::new(
         "Figure 7: Scalability of different model series".to_owned(),
         vec![

@@ -3,9 +3,7 @@
 //! the polarity and similarity-band failure analysis for the winner and
 //! a weak model.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin leaderboard [--cap 100]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- leaderboard [--cap 100]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::{Dataset, QuestionDataset};
@@ -17,9 +15,7 @@ use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::leaderboard::{leaderboard, render};
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
 
     // Datasets: all taxonomies × all flavors.
@@ -27,7 +23,7 @@ fn main() {
     for kind in TaxonomyKind::ALL {
         let taxonomy = cache.get(kind, opts.seed, opts.scale);
         for flavor in QuestionDataset::ALL {
-            datasets.push(build_dataset(&taxonomy, kind, flavor, &opts));
+            datasets.push(build_dataset(&taxonomy, kind, flavor, opts));
         }
     }
     let dataset_refs: Vec<&Dataset> = datasets.iter().collect();
@@ -40,7 +36,7 @@ fn main() {
     // Failure analysis: polarity + similarity bands on Glottolog hard.
     println!("Failure analysis, Glottolog hard (positives vs hard negatives; similarity bands)\n");
     let glotto = cache.get(TaxonomyKind::Glottolog, opts.seed, opts.scale);
-    let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, &opts);
+    let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, opts);
     for id in [ModelId::Gpt4, ModelId::Vicuna13b] {
         let model = zoo.get(id).expect("zoo");
         let run = DetailedRun::record(model.as_ref(), &gd, Default::default());

@@ -4,19 +4,16 @@
 //! apply — versus how many a hybrid taxonomy (deep levels delegated to
 //! an LLM) absorbs for free.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin maintenance [--scale 0.2]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- maintenance [--scale 0.2]`.
 
-use taxoglimpse_bench::RunOptions;
+use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_report::table::Table;
 use taxoglimpse_synth::drift::{evolve, DriftConfig};
 use taxoglimpse_synth::{generate, GenOptions};
 use taxoglimpse_taxonomy::diff::diff;
 
-fn main() {
-    let opts = RunOptions::from_env();
+pub fn run(opts: &RunOptions, _cache: &TaxonomyCache) {
     let releases = 5usize;
     let config = DriftConfig::default();
 

@@ -2,9 +2,7 @@
 //! unlock an abstention-prone model? The paper fixes five shots (§4.4);
 //! this sweep shows where the benefit saturates.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin shots [--cap 150]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- shots [--cap 150]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::{Dataset, QuestionDataset};
@@ -16,13 +14,11 @@ use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::table::{fmt3, Table};
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
     let kind = TaxonomyKind::Amazon;
     let taxonomy = cache.get(kind, opts.seed, opts.scale.min(0.3));
-    let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, &opts);
+    let dataset = build_dataset(&taxonomy, kind, QuestionDataset::Hard, opts);
 
     let shot_counts = [0usize, 1, 2, 3, 5];
     let mut headers = vec!["Model".into(), "".into()];

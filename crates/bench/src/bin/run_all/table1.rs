@@ -1,17 +1,13 @@
 //! Regenerates **Table 1** — statistics of the ten taxonomies.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin table1 [--scale 1.0]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- table1 [--scale 1.0]`.
 
-use taxoglimpse_bench::RunOptions;
+use taxoglimpse_bench::{RunOptions, TaxonomyCache};
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_report::table::Table;
-use taxoglimpse_synth::{generate, GenOptions};
 use taxoglimpse_taxonomy::TaxonomyStats;
 
-fn main() {
-    let opts = RunOptions::from_env();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let mut table = Table::new(
         format!("Table 1: Statistics of taxonomies (scale {})", opts.scale),
         vec![
@@ -25,10 +21,9 @@ fn main() {
     );
     for kind in TaxonomyKind::ALL {
         let start = std::time::Instant::now();
-        let taxonomy = generate(kind, GenOptions { seed: opts.seed, scale: opts.scale })
-            .expect("valid scale");
+        let taxonomy = cache.get(kind, opts.seed, opts.scale);
         let stats = TaxonomyStats::compute(&taxonomy);
-        eprintln!("generated {kind} ({} nodes) in {:?}", stats.num_entities, start.elapsed());
+        eprintln!("materialized {kind} ({} nodes) in {:?}", stats.num_entities, start.elapsed());
         table.push_row(vec![
             kind.domain().to_string(),
             kind.display_name().to_owned(),

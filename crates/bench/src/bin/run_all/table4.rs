@@ -1,18 +1,14 @@
 //! Regenerates **Table 4** — per-level statistics of the Easy, Hard and
 //! MCQ datasets.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin table4 [--scale 1.0]
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- table4 [--scale 1.0]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_report::table::Table;
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
 
     // Rows: level × flavor; columns: taxonomies.
     let max_levels = 7; // NCBI depth
@@ -30,7 +26,7 @@ fn main() {
     for (ki, &kind) in TaxonomyKind::ALL.iter().enumerate() {
         let taxonomy = cache.get(kind, opts.seed, opts.scale);
         for (fi, flavor) in QuestionDataset::ALL.into_iter().enumerate() {
-            let dataset = build_dataset(&taxonomy, kind, flavor, &opts);
+            let dataset = build_dataset(&taxonomy, kind, flavor, opts);
             for (level, n) in dataset.level_counts() {
                 counts[ki][fi][level] = Some(n);
             }

@@ -2,11 +2,7 @@
 //! rate *M* of the eighteen models on the Hard, Easy and MCQ datasets —
 //! and prints the paper-vs-measured fidelity summary.
 //!
-//! ```text
-//! cargo run --release -p taxoglimpse-bench --bin tables567 -- hard
-//! cargo run --release -p taxoglimpse-bench --bin tables567 -- easy mcq --models GPT-4
-//! cargo run --release -p taxoglimpse-bench --bin tables567            # all three
-//! ```
+//! Alone: `cargo run --release -p taxoglimpse-bench -- tables567 [--models GPT-4]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
 use taxoglimpse_core::dataset::{Dataset, QuestionDataset};
@@ -18,31 +14,12 @@ use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::compare::ComparisonSummary;
 use taxoglimpse_report::table::{fmt3, Table};
 
-fn main() {
-    let opts = RunOptions::from_env();
-    let flavors: Vec<QuestionDataset> = if opts.positional.is_empty() {
-        QuestionDataset::ALL.to_vec()
-    } else {
-        opts.positional
-            .iter()
-            .map(|p| match p.to_ascii_lowercase().as_str() {
-                "easy" => QuestionDataset::Easy,
-                "hard" => QuestionDataset::Hard,
-                "mcq" => QuestionDataset::Mcq,
-                other => {
-                    eprintln!("unknown flavor {other:?} (want easy|hard|mcq)");
-                    std::process::exit(2);
-                }
-            })
-            .collect()
-    };
-
-    let cache = TaxonomyCache::new();
+pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let zoo = ModelZoo::default_zoo();
     let runner = GridRunner::builder().with_config(EvalConfig::default()).build();
     let models = opts.model_list();
 
-    for flavor in flavors {
+    for flavor in QuestionDataset::ALL {
         let table_no = match flavor {
             QuestionDataset::Hard => 5,
             QuestionDataset::Easy => 6,
@@ -60,7 +37,7 @@ fn main() {
             .into_iter()
             .map(|kind| {
                 let taxonomy = cache.get(kind, opts.seed, opts.scale);
-                build_dataset(&taxonomy, kind, flavor, &opts)
+                build_dataset(&taxonomy, kind, flavor, opts)
             })
             .collect();
         let dataset_refs: Vec<&Dataset> = datasets.iter().collect();

@@ -1,8 +1,10 @@
 //! # taxoglimpse-bench
 //!
-//! Shared plumbing for the experiment binaries. Each paper table/figure
-//! has a binary (`table1`, `table4`, `tables567`, `fig2`–`fig7`,
-//! `casestudy`), plus `run_all`, all accepting:
+//! Shared plumbing for the experiments. Each paper table/figure is an
+//! entry (`table1`, `table4`, `tables567`, `fig2`–`fig7`, `casestudy`,
+//! …) in the registry of the one binary, `run_all`, which runs the
+//! entries named on its command line (all of them by default) in one
+//! process over one [`TaxonomyCache`]. It accepts:
 //!
 //! ```text
 //! --scale <f64>   taxonomy scale factor (default 1.0 = Table-1 fidelity;
@@ -19,8 +21,7 @@
 
 #![warn(missing_docs)]
 
-// lint:allow(D001, bench-only cache: keyed lookups under a Mutex, never iterated, and bench output is not digested)
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
@@ -28,7 +29,7 @@ use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_synth::{generate, GenOptions, SEQ_STREAM_VERSION};
 use taxoglimpse_taxonomy::{SnapshotStore, Taxonomy};
 
-/// Common CLI options for the experiment binaries.
+/// Command-line options shared by every experiment.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Taxonomy scale in `(0, 1]`.
@@ -39,7 +40,8 @@ pub struct RunOptions {
     pub seed: u64,
     /// Restrict to these models (`None` = all eighteen).
     pub models: Option<Vec<ModelId>>,
-    /// Positional arguments left after flag parsing.
+    /// Positional arguments left after flag parsing (for `run_all`,
+    /// the experiments to run).
     pub positional: Vec<String>,
 }
 
@@ -112,7 +114,8 @@ where
     next_value(args, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
-/// Cache of generated taxonomies so `run_all` builds each only once.
+/// Cache of generated taxonomies, shared by every experiment of one
+/// `run_all` process so a run builds each only once.
 ///
 /// Two tiers: an in-process map (so one run never regenerates), backed
 /// by the on-disk [`SnapshotStore`] (so *successive* runs load the
@@ -122,8 +125,7 @@ where
 /// scale, stream + codec versions) and checksum-verified on load, so a
 /// stale or corrupt file silently degrades to regeneration.
 pub struct TaxonomyCache {
-    // lint:allow(D001, keyed get-or-insert only; iteration order never observed)
-    inner: Mutex<HashMap<(TaxonomyKind, u64, u64), std::sync::Arc<Taxonomy>>>,
+    inner: Mutex<BTreeMap<(TaxonomyKind, u64, u64), std::sync::Arc<Taxonomy>>>,
     store: SnapshotStore,
 }
 
@@ -137,8 +139,7 @@ impl TaxonomyCache {
     /// A cache backed by the default on-disk snapshot store
     /// (`$TAXOGLIMPSE_CACHE_DIR`, else `target/taxo-cache`).
     pub fn new() -> Self {
-        // lint:allow(D001, lookup-only memo keyed by (kind, seed, scale); iteration order never reaches any serialized output)
-        TaxonomyCache { inner: Mutex::new(HashMap::new()), store: SnapshotStore::open_default() }
+        TaxonomyCache { inner: Mutex::new(BTreeMap::new()), store: SnapshotStore::open_default() }
     }
 
     /// Get or generate the taxonomy for `(kind, seed, scale)`.

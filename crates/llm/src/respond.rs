@@ -7,6 +7,7 @@
 //! short "reasoning" passage before the verdict, as real models do.
 
 use crate::profile::{ModelFamily, ModelId};
+use std::fmt::Write;
 use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_core::question::Question;
 use taxoglimpse_synth::rng::mix64;
@@ -24,6 +25,11 @@ pub enum Verdict {
     Option(u8),
 }
 
+/// The chain-of-thought reasoning passage, around the child's name.
+const COT_OPEN: &str = "Let's think step by step. ";
+const COT_CLOSE: &str = " is an entity at a certain level of this hierarchy; \
+    comparing it with the proposed supertype and its typical members, we can decide. ";
+
 /// Render `verdict` as natural language in the voice of `model`.
 pub fn render(
     model: ModelId,
@@ -32,67 +38,70 @@ pub fn render(
     setting: PromptSetting,
     noise: u64,
 ) -> String {
-    // Pick the phrasing-variant index first, then construct only the
-    // picked variant — building every variant just to clone one was
-    // pure allocation waste on the hot path.
+    // Pick the phrasing-variant index first, then write only the picked
+    // variant, behind the CoT preamble when there is one, into one
+    // buffer sized for the longest variant: one allocation per reply.
     let pick = |n: usize, salt: u64| (mix64(noise ^ salt) % n as u64) as usize;
-    let core = match verdict {
+    let child = &question.child;
+    let candidate = question.shown_candidate();
+    let cot = setting == PromptSetting::ChainOfThought
+        && !matches!(model.family(), ModelFamily::FlanT5 | ModelFamily::Llms4Ol);
+    let preamble = if cot { COT_OPEN.len() + child.len() + COT_CLOSE.len() } else { 0 };
+    let mut out = String::with_capacity(preamble + child.len() + candidate.len() + 48);
+    if cot {
+        out.push_str(COT_OPEN);
+        out.push_str(child);
+        out.push_str(COT_CLOSE);
+    }
+    // Writing into a String cannot fail.
+    let _ = match verdict {
         Verdict::Yes => match model.family() {
-            ModelFamily::FlanT5 | ModelFamily::Llms4Ol => "yes".to_owned(),
+            ModelFamily::FlanT5 | ModelFamily::Llms4Ol => out.write_str("yes"),
             ModelFamily::Gpt | ModelFamily::Claude => match pick(3, 1) {
-                0 => format!("Yes, {} is a type of {}.", question.child, question.shown_candidate()),
-                1 => format!("Yes — {} falls under {}.", question.child, question.shown_candidate()),
-                _ => "Yes.".to_owned(),
+                0 => write!(out, "Yes, {child} is a type of {candidate}."),
+                1 => write!(out, "Yes — {child} falls under {candidate}."),
+                _ => out.write_str("Yes."),
             },
             _ => match pick(3, 2) {
-                0 => "Yes.".to_owned(),
-                1 => "Sure! The answer is: Yes".to_owned(),
-                _ => format!("Yes, that's correct — {} belongs there.", question.child),
+                0 => out.write_str("Yes."),
+                1 => out.write_str("Sure! The answer is: Yes"),
+                _ => write!(out, "Yes, that's correct — {child} belongs there."),
             },
         },
         Verdict::No => match model.family() {
-            ModelFamily::FlanT5 | ModelFamily::Llms4Ol => "no".to_owned(),
+            ModelFamily::FlanT5 | ModelFamily::Llms4Ol => out.write_str("no"),
             ModelFamily::Gpt | ModelFamily::Claude => match pick(3, 3) {
-                0 => format!("No, {} is not a type of {}.", question.child, question.shown_candidate()),
-                1 => "No.".to_owned(),
-                _ => format!("No — {} belongs to a different category.", question.child),
+                0 => write!(out, "No, {child} is not a type of {candidate}."),
+                1 => out.write_str("No."),
+                _ => write!(out, "No — {child} belongs to a different category."),
             },
             _ => match pick(2, 4) {
-                0 => "No.".to_owned(),
-                _ => "No, that is not correct.".to_owned(),
+                0 => out.write_str("No."),
+                _ => out.write_str("No, that is not correct."),
             },
         },
         Verdict::IDontKnow => match pick(3, 5) {
-            0 => "I don't know.".to_owned(),
-            1 => "I don't know the answer to that.".to_owned(),
-            _ => format!("I'm not sure about {}, so I don't know.", question.child),
+            0 => out.write_str("I don't know."),
+            1 => out.write_str("I don't know the answer to that."),
+            _ => write!(out, "I'm not sure about {child}, so I don't know."),
         },
         Verdict::Option(i) => {
             let letter = (b'A' + i) as char;
             match model.family() {
-                ModelFamily::FlanT5 | ModelFamily::Llms4Ol => format!("{letter})"),
+                ModelFamily::FlanT5 | ModelFamily::Llms4Ol => write!(out, "{letter})"),
                 ModelFamily::Gpt | ModelFamily::Claude => match pick(3, 6) {
-                    0 => format!("The answer is {letter}."),
-                    1 => format!("{letter})"),
-                    _ => format!("The most appropriate supertype is {letter})."),
+                    0 => write!(out, "The answer is {letter}."),
+                    1 => write!(out, "{letter})"),
+                    _ => write!(out, "The most appropriate supertype is {letter})."),
                 },
                 _ => match pick(2, 7) {
-                    0 => format!("{letter})"),
-                    _ => format!("I would choose {letter}."),
+                    0 => write!(out, "{letter})"),
+                    _ => write!(out, "I would choose {letter}."),
                 },
             }
         }
     };
-
-    if setting == PromptSetting::ChainOfThought && !matches!(model.family(), ModelFamily::FlanT5 | ModelFamily::Llms4Ol) {
-        format!(
-            "Let's think step by step. {} is an entity at a certain level of this hierarchy; \
-             comparing it with the proposed supertype and its typical members, we can decide. {core}",
-            question.child
-        )
-    } else {
-        core
-    }
+    out
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Content-addressed on-disk taxonomy snapshots.
 //!
 //! Generating the NCBI-scale forest costs hundreds of milliseconds;
-//! loading its binary snapshot costs tens. Since every bench bin wants
-//! the same `(kind, seed, scale)` taxonomies, a small on-disk cache
-//! amortizes generation across the whole bench suite: generate once,
-//! load from binary thereafter.
+//! loading its binary snapshot costs tens. Successive runs of the
+//! experiment runner want the same `(kind, seed, scale)` taxonomies, so
+//! a small on-disk cache amortizes generation across runs: generate
+//! once, load from binary thereafter. Within one run, the runner's
+//! `TaxonomyCache` memoizes in memory.
 //!
 //! The cache is *content-addressed by construction inputs*: the caller
 //! builds a key naming everything that determines the bytes (kind

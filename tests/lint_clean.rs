@@ -59,7 +59,7 @@ fn interprocedural_passes_are_armed_against_this_workspace() {
     let report = report();
     assert!(report.findings.is_empty(), "{}", report.render_table());
     assert!(
-        report.allows_used >= 8,
+        report.allows_used >= 5,
         "expected the triaged P001 suppressions to fire; only {} allow(s) used",
         report.allows_used
     );

@@ -116,25 +116,42 @@ const GRID_KINDS: [(TaxonomyKind, f64); 5] = [
     (TaxonomyKind::Icd10Cm, 1.0),
 ];
 
+/// Tables 5–7 fidelity of this test's grid (seed 4242; the six models
+/// above on the five taxonomies above, all at scale 1.0) as measured
+/// when the bounds below were set: `(flavor, mean |dA|, mean |dM|,
+/// max |dA|)`. Winner agreement was 0.8 on every flavor.
+const FIDELITY_TODAY: [(QuestionDataset, f64, f64, f64); 3] = [
+    (QuestionDataset::Easy, 0.0208, 0.0018, 0.1251),
+    (QuestionDataset::Hard, 0.0215, 0.0020, 0.1244),
+    (QuestionDataset::Mcq, 0.0127, 0.0018, 0.0469),
+];
+
+/// Headroom over [`FIDELITY_TODAY`]: a change may move a mean delta by
+/// one accuracy point and the worst cell by two before this test calls
+/// it a fidelity regression. Winner agreement may lose one of the five
+/// taxonomies (0.8 → 0.6).
+const MEAN_HEADROOM: f64 = 0.01;
+const MAX_HEADROOM: f64 = 0.02;
+
 /// Tables 5–7 — measured accuracy/miss land near the paper's cells and
 /// the per-taxonomy winners agree.
 #[test]
 fn tables_5_6_7_cells_near_paper() {
-    for flavor in QuestionDataset::ALL {
+    for (flavor, mean_a, mean_m, max_a) in FIDELITY_TODAY {
         let summary = measure_grid(&GRID_MODELS, &GRID_KINDS, flavor);
         assert!(
-            summary.mean_delta_a() < 0.05,
-            "{flavor}: mean |dA| {}",
+            summary.mean_delta_a() < mean_a + MEAN_HEADROOM,
+            "{flavor}: mean |dA| {} (was {mean_a})",
             summary.mean_delta_a()
         );
         assert!(
-            summary.mean_delta_m() < 0.05,
-            "{flavor}: mean |dM| {}",
+            summary.mean_delta_m() < mean_m + MEAN_HEADROOM,
+            "{flavor}: mean |dM| {} (was {mean_m})",
             summary.mean_delta_m()
         );
         assert!(
-            summary.max_delta_a() < 0.15,
-            "{flavor}: max |dA| {}",
+            summary.max_delta_a() < max_a + MAX_HEADROOM,
+            "{flavor}: max |dA| {} (was {max_a})",
             summary.max_delta_a()
         );
         assert!(
