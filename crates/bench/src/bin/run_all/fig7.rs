@@ -30,10 +30,15 @@ pub fn run(_opts: &RunOptions, _cache: &TaxonomyCache) {
     println!("{}", table.render_ascii());
 
     println!("latency growth slope (s/question per extra billion parameters):");
+    let mut slopes = Vec::new();
     for (family, _) in figure7_series() {
         if let Some(slope) = family_latency_slope(family) {
             println!("  {family:?}: {slope:.4}");
+            slopes.push((slope, family));
         }
     }
-    println!("\npaper's qualitative claim: Flan-T5s, Vicunas and Llama-3s scale best — check the three smallest slopes above.");
+    slopes.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let best: Vec<String> = slopes.iter().take(3).map(|(_, family)| format!("{family:?}")).collect();
+    println!("\nthe three smallest slopes (best scaling here): {}", best.join(", "));
+    println!("paper's qualitative claim: Flan-T5s, Vicunas and Llama-3s scale best.");
 }

@@ -1,7 +1,7 @@
-//! The model leaderboard: all eighteen models ranked by macro-average
-//! accuracy over every (taxonomy × flavor) cell, with Wilson CIs — plus
-//! the polarity and similarity-band failure analysis for the winner and
-//! a weak model.
+//! The model leaderboard: all eighteen models ranked by accuracy pooled
+//! over every (taxonomy × flavor) cell, with its Wilson CI and the
+//! macro averages beside it — plus the polarity and similarity-band
+//! failure analysis for the winner and a weak model.
 //!
 //! Alone: `cargo run --release -p taxoglimpse-bench -- leaderboard [--cap 100]`.
 

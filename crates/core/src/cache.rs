@@ -4,9 +4,9 @@
 //! factor in using an LLM *as* a taxonomy, and real traffic is heavily
 //! repeated — so successful answers are worth memoizing. This module is
 //! the exact-memoization layer: a [`ResponseCache`] keyed on
-//! **(snapshot version, model, question identity, prompt setting,
-//! prompt text, retry ordinal)** and a [`CachedModel`] middleware that
-//! consults it before delegating to the wrapped model.
+//! **(model, question identity, prompt setting, prompt text, retry
+//! ordinal)** and a [`CachedModel`] middleware that consults it before
+//! delegating to the wrapped model.
 //!
 //! Correctness rules, in order of importance:
 //!
@@ -19,15 +19,14 @@
 //!    depends on that clock, so serving a hit with zero latency would
 //!    make cache-on runs observably different from cache-off runs.
 //! 3. **Every hit is verified against the full key materials** (model
-//!    name, structured question, setting, attempt, prompt bytes,
-//!    snapshot version) before being served: a 64-bit key collision
-//!    can redirect a lookup to the wrong bucket but can never produce
-//!    a wrong answer.
-//! 4. **Invalidation is edit-driven.** Callers stamp the cache with
-//!    [`ResponseCache::set_version`] (typically the taxonomy's
-//!    `content_digest()`); a version change clears every entry, so
-//!    answers observed against an edited snapshot can never leak into
-//!    runs over the old one or vice versa.
+//!    name, structured question, setting, attempt, prompt bytes) before
+//!    being served: a 64-bit key collision can redirect a lookup to the
+//!    wrong bucket but can never produce a wrong answer.
+//! 4. **No invalidation is needed.** Answers are pure functions of the
+//!    query, and rule 3 matches every material of it. After a taxonomy
+//!    edit, a query either differs in some material (a miss) or is the
+//!    same delivery with the same answer (a correct hit), so one cache
+//!    can serve runs over any number of snapshots.
 //!
 //! Storage is flat. Each of the 64 shards holds fixed-size slots, one
 //! byte arena with every entry's model name, prompt, question encoding
@@ -44,7 +43,6 @@
 //! sequence as uncached ones.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
@@ -55,7 +53,7 @@ use crate::question::{NegativeKind, Question, QuestionBody};
 
 /// Shard count (power of two; the low key bits pick the shard). 64
 /// shards keep lock contention negligible at the grid's worker counts
-/// while staying cheap to clear.
+/// while staying cheap to sum over.
 const SHARDS: usize = 64;
 
 /// Key bits spent on the shard choice; the probe table hashes the rest.
@@ -86,7 +84,6 @@ const PROMPT_SEED: u64 = 0xCAC4_E05E_ED00_0002;
 #[derive(Debug, Clone, Copy)]
 struct Probe<'a> {
     key: u64,
-    version: u64,
     model: &'a str,
     setting: PromptSetting,
     attempt: u32,
@@ -96,10 +93,9 @@ struct Probe<'a> {
 }
 
 impl<'a> Probe<'a> {
-    fn new(key: u64, version: u64, model: &'a str, query: &Query<'a>, question: &'a [u8]) -> Self {
+    fn new(key: u64, model: &'a str, query: &Query<'a>, question: &'a [u8]) -> Self {
         Probe {
             key,
-            version,
             model,
             setting: query.setting,
             attempt: query.attempt,
@@ -114,7 +110,6 @@ impl<'a> Probe<'a> {
 /// name, prompt, question encoding, then the response text.
 struct Slot {
     key: u64,
-    version: u64,
     offset: usize,
     latency_s: f64,
     model_len: u32,
@@ -144,8 +139,7 @@ impl Slot {
             return false;
         }
         let [model, prompt, question, _] = self.parts(arena);
-        self.version == probe.version
-            && self.setting == probe.setting
+        self.setting == probe.setting
             && self.attempt == probe.attempt
             && model == probe.model.as_bytes()
             && prompt == probe.prompt.as_bytes()
@@ -229,7 +223,6 @@ impl Shard {
         self.index[cell] = id;
         self.slots.push(Slot {
             key: probe.key,
-            version: probe.version,
             offset: self.arena.len(),
             latency_s: response.latency_s,
             model_len,
@@ -375,18 +368,14 @@ impl std::iter::Sum for CacheStats {
 }
 
 /// A sharded exact-memoization store for model responses. See the
-/// module docs for the key derivation and invalidation rules.
+/// module docs for the key derivation and correctness rules.
 pub struct ResponseCache {
-    /// Snapshot version the cache is valid for (e.g. the taxonomy's
-    /// `content_digest()`); mixed into every key and checked on hits.
-    version: AtomicU64,
     shards: Vec<Mutex<Shard>>,
 }
 
 impl std::fmt::Debug for ResponseCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResponseCache")
-            .field("version", &self.version())
             .field("entries", &self.len())
             .field("stats", &self.stats())
             .finish()
@@ -400,49 +389,9 @@ impl Default for ResponseCache {
 }
 
 impl ResponseCache {
-    /// An empty cache at snapshot version 0.
+    /// An empty cache.
     pub fn new() -> Self {
-        ResponseCache {
-            version: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-        }
-    }
-
-    /// An empty cache stamped for `version`.
-    pub fn with_version(version: u64) -> Self {
-        let cache = Self::new();
-        // Relaxed: construction happens-before any sharing of the value.
-        cache.version.store(version, Ordering::Relaxed);
-        cache
-    }
-
-    /// The snapshot version entries are valid for.
-    pub fn version(&self) -> u64 {
-        // Relaxed: the version is a standalone stamp; entry validity is
-        // re-verified under the shard lock on every hit.
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// Stamp the cache for a (possibly new) snapshot version. A version
-    /// change drops every entry — this is the edit-driven invalidation
-    /// hook: pass the taxonomy's `content_digest()` after any edit and
-    /// stale answers are unreachable (they also fail per-hit version
-    /// verification, belt and braces).
-    pub fn set_version(&self, version: u64) {
-        // Relaxed swap: callers stamp versions between runs, not while
-        // racing lookups; per-hit verification covers any interleaving.
-        let old = self.version.swap(version, Ordering::Relaxed);
-        if old != version {
-            self.clear();
-        }
-    }
-
-    /// Drop every entry and free its memory (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard lock not poisoned");
-            *shard = Shard { stats: shard.stats, ..Shard::default() };
-        }
+        ResponseCache { shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect() }
     }
 
     /// Number of memoized deliveries currently stored.
@@ -463,10 +412,10 @@ impl ResponseCache {
         self.shards.iter().map(|s| s.lock().expect("cache shard lock not poisoned").stats).sum()
     }
 
-    /// Hash of the model half of the key at `version`. Kept separate
-    /// from the prompt hash so a batch computes it once.
-    fn model_key(version: u64, model_name: &str) -> u64 {
-        hash_str(KEY_SEED ^ version, model_name)
+    /// Hash of the model half of the key. Kept separate from the
+    /// prompt hash so a batch computes it once.
+    fn model_key(model_name: &str) -> u64 {
+        hash_str(KEY_SEED, model_name)
     }
 
     /// Mix the query's setting, attempt, taxonomy and question id
@@ -514,13 +463,13 @@ pub struct CachedModel<M> {
 }
 
 impl<M: LanguageModel> CachedModel<M> {
-    /// Wrap `base` with a fresh private cache (version 0).
+    /// Wrap `base` with a fresh private cache.
     pub fn new(base: M) -> Self {
         Self::with_cache(base, Arc::new(ResponseCache::new()))
     }
 
-    /// Wrap `base` with a shared cache (e.g. one stamped with a
-    /// taxonomy `content_digest()` and reused across repeated runs).
+    /// Wrap `base` with a shared cache (e.g. one reused across repeated
+    /// runs or serving lanes).
     pub fn with_cache(base: M, cache: Arc<ResponseCache>) -> Self {
         CachedModel { base, cache }
     }
@@ -543,27 +492,14 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
     }
 
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        let name = self.base.name();
-        let version = self.cache.version();
-        let model_key = ResponseCache::model_key(version, name);
-        let key = ResponseCache::finish_key(model_key, query, hash_str(PROMPT_SEED, query.prompt));
-        let mut question = Vec::with_capacity(QUESTION_BYTES);
-        encode_question(query.question, &mut question);
-        let probe = Probe::new(key, version, name, query, &question);
-        if let Some(hit) = self.cache.lookup(&probe) {
-            return Ok(hit);
-        }
-        let result = self.base.answer(query);
-        if let Ok(response) = &result {
-            self.cache.insert(&probe, response);
-        }
-        result
+        self.answer_batch(std::slice::from_ref(query))
+            .pop()
+            .expect("answer_batch returns one result per query")
     }
 
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
         let name = self.base.name();
-        let version = self.cache.version();
-        let model_key = ResponseCache::model_key(version, name);
+        let model_key = ResponseCache::model_key(name);
         // Hash the shared few-shot prefix once; per query, clone the
         // hasher state and stream only the suffix (StreamHasher is
         // documented byte-for-byte equal to one-shot hashing).
@@ -590,7 +526,7 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
             let key = ResponseCache::finish_key(model_key, query, prompt_hash);
             let start = encoded.len();
             encode_question(query.question, &mut encoded);
-            let probe = Probe::new(key, version, name, query, &encoded[start..]);
+            let probe = Probe::new(key, name, query, &encoded[start..]);
             if let Some(hit) = self.cache.lookup(&probe) {
                 encoded.truncate(start);
                 results.push(Some(Ok(hit)));
@@ -609,7 +545,7 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
             );
             for ((i, key, question), answer) in misses.into_iter().zip(answers) {
                 if let Ok(response) = &answer {
-                    let probe = Probe::new(key, version, name, &queries[i], &encoded[question]);
+                    let probe = Probe::new(key, name, &queries[i], &encoded[question]);
                     self.cache.insert(&probe, response);
                 }
                 results[i] = Some(answer);
@@ -633,7 +569,7 @@ mod tests {
     use super::*;
     use crate::domain::TaxonomyKind;
     use crate::question::tf_question as question;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Counts deliveries; answers with the prompt echoed back, so every
     /// distinct prompt has a distinct answer.
@@ -744,39 +680,6 @@ mod tests {
         assert_eq!(model.base().calls.load(Ordering::Relaxed), 3);
         assert!(model.cache().is_empty());
         assert_eq!(model.cache().stats().insertions, 0);
-    }
-
-    #[test]
-    fn version_change_invalidates_but_same_version_keeps() {
-        let cache = Arc::new(ResponseCache::with_version(0xAAAA));
-        let model = CachedModel::with_cache(CountingEcho::new(), Arc::clone(&cache));
-        let q = question(4);
-        let query = Query::new("p", &q, PromptSetting::ZeroShot);
-        model.answer(&query).expect("echo model never fails");
-        assert_eq!(cache.len(), 1);
-        cache.set_version(0xAAAA);
-        assert_eq!(cache.len(), 1, "same-version stamp must keep entries");
-        cache.set_version(0xBBBB);
-        assert!(cache.is_empty(), "version change must clear entries");
-        model.answer(&query).expect("echo model never fails");
-        assert_eq!(model.base().calls(), 2, "post-invalidation call must re-deliver");
-    }
-
-    #[test]
-    fn taxonomy_edit_changes_digest_and_invalidates() {
-        use taxoglimpse_synth::{generate, GenOptions};
-        let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 11, scale: 0.05 })
-            .expect("ebay generation succeeds at this scale");
-        let edited = t.truncate_below(2).taxonomy;
-        assert_ne!(t.content_digest(), edited.content_digest());
-
-        let cache = Arc::new(ResponseCache::with_version(t.content_digest()));
-        let model = CachedModel::with_cache(CountingEcho::new(), Arc::clone(&cache));
-        let q = question(5);
-        let query = Query::new("p", &q, PromptSetting::ZeroShot);
-        model.answer(&query).expect("echo model never fails");
-        cache.set_version(edited.content_digest());
-        assert!(cache.is_empty(), "edited snapshot must invalidate the cache");
     }
 
     #[test]
@@ -914,7 +817,6 @@ mod tests {
             .collect();
         let base = Probe {
             key: KEY,
-            version: 7,
             model: "m",
             setting: PromptSetting::ZeroShot,
             attempt: 0,
@@ -923,7 +825,6 @@ mod tests {
         };
         let mut probes = vec![
             base,
-            Probe { version: 8, ..base },
             Probe { model: "n", ..base },
             Probe { setting: PromptSetting::FewShot, ..base },
             Probe { setting: PromptSetting::ChainOfThought, ..base },

@@ -19,7 +19,7 @@
 
 use crate::domain::TaxonomyKind;
 use crate::grid::GridRunner;
-use crate::metrics::Outcome;
+use crate::metrics::{ratio, Outcome};
 use crate::model::LanguageModel;
 use crate::question::{NegativeKind, Question};
 use crate::sampling::cochran_sample;
@@ -142,8 +142,8 @@ impl<'t> CaseStudy<'t> {
             }
         }
 
-        let precision = safe_div(tp, tp + fp);
-        let recall = safe_div(tp, tp + fn_);
+        let precision = ratio(tp, tp + fp);
+        let recall = ratio(tp, tp + fn_);
         CaseStudyResult {
             kept_nodes,
             removed_nodes,
@@ -153,14 +153,6 @@ impl<'t> CaseStudy<'t> {
             concepts_evaluated: candidates.len(),
             classifications,
         }
-    }
-}
-
-fn safe_div(n: usize, d: usize) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        n as f64 / d as f64
     }
 }
 

@@ -52,6 +52,7 @@ use std::cmp::Ordering;
 
 use crate::domain::TaxonomyKind;
 use crate::grid::{run_indexed, GridRunner};
+use crate::metrics::ratio;
 use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
 use crate::question::{Question, QuestionBody};
@@ -64,9 +65,9 @@ use taxoglimpse_synth::instances::InstanceGenerator;
 use taxoglimpse_synth::rng::StreamHasher;
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
-/// Hard ceiling on options per descent question: letters `A`–`D`, with
-/// the next letter reserved for the abstain option (the parser's
-/// explicit abstain slot is `E`).
+/// Options per descent question (a node's children are asked in windows
+/// of this size): letters `A`–`D`, with the next letter reserved for
+/// the abstain option (the parser's explicit abstain slot is `E`).
 pub const MAX_DESCENT_OPTIONS: usize = 4;
 
 /// Domain-separation tag for descent question ids.
@@ -112,33 +113,6 @@ impl RouterConfig {
     /// The configured candidate count.
     pub fn top_k(&self) -> usize {
         self.top_k
-    }
-}
-
-/// Constrained-descent configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DescentConfig {
-    max_options: usize,
-}
-
-impl Default for DescentConfig {
-    fn default() -> Self {
-        DescentConfig { max_options: MAX_DESCENT_OPTIONS }
-    }
-}
-
-impl DescentConfig {
-    /// Set the options shown per sibling question (clamped to
-    /// `1..=`[`MAX_DESCENT_OPTIONS`]; the next letter is always the
-    /// abstain option).
-    pub fn with_max_options(mut self, max_options: usize) -> Self {
-        self.max_options = max_options.clamp(1, MAX_DESCENT_OPTIONS);
-        self
-    }
-
-    /// The configured per-question option cap.
-    pub fn max_options(&self) -> usize {
-        self.max_options
     }
 }
 
@@ -206,8 +180,8 @@ enum FlatOutcome {
 
 /// Everything measured per `(model, taxonomy)` hierarchical run.
 ///
-/// All counts partition `instances`; rate accessors divide defensively
-/// so empty runs render as zeros.
+/// All counts partition `instances`; the rate accessor divides
+/// defensively so an empty run renders as zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HierMetrics {
     /// Instances classified.
@@ -254,76 +228,10 @@ pub struct HierMetrics {
 }
 
 impl HierMetrics {
-    /// Fraction of instances whose descent reached the gold leaf.
-    pub fn hier_accuracy(&self) -> f64 {
-        ratio(self.hier_correct, self.instances)
-    }
-
-    /// Fraction of instances where descent abstained.
-    pub fn hier_abstain_rate(&self) -> f64 {
-        ratio(self.hier_abstained, self.instances)
-    }
-
     /// Invalid-label rate of the constrained descent (zero by
     /// construction; reported to prove it).
     pub fn hier_invalid_rate(&self) -> f64 {
         ratio(self.hier_invalid, self.instances)
-    }
-
-    /// Mean deviation level over wrong-branch outcomes.
-    pub fn mean_wrong_branch_depth(&self) -> f64 {
-        ratio(self.wrong_branch_depth_sum, self.hier_wrong_branch)
-    }
-
-    /// Mean prompt tokens per descent *query*.
-    pub fn hier_tokens_per_query(&self) -> f64 {
-        ratio(self.hier_prompt_tokens, self.hier_queries)
-    }
-
-    /// Mean descent prompt tokens per *instance* (what one
-    /// classification costs end to end).
-    pub fn hier_tokens_per_instance(&self) -> f64 {
-        ratio(self.hier_prompt_tokens, self.instances)
-    }
-
-    /// Abstain rate on instances flagged ambiguous.
-    pub fn abstain_rate_ambiguous(&self) -> f64 {
-        ratio(self.abstain_ambiguous, self.ambiguous)
-    }
-
-    /// Abstain rate on instances not flagged ambiguous.
-    pub fn abstain_rate_unambiguous(&self) -> f64 {
-        ratio(self.abstain_unambiguous, self.instances.saturating_sub(self.ambiguous))
-    }
-
-    /// Abstain calibration: ambiguous-instance abstain rate minus
-    /// unambiguous-instance abstain rate (positive = well calibrated).
-    pub fn abstain_calibration(&self) -> f64 {
-        self.abstain_rate_ambiguous() - self.abstain_rate_unambiguous()
-    }
-
-    /// Fraction of flat-baseline emissions that were exactly gold.
-    pub fn flat_accuracy(&self) -> f64 {
-        ratio(self.flat_correct, self.instances)
-    }
-
-    /// The headline number: fraction of flat-baseline emissions that
-    /// name a label which does not exist in the taxonomy.
-    pub fn flat_invalid_rate(&self) -> f64 {
-        ratio(self.flat_invalid, self.instances)
-    }
-
-    /// Mean whole-taxonomy-in-prompt tokens per instance.
-    pub fn whole_taxonomy_tokens_per_instance(&self) -> f64 {
-        ratio(self.whole_taxonomy_prompt_tokens, self.instances)
-    }
-}
-
-fn ratio(num: usize, den: usize) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
     }
 }
 
@@ -430,12 +338,11 @@ impl FromJson for HierReport {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HierWorkload {
     router: RouterConfig,
-    descent: DescentConfig,
     sample_cap: Option<usize>,
 }
 
 impl HierWorkload {
-    /// The workload with default router/descent configuration.
+    /// The workload with the default router configuration.
     pub fn new() -> Self {
         HierWorkload::default()
     }
@@ -443,12 +350,6 @@ impl HierWorkload {
     /// Override the router configuration.
     pub fn with_router(mut self, router: RouterConfig) -> Self {
         self.router = router;
-        self
-    }
-
-    /// Override the descent configuration.
-    pub fn with_descent(mut self, descent: DescentConfig) -> Self {
-        self.descent = descent;
         self
     }
 
@@ -685,7 +586,7 @@ impl HierWorkload {
                 }
                 let children = t.children(node);
                 for (window_idx, window) in
-                    children.chunks(self.descent.max_options).enumerate()
+                    children.chunks(MAX_DESCENT_OPTIONS).enumerate()
                 {
                     let question = sibling_question(
                         state.kind, t, instance_idx, instance, node, window_idx, window,
@@ -886,7 +787,7 @@ impl Workload for HierWorkload {
         let t = cx.taxonomy;
         let probes = ProbeTrigrams::new(data.instances.iter().map(|i| i.name.as_str()));
         let (shortlists, listing_tokens) =
-            leaf_pass(t, &probes, self.descent.max_options, runner.threads());
+            leaf_pass(t, &probes, MAX_DESCENT_OPTIONS, runner.threads());
         let state = RunState {
             t,
             kind: cx.kind,
@@ -959,7 +860,7 @@ impl Workload for HierWorkload {
             taxonomy: cx.kind,
             router_level: self.router.level.min(t.num_levels().saturating_sub(1)),
             router_top_k: self.router.top_k,
-            descent_max_options: self.descent.max_options,
+            descent_max_options: MAX_DESCENT_OPTIONS,
             metrics,
         }
     }
@@ -998,8 +899,6 @@ mod tests {
     #[test]
     fn configs_clamp() {
         assert_eq!(RouterConfig::default().with_top_k(0).top_k(), 1);
-        assert_eq!(DescentConfig::default().with_max_options(0).max_options(), 1);
-        assert_eq!(DescentConfig::default().with_max_options(99).max_options(), 4);
     }
 
     #[test]

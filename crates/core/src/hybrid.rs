@@ -104,9 +104,10 @@ impl HybridTaxonomy {
     }
 
     /// Route an arbitrary (possibly removed) concept name to its most
-    /// plausible kept category: shortlist kept nodes at the deepest
-    /// explicit level by trigram overlap, then let the model pick among
-    /// the top candidates via Yes/No probes.
+    /// plausible kept category: a unique exact name match wins outright;
+    /// otherwise rank kept nodes at the deepest explicit level by word
+    /// overlap with the concept, probe the top four with Yes/No
+    /// questions, and take the first Yes, or else the best match.
     pub fn route(&self, concept: &str, model: &dyn LanguageModel) -> Option<NodeId> {
         // Exact hit first.
         if let Some(node) = self.index.lookup_unique(concept) {

@@ -71,7 +71,7 @@ pub use dataset::{Dataset, DatasetBuilder, QuestionDataset};
 pub use domain::{Domain, TaxonomyKind};
 pub use eval::{EvalConfig, EvalReport};
 pub use grid::GridRunner;
-pub use hier::{DescentConfig, HierReport, HierWorkload, RouterConfig};
+pub use hier::{HierReport, HierWorkload, RouterConfig};
 pub use hybrid::HybridTaxonomy;
 pub use metrics::Metrics;
 pub use model::{LanguageModel, ModelError, Query, Response};

@@ -52,12 +52,6 @@ impl Metrics {
         ratio(self.missed, self.total())
     }
 
-    /// Accuracy among answered (non-missed) questions; the conditional
-    /// quantity the knowledge models are calibrated in.
-    pub fn conditional_accuracy(&self) -> f64 {
-        ratio(self.correct, self.correct + self.wrong)
-    }
-
     /// Record one outcome.
     pub fn record(&mut self, outcome: Outcome) {
         match outcome {
@@ -74,11 +68,6 @@ impl Metrics {
     /// near 0 and 1. Returns `(low, high)`; `(0, 1)` for an empty set.
     pub fn accuracy_ci95(&self) -> (f64, f64) {
         wilson_ci(self.correct, self.total(), 1.959_963_985)
-    }
-
-    /// 95% Wilson interval for the miss rate.
-    pub fn miss_ci95(&self) -> (f64, f64) {
-        wilson_ci(self.missed, self.total(), 1.959_963_985)
     }
 }
 
@@ -160,7 +149,8 @@ pub enum Outcome {
 
 taxoglimpse_json::unit_enum_json!(Outcome { Correct, Missed, Wrong, Failed });
 
-fn ratio(num: usize, den: usize) -> f64 {
+/// `num / den`, or 0 when `den` is 0.
+pub(crate) fn ratio(num: usize, den: usize) -> f64 {
     if den == 0 {
         0.0
     } else {
@@ -178,7 +168,6 @@ mod tests {
         assert_eq!(m.total(), 100);
         assert!((m.accuracy() - 0.80).abs() < 1e-12);
         assert!((m.miss_rate() - 0.05).abs() < 1e-12);
-        assert!((m.conditional_accuracy() - 80.0 / 95.0).abs() < 1e-12);
     }
 
     #[test]
@@ -186,7 +175,6 @@ mod tests {
         let m = Metrics::default();
         assert_eq!(m.accuracy(), 0.0);
         assert_eq!(m.miss_rate(), 0.0);
-        assert_eq!(m.conditional_accuracy(), 0.0);
     }
 
     #[test]
@@ -234,8 +222,6 @@ mod tests {
         let (lo, hi) = m.accuracy_ci95();
         assert!(lo < 0.9 && 0.9 < hi);
         assert!(hi - lo < 0.15);
-        let (mlo, mhi) = m.miss_ci95();
-        assert!(mlo < 0.05 && 0.05 < mhi);
     }
 
     #[test]

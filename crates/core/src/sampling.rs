@@ -44,15 +44,6 @@ pub fn cochran_sample<T>(items: &mut Vec<T>, rng: &mut SynthRng, cap: Option<usi
     items.truncate(cap.map_or(n, |cap| n.min(cap)));
 }
 
-/// Inverse planning: the sample size needed so a measured proportion's
-/// 95% margin of error is at most `margin` (infinite population,
-/// worst-case p = 0.5). Industrial users certifying a model at ±2%
-/// need `required_sample_size(0.02)` = 2401 questions.
-pub fn required_sample_size(margin: f64) -> usize {
-    assert!(margin > 0.0 && margin < 1.0, "margin must be in (0, 1)");
-    cochran_infinite(Z_95, margin).ceil() as usize
-}
-
 /// Like [`cochran_sample_size`] with explicit z and margin.
 pub fn cochran_sample_size_with(population: usize, z: f64, margin: f64) -> usize {
     if population == 0 {
@@ -129,19 +120,6 @@ mod tests {
         for p in 0..200 {
             assert!(cochran_sample_size(p) <= p);
         }
-    }
-
-    #[test]
-    fn required_sample_size_planning() {
-        assert_eq!(required_sample_size(0.05), 385);
-        assert_eq!(required_sample_size(0.02), 2401);
-        assert!(required_sample_size(0.01) > 9000);
-    }
-
-    #[test]
-    #[should_panic(expected = "margin must be in (0, 1)")]
-    fn required_sample_size_rejects_zero_margin() {
-        required_sample_size(0.0);
     }
 
     #[test]

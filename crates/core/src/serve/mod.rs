@@ -73,11 +73,6 @@ pub struct ServeConfig {
     /// Threads used to split each batch's attempt-0 prefetch. Purely
     /// an execution detail: any value produces byte-identical reports.
     pub workers: usize,
-    /// Prompting setting for rendered prompts (no few-shot exemplars
-    /// in the serving path; [`PromptSetting::ZeroShot`] is canonical).
-    pub setting: PromptSetting,
-    /// Template variant for rendered prompts.
-    pub variant: TemplateVariant,
     /// Retry/backoff/breaker policy for every lane's session.
     pub resilience: ResiliencePolicy,
 }
@@ -91,8 +86,6 @@ impl Default for ServeConfig {
             batch_overhead_s: 0.002,
             per_item_s: 0.0001,
             workers: 1,
-            setting: PromptSetting::ZeroShot,
-            variant: TemplateVariant::Canonical,
             resilience: ResiliencePolicy::default(),
         }
     }
@@ -283,7 +276,7 @@ fn pump_lane(
             .iter()
             .map(|request| {
                 let question = request.question as usize;
-                Query::new(&prompts[question], &questions[question], config.setting)
+                Query::new(&prompts[question], &questions[question], PromptSetting::ZeroShot)
             })
             .collect();
         let prefetched = prefetch(models[lane_idx], &queries, config.workers);
@@ -325,10 +318,11 @@ pub fn run_serve(
     assert!(!questions.is_empty(), "run_serve needs a non-empty question pool");
     assert!(!traffic.tenants.is_empty(), "run_serve needs at least one tenant");
 
-    // Render every prompt once up front; dispatches borrow them.
+    // Render every prompt once up front, zero-shot and canonical (the
+    // serving path has no exemplar pool); dispatches borrow them.
     let prompts: Vec<String> = questions
         .iter()
-        .map(|question| render_prompt(question, config.setting, config.variant, &[]))
+        .map(|q| render_prompt(q, PromptSetting::ZeroShot, TemplateVariant::Canonical, &[]))
         .collect();
 
     let mut lanes: Vec<Lane> = models

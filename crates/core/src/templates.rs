@@ -95,12 +95,13 @@ pub fn render_tf(kind: TaxonomyKind, variant: TemplateVariant, child: &str, cand
     out
 }
 
-/// Append the MCQ question text of Table 3.
+/// Append the MCQ question text of Table 3: the question, then
+/// `options` as lettered choices from `A)`.
 pub fn render_mcq_into(
     kind: TaxonomyKind,
     variant: TemplateVariant,
     child: &str,
-    options: &[String; 4],
+    options: &[String],
     out: &mut String,
 ) {
     out.push_str("What is the most ");
@@ -126,17 +127,7 @@ pub fn render_sibling_into(
     options: &[String],
     out: &mut String,
 ) {
-    out.push_str("What is the most ");
-    out.push_str(variant.appropriate());
-    out.push_str(" supertype of ");
-    mcq_phrase_into(kind, child, out);
-    out.push('?');
-    for (i, option) in options.iter().enumerate() {
-        out.push(' ');
-        out.push((b'A' + i as u8) as char);
-        out.push_str(") ");
-        out.push_str(option);
-    }
+    render_mcq_into(kind, variant, child, options, out);
     out.push(' ');
     out.push((b'A' + options.len() as u8) as char);
     out.push_str(") ");

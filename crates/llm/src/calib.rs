@@ -189,6 +189,24 @@ mod tests {
         }
     }
 
+    /// Digest of every anchor's `f64` bits: HARD, EASY, then MCQ, row
+    /// by row, `A` before `M`. The anchors are both the simulated
+    /// models' targets and the paper values the fidelity checks compare
+    /// against, so a mistyped cell moves both sides alike and only this
+    /// pin sees it. Re-pin only when a cell is corrected against the
+    /// paper, and say which.
+    #[test]
+    fn anchors_digest_is_pinned() {
+        use taxoglimpse_synth::rng::{hash_str, mix64};
+        let mut h = hash_str(0, "calib anchors");
+        for table in [&HARD, &EASY, &MCQ] {
+            for &(a, m) in table.iter().flatten() {
+                h = mix64(mix64(h ^ a.to_bits()) ^ m.to_bits());
+            }
+        }
+        assert_eq!(format!("{h:016x}"), "05d634682bad43b8", "a calibration anchor changed");
+    }
+
     #[test]
     fn spot_check_paper_cells() {
         // GPT-4 hard: eBay 0.921/0.003, NCBI 0.653/0.132.

@@ -276,25 +276,16 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
     }
 
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
-        let class = self.plan.decide(self.base.name(), query);
-        self.stats.lock().expect("fault stats lock not poisoned").record(class);
-        match class {
-            None => self.base.answer(query),
-            Some(FaultClass::Timeout) => Err(ModelError::Timeout),
-            Some(FaultClass::RateLimited) => {
-                Err(ModelError::RateLimited { retry_after_s: self.plan.retry_after_s })
-            }
-            Some(FaultClass::Truncated) => Err(truncate_answer(self.base.answer(query)?)),
-            Some(FaultClass::Unavailable) => Err(ModelError::Unavailable),
-            Some(FaultClass::Malformed) => Err(ModelError::Malformed),
-        }
+        self.answer_batch(std::slice::from_ref(query))
+            .pop()
+            .expect("answer_batch returns one result per query")
     }
 
-    /// Batched injection: per-delivery fates are decided exactly as in
-    /// [`Self::answer`] (they are pure per-query functions), stats are
+    /// Per-delivery fates are pure per-query functions, stats are
     /// merged under a single lock, and only the deliveries that need a
     /// real answer (fault-free and truncated ones) are forwarded — as
-    /// one sub-batch — to the base model's batch path.
+    /// one sub-batch, and only when it is not empty — to the base
+    /// model's batch path.
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
         let name = self.base.name();
         let classes: Vec<Option<FaultClass>> =
@@ -311,7 +302,8 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
             .filter(|(class, _)| matches!(class, None | Some(FaultClass::Truncated)))
             .map(|(_, query)| *query)
             .collect();
-        let base_answers = self.base.answer_batch(&base_queries);
+        let base_answers =
+            if base_queries.is_empty() { Vec::new() } else { self.base.answer_batch(&base_queries) };
         assert_eq!(
             base_answers.len(),
             base_queries.len(),

@@ -152,11 +152,6 @@ impl ModelId {
         }
     }
 
-    /// Whether the model is open-weight (deployable on local GPUs).
-    pub fn is_open(self) -> bool {
-        self.params_billion().is_some()
-    }
-
     /// Row index in the paper's tables (and in [`crate::calib`]).
     pub fn row(self) -> usize {
         ModelId::ALL.iter().position(|&m| m == self).expect("ALL covers every variant")
@@ -288,9 +283,7 @@ mod tests {
     #[test]
     fn closed_models_hide_sizes() {
         assert!(ModelId::Gpt4.params_billion().is_none());
-        assert!(!ModelId::Claude3.is_open());
         assert_eq!(ModelId::Llama2_70b.params_billion(), Some(70.0));
-        assert!(ModelId::FlanT5_3b.is_open());
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Model leaderboards: rank models by macro-average accuracy over a set
-//! of evaluation reports, with Wilson confidence intervals and miss
-//! rates — the "which model should I use for taxonomy work" view for
-//! the paper's industrial audience.
+//! Model leaderboards: rank models by pooled accuracy over a set of
+//! evaluation reports, printed beside its Wilson confidence interval,
+//! with macro-average accuracy and miss rates alongside — the "which
+//! model should I use for taxonomy work" view for the paper's
+//! industrial audience.
 
 use taxoglimpse_core::eval::EvalReport;
 use taxoglimpse_core::metrics::Metrics;
@@ -33,7 +34,8 @@ impl LeaderboardEntry {
 }
 
 /// Build a leaderboard from reports (any mix of taxonomies/flavors);
-/// rows sorted by macro accuracy, best first.
+/// rows sorted by pooled accuracy, best first, so the ranking and the
+/// printed CIs describe the same number.
 pub fn leaderboard(reports: &[EvalReport]) -> Vec<LeaderboardEntry> {
     let mut by_model: std::collections::BTreeMap<&str, Vec<&EvalReport>> = Default::default();
     for r in reports {
@@ -61,19 +63,21 @@ pub fn leaderboard(reports: &[EvalReport]) -> Vec<LeaderboardEntry> {
             }
         })
         .collect();
-    rows.sort_by(|a, b| b.macro_accuracy.total_cmp(&a.macro_accuracy));
+    rows.sort_by(|a, b| b.pooled.accuracy().total_cmp(&a.pooled.accuracy()));
     rows
 }
 
 /// Render a leaderboard as an aligned text table.
 pub fn render(rows: &[LeaderboardEntry]) -> String {
     let mut table = crate::table::Table::new(
-        "Leaderboard (macro-average over cells; CI on pooled questions)".to_owned(),
+        "Leaderboard (ranked by A pooled over all questions, with its 95% CI; macro = mean over cells)"
+            .to_owned(),
         vec![
             "#".into(),
             "Model".into(),
-            "macro A".into(),
+            "A".into(),
             "95% CI".into(),
+            "macro A".into(),
             "macro M".into(),
             "avail".into(),
             "cells".into(),
@@ -85,8 +89,9 @@ pub fn render(rows: &[LeaderboardEntry]) -> String {
         table.push_row(vec![
             (i + 1).to_string(),
             row.model.clone(),
-            format!("{:.3}", row.macro_accuracy),
+            format!("{:.3}", row.pooled.accuracy()),
             format!("[{lo:.3}, {hi:.3}]"),
+            format!("{:.3}", row.macro_accuracy),
             format!("{:.3}", row.macro_miss),
             format!("{:.3}", row.macro_availability),
             row.cells.to_string(),
@@ -146,6 +151,34 @@ mod tests {
         assert!(text.contains("alpha"));
         assert!(text.contains("beta"));
         assert!(text.lines().count() >= 5);
+    }
+
+    /// Macro and pooled accuracy disagree here: `few` has one perfect
+    /// small cell and one poor large one (macro 0.6, pooled 0.27), so a
+    /// macro ranking would put it above `many` (0.5 both ways).
+    #[test]
+    fn printed_ci_brackets_pooled_accuracy_in_rank_order() {
+        let rows = leaderboard(&[
+            report("few", 10, 0, 0),
+            report("few", 20, 80, 0),
+            report("many", 50, 50, 0),
+            report("many", 50, 40, 10),
+            report("tail", 3, 90, 7),
+        ]);
+        let text = render(&rows);
+        let mut last = f64::INFINITY;
+        for row in &rows {
+            let line = text.lines().find(|l| l.contains(&row.model)).expect("row printed");
+            let cols: Vec<f64> = line
+                .split(|c: char| c.is_whitespace() || "[],".contains(c))
+                .filter_map(|w| w.parse().ok())
+                .collect();
+            // `#`, then A, CI low, CI high.
+            let (a, lo, hi) = (cols[1], cols[2], cols[3]);
+            assert!(lo <= a && a <= hi, "{}: A {a} outside [{lo}, {hi}]", row.model);
+            assert!(a <= last, "{}: A {a} ranked below {last}", row.model);
+            last = a;
+        }
     }
 
     #[test]

@@ -96,40 +96,6 @@ pub fn fmt3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// The standard per-cell results table: one row per evaluation report
-/// (a (model, taxonomy, flavor) cell), with accuracy, miss rate and —
-/// new with the resilience layer — availability, the fraction of the
-/// cell's questions whose model call delivered any answer.
-pub fn cell_table(
-    title: impl Into<String>,
-    reports: &[taxoglimpse_core::eval::EvalReport],
-) -> Table {
-    let mut table = Table::new(
-        title,
-        vec![
-            "model".into(),
-            "taxonomy".into(),
-            "flavor".into(),
-            "A".into(),
-            "M".into(),
-            "avail".into(),
-            "n".into(),
-        ],
-    );
-    for r in reports {
-        table.push_row(vec![
-            r.model.clone(),
-            r.taxonomy.display_name().to_owned(),
-            format!("{:?}", r.flavor),
-            fmt3(r.overall.accuracy()),
-            fmt3(r.overall.miss_rate()),
-            fmt3(r.overall.availability()),
-            r.overall.total().to_string(),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,25 +148,5 @@ mod tests {
         assert_eq!(fmt3(0.9214), "0.921");
         assert_eq!(fmt3(0.0), "0.000");
         assert_eq!(fmt3(1.0), "1.000");
-    }
-
-    #[test]
-    fn cell_table_includes_availability() {
-        use taxoglimpse_core::dataset::QuestionDataset;
-        use taxoglimpse_core::domain::TaxonomyKind;
-        use taxoglimpse_core::eval::EvalReport;
-        use taxoglimpse_core::metrics::Metrics;
-        use taxoglimpse_core::prompts::PromptSetting;
-        let report = EvalReport {
-            model: "m".into(),
-            taxonomy: TaxonomyKind::Ebay,
-            flavor: QuestionDataset::Hard,
-            setting: PromptSetting::ZeroShot,
-            overall: Metrics { correct: 6, missed: 1, wrong: 1, failed: 2 },
-            by_level: vec![],
-        };
-        let text = cell_table("Cells", &[report]).render_ascii();
-        assert!(text.contains("avail"));
-        assert!(text.contains("0.800"), "availability 8/10 renders: {text}");
     }
 }

@@ -181,20 +181,6 @@ pub(crate) fn push_cap(out: &mut Vec<u8>, s: &str) {
     }
 }
 
-/// Join words CamelCase (`payment`, `complete` → `PaymentComplete`).
-pub fn camel_case(words: &[&str]) -> String {
-    words.iter().map(|w| capitalize(w)).collect()
-}
-
-/// Title-case every word of a space-separated phrase.
-pub fn title_case(phrase: &str) -> String {
-    phrase
-        .split(' ')
-        .map(capitalize)
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// Shared English-ish vocabulary pools used by several domains.
 pub mod pools {
     /// Product-category head nouns.
@@ -369,8 +355,6 @@ mod tests {
     fn casing_helpers() {
         assert_eq!(capitalize("abc"), "Abc");
         assert_eq!(capitalize(""), "");
-        assert_eq!(camel_case(&["payment", "complete"]), "PaymentComplete");
-        assert_eq!(title_case("hello wide world"), "Hello Wide World");
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod edit;
 pub mod index;
 pub mod io;
 pub mod node;
-pub mod reason;
 pub mod snapshot;
 pub mod stats;
 pub mod traversal;

@@ -5,8 +5,7 @@
 //! truncated Google-shaped taxonomy (lexical shortlist + LLM
 //! confirmation), the category's breadcrumb renders from the explicit
 //! tree, and the inventory is filtered to products the model accepts as
-//! members. Tree reasoning (`most_specific_subsumer`) picks the deepest
-//! category when several match.
+//! members.
 //!
 //! ```text
 //! cargo run --release --example entity_search [-- "smart watch"]

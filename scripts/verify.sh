@@ -77,11 +77,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 #    a change that moves any published number fails here until
 #    `results/run_all.txt` is regenerated with it. The runner's exit
 #    status, section order and `cost`/`shots` GPT-4 rows are tier-1's
-#    `crates/bench/tests/run_all.rs`. Stage 2 built the binary.
+#    `crates/bench/tests/run_all.rs`. Stage 2 built the binary. On a
+#    mismatch it names the `==== name ====` section holding the first
+#    differing line, then prints the diff.
 echo "==> comparing run_all with the committed ledger"
 target/release/run_all > target/run_all.out
-cmp target/run_all.out results/run_all.txt || {
-    echo "error: run_all output differs from results/run_all.txt:" >&2
+moved="$(cmp target/run_all.out results/run_all.txt 2>&1)" || {
+    line="$(sed -n 's/.*line \([0-9][0-9]*\).*/\1/p' <<< "$moved")"
+    section="$(awk -v n="${line:-0}" 'NR <= n && /^=+ [^ ]+ =+$/ { h = $0 } END { print h }' \
+        target/run_all.out)"
+    echo "error: run_all output differs from results/run_all.txt: $moved" >&2
+    echo "first differing line is in section: ${section:-(before the first header)}" >&2
     diff target/run_all.out results/run_all.txt | head -40 >&2
     exit 1
 }

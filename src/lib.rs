@@ -52,7 +52,7 @@ pub mod prelude {
         domain::{Domain, TaxonomyKind},
         eval::{EvalConfig, EvalReport},
         grid::GridRunner,
-        hier::{DescentConfig, HierMetrics, HierReport, HierWorkload, RouterConfig},
+        hier::{HierMetrics, HierReport, HierWorkload, RouterConfig},
         metrics::{Metrics, Outcome},
         model::{LanguageModel, ModelError, Query, Response},
         prompts::PromptSetting,

@@ -461,7 +461,6 @@ fn hier_report_digests_are_pinned() {
     let models = models();
     let workload = HierWorkload::new()
         .with_router(RouterConfig::default())
-        .with_descent(DescentConfig::default())
         .with_sample_cap(Some(120));
     let mut cell = 0;
     for (kind, expected) in HIER_DIGESTS {

@@ -170,6 +170,17 @@ fn wrappers_forward_the_batch_path() {
     injector.answer_batch(&queries);
     assert_eq!(injector.base().batch_calls.load(Ordering::Relaxed), 1);
     assert_eq!(injector.base().single_calls.load(Ordering::Relaxed), 0);
+
+    // A faulted delivery needs no answer, so a fully faulted batch or
+    // single query never reaches the base.
+    let down =
+        FaultInjector::new(ProbeModel::new(), FaultPlan::disabled(3).with_unavailable_rate(1.0));
+    down.answer_batch(&queries);
+    for query in &queries {
+        assert_eq!(down.answer(query), Err(ModelError::Unavailable));
+    }
+    assert_eq!(down.base().batch_calls.load(Ordering::Relaxed), 0);
+    assert_eq!(down.base().single_calls.load(Ordering::Relaxed), 0);
 }
 
 /// For every documented tower (and both cache/injector stacking
