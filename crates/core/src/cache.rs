@@ -200,8 +200,9 @@ impl Shard {
     }
 
     /// Store a successful delivery. Two racing misses may both compute
-    /// the (identical) answer; the second insertion is dropped. A
-    /// material longer than `u32::MAX` bytes is never stored.
+    /// the (identical) answer; the second insertion is dropped and
+    /// counted as a duplicate. A material longer than `u32::MAX` bytes
+    /// is never stored.
     fn insert(&mut self, probe: &Probe<'_>, response: &Response) {
         let materials =
             [probe.model.as_bytes(), probe.prompt.as_bytes(), probe.question, response.text.as_bytes()];
@@ -218,6 +219,7 @@ impl Shard {
             self.grow();
         }
         let Err(cell) = self.locate(probe) else {
+            self.stats.duplicates += 1;
             return;
         };
         self.index[cell] = id;
@@ -332,16 +334,23 @@ pub struct CacheStats {
     pub misses: u64,
     /// Successful deliveries stored.
     pub insertions: u64,
+    /// Deliveries dropped at insertion because a racing miss stored the
+    /// same delivery first.
+    pub duplicates: u64,
 }
 
 impl CacheStats {
-    /// Hits as a fraction of all lookups (0.0 when none happened).
+    /// The fraction of lookups a one-worker run serves from the cache:
+    /// `(hits + duplicates) / (hits + misses)`, 0.0 when none happened.
+    /// A miss that races another worker's miss on the same delivery
+    /// shows up as a duplicate at insertion, so the rate does not
+    /// depend on scheduling.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            (self.hits + self.duplicates) as f64 / total as f64
         }
     }
 }
@@ -354,6 +363,7 @@ impl std::ops::AddAssign for CacheStats {
         self.hits += rhs.hits;
         self.misses += rhs.misses;
         self.insertions += rhs.insertions;
+        self.duplicates += rhs.duplicates;
     }
 }
 
@@ -634,14 +644,14 @@ mod tests {
 
     #[test]
     fn cache_stats_aggregate_across_shards() {
-        let a = CacheStats { hits: 3, misses: 1, insertions: 1 };
-        let b = CacheStats { hits: 1, misses: 3, insertions: 2 };
+        let a = CacheStats { hits: 3, misses: 1, insertions: 1, duplicates: 0 };
+        let b = CacheStats { hits: 1, misses: 3, insertions: 2, duplicates: 1 };
         let mut via_add_assign = a;
         via_add_assign += b;
         let via_sum: CacheStats = [a, b].into_iter().sum();
         assert_eq!(via_add_assign, via_sum);
-        assert_eq!(via_sum, CacheStats { hits: 4, misses: 4, insertions: 3 });
-        assert!((via_sum.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(via_sum, CacheStats { hits: 4, misses: 4, insertions: 3, duplicates: 1 });
+        assert!((via_sum.hit_rate() - 0.625).abs() < 1e-12);
     }
 
     #[test]
@@ -842,12 +852,13 @@ mod tests {
         for (i, probe) in probes.iter().enumerate() {
             assert_eq!(shard.find(probe), Some(response(i)), "delivery {i}: {probe:?}");
         }
-        // Re-inserting is a no-op, and an absent delivery misses.
+        // Re-inserting stores nothing but counts a duplicate, and an
+        // absent delivery misses.
         shard.insert(&base, &response(0));
         assert_eq!(shard.slots.len(), probes.len());
         assert_eq!(shard.find(&Probe { attempt: 2, ..base }), None);
         let n = probes.len() as u64;
-        assert_eq!(shard.stats, CacheStats { hits: n, misses: 1, insertions: n });
+        assert_eq!(shard.stats, CacheStats { hits: n, misses: 1, insertions: n, duplicates: 1 });
     }
 
     #[test]

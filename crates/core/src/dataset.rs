@@ -17,7 +17,6 @@ use crate::qgen::QuestionGenerator;
 use crate::question::Question;
 use crate::sampling::cochran_sample_size;
 use std::fmt;
-use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
 /// Number of exemplar questions reserved per level for few-shot
@@ -99,45 +98,9 @@ impl Dataset {
 
 taxoglimpse_json::unit_enum_json!(QuestionDataset { Easy, Hard, Mcq });
 
-impl ToJson for LevelSlice {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("child_level", self.child_level.to_json()),
-            ("questions", self.questions.to_json()),
-            ("exemplars", self.exemplars.to_json()),
-        ])
-    }
-}
+taxoglimpse_json::struct_json!(LevelSlice { child_level, questions, exemplars });
 
-impl FromJson for LevelSlice {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(LevelSlice {
-            child_level: json.field_as("child_level")?,
-            questions: json.field_as("questions")?,
-            exemplars: json.field_as("exemplars")?,
-        })
-    }
-}
-
-impl ToJson for Dataset {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("taxonomy", self.taxonomy.to_json()),
-            ("flavor", self.flavor.to_json()),
-            ("levels", self.levels.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Dataset {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Dataset {
-            taxonomy: json.field_as("taxonomy")?,
-            flavor: json.field_as("flavor")?,
-            levels: json.field_as("levels")?,
-        })
-    }
-}
+taxoglimpse_json::struct_json!(Dataset { taxonomy, flavor, levels });
 
 /// Errors from dataset construction.
 #[derive(Debug, Clone, PartialEq, Eq)]

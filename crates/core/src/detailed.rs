@@ -20,7 +20,7 @@ use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
 use crate::question::{NegativeKind, Question, QuestionBody};
 use crate::text::similarity;
-use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
+use taxoglimpse_json::JsonError;
 
 /// One fully recorded question/answer exchange.
 #[derive(Debug, Clone)]
@@ -44,35 +44,9 @@ pub struct Exchange {
     pub similarity: f64,
 }
 
-impl ToJson for Exchange {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("question_id", self.question_id.to_json()),
-            ("child_level", self.child_level.to_json()),
-            ("negative", self.negative.to_json()),
-            ("prompt", self.prompt.to_json()),
-            ("response", self.response.to_json()),
-            ("parsed", self.parsed.to_json()),
-            ("outcome", self.outcome.to_json()),
-            ("similarity", self.similarity.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Exchange {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Exchange {
-            question_id: json.field_as("question_id")?,
-            child_level: json.field_as("child_level")?,
-            negative: json.field_as("negative")?,
-            prompt: json.field_as("prompt")?,
-            response: json.field_as("response")?,
-            parsed: json.field_as("parsed")?,
-            outcome: json.field_as("outcome")?,
-            similarity: json.field_as("similarity")?,
-        })
-    }
-}
+taxoglimpse_json::struct_json!(Exchange {
+    question_id, child_level, negative, prompt, response, parsed, outcome, similarity,
+});
 
 /// A complete recorded run of one model over one dataset.
 #[derive(Debug, Clone)]

@@ -11,7 +11,6 @@ use crate::parse::ParsedAnswer;
 use crate::prompts::PromptSetting;
 use crate::question::{Question, QuestionBody};
 use crate::templates::TemplateVariant;
-use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
 /// Evaluation configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,49 +62,9 @@ impl EvalReport {
     }
 }
 
-impl ToJson for LevelMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("child_level", self.child_level.to_json()),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
+taxoglimpse_json::struct_json!(LevelMetrics { child_level, metrics });
 
-impl FromJson for LevelMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(LevelMetrics {
-            child_level: json.field_as("child_level")?,
-            metrics: json.field_as("metrics")?,
-        })
-    }
-}
-
-impl ToJson for EvalReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("model", self.model.to_json()),
-            ("taxonomy", self.taxonomy.to_json()),
-            ("flavor", self.flavor.to_json()),
-            ("setting", self.setting.to_json()),
-            ("overall", self.overall.to_json()),
-            ("by_level", self.by_level.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EvalReport {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(EvalReport {
-            model: json.field_as("model")?,
-            taxonomy: json.field_as("taxonomy")?,
-            flavor: json.field_as("flavor")?,
-            setting: json.field_as("setting")?,
-            overall: json.field_as("overall")?,
-            by_level: json.field_as("by_level")?,
-        })
-    }
-}
+taxoglimpse_json::struct_json!(EvalReport { model, taxonomy, flavor, setting, overall, by_level });
 
 /// Score one parsed answer against the gold answer.
 pub fn score(question: &Question, parsed: ParsedAnswer) -> Outcome {

@@ -60,7 +60,6 @@ use crate::resilience::ResilienceSession;
 use crate::sampling::cochran_sample;
 use crate::text::{listed_token_count, token_count, ProbeTrigrams, Trigrams};
 use crate::workload::{Workload, WorkloadContext, WorkloadError};
-use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 use taxoglimpse_synth::instances::InstanceGenerator;
 use taxoglimpse_synth::rng::StreamHasher;
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
@@ -252,83 +251,16 @@ pub struct HierReport {
     pub metrics: HierMetrics,
 }
 
-impl ToJson for HierMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("instances", self.instances.to_json()),
-            ("hier_correct", self.hier_correct.to_json()),
-            ("hier_wrong_branch", self.hier_wrong_branch.to_json()),
-            ("hier_abstained", self.hier_abstained.to_json()),
-            ("hier_failed", self.hier_failed.to_json()),
-            ("hier_invalid", self.hier_invalid.to_json()),
-            ("wrong_branch_depth_sum", self.wrong_branch_depth_sum.to_json()),
-            ("hier_queries", self.hier_queries.to_json()),
-            ("hier_prompt_tokens", self.hier_prompt_tokens.to_json()),
-            ("ambiguous", self.ambiguous.to_json()),
-            ("abstain_ambiguous", self.abstain_ambiguous.to_json()),
-            ("abstain_unambiguous", self.abstain_unambiguous.to_json()),
-            ("flat_correct", self.flat_correct.to_json()),
-            ("flat_wrong_valid", self.flat_wrong_valid.to_json()),
-            ("flat_invalid", self.flat_invalid.to_json()),
-            ("flat_abstained", self.flat_abstained.to_json()),
-            ("flat_failed", self.flat_failed.to_json()),
-            ("flat_prompt_tokens", self.flat_prompt_tokens.to_json()),
-            ("whole_taxonomy_prompt_tokens", self.whole_taxonomy_prompt_tokens.to_json()),
-        ])
-    }
-}
+taxoglimpse_json::struct_json!(HierMetrics {
+    instances, hier_correct, hier_wrong_branch, hier_abstained, hier_failed, hier_invalid,
+    wrong_branch_depth_sum, hier_queries, hier_prompt_tokens, ambiguous, abstain_ambiguous,
+    abstain_unambiguous, flat_correct, flat_wrong_valid, flat_invalid, flat_abstained, flat_failed,
+    flat_prompt_tokens, whole_taxonomy_prompt_tokens,
+});
 
-impl FromJson for HierMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(HierMetrics {
-            instances: json.field_as("instances")?,
-            hier_correct: json.field_as("hier_correct")?,
-            hier_wrong_branch: json.field_as("hier_wrong_branch")?,
-            hier_abstained: json.field_as("hier_abstained")?,
-            hier_failed: json.field_as("hier_failed")?,
-            hier_invalid: json.field_as("hier_invalid")?,
-            wrong_branch_depth_sum: json.field_as("wrong_branch_depth_sum")?,
-            hier_queries: json.field_as("hier_queries")?,
-            hier_prompt_tokens: json.field_as("hier_prompt_tokens")?,
-            ambiguous: json.field_as("ambiguous")?,
-            abstain_ambiguous: json.field_as("abstain_ambiguous")?,
-            abstain_unambiguous: json.field_as("abstain_unambiguous")?,
-            flat_correct: json.field_as("flat_correct")?,
-            flat_wrong_valid: json.field_as("flat_wrong_valid")?,
-            flat_invalid: json.field_as("flat_invalid")?,
-            flat_abstained: json.field_as("flat_abstained")?,
-            flat_failed: json.field_as("flat_failed")?,
-            flat_prompt_tokens: json.field_as("flat_prompt_tokens")?,
-            whole_taxonomy_prompt_tokens: json.field_as("whole_taxonomy_prompt_tokens")?,
-        })
-    }
-}
-
-impl ToJson for HierReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("model", self.model.to_json()),
-            ("taxonomy", self.taxonomy.to_json()),
-            ("router_level", self.router_level.to_json()),
-            ("router_top_k", self.router_top_k.to_json()),
-            ("descent_max_options", self.descent_max_options.to_json()),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HierReport {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(HierReport {
-            model: json.field_as("model")?,
-            taxonomy: json.field_as("taxonomy")?,
-            router_level: json.field_as("router_level")?,
-            router_top_k: json.field_as("router_top_k")?,
-            descent_max_options: json.field_as("descent_max_options")?,
-            metrics: json.field_as("metrics")?,
-        })
-    }
-}
+taxoglimpse_json::struct_json!(HierReport {
+    model, taxonomy, router_level, router_top_k, descent_max_options, metrics,
+});
 
 // ---------------------------------------------------------------------
 // The workload
@@ -871,6 +803,7 @@ mod tests {
     use super::*;
     use crate::model::{ModelError, Query, Response};
     use crate::prompts::render_gold;
+    use taxoglimpse_json::{FromJson, ToJson};
     use taxoglimpse_synth::{generate, GenOptions};
 
     /// Answers every sibling MCQ from the structured gold — the

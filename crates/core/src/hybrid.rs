@@ -15,10 +15,9 @@
 //! domains can move into the LLM, specialized ones should stay trees")
 //! into a measurable decision procedure.
 
-use crate::dataset::{DatasetBuilder, QuestionDataset};
+use crate::dataset::{Dataset, DatasetBuilder, QuestionDataset};
 use crate::domain::TaxonomyKind;
 use crate::grid::GridRunner;
-use crate::metrics::Metrics;
 use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
 use crate::question::Question;
@@ -163,7 +162,7 @@ impl HybridTaxonomy {
                 let accuracy = if child_level < self.cutoff {
                     1.0
                 } else {
-                    level_accuracy(&self.runner, &builder, model, child_level)
+                    level_accuracy(&self.runner, &builder, self.kind, model, child_level)
                 };
                 (child_level, accuracy)
             })
@@ -186,7 +185,7 @@ pub fn recommended_cutoff(
     let runner = GridRunner::default();
     // Per-level model accuracy, measured once.
     let level_acc: Vec<f64> = (1..full.num_levels())
-        .map(|child_level| level_accuracy(&runner, &builder, model, child_level))
+        .map(|child_level| level_accuracy(&runner, &builder, kind, model, child_level))
         .collect();
     // The deepest cutoff c such that every level >= c meets the target.
     let mut cutoff = None;
@@ -201,20 +200,18 @@ pub fn recommended_cutoff(
     cutoff
 }
 
-/// The model's accuracy on one level's hard questions, asked one by one
-/// (one resilience session per question).
+/// The model's accuracy on one level's hard questions: a one-level
+/// dataset through [`GridRunner::run`].
 fn level_accuracy(
     runner: &GridRunner,
     builder: &DatasetBuilder<'_>,
+    kind: TaxonomyKind,
     model: &dyn LanguageModel,
     child_level: usize,
 ) -> f64 {
-    let slice = builder.build_level(QuestionDataset::Hard, child_level);
-    let mut metrics = Metrics::default();
-    for q in &slice.questions {
-        metrics.record(runner.ask(model, q, &slice.exemplars).outcome);
-    }
-    metrics.accuracy()
+    let flavor = QuestionDataset::Hard;
+    let levels = vec![builder.build_level(flavor, child_level)];
+    runner.run(model, &Dataset { taxonomy: kind, flavor, levels }).overall.accuracy()
 }
 
 /// Word-level overlap score used for routing shortlists.

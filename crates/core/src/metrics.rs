@@ -104,6 +104,7 @@ impl fmt::Display for Metrics {
     }
 }
 
+// Hand-written, not `struct_json!`: `failed` is emitted only when nonzero.
 impl ToJson for Metrics {
     fn to_json(&self) -> Json {
         let mut fields = vec![

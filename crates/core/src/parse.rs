@@ -25,6 +25,7 @@ pub enum ParsedAnswer {
     Unparsed,
 }
 
+// Hand-written, not `struct_json!`: a data variant (`{"Option":2}`) beside unit-variant strings.
 impl ToJson for ParsedAnswer {
     fn to_json(&self) -> Json {
         match self {

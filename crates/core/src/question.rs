@@ -218,6 +218,7 @@ impl Question {
 
 taxoglimpse_json::unit_enum_json!(NegativeKind { Easy, Hard });
 
+// Hand-written, not `struct_json!`: each variant is a single-key object around its fields.
 impl ToJson for QuestionBody {
     fn to_json(&self) -> Json {
         match self {
@@ -265,36 +266,9 @@ impl FromJson for QuestionBody {
     }
 }
 
-impl ToJson for Question {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", self.id.to_json()),
-            ("taxonomy", self.taxonomy.to_json()),
-            ("child", self.child.to_json()),
-            ("child_level", self.child_level.to_json()),
-            ("parent_level", self.parent_level.to_json()),
-            ("true_parent", self.true_parent.to_json()),
-            ("instance_typing", self.instance_typing.to_json()),
-            ("body", self.body.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Question {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Question {
-            id: json.field_as("id")?,
-            taxonomy: json.field_as("taxonomy")?,
-            child: json.field_as("child")?,
-            child_level: json.field_as("child_level")?,
-            parent_level: json.field_as("parent_level")?,
-            true_parent: json.field_as("true_parent")?,
-            instance_typing: json.field_as("instance_typing")?,
-            body: json.field_as("body")?,
-            surface_memo: SurfaceMemo::default(),
-        })
-    }
-}
+taxoglimpse_json::struct_json!(Question {
+    id, taxonomy, child, child_level, parent_level, true_parent, instance_typing, body; surface_memo
+});
 
 /// The gold answer to a question, used for scoring and for rendering
 /// few-shot exemplars.

@@ -7,9 +7,10 @@
 //! replaces `serde`/`serde_json` for the handful of types that are
 //! actually persisted (datasets, eval reports, exchange logs, flat
 //! taxonomies). The encodings mirror the former derive output — unit
-//! enum variants as strings (`"Easy"`), data-carrying variants as
-//! single-key objects (`{"Option":2}`), structs as objects in field
-//! order — so readers of previously written files keep working.
+//! enum variants as strings (`"Easy"`, [`unit_enum_json!`]),
+//! data-carrying variants as single-key objects (`{"Option":2}`),
+//! structs as objects in field order ([`struct_json!`]) — so readers of
+//! previously written files keep working.
 //!
 //! Numbers preserve integer exactness: integers round-trip through
 //! [`Json::U64`]/[`Json::I64`] (never through `f64`), which matters for
@@ -420,9 +421,92 @@ macro_rules! unit_enum_json {
     };
 }
 
+/// Implement [`ToJson`]/[`FromJson`] for a struct with named fields,
+/// from one ordered field list: each field is an object key equal to its
+/// name, keys in list order. Fields after `;` are not serialized and
+/// decode as `Default::default()` (caches and memos). Decoding builds a
+/// struct literal, so a field left off both lists is a compile error.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Cell { model: String, accuracy: f64, memo: Option<u32> }
+/// taxoglimpse_json::struct_json!(Cell { model, accuracy; memo });
+///
+/// let cell = Cell { model: "GPT-4".into(), accuracy: 0.5, memo: Some(3) };
+/// let text = taxoglimpse_json::to_string(&cell).unwrap();
+/// assert_eq!(text, r#"{"model":"GPT-4","accuracy":0.5}"#);
+/// let back: Cell = taxoglimpse_json::from_str(&text).unwrap();
+/// assert_eq!(back, Cell { memo: None, ..cell });
+/// ```
+#[macro_export]
+macro_rules! struct_json {
+    ($ty:ty { $($field:ident),+ $(,)? $(; $($skip:ident),+ $(,)?)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::obj(vec![
+                    $((stringify!($field), $crate::ToJson::to_json(&self.$field)),)+
+                ])
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(json: &$crate::Json) -> Result<Self, $crate::JsonError> {
+                Ok(Self {
+                    $($field: json.field_as(stringify!($field))?,)+
+                    $($($skip: Default::default(),)+)?
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[derive(Debug, PartialEq)]
+    struct Record {
+        zeta: u32,
+        alpha: String,
+        mid: Vec<Option<i64>>,
+        memo: u64,
+    }
+
+    struct_json!(Record { zeta, alpha, mid; memo });
+
+    fn record() -> Record {
+        Record { zeta: 7, alpha: "a".to_owned(), mid: vec![Some(-1), None], memo: 99 }
+    }
+
+    #[test]
+    fn struct_json_keys_follow_the_list_order() {
+        assert_eq!(to_string(&record()).unwrap(), r#"{"zeta":7,"alpha":"a","mid":[-1,null]}"#);
+    }
+
+    #[test]
+    fn struct_json_skipped_field_is_not_emitted_and_decodes_to_default() {
+        let json = record().to_json();
+        assert!(json.get("memo").is_none(), "{json}");
+        let with_memo = r#"{"zeta":7,"alpha":"a","mid":[],"memo":5}"#;
+        assert_eq!(from_str::<Record>(with_memo).unwrap().memo, 0);
+    }
+
+    #[test]
+    fn struct_json_missing_key_names_the_field() {
+        let err = from_str::<Record>(r#"{"zeta":7,"mid":[]}"#).unwrap_err();
+        assert_eq!(err.to_string(), "missing field `alpha`");
+        let err = from_str::<Record>(r#"{"zeta":"7","alpha":"a","mid":[]}"#).unwrap_err();
+        assert_eq!(err.to_string(), "field `zeta`: expected unsigned integer, got string");
+    }
+
+    #[test]
+    fn struct_json_round_trips() {
+        let original = record();
+        let back: Record = from_str(&to_string(&original).unwrap()).unwrap();
+        assert_eq!(back, Record { memo: 0, ..original });
+        let pretty: Record = from_str(&to_string_pretty(&back).unwrap()).unwrap();
+        assert_eq!(pretty, back);
+    }
 
     #[test]
     fn scalars_round_trip() {

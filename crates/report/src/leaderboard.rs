@@ -121,8 +121,10 @@ mod tests {
         }
     }
 
+    /// Macro and pooled accuracy order these models alike; the ranking
+    /// rule is checked below, where they differ.
     #[test]
-    fn ranks_by_macro_accuracy() {
+    fn groups_cells_per_model_with_macro_and_pooled_totals() {
         let reports = vec![
             report("weak", 40, 60, 0),
             report("strong", 90, 10, 0),

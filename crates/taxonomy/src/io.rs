@@ -8,7 +8,7 @@
 use crate::arena::Taxonomy;
 use crate::builder::{BuildError, TaxonomyBuilder};
 use std::fmt;
-use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
+use taxoglimpse_json::ToJson;
 
 /// Flat, serialization-friendly representation of a taxonomy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,25 +21,7 @@ pub struct FlatTaxonomy {
     pub parents: Vec<Option<usize>>,
 }
 
-impl ToJson for FlatTaxonomy {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", self.label.to_json()),
-            ("names", self.names.to_json()),
-            ("parents", self.parents.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FlatTaxonomy {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(FlatTaxonomy {
-            label: json.field_as("label")?,
-            names: json.field_as("names")?,
-            parents: json.field_as("parents")?,
-        })
-    }
-}
+taxoglimpse_json::struct_json!(FlatTaxonomy { label, names, parents });
 
 /// Errors from parsing the TSV format.
 #[derive(Debug, Clone, PartialEq, Eq)]

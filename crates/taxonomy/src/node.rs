@@ -12,6 +12,7 @@ use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
+// Hand-written, not `struct_json!`: a tuple struct that serializes as a bare number.
 impl ToJson for NodeId {
     /// Transparent: a `NodeId` serializes as its bare raw index.
     fn to_json(&self) -> Json {

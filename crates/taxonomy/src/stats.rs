@@ -2,7 +2,6 @@
 
 use crate::arena::Taxonomy;
 use std::fmt;
-use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
 
 /// Summary statistics for a taxonomy, mirroring Table 1 of the paper:
 /// number of entities, number of levels, number of trees, and the number
@@ -87,35 +86,10 @@ impl fmt::Display for TaxonomyStats {
     }
 }
 
-impl ToJson for TaxonomyStats {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", self.label.to_json()),
-            ("num_entities", self.num_entities.to_json()),
-            ("num_levels", self.num_levels.to_json()),
-            ("num_trees", self.num_trees.to_json()),
-            ("nodes_per_level", self.nodes_per_level.to_json()),
-            ("num_leaves", self.num_leaves.to_json()),
-            ("max_children", self.max_children.to_json()),
-            ("mean_children_of_internal", self.mean_children_of_internal.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TaxonomyStats {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(TaxonomyStats {
-            label: json.field_as("label")?,
-            num_entities: json.field_as("num_entities")?,
-            num_levels: json.field_as("num_levels")?,
-            num_trees: json.field_as("num_trees")?,
-            nodes_per_level: json.field_as("nodes_per_level")?,
-            num_leaves: json.field_as("num_leaves")?,
-            max_children: json.field_as("max_children")?,
-            mean_children_of_internal: json.field_as("mean_children_of_internal")?,
-        })
-    }
-}
+taxoglimpse_json::struct_json!(TaxonomyStats {
+    label, num_entities, num_levels, num_trees, nodes_per_level, num_leaves, max_children,
+    mean_children_of_internal,
+});
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,9 @@
 
 mod common;
 
+use std::sync::Arc;
+
+use taxoglimpse::core::dataset::Dataset;
 use taxoglimpse::core::model::Query;
 use taxoglimpse::prelude::*;
 
@@ -144,4 +147,30 @@ fn instance_typing_and_casestudy_are_deterministic() {
         .run(model.as_ref())
     };
     assert_eq!(mk_cs(), mk_cs());
+}
+
+#[test]
+fn cache_hit_rate_is_worker_count_invariant() {
+    // Easy and Hard share their positive questions, so with several
+    // workers their chunks race to miss on the same deliveries.
+    let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 5, scale: 1.0 }).unwrap();
+    let datasets: Vec<Dataset> = [QuestionDataset::Easy, QuestionDataset::Hard]
+        .into_iter()
+        .map(|flavor| DatasetBuilder::new(&t, TaxonomyKind::Ebay, 5).build(flavor).unwrap())
+        .collect();
+    let refs: Vec<&Dataset> = datasets.iter().collect();
+    let base = Arc::new(SimulatedLlm::new(ModelId::Gpt4));
+    let mut first: Option<(f64, u64)> = None;
+    for workers in [1, 2, 8] {
+        let runner = GridRunner::builder().with_chunk_size(16).with_threads(workers).build();
+        for rep in 0..10 {
+            let cached = CachedModel::new(Arc::clone(&base));
+            runner.run_cross(&[&cached], &refs);
+            let stats = cached.cache().stats();
+            let counted = (stats.hit_rate(), stats.hits + stats.duplicates);
+            let expected = *first.get_or_insert(counted);
+            assert_eq!(counted, expected, "{workers} workers, repetition {rep}: {stats:?}");
+        }
+    }
+    assert!(first.is_some_and(|(rate, _)| rate > 0.0), "Easy and Hard shared no delivery");
 }

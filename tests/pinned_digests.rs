@@ -50,18 +50,28 @@
 //!   instances (10.6 s, NCBI's four cells about 8.5 of it). Cells
 //!   rotate through 1, 2 and 8 workers; per-cell worker invariance is
 //!   `tests/hier.rs::hier_reports_byte_identical_across_workers_cache_and_faults`.
+//! * **wire** ([`wire_bytes_of_every_record_are_pinned`]): the
+//!   `json::to_string` bytes of one fixed instance of each struct record
+//!   (eBay at scale 0.1: a cap-4 Hard dataset, GPT-4's grid report over
+//!   it, its `DetailedRun` JSONL, a cap-12 hier report, the taxonomy's
+//!   stats and its flat JSON), each also equal after a decode and
+//!   re-encode (under 0.1 s). The other gates hash reports only; this one
+//!   holds dataset, question, transcript and taxonomy bytes too.
 
 use std::sync::{Arc, OnceLock};
 
 use taxoglimpse::core::cache::CacheStats;
 use taxoglimpse::core::dataset::Dataset;
+use taxoglimpse::core::detailed::DetailedRun;
 use taxoglimpse::core::prompts::render_prompt;
 use taxoglimpse::core::reports_digest;
 use taxoglimpse::core::resilience::ResilienceSession;
 use taxoglimpse::core::templates::TemplateVariant;
+use taxoglimpse::json::{self, FromJson, ToJson};
 use taxoglimpse::prelude::*;
+use taxoglimpse::synth::rng::hash_str;
 use taxoglimpse::synth::SEQ_STREAM_VERSION;
-use taxoglimpse::taxonomy::SnapshotStore;
+use taxoglimpse::taxonomy::{SnapshotStore, TaxonomyStats};
 
 const SEED: u64 = 42;
 
@@ -173,6 +183,21 @@ const HIER_DIGESTS: [(TaxonomyKind, [&str; 4]); 10] = [
         TaxonomyKind::Ncbi,
         ["4dff9450dbbddab2", "43f59f433877f1f7", "0c1f1c2fb1fb313e", "ae216a12ccb63aac"],
     ),
+];
+
+/// `hash_str` of each record's `json::to_string` bytes, one fixed
+/// instance per type (see [`wire_bytes_of_every_record_are_pinned`]).
+const WIRE_DIGESTS: [(&str, &str); 10] = [
+    ("Dataset", "239662c0312a1d0b"),
+    ("LevelSlice", "405bdd3c8273358c"),
+    ("Question", "3d41ba1683930114"),
+    ("EvalReport", "b76f7d01a440e3eb"),
+    ("LevelMetrics", "4642c4851f64b683"),
+    ("Exchange", "672f78626f38a1c8"),
+    ("HierReport", "df0fdd8a09f99a21"),
+    ("HierMetrics", "9322e2b02b03a27c"),
+    ("TaxonomyStats", "1f61893646a50e05"),
+    ("FlatTaxonomy", "ac3383a6f2ca7739"),
 ];
 
 fn hex(digest: u64) -> String {
@@ -493,4 +518,47 @@ fn hier_report_digests_are_pinned() {
             );
         }
     }
+}
+
+/// The digest of `value`'s wire bytes, after checking that decoding
+/// them and encoding again reproduces them.
+fn wire<T: ToJson + FromJson>(value: &T) -> String {
+    let bytes = json::to_string(value).expect("records serialize");
+    let back: T = json::from_str(&bytes).expect("written records decode");
+    assert_eq!(json::to_string(&back).expect("records serialize"), bytes, "re-encode moved");
+    hex(hash_str(0x5EED, &bytes))
+}
+
+#[test]
+fn wire_bytes_of_every_record_are_pinned() {
+    let kind = TaxonomyKind::Ebay;
+    let taxonomy = taxonomy(kind, 0.1);
+    let dataset = hard_dataset(&taxonomy, kind, 4);
+    let gpt4 = models().swap_remove(0);
+    let report = GridRunner::default().run(gpt4.as_ref(), &dataset);
+    let run = DetailedRun::record(gpt4.as_ref(), &dataset, EvalConfig::default());
+    let jsonl = run.to_jsonl();
+    let decoded = DetailedRun::from_jsonl(&run.model, &jsonl).expect("written JSONL decodes");
+    assert_eq!(decoded.to_jsonl(), jsonl, "JSONL re-encode moved");
+    let workload = HierWorkload::new().with_sample_cap(Some(12));
+    let cx = WorkloadContext::new(&taxonomy, kind, SEED);
+    let data = workload.build(&cx).expect("eBay supports hier");
+    let hier = workload.run(&GridRunner::default(), gpt4.as_ref(), &cx, &data);
+    let flat = taxonomy.to_json();
+    assert_eq!(Taxonomy::from_json(&flat).expect("flat JSON decodes").to_json(), flat);
+
+    let actual = [
+        ("Dataset", wire(&dataset)),
+        ("LevelSlice", wire(&dataset.levels[0])),
+        ("Question", wire(&dataset.levels[0].questions[0])),
+        ("EvalReport", wire(&report)),
+        ("LevelMetrics", wire(&report.by_level[0])),
+        ("Exchange", hex(hash_str(0x5EED, &jsonl))),
+        ("HierReport", wire(&hier)),
+        ("HierMetrics", wire(&hier.metrics)),
+        ("TaxonomyStats", wire(&TaxonomyStats::compute(&taxonomy))),
+        ("FlatTaxonomy", hex(hash_str(0x5EED, &flat))),
+    ];
+    let pinned = WIRE_DIGESTS.map(|(name, digest)| (name, digest.to_owned()));
+    assert_eq!(actual, pinned, "wire bytes moved");
 }
