@@ -145,6 +145,24 @@ mod tests {
         }
     }
 
+    /// Figure 7 as measured rather than as the paper states it: the
+    /// Mistral→Mixtral step (mixture of experts) scales best of all, so
+    /// the three smallest slopes are Mistral, Flan-T5 and Llama-3, and
+    /// Vicuna, which the paper names too, comes fourth (`[fig7]`).
+    #[test]
+    fn smallest_slopes_are_mistral_flan_t5_llama3_then_vicuna() {
+        let mut slopes: Vec<(f64, ModelFamily)> = figure7_series()
+            .into_iter()
+            .map(|(family, _)| (family_latency_slope(family).unwrap(), family))
+            .collect();
+        slopes.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let order: Vec<ModelFamily> = slopes.iter().take(4).map(|&(_, family)| family).collect();
+        assert_eq!(
+            order,
+            [ModelFamily::Mistral, ModelFamily::FlanT5, ModelFamily::Llama3, ModelFamily::Vicuna]
+        );
+    }
+
     #[test]
     fn mixtral_moe_is_cheaper_than_dense_equivalent() {
         let mixtral = footprint(ModelId::Mixtral8x7b).unwrap();

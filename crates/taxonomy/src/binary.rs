@@ -4,7 +4,9 @@
 //! forest (2.19M nodes) is ~90 MB of JSON. This length-prefixed binary
 //! codec stores the same flat representation in roughly `names + 9
 //! bytes/node`, encodes/decodes in one pass, and validates structure on
-//! load.
+//! load. This module is the only code that knows the layout: the
+//! snapshot store frames an encoding and hands the payload's reader to
+//! the same decoder [`Taxonomy::from_binary`] runs.
 //!
 //! Version 2 layout (all integers little-endian):
 //!
@@ -20,28 +22,28 @@
 //! ```
 //!
 //! Storing the name arena as one contiguous block with an offset table
-//! lets the loader slurp all names with a single allocation and a single
-//! UTF-8 validation pass — no per-name `String` — which is what makes
+//! lets the loader read all names into one buffer, validate them in one
+//! pass and adopt that buffer as the taxonomy's name arena — no
+//! per-name `String` and no second copy — which is what makes
 //! snapshot-load an order of magnitude faster than regeneration for the
 //! NCBI-scale forest.
 //!
 //! When every parent index precedes its child (true for anything this
 //! crate's writer emits, since the builder can only attach children to
-//! existing nodes), the v2 loader reconstructs levels, the CSR child
-//! list, and the per-level index directly from the columns without the
-//! `from_edges` re-insertion pass, preserving node order exactly. Files
-//! with forward parent references fall back to the validating
-//! `from_edges` path (full dangling/cycle detection).
+//! existing nodes), the decoder derives levels from the parent column
+//! and hands the columns to the builder's assembler, preserving node
+//! order exactly. Files with forward parent references fall back to the
+//! validating `from_edges` path (full dangling/cycle detection).
 //!
 //! Version 2 is the only version written or read; any other version
 //! fails as [`BinaryError::BadVersion`].
 
 use crate::arena::{Taxonomy, NO_PARENT};
-use crate::builder::{BuildError, TaxonomyBuilder};
-use crate::node::NodeId;
+use crate::builder::{assemble, BuildError, TaxonomyBuilder};
 use std::fmt;
+use std::io::Read;
 
-pub(crate) const MAGIC: &[u8; 4] = b"TAXG";
+const MAGIC: &[u8; 4] = b"TAXG";
 const VERSION_V2: u16 = 2;
 
 /// Current write-side codec version. Snapshot cache keys embed this so a
@@ -113,344 +115,172 @@ impl Taxonomy {
     /// Decode from the TAXG binary format (with full structural
     /// validation).
     pub fn from_binary(bytes: &[u8]) -> Result<Self, BinaryError> {
-        let mut buf = bytes;
-        if buf.len() < 4 || &buf[..4] != MAGIC {
-            return Err(BinaryError::BadMagic);
-        }
-        buf = &buf[4..];
-        let version = get_u16(&mut buf)?;
-        if version != VERSION_V2 {
-            return Err(BinaryError::BadVersion(version));
-        }
-        let decoded = decode_v2(buf, None, None)?;
-        Ok(materialize_names(decoded, |range| {
-            String::from_utf8(buf[range].to_vec())
-                .expect("decode_v2 validated the name block as UTF-8")
-        }))
+        decode(bytes, bytes.len() as u64, |_| {})
     }
 }
 
-/// Decode a v2 payload whose name block was read into its own buffer:
-/// `head` is the payload from magic through the offset table, `names`
-/// the name block, which becomes the taxonomy's name arena without a
-/// copy. Snapshot loading stages its file reads this way so an
-/// NCBI-scale name arena (~38 MB) is never moved after leaving the
-/// kernel.
+/// The TAXG decoder: reads a payload of exactly `len` bytes from `src`.
 ///
-/// `names_ascii`, when `Some`, must equal `names.is_ascii()` — the
-/// loader computes it over each slice while the bytes are still cache
-/// warm, sparing the decoder a cold rescan. A wrong `Some(true)` would
-/// skip UTF-8 validation, so only pass a value actually derived from
-/// `names`' bytes.
-pub(crate) fn from_binary_split(
-    head: &[u8],
-    names: Vec<u8>,
-    names_ascii: Option<bool>,
+/// Reads are staged — header fields, then the parent and offset tables
+/// in one read, then the name block in cache-sized slices — and each is
+/// checked against the bytes left before anything is allocated for it,
+/// so an adversarial count fails as `Truncated` instead of requesting a
+/// huge allocation. Every staged read is passed to `observe` as it
+/// lands, while it is still cache warm; the snapshot store streams its
+/// checksum this way. The name block is proven ASCII slice by slice in
+/// the same pass and its buffer becomes the name arena without a copy.
+pub(crate) fn decode(
+    src: impl Read,
+    len: u64,
+    observe: impl FnMut(&[u8]),
 ) -> Result<Taxonomy, BinaryError> {
-    if head.len() < 6 || &head[..4] != MAGIC {
+    let mut input = Staged { src, left: len, observe };
+    if input.array().map_err(|_| BinaryError::BadMagic)? != *MAGIC {
         return Err(BinaryError::BadMagic);
     }
-    let version = u16::from_le_bytes([head[4], head[5]]);
+    let version = u16::from_le_bytes(input.array()?);
     if version != VERSION_V2 {
         return Err(BinaryError::BadVersion(version));
     }
-    let decoded = decode_v2(&head[6..], Some(&names), names_ascii)?;
-    Ok(materialize_names(decoded, move |range| {
-        debug_assert_eq!(range, 0..names.len());
-        debug_assert!(std::str::from_utf8(&names).is_ok());
-        // SAFETY: decode_v2 validated the full name block as UTF-8.
-        unsafe { String::from_utf8_unchecked(names) }
-    }))
-}
-
-/// A decoded v2 taxonomy whose name arena has not been materialized yet:
-/// `name_range` locates the validated UTF-8 name block — relative to
-/// the bytes after magic+version for an inline decode, or within the
-/// separate block for a split decode — and is `None` when the fallback
-/// path already produced a complete taxonomy.
-struct DecodedV2 {
-    taxonomy: Taxonomy,
-    name_range: Option<std::ops::Range<usize>>,
-}
-
-fn materialize_names(
-    decoded: DecodedV2,
-    make: impl FnOnce(std::ops::Range<usize>) -> String,
-) -> Taxonomy {
-    let DecodedV2 { mut taxonomy, name_range } = decoded;
-    if let Some(range) = name_range {
-        taxonomy.name_buf = make(range);
-    }
-    taxonomy
-}
-
-/// The v2 decoder: `rest` holds everything after magic+version, and
-/// the name block either follows the offset table inside `rest`
-/// (`split_names: None`) or was staged into its own buffer
-/// (`Some(block)`), whose length must match the declared count.
-/// `ascii_hint` is the caller's precomputed `is_ascii()` of the split
-/// name block, if it has one (see [`from_binary_split`]).
-fn decode_v2(
-    rest: &[u8],
-    split_names: Option<&[u8]>,
-    ascii_hint: Option<bool>,
-) -> Result<DecodedV2, BinaryError> {
-    let mut cursor = rest;
-    let buf = &mut cursor;
-    let label = get_string(buf)?;
-    let n = get_u64(buf)? as usize;
-    if n > u32::MAX as usize {
+    let label_len = u32::from_le_bytes(input.array()?);
+    let mut label = Vec::new();
+    input.read(&mut label, label_len.into())?;
+    let label = String::from_utf8(label).map_err(|_| BinaryError::BadUtf8)?;
+    let n = u64::from_le_bytes(input.array()?);
+    if n > u32::MAX as u64 {
         return Err(BinaryError::Build(BuildError::TooManyNodes));
     }
-    // `take` checks that the bytes behind the count are present before
-    // anything `n`-sized is allocated: an adversarial count fails here as
-    // `Truncated` instead of requesting a huge allocation. A byte length
-    // that overflows `usize` (possible where it is 32 bits) is one too.
-    let parent_bytes = take(buf, n.checked_mul(4).ok_or(BinaryError::Truncated)?)?;
-    let parent: Vec<u32> = parent_bytes
-        .chunks_exact(4)
-        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("chunks_exact yields 4 bytes")))
-        .collect();
+    let n = n as usize;
 
-    let name_bytes = get_u64(buf)? as usize;
-    let offsets_len = n.checked_add(1).and_then(|entries| entries.checked_mul(4));
-    let offset_bytes = take(buf, offsets_len.ok_or(BinaryError::Truncated)?)?;
-    // The name block must actually be present before we use it.
-    let (name_start, name_block) = match split_names {
-        None => {
-            if buf.len() < name_bytes {
-                return Err(BinaryError::Truncated);
-            }
-            let start = rest.len() - buf.len();
-            (start, take(buf, name_bytes)?)
-        }
-        Some(block) => {
-            if block.len() != name_bytes {
-                return Err(BinaryError::Truncated);
-            }
-            (0, block)
-        }
-    };
-    if !buf.is_empty() {
-        return Err(BinaryError::TrailingBytes);
+    // Parents (4n), the name-block length (8) and offsets (4(n + 1)).
+    let mut tables = Vec::new();
+    input.read(&mut tables, 8 * n as u64 + 12)?;
+    let (parent_bytes, rest) = tables.split_at(4 * n);
+    let (name_len, offset_bytes) = rest.split_at(8);
+    let parent: Vec<u32> = parent_bytes.chunks_exact(4).map(le_u32).collect();
+    let name_bytes = u64::from_le_bytes(name_len.try_into().expect("split_at(8) yields 8 bytes"));
+    if name_bytes != input.left {
+        let short = name_bytes > input.left;
+        return Err(if short { BinaryError::Truncated } else { BinaryError::TrailingBytes });
     }
+    let mut names = Vec::with_capacity(name_bytes as usize + 1);
     // ASCII blocks (the common case for generated taxonomies) are
     // trivially valid UTF-8 and make every offset a char boundary, so
-    // one SIMD-friendly `is_ascii` scan replaces both the full UTF-8
-    // validation and the per-span boundary checks below.
-    let ascii = match (split_names, ascii_hint) {
-        (Some(_), Some(hint)) => {
-            debug_assert_eq!(hint, name_block.is_ascii(), "caller-supplied ASCII hint must match");
-            hint
-        }
-        _ => name_block.is_ascii(),
-    };
-    let name_str = if ascii {
+    // one SIMD-friendly `is_ascii` scan per slice replaces both the full
+    // UTF-8 validation and the per-span boundary checks below.
+    let mut ascii = true;
+    while input.left > 0 {
+        let start = names.len();
+        input.read(&mut names, input.left.min(8 << 20))?;
+        ascii &= names[start..].is_ascii();
+    }
+    let name_buf = if ascii {
+        debug_assert!(std::str::from_utf8(&names).is_ok());
         // SAFETY: ASCII is a strict subset of UTF-8.
-        unsafe { std::str::from_utf8_unchecked(name_block) }
+        unsafe { String::from_utf8_unchecked(names) }
     } else {
-        std::str::from_utf8(name_block).map_err(|_| BinaryError::BadUtf8)?
+        String::from_utf8(names).map_err(|_| BinaryError::BadUtf8)?
     };
 
     // Offsets: first = 0, last = name_bytes, monotonic (which together
     // bound every span by name_bytes), each on a char boundary. The
     // monotonicity flag is folded instead of branch-per-span so the
     // span-building loop stays vectorizable.
-    let off_at = |i: usize| {
-        u32::from_le_bytes(
-            offset_bytes[i * 4..i * 4 + 4].try_into().expect("offset table holds n + 1 entries"),
-        )
-    };
-    if off_at(0) != 0 || off_at(n) as usize != name_bytes {
+    let off_at = |i: usize| le_u32(&offset_bytes[i * 4..i * 4 + 4]);
+    if off_at(0) != 0 || off_at(n) as u64 != name_bytes {
         return Err(BinaryError::BadOffsets);
     }
     let mut name_spans: Vec<(u32, u32)> = Vec::with_capacity(n);
     let mut monotonic = true;
     let mut prev = 0u32;
     name_spans.extend(offset_bytes[4..].chunks_exact(4).map(|chunk| {
-        let end = u32::from_le_bytes(chunk.try_into().expect("chunks_exact yields 4 bytes"));
+        let end = le_u32(chunk);
         monotonic &= prev <= end;
         let span = (prev, end);
         prev = end;
         span
     }));
+    drop(tables);
     if !monotonic {
         return Err(BinaryError::BadOffsets);
     }
-    if !ascii {
-        for &(start, end) in &name_spans {
-            if !name_str.is_char_boundary(start as usize)
-                || !name_str.is_char_boundary(end as usize)
-            {
-                return Err(BinaryError::BadOffsets);
-            }
-        }
+    let name = |i: usize| &name_buf[name_spans[i].0 as usize..name_spans[i].1 as usize];
+    if !ascii
+        && name_spans.iter().any(|&(s, e)| {
+            !name_buf.is_char_boundary(s as usize) || !name_buf.is_char_boundary(e as usize)
+        })
+    {
+        return Err(BinaryError::BadOffsets);
     }
 
-    // One fused forward pass over the parent column: rejects
-    // out-of-range parents, detects forward references (which drop to
-    // the validating from_edges fallback), derives levels and child
-    // counts (parents always precede children on this path), and tracks
-    // two writer-shape properties that unlock the fast constructions
-    // below — non-root parents globally non-decreasing (scatter-free
-    // CSR) and a non-decreasing level column (range-fill per-level
-    // index). Both hold for anything this crate's builder emits, where
-    // every level is one contiguous id range.
-    let mut ordered = true;
-    let mut parents_sorted = true;
-    let mut prev_parent = 0u32;
+    // One forward pass over the parent column rejects out-of-range
+    // parents and derives levels; a forward reference (a parent at or
+    // after its child) drops to the validating `from_edges` fallback.
     let mut level = Vec::with_capacity(n);
-    let mut roots = Vec::new();
-    let mut child_count = vec![0u32; n];
-    let mut depth = 0usize;
-    let mut levels_sorted = true;
-    let mut prev_level = 0u8;
     for (i, &p) in parent.iter().enumerate() {
-        let l = if p == NO_PARENT {
-            roots.push(NodeId(i as u32));
-            0u8
-        } else {
-            if p as usize >= n {
-                return Err(BinaryError::Build(BuildError::DanglingParent {
-                    child: i,
-                    parent: p as usize,
-                }));
-            }
-            if p as usize >= i {
-                ordered = false;
-                break;
-            }
-            parents_sorted &= p >= prev_parent;
-            prev_parent = p;
-            let l = level[p as usize] as usize + 1;
-            if l >= TaxonomyBuilder::MAX_LEVELS {
-                let (s, e) = name_spans[i];
-                return Err(BinaryError::Build(BuildError::TooDeep {
-                    name: name_str[s as usize..e as usize].to_owned(),
-                }));
-            }
-            child_count[p as usize] += 1;
-            depth = depth.max(l);
-            l as u8
-        };
-        levels_sorted &= l >= prev_level;
-        prev_level = l;
-        level.push(l);
-    }
-    if !ordered {
-        // Forward reference: re-insert through the builder, which
-        // performs full dangling/cycle detection on the whole edge set.
-        let names: Vec<String> =
-            name_spans.iter().map(|&(s, e)| name_str[s as usize..e as usize].to_owned()).collect();
-        let parents: Vec<Option<usize>> =
-            parent.iter().map(|&p| (p != NO_PARENT).then_some(p as usize)).collect();
-        let taxonomy =
-            TaxonomyBuilder::from_edges(label, &names, &parents).map_err(BinaryError::Build)?;
-        return Ok(DecodedV2 { taxonomy, name_range: None });
-    }
-
-    // CSR child lists: prefix-sum the counts, then place children. When
-    // parents are non-decreasing, children grouped by parent are exactly
-    // the non-root ids in id order — a sequential fill instead of the
-    // cursor-clone + scatter of the general case.
-    let mut child_off = Vec::with_capacity(n + 1);
-    let mut acc = 0u32;
-    child_off.push(0);
-    for &c in &child_count {
-        acc += c;
-        child_off.push(acc);
-    }
-    let child_list: Vec<NodeId> = if parents_sorted {
-        let mut list = Vec::with_capacity(acc as usize);
-        list.extend(
-            parent
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p != NO_PARENT)
-                .map(|(i, _)| NodeId(i as u32)),
-        );
-        list
-    } else {
-        let mut cursor = child_off.clone();
-        let mut list = vec![NodeId(0); acc as usize];
-        for (i, &p) in parent.iter().enumerate() {
-            if p != NO_PARENT {
-                let slot = cursor[p as usize];
-                list[slot as usize] = NodeId(i as u32);
-                cursor[p as usize] += 1;
-            }
+        if p == NO_PARENT {
+            level.push(0);
+            continue;
         }
-        list
-    };
-
-    let levels_present = if n == 0 { 0 } else { depth + 1 };
-    let by_level: Vec<Vec<NodeId>> = if levels_sorted {
-        // Non-decreasing level column: each level is one contiguous id
-        // range, located by walking the column once.
-        let mut by_level = Vec::with_capacity(levels_present);
-        let mut start = 0usize;
-        for l in 0..levels_present {
-            let mut end = start;
-            while end < n && level[end] as usize == l {
-                end += 1;
-            }
-            by_level.push((start..end).map(|i| NodeId(i as u32)).collect());
-            start = end;
+        if p as usize >= n {
+            let err = BuildError::DanglingParent { child: i, parent: p as usize };
+            return Err(BinaryError::Build(err));
         }
-        by_level
-    } else {
-        let mut counts = vec![0usize; levels_present];
-        for &l in &level {
-            counts[l as usize] += 1;
+        if p as usize >= i {
+            // Re-insert through the builder, which performs full
+            // dangling/cycle detection on the whole edge set.
+            let names: Vec<String> = (0..n).map(|i| name(i).to_owned()).collect();
+            let parents: Vec<Option<usize>> =
+                parent.iter().map(|&p| (p != NO_PARENT).then_some(p as usize)).collect();
+            return TaxonomyBuilder::from_edges(label, &names, &parents).map_err(BinaryError::Build);
         }
-        let mut by_level: Vec<Vec<NodeId>> =
-            counts.into_iter().map(Vec::with_capacity).collect();
-        for (i, &l) in level.iter().enumerate() {
-            by_level[l as usize].push(NodeId(i as u32));
+        let l = level[p as usize] as usize + 1;
+        if l >= TaxonomyBuilder::MAX_LEVELS {
+            let err = BuildError::TooDeep { name: name(i).to_owned() };
+            return Err(BinaryError::Build(err));
         }
-        by_level
-    };
-
-    let taxonomy = Taxonomy {
-        label,
-        name_buf: String::new(),
-        name_spans,
-        parent,
-        level,
-        child_off,
-        child_list,
-        roots,
-        by_level,
-    };
-    Ok(DecodedV2 { taxonomy, name_range: Some(name_start..name_start + name_bytes) })
-}
-
-/// Split `n` bytes off the front of the cursor, or fail as truncated.
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinaryError> {
-    if buf.len() < n {
-        return Err(BinaryError::Truncated);
+        level.push(l as u8);
     }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
+    Ok(assemble(label, name_buf, name_spans, parent, level))
 }
 
-fn get_u16(buf: &mut &[u8]) -> Result<u16, BinaryError> {
-    take(buf, 2).map(|b| u16::from_le_bytes(b.try_into().expect("take() yielded exactly 2 bytes")))
+/// A reader with `left` bytes still to come, each staged read of which
+/// `observe` sees.
+struct Staged<R, F> {
+    src: R,
+    left: u64,
+    observe: F,
 }
 
-fn get_u32(buf: &mut &[u8]) -> Result<u32, BinaryError> {
-    take(buf, 4).map(|b| u32::from_le_bytes(b.try_into().expect("take() yielded exactly 4 bytes")))
+impl<R: Read, F: FnMut(&[u8])> Staged<R, F> {
+    /// Append exactly `len` more bytes to `out`, or fail as truncated
+    /// before reserving anything the input cannot back. The reserve
+    /// ahead of `read_to_end` lets it read straight into spare capacity.
+    fn read(&mut self, out: &mut Vec<u8>, len: u64) -> Result<(), BinaryError> {
+        if len > self.left {
+            return Err(BinaryError::Truncated);
+        }
+        let start = out.len();
+        out.reserve(usize::try_from(len).map_err(|_| BinaryError::Truncated)? + 1);
+        let got = self.src.by_ref().take(len).read_to_end(out);
+        if got.ok() != Some(len as usize) {
+            return Err(BinaryError::Truncated);
+        }
+        self.left -= len;
+        (self.observe)(&out[start..]);
+        Ok(())
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], BinaryError> {
+        let mut bytes = Vec::with_capacity(N + 1);
+        self.read(&mut bytes, N as u64)?;
+        Ok(bytes.try_into().expect("read() appended exactly N bytes"))
+    }
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64, BinaryError> {
-    take(buf, 8).map(|b| u64::from_le_bytes(b.try_into().expect("take() yielded exactly 8 bytes")))
-}
-
-fn get_string(buf: &mut &[u8]) -> Result<String, BinaryError> {
-    let len = get_u32(buf)? as usize;
-    let bytes = take(buf, len)?;
-    std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| BinaryError::BadUtf8)
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("a u32 field is 4 bytes"))
 }
 
 #[cfg(test)]

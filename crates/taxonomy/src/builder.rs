@@ -68,8 +68,6 @@ pub struct TaxonomyBuilder {
     name_spans: Vec<(u32, u32)>,
     parent: Vec<u32>,
     level: Vec<u8>,
-    child_count: Vec<u32>,
-    roots: Vec<NodeId>,
     deep_error: Option<BuildError>,
 }
 
@@ -85,8 +83,6 @@ impl TaxonomyBuilder {
             name_spans: Vec::new(),
             parent: Vec::new(),
             level: Vec::new(),
-            child_count: Vec::new(),
-            roots: Vec::new(),
             deep_error: None,
         }
     }
@@ -99,7 +95,6 @@ impl TaxonomyBuilder {
         b.name_spans.reserve(n);
         b.parent.reserve(n);
         b.level.reserve(n);
-        b.child_count.reserve(n);
         b
     }
 
@@ -132,8 +127,6 @@ impl TaxonomyBuilder {
         self.push_name(name);
         self.parent.push(NO_PARENT);
         self.level.push(0);
-        self.child_count.push(0);
-        self.roots.push(id);
         id
     }
 
@@ -146,7 +139,6 @@ impl TaxonomyBuilder {
         self.name_spans.reserve(nodes);
         self.parent.reserve(nodes);
         self.level.reserve(nodes);
-        self.child_count.reserve(nodes);
     }
 
     /// Append every name yielded by `names` as a child of `parent`, in
@@ -172,10 +164,8 @@ impl TaxonomyBuilder {
             self.push_name(name);
             self.parent.push(parent.raw());
             self.level.push((plevel + 1).min(u8::MAX as usize) as u8);
-            self.child_count.push(0);
             added += 1;
         }
-        self.child_count[parent.index()] += added;
         let end = start + added;
         assert!(
             (end as usize) == self.parent.len(),
@@ -231,13 +221,8 @@ impl TaxonomyBuilder {
             self.level.resize(end as usize, (plevel + 1).min(u8::MAX as usize) as u8);
         }
         for (p, &c) in parents.zip(counts) {
-            if c == 0 {
-                continue;
-            }
             self.parent.resize(self.parent.len() + c as usize, p);
-            self.child_count[p as usize] += c;
         }
-        self.child_count.resize(self.parent.len(), 0);
         debug_assert_eq!(self.parent.len(), end as usize);
         start..end
     }
@@ -253,8 +238,6 @@ impl TaxonomyBuilder {
         self.push_name(name);
         self.parent.push(parent.raw());
         self.level.push((plevel + 1).min(u8::MAX as usize) as u8);
-        self.child_count.push(0);
-        self.child_count[parent.index()] += 1;
         id
     }
 
@@ -263,51 +246,7 @@ impl TaxonomyBuilder {
         if let Some(e) = self.deep_error {
             return Err(e);
         }
-        let n = self.parent.len();
-
-        // CSR child lists: prefix-sum the counts, then scatter.
-        let mut child_off = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        child_off.push(0);
-        for &c in &self.child_count {
-            acc += c;
-            child_off.push(acc);
-        }
-        let mut cursor = child_off.clone();
-        let mut child_list = vec![NodeId(0); acc as usize];
-        for i in 0..n {
-            let p = self.parent[i];
-            if p != NO_PARENT {
-                let slot = cursor[p as usize];
-                child_list[slot as usize] = NodeId(i as u32);
-                cursor[p as usize] += 1;
-            }
-        }
-
-        // Per-level index, exact-sized: count first so the per-level
-        // vectors never reallocate while 2M+ ids stream in.
-        let depth = self.level.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-        let mut level_counts = vec![0usize; depth];
-        for &l in &self.level {
-            level_counts[l as usize] += 1;
-        }
-        let mut by_level: Vec<Vec<NodeId>> =
-            level_counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for i in 0..n {
-            by_level[self.level[i] as usize].push(NodeId(i as u32));
-        }
-
-        Ok(Taxonomy {
-            label: self.label,
-            name_buf: self.name_buf,
-            name_spans: self.name_spans,
-            parent: self.parent,
-            level: self.level,
-            child_off,
-            child_list,
-            roots: self.roots,
-            by_level,
-        })
+        Ok(assemble(self.label, self.name_buf, self.name_spans, self.parent, self.level))
     }
 
     /// Build a taxonomy from parallel `names` / `parents` arrays, where
@@ -402,6 +341,104 @@ impl TaxonomyBuilder {
             };
         }
         b.build()
+    }
+}
+
+/// Derive the columns an arena carries besides its names, parents and
+/// levels: the CSR child lists, the roots and the per-level index. The
+/// builder and the binary decoder both end here. `level` must be
+/// consistent with `parent` (roots at 0, each child one below its
+/// parent), which the builder guarantees by construction and the
+/// decoder checks first.
+///
+/// Level-at-a-time input — non-root parents and levels both
+/// non-decreasing in id order, as the generators produce — fills the
+/// child list and each level as one run of ids. Anything else
+/// (interleaved `add_root`/`add_child` calls, drift, edits) takes the
+/// general scatter.
+pub(crate) fn assemble(
+    label: String,
+    name_buf: String,
+    name_spans: Vec<(u32, u32)>,
+    parent: Vec<u32>,
+    level: Vec<u8>,
+) -> Taxonomy {
+    let n = parent.len();
+    // One fused pass: child counts (at `child_off[p + 1]`, prefix-summed
+    // below), roots, depth, and the two sortedness properties.
+    let mut child_off = vec![0u32; n + 1];
+    let mut roots = Vec::new();
+    let mut parents_sorted = true;
+    let mut prev_parent = 0u32;
+    let mut levels_sorted = true;
+    let mut prev_level = 0u8;
+    let mut depth = 0usize;
+    for (i, (&p, &l)) in parent.iter().zip(&level).enumerate() {
+        if p == NO_PARENT {
+            roots.push(NodeId(i as u32));
+        } else {
+            parents_sorted &= p >= prev_parent;
+            prev_parent = p;
+            child_off[p as usize + 1] += 1;
+        }
+        levels_sorted &= l >= prev_level;
+        prev_level = l;
+        depth = depth.max(l as usize + 1);
+    }
+    for i in 0..n {
+        child_off[i + 1] += child_off[i];
+    }
+
+    let child_list: Vec<NodeId> = if parents_sorted {
+        // Children grouped by parent are the non-root ids in id order.
+        let mut list = Vec::with_capacity(n - roots.len());
+        list.extend((0..n as u32).filter(|&i| parent[i as usize] != NO_PARENT).map(NodeId));
+        list
+    } else {
+        let mut cursor = child_off.clone();
+        let mut list = vec![NodeId(0); n - roots.len()];
+        for (i, &p) in parent.iter().enumerate() {
+            if p != NO_PARENT {
+                list[cursor[p as usize] as usize] = NodeId(i as u32);
+                cursor[p as usize] += 1;
+            }
+        }
+        list
+    };
+
+    let by_level: Vec<Vec<NodeId>> = if levels_sorted {
+        // Each level is one contiguous id range.
+        (0..depth)
+            .map(|l| {
+                let start = level.partition_point(|&x| (x as usize) < l);
+                let end = level.partition_point(|&x| (x as usize) <= l);
+                (start as u32..end as u32).map(NodeId).collect()
+            })
+            .collect()
+    } else {
+        // Exact-sized: count first so the per-level vectors never
+        // reallocate while 2M+ ids stream in.
+        let mut counts = vec![0usize; depth];
+        for &l in &level {
+            counts[l as usize] += 1;
+        }
+        let mut by_level: Vec<Vec<NodeId>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (i, &l) in level.iter().enumerate() {
+            by_level[l as usize].push(NodeId(i as u32));
+        }
+        by_level
+    };
+
+    Taxonomy {
+        label,
+        name_buf,
+        name_spans,
+        parent,
+        level,
+        child_off,
+        child_list,
+        roots,
+        by_level,
     }
 }
 

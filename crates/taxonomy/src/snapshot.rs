@@ -27,13 +27,18 @@
 //! payload  : TAXG binary taxonomy (see crate::binary)
 //! ```
 //!
+//! The store knows only this frame. `load` checks it against the file
+//! size and hands the file to the TAXG decoder, which stages its own
+//! reads while the checksum streams over each piece; `save` writes the
+//! frame and the encoding straight to the file.
+//!
 //! Saves go through a temp file + rename so a crashed writer leaves
 //! either the old snapshot or none, never a half-written one.
 
 use crate::arena::Taxonomy;
 use crate::binary::CODEC_VERSION;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"TXSP";
@@ -99,7 +104,7 @@ impl SnapshotStore {
     pub fn load(&self, key: &str) -> Option<Taxonomy> {
         let mut file = fs::File::open(self.path_for(key)).ok()?;
         let mut header = [0u8; HEADER_LEN];
-        io::Read::read_exact(&mut file, &mut header).ok()?;
+        file.read_exact(&mut header).ok()?;
         if &header[..4] != MAGIC {
             return None;
         }
@@ -122,71 +127,12 @@ impl SnapshotStore {
             return None;
         }
 
-        // Stage the payload in two buffers — the structural prefix
-        // ("head", through the offset table) and the name block — so the
-        // v2 decoder can adopt the name-block buffer as the taxonomy's
-        // name arena without moving its ~tens of MB again, and the
-        // checksum streams over the pieces while they are still warm.
-        let mut head = Vec::new();
-        read_chunk(&mut file, &mut head, 10.min(stored_len))?;
-        // Only the current codec is decoded; any other payload misses.
-        if head.len() != 10
-            || &head[..4] != crate::binary::MAGIC
-            || u16::from_le_bytes([head[4], head[5]]) != CODEC_VERSION
-        {
-            return None;
-        }
-        let label_len =
-            u32::from_le_bytes(head[6..10].try_into().expect("head holds 10 bytes")) as u64;
-        let label_and_count = label_len.checked_add(8)?;
-        if label_and_count > stored_len - head.len() as u64 {
-            return None;
-        }
-        read_chunk(&mut file, &mut head, label_and_count)?;
-        let n = u64::from_le_bytes(
-            head[head.len() - 8..].try_into().expect("count field is 8 bytes"),
-        );
-        if n > u32::MAX as u64 {
-            return None;
-        }
-        // Parents (4n) + name-block length (8) + offsets (4(n+1)).
-        let tables = 4 * n + 8 + 4 * (n + 1);
-        if tables > stored_len - head.len() as u64 {
-            return None;
-        }
-        read_chunk(&mut file, &mut head, tables)?;
-        let nb_off = head.len() - (n as usize + 1) * 4 - 8;
-        let name_bytes = u64::from_le_bytes(
-            head[nb_off..nb_off + 8].try_into().expect("length field is 8 bytes"),
-        );
-        if (head.len() as u64).checked_add(name_bytes) != Some(stored_len) {
-            return None;
-        }
-        // Integrity before structure: the streamed checksum over the
-        // pieces equals the one-shot checksum over the whole payload.
-        // The name block is read and checksummed in cache-sized slices
-        // so each slice is still warm when the checksum walks it.
+        // The decoder stages its reads from the file; the checksum
+        // streams over each piece as it lands, and a taxonomy is only
+        // returned once the whole payload has matched it.
         let mut sum = ChecksumStream::new();
-        sum.update(&head);
-        let mut names = Vec::new();
-        names.reserve_exact(name_bytes as usize + 1);
-        const SLICE: u64 = 8 << 20;
-        let mut done = 0u64;
-        // ASCII-ness is proven slice by slice alongside the checksum so
-        // the decoder never has to rescan the (by then cold) name block.
-        let mut names_ascii = true;
-        while done < name_bytes {
-            let step = (name_bytes - done).min(SLICE);
-            read_chunk(&mut file, &mut names, step)?;
-            let slice = &names[done as usize..];
-            sum.update(slice);
-            names_ascii &= slice.is_ascii();
-            done += step;
-        }
-        if sum.finish() != stored_sum {
-            return None;
-        }
-        crate::binary::from_binary_split(&head, names, Some(names_ascii)).ok()
+        let taxonomy = crate::binary::decode(file, stored_len, |bytes| sum.update(bytes)).ok()?;
+        (sum.finish() == stored_sum).then_some(taxonomy)
     }
 
     /// Serialize `taxonomy` under `key`, atomically (temp file +
@@ -194,17 +140,19 @@ impl SnapshotStore {
     pub fn save(&self, key: &str, taxonomy: &Taxonomy) -> io::Result<PathBuf> {
         fs::create_dir_all(&self.dir)?;
         let payload = taxonomy.to_binary();
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header.extend_from_slice(&checksum(&payload).to_le_bytes());
+        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
 
         let path = self.path_for(key);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        match fs::rename(&tmp, &path) {
+        let written = fs::File::create(&tmp).and_then(|mut file| {
+            file.write_all(&header)?;
+            file.write_all(&payload)
+        });
+        match written.and_then(|()| fs::rename(&tmp, &path)) {
             Ok(()) => Ok(path),
             Err(e) => {
                 let _ = fs::remove_file(&tmp);
@@ -231,16 +179,6 @@ impl SnapshotStore {
         }
         t
     }
-}
-
-/// Append exactly `len` bytes from `file` to `out`, or fail. The
-/// reserve ahead of `read_to_end` lets it read straight into spare
-/// capacity; `len` has always been validated against the real file size
-/// by the caller, so the allocation is bounded by the file.
-fn read_chunk(file: &mut fs::File, out: &mut Vec<u8>, len: u64) -> Option<()> {
-    out.reserve(len as usize + 1);
-    let got = io::Read::read_to_end(&mut io::Read::take(io::Read::by_ref(file), len), out).ok()?;
-    (got as u64 == len).then_some(())
 }
 
 /// Keep keys filesystem-safe: alphanumerics plus `._-`, everything else

@@ -2,11 +2,13 @@
 //!
 //! ```text
 //! taxoglimpse generate <taxonomy> [--scale S] [--seed N] [--format tsv|json|binary] [--out FILE]
-//! taxoglimpse stats    <taxonomy|FILE> [--scale S] [--seed N]
-//! taxoglimpse dataset  <taxonomy> --flavor easy|hard|mcq [--cap N] [--out FILE]
+//! taxoglimpse stats    <taxonomy> [--scale S] [--seed N]
+//! taxoglimpse dataset  <taxonomy> --flavor easy|hard|mcq [--cap N] [--seed N] [--out FILE]
 //! taxoglimpse eval     <taxonomy> --model NAME [--flavor F] [--setting zero|few|cot] [--cap N]
 //! taxoglimpse ask      <taxonomy> --model NAME [--setting zero|cot] [--scale S] [--seed N] <child> <parent>
 //! taxoglimpse hybrid   <taxonomy> --model NAME --cutoff K [--cap N]
+//! taxoglimpse enrich   <taxonomy> --model NAME [--cap N]
+//! taxoglimpse evolve   <taxonomy> [--seed N] [--scale S]
 //! taxoglimpse models
 //! ```
 

@@ -127,8 +127,8 @@ fn every_taxonomy_kind_round_trips() {
 #[test]
 fn owned_decode_handles_non_ascii_names() {
     // Non-ASCII names take the slower UTF-8 validation + char-boundary
-    // path; the snapshot loader's split decoder, which adopts its owned
-    // name-block buffer as the arena, must still handle them.
+    // path; the decoder reading them from a snapshot file, which adopts
+    // the name block it read as the arena, must still handle them.
     let mut b = TaxonomyBuilder::new("unicode");
     let r = b.add_root("Racine α");
     b.add_child(r, "Enfant β");

@@ -3,7 +3,8 @@
 //! The binary installs a counting `#[global_allocator]` over `System`
 //! and feeds the mutants of `tests/proptests.rs` (the same generators,
 //! from `tests/common`) to every byte-parsing entry point: TAXG payloads
-//! to `Taxonomy::from_binary`; JSON and TSV text to
+//! to `Taxonomy::from_binary` and, inside a valid snapshot frame (right
+//! length and checksum), to `SnapshotStore::load`; JSON and TSV text to
 //! `json::from_str_value`, `Taxonomy::from_json` and `Taxonomy::from_tsv`;
 //! and JSON, TSV and transcript text to `DetailedRun::from_jsonl`. For
 //! each decode the peak of live heap bytes above the level at its start
@@ -22,14 +23,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::{
-    cases, mutate_binary, mutate_text, random_unicode_taxonomy, text_mutant, transcript_fixture,
+    cases, mutate_binary, mutate_text, random_unicode_taxonomy, snapshot_file, text_mutant,
+    transcript_fixture,
 };
 use taxoglimpse::core::detailed::DetailedRun;
 use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf};
 use taxoglimpse::core::question::Question;
 use taxoglimpse::json::from_str_value;
 use taxoglimpse::synth::rng::Rng;
-use taxoglimpse::taxonomy::Taxonomy;
+use taxoglimpse::taxonomy::{SnapshotStore, Taxonomy};
 
 /// Heap bytes per input byte. Each decoder builds structures linear in
 /// its input: the JSON value tree, the TSV or JSON name and parent
@@ -142,12 +144,20 @@ fn assert_parsers_allocate_nothing(text: &str, questions: &[Question]) {
 #[test]
 fn hostile_input_allocates_at_most_linearly() {
     let (transcript, questions) = transcript_fixture();
+    let dir = std::env::temp_dir().join(format!("taxoglimpse-bounded-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = SnapshotStore::new(&dir);
+    let path = store.path_for("mutant");
     cases(SEED, 2_000, "bounded_alloc", |rng, _| {
         let t = random_unicode_taxonomy(rng);
 
         let bytes = mutate_binary(rng, &t);
         let peak = peak_of(|| Taxonomy::from_binary(&bytes));
         assert_bounded("Taxonomy::from_binary", bytes.len(), peak);
+        std::fs::write(&path, snapshot_file(&bytes)).unwrap();
+        let peak = peak_of(|| store.load("mutant"));
+        assert_bounded("SnapshotStore::load", bytes.len(), peak);
 
         let text = if rng.gen_bool(0.5) { t.to_json() } else { t.to_tsv() };
         let (bytes, _) =
@@ -167,4 +177,5 @@ fn hostile_input_allocates_at_most_linearly() {
         assert_bounded("DetailedRun::from_jsonl", text.len(), peak);
         assert_parsers_allocate_nothing(&text, &questions);
     });
+    let _ = std::fs::remove_dir_all(&dir);
 }

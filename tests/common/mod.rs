@@ -9,6 +9,7 @@ use taxoglimpse::core::reports_digest;
 use taxoglimpse::json::MAX_DEPTH;
 use taxoglimpse::prelude::*;
 use taxoglimpse::synth::rng::{fork, Rng, SynthRng};
+use taxoglimpse::taxonomy::snapshot::checksum;
 use taxoglimpse::taxonomy::{Taxonomy, TaxonomyBuilder};
 
 /// Run `f` for `n` cases, case `i` drawing from `fork(seed, tag, i)`,
@@ -71,6 +72,19 @@ fn binary_fields(t: &Taxonomy) -> Vec<(usize, usize)> {
     fields.extend((0..n).map(|i| (count_at + 8 + 4 * i, 4)));
     fields.extend((0..=n).map(|i| (name_bytes_at + 8 + 4 * i, 4)));
     fields
+}
+
+/// A snapshot file holding `payload` in a valid frame: magic, version,
+/// the payload's checksum and its length, so any payload, hostile or
+/// not, gets past the integrity check to the decoder.
+pub fn snapshot_file(payload: &[u8]) -> Vec<u8> {
+    let mut file = Vec::with_capacity(22 + payload.len());
+    file.extend_from_slice(b"TXSP");
+    file.extend_from_slice(&1u16.to_le_bytes());
+    file.extend_from_slice(&checksum(payload).to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(payload);
+    file
 }
 
 /// A hostile TAXG payload made from `t`'s encoding: truncation at a

@@ -12,8 +12,8 @@ use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf, ParsedAnswer};
 use taxoglimpse::core::sampling::cochran_sample_size;
 use taxoglimpse::prelude::*;
 use common::{
-    cases, mutate_binary, parse_mcq_oracle, random_forest, random_unicode_taxonomy, text_mutant,
-    transcript_fixture,
+    cases, mutate_binary, parse_mcq_oracle, random_forest, random_unicode_taxonomy, snapshot_file,
+    text_mutant, transcript_fixture,
 };
 use taxoglimpse::synth::rng::{Rng, SynthRng};
 use taxoglimpse::taxonomy::{validate, Taxonomy};
@@ -39,11 +39,17 @@ fn from_edges_always_validates() {
 }
 
 /// TSV and JSON serialization round-trip any taxonomy (canonical
-/// structure comparison — ids may be permuted).
+/// structure comparison — ids may be permuted); the binary codec and a
+/// snapshot save/load round-trip it byte for byte.
 #[test]
 fn serialization_round_trips() {
+    use taxoglimpse::taxonomy::{SnapshotStore, TaxonomyBuilder};
+    let dir = std::env::temp_dir().join(format!("taxoglimpse-prop-serial-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = SnapshotStore::new(&dir);
     cases(PROPTEST_SEED, 64, "serialization", |rng, _| {
-        let t = random_taxonomy(rng);
+        let (names, parents) = random_forest(rng);
+        let t = TaxonomyBuilder::from_edges("prop", &names, &parents).unwrap();
         let canon = |t: &Taxonomy| {
             let mut v: Vec<(String, usize, Option<String>)> = t
                 .ids()
@@ -57,7 +63,33 @@ fn serialization_round_trips() {
         let tsv = Taxonomy::from_tsv(&t.to_tsv()).unwrap();
         validate(&tsv).unwrap();
         assert_eq!(canon(&t), canon(&tsv));
+
+        // The binary codec preserves ids, so its round trips are exact.
+        // `from_edges` level-sorts its ids; the same forest built node by
+        // node in index order does not, so both the run fill and the
+        // general scatter of the arena's derived columns are exercised.
+        let mut b = TaxonomyBuilder::new("prop");
+        let mut ids = Vec::with_capacity(names.len());
+        for (name, parent) in names.iter().zip(&parents) {
+            ids.push(match *parent {
+                None => b.add_root(name),
+                Some(p) => b.add_child(ids[p], name),
+            });
+        }
+        let arena = b.build().unwrap();
+        for t in [&t, &arena] {
+            validate(t).unwrap();
+            let bytes = t.to_binary();
+            let back = Taxonomy::from_binary(&bytes).unwrap();
+            validate(&back).unwrap();
+            assert_eq!(back.to_binary(), bytes);
+            store.save("case", t).unwrap();
+            let loaded = store.load("case").expect("a freshly saved snapshot loads");
+            validate(&loaded).unwrap();
+            assert_eq!(loaded.to_binary(), bytes);
+        }
     });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Edits preserve invariants and the remap is consistent.
@@ -212,13 +244,13 @@ fn binary_codec_round_trips() {
 /// Hostile TAXG payloads: truncation at a random byte, 1–3 bit flips,
 /// one integer field overwritten with an extreme value, or 1–16 random
 /// bytes appended. `from_binary` must return a valid taxonomy or a typed error, and
-/// the snapshot loader's split decoder — reached through an envelope
-/// whose checksum is re-stamped, so the mutation gets past the
-/// integrity check — must accept exactly the same payloads and decode
-/// them to the same bytes. Neither may panic.
+/// the snapshot loader — reached through a frame whose checksum is
+/// re-stamped, so the mutation gets past the integrity check and the
+/// decoder reads it from a file — must accept exactly the same payloads
+/// and decode them to the same bytes. Neither may panic.
 #[test]
 fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
-    use taxoglimpse::taxonomy::snapshot::{checksum, SnapshotStore};
+    use taxoglimpse::taxonomy::snapshot::SnapshotStore;
     let dir = std::env::temp_dir().join(format!("taxoglimpse-prop-mutate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -231,13 +263,7 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
             validate(back).unwrap();
         }
 
-        let mut file = Vec::with_capacity(22 + bytes.len());
-        file.extend_from_slice(b"TXSP");
-        file.extend_from_slice(&1u16.to_le_bytes());
-        file.extend_from_slice(&checksum(&bytes).to_le_bytes());
-        file.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        file.extend_from_slice(&bytes);
-        std::fs::write(store.path_for("mutant"), &file).unwrap();
+        std::fs::write(store.path_for("mutant"), snapshot_file(&bytes)).unwrap();
         match (decoded, store.load("mutant")) {
             (Ok(a), Some(b)) => assert_eq!(a.to_binary(), b.to_binary()),
             (Err(_), None) => {}

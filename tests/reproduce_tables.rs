@@ -65,9 +65,13 @@ fn table_4_dataset_totals() {
     }
 }
 
-/// Table 4 — the hard dataset can be slightly smaller than the easy one
-/// (children without uncles are skipped), exactly like the paper's
-/// Google column (2134 hard vs 2150 easy).
+/// Table 4 — the hard dataset may be slightly smaller than the easy one
+/// (children without uncles are skipped); the paper's Google column has
+/// 2134 hard vs 2150 easy. At seed 2024 hard stays within 5% below easy
+/// on three taxonomies. At seed 42, the ledger's seed, no sampled
+/// Google child lacks an uncle, so hard equals easy level by level
+/// (2150 = 2150, as `[table4]` prints) and the paper's 16-question gap
+/// does not reproduce.
 #[test]
 fn table_4_hard_at_most_easy() {
     for kind in [TaxonomyKind::Google, TaxonomyKind::Glottolog, TaxonomyKind::AcmCcs] {
@@ -78,6 +82,13 @@ fn table_4_hard_at_most_easy() {
         assert!(hard <= easy, "{kind}: hard {hard} > easy {easy}");
         assert!(hard * 100 >= easy * 95, "{kind}: hard {hard} too far below easy {easy}");
     }
+    let kind = TaxonomyKind::Google;
+    let t = generate(kind, GenOptions { seed: 42, scale: 1.0 }).unwrap();
+    let b = DatasetBuilder::new(&t, kind, 42);
+    let easy = b.build(QuestionDataset::Easy).unwrap();
+    let hard = b.build(QuestionDataset::Hard).unwrap();
+    assert_eq!(hard.level_counts(), easy.level_counts(), "seed 42 Google: hard vs easy per level");
+    assert_eq!((easy.len(), hard.len()), (2150, 2150));
 }
 
 fn measure_grid(
