@@ -29,11 +29,15 @@
 //!    can serve runs over any number of snapshots.
 //!
 //! Storage is flat. Each of the 64 shards holds fixed-size slots, one
-//! byte arena with every entry's model name, prompt, question encoding
-//! and response text back to back, and an open-addressed table of slot
-//! ids. An insertion makes no heap allocation of its own, and a hit
-//! reads one slot and one arena span. The traffic counters live in the
-//! shards, under the lock each lookup already takes.
+//! byte arena with every entry's model name, prompt and question
+//! encoding back to back, and an open-addressed table of slot ids. A
+//! slot keeps the reply's shared text, so a hit clones one reference
+//! count: it takes the shard lock, probes, verifies the materials byte
+//! for byte in place, and allocates and copies nothing. The 64-bit key
+//! mixes the prompt's length, not a hash of its bytes: rule 3 compares
+//! those bytes anyway, so hashing them too would read every prompt
+//! twice. The traffic counters live in the shards, under the lock each
+//! lookup already takes.
 //!
 //! Composition with the PR 5 fault/resilience stack: the cache sits
 //! *under* the fault injector (`FaultInjector<CachedModel<M>>`), so
@@ -42,12 +46,11 @@
 //! have produced. Cached runs therefore replay the exact same fault
 //! sequence as uncached ones.
 
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
+use taxoglimpse_synth::rng::{hash_str, mix64};
 
-use crate::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
+use crate::model::{LanguageModel, ModelError, Query, Response};
 use crate::prompts::PromptSetting;
 use crate::question::{NegativeKind, Question, QuestionBody};
 
@@ -66,21 +69,10 @@ const EMPTY: u32 = u32::MAX;
 /// whenever it would pass half full, so linear probes stay short.
 const MIN_CELLS: usize = 16;
 
-/// Buffer bytes reserved per question encoding: room for a typical
-/// question, so encoding rarely reallocates (the buffer grows for a
-/// longer one).
-const QUESTION_BYTES: usize = 256;
-
-/// Seed for the metadata half of the key stream.
+/// Seed of the model-name hash the key starts from.
 const KEY_SEED: u64 = 0xCAC4_E05E_ED00_0001;
 
-/// Seed for the prompt-text half of the key stream (kept separate so a
-/// batch sharing a few-shot prefix can hash the prefix once and clone
-/// the hasher state per query).
-const PROMPT_SEED: u64 = 0xCAC4_E05E_ED00_0002;
-
-/// The materials of one delivery, borrowed: everything a hit must match
-/// byte for byte.
+/// The materials of one delivery, borrowed: everything a hit must match.
 #[derive(Debug, Clone, Copy)]
 struct Probe<'a> {
     key: u64,
@@ -88,45 +80,43 @@ struct Probe<'a> {
     setting: PromptSetting,
     attempt: u32,
     prompt: &'a str,
-    /// The question's [`encode_question`] bytes.
-    question: &'a [u8],
+    question: &'a Question,
 }
 
 impl<'a> Probe<'a> {
-    fn new(key: u64, model: &'a str, query: &Query<'a>, question: &'a [u8]) -> Self {
+    fn new(key: u64, model: &'a str, query: &Query<'a>) -> Self {
         Probe {
             key,
             model,
             setting: query.setting,
             attempt: query.attempt,
             prompt: query.prompt,
-            question,
+            question: query.question,
         }
     }
 }
 
-/// One memoized delivery as a fixed-size record. Its variable-length
-/// materials sit back to back in the shard arena from `offset`: model
-/// name, prompt, question encoding, then the response text.
+/// One memoized delivery as a fixed-size record: the reply's shared
+/// text and metadata, and where its model name, prompt and question
+/// encoding sit back to back in the shard arena from `offset`.
 struct Slot {
     key: u64,
     offset: usize,
+    text: Arc<str>,
     latency_s: f64,
     model_len: u32,
     prompt_len: u32,
     question_len: u32,
-    text_len: u32,
     attempt: u32,
     attempts: u32,
     setting: PromptSetting,
 }
 
 impl Slot {
-    /// The entry's model name, prompt, question encoding and response
-    /// text in `arena`.
-    fn parts<'b>(&self, arena: &'b [u8]) -> [&'b [u8]; 4] {
+    /// The entry's model name, prompt and question encoding in `arena`.
+    fn parts<'b>(&self, arena: &'b [u8]) -> [&'b [u8]; 3] {
         let mut at = self.offset;
-        [self.model_len, self.prompt_len, self.question_len, self.text_len].map(|len| {
+        [self.model_len, self.prompt_len, self.question_len].map(|len| {
             let part = &arena[at..at + len as usize];
             at += len as usize;
             part
@@ -138,12 +128,12 @@ impl Slot {
         if self.key != probe.key {
             return false;
         }
-        let [model, prompt, question, _] = self.parts(arena);
+        let [model, prompt, question] = self.parts(arena);
         self.setting == probe.setting
             && self.attempt == probe.attempt
             && model == probe.model.as_bytes()
             && prompt == probe.prompt.as_bytes()
-            && question == probe.question
+            && encodes(probe.question, question)
     }
 }
 
@@ -190,13 +180,7 @@ impl Shard {
         };
         self.stats.hits += 1;
         let slot = &self.slots[id];
-        let [_, _, _, text] = slot.parts(&self.arena);
-        // Copied in from a `&str`, so the lossy path never replaces.
-        Some(Response {
-            text: String::from_utf8_lossy(text).into_owned(),
-            latency_s: slot.latency_s,
-            attempts: slot.attempts,
-        })
+        Some(Response { text: Arc::clone(&slot.text), latency_s: slot.latency_s, attempts: slot.attempts })
     }
 
     /// Store a successful delivery. Two racing misses may both compute
@@ -204,10 +188,8 @@ impl Shard {
     /// counted as a duplicate. A material longer than `u32::MAX` bytes
     /// is never stored.
     fn insert(&mut self, probe: &Probe<'_>, response: &Response) {
-        let materials =
-            [probe.model.as_bytes(), probe.prompt.as_bytes(), probe.question, response.text.as_bytes()];
-        let [Ok(model_len), Ok(prompt_len), Ok(question_len), Ok(text_len)] =
-            materials.map(|part| u32::try_from(part.len()))
+        let [Ok(model_len), Ok(prompt_len)] =
+            [probe.model, probe.prompt].map(|part| u32::try_from(part.len()))
         else {
             return;
         };
@@ -222,22 +204,28 @@ impl Shard {
             self.stats.duplicates += 1;
             return;
         };
+        let offset = self.arena.len();
+        self.arena.extend_from_slice(probe.model.as_bytes());
+        self.arena.extend_from_slice(probe.prompt.as_bytes());
+        let question_start = self.arena.len();
+        encode_question(probe.question, &mut self.arena);
+        let Ok(question_len) = u32::try_from(self.arena.len() - question_start) else {
+            self.arena.truncate(offset);
+            return;
+        };
         self.index[cell] = id;
         self.slots.push(Slot {
             key: probe.key,
-            offset: self.arena.len(),
+            offset,
+            text: Arc::clone(&response.text),
             latency_s: response.latency_s,
             model_len,
             prompt_len,
             question_len,
-            text_len,
             attempt: probe.attempt,
             attempts: response.attempts,
             setting: probe.setting,
         });
-        for part in materials {
-            self.arena.extend_from_slice(part);
-        }
         self.stats.insertions += 1;
     }
 
@@ -259,12 +247,46 @@ impl Shard {
     }
 }
 
-/// Append an injective encoding of `question` to `out`: fixed-width
+/// Where [`encode_question`] writes its bytes: appended to a buffer on
+/// insertion ([`Vec<u8>`]), or compared in place against a stored
+/// encoding on lookup ([`Matcher`]). One encoder serves both, so the
+/// encoding a hit is checked against is the one that was stored.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Checks an encoding against stored bytes as it is written: `rest` is
+/// what remains to match, and `None` once a byte differed.
+struct Matcher<'a> {
+    rest: Option<&'a [u8]>,
+}
+
+impl Sink for Matcher<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.rest = self.rest.and_then(|rest| rest.strip_prefix(bytes));
+    }
+}
+
+/// Whether `stored` is exactly `question`'s encoding, compared without
+/// writing the encoding anywhere.
+fn encodes(question: &Question, stored: &[u8]) -> bool {
+    let mut matcher = Matcher { rest: Some(stored) };
+    encode_question(question, &mut matcher);
+    matcher.rest.is_some_and(<[u8]>::is_empty)
+}
+
+/// Write an injective encoding of `question` to `out`: fixed-width
 /// integers, length-prefixed strings and a tag per body variant, so two
 /// questions encode to the same bytes exactly when they compare equal.
 /// The patterns name every field: a field added to [`Question`] or
 /// [`QuestionBody`] fails to compile here until it is encoded.
-fn encode_question(question: &Question, out: &mut Vec<u8>) {
+fn encode_question(question: &Question, out: &mut impl Sink) {
     let Question {
         id,
         taxonomy,
@@ -277,52 +299,52 @@ fn encode_question(question: &Question, out: &mut Vec<u8>) {
         // Derived from the names above, and every memo compares equal.
         surface_memo: _,
     } = question;
-    out.extend_from_slice(&id.to_le_bytes());
-    out.push(*taxonomy as u8);
+    out.put(&id.to_le_bytes());
+    out.put(&[*taxonomy as u8]);
     put_str(out, child);
     put_len(out, *child_level);
     put_len(out, *parent_level);
     put_str(out, true_parent);
-    out.push(u8::from(*instance_typing));
+    out.put(&[u8::from(*instance_typing)]);
     match body {
         QuestionBody::TrueFalse { candidate, expected_yes, negative } => {
-            out.push(0);
+            out.put(&[0]);
             put_str(out, candidate);
-            out.push(u8::from(*expected_yes));
-            out.push(match negative {
+            let negative = match negative {
                 None => 0,
                 Some(NegativeKind::Easy) => 1,
                 Some(NegativeKind::Hard) => 2,
-            });
+            };
+            out.put(&[u8::from(*expected_yes), negative]);
         }
         QuestionBody::Mcq { options, correct } => {
-            out.push(1);
+            out.put(&[1]);
             for option in options {
                 put_str(out, option);
             }
-            out.push(*correct);
+            out.put(&[*correct]);
         }
         QuestionBody::Sibling { options, correct } => {
-            out.push(2);
+            out.put(&[2]);
             put_len(out, options.len());
             for option in options {
                 put_str(out, option);
             }
             match correct {
-                None => out.push(0),
-                Some(index) => out.extend_from_slice(&[1, *index]),
+                None => out.put(&[0]),
+                Some(index) => out.put(&[1, *index]),
             }
         }
     }
 }
 
-fn put_len(out: &mut Vec<u8>, n: usize) {
-    out.extend_from_slice(&(n as u64).to_le_bytes());
+fn put_len(out: &mut impl Sink, n: usize) {
+    out.put(&(n as u64).to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut impl Sink, s: &str) {
     put_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
 /// Monotonic counters describing cache traffic.
@@ -422,19 +444,18 @@ impl ResponseCache {
         self.shards.iter().map(|s| s.lock().expect("cache shard lock not poisoned").stats).sum()
     }
 
-    /// Hash of the model half of the key. Kept separate from the
-    /// prompt hash so a batch computes it once.
+    /// Hash of the model half of the key, computed once per batch.
     fn model_key(model_name: &str) -> u64 {
         hash_str(KEY_SEED, model_name)
     }
 
     /// Mix the query's setting, attempt, taxonomy and question id
-    /// (packed into two words) and its prompt hash into `model_key`.
-    fn finish_key(model_key: u64, query: &Query<'_>, prompt_hash: u64) -> u64 {
+    /// (packed into two words) and its prompt length into `model_key`.
+    fn key(model_key: u64, query: &Query<'_>) -> u64 {
         let small = (query.setting as u64)
             | (u64::from(query.attempt) << 8)
             | ((query.question.taxonomy as u64) << 40);
-        mix64(mix64(mix64(model_key ^ small) ^ query.question.id) ^ prompt_hash)
+        mix64(mix64(mix64(model_key ^ small) ^ query.question.id) ^ query.prompt.len() as u64)
     }
 
     fn shard(&self, key: u64) -> &Mutex<Shard> {
@@ -507,64 +528,48 @@ impl<M: LanguageModel> LanguageModel for CachedModel<M> {
             .expect("answer_batch returns one result per query")
     }
 
+    /// Hits go straight into the returned vector. The misses go to the
+    /// base model as one sub-batch, or as the caller's own slice when
+    /// every query missed, and its successful deliveries are stored.
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
         let name = self.base.name();
         let model_key = ResponseCache::model_key(name);
-        // Hash the shared few-shot prefix once; per query, clone the
-        // hasher state and stream only the suffix (StreamHasher is
-        // documented byte-for-byte equal to one-shot hashing).
-        let prefix_state = shared_prefix(queries).map(|prefix| {
-            let mut h = StreamHasher::new(PROMPT_SEED);
-            h.write_str(prefix);
-            (prefix.len(), h)
-        });
-        // Question encodings of the misses, back to back; a hit's
-        // encoding is truncated away again.
-        let mut encoded: Vec<u8> = Vec::with_capacity(QUESTION_BYTES * queries.len());
-        let mut results: Vec<Option<Result<Response, ModelError>>> =
-            Vec::with_capacity(queries.len());
-        let mut misses: Vec<(usize, u64, Range<usize>)> = Vec::new();
+        let mut results = Vec::with_capacity(queries.len());
+        let mut misses: Vec<(usize, u64)> = Vec::new();
         for (i, query) in queries.iter().enumerate() {
-            let prompt_hash = match &prefix_state {
-                Some((len, h)) => {
-                    let mut h = h.clone();
-                    h.write_str(&query.prompt[*len..]);
-                    h.finish()
+            let key = ResponseCache::key(model_key, query);
+            match self.cache.lookup(&Probe::new(key, name, query)) {
+                Some(hit) => results.push(Ok(hit)),
+                None => {
+                    // A placeholder, overwritten by the miss's delivery.
+                    results.push(Err(ModelError::Unavailable));
+                    misses.push((i, key));
                 }
-                None => hash_str(PROMPT_SEED, query.prompt),
-            };
-            let key = ResponseCache::finish_key(model_key, query, prompt_hash);
-            let start = encoded.len();
-            encode_question(query.question, &mut encoded);
-            let probe = Probe::new(key, name, query, &encoded[start..]);
-            if let Some(hit) = self.cache.lookup(&probe) {
-                encoded.truncate(start);
-                results.push(Some(Ok(hit)));
-            } else {
-                results.push(None);
-                misses.push((i, key, start..encoded.len()));
             }
         }
-        if !misses.is_empty() {
-            let miss_queries: Vec<Query<'_>> = misses.iter().map(|&(i, ..)| queries[i]).collect();
-            let answers = self.base.answer_batch(&miss_queries);
-            assert_eq!(
-                answers.len(),
-                miss_queries.len(),
-                "answer_batch must return exactly one result per query"
-            );
-            for ((i, key, question), answer) in misses.into_iter().zip(answers) {
-                if let Ok(response) = &answer {
-                    let probe = Probe::new(key, name, &queries[i], &encoded[question]);
-                    self.cache.insert(&probe, response);
-                }
-                results[i] = Some(answer);
+        if misses.is_empty() {
+            return results;
+        }
+        let all_missed = misses.len() == queries.len();
+        let answers = if all_missed {
+            self.base.answer_batch(queries)
+        } else {
+            let miss_queries: Vec<Query<'_>> = misses.iter().map(|&(i, _)| queries[i]).collect();
+            self.base.answer_batch(&miss_queries)
+        };
+        assert_eq!(answers.len(), misses.len(), "answer_batch must return exactly one result per query");
+        for (&(i, key), answer) in misses.iter().zip(&answers) {
+            if let Ok(response) = answer {
+                self.cache.insert(&Probe::new(key, name, &queries[i]), response);
             }
+        }
+        if all_missed {
+            return answers;
+        }
+        for ((i, _), answer) in misses.into_iter().zip(answers) {
+            results[i] = answer;
         }
         results
-            .into_iter()
-            .map(|r| r.expect("every batch slot was filled by a hit or a miss delivery"))
-            .collect()
     }
 
     /// Forwarded to the base model; cache entries survive (see the type
@@ -793,6 +798,9 @@ mod tests {
         out
     }
 
+    /// Two questions encode alike exactly when they compare equal, and
+    /// the matcher accepts exactly the stored encoding of an equal
+    /// question.
     #[test]
     fn question_encoding_is_injective() {
         let questions = question_variants();
@@ -807,31 +815,29 @@ mod tests {
         for (a, ea) in questions.iter().zip(&encoded) {
             for (b, eb) in questions.iter().zip(&encoded) {
                 assert_eq!(a == b, ea == eb, "{a:?} vs {b:?}");
+                assert_eq!(a == b, encodes(a, eb), "matcher: {a:?} vs {b:?}");
             }
+            // A stored encoding that is a strict prefix or extension of
+            // the question's never matches.
+            assert!(!encodes(a, &ea[..ea.len() - 1]), "{a:?} matched its prefix");
+            assert!(!encodes(a, &[ea.as_slice(), &[0]].concat()), "{a:?} matched its extension");
         }
     }
 
     /// Every delivery shares one key, so they all share one probe
-    /// chain: only the material checks tell them apart.
+    /// chain: only the material checks, the question's through the
+    /// matcher, tell them apart.
     #[test]
     fn colliding_keys_never_serve_another_delivery() {
         const KEY: u64 = 0x5EED;
         let questions = question_variants();
-        let encoded: Vec<Vec<u8>> = questions
-            .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                encode_question(q, &mut out);
-                out
-            })
-            .collect();
         let base = Probe {
             key: KEY,
             model: "m",
             setting: PromptSetting::ZeroShot,
             attempt: 0,
             prompt: "Is ab a type of cd?",
-            question: &encoded[0],
+            question: &questions[0],
         };
         let mut probes = vec![
             base,
@@ -841,7 +847,7 @@ mod tests {
             Probe { attempt: 1, ..base },
             Probe { prompt: "Is ab a type of ce?", ..base },
         ];
-        probes.extend(encoded[1..].iter().map(|question| Probe { question, ..base }));
+        probes.extend(questions[1..].iter().map(|question| Probe { question, ..base }));
 
         let mut shard = Shard::default();
         let response = |i: usize| Response::new(format!("r{i}")).with_latency(i as f64);
@@ -859,6 +865,42 @@ mod tests {
         assert_eq!(shard.find(&Probe { attempt: 2, ..base }), None);
         let n = probes.len() as u64;
         assert_eq!(shard.stats, CacheStats { hits: n, misses: 1, insertions: n, duplicates: 1 });
+    }
+
+    /// The key mixes the prompt's length, not its bytes: prompts of one
+    /// length for the same question, setting and attempt share a key,
+    /// and verification alone keeps their replies apart.
+    #[test]
+    fn equal_length_prompts_are_distinct_entries() {
+        let model = CachedModel::new(CountingEcho::new());
+        let q = question(4);
+        let prompts = ["is a a b?", "is a a c?", "is c a b?"];
+        let queries = prompts.map(|p| Query::new(p, &q, PromptSetting::ZeroShot));
+        let model_key = ResponseCache::model_key(model.name());
+        assert!(queries.iter().all(|query| ResponseCache::key(model_key, query)
+            == ResponseCache::key(model_key, &queries[0])));
+        for _ in 0..2 {
+            for (query, prompt) in queries.iter().zip(prompts) {
+                let reply = model.answer(query).expect("echo model never fails");
+                assert_eq!(&*reply.text, format!("echo: {prompt}"));
+            }
+        }
+        assert_eq!(model.base().calls(), 3, "the second round is served from the cache");
+        assert_eq!(model.cache().len(), 3);
+        assert_eq!(model.cache().stats().hits, 3);
+    }
+
+    /// A hit shares the stored reply's text instead of copying it.
+    #[test]
+    fn hits_share_the_stored_text() {
+        let model = CachedModel::new(CountingEcho::new());
+        let q = question(5);
+        let query = Query::new("is a a b?", &q, PromptSetting::ZeroShot);
+        let delivered = model.answer(&query).expect("echo model never fails");
+        for _ in 0..2 {
+            let hit = model.answer(&query).expect("echo model never fails");
+            assert!(Arc::ptr_eq(&hit.text, &delivered.text), "a hit copied its reply");
+        }
     }
 
     #[test]

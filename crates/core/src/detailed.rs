@@ -70,7 +70,7 @@ impl DetailedRun {
                 // faithfully: the error display stands in for the
                 // (absent) response text.
                 let response = match answer.response {
-                    Ok(ok) => ok.text,
+                    Ok(ok) => ok.text.to_string(),
                     Err(error) => format!("[{error}]"),
                 };
                 exchanges.push(Exchange {

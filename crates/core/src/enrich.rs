@@ -205,10 +205,10 @@ mod tests {
 
         fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
             let QuestionBody::TrueFalse { candidate, .. } = &query.question.body else {
-                return Ok(Response::new("I don't know.".to_owned()));
+                return Ok(Response::new("I don't know."));
             };
             let yes = query.question.child.to_ascii_lowercase().contains(&candidate.to_ascii_lowercase());
-            Ok(Response::new(if yes { "Yes." } else { "No." }.to_owned()))
+            Ok(Response::new(if yes { "Yes." } else { "No." }))
         }
     }
 

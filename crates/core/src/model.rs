@@ -11,6 +11,7 @@
 use crate::prompts::PromptSetting;
 use crate::question::Question;
 use std::fmt;
+use std::sync::Arc;
 
 /// Everything a model receives for one benchmark query.
 ///
@@ -154,10 +155,14 @@ impl std::error::Error for ModelError {}
 /// clock and `attempts` records how many deliveries the resilience
 /// layer needed. Neither is serialized into reports, so metadata can
 /// never perturb the byte-identical digest contract.
+///
+/// The text is shared, not owned: cloning a response (as a cache hit
+/// does) bumps a reference count instead of copying the reply, and
+/// `&response.text` still reads as a `&str`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// The free natural-language answer text.
-    pub text: String,
+    pub text: Arc<str>,
     /// Simulated seconds this (successful) delivery took.
     pub latency_s: f64,
     /// Total deliveries including retries (≥ 1); 1 means first try.
@@ -167,7 +172,7 @@ pub struct Response {
 impl Response {
     /// A first-try response with zero latency — what in-process models
     /// (baselines, oracles, fixtures) return.
-    pub fn new(text: impl Into<String>) -> Self {
+    pub fn new(text: impl Into<Arc<str>>) -> Self {
         Response { text: text.into(), latency_s: 0.0, attempts: 1 }
     }
 
@@ -254,7 +259,7 @@ impl<M: LanguageModel + ?Sized> LanguageModel for &M {
 /// Blanket implementation so `Arc<M>` (how the zoo hands out models)
 /// works wherever a `LanguageModel` is expected — e.g. inside
 /// [`crate::cache::CachedModel`] without re-wrapping.
-impl<M: LanguageModel + ?Sized> LanguageModel for std::sync::Arc<M> {
+impl<M: LanguageModel + ?Sized> LanguageModel for Arc<M> {
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -277,12 +282,12 @@ impl<M: LanguageModel + ?Sized> LanguageModel for std::sync::Arc<M> {
 #[derive(Debug, Clone)]
 pub struct FixedAnswerModel {
     name: String,
-    answer: String,
+    answer: Arc<str>,
 }
 
 impl FixedAnswerModel {
     /// A model that answers `answer` to everything.
-    pub fn new(name: impl Into<String>, answer: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<String>, answer: impl Into<Arc<str>>) -> Self {
         FixedAnswerModel { name: name.into(), answer: answer.into() }
     }
 
@@ -303,7 +308,7 @@ impl LanguageModel for FixedAnswerModel {
     }
 
     fn answer(&self, _query: &Query<'_>) -> Result<Response, ModelError> {
-        Ok(Response::new(self.answer.clone()))
+        Ok(Response::new(Arc::clone(&self.answer)))
     }
 }
 
@@ -317,7 +322,7 @@ mod tests {
         let m = FixedAnswerModel::always_yes();
         let q = tf_question(0);
         let query = Query::new("p", &q, PromptSetting::ZeroShot);
-        assert_eq!(m.answer(&query).expect("fixed model never fails").text, "Yes.");
+        assert_eq!(&*m.answer(&query).expect("fixed model never fails").text, "Yes.");
         assert_eq!(m.name(), "always-yes");
         m.reset();
     }
@@ -359,7 +364,7 @@ mod tests {
         // The blanket impls forward answer_batch too.
         let boxed: Box<dyn LanguageModel> = Box::new(FixedAnswerModel::always_idk());
         assert_eq!(boxed.answer_batch(&queries).len(), 3);
-        let arced = std::sync::Arc::new(FixedAnswerModel::always_idk());
+        let arced = Arc::new(FixedAnswerModel::always_idk());
         assert_eq!(arced.answer_batch(&queries).len(), 3);
         assert_eq!(arced.name(), "always-idk");
         arced.reset();
@@ -381,7 +386,7 @@ mod tests {
     #[test]
     fn response_builder_carries_metadata() {
         let r = Response::new("Yes.").with_latency(0.8);
-        assert_eq!(r.text, "Yes.");
+        assert_eq!(&*r.text, "Yes.");
         assert_eq!(r.latency_s, 0.8);
         assert_eq!(r.attempts, 1);
     }

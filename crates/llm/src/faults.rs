@@ -144,21 +144,42 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Decide the fault (if any) for one delivery. Pure: the same
-    /// `(model, taxonomy, question id, attempt)` always draws the same
-    /// answer, and the draw never consults worker identity.
-    fn decide(&self, model: &str, query: &Query<'_>) -> Option<FaultClass> {
+    /// The fault decisions of one batch to `model`: the model's factor
+    /// is looked up and the `model|` head of the draw key is hashed once
+    /// here, not once per delivery. `None` when nothing can fire.
+    fn decider(&self, model: &str) -> Option<FaultDecider<'_>> {
         if self.is_disabled() {
             return None;
         }
-        let factor = self.taxonomy_factor[kind_index(query.question.taxonomy)]
-            * self.model_factor.get(model).copied().unwrap_or(1.0);
+        let model_factor = self.model_factor.get(model).copied().unwrap_or(1.0);
+        let mut head = StreamHasher::new(self.seed ^ 0xFA_17B0A7);
+        head.write_str(model);
+        head.write_str("|");
+        Some(FaultDecider { plan: self, model_factor, head })
+    }
+}
+
+/// [`FaultPlan`] decisions for one model, its key head hashed.
+struct FaultDecider<'p> {
+    plan: &'p FaultPlan,
+    model_factor: f64,
+    /// The draw hasher after `model|`. [`StreamHasher`] hashes any
+    /// split of its input alike, so finishing a clone equals hashing
+    /// the whole key in one stream.
+    head: StreamHasher,
+}
+
+impl FaultDecider<'_> {
+    /// Decide the fault (if any) for one delivery. Pure: the same
+    /// `(model, taxonomy, question id, attempt)` always draws the same
+    /// answer, and the draw never consults worker identity.
+    fn decide(&self, query: &Query<'_>) -> Option<FaultClass> {
+        let plan = self.plan;
+        let factor = plan.taxonomy_factor[kind_index(query.question.taxonomy)] * self.model_factor;
         if factor == 0.0 {
             return None;
         }
-        let mut h = StreamHasher::new(self.seed ^ 0xFA_17B0A7);
-        h.write_str(model);
-        h.write_str("|");
+        let mut h = self.head.clone();
         h.write_str(query.question.taxonomy.label());
         h.write_str("|");
         h.write_decimal(query.question.id);
@@ -167,11 +188,11 @@ impl FaultPlan {
         let u = (mix64(h.finish()) >> 11) as f64 / (1u64 << 53) as f64;
         let mut edge = 0.0;
         for (rate, class) in [
-            (self.timeout, FaultClass::Timeout),
-            (self.rate_limited, FaultClass::RateLimited),
-            (self.truncated, FaultClass::Truncated),
-            (self.unavailable, FaultClass::Unavailable),
-            (self.malformed, FaultClass::Malformed),
+            (plan.timeout, FaultClass::Timeout),
+            (plan.rate_limited, FaultClass::RateLimited),
+            (plan.truncated, FaultClass::Truncated),
+            (plan.unavailable, FaultClass::Unavailable),
+            (plan.malformed, FaultClass::Malformed),
         ] {
             edge += rate * factor;
             if u < edge {
@@ -241,6 +262,17 @@ impl<M: LanguageModel> FaultInjector<M> {
 }
 
 impl FaultStats {
+    /// Add another batch's counters.
+    fn absorb(&mut self, other: FaultStats) {
+        self.calls += other.calls;
+        self.injected += other.injected;
+        self.timeouts += other.timeouts;
+        self.rate_limited += other.rate_limited;
+        self.truncated += other.truncated;
+        self.unavailable += other.unavailable;
+        self.malformed += other.malformed;
+    }
+
     /// Record one decided delivery.
     fn record(&mut self, class: Option<FaultClass>) {
         self.calls += 1;
@@ -260,14 +292,20 @@ impl FaultStats {
 
 /// A truncation happens *after* the model spoke: deliver a prefix of
 /// the real response as the partial payload.
-fn truncate_answer(full: Response) -> ModelError {
+fn truncate_answer(full: &Response) -> ModelError {
     let mut cut = full.text.len() / 2;
     while cut > 0 && !full.text.is_char_boundary(cut) {
         cut -= 1;
     }
-    let mut partial = full.text;
-    partial.truncate(cut);
-    ModelError::Truncated { partial }
+    ModelError::Truncated { partial: full.text[..cut].to_owned() }
+}
+
+impl FaultClass {
+    /// Whether the delivery reaches the base model: fault-free and
+    /// truncated ones need its real answer; the rest are dropped.
+    fn reaches_base(class: Option<FaultClass>) -> bool {
+        matches!(class, None | Some(FaultClass::Truncated))
+    }
 }
 
 impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
@@ -281,32 +319,51 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
             .expect("answer_batch returns one result per query")
     }
 
-    /// Per-delivery fates are pure per-query functions, stats are
-    /// merged under a single lock, and only the deliveries that need a
-    /// real answer (fault-free and truncated ones) are forwarded — as
-    /// one sub-batch, and only when it is not empty — to the base
-    /// model's batch path.
+    /// Per-delivery fates are pure per-query functions and stats are
+    /// merged under a single lock. The deliveries that need a real
+    /// answer (fault-free and truncated ones) go to the base model's
+    /// batch path: as the caller's slice unchanged when that is all of
+    /// them, else as one sub-batch, and only when it is not empty. The
+    /// fates are kept in a vector only once the first fault shows, so a
+    /// fault-free batch allocates nothing here and returns the base
+    /// model's vector.
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
-        let name = self.base.name();
-        let classes: Vec<Option<FaultClass>> =
-            queries.iter().map(|query| self.plan.decide(name, query)).collect();
-        {
-            let mut stats = self.stats.lock().expect("fault stats lock not poisoned");
-            for class in &classes {
-                stats.record(*class);
+        let decider = self.plan.decider(self.base.name());
+        let mut local = FaultStats::default();
+        let mut classes: Option<Vec<Option<FaultClass>>> = None;
+        for (i, query) in queries.iter().enumerate() {
+            let class = decider.as_ref().and_then(|decider| decider.decide(query));
+            local.record(class);
+            if class.is_some() && classes.is_none() {
+                let mut fault_free = Vec::with_capacity(queries.len());
+                fault_free.resize(i, None);
+                classes = Some(fault_free);
+            }
+            if let Some(classes) = &mut classes {
+                classes.push(class);
             }
         }
-        let base_queries: Vec<Query<'_>> = classes
-            .iter()
-            .zip(queries)
-            .filter(|(class, _)| matches!(class, None | Some(FaultClass::Truncated)))
-            .map(|(_, query)| *query)
-            .collect();
+        self.stats.lock().expect("fault stats lock not poisoned").absorb(local);
+        let Some(classes) = classes else {
+            return self.base.answer_batch(queries);
+        };
+        let sub_batch: Vec<Query<'_>>;
+        let forwarded = if classes.iter().all(|&class| FaultClass::reaches_base(class)) {
+            queries
+        } else {
+            sub_batch = classes
+                .iter()
+                .zip(queries)
+                .filter(|(class, _)| FaultClass::reaches_base(**class))
+                .map(|(_, query)| *query)
+                .collect();
+            &sub_batch
+        };
         let base_answers =
-            if base_queries.is_empty() { Vec::new() } else { self.base.answer_batch(&base_queries) };
+            if forwarded.is_empty() { Vec::new() } else { self.base.answer_batch(forwarded) };
         assert_eq!(
             base_answers.len(),
-            base_queries.len(),
+            forwarded.len(),
             "answer_batch must return exactly one result per query"
         );
         let mut base_answers = base_answers.into_iter();
@@ -325,7 +382,7 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
                         .next()
                         .expect("base sub-batch covers every truncated delivery");
                     match full {
-                        Ok(response) => Err(truncate_answer(response)),
+                        Ok(response) => Err(truncate_answer(&response)),
                         Err(error) => Err(error),
                     }
                 }

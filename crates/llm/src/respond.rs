@@ -38,16 +38,33 @@ pub fn render(
     setting: PromptSetting,
     noise: u64,
 ) -> String {
+    let mut out = String::new();
+    render_into(model, question, verdict, setting, noise, &mut out);
+    out
+}
+
+/// [`render`] into `out`, replacing what it held: a caller rendering
+/// many replies reuses one buffer, whose capacity grows to the longest
+/// reply and then stops allocating.
+pub fn render_into(
+    model: ModelId,
+    question: &Question,
+    verdict: Verdict,
+    setting: PromptSetting,
+    noise: u64,
+    out: &mut String,
+) {
     // Pick the phrasing-variant index first, then write only the picked
-    // variant, behind the CoT preamble when there is one, into one
-    // buffer sized for the longest variant: one allocation per reply.
+    // variant, behind the CoT preamble when there is one, into a buffer
+    // with room for the longest variant, so writing never reallocates.
     let pick = |n: usize, salt: u64| (mix64(noise ^ salt) % n as u64) as usize;
     let child = &question.child;
     let candidate = question.shown_candidate();
     let cot = setting == PromptSetting::ChainOfThought
         && !matches!(model.family(), ModelFamily::FlanT5 | ModelFamily::Llms4Ol);
     let preamble = if cot { COT_OPEN.len() + child.len() + COT_CLOSE.len() } else { 0 };
-    let mut out = String::with_capacity(preamble + child.len() + candidate.len() + 48);
+    out.clear();
+    out.reserve(preamble + child.len() + candidate.len() + 48);
     if cot {
         out.push_str(COT_OPEN);
         out.push_str(child);
@@ -101,7 +118,6 @@ pub fn render(
             }
         }
     };
-    out
 }
 
 #[cfg(test)]

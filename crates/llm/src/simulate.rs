@@ -3,8 +3,8 @@
 
 use crate::knowledge::{Decision, KnowledgeModel};
 use crate::profile::ModelId;
-use crate::respond::{render, Verdict};
-use std::sync::Mutex;
+use crate::respond::{render_into, Verdict};
+use std::sync::{Arc, Mutex};
 use taxoglimpse_core::model::{shared_prefix, LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
 use taxoglimpse_core::text::{prompt_counts, token_count};
@@ -189,13 +189,16 @@ impl LanguageModel for SimulatedLlm {
     /// Answers a batch with one pass over each prompt. A shared few-shot
     /// prefix is counted and fed to the noise hasher once per batch, and
     /// each query then scans only its suffix (a batch without one has
-    /// the empty prefix). Usage counters are merged under one lock.
+    /// the empty prefix). Replies are rendered into one buffer per batch
+    /// and each is copied once into its shared text, so a reply costs
+    /// one allocation. Usage counters are merged under one lock.
     fn answer_batch(&self, queries: &[Query<'_>]) -> Vec<Result<Response, ModelError>> {
         let prefix = Self::batch_prefix(queries).unwrap_or("");
         let prefix_counts = prompt_counts(prefix);
         let mut prefix_noise = StreamHasher::new(self.seed ^ 0xF00D);
         prefix_noise.write_str(prefix);
         let mut local = UsageStats::default();
+        let mut text = String::new();
         let results: Vec<Result<Response, ModelError>> = queries
             .iter()
             .map(|query| {
@@ -204,11 +207,11 @@ impl LanguageModel for SimulatedLlm {
                 let mut noise = prefix_noise.clone();
                 noise.write_str(suffix);
                 let verdict = self.verdict(query, prefix_counts.exemplars + counts.exemplars);
-                let text = render(self.id, query.question, verdict, query.setting, noise.finish());
+                render_into(self.id, query.question, verdict, query.setting, noise.finish(), &mut text);
                 local.queries += 1;
                 local.prompt_tokens += (prefix_counts.tokens + counts.tokens) as u64;
                 local.completion_tokens += token_count(&text) as u64;
-                Ok(Response::new(text))
+                Ok(Response::new(Arc::<str>::from(text.as_str())))
             })
             .collect();
         let mut usage = self.usage.lock().expect("usage lock not poisoned");

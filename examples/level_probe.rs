@@ -40,7 +40,7 @@ fn main() {
         };
         let answer = runner.ask(model.as_ref(), &question, &[]);
         let text = match answer.response {
-            Ok(response) => response.text,
+            Ok(response) => response.text.to_string(),
             Err(error) => format!("[{error}]"),
         };
         println!("L{} Q: {}", question.child_level, answer.prompt);

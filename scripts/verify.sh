@@ -8,12 +8,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# 1. No registry dependencies in any manifest. Path/workspace deps use
-#    inline tables ({ path = ... } / { workspace = true }); a registry
-#    dep is a bare version string: `name = "1.2"`.
+# 1. No registry dependencies in any manifest, the benchmark package's
+#    (e2e/, built in stage 2b) included. Path/workspace deps use inline
+#    tables ({ path = ... } / { workspace = true }); a registry dep is a
+#    bare version string: `name = "1.2"`.
 echo "==> checking manifests for registry dependencies"
 bad=0
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml e2e/Cargo.toml; do
     if awk '
         /^\[/ { in_deps = ($0 ~ /dependencies\]$/) }
         in_deps && /^[A-Za-z0-9_-]+[[:space:]]*=[[:space:]]*"/ { print FILENAME ": " $0; found = 1 }

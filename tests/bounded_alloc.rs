@@ -14,6 +14,12 @@
 //! orders of magnitude. The answer parsers `parse_tf`, `parse_mcq` and
 //! `parse_answer` must allocate nothing at all on any of the texts.
 //!
+//! The same allocator pins what a warm cache hit costs: a one-query
+//! `answer` through `FaultInjector<CachedModel<SimulatedLlm>>` that the
+//! cache serves makes exactly one allocation, the result vector. The hit
+//! shares the stored reply, and nothing is sized by the reply or the
+//! prompt.
+//!
 //! It holds a single `#[test]`, so no other test allocates while a peak
 //! is being measured.
 
@@ -26,11 +32,20 @@ use common::{
     cases, mutate_binary, mutate_text, random_unicode_taxonomy, snapshot_file, text_mutant,
     transcript_fixture,
 };
+use taxoglimpse::core::cache::CachedModel;
+use taxoglimpse::core::dataset::{DatasetBuilder, QuestionDataset};
 use taxoglimpse::core::detailed::DetailedRun;
+use taxoglimpse::core::domain::TaxonomyKind;
+use taxoglimpse::core::model::{LanguageModel, ModelError, Query, Response};
 use taxoglimpse::core::parse::{parse_answer, parse_mcq, parse_tf};
+use taxoglimpse::core::prompts::{render_prompt, PromptSetting};
 use taxoglimpse::core::question::Question;
 use taxoglimpse::json::from_str_value;
+use taxoglimpse::llm::faults::{FaultInjector, FaultPlan};
+use taxoglimpse::llm::profile::ModelId;
+use taxoglimpse::llm::simulate::SimulatedLlm;
 use taxoglimpse::synth::rng::Rng;
+use taxoglimpse::synth::{generate, GenOptions};
 use taxoglimpse::taxonomy::{SnapshotStore, Taxonomy};
 
 /// Heap bytes per input byte. Each decoder builds structures linear in
@@ -58,6 +73,7 @@ const SEED: u64 = 0xa110_c8ed;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -73,6 +89,7 @@ impl Counting {
             // Relaxed: a single test thread allocates; these are counters.
             let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
             PEAK.fetch_max(live, Ordering::Relaxed);
+            BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -120,6 +137,14 @@ fn peak_of<T>(decode: impl FnOnce() -> T) -> usize {
     peak
 }
 
+/// Blocks `run` allocates (a grown block counts again) and the peak
+/// heap bytes it holds above the level at its start.
+fn blocks_and_peak_of<T>(run: impl FnOnce() -> T) -> (usize, usize) {
+    let before = BLOCKS.load(Ordering::Relaxed);
+    let peak = peak_of(run);
+    (BLOCKS.load(Ordering::Relaxed) - before, peak)
+}
+
 fn assert_bounded(what: &str, len: usize, peak: usize) {
     assert!(
         peak <= C * len + K,
@@ -141,8 +166,43 @@ fn assert_parsers_allocate_nothing(text: &str, questions: &[Question]) {
     }
 }
 
+/// A warm hit allocates one block, the `answer_batch` vector that
+/// `answer` pops its result from, so the peak is exactly that vector.
+/// Questions whose first delivery the plan faults are skipped: the
+/// cache never stores them.
+fn assert_warm_hits_allocate_only_their_result() {
+    let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 3, scale: 0.2 }).unwrap();
+    let dataset = DatasetBuilder::new(&t, TaxonomyKind::Ebay, 3)
+        .sample_cap(Some(20))
+        .build(QuestionDataset::Hard)
+        .unwrap();
+    let tower =
+        FaultInjector::new(CachedModel::new(SimulatedLlm::new(ModelId::Gpt4)), FaultPlan::uniform(5, 0.2));
+    let result_bytes = std::mem::size_of::<Result<Response, ModelError>>();
+    let exemplars: Vec<Question> = dataset.questions().take(3).cloned().collect();
+    let mut warm = 0;
+    for question in dataset.questions() {
+        let prompt = render_prompt(question, PromptSetting::FewShot, Default::default(), &exemplars);
+        let query = Query::new(&prompt, question, PromptSetting::FewShot);
+        if tower.answer(&query).is_err() {
+            continue;
+        }
+        let (blocks, peak) = blocks_and_peak_of(|| tower.answer(&query));
+        assert_eq!(
+            (blocks, peak),
+            (1, result_bytes),
+            "a warm hit on question {} ({}-byte prompt) allocated {blocks} blocks, peaking at {peak} bytes",
+            question.id,
+            prompt.len()
+        );
+        warm += 1;
+    }
+    assert!(warm >= 20, "only {warm} questions were served warm");
+}
+
 #[test]
 fn hostile_input_allocates_at_most_linearly() {
+    assert_warm_hits_allocate_only_their_result();
     let (transcript, questions) = transcript_fixture();
     let dir = std::env::temp_dir().join(format!("taxoglimpse-bounded-alloc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

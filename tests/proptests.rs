@@ -243,13 +243,14 @@ fn binary_codec_round_trips() {
 
 /// Hostile TAXG payloads: truncation at a random byte, 1–3 bit flips,
 /// one integer field overwritten with an extreme value, or 1–16 random
-/// bytes appended. `from_binary` must return a valid taxonomy or a typed error, and
-/// the snapshot loader — reached through a frame whose checksum is
-/// re-stamped, so the mutation gets past the integrity check and the
-/// decoder reads it from a file — must accept exactly the same payloads
-/// and decode them to the same bytes. Neither may panic.
+/// bytes appended. `from_binary` must return a valid taxonomy or a
+/// typed error. The one decoder must then read the payload alike from a
+/// slice and from a file: `SnapshotStore::load`, reached through a frame
+/// whose checksum is re-stamped so the mutation gets past the integrity
+/// check, must accept exactly the same payloads and decode them to the
+/// same bytes. Neither path may panic.
 #[test]
-fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
+fn mutated_payloads_fail_cleanly_and_decode_alike_from_slice_and_file() {
     use taxoglimpse::taxonomy::snapshot::SnapshotStore;
     let dir = std::env::temp_dir().join(format!("taxoglimpse-prop-mutate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -267,7 +268,7 @@ fn mutated_payloads_fail_cleanly_and_both_decoders_agree() {
         match (decoded, store.load("mutant")) {
             (Ok(a), Some(b)) => assert_eq!(a.to_binary(), b.to_binary()),
             (Err(_), None) => {}
-            (a, b) => panic!("decoders disagree: from_binary {:?}, load {}", a.err(), b.is_some()),
+            (a, b) => panic!("slice and file decodes disagree: from_binary {:?}, load {}", a.err(), b.is_some()),
         }
     });
     let _ = std::fs::remove_dir_all(&dir);
