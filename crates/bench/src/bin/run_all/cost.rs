@@ -3,15 +3,18 @@
 //! dollars for API models, simulated GPU-hours for self-hosted ones?
 //!
 //! Each model is served through the same tower every workload uses: a
-//! [`FaultInjector`] failing 2% of deliveries as `Unavailable`, retried
-//! by the runner's resilience session. Tokens and dollars come from
-//! the model's own usage meter; every delivery, retried or not, takes
-//! one `seconds_per_delivery` of simulated serving time.
+//! [`FaultInjector`] failing 2% of deliveries as `Unavailable`, run over
+//! every dataset (built once, shared by all models) by `GridRunner::run`,
+//! whose per-chunk resilience sessions retry them. A run resets the
+//! model's counters, so the ledger adds up the usage meter and the
+//! injector's stats after each run. Tokens and dollars come from the
+//! usage meter; every delivery, retried or not, takes one
+//! `seconds_per_delivery` of simulated serving time.
 //!
 //! Alone: `cargo run --release -p taxoglimpse-bench -- cost [--models GPT-4,Llama-2-70B] [--cap 50]`.
 
 use taxoglimpse_bench::{build_dataset, RunOptions, TaxonomyCache};
-use taxoglimpse_core::dataset::QuestionDataset;
+use taxoglimpse_core::dataset::{Dataset, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::api::{cost_usd, seconds_per_delivery};
@@ -43,35 +46,38 @@ pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
         ],
     );
 
+    let datasets: Vec<Dataset> = TaxonomyKind::ALL
+        .into_iter()
+        .flat_map(|kind| {
+            let taxonomy = cache.get(kind, opts.seed, opts.scale);
+            QuestionDataset::ALL.map(|flavor| build_dataset(&taxonomy, kind, flavor, opts))
+        })
+        .collect();
+    let questions: usize = datasets.iter().map(Dataset::len).sum();
+
     for model_id in models {
         let client = FaultInjector::new(
             SimulatedLlm::new(model_id),
             FaultPlan::disabled(opts.seed).with_unavailable_rate(UNAVAILABLE_RATE),
         );
-        let mut questions = 0usize;
-        for kind in TaxonomyKind::ALL {
-            let taxonomy = cache.get(kind, opts.seed, opts.scale);
-            for flavor in QuestionDataset::ALL {
-                let dataset = build_dataset(&taxonomy, kind, flavor, opts);
-                questions += dataset.len();
-                // Accumulate across datasets: bypass the per-run reset.
-                for slice in &dataset.levels {
-                    for q in &slice.questions {
-                        runner.ask(&client, q, &slice.exemplars);
-                    }
-                }
-            }
+        let (mut prompt_tokens, mut completion_tokens, mut retries, mut deliveries) = (0, 0, 0, 0);
+        for dataset in &datasets {
+            runner.run(&client, dataset);
+            let usage = client.base().usage();
+            let faults = client.stats();
+            prompt_tokens += usage.prompt_tokens;
+            completion_tokens += usage.completion_tokens;
+            retries += faults.injected;
+            deliveries += faults.calls;
         }
-        let usage = client.base().usage();
-        let faults = client.stats();
-        let usd = cost_usd(model_id, usage.prompt_tokens, usage.completion_tokens);
+        let usd = cost_usd(model_id, prompt_tokens, completion_tokens);
         table.push_row(vec![
             model_id.to_string(),
             questions.to_string(),
-            usage.prompt_tokens.to_string(),
-            usage.completion_tokens.to_string(),
-            faults.injected.to_string(),
-            format!("{:.2}", faults.calls as f64 * seconds_per_delivery(model_id) / 3600.0),
+            prompt_tokens.to_string(),
+            completion_tokens.to_string(),
+            retries.to_string(),
+            format!("{:.2}", deliveries as f64 * seconds_per_delivery(model_id) / 3600.0),
             if usd > 0.0 { format!("${usd:.2}") } else { "self-hosted".into() },
         ]);
     }

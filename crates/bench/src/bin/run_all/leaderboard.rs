@@ -39,7 +39,7 @@ pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
     let gd = build_dataset(&glotto, TaxonomyKind::Glottolog, QuestionDataset::Hard, opts);
     for id in [ModelId::Gpt4, ModelId::Vicuna13b] {
         let model = zoo.get(id).expect("zoo");
-        let run = DetailedRun::record(model.as_ref(), &gd, Default::default());
+        let run = DetailedRun::record(&GridRunner::default(), model.as_ref(), &gd);
         let (pos, _easy, hard) = run.by_polarity();
         let (low, mid, high) = run.by_similarity_band();
         println!("  {id}:");

@@ -4,7 +4,11 @@
 //! The paper publishes its full experimental results; this module is the
 //! machinery for that level of artifact. [`DetailedRun`] keeps one
 //! record per question — the rendered prompt, the model's raw text, the
-//! parsed answer and the outcome — supporting:
+//! parsed answer and the outcome. A transcript is the runner's run:
+//! [`DetailedRun::record`] goes through the same work units, resilience
+//! sessions and question order as [`GridRunner::run`], so its outcomes
+//! add up to that run's report level by level, faults and tripped
+//! breakers included. It supports:
 //!
 //! * JSONL transcript export ([`DetailedRun::to_jsonl`]),
 //! * failure breakdowns by question polarity and negative regime
@@ -13,8 +17,7 @@
 //!   error-analysis views behind the paper's §4 discussions.
 
 use crate::dataset::Dataset;
-use crate::eval::EvalConfig;
-use crate::grid::GridRunner;
+use crate::grid::{GridCell, GridRunner};
 use crate::metrics::{Metrics, Outcome};
 use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
@@ -58,33 +61,35 @@ pub struct DetailedRun {
 }
 
 impl DetailedRun {
-    /// Execute `model` over `dataset`, recording everything.
-    pub fn record(model: &dyn LanguageModel, dataset: &Dataset, config: EvalConfig) -> Self {
-        model.reset();
-        let runner = GridRunner::builder().with_config(config).build();
-        let mut exchanges = Vec::with_capacity(dataset.len());
-        for slice in &dataset.levels {
-            for question in &slice.questions {
-                let answer = runner.ask(model, question, &slice.exemplars);
-                // A query the session gives up on is recorded
-                // faithfully: the error display stands in for the
-                // (absent) response text.
-                let response = match answer.response {
-                    Ok(ok) => ok.text.to_string(),
-                    Err(error) => format!("[{error}]"),
-                };
+    /// Run `model` over `dataset` under `runner`, recording every
+    /// exchange. The runner's workers fill each work unit's exchanges;
+    /// they are joined in unit order, which is dataset order.
+    pub fn record(runner: &GridRunner, model: &dyn LanguageModel, dataset: &Dataset) -> Self {
+        let units = runner.run_units(
+            &[model],
+            &[dataset],
+            &[GridCell { model: 0, dataset: 0 }],
+            |exchanges: &mut Vec<Exchange>, query, response, parsed, outcome| {
+                let question = query.question;
                 exchanges.push(Exchange {
                     question_id: question.id,
                     child_level: question.child_level,
                     negative: negative_of(question),
-                    prompt: answer.prompt,
-                    response,
-                    parsed: answer.parsed,
-                    outcome: answer.outcome,
+                    prompt: query.prompt.to_owned(),
+                    // A query the session gives up on is recorded
+                    // faithfully: the error display stands in for the
+                    // (absent) response text.
+                    response: match response {
+                        Ok(ok) => ok.text.to_string(),
+                        Err(error) => format!("[{error}]"),
+                    },
+                    parsed,
+                    outcome,
                     similarity: similarity(&question.child, question.shown_candidate()),
                 });
-            }
-        }
+            },
+        );
+        let exchanges = units.into_iter().flatten().flat_map(|(_, exchanges)| exchanges).collect();
         DetailedRun { model: model.name().to_owned(), exchanges }
     }
 
@@ -185,7 +190,7 @@ mod tests {
     fn detailed_overall_matches_evaluator() {
         let d = dataset(QuestionDataset::Hard);
         let model = FixedAnswerModel::always_yes();
-        let run = DetailedRun::record(&model, &d, EvalConfig::default());
+        let run = DetailedRun::record(&GridRunner::default(), &model, &d);
         let report = GridRunner::default().run(&model, &d);
         assert_eq!(run.overall(), report.overall);
         assert_eq!(run.exchanges.len(), d.len());
@@ -194,7 +199,7 @@ mod tests {
     #[test]
     fn polarity_split_exposes_the_yes_bias() {
         let d = dataset(QuestionDataset::Hard);
-        let run = DetailedRun::record(&FixedAnswerModel::always_yes(), &d, EvalConfig::default());
+        let run = DetailedRun::record(&GridRunner::default(), &FixedAnswerModel::always_yes(), &d);
         let (pos, easy, hard) = run.by_polarity();
         assert_eq!(pos.accuracy(), 1.0, "always-yes aces positives");
         assert_eq!(hard.accuracy(), 0.0, "and bombs negatives");
@@ -205,7 +210,7 @@ mod tests {
     #[test]
     fn similarity_bands_partition_everything() {
         let d = dataset(QuestionDataset::Easy);
-        let run = DetailedRun::record(&FixedAnswerModel::always_idk(), &d, EvalConfig::default());
+        let run = DetailedRun::record(&GridRunner::default(), &FixedAnswerModel::always_idk(), &d);
         let (low, mid, high) = run.by_similarity_band();
         assert_eq!(low.total() + mid.total() + high.total(), d.len());
     }
@@ -213,7 +218,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let d = dataset(QuestionDataset::Mcq);
-        let run = DetailedRun::record(&FixedAnswerModel::new("m", "B)"), &d, EvalConfig::default());
+        let run = DetailedRun::record(&GridRunner::default(), &FixedAnswerModel::new("m", "B)"), &d);
         let jsonl = run.to_jsonl();
         assert_eq!(jsonl.lines().count(), run.exchanges.len());
         let back = DetailedRun::from_jsonl("m", &jsonl).unwrap();
@@ -225,7 +230,7 @@ mod tests {
     #[test]
     fn failures_iterates_only_wrong_answers() {
         let d = dataset(QuestionDataset::Hard);
-        let run = DetailedRun::record(&FixedAnswerModel::always_yes(), &d, EvalConfig::default());
+        let run = DetailedRun::record(&GridRunner::default(), &FixedAnswerModel::always_yes(), &d);
         let failures: Vec<_> = run.failures().collect();
         assert_eq!(failures.len(), run.overall().wrong);
         assert!(failures.iter().all(|e| e.outcome == Outcome::Wrong));
@@ -236,7 +241,7 @@ mod tests {
     #[test]
     fn transcripts_contain_prompts_and_responses() {
         let d = dataset(QuestionDataset::Hard);
-        let run = DetailedRun::record(&FixedAnswerModel::always_yes(), &d, EvalConfig::default());
+        let run = DetailedRun::record(&GridRunner::default(), &FixedAnswerModel::always_yes(), &d);
         let e = &run.exchanges[0];
         assert!(e.prompt.contains("a type of"));
         assert_eq!(e.response, "Yes.");

@@ -22,6 +22,7 @@ use crate::model::LanguageModel;
 use crate::parse::ParsedAnswer;
 use crate::question::Question;
 use crate::sampling::cochran_sample;
+use crate::text::word_overlap;
 use taxoglimpse_synth::rng::fork;
 use taxoglimpse_taxonomy::{NodeId, Taxonomy};
 
@@ -166,10 +167,7 @@ fn surface_score(entity: &str, concept: &str) -> f64 {
     let el = entity.to_ascii_lowercase();
     let cl = concept.to_ascii_lowercase();
     let containment = if cl.len() >= 4 && el.contains(&cl) { 1.0 } else { 0.0 };
-    let ew: Vec<&str> = el.split(' ').collect();
-    let cw: Vec<&str> = cl.split(' ').collect();
-    let shared = cw.iter().filter(|w| ew.contains(w)).count();
-    let overlap = if cw.is_empty() { 0.0 } else { shared as f64 / cw.len() as f64 };
+    let overlap = word_overlap(&el, &cl);
     // Character-bigram Jaccard as a tiebreaker.
     let bigrams = |s: &str| -> Vec<(u8, u8)> {
         let b: Vec<u8> = s.bytes().collect();

@@ -3,12 +3,15 @@
 //!
 //! Every [`EvalReport`] in the workspace comes from
 //! [`GridRunner::run_cells`] — [`GridRunner::run`] is `run_cells` on one
-//! cell — and every work unit goes through the same loop: render,
-//! answer in batches, replay through a fresh [`ResilienceSession`],
-//! parse, score. [`GridRunner::ask`] is the single-question form of
-//! that loop and the only other place a question meets a model: the
-//! case study, the hybrid taxonomy, enrichment, detailed transcripts,
-//! the CLI and hier's descent all ask through it.
+//! cell — and every question in the workspace goes through one loop,
+//! `GridRunner::question_loop`: render, answer in batches, replay
+//! through a [`ResilienceSession`], parse, score, and hand the result
+//! to a sink. A grid work unit runs it with a fresh session and a
+//! [`Metrics`] sink; a [`DetailedRun`](crate::detailed::DetailedRun)
+//! transcript runs the same units with a sink that keeps each exchange;
+//! [`GridRunner::ask`] runs it on one question. The case study, the
+//! hybrid taxonomy, enrichment, the CLI and hier's descent all ask
+//! through it.
 //!
 //! Tables 5–7 evaluate a (model × taxonomy) grid — hundreds of thousands
 //! of independent queries. [`GridRunner`] splits every cell into
@@ -35,7 +38,7 @@ use crate::eval::{score, EvalConfig, EvalReport, LevelMetrics, DEFAULT_BATCH_SIZ
 use crate::metrics::{Metrics, Outcome};
 use crate::model::{LanguageModel, ModelError, Query, Response};
 use crate::parse::{parse_answer, ParsedAnswer};
-use crate::prompts::{render_prefix, render_prompt, render_prompt_into, PromptSetting};
+use crate::prompts::{render_prefix, render_prompt_into, PromptSetting};
 use crate::question::Question;
 use crate::resilience::{ResiliencePolicy, ResilienceSession};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -220,10 +223,9 @@ impl GridRunner {
     }
 
     /// Ask a single question: the one path that turns a question into a
-    /// parsed, scored answer outside a grid cell. Renders under the
-    /// runner's configuration, delivers through a fresh
-    /// [`ResilienceSession`] under the runner's policy, then parses and
-    /// scores.
+    /// parsed, scored answer outside a grid cell. It is the question
+    /// loop on one question, through a fresh [`ResilienceSession`]
+    /// under the runner's policy.
     pub fn ask(
         &self,
         model: &dyn LanguageModel,
@@ -244,16 +246,17 @@ impl GridRunner {
         question: &Question,
         exemplars: &[Question],
     ) -> Answer {
-        let prompt = render_prompt(question, self.config.setting, self.config.variant, exemplars);
-        let response = session.call(model, &Query::new(&prompt, question, self.config.setting));
-        let (parsed, outcome) = match &response {
-            Ok(ok) => {
-                let parsed = parse_answer(question, &ok.text);
-                (parsed, score(question, parsed))
-            }
-            Err(_) => (ParsedAnswer::Unparsed, Outcome::Failed),
-        };
-        Answer { prompt, response, parsed, outcome }
+        let mut answer = None;
+        self.question_loop(
+            session,
+            model,
+            std::slice::from_ref(question),
+            exemplars,
+            |query, response, parsed, outcome| {
+                answer = Some(Answer { prompt: query.prompt.to_owned(), response, parsed, outcome });
+            },
+        );
+        answer.expect("the loop answers its one question")
     }
 
     /// Evaluate the full cross product of `models` × `datasets`.
@@ -285,9 +288,59 @@ impl GridRunner {
         datasets: &[&Dataset],
         cells: &[GridCell],
     ) -> Vec<EvalReport> {
-        // Split every cell into (level, question-range) work units —
-        // cell-major, level-major, ascending start, so merging unit
-        // results in index order replays the sequential question order.
+        let runs = self.run_units(models, datasets, cells, |metrics: &mut Metrics, _, _, _, outcome| {
+            metrics.record(outcome)
+        });
+        // Metrics are additive counters, so summing unit metrics in unit
+        // order gives bit-for-bit what a sequential pass records.
+        cells
+            .iter()
+            .zip(runs)
+            .map(|(cell, units)| {
+                let dataset = datasets[cell.dataset];
+                let mut by_level: Vec<LevelMetrics> = dataset
+                    .levels
+                    .iter()
+                    .map(|s| LevelMetrics { child_level: s.child_level, metrics: Metrics::default() })
+                    .collect();
+                for (level, metrics) in units {
+                    by_level[level].metrics += metrics;
+                }
+                let mut overall = Metrics::default();
+                for level in &by_level {
+                    overall += level.metrics;
+                }
+                EvalReport {
+                    model: models[cell.model].name().to_owned(),
+                    taxonomy: dataset.taxonomy,
+                    flavor: dataset.flavor,
+                    setting: self.config.setting,
+                    overall,
+                    by_level,
+                }
+            })
+            .collect()
+    }
+
+    /// The unit scheduling every run shares, reports and transcripts
+    /// alike. Splits each cell into (level, question-range) work units,
+    /// resets each cell's model once up front, runs every unit's
+    /// question loop on the worker pool with a fresh `T` that `sink`
+    /// folds each question into, and returns, per cell, each unit's
+    /// level index and `T` in unit order — cell-major, level-major,
+    /// ascending start: the sequential question order. Panics as
+    /// [`GridRunner::run_cells`] documents.
+    ///
+    /// Every unit gets a fresh [`ResilienceSession`], so retry, backoff
+    /// and breaker state depend only on the unit's question range, never
+    /// on worker count or scheduling.
+    pub(crate) fn run_units<T: Default + Send>(
+        &self,
+        models: &[&dyn LanguageModel],
+        datasets: &[&Dataset],
+        cells: &[GridCell],
+        sink: impl Fn(&mut T, &Query<'_>, Result<Response, ModelError>, ParsedAnswer, Outcome) + Sync,
+    ) -> Vec<Vec<(usize, T)>> {
         // An empty level still gets one (empty) unit, keeping the
         // per-level report structure uniform.
         let mut units: Vec<WorkUnit> = Vec::new();
@@ -309,9 +362,8 @@ impl GridRunner {
             cell_units.push(first..units.len());
         }
 
-        // Per-run model reset happens once per cell up front (exactly as
-        // often as the old whole-cell path), before any chunk of that
-        // cell can run.
+        // Per-run model reset happens once per cell up front, before any
+        // unit of that cell can run.
         for cell in cells {
             models[cell.model].reset();
         }
@@ -320,18 +372,21 @@ impl GridRunner {
             let unit = units[i];
             let cell = cells[unit.cell];
             let slice = &datasets[cell.dataset].levels[unit.level];
-            self.eval_questions(
+            let mut folded = T::default();
+            self.question_loop(
+                &mut ResilienceSession::new(self.resilience),
                 models[cell.model],
                 &slice.questions[unit.start..unit.end],
                 &slice.exemplars,
-            )
+                |query, response, parsed, outcome| sink(&mut folded, query, response, parsed, outcome),
+            );
+            folded
         });
 
-        // Failures are aggregated per *cell* (first failing chunk's
-        // reason speaks for the cell), preserving the cell-identity
-        // panic contract at chunk granularity — and naming the failing
-        // chunk's level and question-index range so a panic in one
-        // chunk of a 100k-question cell is findable.
+        // Failures are aggregated per *cell* (first failing unit's
+        // reason speaks for the cell), naming the failing unit's level
+        // and question-index range so a panic in one unit of a
+        // 100k-question cell is findable.
         let failures: Vec<String> = cells
             .iter()
             .zip(&cell_units)
@@ -359,69 +414,45 @@ impl GridRunner {
             panic!("{} grid cell(s) panicked: {}", failures.len(), failures.join("; "));
         }
 
-        // Merge chunk metrics in unit-index order. Metrics are additive
-        // counters, so the per-level and overall sums are bit-for-bit
-        // what a sequential pass records.
-        cells
+        let mut outcomes = units.iter().zip(outcomes);
+        cell_units
             .iter()
-            .zip(&cell_units)
-            .map(|(cell, range)| {
-                let dataset = datasets[cell.dataset];
-                let mut by_level: Vec<LevelMetrics> = dataset
-                    .levels
-                    .iter()
-                    .map(|s| LevelMetrics { child_level: s.child_level, metrics: Metrics::default() })
-                    .collect();
-                for (unit, outcome) in units[range.clone()].iter().zip(&outcomes[range.clone()]) {
-                    let metrics = outcome.as_ref().expect("failures handled above");
-                    by_level[unit.level].metrics += *metrics;
-                }
-                let mut overall = Metrics::default();
-                for level in &by_level {
-                    overall += level.metrics;
-                }
-                EvalReport {
-                    model: models[cell.model].name().to_owned(),
-                    taxonomy: dataset.taxonomy,
-                    flavor: dataset.flavor,
-                    setting: self.config.setting,
-                    overall,
-                    by_level,
-                }
+            .map(|range| {
+                outcomes
+                    .by_ref()
+                    .take(range.len())
+                    .map(|(unit, outcome)| (unit.level, outcome.expect("failures handled above")))
+                    .collect()
             })
             .collect()
     }
 
-    /// The question loop of one work unit: renders the few-shot prefix
-    /// once for the unit and each batch of target questions into reused
-    /// buffers, so the steady state allocates nothing per query.
+    /// The one question loop: every question in the workspace meets its
+    /// model here. Renders the few-shot prefix once and each batch of
+    /// questions into reused buffers, so the steady state allocates
+    /// nothing per query.
     ///
     /// Questions are processed in batches of [`GridRunner::batch_size`]:
     /// each batch's attempt-0 deliveries are prefetched through
     /// [`LanguageModel::answer_batch`] (where models amortize prefix
     /// hashing, knowledge lookups and lock traffic), then replayed
-    /// through the session **in question order** via
+    /// through `session` **in question order** via
     /// [`ResilienceSession::call_prefetched`] — so retries, backoff and
-    /// breaker state evolve exactly as in the one-by-one path and
-    /// outcome bytes are independent of the batch size.
-    ///
-    /// Every unit gets a *fresh* [`ResilienceSession`]: retry, backoff
-    /// and breaker state are local to the unit's question range, never
-    /// shared across units — a unit's outcome bytes therefore depend
-    /// only on the unit, not on worker count or scheduling. Queries the
-    /// session gives up on score as [`Outcome::Failed`]. Metrics are
-    /// additive, so summing unit results in index order equals one
-    /// sequential pass.
-    fn eval_questions(
+    /// breaker state evolve exactly as one-by-one calls would, and
+    /// outcome bytes are independent of the batch size. Each question's
+    /// query, final delivery, parsed reply and outcome then go to
+    /// `sink`; a delivery the session gave up on parses as
+    /// [`ParsedAnswer::Unparsed`] and scores as [`Outcome::Failed`].
+    fn question_loop(
         &self,
+        session: &mut ResilienceSession,
         model: &dyn LanguageModel,
         questions: &[Question],
         exemplars: &[Question],
-    ) -> Metrics {
+        mut sink: impl FnMut(&Query<'_>, Result<Response, ModelError>, ParsedAnswer, Outcome),
+    ) {
         let prefix =
             render_prefix(self.config.setting, self.config.variant, exemplars, PromptSetting::SHOTS);
-        let mut session = ResilienceSession::new(self.resilience);
-        let mut metrics = Metrics::default();
         let mut bufs: Vec<String> = Vec::new();
         for chunk in questions.chunks(self.batch_size) {
             if bufs.len() < chunk.len() {
@@ -444,16 +475,17 @@ impl GridRunner {
                 "answer_batch must return exactly one result per query"
             );
             for (first, query) in firsts.into_iter().zip(&queries) {
-                let outcome = match session.call_prefetched(model, query, first) {
-                    Ok(response) => {
-                        score(query.question, parse_answer(query.question, &response.text))
+                let response = session.call_prefetched(model, query, first);
+                let (parsed, outcome) = match &response {
+                    Ok(ok) => {
+                        let parsed = parse_answer(query.question, &ok.text);
+                        (parsed, score(query.question, parsed))
                     }
-                    Err(_) => Outcome::Failed,
+                    Err(_) => (ParsedAnswer::Unparsed, Outcome::Failed),
                 };
-                metrics.record(outcome);
+                sink(query, response, parsed, outcome);
             }
         }
-        metrics
     }
 }
 

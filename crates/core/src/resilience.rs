@@ -14,9 +14,11 @@
 //!   fresh session per work unit (grid chunk), so breaker state is a
 //!   function of the chunk's question sequence alone — never of worker
 //!   count or scheduling order, which preserves the
-//!   byte-identical-reports guarantee. `GridRunner::ask`, hier and serve
-//!   own their sessions the same way; a policy is never applied through
-//!   a shared, lock-held session.
+//!   byte-identical-reports guarantee. Reports and `DetailedRun`
+//!   transcripts run the same units with the same sessions;
+//!   `GridRunner::ask` opens one per question, hier one per instance and
+//!   serve one per lane. A policy is never applied through a shared,
+//!   lock-held session.
 //!
 //! Queries that exhaust their retries surface as
 //! [`crate::metrics::Outcome::Failed`] and lower the report's

@@ -180,99 +180,6 @@ pub fn render_question(q: &Question, variant: TemplateVariant) -> String {
     out
 }
 
-/// A user-supplied template pair for custom domains.
-///
-/// Benchmark adopters probing their own taxonomies are not limited to
-/// the paper's eight domain phrasings: a `CustomTemplate` holds format
-/// strings with `{child}` / `{parent}` / `{options}` placeholders and
-/// renders any [`Question`] through them.
-///
-/// ```
-/// use taxoglimpse_core::templates::CustomTemplate;
-///
-/// let t = CustomTemplate::new(
-///     "Is the {child} department part of the {parent} division? answer with (Yes/No/I don't know)",
-///     "Which division does the {child} department belong to? {options}",
-/// ).unwrap();
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CustomTemplate {
-    tf: String,
-    mcq: String,
-}
-
-/// Errors from custom template construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TemplateError {
-    /// The TF template is missing `{child}` or `{parent}`.
-    TfMissingPlaceholder,
-    /// The MCQ template is missing `{child}` or `{options}`.
-    McqMissingPlaceholder,
-}
-
-impl std::fmt::Display for TemplateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TemplateError::TfMissingPlaceholder => {
-                write!(f, "TF template needs {{child}} and {{parent}}")
-            }
-            TemplateError::McqMissingPlaceholder => {
-                write!(f, "MCQ template needs {{child}} and {{options}}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TemplateError {}
-
-impl CustomTemplate {
-    /// Validate and build a template pair.
-    pub fn new(tf: impl Into<String>, mcq: impl Into<String>) -> Result<Self, TemplateError> {
-        let tf = tf.into();
-        let mcq = mcq.into();
-        if !tf.contains("{child}") || !tf.contains("{parent}") {
-            return Err(TemplateError::TfMissingPlaceholder);
-        }
-        if !mcq.contains("{child}") || !mcq.contains("{options}") {
-            return Err(TemplateError::McqMissingPlaceholder);
-        }
-        Ok(CustomTemplate { tf, mcq })
-    }
-
-    /// Render a question through the custom templates.
-    pub fn render(&self, q: &Question) -> String {
-        match &q.body {
-            QuestionBody::TrueFalse { candidate, .. } => self
-                .tf
-                .replace("{child}", &q.child)
-                .replace("{parent}", candidate),
-            QuestionBody::Mcq { options, .. } => {
-                let opts = format!(
-                    "A) {} B) {} C) {} D) {}",
-                    options[0], options[1], options[2], options[3]
-                );
-                self.mcq.replace("{child}", &q.child).replace("{options}", &opts)
-            }
-            QuestionBody::Sibling { options, .. } => {
-                let mut opts = String::new();
-                for (i, option) in options.iter().enumerate() {
-                    if i > 0 {
-                        opts.push(' ');
-                    }
-                    opts.push((b'A' + i as u8) as char);
-                    opts.push_str(") ");
-                    opts.push_str(option);
-                }
-                opts.push(' ');
-                opts.push((b'A' + options.len() as u8) as char);
-                opts.push_str(") ");
-                opts.push_str(ABSTAIN_OPTION);
-                self.mcq.replace("{child}", &q.child).replace("{options}", &opts)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,55 +258,6 @@ mod tests {
         );
         let short = render_sibling(TaxonomyKind::Google, TemplateVariant::Canonical, "Wireless Speakers", &options[..2].to_vec());
         assert!(short.ends_with("A) Audio B) Video C) None of the above"));
-    }
-
-    #[test]
-    fn custom_templates_render_and_validate() {
-        use crate::question::{NegativeKind, Question, QuestionBody};
-        let t = CustomTemplate::new(
-            "Does {child} report into {parent}? answer with (Yes/No/I don't know)",
-            "Who does {child} report into? {options}",
-        )
-        .unwrap();
-        let q = Question {
-            id: 0,
-            taxonomy: TaxonomyKind::Schema,
-            child: "Payments".into(),
-            child_level: 2,
-            parent_level: 1,
-            true_parent: "Finance".into(),
-            instance_typing: false,
-            body: QuestionBody::TrueFalse {
-                candidate: "Marketing".into(),
-                expected_yes: false,
-                negative: Some(NegativeKind::Easy),
-            },
-            surface_memo: Default::default(),
-        };
-        assert_eq!(
-            t.render(&q),
-            "Does Payments report into Marketing? answer with (Yes/No/I don't know)"
-        );
-        let mcq = Question {
-            body: QuestionBody::Mcq {
-                options: ["Finance".into(), "Marketing".into(), "Legal".into(), "Ops".into()],
-                correct: 0,
-            },
-            ..q
-        };
-        assert_eq!(
-            t.render(&mcq),
-            "Who does Payments report into? A) Finance B) Marketing C) Legal D) Ops"
-        );
-        // Validation failures.
-        assert_eq!(
-            CustomTemplate::new("no placeholders", "Who? {options} {child}").unwrap_err(),
-            TemplateError::TfMissingPlaceholder
-        );
-        assert_eq!(
-            CustomTemplate::new("{child} {parent}", "no placeholders").unwrap_err(),
-            TemplateError::McqMissingPlaceholder
-        );
     }
 
     #[test]

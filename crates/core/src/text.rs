@@ -1,4 +1,4 @@
-//! The two text rules every layer shares.
+//! The text rules every layer shares.
 //!
 //! * **Surface similarity**: character-trigram Jaccard over ASCII-lowered
 //!   bytes ([`Trigrams`], [`similarity`]). The simulated models use it as
@@ -13,6 +13,9 @@
 //!   prompt-cost comparison, whose `", "`-joined leaf listing is costed
 //!   per name ([`listed_token_count`]). [`prompt_counts`] also counts a
 //!   prompt's exemplars in the same pass, for the simulated models.
+//! * **Word overlap**: the share of one name's space-split words found in
+//!   another's ([`word_overlap`]), for enrichment's surface score and the
+//!   lexical baseline.
 //!
 //! This is not a trained BPE; it approximates modern LLM tokenizers
 //! (≈ 4 characters per token for English, punctuation split off, long
@@ -291,6 +294,18 @@ impl ProbeScorer<'_> {
 /// in ASCII.
 pub fn similarity(a: &str, b: &str) -> f64 {
     Trigrams::new(a).jaccard(&Trigrams::new(b))
+}
+
+/// The one word-overlap rule: the share of `part`'s space-split words
+/// that occur among `whole`'s, compared case-insensitively in ASCII.
+/// Enrichment's surface score and the lexical baseline both read it.
+pub fn word_overlap(whole: &str, part: &str) -> f64 {
+    let (mut words, mut shared) = (0usize, 0usize);
+    for word in part.split(' ') {
+        words += 1;
+        shared += usize::from(whole.split(' ').any(|w| w.eq_ignore_ascii_case(word)));
+    }
+    shared as f64 / words as f64
 }
 
 /// Tokens `name` costs as a non-final entry of a `", "`-joined listing:
@@ -594,6 +609,17 @@ pub(crate) mod tests {
         // Case folding is ASCII-only: Ï/ï and Æ/æ stay distinct.
         let s = similarity("naïve tæxon", "NAÏVE TÆXON");
         assert!(s > 0.0 && s < 1.0, "{s}");
+    }
+
+    #[test]
+    fn word_overlap_counts_the_parts_words() {
+        assert_eq!(word_overlap("Acute Cardiac lesion AE", "cardiac LESION"), 1.0);
+        assert_eq!(word_overlap("cardiac lesion", "acute cardiac lesion AE"), 0.5);
+        assert_eq!(word_overlap("Books", "Audio"), 0.0);
+        // Space-split: a doubled space makes an empty word on each side.
+        assert_eq!(word_overlap("a  b", "a  c"), 2.0 / 3.0);
+        // Folding is ASCII-only.
+        assert_eq!(word_overlap("NAÏVE", "naïve"), 0.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
 use taxoglimpse_core::question::{Question, QuestionBody};
 use taxoglimpse_core::similarity::Surface;
+use taxoglimpse_core::text::word_overlap;
 use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// Coin-flip / uniform-choice baseline (deterministic per question).
@@ -75,14 +76,7 @@ impl LexicalBaseline {
         if question.surface().contains(Surface::CANDIDATE) {
             return true;
         }
-        let (cl, al) = (question.child.to_ascii_lowercase(), candidate.to_ascii_lowercase());
-        let cw: Vec<&str> = cl.split(' ').collect();
-        let aw: Vec<&str> = al.split(' ').collect();
-        if aw.is_empty() {
-            return false;
-        }
-        let shared = aw.iter().filter(|w| cw.contains(w)).count();
-        shared as f64 / aw.len() as f64 >= self.overlap_threshold
+        word_overlap(&question.child, candidate) >= self.overlap_threshold
     }
 }
 

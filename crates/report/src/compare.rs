@@ -112,35 +112,6 @@ impl ComparisonSummary {
         }
         agree as f64 / taxonomies.len() as f64
     }
-
-    /// Render the comparison as a Markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::from(
-            "| Model | Taxonomy | A (paper) | A (ours) | ΔA | M (paper) | M (ours) | ΔM |\n|---|---|---|---|---|---|---|---|\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "| {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |\n",
-                c.model,
-                c.taxonomy,
-                c.paper_a,
-                c.measured_a,
-                c.delta_a(),
-                c.paper_m,
-                c.measured_m,
-                c.delta_m()
-            ));
-        }
-        out.push_str(&format!(
-            "\nmean |ΔA| = {:.3}, mean |ΔM| = {:.3}, max |ΔA| = {:.3} over {} cells ({})\n",
-            self.mean_delta_a(),
-            self.mean_delta_m(),
-            self.max_delta_a(),
-            self.cells.len(),
-            self.flavor
-        ));
-        out
-    }
 }
 
 fn mean(values: impl Iterator<Item = f64>) -> f64 {
@@ -183,19 +154,6 @@ mod tests {
         assert!(summary.mean_delta_a() < 0.08, "mean dA {}", summary.mean_delta_a());
         assert!(summary.mean_delta_m() < 0.08, "mean dM {}", summary.mean_delta_m());
         assert_eq!(summary.winner_agreement(), 1.0);
-    }
-
-    #[test]
-    fn markdown_rendering_contains_all_cells() {
-        let reports = vec![(
-            ModelId::Gpt4,
-            measure(ModelId::Gpt4, TaxonomyKind::Ebay, QuestionDataset::Mcq),
-        )];
-        let summary = ComparisonSummary::from_reports(QuestionDataset::Mcq, &reports);
-        let md = summary.render_markdown();
-        assert!(md.contains("GPT-4"));
-        assert!(md.contains("eBay"));
-        assert!(md.contains("mean |ΔA|"));
     }
 
     #[test]

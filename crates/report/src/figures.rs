@@ -1,5 +1,5 @@
 //! Text renderings of the paper's figures: named data series with
-//! labelled x-positions, printable as aligned text, sparklines, or CSV.
+//! labelled x-positions, printable as aligned text or sparklines.
 
 
 /// One named data series (e.g. one model's accuracy per level).
@@ -78,17 +78,6 @@ impl Figure {
         out
     }
 
-    /// Render as CSV: `series,label,value` rows.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from("series,x,value\n");
-        for s in &self.series {
-            for (label, v) in &s.points {
-                out.push_str(&format!("{},{label},{v:.4}\n", s.name));
-            }
-        }
-        out
-    }
-
     /// Is the overall trend of a series decreasing (first third mean >
     /// last third mean)? Used to assert the root-to-leaf decline.
     pub fn series_declines(series: &Series) -> bool {
@@ -140,16 +129,6 @@ mod tests {
         assert!(text.starts_with("Figure 3(x): demo\n"));
         assert!(text.contains("GPT-4"));
         assert!(text.contains("0.900"));
-    }
-
-    #[test]
-    fn figure_csv() {
-        let mut f = Figure::new("t");
-        f.push(series());
-        let csv = f.render_csv();
-        assert!(csv.starts_with("series,x,value\n"));
-        assert!(csv.contains("GPT-4,L1,0.9000"));
-        assert_eq!(csv.lines().count(), 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # taxoglimpse-report
 //!
-//! Rendering utilities for the experiment binaries: plain-text/Markdown/
-//! CSV tables ([`table`]), text "figures" (per-level accuracy curves,
+//! Rendering utilities for the experiment binaries: aligned plain-text
+//! tables ([`table`]), text "figures" (per-level accuracy curves,
 //! radar-chart data, scalability series — [`figures`]), and the
 //! paper-vs-measured comparison used to fill EXPERIMENTS.md
 //! ([`compare`]), plus the fixed-bucket log-scale latency histogram

@@ -58,37 +58,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as GitHub-flavored Markdown.
-    pub fn render_markdown(&self) -> String {
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
-    /// Render as CSV (RFC-4180-ish: quotes around cells containing
-    /// commas or quotes).
-    pub fn render_csv(&self) -> String {
-        let esc = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a probability the way the paper's tables do (three decimals).
@@ -117,23 +86,6 @@ mod tests {
         let off1 = lines[3].find("0.921").unwrap();
         let off2 = lines[4].find("0.201").unwrap();
         assert_eq!(off1, off2);
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let s = sample().render_markdown();
-        assert!(s.contains("| model | A | M |"));
-        assert!(s.contains("|---|---|---|"));
-        assert!(s.contains("| GPT-4 | 0.921 | 0.003 |"));
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("x", vec!["a".into(), "b".into()]);
-        t.push_row(vec!["hello, world".into(), "say \"hi\"".into()]);
-        let s = t.render_csv();
-        assert!(s.contains("\"hello, world\""));
-        assert!(s.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

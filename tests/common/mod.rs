@@ -194,7 +194,7 @@ pub fn transcript_fixture() -> (String, [Question; 3]) {
         .build(QuestionDataset::Mcq)
         .unwrap();
     let model = SimulatedLlm::new(ModelId::Llama2_7b);
-    let transcript = DetailedRun::record(&model, &dataset, EvalConfig::default()).to_jsonl();
+    let transcript = DetailedRun::record(&GridRunner::default(), &model, &dataset).to_jsonl();
     let mcq = dataset.questions().next().expect("ebay MCQ dataset is non-empty").clone();
     assert!(matches!(mcq.body, QuestionBody::Mcq { .. }));
     let tf = Question {

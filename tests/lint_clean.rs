@@ -68,6 +68,7 @@ fn interprocedural_passes_are_armed_against_this_workspace() {
     let rendered = doc.render_pretty();
     for expected in [
         "core::grid::GridRunner::run_cells",
+        "core::grid::GridRunner::question_loop",
         "\"core::resilience::ResilienceSession::call_impl\"",
         "core::hier::HierWorkload::run",
         "core::eval",

@@ -536,7 +536,7 @@ fn wire_bytes_of_every_record_are_pinned() {
     let dataset = hard_dataset(&taxonomy, kind, 4);
     let gpt4 = models().swap_remove(0);
     let report = GridRunner::default().run(gpt4.as_ref(), &dataset);
-    let run = DetailedRun::record(gpt4.as_ref(), &dataset, EvalConfig::default());
+    let run = DetailedRun::record(&GridRunner::default(), gpt4.as_ref(), &dataset);
     let jsonl = run.to_jsonl();
     let decoded = DetailedRun::from_jsonl(&run.model, &jsonl).expect("written JSONL decodes");
     assert_eq!(decoded.to_jsonl(), jsonl, "JSONL re-encode moved");

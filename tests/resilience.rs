@@ -237,9 +237,57 @@ fn single_question_paths_absorb_retryable_faults() {
 
     let dataset = small_dataset(8);
     let transcript = |model: &dyn LanguageModel| {
-        DetailedRun::record(model, &dataset, EvalConfig::default()).to_jsonl()
+        DetailedRun::record(&GridRunner::default(), model, &dataset).to_jsonl()
     };
     let expected = transcript(&bare);
     assert!(!expected.contains("service unavailable"));
     assert_eq!(transcript(&flaky), expected);
+}
+
+/// A transcript is the grid's run: under faults that trip the breaker,
+/// the per-level metrics rebuilt from `DetailedRun::record` equal
+/// `GridRunner::run`'s report at 1 and 4 workers, and both transcripts
+/// are byte-identical. Asking each question alone (a fresh session per
+/// question, so the breaker never opens) fails fewer questions, which
+/// shows the breaker shaped the run.
+#[test]
+fn transcript_is_the_grids_run_under_a_tripping_breaker() {
+    use taxoglimpse::core::detailed::DetailedRun;
+
+    let dataset = small_dataset(21);
+    let model = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), FaultPlan::uniform(21, 0.6));
+    let policy = ResiliencePolicy::default()
+        .with_breaker(BreakerPolicy::default().with_failure_threshold(2));
+    let alone = GridRunner::builder().with_resilience(policy).build();
+    let failed_alone = dataset
+        .levels
+        .iter()
+        .flat_map(|slice| slice.questions.iter().map(move |q| (q, &slice.exemplars)))
+        .filter(|(q, exemplars)| alone.ask(&model, q, exemplars).outcome == Outcome::Failed)
+        .count();
+    let mut transcripts = Vec::new();
+    for threads in [1, 4] {
+        let runner = GridRunner::builder()
+            .with_resilience(policy)
+            .with_chunk_size(8)
+            .with_threads(threads)
+            .build();
+        let run = DetailedRun::record(&runner, &model, &dataset);
+        let report = runner.run(&model, &dataset);
+        assert_eq!(run.exchanges.len(), dataset.len());
+        for level in &report.by_level {
+            let mut rebuilt = Metrics::default();
+            for exchange in run.exchanges.iter().filter(|e| e.child_level == level.child_level) {
+                rebuilt.record(exchange.outcome);
+            }
+            assert_eq!(rebuilt, level.metrics, "level {} at {threads} worker(s)", level.child_level);
+        }
+        assert!(
+            failed_alone < report.overall.failed,
+            "the breaker must fail questions a fresh session answers: {failed_alone} vs {}",
+            report.overall.failed
+        );
+        transcripts.push(run.to_jsonl());
+    }
+    assert_eq!(transcripts[0], transcripts[1], "transcripts differ across worker counts");
 }
