@@ -34,10 +34,13 @@
 //! loop (`scan`): candidates are scored against every probe name at
 //! once through [`ProbeTrigrams`], each probe keeping a bounded top-k
 //! under the total order, and per-chunk lists merge exactly. A run
-//! makes one pass over the leaves, chunked on the worker pool, that
-//! yields every instance's shortlist and the whole-taxonomy listing's
-//! token count (summed per name, never joined); `route` is the same
-//! loop over the router regions with one probe.
+//! makes one pass over the leaves on the worker pool. Each chunk is a
+//! range of node ids whose leaves it walks in order, so no list of the
+//! leaves is built, and each leaf costs one walk over its name's bytes
+//! for the scores plus one block of the token counter for the listing.
+//! The pass yields every instance's shortlist and the whole-taxonomy
+//! listing's token count (summed per name, never joined); `route` is
+//! the same loop over the router regions with one probe.
 //!
 //! Determinism: routing is a pure function of `(taxonomy, instance)`;
 //! descent question ids are pure functions of
@@ -297,7 +300,7 @@ impl HierWorkload {
     pub fn route(&self, t: &Taxonomy, name: &str) -> Vec<NodeId> {
         let level = self.router.level.min(t.num_levels().saturating_sub(1));
         let probe = ProbeTrigrams::new([name]);
-        let best = scan(t, t.nodes_at_level(level), &probe, self.router.top_k);
+        let best = scan(t, t.nodes_at_level(level).iter().copied(), &probe, self.router.top_k);
         merge(t, vec![best], 1, self.router.top_k).swap_remove(0)
     }
 }
@@ -349,13 +352,18 @@ struct Best {
 
 /// Score every candidate against every probe in one walk over the
 /// candidates, keeping each probe's `k` best.
-fn scan(t: &Taxonomy, candidates: &[NodeId], probes: &ProbeTrigrams, k: usize) -> Best {
+fn scan(
+    t: &Taxonomy,
+    candidates: impl IntoIterator<Item = NodeId>,
+    probes: &ProbeTrigrams,
+    k: usize,
+) -> Best {
     let mut best = Best {
         scored: vec![Vec::new(); probes.len()],
         zero: Vec::with_capacity(k),
     };
     let mut scorer = probes.scorer();
-    for &c in candidates {
+    for c in candidates {
         scorer.score(t.name(c), |p, score| offer(t, &mut best.scored[p], k, (score, c)));
         offer(t, &mut best.zero, k, (0.0, c));
     }
@@ -386,31 +394,41 @@ fn merge(t: &Taxonomy, parts: Vec<Best>, probes: usize, k: usize) -> Vec<Vec<Nod
 
 /// One pass over `t`'s leaves, split into chunks on `threads` workers:
 /// each probe's `k` most similar leaves, and the token count of the
-/// `", "`-joined leaf listing.
+/// `", "`-joined leaf listing. Each chunk is a range of node ids whose
+/// leaves it walks in id order, so no list of the leaves is built.
 fn leaf_pass(
     t: &Taxonomy,
     probes: &ProbeTrigrams,
     k: usize,
     threads: usize,
 ) -> (Vec<Vec<NodeId>>, usize) {
-    let leaves = t.leaves();
-    let chunk = leaves.len().div_ceil(threads * LEAF_CHUNKS_PER_WORKER).max(1);
-    let chunks: Vec<&[NodeId]> = leaves.chunks(chunk).collect();
-    let parts = run_indexed(threads, chunks.len(), |c| {
-        let listed: usize = chunks[c].iter().map(|&l| listed_token_count(t.name(l))).sum();
-        (scan(t, chunks[c], probes, k), listed)
+    let chunk = t.len().div_ceil(threads * LEAF_CHUNKS_PER_WORKER).max(1);
+    let parts = run_indexed(threads, t.len().div_ceil(chunk), |c| {
+        let (mut listed, mut last) = (0, None);
+        let leaves = t.ids().skip(c * chunk).take(chunk).filter(|&id| t.is_leaf(id));
+        let best = scan(
+            t,
+            leaves.inspect(|&leaf| {
+                listed += listed_token_count(t.name(leaf));
+                last = Some(leaf);
+            }),
+            probes,
+            k,
+        );
+        (best, listed, last)
     });
-    let (mut best, mut listed) = (Vec::with_capacity(parts.len()), 0);
+    let (mut best, mut listed, mut last) = (Vec::with_capacity(parts.len()), 0, None);
     for part in parts {
-        let (part, tokens) = part.unwrap_or_else(|reason| {
+        let (part, tokens, part_last) = part.unwrap_or_else(|reason| {
             // lint:allow(P001, deliberate re-panic - a worker panic is surfaced once every chunk has finished)
             panic!("hier leaf pass panicked: {reason}")
         });
         best.push(part);
         listed += tokens;
+        last = part_last.or(last);
     }
     // The last leaf is not followed by a comma.
-    if let Some(&last) = leaves.last() {
+    if let Some(last) = last {
         listed = listed - listed_token_count(t.name(last)) + token_count(t.name(last));
     }
     (merge(t, best, probes.len(), k), listed)
