@@ -363,9 +363,18 @@ fn scan(
         zero: Vec::with_capacity(k),
     };
     let mut scorer = probes.scorer();
+    // The first byte of the zero list's worst name. Once the list is
+    // full, a name whose first byte sorts after it ranks after every
+    // entry, so only the others are offered (an empty name's `None`
+    // sorts first).
+    let mut zero_first = None;
     for c in candidates {
-        scorer.score(t.name(c), |p, score| offer(t, &mut best.scored[p], k, (score, c)));
-        offer(t, &mut best.zero, k, (0.0, c));
+        let name = t.name(c);
+        scorer.score(name, |p, score| offer(t, &mut best.scored[p], k, (score, c)));
+        if best.zero.len() < k || name.as_bytes().first().copied() <= zero_first {
+            offer(t, &mut best.zero, k, (0.0, c));
+            zero_first = best.zero.last().and_then(|&(_, w)| t.name(w).bytes().next());
+        }
     }
     best
 }
