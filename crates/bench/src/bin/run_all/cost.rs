@@ -19,8 +19,8 @@ use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_llm::api::{cost_usd, seconds_per_delivery};
 use taxoglimpse_llm::profile::ModelId;
-use taxoglimpse_llm::simulate::SimulatedLlm;
-use taxoglimpse_llm::{FaultInjector, FaultPlan};
+use taxoglimpse_llm::simulate::{SimulatedLlm, UsageStats};
+use taxoglimpse_llm::{FaultInjector, FaultPlan, FaultStats};
 use taxoglimpse_report::table::Table;
 
 /// Share of deliveries the serving layer loses to transient outages.
@@ -60,16 +60,14 @@ pub fn run(opts: &RunOptions, cache: &TaxonomyCache) {
             SimulatedLlm::new(model_id),
             FaultPlan::disabled(opts.seed).with_unavailable_rate(UNAVAILABLE_RATE),
         );
-        let (mut prompt_tokens, mut completion_tokens, mut retries, mut deliveries) = (0, 0, 0, 0);
+        let (mut usage, mut faults) = (UsageStats::default(), FaultStats::default());
         for dataset in &datasets {
             runner.run(&client, dataset);
-            let usage = client.base().usage();
-            let faults = client.stats();
-            prompt_tokens += usage.prompt_tokens;
-            completion_tokens += usage.completion_tokens;
-            retries += faults.injected;
-            deliveries += faults.calls;
+            usage += client.base().usage();
+            faults += client.stats();
         }
+        let UsageStats { prompt_tokens, completion_tokens, .. } = usage;
+        let FaultStats { injected: retries, calls: deliveries, .. } = faults;
         let usd = cost_usd(model_id, prompt_tokens, completion_tokens);
         table.push_row(vec![
             model_id.to_string(),

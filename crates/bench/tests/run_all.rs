@@ -5,9 +5,14 @@
 //! `cost` and `shots` sections must each print a GPT-4 row: `cost`
 //! serves models through the fault/resilience tower, and `shots` runs
 //! truncated exemplar pools through the grid runner. `ablation` is left
-//! out because its fourth section builds full-scale NCBI whatever
-//! `--scale` says (about 30 s in a debug build); `scripts/verify.sh`
-//! runs it in the full-scale ledger compare.
+//! out of that run because its fourth section builds full-scale NCBI
+//! whatever `--scale` says; the ledger test runs it.
+//!
+//! The ledger test runs every entry at the default flags (seed 42,
+//! scale 1.0) and compares stdout with the committed
+//! `results/run_all.txt` byte for byte, so a change that moves any
+//! published number fails until the ledger is regenerated with it:
+//! `target/release/run_all > results/run_all.txt`.
 
 use std::process::{Command, Output};
 use std::sync::OnceLock;
@@ -21,6 +26,9 @@ const REGISTRY: [&str; 16] = [
 const SMALL: [&str; 4] = ["--scale", "0.05", "--cap", "5"];
 const HEADER: &str = "\n==================== ";
 const TRAILER: &str = "\nall experiments completed\n";
+
+/// The committed paper ledger: stdout of `run_all` at its default flags.
+const LEDGER: &str = include_str!("../../../results/run_all.txt");
 
 fn run_all(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_run_all"))
@@ -101,6 +109,59 @@ fn one_name_prints_its_section_of_the_full_run() {
     args.extend(SMALL);
     let alone = stdout_of(run_all(&args), "run_all fig5");
     assert_eq!(alone, format!("{fig5}{TRAILER}"));
+}
+
+/// Where `got` first differs from `want`: the 1-based line, the
+/// `==== name ====` header of the section in `got` holding it, and both
+/// lines (`<end>` past the last one). `None` when they are equal.
+fn first_difference(got: &str, want: &str) -> Option<String> {
+    if got == want {
+        return None;
+    }
+    let (mut got_lines, mut want_lines) = (got.split('\n'), want.split('\n'));
+    let mut section = "(before the first header)";
+    for line in 1.. {
+        let (g, w) = (got_lines.next(), want_lines.next());
+        if let Some(header) = g.filter(|g| g.starts_with(&HEADER[1..])) {
+            section = header;
+        }
+        if g != w {
+            return Some(format!(
+                "first differing line {line} is in section {section}\n  got:  {}\n  want: {}",
+                g.unwrap_or("<end>"),
+                w.unwrap_or("<end>"),
+            ));
+        }
+    }
+    unreachable!("unequal texts differ at some line")
+}
+
+#[test]
+fn default_run_matches_the_committed_ledger() {
+    let stdout = stdout_of(run_all(&[]), "run_all");
+    if let Some(difference) = first_difference(&stdout, LEDGER) {
+        panic!("run_all output differs from results/run_all.txt: {difference}");
+    }
+}
+
+#[test]
+fn first_difference_names_the_line_and_its_section() {
+    let header = |name: &str| format!("{}{name} ====================", &HEADER[1..]);
+    let (a, b) = (header("a"), header("b"));
+    let want = format!("\n{a}\nx\n\n{b}\ny\nz\n");
+    assert_eq!(first_difference(&want, &want), None);
+    assert_eq!(
+        first_difference(&want.replace('z', "Z"), &want),
+        Some(format!("first differing line 7 is in section {b}\n  got:  Z\n  want: z"))
+    );
+    assert_eq!(
+        first_difference(&format!("\n{a}\nx\n"), &want),
+        Some(format!("first differing line 5 is in section {a}\n  got:  <end>\n  want: {b}"))
+    );
+    assert_eq!(
+        first_difference("x", "").as_deref(),
+        Some("first differing line 1 is in section (before the first header)\n  got:  x\n  want: ")
+    );
 }
 
 #[test]

@@ -377,27 +377,10 @@ impl CacheStats {
     }
 }
 
-/// Counters are additive: [`ResponseCache::stats`] sums its shards,
-/// and callers sum the snapshots of several caches (one per serving
-/// lane, say) into one view.
-impl std::ops::AddAssign for CacheStats {
-    fn add_assign(&mut self, rhs: CacheStats) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.insertions += rhs.insertions;
-        self.duplicates += rhs.duplicates;
-    }
-}
-
-impl std::iter::Sum for CacheStats {
-    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> CacheStats {
-        let mut total = CacheStats::default();
-        for stats in iter {
-            total += stats;
-        }
-        total
-    }
-}
+// Counters are additive: `ResponseCache::stats` sums its shards,
+// and callers sum the snapshots of several caches (one per serving
+// lane, say) into one view.
+crate::counters!(CacheStats { hits, misses, insertions, duplicates });
 
 /// A sharded exact-memoization store for model responses. See the
 /// module docs for the key derivation and correctness rules.

@@ -176,10 +176,7 @@ mod tests {
     fn per_level_metrics_sum_to_overall() {
         let d = hard_dataset();
         let report = GridRunner::default().run(&FixedAnswerModel::always_yes(), &d);
-        let mut sum = Metrics::default();
-        for l in &report.by_level {
-            sum += l.metrics;
-        }
+        let sum: Metrics = report.by_level.iter().map(|l| l.metrics).sum();
         assert_eq!(sum, report.overall);
         assert_eq!(report.by_level.len(), d.levels.len());
     }

@@ -306,10 +306,7 @@ impl GridRunner {
                 for (level, metrics) in units {
                     by_level[level].metrics += metrics;
                 }
-                let mut overall = Metrics::default();
-                for level in &by_level {
-                    overall += level.metrics;
-                }
+                let overall = by_level.iter().map(|level| level.metrics).sum();
                 EvalReport {
                     model: models[cell.model].name().to_owned(),
                     taxonomy: dataset.taxonomy,
@@ -344,9 +341,7 @@ impl GridRunner {
         // An empty level still gets one (empty) unit, keeping the
         // per-level report structure uniform.
         let mut units: Vec<WorkUnit> = Vec::new();
-        let mut cell_units: Vec<std::ops::Range<usize>> = Vec::with_capacity(cells.len());
         for (ci, cell) in cells.iter().enumerate() {
-            let first = units.len();
             for (li, slice) in datasets[cell.dataset].levels.iter().enumerate() {
                 let n = slice.questions.len();
                 let mut start = 0usize;
@@ -359,7 +354,6 @@ impl GridRunner {
                     }
                 }
             }
-            cell_units.push(first..units.len());
         }
 
         // Per-run model reset happens once per cell up front, before any
@@ -368,7 +362,7 @@ impl GridRunner {
             models[cell.model].reset();
         }
 
-        let outcomes = run_indexed(self.threads, units.len(), |i| {
+        let work = |i: usize| {
             let unit = units[i];
             let cell = cells[unit.cell];
             let slice = &datasets[cell.dataset].levels[unit.level];
@@ -381,50 +375,42 @@ impl GridRunner {
                 |query, response, parsed, outcome| sink(&mut folded, query, response, parsed, outcome),
             );
             folded
-        });
-
+        };
         // Failures are aggregated per *cell* (first failing unit's
         // reason speaks for the cell), naming the failing unit's level
         // and question-index range so a panic in one unit of a
-        // 100k-question cell is findable.
-        let failures: Vec<String> = cells
-            .iter()
-            .zip(&cell_units)
-            .enumerate()
-            .filter_map(|(ci, (cell, range))| {
-                let (unit, reason) = units[range.clone()]
-                    .iter()
-                    .zip(&outcomes[range.clone()])
-                    .find_map(|(unit, o)| o.as_ref().err().map(|reason| (unit, reason)))?;
-                let dataset = datasets[cell.dataset];
-                // The cell index maps a failure back to the caller's
-                // own cell list.
-                Some(format!(
-                    "cell {ci} (model `{}`, dataset `{:?}`) level {} questions {}..{}: {reason}",
-                    models[cell.model].name(),
-                    dataset.taxonomy,
-                    dataset.levels[unit.level].child_level,
-                    unit.start,
-                    unit.end,
-                ))
-            })
-            .collect();
-        if !failures.is_empty() {
-            // lint:allow(P001, deliberate re-panic - worker panics are joined and surfaced after all cells finish)
-            panic!("{} grid cell(s) panicked: {}", failures.len(), failures.join("; "));
-        }
+        // 100k-question cell is findable. Units are laid out cell by
+        // cell, so a cell's first failure is the first to name it.
+        let report = |failed: &[(usize, String)]| {
+            let mut firsts = failed.to_vec();
+            firsts.dedup_by_key(|(i, _)| units[*i].cell);
+            let failures: Vec<String> = firsts
+                .iter()
+                .map(|(i, reason)| {
+                    let unit = units[*i];
+                    let cell = cells[unit.cell];
+                    let dataset = datasets[cell.dataset];
+                    // The cell index maps a failure back to the caller's
+                    // own cell list.
+                    format!(
+                        "cell {} (model `{}`, dataset `{:?}`) level {} questions {}..{}: {reason}",
+                        unit.cell,
+                        models[cell.model].name(),
+                        dataset.taxonomy,
+                        dataset.levels[unit.level].child_level,
+                        unit.start,
+                        unit.end,
+                    )
+                })
+                .collect();
+            format!("{} grid cell(s) panicked: {}", failures.len(), failures.join("; "))
+        };
 
-        let mut outcomes = units.iter().zip(outcomes);
-        cell_units
-            .iter()
-            .map(|range| {
-                outcomes
-                    .by_ref()
-                    .take(range.len())
-                    .map(|(unit, outcome)| (unit.level, outcome.expect("failures handled above")))
-                    .collect()
-            })
-            .collect()
+        let mut by_cell: Vec<Vec<(usize, T)>> = cells.iter().map(|_| Vec::new()).collect();
+        for (unit, folded) in units.iter().zip(run_indexed(self.threads, units.len(), work, report)) {
+            by_cell[unit.cell].push((unit.level, folded));
+        }
+        by_cell
     }
 
     /// The one question loop: every question in the workspace meets its
@@ -493,13 +479,16 @@ impl GridRunner {
 /// in `0..n` on up to `threads` scoped workers and returns the results
 /// in index order. A panic inside `work(i)` is caught *before* the
 /// result lock is taken — so it can never poison the lock for the other
-/// workers — and comes back as `Err` with the panic's message; every
-/// other index still runs. Callers attribute and re-raise failures.
+/// workers — and every other index still runs. Once all have finished,
+/// the failed `(index, panic message)` pairs, in index order, go to
+/// `report`, and the message it formats is raised as one panic: the
+/// library's one re-raise of a worker panic.
 pub(crate) fn run_indexed<T: Send>(
     threads: usize,
     n: usize,
     work: impl Fn(usize) -> T + Sync,
-) -> Vec<Result<T, String>> {
+    report: impl FnOnce(&[(usize, String)]) -> String,
+) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<Result<T, String>>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
@@ -519,12 +508,18 @@ pub(crate) fn run_indexed<T: Send>(
             });
         }
     });
-    results
-        .into_inner()
-        .expect("scope joined all workers")
-        .into_iter()
-        .map(|slot| slot.expect("every index was claimed"))
-        .collect()
+    let (mut done, mut failed) = (Vec::with_capacity(n), Vec::new());
+    for (i, slot) in results.into_inner().expect("scope joined all workers").into_iter().enumerate() {
+        match slot.expect("every index was claimed") {
+            Ok(value) => done.push(value),
+            Err(reason) => failed.push((i, reason)),
+        }
+    }
+    if !failed.is_empty() {
+        // lint:allow(P001, the one deliberate re-panic - worker panics are joined and surfaced once every index has run)
+        panic!("{}", report(&failed));
+    }
+    done
 }
 
 /// Best-effort extraction of a panic payload's message.

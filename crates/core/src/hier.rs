@@ -412,7 +412,7 @@ fn leaf_pass(
     threads: usize,
 ) -> (Vec<Vec<NodeId>>, usize) {
     let chunk = t.len().div_ceil(threads * LEAF_CHUNKS_PER_WORKER).max(1);
-    let parts = run_indexed(threads, t.len().div_ceil(chunk), |c| {
+    let work = |c: usize| {
         let (mut listed, mut last) = (0, None);
         let leaves = t.ids().skip(c * chunk).take(chunk).filter(|&id| t.is_leaf(id));
         let best = scan(
@@ -425,13 +425,12 @@ fn leaf_pass(
             k,
         );
         (best, listed, last)
+    };
+    let parts = run_indexed(threads, t.len().div_ceil(chunk), work, |failed| {
+        format!("hier leaf pass panicked: {}", failed[0].1)
     });
     let (mut best, mut listed, mut last) = (Vec::with_capacity(parts.len()), 0, None);
-    for part in parts {
-        let (part, tokens, part_last) = part.unwrap_or_else(|reason| {
-            // lint:allow(P001, deliberate re-panic - a worker panic is surfaced once every chunk has finished)
-            panic!("hier leaf pass panicked: {reason}")
-        });
+    for (part, tokens, part_last) in parts {
         best.push(part);
         listed += tokens;
         last = part_last.or(last);
@@ -758,28 +757,21 @@ impl Workload for HierWorkload {
         };
 
         model.reset();
-        let outcomes = run_indexed(runner.threads(), data.instances.len(), |i| {
-            self.process_instance(&state, model, i, &data.instances[i])
-        });
-        let failures: Vec<String> = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.as_ref().err().map(|reason| format!("instance {i}: {reason}")))
-            .collect();
-        if !failures.is_empty() {
-            // lint:allow(P001, deliberate re-panic - worker panics are joined and surfaced after all instances finish)
-            panic!(
+        let work = |i: usize| self.process_instance(&state, model, i, &data.instances[i]);
+        let outcomes = run_indexed(runner.threads(), data.instances.len(), work, |failed| {
+            let failures: Vec<String> =
+                failed.iter().map(|(i, reason)| format!("instance {i}: {reason}")).collect();
+            format!(
                 "{} hier instance(s) panicked (model `{}`, taxonomy `{}`): {}",
                 failures.len(),
                 model.name(),
                 cx.kind,
                 failures.join("; ")
-            );
-        }
+            )
+        });
 
         let mut metrics = HierMetrics::default();
-        for (instance, outcome) in data.instances.iter().zip(outcomes) {
-            let r = outcome.expect("failures handled above");
+        for (instance, r) in data.instances.iter().zip(outcomes) {
             metrics.instances += 1;
             if instance.ambiguous {
                 metrics.ambiguous += 1;

@@ -214,15 +214,19 @@ fn level_accuracy(
     runner.run(model, &Dataset { taxonomy: kind, flavor, levels }).overall.accuracy()
 }
 
-/// Word-level overlap score used for routing shortlists.
+/// Word-level overlap score used for routing shortlists: how many of
+/// `a`'s space-split words occur among `b`'s (ASCII case-insensitive),
+/// over the larger word count. Unlike [`crate::text::word_overlap`],
+/// which divides by one name's count, this is symmetric (unless a word
+/// repeats: each occurrence in `a` counts), so a one-word name does not
+/// score 1.0 against every longer name that contains it.
 fn name_overlap(a: &str, b: &str) -> f64 {
-    let aw: Vec<String> = a.split(' ').map(|w| w.to_ascii_lowercase()).collect();
-    let bw: Vec<String> = b.split(' ').map(|w| w.to_ascii_lowercase()).collect();
-    if aw.is_empty() || bw.is_empty() {
-        return 0.0;
+    let (mut words, mut shared) = (0usize, 0usize);
+    for word in a.split(' ') {
+        words += 1;
+        shared += usize::from(b.split(' ').any(|w| w.eq_ignore_ascii_case(word)));
     }
-    let shared = aw.iter().filter(|w| bw.contains(w)).count();
-    shared as f64 / aw.len().max(bw.len()) as f64
+    shared as f64 / words.max(b.split(' ').count()) as f64
 }
 
 #[cfg(test)]
@@ -356,5 +360,16 @@ mod tests {
         assert_eq!(name_overlap("wireless speakers", "wireless speakers"), 1.0);
         assert!(name_overlap("wireless speakers", "compact speakers") > 0.0);
         assert_eq!(name_overlap("pencil", "garden hose"), 0.0);
+        // Case-insensitive in ASCII, over the larger word count.
+        assert_eq!(name_overlap("Wireless SPEAKERS", "wireless speakers"), 1.0);
+        assert_eq!(name_overlap("Smart Home", "smart home DEVICES"), 2.0 / 3.0);
+        assert_eq!(name_overlap("smart home DEVICES", "Smart Home"), 2.0 / 3.0);
+        // A repeated word in `a` counts once per occurrence.
+        assert_eq!(name_overlap("tape tape", "tape"), 1.0);
+        assert_eq!(name_overlap("tape", "tape tape"), 0.5);
+        assert_eq!(name_overlap("tape tape", "Tape measure"), 1.0);
+        // `split(' ')` always yields a word, so empty names share theirs.
+        assert_eq!(name_overlap("", ""), 1.0);
+        assert_eq!(name_overlap("", "hose"), 0.0);
     }
 }

@@ -6,7 +6,6 @@
 
 use std::fmt;
 use taxoglimpse_json::{FromJson, Json, JsonError, ToJson};
-use std::ops::AddAssign;
 
 /// Aggregated outcome counts plus the derived metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,14 +84,42 @@ pub fn wilson_ci(successes: usize, trials: usize, z: f64) -> (f64, f64) {
     ((center - half).max(0.0), (center + half).min(1.0))
 }
 
-impl AddAssign for Metrics {
-    fn add_assign(&mut self, rhs: Metrics) {
-        self.correct += rhs.correct;
-        self.missed += rhs.missed;
-        self.wrong += rhs.wrong;
-        self.failed += rhs.failed;
-    }
+/// Implement [`AddAssign`](std::ops::AddAssign) and
+/// [`Sum`](std::iter::Sum) for a counter struct from one list of its
+/// fields: `+=` adds field by field, and summing nothing gives
+/// `Default::default()`. The right-hand side is destructured without
+/// `..`, so a field left off the list is a compile error.
+///
+/// ```
+/// #[derive(Debug, Default, PartialEq)]
+/// struct Hits { found: u64, lost: u64 }
+/// taxoglimpse_core::counters!(Hits { found, lost });
+///
+/// let total: Hits = [Hits { found: 1, lost: 2 }, Hits { found: 3, lost: 0 }].into_iter().sum();
+/// assert_eq!(total, Hits { found: 4, lost: 2 });
+/// ```
+#[macro_export]
+macro_rules! counters {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl ::std::ops::AddAssign for $ty {
+            fn add_assign(&mut self, rhs: $ty) {
+                let $ty { $($field),+ } = rhs;
+                $(self.$field += $field;)+
+            }
+        }
+
+        impl ::std::iter::Sum for $ty {
+            fn sum<I: Iterator<Item = $ty>>(iter: I) -> $ty {
+                iter.fold(<$ty>::default(), |mut total, item| {
+                    total += item;
+                    total
+                })
+            }
+        }
+    };
 }
+
+crate::counters!(Metrics { correct, missed, wrong, failed });
 
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -251,6 +278,27 @@ mod tests {
         let faulty_json = to_string(&faulty).expect("metrics serialize to json");
         assert_eq!(faulty_json, r#"{"correct":1,"missed":2,"wrong":3,"failed":4}"#);
         assert_eq!(from_str::<Metrics>(&faulty_json).expect("faulty metrics parse back"), faulty);
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Tally {
+        seen: u64,
+        kept: usize,
+        nested: Metrics,
+    }
+
+    crate::counters!(Tally { seen, kept, nested });
+
+    #[test]
+    fn counters_add_and_sum_field_by_field() {
+        let one = || Tally { seen: 3, kept: 1, nested: Metrics { correct: 2, ..Metrics::default() } };
+        let mut total = one();
+        total += Tally { seen: 4, kept: 0, nested: Metrics { failed: 5, ..Metrics::default() } };
+        let both = Metrics { correct: 2, failed: 5, ..Metrics::default() };
+        assert_eq!(total, Tally { seen: 7, kept: 1, nested: both });
+        let summed: Tally = [one(), one(), one()].into_iter().sum();
+        assert_eq!(summed, Tally { seen: 9, kept: 3, nested: Metrics { correct: 6, ..Metrics::default() } });
+        assert_eq!(std::iter::empty::<Tally>().sum::<Tally>(), Tally::default());
     }
 
     /// A Cochran-sized sample (385) gives the ±5% margin the paper's

@@ -224,28 +224,9 @@ impl ResilienceStats {
     }
 }
 
-/// Stats aggregate field-wise, so per-lane/per-tenant/per-shard
-/// sessions roll up without hand-summing counters (same contract as
-/// `CacheStats`).
-impl std::ops::AddAssign for ResilienceStats {
-    fn add_assign(&mut self, rhs: ResilienceStats) {
-        self.queries += rhs.queries;
-        self.deliveries += rhs.deliveries;
-        self.retries += rhs.retries;
-        self.failed += rhs.failed;
-        self.fast_failed += rhs.fast_failed;
-    }
-}
-
-impl std::iter::Sum for ResilienceStats {
-    fn sum<I: Iterator<Item = ResilienceStats>>(iter: I) -> ResilienceStats {
-        let mut total = ResilienceStats::default();
-        for stats in iter {
-            total += stats;
-        }
-        total
-    }
-}
+// Stats aggregate field-wise, so per-lane/per-tenant/per-shard
+// sessions roll up without hand-summing counters.
+crate::counters!(ResilienceStats { queries, deliveries, retries, failed, fast_failed });
 
 /// Mutable execution state for one policy over one run of questions.
 ///

@@ -81,13 +81,7 @@ impl ShedStats {
     }
 }
 
-impl std::ops::AddAssign for ShedStats {
-    fn add_assign(&mut self, rhs: ShedStats) {
-        self.rate_limited += rhs.rate_limited;
-        self.overload += rhs.overload;
-        self.queue_full += rhs.queue_full;
-    }
-}
+crate::counters!(ShedStats { rate_limited, overload, queue_full });
 
 /// Per-tenant serving outcome counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -234,13 +234,12 @@ fn prefetch(
         model.answer_batch(queries)
     } else {
         let parts: Vec<&[Query<'_>]> = queries.chunks(queries.len().div_ceil(workers)).collect();
+        let answers = run_indexed(workers, parts.len(), |i| model.answer_batch(parts[i]), |failed| {
+            format!("serve prefetch (model `{}`) panicked: {}", model.name(), failed[0].1)
+        });
         let mut spliced = Vec::with_capacity(queries.len());
-        for part in run_indexed(workers, parts.len(), |i| model.answer_batch(parts[i])) {
-            match part {
-                Ok(answers) => spliced.extend(answers),
-                // lint:allow(P001, deliberate re-panic - prefetch worker panics are joined and surfaced with the lane's model)
-                Err(reason) => panic!("serve prefetch (model `{}`) panicked: {reason}", model.name()),
-            }
+        for part in answers {
+            spliced.extend(part);
         }
         spliced
     };
@@ -334,11 +333,10 @@ pub fn run_serve(
     let mut queue = EventQueue::new();
     let mut trace = TraceDigest::new();
 
+    // Admissions, sheds and outcomes are counted once, in the gate's
+    // tenant rows; the report's totals are their sums. The arrival
+    // count is also the next request's trace id.
     let mut arrivals = 0u64;
-    let mut admitted = 0u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut shed = ShedStats::default();
     let mut latencies = Vec::new();
     let mut makespan_s = 0.0f64;
 
@@ -379,7 +377,6 @@ pub fn run_serve(
                 );
                 match verdict {
                     Ok(()) => {
-                        admitted += 1;
                         lanes[lane_idx].pending.push_back(PendingRequest {
                             id,
                             tenant,
@@ -391,10 +388,7 @@ pub fn run_serve(
                             questions, &prompts, config,
                         );
                     }
-                    Err(reason) => {
-                        shed.count(reason);
-                        trace.record(TAG_SHED, &[id, reason.code()]);
-                    }
+                    Err(reason) => trace.record(TAG_SHED, &[id, reason.code()]),
                 }
             }
             Event::BatchDeadline { lane, epoch } => {
@@ -423,11 +417,9 @@ pub fn run_serve(
                     );
                     gate.record_outcome(completion.request.tenant, completion.delivered);
                     if completion.delivered {
-                        completed += 1;
                         lanes[lane_idx].stats.completed += 1;
                         latencies.push(latency_s);
                     } else {
-                        failed += 1;
                         lanes[lane_idx].stats.failed += 1;
                     }
                 }
@@ -439,38 +431,33 @@ pub fn run_serve(
         }
     }
 
-    let mut batches = 0u64;
-    let mut occupancy_sum = 0u64;
-    let mut occupancy_max = 0u64;
-    let lane_stats: Vec<LaneStats> = lanes
+    let lanes: Vec<LaneStats> = lanes
         .into_iter()
         .map(|mut lane| {
             debug_assert!(lane.pending.is_empty(), "drained run left pending work");
             debug_assert!(!lane.busy, "drained run left a busy lane");
             lane.stats.resilience = lane.session.stats();
-            batches += lane.stats.batches;
-            occupancy_sum += lane.stats.occupancy_sum;
-            occupancy_max = occupancy_max.max(lane.stats.occupancy_max);
             lane.stats
         })
         .collect();
 
+    let tenants = gate.into_stats();
     ServeReport {
         arrivals,
-        admitted,
-        completed,
-        failed,
-        shed,
+        admitted: tenants.iter().map(|t| t.admitted).sum(),
+        completed: tenants.iter().map(|t| t.completed).sum(),
+        failed: tenants.iter().map(|t| t.failed).sum(),
+        shed: tenants.iter().map(|t| t.shed).sum(),
         latencies,
-        batches,
-        occupancy_sum,
-        occupancy_max,
+        batches: lanes.iter().map(|lane| lane.batches).sum(),
+        occupancy_sum: lanes.iter().map(|lane| lane.occupancy_sum).sum(),
+        occupancy_max: lanes.iter().map(|lane| lane.occupancy_max).max().unwrap_or(0),
         makespan_s,
         horizon_s: traffic.horizon_s,
         trace_digest: trace.digest(),
         trace_events: trace.events(),
-        tenants: gate.into_stats(),
-        lanes: lane_stats,
+        tenants,
+        lanes,
     }
 }
 
@@ -660,6 +647,12 @@ mod tests {
         let healthy_lane = &report.lanes[1];
         assert!(healthy_lane.completed > 0);
         assert_eq!(healthy_lane.failed, 0);
+        // The totals come from the tenant rows; the lane rows count the
+        // same outcomes on their own.
+        let lane_failed: u64 = report.lanes.iter().map(|l| l.failed).sum();
+        let lane_completed: u64 = report.lanes.iter().map(|l| l.completed).sum();
+        assert_eq!(lane_failed, report.failed);
+        assert_eq!(lane_completed + lane_failed, report.admitted);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //! streams for the same queries, so a fresh stack per run (or per
 //! worker count) can never change which deliveries fail.
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
-use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
 use taxoglimpse_synth::rng::{mix64, StreamHasher};
 
@@ -35,10 +33,7 @@ enum FaultClass {
 ///
 /// Rates are probabilities per *delivery* (one `answer` call); each
 /// class draws from the same uniform variate, so the per-class rates
-/// add up and their sum is the overall injection rate. Per-taxonomy
-/// and per-model multipliers scale all classes at once, modelling the
-/// observation that some domains (long ICD-10 prompts, say) or some
-/// serving stacks fail more than others.
+/// add up and their sum is the overall injection rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -48,8 +43,6 @@ pub struct FaultPlan {
     unavailable: f64,
     malformed: f64,
     retry_after_s: f64,
-    taxonomy_factor: [f64; TaxonomyKind::ALL.len()],
-    model_factor: BTreeMap<String, f64>,
 }
 
 impl FaultPlan {
@@ -63,8 +56,6 @@ impl FaultPlan {
             unavailable: 0.0,
             malformed: 0.0,
             retry_after_s: 1.0,
-            taxonomy_factor: [1.0; TaxonomyKind::ALL.len()],
-            model_factor: BTreeMap::new(),
         }
     }
 
@@ -118,18 +109,6 @@ impl FaultPlan {
         self
     }
 
-    /// Scale all rates for one taxonomy (default factor 1.0).
-    pub fn with_taxonomy_factor(mut self, kind: TaxonomyKind, factor: f64) -> Self {
-        self.taxonomy_factor[kind_index(kind)] = factor.max(0.0);
-        self
-    }
-
-    /// Scale all rates for one model, by its `name()` (default 1.0).
-    pub fn with_model_factor(mut self, model: &str, factor: f64) -> Self {
-        self.model_factor.insert(model.to_owned(), factor.max(0.0));
-        self
-    }
-
     /// True when no class can ever fire.
     pub fn is_disabled(&self) -> bool {
         self.timeout == 0.0
@@ -144,25 +123,23 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The fault decisions of one batch to `model`: the model's factor
-    /// is looked up and the `model|` head of the draw key is hashed once
-    /// here, not once per delivery. `None` when nothing can fire.
+    /// The fault decisions of one batch to `model`: the `model|` head
+    /// of the draw key is hashed once here, not once per delivery.
+    /// `None` when nothing can fire.
     fn decider(&self, model: &str) -> Option<FaultDecider<'_>> {
         if self.is_disabled() {
             return None;
         }
-        let model_factor = self.model_factor.get(model).copied().unwrap_or(1.0);
         let mut head = StreamHasher::new(self.seed ^ 0xFA_17B0A7);
         head.write_str(model);
         head.write_str("|");
-        Some(FaultDecider { plan: self, model_factor, head })
+        Some(FaultDecider { plan: self, head })
     }
 }
 
 /// [`FaultPlan`] decisions for one model, its key head hashed.
 struct FaultDecider<'p> {
     plan: &'p FaultPlan,
-    model_factor: f64,
     /// The draw hasher after `model|`. [`StreamHasher`] hashes any
     /// split of its input alike, so finishing a clone equals hashing
     /// the whole key in one stream.
@@ -175,10 +152,6 @@ impl FaultDecider<'_> {
     /// answer, and the draw never consults worker identity.
     fn decide(&self, query: &Query<'_>) -> Option<FaultClass> {
         let plan = self.plan;
-        let factor = plan.taxonomy_factor[kind_index(query.question.taxonomy)] * self.model_factor;
-        if factor == 0.0 {
-            return None;
-        }
         let mut h = self.head.clone();
         h.write_str(query.question.taxonomy.label());
         h.write_str("|");
@@ -194,20 +167,13 @@ impl FaultDecider<'_> {
             (plan.unavailable, FaultClass::Unavailable),
             (plan.malformed, FaultClass::Malformed),
         ] {
-            edge += rate * factor;
+            edge += rate;
             if u < edge {
                 return Some(class);
             }
         }
         None
     }
-}
-
-fn kind_index(kind: TaxonomyKind) -> usize {
-    TaxonomyKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("every TaxonomyKind appears in TaxonomyKind::ALL")
 }
 
 /// Injection counters accumulated by a [`FaultInjector`].
@@ -228,6 +194,10 @@ pub struct FaultStats {
     /// Malformed responses injected.
     pub malformed: u64,
 }
+
+taxoglimpse_core::counters!(FaultStats {
+    calls, injected, timeouts, rate_limited, truncated, unavailable, malformed
+});
 
 /// A [`LanguageModel`] wrapper that injects [`FaultPlan`] faults.
 ///
@@ -262,17 +232,6 @@ impl<M: LanguageModel> FaultInjector<M> {
 }
 
 impl FaultStats {
-    /// Add another batch's counters.
-    fn absorb(&mut self, other: FaultStats) {
-        self.calls += other.calls;
-        self.injected += other.injected;
-        self.timeouts += other.timeouts;
-        self.rate_limited += other.rate_limited;
-        self.truncated += other.truncated;
-        self.unavailable += other.unavailable;
-        self.malformed += other.malformed;
-    }
-
     /// Record one decided delivery.
     fn record(&mut self, class: Option<FaultClass>) {
         self.calls += 1;
@@ -343,7 +302,7 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
                 classes.push(class);
             }
         }
-        self.stats.lock().expect("fault stats lock not poisoned").absorb(local);
+        *self.stats.lock().expect("fault stats lock not poisoned") += local;
         let Some(classes) = classes else {
             return self.base.answer_batch(queries);
         };
@@ -404,6 +363,7 @@ mod tests {
     use crate::profile::ModelId;
     use crate::simulate::SimulatedLlm;
     use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
+    use taxoglimpse_core::domain::TaxonomyKind;
     use taxoglimpse_core::grid::GridRunner;
     use taxoglimpse_synth::{generate, GenOptions};
 
@@ -507,20 +467,6 @@ mod tests {
             assert_eq!(first.answer(&query), second.answer(&query));
         }
         assert_eq!(first.stats(), second.stats());
-    }
-
-    #[test]
-    fn factors_scale_rates() {
-        let d = dataset();
-        let zeroed = FaultPlan::uniform(13, 0.6).with_taxonomy_factor(TaxonomyKind::Ebay, 0.0);
-        let m = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), zeroed);
-        GridRunner::default().run(&m, &d);
-        assert_eq!(m.stats().injected, 0, "factor 0 silences the injector");
-
-        let model_zeroed = FaultPlan::uniform(13, 0.6).with_model_factor("GPT-4", 0.0);
-        let m2 = FaultInjector::new(SimulatedLlm::new(ModelId::Gpt4), model_zeroed);
-        GridRunner::default().run(&m2, &d);
-        assert_eq!(m2.stats().injected, 0);
     }
 
     #[test]

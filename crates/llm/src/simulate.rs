@@ -21,6 +21,8 @@ pub struct UsageStats {
     pub completion_tokens: u64,
 }
 
+taxoglimpse_core::counters!(UsageStats { queries, prompt_tokens, completion_tokens });
+
 /// A simulated model from the eighteen-model zoo.
 #[derive(Debug)]
 pub struct SimulatedLlm {
@@ -214,10 +216,7 @@ impl LanguageModel for SimulatedLlm {
                 Ok(Response::new(Arc::<str>::from(text.as_str())))
             })
             .collect();
-        let mut usage = self.usage.lock().expect("usage lock not poisoned");
-        usage.queries += local.queries;
-        usage.prompt_tokens += local.prompt_tokens;
-        usage.completion_tokens += local.completion_tokens;
+        *self.usage.lock().expect("usage lock not poisoned") += local;
         results
     }
 

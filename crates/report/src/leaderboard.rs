@@ -49,10 +49,7 @@ pub fn leaderboard(reports: &[EvalReport]) -> Vec<LeaderboardEntry> {
             let macro_miss = rs.iter().map(|r| r.overall.miss_rate()).sum::<f64>() / n;
             let macro_availability =
                 rs.iter().map(|r| r.overall.availability()).sum::<f64>() / n;
-            let mut pooled = Metrics::default();
-            for r in &rs {
-                pooled += r.overall;
-            }
+            let pooled = rs.iter().map(|r| r.overall).sum();
             LeaderboardEntry {
                 model: model.to_owned(),
                 macro_accuracy,

@@ -80,21 +80,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 #    every experiment in-process at the default flags (seed 42, scale
 #    1.0); its stdout must equal the committed ledger byte for byte, so
 #    a change that moves any published number fails here until
-#    `results/run_all.txt` is regenerated with it. The runner's exit
-#    status, section order and `cost`/`shots` GPT-4 rows are tier-1's
-#    `crates/bench/tests/run_all.rs`. Stage 2 built the binary. On a
-#    mismatch it names the `==== name ====` section holding the first
-#    differing line, then prints the diff.
+#    `results/run_all.txt` is regenerated with it. The compare is a
+#    tier-1 test (`crates/bench/tests/run_all.rs`, also run in stage 2);
+#    on a mismatch it names the `==== name ====` section and the line
+#    of the first difference.
 echo "==> comparing run_all with the committed ledger"
-target/release/run_all > target/run_all.out
-moved="$(cmp target/run_all.out results/run_all.txt 2>&1)" || {
-    line="$(sed -n 's/.*line \([0-9][0-9]*\).*/\1/p' <<< "$moved")"
-    section="$(awk -v n="${line:-0}" 'NR <= n && /^=+ [^ ]+ =+$/ { h = $0 } END { print h }' \
-        target/run_all.out)"
-    echo "error: run_all output differs from results/run_all.txt: $moved" >&2
-    echo "first differing line is in section: ${section:-(before the first header)}" >&2
-    diff target/run_all.out results/run_all.txt | head -40 >&2
-    exit 1
-}
+cargo test -q --offline -p taxoglimpse-bench --test run_all default_run_matches_the_committed_ledger
 
 echo "==> verify OK: hermetic tier-1 passed"

@@ -24,23 +24,15 @@ fn small_dataset(seed: u64) -> taxoglimpse::core::dataset::Dataset {
         .expect("ebay has probe levels")
 }
 
-/// A random fault plan: arbitrary per-class rates, retry-after, and a
-/// few taxonomy/model factors.
+/// A random fault plan: arbitrary per-class rates and retry-after.
 fn random_plan(rng: &mut SynthRng) -> FaultPlan {
-    let mut plan = FaultPlan::disabled(rng.gen_range(0u64..1 << 48))
+    FaultPlan::disabled(rng.gen_range(0u64..1 << 48))
         .with_timeout_rate(rng.gen_range(0u64..30) as f64 / 100.0)
         .with_rate_limit_rate(rng.gen_range(0u64..30) as f64 / 100.0)
         .with_truncated_rate(rng.gen_range(0u64..20) as f64 / 100.0)
         .with_unavailable_rate(rng.gen_range(0u64..20) as f64 / 100.0)
         .with_malformed_rate(rng.gen_range(0u64..10) as f64 / 100.0)
-        .with_retry_after_s(rng.gen_range(0u64..500) as f64 / 100.0);
-    if rng.gen_bool(0.5) {
-        plan = plan.with_taxonomy_factor(TaxonomyKind::Ebay, rng.gen_range(0u64..30) as f64 / 10.0);
-    }
-    if rng.gen_bool(0.3) {
-        plan = plan.with_model_factor("GPT-4", rng.gen_range(0u64..30) as f64 / 10.0);
-    }
-    plan
+        .with_retry_after_s(rng.gen_range(0u64..500) as f64 / 100.0)
 }
 
 /// `FaultInjector<SimulatedLlm>` at fault rate 0, run under any
